@@ -31,7 +31,7 @@ from .dataprep import (
     zscore_apply,
     zscore_fit,
 )
-from .errors import ConfigError, DataError, PipelineError
+from .errors import ConfigError, DataError, PipelineError, read_json_object
 from .evalharness import (
     MethodArtifacts,
     SweepConfig,
@@ -78,15 +78,55 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _remove_stale_lock(lock: Path) -> bool:
+    """Delete ``lock`` if the PID it records is not running; True when the
+    lock is gone.  A live PID or an unreadable lock is left in place."""
+    try:
+        text = lock.read_text(encoding="utf-8")
+        pid = int(text)
+    except FileNotFoundError:
+        return True
+    except (OSError, ValueError):
+        return False
+    if pid <= 0:  # os.kill would signal a process group
+        return False
+    try:
+        os.kill(pid, 0)
+        return False  # alive
+    except ProcessLookupError:
+        pass  # no such process: the lock is stale
+    except (OSError, OverflowError):  # e.g. alive but another user's
+        return False
+    # Rename first: of several runs reclaiming one stale lock, one wins.
+    aside = lock.with_name(f"{lock.name}.stale.{os.getpid()}")
+    try:
+        os.rename(lock, aside)
+    except FileNotFoundError:
+        return True
+    if aside.read_text(encoding="utf-8") != text:  # a live lock replaced it meanwhile
+        os.rename(aside, lock)
+        return False
+    aside.unlink()
+    return True
+
+
 @contextmanager
 def _output_lock(out_dir: Path):
-    """Guard an output directory against concurrent writers."""
+    """Guard an output directory against concurrent writers.  The lock file
+    records the writer's PID; a lock whose PID is no longer running is
+    reclaimed."""
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise PipelineError(f"output directory is locked by another run: {lock}") from None
+    fd = None
+    for _ in range(3):
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            if not _remove_stale_lock(lock):
+                break
+    if fd is None:
+        raise PipelineError(f"output directory is locked by another run: {lock}")
     try:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
@@ -101,11 +141,7 @@ def _load_config(path: str | None) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
-    with p.open("r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise ConfigError("config file must hold a JSON object")
-    return data
+    return read_json_object(p, ConfigError, "config")
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -304,9 +340,11 @@ def _load_threshold(dataset_dir: Path) -> ThresholdSpec:
     path = _threshold_path(dataset_dir)
     if not path.exists():
         raise DataError(f"no fitted threshold found at {path}; run train --task detect first")
-    with path.open("r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    return ThresholdSpec(tau=data["tau"], mode=data["mode"], n1=data["n1"], n=data["n"])
+    data = read_json_object(path, DataError, "threshold")
+    try:
+        return ThresholdSpec(tau=data["tau"], mode=data["mode"], n1=data["n1"], n=data["n"])
+    except KeyError as exc:
+        raise DataError(f"{path}: threshold file is missing key {exc}") from None
 
 
 def cmd_sweep(cfg: dict) -> int:

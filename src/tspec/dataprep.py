@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_json_object
 from .ingest import PacketRecord, PacketTimeline
 from .seeds import derive_seed
 from .spectrum import EncodingConfig, coap_values, sspe_values
@@ -315,8 +315,7 @@ class SyntheticScenario:
         path = Path(path)
         if not path.exists():
             raise DataError(f"scenario file not found: {path}")
-        with path.open("r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        return cls.from_dict(read_json_object(path, ConfigError, "scenario"))
 
 
 def _per_feature(value, width: int, what: str) -> np.ndarray:
@@ -448,8 +447,7 @@ def load_dataset(in_dir: str | Path) -> tuple[Dataset, dict]:
     json_path = in_dir / "dataset.json"
     if not csv_path.exists() or not json_path.exists():
         raise DataError(f"no dataset found under {in_dir}")
-    with json_path.open("r", encoding="utf-8") as handle:
-        sidecar = json.load(handle)
+    sidecar = read_json_object(json_path, DataError, "dataset sidecar")
     if sidecar.get("schema_version") != DATASET_SCHEMA_VERSION:
         raise DataError(
             f"unsupported dataset schema version {sidecar.get('schema_version')!r}"

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataprep import Dataset, NoiseSpec, inject_noise
-from .errors import DataError
+from .errors import DataError, read_json_object
 from .identify import IdentificationResult, SpectrumSignature, build_registry, identify_attack
 from .models import TrainedModel, predict, train
 from .seeds import derive_seed
@@ -387,8 +387,7 @@ def load_report(path: str | Path) -> EvalReport:
         path = path / "report.json"
     if not path.exists():
         raise DataError(f"report not found: {path}")
-    with path.open("r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+    payload = read_json_object(path, DataError, "report")
     if payload.get("schema_version") != REPORT_SCHEMA_VERSION:
         raise DataError(f"unsupported report schema version {payload.get('schema_version')!r}")
     return EvalReport(

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_json_object
 
 REGISTRY_FILE_VERSION = 1
 
@@ -181,11 +181,7 @@ def load_registry(path: str | Path) -> list[SpectrumSignature]:
     path = Path(path)
     if not path.exists():
         raise DataError(f"signature registry not found: {path}")
-    try:
-        with path.open("r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path} is not a valid registry file: {exc}") from exc
+    payload = read_json_object(path, DataError, "registry")
     if payload.get("version") != REGISTRY_FILE_VERSION:
         raise DataError(f"{path}: unsupported registry version {payload.get('version')!r}")
     signatures = [

@@ -10,13 +10,12 @@ downstream sliding windows see an uninterrupted time axis.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_json_object
 
 TIMESTAMP_FORMATS = ("epoch", "clock")
 
@@ -84,8 +83,7 @@ class FlowSchema:
         path = Path(path)
         if not path.exists():
             raise DataError(f"schema file not found: {path}")
-        with path.open("r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        return cls.from_dict(read_json_object(path, ConfigError, "schema"))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigError, DataError
+from ..errors import ConfigError, DataError, read_json_object
 from . import ensembles, glm
 from .trees import Tree
 
@@ -200,11 +200,7 @@ def load_model(path: str | Path) -> TrainedModel:
     path = Path(path)
     if not path.exists():
         raise DataError(f"model file not found: {path}")
-    try:
-        with path.open("r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path} is not a valid model file: {exc}") from exc
+    payload = read_json_object(path, DataError, "model")
 
     version = payload.get("version")
     if version != MODEL_FILE_VERSION:

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..seeds import rng_for
 from .glm import _sigmoid
-from .trees import Tree, build_tree, tree_apply, tree_predict
+from .trees import Tree, build_tree, presort, tree_apply, tree_predict
 
 _EPS = 1e-12
 
@@ -83,30 +83,32 @@ def gbm_fit(
 
     scores = np.full(n, f0)
     trees: list[Tree] = []
+    # Without subsampling every tree fits all of X, so one sort serves them all.
+    order = presort(X) if subsample >= 1.0 else None
+    rows = np.arange(n)
+    Xt = X
     for t in range(n_trees):
         if subsample < 1.0:
             rng = rng_for(seed, "tree", t)
             rows = np.sort(rng.choice(n, size=int(round(subsample * n)), replace=False))
-        else:
-            rows = np.arange(n)
+            Xt = X[rows]
 
         if task == "classify":
             prob = _sigmoid(scores)
             residual = y - prob
-            tree = build_tree(X[rows], residual[rows], max_depth=max_depth)
+            target = residual[rows]
+            tree = build_tree(Xt, target, max_depth=max_depth, order=order)
             # Newton leaf values: sum(residual) / sum(p * (1 - p)) per leaf.
-            leaves = tree_apply(tree, X[rows])
+            leaves = tree_apply(tree, Xt)
             hess = prob[rows] * (1.0 - prob[rows])
             value = tree.value.copy()
             for leaf in np.unique(leaves):
                 members = leaves == leaf
-                value[leaf] = residual[rows][members].sum() / max(
-                    hess[members].sum(), _EPS
-                )
+                value[leaf] = target[members].sum() / max(hess[members].sum(), _EPS)
             tree = Tree(tree.feature, tree.threshold, tree.left, tree.right, value)
         else:
             residual = y - scores
-            tree = build_tree(X[rows], residual[rows], max_depth=max_depth)
+            tree = build_tree(Xt, residual[rows], max_depth=max_depth, order=order)
 
         scores += learning_rate * tree_predict(tree, X)
         trees.append(tree)

@@ -1,12 +1,16 @@
 """Independent reference implementations used to pin expected test values.
 
 Everything here is deliberately written as plain scalar loops over the
-defining formulas, sharing no code with the package.
+defining formulas, sharing no code with the package.  The one exception is
+the tree builder, which keeps the straightforward per-node argsort split
+search as the reference for the presorted one.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def sspe_brute_force(labels, d_model: int, base: float = 10000.0) -> float:
@@ -59,3 +63,158 @@ def population_moments(values):
     mean = sum(values) / n
     var = sum((v - mean) ** 2 for v in values) / n
     return mean, math.sqrt(var)
+
+
+def _best_split_argsort(X, y, idx, feats, record=None):
+    """Best (feature, threshold, score) for the rows in ``idx``: argsort
+    every candidate feature of the node from scratch.  ``record``, a list,
+    receives the node's sorted (values, targets), one column per feature."""
+    sub = X[np.ix_(idx, feats)]
+    yv = y[idx]
+    m = idx.size
+
+    order = np.argsort(sub, axis=0, kind="stable")
+    xs = np.take_along_axis(sub, order, axis=0)
+    ys = yv[order]
+    if record is not None:
+        record.append((xs, ys))
+
+    left_n = np.arange(1, m, dtype=np.float64)[:, None]
+    right_n = m - left_n
+    left_sum = np.cumsum(ys, axis=0)[:-1]
+    left_sq = np.cumsum(ys * ys, axis=0)[:-1]
+    total_sum = left_sum[-1] + ys[-1]
+    total_sq = left_sq[-1] + ys[-1] * ys[-1]
+
+    sse = (left_sq - left_sum**2 / left_n) + (
+        (total_sq - left_sq) - (total_sum - left_sum) ** 2 / right_n
+    )
+    sse[xs[1:] == xs[:-1]] = np.inf
+
+    per_feature_best = sse.min(axis=0)
+    col = int(np.argmin(per_feature_best))
+    best = per_feature_best[col]
+    if not np.isfinite(best):
+        return None
+    row = int(np.argmin(sse[:, col]))
+    threshold = 0.5 * (xs[row, col] + xs[row + 1, col])
+    return int(feats[col]), float(threshold), float(best)
+
+
+def build_tree_argsort(
+    X, y, max_depth, max_features=None, rng=None, min_samples_split=2, record=None
+):
+    """Reference exact-greedy tree in ``Tree.to_dict()`` form: same node
+    numbering, stopping rules, feature draws and tie-breaks as the package."""
+    min_gain = 1e-12
+    n, width = X.shape
+    tree = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
+
+    def grow(idx, depth):
+        node = len(tree["feature"])
+        tree["feature"].append(-1)
+        tree["threshold"].append(0.0)
+        tree["left"].append(-1)
+        tree["right"].append(-1)
+        yv = y[idx]
+        mean = float(yv.mean())
+        tree["value"].append(mean)
+
+        parent_sse = float(((yv - mean) ** 2).sum())
+        if depth >= max_depth or idx.size < min_samples_split or parent_sse <= min_gain:
+            return node
+
+        if max_features is not None and max_features < width:
+            feats = np.sort(rng.choice(width, size=max_features, replace=False))
+        else:
+            feats = np.arange(width)
+        found = _best_split_argsort(X, y, idx, feats, record)
+        if found is None:
+            return node
+        feat, thr, child_sse = found
+        if child_sse >= parent_sse - min_gain:
+            return node
+
+        mask = X[idx, feat] <= thr
+        tree["feature"][node] = feat
+        tree["threshold"][node] = thr
+        tree["left"][node] = grow(idx[mask], depth + 1)
+        tree["right"][node] = grow(idx[~mask], depth + 1)
+        return node
+
+    grow(np.arange(n), 0)
+    return tree
+
+
+def tree_leaf_oracle(tree, X):
+    """Leaf node of every row, walking from the root one row at a time."""
+    out = np.empty(X.shape[0], dtype=np.int64)
+    for i, row in enumerate(X):
+        node = 0
+        while tree["feature"][node] != -1:
+            if row[tree["feature"][node]] <= tree["threshold"][node]:
+                node = tree["left"][node]
+            else:
+                node = tree["right"][node]
+        out[i] = node
+    return out
+
+
+def tree_predict_oracle(tree, X):
+    return np.asarray(tree["value"])[tree_leaf_oracle(tree, X)]
+
+
+def _sigmoid_oracle(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def forest_fit_oracle(X, y, max_features, n_trees, max_depth, tree_rng):
+    """Bootstrapped forest of reference trees; ``tree_rng(t)`` is tree t's
+    generator, used for its bootstrap and then its feature draws."""
+    n = X.shape[0]
+    trees = []
+    for t in range(n_trees):
+        rng = tree_rng(t)
+        boot = rng.integers(0, n, size=n)
+        trees.append(build_tree_argsort(X[boot], y[boot], max_depth, max_features, rng))
+    return trees
+
+
+def gbm_fit_oracle(X, y, task, n_trees, learning_rate, max_depth, subsample, tree_rng):
+    """Gradient boosting on reference trees, one tree per round, with a
+    Newton step per leaf for classification."""
+    n = X.shape[0]
+    if task == "classify":
+        p0 = min(max(float(y.mean()), 1e-12), 1.0 - 1e-12)
+        f0 = math.log(p0 / (1.0 - p0))
+    else:
+        f0 = float(y.mean())
+    scores = np.full(n, f0)
+    trees = []
+    for t in range(n_trees):
+        if subsample < 1.0:
+            rows = np.sort(tree_rng(t).choice(n, size=int(round(subsample * n)), replace=False))
+        else:
+            rows = np.arange(n)
+        if task == "classify":
+            prob = _sigmoid_oracle(scores)
+            residual = y - prob
+            tree = build_tree_argsort(X[rows], residual[rows], max_depth)
+            leaves = tree_leaf_oracle(tree, X[rows])
+            hess = prob[rows] * (1.0 - prob[rows])
+            for leaf in np.unique(leaves):
+                members = leaves == leaf
+                tree["value"][leaf] = float(
+                    residual[rows][members].sum() / max(hess[members].sum(), 1e-12)
+                )
+        else:
+            residual = y - scores
+            tree = build_tree_argsort(X[rows], residual[rows], max_depth)
+        scores += learning_rate * tree_predict_oracle(tree, X)
+        trees.append(tree)
+    return f0, trees

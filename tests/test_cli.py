@@ -1,6 +1,10 @@
 """CLI tests: subcommand wiring, exit codes, artifact determinism."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -248,3 +252,61 @@ class TestUsage:
         rc = main(["synth", "--config", str(workspace / "config.json"),
                    "--scenario", str(workspace / "scenario.json"), "--out", str(out)])
         assert rc == 3
+
+    def test_lock_of_live_process_exits_3(self, workspace, tmp_path):
+        out = tmp_path / "locked"
+        out.mkdir()
+        (out / ".lock").write_text(str(os.getpid()))
+        rc = main(["synth", "--config", str(workspace / "config.json"),
+                   "--scenario", str(workspace / "scenario.json"), "--out", str(out)])
+        assert rc == 3
+        assert (out / ".lock").read_text() == str(os.getpid())
+
+    def test_lock_of_dead_process_is_reclaimed(self, workspace, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped: its PID names no running process
+        out = tmp_path / "stale"
+        out.mkdir()
+        (out / ".lock").write_text(str(child.pid))
+        rc = main(["synth", "--config", str(workspace / "config.json"),
+                   "--scenario", str(workspace / "scenario.json"), "--out", str(out)])
+        assert rc == 0
+        assert (out / "synthetic.csv").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["schema.json", "synthetic.csv"]
+
+
+class TestMalformedJson:
+    def _broken(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_text('{"window": 10,')
+        return path
+
+    def test_config_is_a_config_error(self, tmp_path, capsys):
+        cfg = self._broken(tmp_path, "sweep.json")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 1
+        assert str(cfg) in capsys.readouterr().err
+
+    def test_scenario_is_a_config_error(self, tmp_path, capsys):
+        scenario = self._broken(tmp_path, "scenario.json")
+        assert main(["synth", "--scenario", str(scenario), "--out", str(tmp_path / "x")]) == 1
+        assert str(scenario) in capsys.readouterr().err
+
+    def test_schema_is_a_config_error(self, workspace, tmp_path, capsys):
+        schema = self._broken(tmp_path, "schema.json")
+        rc = main(["build-dataset", "--input", str(workspace / "raw" / "synthetic.csv"),
+                   "--schema", str(schema), "--out", str(tmp_path / "ds")])
+        assert rc == 1
+        assert str(schema) in capsys.readouterr().err
+
+    def test_threshold_is_a_data_error(self, workspace, tmp_path, capsys):
+        dataset = tmp_path / "sspe"
+        shutil.copytree(workspace / "sspe", dataset)
+        (dataset / "threshold.json").write_text("{not json")
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({
+            "datasets": {"sspe": str(dataset)},
+            "families": FAMILIES.split(","),
+            "ratios": [0.0],
+        }))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
+        assert str(dataset / "threshold.json") in capsys.readouterr().err
