@@ -16,7 +16,6 @@ from .dataprep import (
     generate_synthetic,
     inject_noise,
     load_dataset,
-    noise_grid,
     save_dataset,
     split_dataset,
     zscore_apply,
@@ -50,7 +49,6 @@ from .identify import (
 )
 from .ingest import (
     FlowSchema,
-    PacketRecord,
     PacketTimeline,
     fill_missing_points,
     nonconstant_features,
@@ -61,26 +59,18 @@ from .models import ModelSpec, TrainedModel, load_model, predict, save_model, tr
 from .seeds import derive_seed, rng_for
 from .spectrum import (
     EncodingConfig,
-    SpectrumLabel,
     ThresholdSpec,
     binarize,
-    coap,
     coap_values,
     compute_threshold,
     default_parameter_grid,
     encoding_matrix,
     parameter_grid_scores,
-    positional_encoding,
     proportional_positive_count,
     score_label_distribution,
-    sspe,
     sspe_values,
 )
 from .windowing import (
-    TrafficWindow,
-    flatten,
-    make_windows,
-    unflatten,
     window_attack_tags,
     window_binary_labels,
     window_matrices,

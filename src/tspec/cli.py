@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,13 +30,14 @@ from .dataprep import (
     zscore_apply,
     zscore_fit,
 )
-from .errors import ConfigError, DataError, PipelineError, read_json_object
+from .errors import ConfigError, DataError, PipelineError, read_json_object, write_json
 from .evalharness import (
     MethodArtifacts,
     SweepConfig,
     emit_report,
     identification_accuracy,
     identify_segments,
+    labels_by_attack,
     run_noise_sweep,
 )
 from .identify import build_registry, load_registry, save_registry
@@ -151,7 +151,18 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if key in ("config", "command") or value is None:
             continue
         cfg[key] = value
+    for key in ("families", "identify_families"):
+        if isinstance(cfg[key], str):
+            cfg[key] = _csv_list(cfg[key])
     return cfg
+
+
+def _convert(cfg: dict, key: str, kind=int):
+    """``kind(cfg[key])``, or a ``ConfigError`` naming the key."""
+    try:
+        return kind(cfg[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key {key!r} has an invalid value {cfg[key]!r}") from None
 
 
 def _csv_list(text: str) -> list[str]:
@@ -176,21 +187,20 @@ def _write_timeline_csv(timeline, path: Path):
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["time", *timeline.feature_names, "label", "attack"])
-        for record in timeline.records:
-            writer.writerow(
-                [
-                    record.second,
-                    *[repr(float(v)) for v in record.features],
-                    record.label,
-                    record.attack,
-                ]
-            )
+        columns = zip(
+            timeline.seconds.tolist(),
+            timeline.features.tolist(),
+            timeline.labels.tolist(),
+            timeline.attacks,
+        )
+        for second, values, label, attack in columns:
+            writer.writerow([second, *map(repr, values), label, attack])
 
 
 def cmd_synth(cfg: dict) -> int:
     out = Path(_require(cfg, "out", "synth"))
     scenario = SyntheticScenario.from_json(_require(cfg, "scenario", "synth"))
-    timeline = generate_synthetic(scenario, derive_seed(int(cfg["seed"]), "synth"))
+    timeline = generate_synthetic(scenario, derive_seed(_convert(cfg, "seed"), "synth"))
     with _output_lock(out):
         _write_timeline_csv(timeline, out / "synthetic.csv")
         schema = FlowSchema(
@@ -200,15 +210,13 @@ def cmd_synth(cfg: dict) -> int:
             attack_name_column="attack",
             timestamp_format="epoch",
         )
-        with (out / "schema.json").open("w", encoding="utf-8") as handle:
-            json.dump(schema.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(out / "schema.json", schema.to_dict())
     print(f"synth: wrote {len(timeline)} records to {out / 'synthetic.csv'}")
     return 0
 
 
 def _load_timeline(cfg: dict):
-    seed = int(cfg["seed"])
+    seed = _convert(cfg, "seed")
     if cfg.get("scenario"):
         scenario = SyntheticScenario.from_json(cfg["scenario"])
         return generate_synthetic(scenario, derive_seed(seed, "synth"))
@@ -220,8 +228,9 @@ def _load_timeline(cfg: dict):
 
 def cmd_build_dataset(cfg: dict) -> int:
     out = Path(_require(cfg, "out", "build-dataset"))
-    seed = int(cfg["seed"])
+    seed = _convert(cfg, "seed")
     method = cfg["method"]
+    test_fraction = _convert(cfg, "test_fraction", float)
 
     timeline = _load_timeline(cfg)
     timeline = fill_missing_points(timeline, derive_seed(seed, "fill"))
@@ -230,16 +239,17 @@ def cmd_build_dataset(cfg: dict) -> int:
 
     ds = assemble_dataset(
         timeline,
-        window_size=int(cfg["window"]),
-        stride=int(cfg["stride"]),
+        window_size=_convert(cfg, "window"),
+        stride=_convert(cfg, "stride"),
         method=method,
-        d_model=int(cfg["d_model"]) if method == "sspe" else None,
+        d_model=_convert(cfg, "d_model") if method == "sspe" else None,
     )
     if cfg.get("majority_ratio") is not None:
-        ds = downsample_majority(ds, float(cfg["majority_ratio"]), derive_seed(seed, "sample"))
+        ratio = _convert(cfg, "majority_ratio", float)
+        ds = downsample_majority(ds, ratio, derive_seed(seed, "sample"))
 
     train_ds, test_ds = split_dataset(
-        ds, float(cfg["test_fraction"]), derive_seed(seed, "split"), bool(cfg["stratify"])
+        ds, test_fraction, derive_seed(seed, "split"), bool(cfg["stratify"])
     )
     zparams = zscore_fit(train_ds.features)
     standardized = replace(ds, features=zscore_apply(ds.features, zparams))
@@ -251,7 +261,7 @@ def cmd_build_dataset(cfg: dict) -> int:
             sidecar_extra={
                 "zscore": zparams.to_dict(),
                 "split": {
-                    "test_fraction": float(cfg["test_fraction"]),
+                    "test_fraction": test_fraction,
                     "stratify": bool(cfg["stratify"]),
                     "seed": derive_seed(seed, "split"),
                     "train_indices": train_ds.provenance["row_indices"],
@@ -298,9 +308,7 @@ def cmd_train(cfg: dict) -> int:
     if task not in _TASK_MAP:
         raise ConfigError(f"task must be one of {sorted(_TASK_MAP)}, got {task!r}")
     families = cfg["families"]
-    if isinstance(families, str):
-        families = _csv_list(families)
-    seed = int(cfg["seed"])
+    seed = _convert(cfg, "seed")
 
     _, train_ds, _, sidecar = _load_split(dataset_dir)
     if task == "detect":
@@ -311,19 +319,7 @@ def cmd_train(cfg: dict) -> int:
     model_root = Path(cfg.get("out") or dataset_dir) / "models" / task
     with _output_lock(model_root):
         if threshold is not None:
-            with _threshold_path(dataset_dir).open("w", encoding="utf-8") as handle:
-                json.dump(
-                    {
-                        "tau": threshold.tau,
-                        "mode": threshold.mode,
-                        "n1": threshold.n1,
-                        "n": threshold.n,
-                    },
-                    handle,
-                    indent=2,
-                    sort_keys=True,
-                )
-                handle.write("\n")
+            write_json(_threshold_path(dataset_dir), asdict(threshold))
         for family in families:
             spec = ModelSpec(
                 family=family,
@@ -353,11 +349,10 @@ def cmd_sweep(cfg: dict) -> int:
     if not isinstance(datasets, dict) or not datasets:
         raise ConfigError("sweep config needs a 'datasets' object mapping method -> dataset dir")
     families = cfg["families"]
-    if isinstance(families, str):
-        families = _csv_list(families)
     identify_families = cfg["identify_families"]
-    if isinstance(identify_families, str):
-        identify_families = _csv_list(identify_families)
+    seed = _convert(cfg, "seed")
+    ratios = _convert(cfg, "ratios", lambda values: [float(r) for r in values])
+    noise_scale = _convert(cfg, "noise_scale", float)
 
     methods: dict[str, MethodArtifacts] = {}
     for method, dataset_dir in datasets.items():
@@ -389,22 +384,22 @@ def cmd_sweep(cfg: dict) -> int:
 
     sweep = SweepConfig(
         methods=methods,
-        ratios=tuple(float(r) for r in cfg["ratios"]),
-        noise_scale=float(cfg["noise_scale"]),
-        base_seed=int(cfg["seed"]),
+        ratios=tuple(ratios),
+        noise_scale=noise_scale,
+        base_seed=seed,
         noise_train=bool(cfg["noise_train"]),
-        identify_bins=int(cfg["identify_bins"]),
-        min_segment_windows=int(cfg["min_segment_windows"]),
+        identify_bins=_convert(cfg, "identify_bins"),
+        min_segment_windows=_convert(cfg, "min_segment_windows"),
         config_echo={
             # Method names only: reports must not depend on where a run puts
             # its artifacts, or byte-identical reruns break.
             "methods": sorted(datasets),
             "families": list(families),
             "identify_families": list(identify_families),
-            "ratios": [float(r) for r in cfg["ratios"]],
-            "noise_scale": float(cfg["noise_scale"]),
+            "ratios": ratios,
+            "noise_scale": noise_scale,
             "noise_train": bool(cfg["noise_train"]),
-            "seed": int(cfg["seed"]),
+            "seed": seed,
         },
     )
     report = run_noise_sweep(sweep)
@@ -429,13 +424,9 @@ def cmd_identify(cfg: dict) -> int:
         portion = {"train": train_ds, "test": test_ds, "all": full}.get(make)
         if portion is None:
             raise ConfigError(f"make_registry must be train, test, or all, got {make!r}")
-        grouped: dict[str, list[float]] = {}
-        for value, tag in zip(portion.spectrum_labels, portion.window_tags):
-            if tag:
-                grouped.setdefault(tag, []).append(float(value))
         signatures = build_registry(
-            {k: np.asarray(v) for k, v in grouped.items()},
-            bins=int(cfg["identify_bins"]),
+            labels_by_attack(portion),
+            bins=_convert(cfg, "identify_bins"),
             method=sidecar["provenance"]["method"],
             d_model=sidecar["provenance"].get("d_model"),
         )
@@ -449,7 +440,10 @@ def cmd_identify(cfg: dict) -> int:
 
     predictions = predict(model, test_ds.features)
     results, truth = identify_segments(
-        predictions, test_ds.window_tags, signatures, min_windows=int(cfg["min_segment_windows"])
+        predictions,
+        test_ds.window_tags,
+        signatures,
+        min_windows=_convert(cfg, "min_segment_windows"),
     )
     accuracy = identification_accuracy(results, truth)
     payload = {
@@ -465,9 +459,7 @@ def cmd_identify(cfg: dict) -> int:
         ],
     }
     with _output_lock(out):
-        with (out / "identification.json").open("w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(out / "identification.json", payload)
     print(f"identify: accuracy {accuracy:.4f} over {len(results)} segments -> {out}")
     return 0
 

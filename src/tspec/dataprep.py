@@ -10,15 +10,13 @@ thing across features.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, read_json_object
-from .ingest import PacketRecord, PacketTimeline
-from .seeds import derive_seed
+from .errors import ConfigError, DataError, read_json_object, write_json
+from .ingest import PacketTimeline
 from .spectrum import EncodingConfig, coap_values, sspe_values
 from .windowing import window_attack_tags, window_binary_labels, window_matrices
 
@@ -205,23 +203,6 @@ def inject_noise(ds: Dataset, spec: NoiseSpec) -> Dataset:
     return replace(ds, features=features)
 
 
-def noise_grid(
-    scale: float = 1.0, base_seed: int = 0, ratios=None
-) -> list[NoiseSpec]:
-    """The default sweep grid: ratios 0%..100% in 10% steps, one derived seed
-    per ratio so specs can be evaluated independently or concurrently."""
-    if ratios is None:
-        ratios = [i / 10 for i in range(11)]
-    return [
-        NoiseSpec(
-            ratio=float(r),
-            scale=scale,
-            seed=derive_seed(base_seed, "noise", int(round(float(r) * 100))),
-        )
-        for r in ratios
-    ]
-
-
 @dataclass(frozen=True)
 class AttackSegment:
     """One labeled stretch of a synthetic timeline.
@@ -309,17 +290,26 @@ class SyntheticScenario:
             )
         except KeyError as exc:
             raise ConfigError(f"scenario is missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"scenario holds a value of the wrong type: {exc}") from exc
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SyntheticScenario":
         path = Path(path)
         if not path.exists():
             raise DataError(f"scenario file not found: {path}")
-        return cls.from_dict(read_json_object(path, ConfigError, "scenario"))
+        data = read_json_object(path, ConfigError, "scenario")
+        try:
+            return cls.from_dict(data)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _per_feature(value, width: int, what: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be numeric, got {value!r}") from None
     if arr.ndim == 0:
         return np.full(width, float(arr))
     if arr.shape != (width,):
@@ -334,31 +324,23 @@ def generate_synthetic(scenario: SyntheticScenario, seed: int) -> PacketTimeline
     mean = _per_feature(scenario.normal_mean, width, "normal_mean")
     std = _per_feature(scenario.normal_std, width, "normal_std")
 
-    attack_at: dict[int, tuple[str, np.ndarray]] = {}
+    features = np.random.default_rng(seed).normal(mean, std, size=(scenario.duration, width))
+    labels = np.zeros(scenario.duration, dtype=np.int64)
+    attacks = [""] * scenario.duration
     for seg in scenario.segments:
         shift = _per_feature(seg.offset, width, f"offset of segment {seg.name!r}")
-        for off in seg.attack_offsets():
-            attack_at[seg.start + off] = (seg.name, shift)
-
-    rng = np.random.default_rng(seed)
-    records = []
-    for second in range(scenario.duration):
-        values = rng.normal(mean, std)
-        label, attack = 0, ""
-        if second in attack_at:
-            attack, shift = attack_at[second]
-            values = values + shift
-            label = 1
-        records.append(
-            PacketRecord(
-                second=second,
-                features=tuple(float(v) for v in values),
-                label=label,
-                attack=attack,
-            )
-        )
-    names = tuple(f"f{j}" for j in range(width))
-    return PacketTimeline(records=tuple(records), feature_names=names)
+        seconds = [seg.start + off for off in seg.attack_offsets()]
+        features[seconds] += shift
+        labels[seconds] = 1
+        for second in seconds:
+            attacks[second] = seg.name
+    return PacketTimeline(
+        seconds=np.arange(scenario.duration),
+        features=features,
+        labels=labels,
+        feature_names=tuple(f"f{j}" for j in range(width)),
+        attacks=attacks,
+    )
 
 
 def assemble_dataset(
@@ -377,7 +359,7 @@ def assemble_dataset(
     if method not in LABEL_METHODS:
         raise ConfigError(f"label method must be one of {LABEL_METHODS}, got {method!r}")
     features, label_bits, _ = window_matrices(timeline, window_size, stride)
-    window_labels = window_binary_labels(label_bits, "any")
+    window_labels = window_binary_labels(label_bits)
 
     if method == "baseline":
         values = window_labels.astype(np.float64)
@@ -435,9 +417,7 @@ def save_dataset(ds: Dataset, out_dir: str | Path, sidecar_extra: dict | None = 
     }
     if sidecar_extra:
         sidecar.update(sidecar_extra)
-    with (out_dir / "dataset.json").open("w", encoding="utf-8") as handle:
-        json.dump(sidecar, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(out_dir / "dataset.json", sidecar)
 
 
 def load_dataset(in_dir: str | Path) -> tuple[Dataset, dict]:

@@ -1,5 +1,5 @@
-"""Exception types shared across the pipeline, and the JSON reader that
-turns a malformed input file into one of them."""
+"""Exception types shared across the pipeline, the JSON reader that turns a
+malformed input file into one of them, and the JSON writer of artifacts."""
 
 from __future__ import annotations
 
@@ -30,3 +30,10 @@ def read_json_object(path: Path, error: type[PipelineError], what: str) -> dict:
     if not isinstance(data, dict):
         raise error(f"{path}: {what} file must hold a JSON object")
     return data
+
+
+def write_json(path: Path, data: dict) -> None:
+    """``data`` as indented, key-sorted JSON with a final newline."""
+    with path.open("w", encoding="utf-8") as handle:
+        json.dump(data, handle, indent=2, sort_keys=True)
+        handle.write("\n")

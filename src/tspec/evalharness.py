@@ -9,14 +9,13 @@ cells can be computed in any order (or concurrently) with identical output.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .dataprep import Dataset, NoiseSpec, inject_noise
-from .errors import DataError, read_json_object
+from .errors import DataError, read_json_object, write_json
 from .identify import IdentificationResult, SpectrumSignature, build_registry, identify_attack
 from .models import TrainedModel, predict, train
 from .seeds import derive_seed
@@ -220,7 +219,7 @@ def run_noise_sweep(cfg: SweepConfig) -> EvalReport:
         if art.regress_models and method != "baseline":
             if art.train.window_tags is None or art.test.window_tags is None:
                 raise DataError("identification requires per-window attack tags")
-            reference = _labels_by_attack(art.train)
+            reference = labels_by_attack(art.train)
             signatures = build_registry(
                 reference,
                 bins=cfg.identify_bins,
@@ -257,7 +256,7 @@ def run_noise_sweep(cfg: SweepConfig) -> EvalReport:
     return EvalReport(rows=tuple(rows), config=dict(cfg.config_echo), label_histograms=histograms)
 
 
-def _labels_by_attack(ds: Dataset) -> dict[str, np.ndarray]:
+def labels_by_attack(ds: Dataset) -> dict[str, np.ndarray]:
     grouped: dict[str, list[float]] = {}
     for value, tag in zip(ds.spectrum_labels, ds.window_tags):
         if tag:
@@ -352,9 +351,7 @@ def emit_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
         "label_histograms": report.label_histograms,
     }
     report_path = out_dir / "report.json"
-    with report_path.open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(report_path, payload)
     written.append(report_path)
 
     detect_rows = [r for r in report.rows if r.task == "detect"]

@@ -8,13 +8,12 @@ highest cosine similarity.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, read_json_object
+from .errors import ConfigError, DataError, read_json_object, write_json
 
 REGISTRY_FILE_VERSION = 1
 
@@ -172,9 +171,7 @@ def save_registry(signatures: list[SpectrumSignature], path: str | Path) -> None
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, payload)
 
 
 def load_registry(path: str | Path) -> list[SpectrumSignature]:

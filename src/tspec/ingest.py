@@ -1,16 +1,18 @@
 """Flow-record ingestion: CSV rows to a continuous per-second packet timeline.
 
-A timeline is an ordered list of per-second records, each carrying a numeric
-feature vector and a binary label (0 = normal, 1 = attack).  Raw captures
-commonly have seconds with no traffic at all; ``fill_missing_points`` closes
-those gaps by inserting copies of randomly sampled normal records so that
-downstream sliding windows see an uninterrupted time axis.
+A timeline holds one row per second in columns: the second, a numeric
+feature vector and a binary label (0 = normal, 1 = attack), plus a fill flag
+and the attack name.  Raw captures commonly have seconds with no traffic at
+all; ``fill_missing_points`` closes those gaps by inserting copies of randomly
+sampled normal rows so that downstream sliding windows see an uninterrupted
+time axis.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -86,58 +88,50 @@ class FlowSchema:
         return cls.from_dict(read_json_object(path, ConfigError, "schema"))
 
 
-@dataclass(frozen=True)
-class PacketRecord:
-    """One flow record pinned to an integer second of the timeline."""
-
-    second: int
-    features: tuple[float, ...]
-    label: int
-    synthetic_fill: int = 0
-    attack: str = ""
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise DataError(f"record label must be 0 or 1, got {self.label!r}")
-        if self.synthetic_fill and self.label != 0:
-            raise DataError("synthetic fill records must carry label 0")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PacketTimeline:
-    """Ordered per-second records plus the feature naming they share."""
+    """Per-second columns plus the feature naming they share.
 
-    records: tuple[PacketRecord, ...]
+    Row i is one second of traffic: ``seconds[i]``, its feature vector
+    ``features[i]`` (shape ``(n, F)``), its label ``labels[i]`` (0 normal,
+    1 attack), ``fill[i]`` (1 for a row inserted by ``fill_missing_points``)
+    and ``attacks[i]``, the attack name (empty when unnamed or normal).
+    """
+
+    seconds: np.ndarray
+    features: np.ndarray
+    labels: np.ndarray
     feature_names: tuple[str, ...]
-    origin_second: int = 0
+    fill: np.ndarray | None = None
+    attacks: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        seconds = [r.second for r in self.records]
-        if any(b < a for a, b in zip(seconds, seconds[1:])):
+        n = len(self.seconds)
+        put = partial(object.__setattr__, self)
+        put("seconds", np.asarray(self.seconds, dtype=np.int64))
+        put("features", np.asarray(self.features, dtype=np.float64))
+        put("feature_names", tuple(self.feature_names))
+        put("fill", np.zeros(n, np.int64) if self.fill is None else np.asarray(self.fill, np.int64))
+        put("attacks", ("",) * n if self.attacks is None else tuple(self.attacks))
+        if (np.shape(self.labels), self.fill.shape, len(self.attacks)) != ((n,), (n,), n):
+            raise DataError("timeline columns must all have one entry per second")
+        if np.any(np.diff(self.seconds) < 0):
             raise DataError("timeline records must be sorted by second")
+        labels = np.asarray(self.labels)
+        bad = np.flatnonzero(~np.isin(labels, (0, 1)))
+        if bad.size:
+            raise DataError(f"record label must be 0 or 1, got {labels[bad[0]].item()!r}")
+        put("labels", labels.astype(np.int64))
+        if np.any((self.fill != 0) & (self.labels != 0)):
+            raise DataError("synthetic fill records must carry label 0")
         width = len(self.feature_names)
-        for r in self.records:
-            if len(r.features) != width:
-                raise DataError(
-                    f"record at second {r.second} has {len(r.features)} features, "
-                    f"expected {width}"
-                )
+        if self.features.shape != (n, width):
+            raise DataError(
+                f"timeline features have shape {self.features.shape}, expected {(n, width)}"
+            )
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def feature_matrix(self) -> np.ndarray:
-        return np.array([r.features for r in self.records], dtype=np.float64).reshape(
-            len(self.records), len(self.feature_names)
-        )
-
-    def label_bits(self) -> np.ndarray:
-        return np.array([r.label for r in self.records], dtype=np.int64)
-
-    def present_seconds(self) -> set[int]:
-        return {r.second for r in self.records}
+        return self.seconds.size
 
 
 def _parse_timestamp(raw: str, fmt: str, row: int) -> float:
@@ -173,10 +167,10 @@ def _parse_label(raw: str, row: int) -> int:
 
 
 def parse_flow_csv(path: str | Path, schema: FlowSchema) -> PacketTimeline:
-    """Read a flow CSV into a timeline, one record per data row.
+    """Read a flow CSV into a timeline, one row per data row.
 
     Rows must be ordered by non-decreasing timestamp; seconds are rebased so
-    the first record sits at the timeline origin.  Any non-numeric feature
+    the first row sits at second 0.  Any non-numeric or non-finite feature
     cell, non-binary label, or unparsable timestamp aborts the parse with the
     offending row number (1-based, counting the header as row 1).
     """
@@ -194,115 +188,113 @@ def parse_flow_csv(path: str | Path, schema: FlowSchema) -> PacketTimeline:
         if missing:
             raise DataError(f"{path}: header is missing columns {missing}")
 
-        records: list[PacketRecord] = []
+        seconds: list[int] = []
+        labels: list[int] = []
+        attacks: list[str] = []
+        features: list[list[float]] = []
         first_ts: float | None = None
-        prev_second: int | None = None
         for row_no, row in enumerate(reader, start=2):
             ts = _parse_timestamp(row[schema.timestamp_column], schema.timestamp_format, row_no)
             if first_ts is None:
                 first_ts = ts
             second = int(np.floor(ts - first_ts))
-            if prev_second is not None and second < prev_second:
+            if seconds and second < seconds[-1]:
                 raise DataError(
                     f"row {row_no}: timestamp decreases relative to the previous row"
                 )
-            prev_second = second
+            seconds.append(second)
 
             label = _parse_label(row[schema.label_column], row_no)
-            features = []
+            labels.append(label)
+            values = []
             for name in schema.feature_columns:
                 try:
-                    features.append(float(row[name]))
+                    values.append(float(row[name]))
                 except (TypeError, ValueError):
                     raise DataError(
                         f"row {row_no}: non-numeric value {row[name]!r} in column {name!r}"
                     ) from None
+            features.append(values)
             attack = ""
-            if schema.attack_name_column:
+            if schema.attack_name_column and label == 1:
                 attack = (row[schema.attack_name_column] or "").strip()
-            if label == 0:
-                attack = ""
-            records.append(
-                PacketRecord(second=second, features=tuple(features), label=label, attack=attack)
-            )
+            attacks.append(attack)
 
-    return PacketTimeline(records=tuple(records), feature_names=schema.feature_columns)
+    width = len(schema.feature_columns)
+    matrix = np.array(features, dtype=np.float64).reshape(len(features), width)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        i, j = bad[0]
+        raise DataError(
+            f"row {i + 2}: non-finite value {float(matrix[i, j])} in column "
+            f"{schema.feature_columns[j]!r}"
+        )
+    return PacketTimeline(
+        seconds=seconds,
+        features=matrix,
+        labels=labels,
+        feature_names=schema.feature_columns,
+        attacks=attacks,
+    )
 
 
 def fill_missing_points(timeline: PacketTimeline, seed: int) -> PacketTimeline:
-    """Close every gap second by inserting one sampled normal record.
+    """Close every gap second by inserting one sampled normal row.
 
     Donors are drawn uniformly with replacement from the timeline's own
-    label-0 records, in ascending gap order, from a generator seeded with
-    ``seed``.  Inserted records carry ``label=0`` and ``synthetic_fill=1``;
-    original records are untouched.  Applying the fill twice is a no-op.
+    label-0 rows, in ascending gap order, from a generator seeded with
+    ``seed``.  Inserted rows carry ``label=0`` and ``fill=1``; original rows
+    are untouched.  Applying the fill twice is a no-op.
     """
-    if not timeline.records:
+    if len(timeline) == 0:
         return timeline
-    present = timeline.present_seconds()
-    lo, hi = min(present), max(present)
-    gaps = [s for s in range(lo, hi + 1) if s not in present]
-    if not gaps:
+    seconds = timeline.seconds
+    gaps = np.setdiff1d(np.arange(seconds[0], seconds[-1] + 1), seconds)
+    if gaps.size == 0:
         return timeline
 
-    normals = [r for r in timeline.records if r.label == 0]
-    if not normals:
+    normals = np.flatnonzero(timeline.labels == 0)
+    if normals.size == 0:
         raise DataError(
-            f"{len(gaps)} missing seconds but no normal records to sample fills from"
+            f"{gaps.size} missing seconds but no normal records to sample fills from"
         )
 
     rng = np.random.default_rng(seed)
-    fills = []
-    for second in gaps:
-        donor = normals[int(rng.integers(0, len(normals)))]
-        fills.append(
-            PacketRecord(
-                second=second,
-                features=donor.features,
-                label=0,
-                synthetic_fill=1,
-            )
-        )
+    # The same donors as one scalar ``integers`` draw per gap, in gap order.
+    donors = normals[rng.integers(0, normals.size, size=gaps.size)]
+    order = np.argsort(np.concatenate([seconds, gaps]), kind="stable")
 
-    merged = sorted(timeline.records + tuple(fills), key=lambda r: r.second)
+    def merged(column, fills):
+        return np.concatenate([column, fills])[order]
+
+    attacks = timeline.attacks + ("",) * gaps.size
     return PacketTimeline(
-        records=tuple(merged),
+        seconds=merged(seconds, gaps),
+        features=merged(timeline.features, timeline.features[donors]),
+        labels=merged(timeline.labels, np.zeros(gaps.size, np.int64)),
         feature_names=timeline.feature_names,
-        origin_second=timeline.origin_second,
+        fill=merged(timeline.fill, np.ones(gaps.size, np.int64)),
+        attacks=tuple(attacks[i] for i in order),
     )
 
 
 def select_features(timeline: PacketTimeline, feature_list) -> PacketTimeline:
-    """Project every record onto ``feature_list``, in the listed order."""
+    """Project every row onto ``feature_list``, in the listed order."""
     names = tuple(feature_list)
     unknown = [n for n in names if n not in timeline.feature_names]
     if unknown:
         raise DataError(f"unknown feature names: {unknown}")
     index = [timeline.feature_names.index(n) for n in names]
-    projected = tuple(
-        PacketRecord(
-            second=r.second,
-            features=tuple(r.features[i] for i in index),
-            label=r.label,
-            synthetic_fill=r.synthetic_fill,
-            attack=r.attack,
-        )
-        for r in timeline.records
-    )
-    return PacketTimeline(
-        records=projected, feature_names=names, origin_second=timeline.origin_second
-    )
+    return replace(timeline, features=timeline.features[:, index], feature_names=names)
 
 
 def nonconstant_features(timeline: PacketTimeline) -> tuple[str, ...]:
     """Names of features that take more than one value; the default filter
     when no explicit per-attack feature list is configured."""
-    if not timeline.records:
+    if len(timeline) == 0:
         return timeline.feature_names
-    matrix = timeline.feature_matrix()
-    keep = [
+    return tuple(
         name
         for j, name in enumerate(timeline.feature_names)
-        if np.unique(matrix[:, j]).size > 1
-    ]
-    return tuple(keep)
+        if np.unique(timeline.features[:, j]).size > 1
+    )

@@ -9,13 +9,12 @@ parameters; a save/load round trip reproduces predictions bit for bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigError, DataError, read_json_object
+from ..errors import ConfigError, DataError, read_json_object, write_json
 from . import ensembles, glm
 from .trees import Tree
 
@@ -191,9 +190,7 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, payload)
 
 
 def load_model(path: str | Path) -> TrainedModel:

@@ -1,10 +1,10 @@
 """Spectrum labels: continuous scalar summaries of a window's binary labels.
 
-Two constructions are provided:
+Two constructions are provided, each over a (n_windows, W) bit matrix:
 
-* ``coap`` -- count of attack packets in the window.  Position-blind; an
-  intensity measure.
-* ``sspe`` -- sum, over attack positions, of every component of the
+* ``coap_values`` -- count of attack packets in the window.  Position-blind;
+  an intensity measure.
+* ``sspe_values`` -- sum, over attack positions, of every component of the
   sinusoidal positional encoding of that position.  Position-sensitive, so
   two windows with the same attack count but different attack placement get
   different labels.
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
 
@@ -44,14 +45,6 @@ class EncodingConfig:
 
 
 @dataclass(frozen=True)
-class SpectrumLabel:
-    value: float
-    method: str
-    window_size: int
-    d_model: int | None = None
-
-
-@dataclass(frozen=True)
 class ThresholdSpec:
     """Binarization cutoff plus the rank bookkeeping that produced it."""
 
@@ -65,24 +58,12 @@ class ThresholdSpec:
             raise ConfigError(f"need 0 <= n1 <= n, got n1={self.n1}, n={self.n}")
 
 
-def positional_encoding(pos: int, config: EncodingConfig) -> np.ndarray:
-    """Encoding vector of length d_model for one position.
-
-    Component 2i is sin(pos / base^(2i/d_model)) and component 2i+1 is the
-    matching cosine, for i in [0, d_model/2).
-    """
-    if pos < 0:
-        raise ConfigError(f"position must be >= 0, got {pos}")
-    half = np.arange(config.d_model // 2, dtype=np.float64)
-    angles = pos / config.base ** (2.0 * half / config.d_model)
-    out = np.empty(config.d_model, dtype=np.float64)
-    out[0::2] = np.sin(angles)
-    out[1::2] = np.cos(angles)
-    return out
-
-
 def encoding_matrix(length: int, config: EncodingConfig) -> np.ndarray:
-    """Stacked encodings for positions 0..length-1, shape (length, d_model)."""
+    """Sinusoidal encodings of positions 0..length-1, shape (length, d_model).
+
+    Component 2i of row pos is sin(pos / base^(2i/d_model)) and component
+    2i+1 is the matching cosine, for i in [0, d_model/2).
+    """
     half = np.arange(config.d_model // 2, dtype=np.float64)
     scale = config.base ** (2.0 * half / config.d_model)
     angles = np.arange(length, dtype=np.float64)[:, None] / scale[None, :]
@@ -92,42 +73,19 @@ def encoding_matrix(length: int, config: EncodingConfig) -> np.ndarray:
     return out
 
 
-def _check_bits(labels) -> np.ndarray:
-    arr = np.asarray(labels)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DataError("label sequence must be a non-empty 1-D bit vector")
-    if not np.isin(arr, (0, 1)).all():
-        raise DataError("label sequence may only contain 0 and 1")
-    return arr.astype(np.float64)
-
-
-def coap(labels) -> SpectrumLabel:
-    """Count of attack packets in the window."""
-    bits = _check_bits(labels)
-    return SpectrumLabel(value=float(bits.sum()), method="coap", window_size=bits.size)
-
-
-def sspe(labels, config: EncodingConfig) -> SpectrumLabel:
-    """Sum of all encoding components over the window's attack positions.
-
-    Normal positions contribute nothing (their label multiplies the encoding
-    by zero), so the value reflects only where the attack packets sit.
-    """
-    bits = _check_bits(labels)
-    value = float(bits @ encoding_matrix(bits.size, config).sum(axis=1))
-    return SpectrumLabel(
-        value=value, method="sspe", window_size=bits.size, d_model=config.d_model
-    )
-
-
 def coap_values(label_bits: np.ndarray) -> np.ndarray:
-    """Vectorized ``coap`` over a (n_windows, W) bit matrix."""
+    """Count of attack packets in each row of a (n_windows, W) bit matrix."""
     bits = np.asarray(label_bits, dtype=np.float64)
     return bits.sum(axis=1)
 
 
 def sspe_values(label_bits: np.ndarray, config: EncodingConfig) -> np.ndarray:
-    """Vectorized ``sspe`` over a (n_windows, W) bit matrix."""
+    """Sum of all encoding components over each window's attack positions,
+    for a (n_windows, W) bit matrix.
+
+    Normal positions contribute nothing (their label multiplies the encoding
+    by zero), so the value reflects only where the attack packets sit.
+    """
     bits = np.asarray(label_bits, dtype=np.float64)
     per_position = encoding_matrix(bits.shape[1], config).sum(axis=1)
     return bits @ per_position
@@ -237,8 +195,7 @@ def parameter_grid_scores(
             for d_model in grid["d_model"]:
                 rows.append({"window": window, "d_model": d_model, "score": None})
             continue
-        starts = range(0, bits.size - window + 1, stride)
-        label_matrix = np.stack([bits[s : s + window] for s in starts])
+        label_matrix = sliding_window_view(bits, window)[::stride]
         for d_model in grid["d_model"]:
             values = sspe_values(label_matrix, EncodingConfig(d_model=d_model))
             try:

@@ -1,36 +1,15 @@
-"""Sliding-window segmentation of a timeline and row-major flattening."""
+"""Sliding-window segmentation of a timeline with row-major flattening."""
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
 from .ingest import PacketTimeline
 
 
-@dataclass(frozen=True, eq=False)
-class TrafficWindow:
-    """One sliding-window position: a W x F feature block and its W label bits."""
-
-    start_index: int
-    traffic: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        if self.traffic.ndim != 2 or self.traffic.shape[0] < 1:
-            raise DataError("window traffic must be a non-empty 2-D block")
-        if self.labels.shape != (self.traffic.shape[0],):
-            raise DataError("window labels must align with traffic rows")
-
-    @property
-    def window_size(self) -> int:
-        return self.traffic.shape[0]
-
-
-def _window_starts(n_records: int, window_size: int, stride: int) -> range:
+def _window_starts(n_records: int, window_size: int, stride: int) -> np.ndarray:
     if window_size < 1:
         raise ConfigError("window size must be >= 1")
     if stride < 1:
@@ -39,68 +18,31 @@ def _window_starts(n_records: int, window_size: int, stride: int) -> range:
         raise DataError(
             f"insufficient data: {n_records} records for window size {window_size}"
         )
-    return range(0, n_records - window_size + 1, stride)
-
-
-def make_windows(timeline: PacketTimeline, window_size: int, stride: int = 1) -> list[TrafficWindow]:
-    """Windows at start indices 0, stride, 2*stride, ...; trailing partial
-    windows are dropped, never padded."""
-    matrix = timeline.feature_matrix()
-    bits = timeline.label_bits()
-    return [
-        TrafficWindow(
-            start_index=s,
-            traffic=matrix[s : s + window_size].copy(),
-            labels=bits[s : s + window_size].copy(),
-        )
-        for s in _window_starts(len(timeline), window_size, stride)
-    ]
+    return np.arange(0, n_records - window_size + 1, stride, dtype=np.int64)
 
 
 def window_matrices(
     timeline: PacketTimeline, window_size: int, stride: int = 1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bulk form of ``make_windows``: (flattened features, label bits, starts).
+    """Windows at start indices 0, stride, 2*stride, ...: (flattened features,
+    label bits, starts).  Trailing partial windows are dropped, never padded.
 
-    Feature rows are the row-major flattening of each window, so the result
-    has shape (n_windows, window_size * F); label bits have shape
-    (n_windows, window_size).
+    Feature rows are the row-major flattening of each W x F window (position
+    p*F + j holds feature j of packet p), so the result has shape
+    (n_windows, window_size * F); label bits have shape (n_windows, window_size).
     """
-    matrix = timeline.feature_matrix()
-    bits = timeline.label_bits()
-    starts = np.array(list(_window_starts(len(timeline), window_size, stride)), dtype=np.int64)
-    features = np.stack([matrix[s : s + window_size].ravel() for s in starts])
-    labels = np.stack([bits[s : s + window_size] for s in starts])
+    starts = _window_starts(len(timeline), window_size, stride)
+    # The view is (n - W + 1, F, W); swap to (.., W, F) before flattening.
+    blocks = sliding_window_view(timeline.features, window_size, axis=0)[::stride]
+    features = blocks.transpose(0, 2, 1).reshape(starts.size, -1)
+    labels = sliding_window_view(timeline.labels, window_size)[::stride].copy()
     return features, labels, starts
 
 
-def flatten(window: TrafficWindow) -> np.ndarray:
-    """Row-major concatenation: position p*F + j holds feature j of packet p."""
-    return window.traffic.ravel(order="C").copy()
-
-
-def unflatten(values: np.ndarray, window_size: int) -> np.ndarray:
-    """Inverse of ``flatten`` for a known window size."""
-    values = np.asarray(values)
-    if values.size % window_size != 0:
-        raise DataError(
-            f"vector of length {values.size} does not split into {window_size} rows"
-        )
-    return values.reshape(window_size, -1)
-
-
-def window_binary_labels(label_bits: np.ndarray, aggregate: str = "any") -> np.ndarray:
-    """Discrete per-window labels used by the baseline method.
-
-    ``any`` marks a window positive when it contains at least one attack
-    packet; ``majority`` requires more attack packets than normal ones.
-    """
-    label_bits = np.asarray(label_bits)
-    if aggregate == "any":
-        return (label_bits.sum(axis=1) > 0).astype(np.int64)
-    if aggregate == "majority":
-        return (label_bits.mean(axis=1) > 0.5).astype(np.int64)
-    raise ConfigError(f"unknown label aggregate {aggregate!r}")
+def window_binary_labels(label_bits: np.ndarray) -> np.ndarray:
+    """Discrete per-window labels used by the baseline method: a window is
+    positive when it contains at least one attack packet."""
+    return (np.asarray(label_bits).sum(axis=1) > 0).astype(np.int64)
 
 
 def window_attack_tags(
@@ -109,22 +51,28 @@ def window_attack_tags(
     """Per-window attack-name tags, aligned with ``window_matrices`` rows.
 
     A window is tagged with the most frequent attack name among its attack
-    packets (earliest-seen name wins ties); windows with no attack packets
-    get the empty tag.
+    packets (earliest-seen name wins ties); windows with no named attack
+    packets get the empty tag.
     """
-    names = [r.attack for r in timeline.records]
-    bits = [r.label for r in timeline.records]
-    tags = []
-    for s in _window_starts(len(timeline), window_size, stride):
-        counts: Counter[str] = Counter()
-        order: dict[str, int] = {}
-        for p in range(s, s + window_size):
-            if bits[p] == 1 and names[p]:
-                counts[names[p]] += 1
-                order.setdefault(names[p], p)
-        if not counts:
-            tags.append("")
-        else:
-            best = max(counts, key=lambda n: (counts[n], -order[n]))
-            tags.append(best)
-    return tuple(tags)
+    starts = _window_starts(len(timeline), window_size, stride)
+    code: dict[str, int] = {}  # attack name -> row of ``hits``
+    codes = np.array([
+        code.setdefault(a, len(code)) if bit and a else -1
+        for a, bit in zip(timeline.attacks, timeline.labels.tolist())
+    ], dtype=np.int64)
+    if not code:
+        return ("",) * starts.size
+    names, n = list(code), len(timeline)
+    hits = codes[None, :] == np.arange(len(names))[:, None]  # (names, n)
+    running = np.zeros((len(names), n + 1), dtype=np.int64)
+    np.cumsum(hits, axis=1, out=running[:, 1:])
+    counts = running[:, starts + window_size] - running[:, starts]
+    # First position at or after each second holding each name (n if none).
+    next_at = np.where(hits, np.arange(n), n)
+    next_at = np.minimum.accumulate(next_at[:, ::-1], axis=1)[:, ::-1]
+    # Most hits first, then the earliest first hit inside the window.
+    score = counts * (n + 1) + (n - next_at[:, starts])
+    best = score.argmax(axis=0)
+    return tuple(
+        names[b] if c else "" for b, c in zip(best.tolist(), counts.max(axis=0).tolist())
+    )

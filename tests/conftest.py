@@ -11,7 +11,6 @@ from tspec import (
     AttackSegment,
     MethodArtifacts,
     ModelSpec,
-    PacketRecord,
     PacketTimeline,
     SyntheticScenario,
     binarize,
@@ -27,21 +26,35 @@ from tspec import (
 
 
 def make_timeline(seconds, labels=None, width=2, attacks=None, rng=None):
-    """Quick timeline builder: one record per entry of ``seconds``."""
-    labels = labels if labels is not None else [0] * len(seconds)
-    attacks = attacks if attacks is not None else [""] * len(seconds)
+    """Quick timeline builder: one row per entry of ``seconds``."""
+    n = len(seconds)
+    labels = labels if labels is not None else [0] * n
+    attacks = attacks if attacks is not None else [""] * n
     rng = rng or np.random.default_rng(7)
-    records = tuple(
-        PacketRecord(
-            second=int(s),
-            features=tuple(float(v) for v in rng.normal(size=width)),
-            label=int(l),
-            attack=a if l else "",
-        )
-        for s, l, a in zip(seconds, labels, attacks)
+    return PacketTimeline(
+        seconds=np.asarray(seconds, dtype=np.int64).reshape(n),
+        features=rng.normal(size=(n, width)),
+        labels=labels,
+        feature_names=tuple(f"f{j}" for j in range(width)),
+        attacks=[a if l else "" for l, a in zip(labels, attacks)],
     )
-    names = tuple(f"f{j}" for j in range(width))
-    return PacketTimeline(records=records, feature_names=names)
+
+
+def timeline_rows(timeline):
+    """A timeline as (second, features, label, fill, attack) tuples."""
+    return list(
+        zip(
+            timeline.seconds.tolist(),
+            map(tuple, timeline.features.tolist()),
+            timeline.labels.tolist(),
+            timeline.fill.tolist(),
+            timeline.attacks,
+        )
+    )
+
+
+def same_timeline(a, b) -> bool:
+    return a.feature_names == b.feature_names and timeline_rows(a) == timeline_rows(b)
 
 
 def three_attack_scenario(offset=3.0, feature_count=6):

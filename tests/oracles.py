@@ -1,14 +1,18 @@
 """Independent reference implementations used to pin expected test values.
 
 Everything here is deliberately written as plain scalar loops over the
-defining formulas, sharing no code with the package.  The one exception is
-the tree builder, which keeps the straightforward per-node argsort split
-search as the reference for the presorted one.
+defining formulas, sharing no code with the package.  Two groups keep a
+former implementation as the reference for a faster one: the tree builder
+(the per-node argsort split search, for the presorted one), and the
+per-second timeline functions (one record per second, for the columnar
+timeline).  Timeline records are ``(second, features, label, fill, attack)``
+tuples.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -22,6 +26,15 @@ def sspe_brute_force(labels, d_model: int, base: float = 10000.0) -> float:
             total += bit * math.sin(angle)
             total += bit * math.cos(angle)
     return total
+
+
+def encoding_oracle(pos: int, d_model: int, base: float = 10000.0) -> list[float]:
+    """Sinusoidal encoding of one position, component by component."""
+    out = []
+    for i in range(d_model // 2):
+        angle = pos / base ** (2 * i / d_model)
+        out += [math.sin(angle), math.cos(angle)]
+    return out
 
 
 def coap_brute_force(labels) -> float:
@@ -218,3 +231,69 @@ def gbm_fit_oracle(X, y, task, n_trees, learning_rate, max_depth, subsample, tre
         scores += learning_rate * tree_predict_oracle(tree, X)
         trees.append(tree)
     return f0, trees
+
+
+def generate_synthetic_oracle(scenario, seed):
+    """Per-second records of a synthetic scenario: one normal draw per
+    second, plus the segment's shift on its attack seconds."""
+    width = scenario.feature_count
+
+    def per_feature(value):
+        arr = np.asarray(value, dtype=np.float64)
+        return np.full(width, float(arr)) if arr.ndim == 0 else arr
+
+    mean, std = per_feature(scenario.normal_mean), per_feature(scenario.normal_std)
+    attack_at = {}
+    for seg in scenario.segments:
+        for off in seg.attack_offsets():
+            attack_at[seg.start + off] = (seg.name, per_feature(seg.offset))
+    rng = np.random.default_rng(seed)
+    records = []
+    for second in range(scenario.duration):
+        values = rng.normal(mean, std)
+        label, attack = 0, ""
+        if second in attack_at:
+            attack, shift = attack_at[second]
+            values = values + shift
+            label = 1
+        records.append((second, tuple(float(v) for v in values), label, 0, attack))
+    return records
+
+
+def fill_missing_points_oracle(records, seed):
+    """Insert one record per gap second, copying the features of a label-0
+    record drawn with one ``integers`` call per gap, in ascending gap order."""
+    if not records:
+        return list(records)
+    present = {r[0] for r in records}
+    gaps = [s for s in range(min(present), max(present) + 1) if s not in present]
+    normals = [r for r in records if r[2] == 0]
+    rng = np.random.default_rng(seed)
+    fills = []
+    for second in gaps:
+        donor = normals[int(rng.integers(0, len(normals)))]
+        fills.append((second, donor[1], 0, 1, ""))
+    return sorted(list(records) + fills, key=lambda r: r[0])
+
+
+def window_matrices_oracle(matrix, bits, window_size, stride):
+    """Flattened feature windows and label windows, stacked one by one."""
+    starts = list(range(0, len(bits) - window_size + 1, stride))
+    features = np.stack([matrix[s : s + window_size].ravel() for s in starts])
+    labels = np.stack([bits[s : s + window_size] for s in starts])
+    return features, labels, np.array(starts, dtype=np.int64)
+
+
+def window_attack_tags_oracle(names, bits, window_size, stride):
+    """Most frequent attack name among each window's attack packets; the
+    earliest-seen name wins ties, and no named attack packet gives ""."""
+    tags = []
+    for s in range(0, len(bits) - window_size + 1, stride):
+        counts: Counter[str] = Counter()
+        order: dict[str, int] = {}
+        for p in range(s, s + window_size):
+            if bits[p] == 1 and names[p]:
+                counts[names[p]] += 1
+                order.setdefault(names[p], p)
+        tags.append(max(counts, key=lambda n: (counts[n], -order[n])) if counts else "")
+    return tuple(tags)

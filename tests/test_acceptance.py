@@ -22,14 +22,14 @@ from tspec import (
     compute_threshold,
     contiguous_segments,
     derive_seed,
+    encoding_matrix,
     generate_synthetic,
     identification_accuracy,
     identify_attack,
     inject_noise,
-    positional_encoding,
     predict,
     run_noise_sweep,
-    sspe,
+    sspe_values,
     train,
     zscore_apply,
     zscore_fit,
@@ -162,7 +162,7 @@ def test_c01_sspe_matches_brute_force_oracle():
         d_model = int(rng.choice(GRID_D_MODELS))
         bits = rng.integers(0, 2, size=window)
         expected = sspe_brute_force(bits.tolist(), d_model)
-        got = sspe(bits, EncodingConfig(d_model)).value
+        got = sspe_values(bits[None, :], EncodingConfig(d_model))[0]
         worst = max(worst, abs(got - expected))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-9 and elapsed < 30.0
@@ -178,9 +178,9 @@ def test_c01_sspe_matches_brute_force_oracle():
 def test_c02_encoding_pairs_are_unit_norm():
     worst = 0.0
     for d_model in GRID_D_MODELS:
-        cfg = EncodingConfig(d_model)
+        matrix = encoding_matrix(60, EncodingConfig(d_model))
         for pos in range(60):
-            vec = positional_encoding(pos, cfg)
+            vec = matrix[pos]
             pair_norms = vec[0::2] ** 2 + vec[1::2] ** 2
             worst = max(worst, float(np.abs(pair_norms - 1.0).max()))
     ok = worst <= 1e-12

@@ -310,3 +310,66 @@ class TestMalformedJson:
         }))
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
         assert str(dataset / "threshold.json") in capsys.readouterr().err
+
+
+class TestWrongTypeJson:
+    """Well-formed JSON holding a value of the wrong type is a config error
+    that names the key or the file, not an unexpected error."""
+
+    def _scenario(self, tmp_path, **bad):
+        data = {**scenario_to_dict(cli_scenario()), **bad}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    def test_window_string_in_config(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"window": "x"}))
+        rc = main(["build-dataset", "--config", str(cfg),
+                   "--input", str(workspace / "raw" / "synthetic.csv"),
+                   "--schema", str(workspace / "raw" / "schema.json"),
+                   "--out", str(tmp_path / "ds")])
+        assert rc == 1
+        assert "'window'" in capsys.readouterr().err
+
+    def test_duration_string_in_scenario(self, tmp_path, capsys):
+        scenario = self._scenario(tmp_path, duration="abc")
+        assert main(["synth", "--scenario", str(scenario), "--out", str(tmp_path / "x")]) == 1
+        assert str(scenario) in capsys.readouterr().err
+
+    def test_segments_number_in_scenario(self, tmp_path, capsys):
+        scenario = self._scenario(tmp_path, segments=5)
+        assert main(["synth", "--scenario", str(scenario), "--out", str(tmp_path / "x")]) == 1
+        assert str(scenario) in capsys.readouterr().err
+
+    def test_sweep_ratios_number_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"datasets": {"sspe": str(tmp_path)}, "ratios": 5}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 1
+        assert "'ratios'" in capsys.readouterr().err
+
+
+class TestInputData:
+    def test_non_finite_feature_exits_2(self, workspace, tmp_path, capsys):
+        lines = (workspace / "raw" / "synthetic.csv").read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[2] = "inf"
+        lines[5] = ",".join(cells)
+        (tmp_path / "flows.csv").write_text("\n".join(lines) + "\n")
+        rc = main(["build-dataset", "--input", str(tmp_path / "flows.csv"),
+                   "--schema", str(workspace / "raw" / "schema.json"),
+                   "--out", str(tmp_path / "ds")])
+        assert rc == 2
+        assert "row 6: non-finite value inf in column 'f1'" in capsys.readouterr().err
+
+    def test_family_list_string_in_config(self, workspace, tmp_path):
+        # A comma-separated string in a config file means the same as a list.
+        shutil.copytree(workspace / "sspe", tmp_path / "sspe")
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"families": "glm_binomial", "seed": 7}))
+        args = ["train", "--config", str(cfg), "--dataset", str(tmp_path / "sspe"),
+                "--task", "detect", "--out", str(tmp_path / "m")]
+        assert main(args) == 0
+        got = tmp_path / "m" / "models" / "detect" / "glm_binomial.json"
+        want = workspace / "sspe" / "models" / "detect" / "glm_binomial.json"
+        assert got.read_bytes() == want.read_bytes()

@@ -16,14 +16,14 @@ from tspec import (
     generate_synthetic,
     inject_noise,
     load_dataset,
-    noise_grid,
     save_dataset,
     split_dataset,
     zscore_apply,
     zscore_fit,
 )
 from tspec.dataprep import downsample_majority
-from tests.oracles import population_moments
+from tests.conftest import same_timeline, timeline_rows
+from tests.oracles import generate_synthetic_oracle, population_moments
 
 
 def make_dataset(m=20, d=4, seed=0, positive_fraction=0.5, tags=False):
@@ -163,32 +163,12 @@ class TestNoise:
             NoiseSpec(0.5, 0.0, 0)
 
 
-class TestNoiseGrid:
-    def test_default_grid(self):
-        specs = noise_grid()
-        assert len(specs) == 11
-        assert [s.ratio for s in specs] == [i / 10 for i in range(11)]
-        assert specs[1].ratio == 0.1
-        assert specs[10].ratio == 1.0
-
-    def test_seeds_differ_per_ratio_and_reproduce(self):
-        a = noise_grid(base_seed=42)
-        b = noise_grid(base_seed=42)
-        assert [s.seed for s in a] == [s.seed for s in b]
-        assert len({s.seed for s in a}) == 11
-
-    def test_custom_ratios(self):
-        specs = noise_grid(ratios=[0.0, 1.0], scale=2.0, base_seed=1)
-        assert [s.ratio for s in specs] == [0.0, 1.0]
-        assert all(s.scale == 2.0 for s in specs)
-
-
 class TestSynthetic:
     def test_no_segments_all_normal(self):
         scenario = SyntheticScenario(duration=50, feature_count=3, segments=())
         timeline = generate_synthetic(scenario, seed=0)
         assert len(timeline) == 50
-        assert timeline.label_bits().sum() == 0
+        assert timeline.labels.sum() == 0
 
     def test_burst_count(self):
         scenario = SyntheticScenario(
@@ -197,7 +177,7 @@ class TestSynthetic:
             segments=(AttackSegment("b", 100, 30, "burst", offset=2.0),),
         )
         timeline = generate_synthetic(scenario, seed=1)
-        assert int(timeline.label_bits().sum()) == 30
+        assert int(timeline.labels.sum()) == 30
 
     def test_periodic_count(self):
         scenario = SyntheticScenario(
@@ -206,7 +186,7 @@ class TestSynthetic:
             segments=(AttackSegment("p", 5, 30, "periodic", period=3),),
         )
         timeline = generate_synthetic(scenario, seed=1)
-        assert int(timeline.label_bits().sum()) == 10
+        assert int(timeline.labels.sum()) == 10
 
     @pytest.mark.parametrize("length", [2, 7, 30, 61])
     def test_ramp_closed_form(self, length):
@@ -225,12 +205,12 @@ class TestSynthetic:
             segments=(AttackSegment("dos", 10, 20, "burst", offset=50.0),),
         )
         timeline = generate_synthetic(scenario, seed=3)
-        for record in timeline.records:
-            if record.label:
-                assert record.attack == "dos"
-                assert all(v > 25 for v in record.features)
+        for label, attack, values in zip(timeline.labels, timeline.attacks, timeline.features):
+            if label:
+                assert attack == "dos"
+                assert all(v > 25 for v in values)
             else:
-                assert record.attack == ""
+                assert attack == ""
 
     def test_overlapping_segments_rejected(self):
         with pytest.raises(ConfigError, match="overlap"):
@@ -261,7 +241,41 @@ class TestSynthetic:
             feature_count=3,
             segments=(AttackSegment("a", 10, 20, "ramp"),),
         )
-        assert generate_synthetic(scenario, seed=5) == generate_synthetic(scenario, seed=5)
+        first, second = generate_synthetic(scenario, seed=5), generate_synthetic(scenario, seed=5)
+        assert same_timeline(first, second)
+
+    @pytest.mark.parametrize(
+        "mean,std",
+        [(0.0, 1.0), (2.5, 0.5), ((0.0, -1.0, 3.0), (1.0, 0.25, 2.0))],
+    )
+    def test_matches_per_second_oracle(self, mean, std):
+        # One (duration, F) draw gives the numbers of one draw per second.
+        scenario = SyntheticScenario(
+            duration=300,
+            feature_count=3,
+            normal_mean=mean,
+            normal_std=std,
+            segments=(
+                AttackSegment("b", 10, 30, "burst", offset=2.0),
+                AttackSegment("p", 50, 40, "periodic", period=4, offset=(1.0, -2.0, 0.5)),
+                AttackSegment("r", 120, 61, "ramp", offset=-1.5),
+                AttackSegment("one", 200, 1, "ramp"),  # a ramp of 1 has no attack second
+            ),
+        )
+        for seed in (0, 9, 2024):
+            timeline = generate_synthetic(scenario, seed)
+            assert timeline_rows(timeline) == generate_synthetic_oracle(scenario, seed)
+            assert timeline.seconds.tolist() == list(range(300))
+
+    def test_wrong_type_values_rejected(self):
+        base = {"duration": 50, "feature_count": 2, "segments": []}
+        for bad in ({"duration": "abc"}, {"segments": 5}, {"segments": [5]},
+                    {"normal_std": "wide"}):
+            with pytest.raises(ConfigError, match="wrong type"):
+                SyntheticScenario.from_dict({**base, **bad})
+        scenario = SyntheticScenario.from_dict({**base, "normal_mean": ["a", "b"]})
+        with pytest.raises(ConfigError, match="normal_mean must be numeric"):
+            generate_synthetic(scenario, 0)
 
 
 class TestAssemble:
@@ -277,7 +291,7 @@ class TestAssemble:
         assert ds.provenance["method"] == "sspe"
         assert ds.provenance["d_model"] == 8
         assert ds.provenance["window"] == 5
-        expected_fraction = timeline.label_bits()[
+        expected_fraction = timeline.labels[
             np.arange(36)[:, None] + np.arange(5)
         ].mean()
         assert ds.provenance["attack_bit_fraction"] == pytest.approx(expected_fraction)
@@ -304,7 +318,7 @@ class TestAssemble:
             seed=0,
         )
         ds = assemble_dataset(timeline, 6, 2, "coap")
-        bits = timeline.label_bits()
+        bits = timeline.labels
         for i, start in enumerate(range(0, 25, 2)):
             assert ds.spectrum_labels[i] == bits[start : start + 6].sum()
 

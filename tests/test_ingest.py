@@ -8,12 +8,14 @@ import pytest
 from tspec import (
     DataError,
     FlowSchema,
+    PacketTimeline,
     fill_missing_points,
     nonconstant_features,
     parse_flow_csv,
     select_features,
 )
-from tests.conftest import make_timeline
+from tests.conftest import make_timeline, same_timeline, timeline_rows
+from tests.oracles import fill_missing_points_oracle
 
 
 def write_csv(path, header, rows):
@@ -44,9 +46,10 @@ class TestParse:
         timeline = parse_flow_csv(path, basic_schema)
         assert len(timeline) == 3
         assert timeline.feature_names == ("size", "rate")
-        assert [r.second for r in timeline.records] == [0, 1, 2]
-        assert [r.label for r in timeline.records] == [1, 0, 0]
-        assert timeline.records[0].features == (74.0, 1.5)
+        assert timeline.seconds.tolist() == [0, 1, 2]
+        assert timeline.labels.tolist() == [1, 0, 0]
+        assert timeline.features[0].tolist() == [74.0, 1.5]
+        assert timeline.fill.tolist() == [0, 0, 0]
 
     def test_non_binary_label_names_row(self, tmp_path, basic_schema):
         path = write_csv(
@@ -78,7 +81,7 @@ class TestParse:
         )
         timeline = parse_flow_csv(path, schema)
         assert len(timeline) == 9
-        seconds = [r.second for r in timeline.records]
+        seconds = timeline.seconds.tolist()
         assert seconds == [0, 1, 2, 3, 4, 5, 8, 12, 13]
         assert max(seconds) - min(seconds) + 1 == 14
 
@@ -98,6 +101,16 @@ class TestParse:
             [[100, 74, 1.5, 0], [101, "tcp", 2.0, 0]],
         )
         with pytest.raises(DataError, match="row 3.*'size'"):
+            parse_flow_csv(path, basic_schema)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_feature_names_row_and_column(self, tmp_path, basic_schema, cell):
+        path = write_csv(
+            tmp_path / "flows.csv",
+            ["time", "size", "rate", "label"],
+            [[100, 74, 1.5, 0], [101, 208, 2.0, 0], [102, 66, cell, 0]],
+        )
+        with pytest.raises(DataError, match="row 4: non-finite .* in column 'rate'"):
             parse_flow_csv(path, basic_schema)
 
     def test_unparsable_timestamp_names_row(self, tmp_path, basic_schema):
@@ -131,8 +144,7 @@ class TestParse:
             [[0, 1, 0, "scan"], [1, 2, 1, "scan"]],
         )
         timeline = parse_flow_csv(path, schema)
-        assert timeline.records[0].attack == ""  # normals carry no attack tag
-        assert timeline.records[1].attack == "scan"
+        assert timeline.attacks == ("", "scan")  # normals carry no attack tag
 
 
 class TestFill:
@@ -146,10 +158,9 @@ class TestFill:
         )
         filled = fill_missing_points(timeline, seed=9)
         assert len(filled) == 14
-        assert [r.second for r in filled.records] == list(range(14))
-        fills = [r for r in filled.records if r.synthetic_fill]
-        assert len(fills) == 5
-        assert all(r.label == 0 for r in fills)
+        assert filled.seconds.tolist() == list(range(14))
+        assert int(filled.fill.sum()) == 5
+        assert filled.labels[filled.fill == 1].tolist() == [0] * 5
 
     def test_gap_count_identity(self):
         rng = np.random.default_rng(3)
@@ -164,19 +175,21 @@ class TestFill:
         timeline = make_timeline([0, 4, 9], labels=[0, 1, 0])
         once = fill_missing_points(timeline, seed=5)
         twice = fill_missing_points(once, seed=5)
-        assert once == twice
+        assert twice is once
 
     def test_deterministic(self):
         timeline = make_timeline([0, 5, 11], labels=[0, 0, 1])
-        assert fill_missing_points(timeline, seed=2) == fill_missing_points(timeline, seed=2)
+        assert same_timeline(
+            fill_missing_points(timeline, seed=2), fill_missing_points(timeline, seed=2)
+        )
 
     def test_fill_features_come_from_normal_pool(self):
         timeline = make_timeline([0, 3], labels=[0, 1])
         filled = fill_missing_points(timeline, seed=0)
-        normal_features = {timeline.records[0].features}
-        for record in filled.records:
-            if record.synthetic_fill:
-                assert record.features in normal_features
+        normal_features = {tuple(timeline.features[0])}
+        for row, fill in zip(filled.features, filled.fill):
+            if fill:
+                assert tuple(row) in normal_features
 
     def test_empty_normal_pool_rejected(self):
         timeline = make_timeline([0, 3], labels=[1, 1])
@@ -186,8 +199,46 @@ class TestFill:
     def test_originals_untouched(self):
         timeline = make_timeline([0, 4], labels=[0, 1])
         filled = fill_missing_points(timeline, seed=8)
-        originals = [r for r in filled.records if not r.synthetic_fill]
-        assert tuple(originals) == timeline.records
+        originals = [r for r in timeline_rows(filled) if not r[3]]
+        assert originals == timeline_rows(timeline)
+
+    def test_fill_rows_must_carry_label_zero(self):
+        with pytest.raises(DataError, match="label 0"):
+            PacketTimeline(
+                seconds=[0, 1], features=np.zeros((2, 1)), labels=[0, 1],
+                feature_names=("f0",), fill=[0, 1],
+            )
+
+    def test_unsorted_seconds_rejected(self):
+        with pytest.raises(DataError, match="sorted"):
+            make_timeline([0, 2, 1])
+
+
+class TestFillAgainstOracle:
+    """The columnar fill against the per-record loop it replaced: the same
+    donors, drawn in the same gap order."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_random_gap_timelines(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(15):
+            seconds = np.sort(rng.choice(80, size=rng.integers(2, 40), replace=False))
+            labels = (rng.random(seconds.size) < 0.3).astype(int).tolist()
+            labels[0] = 0  # at least one donor
+            timeline = make_timeline(
+                seconds, labels=labels, width=3, attacks=["a"] * seconds.size, rng=rng
+            )
+            filled = fill_missing_points(timeline, seed=seed)
+            assert timeline_rows(filled) == fill_missing_points_oracle(
+                timeline_rows(timeline), seed
+            )
+
+    def test_repeated_seconds_keep_their_order(self):
+        # Several rows in one second stay in file order around the fills.
+        timeline = make_timeline([0, 0, 3, 3, 3, 6], labels=[0, 1, 0, 0, 1, 0])
+        filled = fill_missing_points(timeline, seed=3)
+        assert filled.seconds.tolist() == [0, 0, 1, 2, 3, 3, 3, 4, 5, 6]
+        assert timeline_rows(filled) == fill_missing_points_oracle(timeline_rows(timeline), 3)
 
 
 class TestSelect:
@@ -197,11 +248,11 @@ class TestSelect:
         subset = timeline.feature_names[:count]
         projected = select_features(timeline, subset)
         assert projected.feature_names == subset
-        assert all(len(r.features) == count for r in projected.records)
+        assert projected.features.shape == (4, count)
 
     def test_identity_projection(self):
         timeline = make_timeline(range(3), width=4)
-        assert select_features(timeline, timeline.feature_names) == timeline
+        assert same_timeline(select_features(timeline, timeline.feature_names), timeline)
 
     def test_unknown_name(self):
         timeline = make_timeline(range(3), width=2)
@@ -211,8 +262,7 @@ class TestSelect:
     def test_order_follows_request(self):
         timeline = make_timeline(range(3), width=3)
         projected = select_features(timeline, ("f2", "f0"))
-        for old, new in zip(timeline.records, projected.records):
-            assert new.features == (old.features[2], old.features[0])
+        assert np.array_equal(projected.features, timeline.features[:, [2, 0]])
 
     def test_parse_then_select_commutes(self, tmp_path):
         rows = [[i, 1.0 * i, 2.0 * i, 3.0 * i, i % 2] for i in range(6)]
@@ -221,17 +271,9 @@ class TestSelect:
         narrow_schema = FlowSchema("time", "label", ("c", "a"))
         via_select = select_features(parse_flow_csv(path, full_schema), ("c", "a"))
         direct = parse_flow_csv(path, narrow_schema)
-        assert via_select == direct
+        assert same_timeline(via_select, direct)
 
     def test_nonconstant_filter(self):
-        records = make_timeline(range(5), width=3)
-        constant = tuple(
-            r.__class__(
-                second=r.second,
-                features=(r.features[0], 5.0, r.features[2]),
-                label=r.label,
-            )
-            for r in records.records
-        )
-        timeline = records.__class__(records=constant, feature_names=records.feature_names)
+        timeline = make_timeline(range(5), width=3)
+        timeline.features[:, 1] = 5.0
         assert nonconstant_features(timeline) == ("f0", "f2")

@@ -11,39 +11,58 @@ from tspec import (
     ConfigError,
     DataError,
     EncodingConfig,
+    PacketTimeline,
     binarize,
-    coap,
     coap_values,
     compute_threshold,
     default_parameter_grid,
     encoding_matrix,
     parameter_grid_scores,
-    positional_encoding,
     proportional_positive_count,
     score_label_distribution,
-    sspe,
     sspe_values,
+    window_matrices,
 )
-from tests.oracles import ascending_percentile_oracle, rank_threshold_oracle, sspe_brute_force
+from tests.oracles import (
+    ascending_percentile_oracle,
+    encoding_oracle,
+    rank_threshold_oracle,
+    sspe_brute_force,
+    window_matrices_oracle,
+)
 
 GRID_D_MODELS = (2, 4, 8, 16, 32, 64, 128, 236, 256)
+
+
+def encode(pos, d_model):
+    """Row ``pos`` of the encoding matrix."""
+    return encoding_matrix(pos + 1, EncodingConfig(d_model))[pos]
+
+
+def coap_of(bits):
+    return coap_values(np.asarray(bits)[None, :])[0]
+
+
+def sspe_of(bits, cfg):
+    return sspe_values(np.asarray(bits)[None, :], cfg)[0]
 
 
 class TestPositionalEncoding:
     def test_position_zero_alternates(self):
         for d in (2, 8, 236):
-            vec = positional_encoding(0, EncodingConfig(d))
+            vec = encode(0, d)
             assert np.array_equal(vec, np.tile([0.0, 1.0], d // 2))
 
     def test_position_one_two_dims(self):
-        vec = positional_encoding(1, EncodingConfig(2))
+        vec = encode(1, 2)
         assert vec == pytest.approx([math.sin(1), math.cos(1)], abs=1e-12)
         assert vec == pytest.approx([0.8414709848078965, 0.5403023058681398], abs=1e-12)
 
     @pytest.mark.parametrize("d_model", GRID_D_MODELS)
     def test_pair_norms(self, d_model):
+        matrix = encoding_matrix(60, EncodingConfig(d_model))
         for pos in range(0, 60, 7):
-            vec = positional_encoding(pos, EncodingConfig(d_model))
+            vec = matrix[pos]
             pair_norms = vec[0::2] ** 2 + vec[1::2] ** 2
             assert np.abs(pair_norms - 1.0).max() <= 1e-12
 
@@ -54,53 +73,58 @@ class TestPositionalEncoding:
             EncodingConfig(0)
 
     def test_matrix_matches_single_positions(self):
-        cfg = EncodingConfig(8)
-        matrix = encoding_matrix(10, cfg)
+        matrix = encoding_matrix(10, EncodingConfig(8))
         for pos in range(10):
-            assert np.array_equal(matrix[pos], positional_encoding(pos, cfg))
+            assert matrix[pos] == pytest.approx(encoding_oracle(pos, 8), abs=1e-12)
 
     def test_negative_position_rejected(self):
-        with pytest.raises(ConfigError):
-            positional_encoding(-1, EncodingConfig(2))
+        # Positions are 0..length-1, so a negative length is the only way to
+        # ask for a negative position.
+        with pytest.raises(ValueError):
+            encoding_matrix(-1, EncodingConfig(2))
 
 
 class TestCoap:
     def test_examples(self):
-        assert coap([1, 0, 1, 1]).value == 3
-        assert coap([0] * 8).value == 0
-        assert coap([1] * 8).value == 8
-
-    def test_metadata(self):
-        label = coap([0, 1])
-        assert label.method == "coap"
-        assert label.window_size == 2
-        assert label.d_model is None
+        bits = np.array([[1, 0, 1, 1], [0, 0, 0, 0], [1, 1, 1, 1]])
+        assert coap_values(bits).tolist() == [3, 0, 4]
+        assert coap_of([1] * 8) == 8
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=40))
     @settings(max_examples=50, deadline=None)
     def test_permutation_invariance(self, bits):
-        assert coap(bits).value == coap(list(reversed(bits))).value
-        assert coap(bits).value == sum(bits)
+        assert coap_of(bits) == coap_of(list(reversed(bits)))
+        assert coap_of(bits) == sum(bits)
 
     def test_empty_rejected(self):
+        # Label rows come from windows, and a window is never empty.
+        timeline = PacketTimeline(
+            seconds=[], features=np.empty((0, 1)), labels=[], feature_names=("f0",)
+        )
         with pytest.raises(DataError):
-            coap([])
+            window_matrices(timeline, 1)
+        with pytest.raises(ConfigError):
+            window_matrices(timeline, 0)
 
     def test_non_bit_rejected(self):
-        with pytest.raises(DataError):
-            coap([0, 2, 1])
+        # Label rows come from a timeline, which only holds 0 and 1.
+        with pytest.raises(DataError, match="0 or 1"):
+            PacketTimeline(
+                seconds=[0, 1, 2], features=np.zeros((3, 1)), labels=[0, 2, 1],
+                feature_names=("f0",),
+            )
 
 
 class TestSspe:
     def test_all_zero_labels(self):
-        assert sspe([0, 0, 0], EncodingConfig(8)).value == 0.0
+        assert sspe_of([0, 0, 0], EncodingConfig(8)) == 0.0
 
     def test_single_attack_at_origin(self):
-        assert sspe([1, 0], EncodingConfig(2)).value == pytest.approx(1.0, abs=1e-12)
+        assert sspe_of([1, 0], EncodingConfig(2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_positions_two_dims(self):
         expected = sspe_brute_force([0, 1], 2)
-        value = sspe([0, 1], EncodingConfig(2)).value
+        value = sspe_of([0, 1], EncodingConfig(2))
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(1.3817732906760363, abs=1e-9)
 
@@ -111,9 +135,7 @@ class TestSspe:
             n = int(rng.integers(1, 61))
             bits = rng.integers(0, 2, size=n)
             expected = sspe_brute_force(bits.tolist(), d_model)
-            assert sspe(bits, EncodingConfig(d_model)).value == pytest.approx(
-                expected, abs=1e-9
-            )
+            assert sspe_of(bits, EncodingConfig(d_model)) == pytest.approx(expected, abs=1e-9)
 
     def test_linearity_on_disjoint_supports(self):
         rng = np.random.default_rng(11)
@@ -127,22 +149,21 @@ class TestSspe:
             a[support[:half]] = rng.integers(0, 2, half)
             b[support[half:]] = rng.integers(0, 2, n - half)
             combined = a | b
-            assert sspe(combined, cfg).value == pytest.approx(
-                sspe(a, cfg).value + sspe(b, cfg).value, abs=1e-9
+            assert sspe_of(combined, cfg) == pytest.approx(
+                sspe_of(a, cfg) + sspe_of(b, cfg), abs=1e-9
             )
-            assert coap(combined).value == coap(a).value + coap(b).value
+            assert coap_of(combined) == coap_of(a) + coap_of(b)
 
     def test_position_sensitivity_exists(self):
         cfg = EncodingConfig(2)
-        assert sspe([1, 0], cfg).value != sspe([0, 1], cfg).value
+        assert sspe_of([1, 0], cfg) != sspe_of([0, 1], cfg)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(5)
         bits = rng.integers(0, 2, size=(20, 30))
-        cfg = EncodingConfig(8)
-        values = sspe_values(bits, cfg)
+        values = sspe_values(bits, EncodingConfig(8))
         for row, value in zip(bits, values):
-            assert value == pytest.approx(sspe(row, cfg).value, abs=1e-9)
+            assert value == pytest.approx(sspe_brute_force(row.tolist(), 8), abs=1e-9)
         assert np.array_equal(coap_values(bits), bits.sum(axis=1))
 
 
@@ -278,6 +299,15 @@ class TestParameterGrid:
         assert all(r["score"] is None for r in short)
         scored = [r for r in rows if r["window"] == 10]
         assert any(r["score"] is not None for r in scored)
+
+    def test_grid_scores_follow_strided_windows(self):
+        rng = np.random.default_rng(3)
+        bits = rng.integers(0, 2, size=200)
+        rows = parameter_grid_scores(bits, {"window": [10, 20], "d_model": [8]}, stride=3, bins=10)
+        for row in rows:
+            _, labels, _ = window_matrices_oracle(np.zeros((200, 1)), bits, row["window"], 3)
+            values = sspe_values(labels, EncodingConfig(8))
+            assert row["score"] == score_label_distribution(values, bins=10)
 
     def test_spectrum_ignores_features(self):
         # Same label stream, different feature values: identical spectra.

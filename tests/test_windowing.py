@@ -1,4 +1,8 @@
-"""Windowing tests: count formula, flattening, label aggregation, tags."""
+"""Windowing tests: count formula, flattening, label aggregation, tags.
+
+Windows come from ``window_matrices``; the per-window stacking loop and the
+per-record tag counter it replaced are kept in ``tests/oracles.py``.
+"""
 
 import numpy as np
 import pytest
@@ -7,33 +11,39 @@ from hypothesis import strategies as st
 
 from tspec import (
     DataError,
-    flatten,
-    make_windows,
-    unflatten,
+    PacketTimeline,
+    fill_missing_points,
     window_attack_tags,
     window_binary_labels,
     window_matrices,
 )
 from tests.conftest import make_timeline
+from tests.oracles import window_attack_tags_oracle, window_matrices_oracle
 
 
 def brute_force_starts(n, w, stride):
     return [s for s in range(0, n + 1) if s % stride == 0 and s + w <= n]
 
 
+def window_blocks(timeline, w, stride=1):
+    """window_matrices rows unflattened back to (n_windows, W, F) blocks."""
+    features, _, _ = window_matrices(timeline, w, stride)
+    return features.reshape(features.shape[0], w, len(timeline.feature_names))
+
+
 class TestMakeWindows:
     def test_count_small(self):
-        windows = make_windows(make_timeline(range(5)), 3, 1)
-        assert [w.start_index for w in windows] == [0, 1, 2]
+        _, _, starts = window_matrices(make_timeline(range(5)), 3, 1)
+        assert starts.tolist() == [0, 1, 2]
 
     def test_count_disjoint(self):
-        windows = make_windows(make_timeline(range(60)), 30, 30)
-        assert len(windows) == 2
-        assert [w.start_index for w in windows] == [0, 30]
+        features, _, starts = window_matrices(make_timeline(range(60)), 30, 30)
+        assert features.shape[0] == 2
+        assert starts.tolist() == [0, 30]
 
     def test_insufficient_data(self):
         with pytest.raises(DataError, match="insufficient"):
-            make_windows(make_timeline(range(10)), 30)
+            window_matrices(make_timeline(range(10)), 30)
 
     @given(
         n=st.integers(1, 80),
@@ -45,74 +55,70 @@ class TestMakeWindows:
         timeline = make_timeline(range(n), width=1)
         if n < w:
             with pytest.raises(DataError):
-                make_windows(timeline, w, stride)
+                window_matrices(timeline, w, stride)
             return
-        windows = make_windows(timeline, w, stride)
-        assert len(windows) == (n - w) // stride + 1
-        assert [x.start_index for x in windows] == brute_force_starts(n, w, stride)
+        features, labels, starts = window_matrices(timeline, w, stride)
+        assert features.shape[0] == labels.shape[0] == (n - w) // stride + 1
+        assert starts.tolist() == brute_force_starts(n, w, stride)
 
     def test_windows_carry_labels_in_order(self):
         timeline = make_timeline(range(6), labels=[0, 1, 0, 1, 1, 0])
-        windows = make_windows(timeline, 3, 1)
-        assert windows[1].labels.tolist() == [1, 0, 1]
+        _, labels, _ = window_matrices(timeline, 3, 1)
+        assert labels[1].tolist() == [1, 0, 1]
 
     def test_stride_one_overlap(self):
         timeline = make_timeline(range(12), width=3)
-        windows = make_windows(timeline, 5, 1)
-        for a, b in zip(windows, windows[1:]):
-            assert np.array_equal(a.traffic[1:], b.traffic[:-1])
+        blocks = window_blocks(timeline, 5)
+        for a, b in zip(blocks, blocks[1:]):
+            assert np.array_equal(a[1:], b[:-1])
 
 
 class TestFlatten:
     @pytest.mark.parametrize("w,f,expected", [(30, 37, 1110), (60, 23, 1380), (1, 4, 4)])
     def test_lengths(self, w, f, expected):
-        timeline = make_timeline(range(w), width=f)
-        vec = flatten(make_windows(timeline, w)[0])
-        assert vec.shape == (expected,)
+        features, _, _ = window_matrices(make_timeline(range(w), width=f), w)
+        assert features.shape == (1, expected)
 
     def test_row_major_order(self):
         timeline = make_timeline(range(4), width=3)
-        window = make_windows(timeline, 4)[0]
-        vec = flatten(window)
+        vec = window_matrices(timeline, 4)[0][0]
         for p in range(4):
             for j in range(3):
-                assert vec[p * 3 + j] == window.traffic[p, j]
+                assert vec[p * 3 + j] == timeline.features[p, j]
 
     def test_single_row_identity(self):
         timeline = make_timeline(range(1), width=5)
-        window = make_windows(timeline, 1)[0]
-        assert np.array_equal(flatten(window), window.traffic[0])
+        assert np.array_equal(window_matrices(timeline, 1)[0][0], timeline.features[0])
 
     @given(w=st.integers(1, 12), f=st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
     def test_round_trip(self, w, f):
         rng = np.random.default_rng(w * 100 + f)
         timeline = make_timeline(range(w), width=f, rng=rng)
-        window = make_windows(timeline, w)[0]
-        assert np.array_equal(unflatten(flatten(window), w), window.traffic)
+        assert np.array_equal(window_blocks(timeline, w)[0], timeline.features)
 
     def test_unflatten_rejects_misaligned(self):
-        with pytest.raises(DataError):
-            unflatten(np.arange(7.0), 2)
+        # A feature block whose width disagrees with the feature names never
+        # reaches the windowing.
+        with pytest.raises(DataError, match="features"):
+            PacketTimeline(
+                seconds=[0, 1], features=np.zeros((2, 3)),
+                labels=[0, 0], feature_names=("f0", "f1"),
+            )
 
     def test_window_matrices_match_flatten(self):
         timeline = make_timeline(range(8), labels=[0, 1] * 4, width=2)
-        features, labels, starts = window_matrices(timeline, 3, 2)
-        windows = make_windows(timeline, 3, 2)
-        assert starts.tolist() == [w.start_index for w in windows]
-        for i, w in enumerate(windows):
-            assert np.array_equal(features[i], flatten(w))
-            assert np.array_equal(labels[i], w.labels)
+        got = window_matrices(timeline, 3, 2)
+        want = window_matrices_oracle(timeline.features, timeline.labels, 3, 2)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
 
 
 class TestWindowLabels:
     def test_any_aggregate(self):
         bits = np.array([[0, 0, 0], [0, 1, 0], [1, 1, 1]])
-        assert window_binary_labels(bits, "any").tolist() == [0, 1, 1]
-
-    def test_majority_aggregate(self):
-        bits = np.array([[0, 1, 0], [1, 1, 0], [1, 1, 1]])
-        assert window_binary_labels(bits, "majority").tolist() == [0, 1, 1]
+        assert window_binary_labels(bits).tolist() == [0, 1, 1]
 
     def test_tags_majority_and_empty(self):
         timeline = make_timeline(
@@ -128,3 +134,69 @@ class TestWindowLabels:
             range(4), labels=[1, 1, 0, 0], attacks=["a", "b", "", ""]
         )
         assert window_attack_tags(timeline, 2, 1)[0] == "a"
+
+
+class TestAgainstOracles:
+    """``window_matrices`` and ``window_attack_tags`` against the per-window
+    loops they replaced, on gap-filled timelines, strides above one, tied
+    attack counts and attack seconds without a name."""
+
+    @staticmethod
+    def check(timeline, w, stride):
+        got = window_matrices(timeline, w, stride)
+        want = window_matrices_oracle(timeline.features, timeline.labels, w, stride)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert window_attack_tags(timeline, w, stride) == window_attack_tags_oracle(
+            timeline.attacks, timeline.labels.tolist(), w, stride
+        )
+
+    def test_gap_filled_with_stride(self):
+        seconds = [0, 1, 2, 5, 6, 7, 8, 12, 13, 14, 20, 21, 22, 23]
+        labels = [0, 1, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0]
+        attacks = ["", "a", "b", "", "b", "a", "", "", "c", "", "", "a", "", ""]
+        timeline = fill_missing_points(
+            make_timeline(seconds, labels=labels, width=3, attacks=attacks), seed=4
+        )
+        assert timeline.fill.sum() == 10
+        for w in (1, 2, 4, 7):
+            for stride in (1, 2, 3):
+                self.check(timeline, w, stride)
+
+    def test_no_feature_columns(self):
+        # Every feature can be dropped as constant; windows then have width 0.
+        self.check(make_timeline(range(5), width=0), 2, 2)
+
+    def test_tied_counts_and_unnamed_attacks(self):
+        # Several windows of 4 hold as many "x" as "y" seconds, so the
+        # earliest name decides; seconds 4, 7 and 9 are attacks without a name.
+        labels = [1, 1, 1, 1, 1, 1, 1, 1, 0, 1]
+        attacks = ["x", "y", "y", "x", "", "x", "y", "", "", ""]
+        timeline = make_timeline(range(10), labels=labels, attacks=attacks)
+        for stride in (1, 2, 3):
+            self.check(timeline, 4, stride)
+        assert window_attack_tags(timeline, 2, 1)[3] == "x"  # seconds 3-4: "x", unnamed
+        assert window_attack_tags(timeline, 1, 1)[7:] == ("", "", "")
+
+    @given(
+        cells=st.lists(
+            st.tuples(st.integers(0, 1), st.sampled_from(["", "a", "b", "c"])),
+            min_size=1,
+            max_size=40,
+        ),
+        w=st.integers(1, 12),
+        stride=st.integers(1, 5),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_label_streams(self, cells, w, stride):
+        if w > len(cells):
+            return
+        # Built directly, so label-0 seconds may carry a name too; it is ignored.
+        timeline = PacketTimeline(
+            seconds=range(len(cells)),
+            features=np.arange(2.0 * len(cells)).reshape(-1, 2),
+            labels=[bit for bit, _ in cells],
+            feature_names=("f0", "f1"),
+            attacks=[name for _, name in cells],
+        )
+        self.check(timeline, w, stride)
