@@ -30,7 +30,14 @@ from .dataprep import (
     zscore_apply,
     zscore_fit,
 )
-from .errors import ConfigError, DataError, PipelineError, read_json_object, write_json
+from .errors import (
+    ConfigError,
+    DataError,
+    PipelineError,
+    atomic_write,
+    read_json_object,
+    write_json,
+)
 from .evalharness import (
     MethodArtifacts,
     SweepConfig,
@@ -184,7 +191,7 @@ def _require(cfg: dict, key: str, command: str):
 
 
 def _write_timeline_csv(timeline, path: Path):
-    with path.open("w", encoding="utf-8", newline="") as handle:
+    with atomic_write(path, encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["time", *timeline.feature_names, "label", "attack"])
         columns = zip(
@@ -258,8 +265,8 @@ def cmd_build_dataset(cfg: dict) -> int:
         save_dataset(
             standardized,
             out,
+            zparams,
             sidecar_extra={
-                "zscore": zparams.to_dict(),
                 "split": {
                     "test_fraction": test_fraction,
                     "stratify": bool(cfg["stratify"]),

@@ -9,20 +9,27 @@ thing across features.
 
 from __future__ import annotations
 
-import csv
+import zipfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, read_json_object, write_json
+from .errors import ConfigError, DataError, atomic_write, read_json_object, write_json
 from .ingest import PacketTimeline
 from .spectrum import EncodingConfig, coap_values, sspe_values
-from .windowing import window_attack_tags, window_binary_labels, window_matrices
+from .windowing import flatten_windows, window_attack_tags, window_binary_labels, window_matrices
 
 LABEL_METHODS = ("baseline", "coap", "sspe")
 ATTACK_PATTERNS = ("burst", "periodic", "ramp")
-DATASET_SCHEMA_VERSION = 1
+DATASET_SCHEMA_VERSION = 2
+# dataset.npz members: (name, dimensions, dtype).
+_DATASET_ARRAYS = (
+    ("second_features", 2, np.float64),
+    ("window_starts", 1, np.int64),
+    ("spectrum_labels", 1, np.float64),
+    ("binary_labels", 1, np.int64),
+)
 
 
 @dataclass(frozen=True)
@@ -79,14 +86,19 @@ class Dataset:
     ``window_tags`` (optional) carries the per-row attack name so segments of
     one attack can be grouped during identification; ``provenance`` echoes
     how the rows were built (window size, stride, method, seeds, ...).
+    ``second_features`` and ``window_starts`` (set by ``assemble_dataset``
+    and ``load_dataset``) are the (n, F) per-second matrix the rows were
+    windowed from and each row's start second in it; ``save_dataset`` stores
+    these instead of the rows, after checking that they rebuild them.
     """
 
     features: np.ndarray
     spectrum_labels: np.ndarray
     binary_labels: np.ndarray
-    attack_name: str | None = None
     provenance: dict = field(default_factory=dict)
     window_tags: tuple[str, ...] | None = None
+    second_features: np.ndarray | None = None
+    window_starts: np.ndarray | None = None
 
     def __post_init__(self):
         m = self.features.shape[0]
@@ -109,11 +121,12 @@ class Dataset:
             features=self.features[indices].copy(),
             spectrum_labels=self.spectrum_labels[indices].copy(),
             binary_labels=self.binary_labels[indices].copy(),
-            attack_name=self.attack_name,
             provenance=prov,
             window_tags=None
             if self.window_tags is None
             else tuple(self.window_tags[i] for i in indices),
+            second_features=self.second_features,
+            window_starts=None if self.window_starts is None else self.window_starts[indices],
         )
 
 
@@ -358,7 +371,7 @@ def assemble_dataset(
     """
     if method not in LABEL_METHODS:
         raise ConfigError(f"label method must be one of {LABEL_METHODS}, got {method!r}")
-    features, label_bits, _ = window_matrices(timeline, window_size, stride)
+    features, label_bits, starts = window_matrices(timeline, window_size, stride)
     window_labels = window_binary_labels(label_bits)
 
     if method == "baseline":
@@ -387,32 +400,67 @@ def assemble_dataset(
         binary_labels=window_labels,
         provenance=provenance,
         window_tags=tags,
+        second_features=timeline.features,
+        window_starts=starts,
     )
 
 
-def save_dataset(ds: Dataset, out_dir: str | Path, sidecar_extra: dict | None = None) -> None:
-    """Write ``dataset.csv`` (f0..f{D-1}, spectrum_label, binary_label) plus a
-    ``dataset.json`` sidecar with provenance, tags, and any extras (z-score
-    parameters, split indices, seeds)."""
+def _rows_from_seconds(
+    second_features: np.ndarray, starts: np.ndarray, window_size: int, zscore: ZScoreParams
+) -> np.ndarray:
+    """The standardized, flattened window rows that ``save_dataset`` stores
+    as per-second features plus window starts."""
+    return zscore_apply(flatten_windows(second_features, starts, window_size), zscore)
+
+
+def save_dataset(
+    ds: Dataset,
+    out_dir: str | Path,
+    zscore: ZScoreParams,
+    sidecar_extra: dict | None = None,
+) -> None:
+    """Write ``dataset.npz`` and its ``dataset.json`` sidecar, each atomically.
+
+    The rows are not stored one by one: ``dataset.npz`` holds the per-second
+    features, one window start per row and the two label vectors, and
+    ``load_dataset`` rebuilds the rows as the z-scored flattened windows at
+    those starts.  ``ds.features`` must equal that rebuild bit for bit, so a
+    dataset that was not windowed from its ``second_features`` (noise-injected
+    or built by hand) raises a ``DataError``.  The sidecar holds the row count,
+    feature width, provenance, z-score parameters, window tags, and any
+    extras (split indices, seeds).
+    """
+    window = ds.provenance.get("window")
+    if ds.second_features is None or ds.window_starts is None or window is None:
+        raise DataError("only a dataset windowed from per-second features can be saved")
+    rebuilt = _rows_from_seconds(ds.second_features, ds.window_starts, window, zscore)
+    features = ds.features
+    if not (
+        features.dtype == np.float64
+        and features.shape == rebuilt.shape
+        and np.array_equal(features.view(np.uint64), rebuilt.view(np.uint64))
+    ):
+        raise DataError(
+            "dataset features differ from the z-scored windows of its per-second "
+            "features; refusing to save rows that would not load back"
+        )
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    width = ds.features.shape[1]
-
-    with (out_dir / "dataset.csv").open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([f"f{j}" for j in range(width)] + ["spectrum_label", "binary_label"])
-        for i in range(len(ds)):
-            row = [repr(float(v)) for v in ds.features[i]]
-            row.append(repr(float(ds.spectrum_labels[i])))
-            row.append(str(int(ds.binary_labels[i])))
-            writer.writerow(row)
-
+    with atomic_write(out_dir / "dataset.npz", "wb") as handle:
+        np.savez(
+            handle,
+            second_features=np.asarray(ds.second_features, dtype=np.float64),
+            window_starts=np.asarray(ds.window_starts, dtype=np.int64),
+            spectrum_labels=np.asarray(ds.spectrum_labels, dtype=np.float64),
+            binary_labels=np.asarray(ds.binary_labels, dtype=np.int64),
+        )
     sidecar = {
         "schema_version": DATASET_SCHEMA_VERSION,
         "rows": len(ds),
-        "feature_width": width,
-        "attack_name": ds.attack_name,
+        "feature_width": features.shape[1],
         "provenance": ds.provenance,
+        "zscore": zscore.to_dict(),
         "window_tags": list(ds.window_tags) if ds.window_tags is not None else None,
     }
     if sidecar_extra:
@@ -420,39 +468,89 @@ def save_dataset(ds: Dataset, out_dir: str | Path, sidecar_extra: dict | None = 
     write_json(out_dir / "dataset.json", sidecar)
 
 
+def _read_dataset_arrays(path: Path) -> dict[str, np.ndarray]:
+    """The ``dataset.npz`` members, each checked for dimensions and dtype."""
+    if not path.exists():
+        raise DataError(f"dataset arrays not found: {path}")
+    try:
+        # An open handle: np.load leaks the one it opens when the zip is bad.
+        with path.open("rb") as handle:
+            loaded = np.load(handle, allow_pickle=False)
+            if not isinstance(loaded, np.lib.npyio.NpzFile):
+                raise DataError(f"{path} is not an .npz archive")
+            with loaded:
+                arrays = {name: loaded[name] for name, _, _ in _DATASET_ARRAYS}
+    except KeyError as exc:
+        raise DataError(f"{path} is missing the array {exc}") from None
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise DataError(f"{path} is not a valid dataset array file: {exc}") from exc
+    for name, ndim, dtype in _DATASET_ARRAYS:
+        if arrays[name].ndim != ndim or arrays[name].dtype != dtype:
+            raise DataError(
+                f"{path}: array {name!r} has shape {arrays[name].shape} and dtype "
+                f"{arrays[name].dtype}, expected {ndim} dimensions of {np.dtype(dtype)}"
+            )
+    return arrays
+
+
 def load_dataset(in_dir: str | Path) -> tuple[Dataset, dict]:
-    """Read back a ``save_dataset`` directory; returns (dataset, sidecar)."""
+    """Read back a ``save_dataset`` directory; returns (dataset, sidecar).
+
+    The rows are rebuilt from the stored per-second features and window
+    starts, then z-scored with the stored parameters: the same float64
+    values, bit for bit, that were saved.
+    """
     in_dir = Path(in_dir)
-    csv_path = in_dir / "dataset.csv"
     json_path = in_dir / "dataset.json"
-    if not csv_path.exists() or not json_path.exists():
+    npz_path = in_dir / "dataset.npz"
+    if not json_path.exists():
         raise DataError(f"no dataset found under {in_dir}")
     sidecar = read_json_object(json_path, DataError, "dataset sidecar")
-    if sidecar.get("schema_version") != DATASET_SCHEMA_VERSION:
+    version = sidecar.get("schema_version")
+    if version != DATASET_SCHEMA_VERSION:
         raise DataError(
-            f"unsupported dataset schema version {sidecar.get('schema_version')!r}"
+            f"{json_path}: unsupported dataset schema version {version!r} "
+            f"(expected {DATASET_SCHEMA_VERSION}); rebuild the dataset"
+        )
+    try:
+        window = int(sidecar["provenance"]["window"])
+        width = int(sidecar["feature_width"])
+        rows = int(sidecar["rows"])
+        zscore = ZScoreParams.from_dict(sidecar["zscore"])
+        tags = sidecar.get("window_tags")
+        tags = None if tags is None else tuple(tags)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{json_path}: malformed dataset sidecar: {exc!r}") from None
+
+    arrays = _read_dataset_arrays(npz_path)
+    seconds = arrays["second_features"]
+    starts = arrays["window_starts"]
+    n, f = seconds.shape
+    if window < 1 or f * window != width:
+        raise DataError(
+            f"{npz_path}: {f} per-second features in windows of {window} do not give "
+            f"the sidecar's feature width {width}"
+        )
+    if {zscore.means.size, zscore.stds.size, zscore.constant_mask.size} != {width}:
+        raise DataError(f"{json_path}: z-score parameters do not have width {width}")
+    for name in ("window_starts", "spectrum_labels", "binary_labels"):
+        if arrays[name].shape != (rows,):
+            raise DataError(f"{npz_path}: {name} has {arrays[name].size} entries, expected {rows}")
+    if tags is not None and len(tags) != rows:
+        raise DataError(f"{json_path}: {len(tags)} window tags for {rows} rows")
+    if n < window or (rows and (starts.min() < 0 or starts.max() > n - window)):
+        raise DataError(
+            f"{npz_path}: window starts must lie in [0, {n - window}] for {n} seconds "
+            f"and window {window}"
         )
 
-    features, spectrum, binary = [], [], []
-    with csv_path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if not header or header[-2:] != ["spectrum_label", "binary_label"]:
-            raise DataError(f"{csv_path}: unexpected dataset header")
-        for row in reader:
-            features.append([float(v) for v in row[:-2]])
-            spectrum.append(float(row[-2]))
-            binary.append(int(row[-1]))
-
-    tags = sidecar.get("window_tags")
     ds = Dataset(
-        features=np.asarray(features, dtype=np.float64).reshape(
-            len(features), sidecar["feature_width"]
-        ),
-        spectrum_labels=np.asarray(spectrum, dtype=np.float64),
-        binary_labels=np.asarray(binary, dtype=np.int64),
-        attack_name=sidecar.get("attack_name"),
-        provenance=dict(sidecar.get("provenance", {})),
-        window_tags=tuple(tags) if tags is not None else None,
+        features=_rows_from_seconds(seconds, starts, window, zscore),
+        spectrum_labels=arrays["spectrum_labels"],
+        binary_labels=arrays["binary_labels"],
+        provenance=dict(sidecar["provenance"]),
+        window_tags=tags,
+        second_features=seconds,
+        window_starts=starts,
     )
     return ds, sidecar

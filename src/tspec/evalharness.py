@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataprep import Dataset, NoiseSpec, inject_noise
-from .errors import DataError, read_json_object, write_json
+from .errors import DataError, atomic_write, read_json_object, write_json
 from .identify import IdentificationResult, SpectrumSignature, build_registry, identify_attack
 from .models import TrainedModel, predict, train
 from .seeds import derive_seed
@@ -361,14 +361,14 @@ def emit_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
         figures.append(("identification_accuracy.csv", identify_rows, "identification_accuracy"))
     for name, rows, metric in figures:
         path = out_dir / name
-        with path.open("w", encoding="utf-8", newline="") as handle:
+        with atomic_write(path, encoding="utf-8", newline="") as handle:
             csv.writer(handle).writerows(_figure_table(rows, metric))
         written.append(path)
 
     for method, hist in report.label_histograms.items():
         path = out_dir / f"spectrum_hist_{method}.csv"
         edges, counts = hist["edges"], hist["counts"]
-        with path.open("w", encoding="utf-8", newline="") as handle:
+        with atomic_write(path, encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["bin_left", "bin_right", "count"])
             for left, right, count in zip(edges[:-1], edges[1:], counts):

@@ -115,8 +115,8 @@ class PacketTimeline:
         put("attacks", ("",) * n if self.attacks is None else tuple(self.attacks))
         if (np.shape(self.labels), self.fill.shape, len(self.attacks)) != ((n,), (n,), n):
             raise DataError("timeline columns must all have one entry per second")
-        if np.any(np.diff(self.seconds) < 0):
-            raise DataError("timeline records must be sorted by second")
+        if np.any(np.diff(self.seconds) <= 0):
+            raise DataError("timeline records must be sorted by second, one row per second")
         labels = np.asarray(self.labels)
         bad = np.flatnonzero(~np.isin(labels, (0, 1)))
         if bad.size:
@@ -169,10 +169,11 @@ def _parse_label(raw: str, row: int) -> int:
 def parse_flow_csv(path: str | Path, schema: FlowSchema) -> PacketTimeline:
     """Read a flow CSV into a timeline, one row per data row.
 
-    Rows must be ordered by non-decreasing timestamp; seconds are rebased so
-    the first row sits at second 0.  Any non-numeric or non-finite feature
-    cell, non-binary label, or unparsable timestamp aborts the parse with the
-    offending row number (1-based, counting the header as row 1).
+    Rows must be ordered by increasing timestamp, one row per second (after
+    flooring); seconds are rebased so the first row sits at second 0.  A
+    repeated second, any non-numeric or non-finite feature cell, non-binary
+    label, or unparsable timestamp aborts the parse with the offending row
+    number (1-based, counting the header as row 1).
     """
     path = Path(path)
     if not path.exists():
@@ -201,6 +202,11 @@ def parse_flow_csv(path: str | Path, schema: FlowSchema) -> PacketTimeline:
             if seconds and second < seconds[-1]:
                 raise DataError(
                     f"row {row_no}: timestamp decreases relative to the previous row"
+                )
+            if seconds and second == seconds[-1]:
+                raise DataError(
+                    f"row {row_no}: second {second} repeats the previous row's second; "
+                    "the input must hold one row per second"
                 )
             seconds.append(second)
 

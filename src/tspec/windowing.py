@@ -21,21 +21,30 @@ def _window_starts(n_records: int, window_size: int, stride: int) -> np.ndarray:
     return np.arange(0, n_records - window_size + 1, stride, dtype=np.int64)
 
 
+def flatten_windows(
+    second_features: np.ndarray, starts: np.ndarray, window_size: int
+) -> np.ndarray:
+    """Row-major flattening of the W x F window at each start of an (n, F)
+    per-second matrix: position p*F + j of row i holds feature j of second
+    ``starts[i] + p``, so the result has shape (len(starts), window_size * F).
+    Every start must lie in [0, n - window_size]."""
+    # The view is (n - W + 1, F, W); swap to (.., W, F) before flattening.
+    blocks = sliding_window_view(second_features, window_size, axis=0).transpose(0, 2, 1)
+    return blocks[starts].reshape(len(starts), window_size * second_features.shape[1])
+
+
 def window_matrices(
     timeline: PacketTimeline, window_size: int, stride: int = 1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Windows at start indices 0, stride, 2*stride, ...: (flattened features,
     label bits, starts).  Trailing partial windows are dropped, never padded.
 
-    Feature rows are the row-major flattening of each W x F window (position
-    p*F + j holds feature j of packet p), so the result has shape
+    Feature rows come from ``flatten_windows``, so they have shape
     (n_windows, window_size * F); label bits have shape (n_windows, window_size).
     """
     starts = _window_starts(len(timeline), window_size, stride)
-    # The view is (n - W + 1, F, W); swap to (.., W, F) before flattening.
-    blocks = sliding_window_view(timeline.features, window_size, axis=0)[::stride]
-    features = blocks.transpose(0, 2, 1).reshape(starts.size, -1)
-    labels = sliding_window_view(timeline.labels, window_size)[::stride].copy()
+    features = flatten_windows(timeline.features, starts, window_size)
+    labels = sliding_window_view(timeline.labels, window_size)[starts]
     return features, labels, starts
 
 

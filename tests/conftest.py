@@ -57,6 +57,11 @@ def same_timeline(a, b) -> bool:
     return a.feature_names == b.feature_names and timeline_rows(a) == timeline_rows(b)
 
 
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: float arrays equal bit for bit."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def three_attack_scenario(offset=3.0, feature_count=6):
     """Burst/periodic/ramp scenario with three segments per attack type.
 

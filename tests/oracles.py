@@ -1,18 +1,22 @@
 """Independent reference implementations used to pin expected test values.
 
 Everything here is deliberately written as plain scalar loops over the
-defining formulas, sharing no code with the package.  Two groups keep a
+defining formulas, sharing no code with the package.  Three groups keep a
 former implementation as the reference for a faster one: the tree builder
-(the per-node argsort split search, for the presorted one), and the
-per-second timeline functions (one record per second, for the columnar
-timeline).  Timeline records are ``(second, features, label, fill, attack)``
-tuples.
+(the per-node argsort split search, for the presorted one), the per-second
+timeline functions (one record per second, for the columnar timeline), and
+the schema-1 dataset store (every flattened row as ``repr`` CSV, for the
+window-free ``dataset.npz``).  Timeline records are ``(second, features,
+label, fill, attack)`` tuples.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -297,3 +301,51 @@ def window_attack_tags_oracle(names, bits, window_size, stride):
                 order.setdefault(names[p], p)
         tags.append(max(counts, key=lambda n: (counts[n], -order[n])) if counts else "")
     return tuple(tags)
+
+
+def save_dataset_v1(ds, out_dir) -> None:
+    """The schema-1 writer: ``dataset.csv`` with every flattened row as
+    ``repr`` text (f0..f{D-1}, spectrum_label, binary_label) and a
+    ``dataset.json`` sidecar with provenance and window tags."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    width = ds.features.shape[1]
+    with (out_dir / "dataset.csv").open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([f"f{j}" for j in range(width)] + ["spectrum_label", "binary_label"])
+        for i in range(len(ds)):
+            row = [repr(float(v)) for v in ds.features[i]]
+            row.append(repr(float(ds.spectrum_labels[i])))
+            row.append(str(int(ds.binary_labels[i])))
+            writer.writerow(row)
+    sidecar = {
+        "schema_version": 1,
+        "rows": len(ds),
+        "feature_width": width,
+        "attack_name": None,
+        "provenance": ds.provenance,
+        "window_tags": list(ds.window_tags) if ds.window_tags is not None else None,
+    }
+    (out_dir / "dataset.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+
+
+def load_dataset_v1(in_dir):
+    """The schema-1 reader: (features, spectrum_labels, binary_labels,
+    window_tags) parsed back from ``save_dataset_v1`` output."""
+    in_dir = Path(in_dir)
+    features, spectrum, binary = [], [], []
+    with (in_dir / "dataset.csv").open("r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        for row in reader:
+            features.append([float(v) for v in row[:-2]])
+            spectrum.append(float(row[-2]))
+            binary.append(int(row[-1]))
+    sidecar = json.loads((in_dir / "dataset.json").read_text())
+    tags = sidecar["window_tags"]
+    return (
+        np.asarray(features, dtype=np.float64).reshape(len(features), sidecar["feature_width"]),
+        np.asarray(spectrum, dtype=np.float64),
+        np.asarray(binary, dtype=np.int64),
+        tuple(tags) if tags is not None else None,
+    )

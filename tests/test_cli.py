@@ -90,6 +90,8 @@ class TestBuildDataset:
         assert sidecar["rows"] == 421
         split = sidecar["split"]
         assert len(split["train_indices"]) + len(split["test_indices"]) == 421
+        assert sidecar["schema_version"] == 2
+        assert "attack_name" not in sidecar
 
     def test_window_larger_than_timeline_exits_2(self, workspace, tmp_path, capsys):
         rc = main([
@@ -110,6 +112,7 @@ class TestBuildDataset:
         assert main(args + ["--out", str(tmp_path / "a")]) == 0
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
         assert read_tree(tmp_path / "a") == read_tree(tmp_path / "b")
+        assert sorted(read_tree(tmp_path / "a")) == ["dataset.json", "dataset.npz"]
 
     def test_missing_input_is_usage_error(self, tmp_path):
         assert main(["build-dataset", "--out", str(tmp_path / "x")]) == 1
@@ -361,6 +364,16 @@ class TestInputData:
                    "--out", str(tmp_path / "ds")])
         assert rc == 2
         assert "row 6: non-finite value inf in column 'f1'" in capsys.readouterr().err
+
+    def test_repeated_second_exits_2(self, workspace, tmp_path, capsys):
+        lines = (workspace / "raw" / "synthetic.csv").read_text().splitlines()
+        lines.insert(8, lines[7])  # second 6 twice, as rows 8 and 9
+        (tmp_path / "flows.csv").write_text("\n".join(lines) + "\n")
+        rc = main(["build-dataset", "--input", str(tmp_path / "flows.csv"),
+                   "--schema", str(workspace / "raw" / "schema.json"),
+                   "--out", str(tmp_path / "ds")])
+        assert rc == 2
+        assert "row 9: second 6 repeats" in capsys.readouterr().err
 
     def test_family_list_string_in_config(self, workspace, tmp_path):
         # A comma-separated string in a config file means the same as a list.

@@ -1,6 +1,7 @@
 """Dataset preparation tests: z-score, split, noise, synthesis, IO."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from tspec import (
     zscore_fit,
 )
 from tspec.dataprep import downsample_majority
-from tests.conftest import same_timeline, timeline_rows
+from tests.conftest import same_bits, same_timeline, timeline_rows
 from tests.oracles import generate_synthetic_oracle, population_moments
 
 
@@ -352,18 +353,67 @@ class TestDownsample:
         assert len(out) == len(ds)
 
 
+def standardized_dataset(method="coap", stride=1, seed=4):
+    """An assembled dataset z-scored on its first half, and its parameters."""
+    scenario = SyntheticScenario(
+        duration=90,
+        feature_count=3,
+        segments=(
+            AttackSegment("dos", 10, 20, "burst", offset=2.0),
+            AttackSegment("scan", 45, 30, "periodic", period=4),
+        ),
+    )
+    ds = assemble_dataset(generate_synthetic(scenario, seed), 5, stride, method, d_model=8)
+    params = zscore_fit(ds.features[: len(ds) // 2])
+    return replace(ds, features=zscore_apply(ds.features, params)), params
+
+
 class TestDatasetIO:
     def test_round_trip(self, tmp_path):
-        ds = make_dataset(8, d=3, tags=True)
-        ds.provenance.update({"window": 4, "stride": 1, "method": "coap", "d_model": None})
-        save_dataset(ds, tmp_path, sidecar_extra={"zscore": {"means": [0.0]}})
+        ds, params = standardized_dataset(stride=2)
+        save_dataset(ds, tmp_path, params, sidecar_extra={"seeds": {"base": 3}})
         loaded, sidecar = load_dataset(tmp_path)
-        assert np.array_equal(loaded.features, ds.features)
-        assert np.array_equal(loaded.spectrum_labels, ds.spectrum_labels)
-        assert np.array_equal(loaded.binary_labels, ds.binary_labels)
+        assert same_bits(loaded.features, ds.features)
+        assert same_bits(loaded.spectrum_labels, ds.spectrum_labels)
+        assert same_bits(loaded.binary_labels, ds.binary_labels)
+        assert same_bits(loaded.second_features, ds.second_features)
+        assert same_bits(loaded.window_starts, ds.window_starts)
         assert loaded.window_tags == ds.window_tags
-        assert sidecar["provenance"]["method"] == "coap"
-        assert sidecar["zscore"] == {"means": [0.0]}
+        assert loaded.provenance == ds.provenance
+        assert sidecar["schema_version"] == 2
+        assert sidecar["zscore"] == params.to_dict()
+        assert sidecar["seeds"] == {"base": 3}
+        assert "attack_name" not in sidecar
+        # A loaded dataset saves back to the same bytes.
+        save_dataset(loaded, tmp_path / "again", params, sidecar_extra={"seeds": {"base": 3}})
+        for name in ("dataset.npz", "dataset.json"):
+            assert (tmp_path / "again" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_row_subset_keeps_its_window_starts(self, tmp_path):
+        ds, params = standardized_dataset()
+        rows = np.array([1, 4, 5, 17, 30])
+        subset = ds.take(rows)
+        save_dataset(subset, tmp_path, params)
+        loaded, _ = load_dataset(tmp_path)
+        assert loaded.window_starts.tolist() == ds.window_starts[rows].tolist()
+        assert same_bits(loaded.features, ds.features[rows])
+
+    def test_refuses_noise_injected_dataset(self, tmp_path):
+        ds, params = standardized_dataset()
+        noised = inject_noise(ds, NoiseSpec(0.3, 1.0, seed=2))
+        with pytest.raises(DataError, match="differ"):
+            save_dataset(noised, tmp_path, params)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refuses_other_zscore_parameters(self, tmp_path):
+        ds, _ = standardized_dataset()
+        with pytest.raises(DataError, match="differ"):
+            save_dataset(ds, tmp_path, zscore_fit(ds.features))
+
+    def test_refuses_hand_built_dataset(self, tmp_path):
+        ds = make_dataset(8, d=3)
+        with pytest.raises(DataError, match="per-second"):
+            save_dataset(ds, tmp_path, zscore_fit(ds.features))
 
     def test_missing_dir(self, tmp_path):
         with pytest.raises(DataError):

@@ -131,6 +131,16 @@ class TestParse:
         with pytest.raises(DataError, match="row 3"):
             parse_flow_csv(path, basic_schema)
 
+    @pytest.mark.parametrize("repeat", [100, 100.5])
+    def test_repeated_second_names_row_and_second(self, tmp_path, basic_schema, repeat):
+        path = write_csv(
+            tmp_path / "flows.csv",
+            ["time", "size", "rate", "label"],
+            [[99, 74, 1.5, 0], [100, 74, 1.5, 0], [repeat, 60, 1.0, 1]],
+        )
+        with pytest.raises(DataError, match="row 4: second 1 repeats"):
+            parse_flow_csv(path, basic_schema)
+
     def test_attack_name_column(self, tmp_path):
         schema = FlowSchema(
             timestamp_column="time",
@@ -234,11 +244,10 @@ class TestFillAgainstOracle:
             )
 
     def test_repeated_seconds_keep_their_order(self):
-        # Several rows in one second stay in file order around the fills.
-        timeline = make_timeline([0, 0, 3, 3, 3, 6], labels=[0, 1, 0, 0, 1, 0])
-        filled = fill_missing_points(timeline, seed=3)
-        assert filled.seconds.tolist() == [0, 0, 1, 2, 3, 3, 3, 4, 5, 6]
-        assert timeline_rows(filled) == fill_missing_points_oracle(timeline_rows(timeline), 3)
+        # A timeline holds one row per second, so a window of W rows spans
+        # W seconds: repeated seconds never reach the fill.
+        with pytest.raises(DataError, match="one row per second"):
+            make_timeline([0, 0, 3, 3, 3, 6], labels=[0, 1, 0, 0, 1, 0])
 
 
 class TestSelect:
