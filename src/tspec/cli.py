@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -41,6 +42,7 @@ from .errors import (
 from .evalharness import (
     MethodArtifacts,
     SweepConfig,
+    detection_truth,
     emit_report,
     identification_accuracy,
     identify_segments,
@@ -51,7 +53,14 @@ from .identify import build_registry, load_registry, save_registry
 from .ingest import FlowSchema, fill_missing_points, nonconstant_features, parse_flow_csv, select_features
 from .models import ModelSpec, load_model, predict, save_model, train
 from .seeds import derive_seed
-from .spectrum import ThresholdSpec, binarize, compute_threshold, proportional_positive_count
+from .spectrum import (
+    LABEL_METHODS,
+    THRESHOLD_MODES,
+    ThresholdSpec,
+    compute_threshold,
+    is_spectrum_method,
+    proportional_positive_count,
+)
 
 DEFAULTS = {
     "window": 30,
@@ -152,24 +161,53 @@ def _load_config(path: str | None) -> dict:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
+    """DEFAULTS, then the config file's keys, then the flags given.  The
+    file may hold any key of DEFAULTS, any of the command's flags, and the
+    sweep's ``datasets``; another key is a ``ConfigError``.  ``cfg["config"]``
+    keeps the file's path for error messages."""
     cfg = dict(DEFAULTS)
-    cfg.update(_load_config(getattr(args, "config", None)))
+    loaded = _load_config(args.config)
+    known = (set(DEFAULTS) | set(vars(args)) | {"datasets"}) - {"config", "command"}
+    unknown = sorted(set(loaded) - known)
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown config key {', '.join(map(repr, unknown))}")
+    cfg.update(loaded)
     for key, value in vars(args).items():
-        if key in ("config", "command") or value is None:
-            continue
-        cfg[key] = value
+        if value is not None and key != "command":
+            cfg[key] = value
     for key in ("families", "identify_families"):
         if isinstance(cfg[key], str):
             cfg[key] = _csv_list(cfg[key])
+        if not _is_string_list(cfg[key]):
+            raise _invalid(cfg, key)
+    if cfg["features"] is not None and not _is_string_list(cfg["features"]):
+        raise _invalid(cfg, "features")
     return cfg
+
+
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _invalid(cfg: dict, key: str) -> ConfigError:
+    """The error for a bad value of ``key``.  Flags are checked by the
+    parser, so a bad value comes from the config file, which it names."""
+    where = f"{cfg['config']}: " if cfg.get("config") else ""
+    return ConfigError(f"{where}config key {key!r} has an invalid value {cfg[key]!r}")
 
 
 def _convert(cfg: dict, key: str, kind=int):
     """``kind(cfg[key])``, or a ``ConfigError`` naming the key."""
     try:
         return kind(cfg[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"config key {key!r} has an invalid value {cfg[key]!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise _invalid(cfg, key) from None
+
+
+def _float_list(values) -> list[float]:
+    if not isinstance(values, list):
+        raise TypeError("expected a list")
+    return [float(v) for v in values]
 
 
 def _csv_list(text: str) -> list[str]:
@@ -184,10 +222,17 @@ def _ratio_list(text: str) -> list[float]:
     return ratios
 
 
-def _require(cfg: dict, key: str, command: str):
-    if cfg.get(key) in (None, ""):
-        raise ConfigError(f"{command} requires --{key.replace('_', '-')} (or config key {key!r})")
-    return cfg[key]
+def _path(cfg: dict, key: str, command: str | None = None) -> Path | None:
+    """``cfg[key]`` as a path; ``None`` when unset, unless ``command``
+    requires it."""
+    value = cfg.get(key)
+    if value in (None, ""):
+        if command:
+            raise ConfigError(f"{command} requires --{key.replace('_', '-')} (or config key {key!r})")
+        return None
+    if not isinstance(value, str):
+        raise _invalid(cfg, key)
+    return Path(value)
 
 
 def _write_timeline_csv(timeline, path: Path):
@@ -205,8 +250,8 @@ def _write_timeline_csv(timeline, path: Path):
 
 
 def cmd_synth(cfg: dict) -> int:
-    out = Path(_require(cfg, "out", "synth"))
-    scenario = SyntheticScenario.from_json(_require(cfg, "scenario", "synth"))
+    out = _path(cfg, "out", "synth")
+    scenario = SyntheticScenario.from_json(_path(cfg, "scenario", "synth"))
     timeline = generate_synthetic(scenario, derive_seed(_convert(cfg, "seed"), "synth"))
     with _output_lock(out):
         _write_timeline_csv(timeline, out / "synthetic.csv")
@@ -224,17 +269,16 @@ def cmd_synth(cfg: dict) -> int:
 
 def _load_timeline(cfg: dict):
     seed = _convert(cfg, "seed")
-    if cfg.get("scenario"):
-        scenario = SyntheticScenario.from_json(cfg["scenario"])
-        return generate_synthetic(scenario, derive_seed(seed, "synth"))
-    if cfg.get("input"):
-        schema = FlowSchema.from_json(_require(cfg, "schema", "build-dataset"))
-        return parse_flow_csv(cfg["input"], schema)
+    scenario, flows = _path(cfg, "scenario"), _path(cfg, "input")
+    if scenario:
+        return generate_synthetic(SyntheticScenario.from_json(scenario), derive_seed(seed, "synth"))
+    if flows:
+        return parse_flow_csv(flows, FlowSchema.from_json(_path(cfg, "schema", "build-dataset")))
     raise ConfigError("build-dataset needs either --input + --schema or --scenario")
 
 
 def cmd_build_dataset(cfg: dict) -> int:
-    out = Path(_require(cfg, "out", "build-dataset"))
+    out = _path(cfg, "out", "build-dataset")
     seed = _convert(cfg, "seed")
     method = cfg["method"]
     test_fraction = _convert(cfg, "test_fraction", float)
@@ -284,49 +328,50 @@ def cmd_build_dataset(cfg: dict) -> int:
     return 0
 
 
-def _load_split(dataset_dir: str | Path) -> tuple[Dataset, Dataset, Dataset, dict]:
+def _load_split(dataset_dir: Path) -> tuple[Dataset, Dataset, Dataset, dict]:
     ds, sidecar = load_dataset(dataset_dir)
     split = sidecar.get("split")
     if not split:
         raise DataError(f"dataset under {dataset_dir} has no recorded split")
-    train_ds = ds.take(np.asarray(split["train_indices"], dtype=np.int64), role="train")
-    test_ds = ds.take(np.asarray(split["test_indices"], dtype=np.int64), role="test")
-    return ds, train_ds, test_ds, sidecar
+    parts, n = [], len(ds)
+    for key, role in (("train_indices", "train"), ("test_indices", "test")):
+        rows = split.get(key) if isinstance(split, dict) else None
+        if not isinstance(rows, list) or not all(type(i) is int and 0 <= i < n for i in rows):
+            raise DataError(
+                f"{dataset_dir / 'dataset.json'}: split key {key!r} must be a list of "
+                f"row indices in [0, {n})"
+            )
+        parts.append(ds.take(np.asarray(rows, dtype=np.int64), role=role))
+    return ds, *parts, sidecar
 
 
 def _threshold_path(dataset_dir: Path) -> Path:
     return dataset_dir / "threshold.json"
 
 
-def _detection_labels(train_ds: Dataset, sidecar: dict, mode: str) -> tuple[np.ndarray, ThresholdSpec | None]:
-    method = sidecar["provenance"]["method"]
-    if method == "baseline":
-        return train_ds.binary_labels, None
-    n1 = proportional_positive_count(
-        len(train_ds), float(sidecar["provenance"]["attack_bit_fraction"])
-    )
-    spec = compute_threshold(train_ds.spectrum_labels, n1, mode)
-    return binarize(train_ds.spectrum_labels, spec), spec
-
-
 def cmd_train(cfg: dict) -> int:
-    dataset_dir = Path(_require(cfg, "dataset", "train"))
+    dataset_dir = _path(cfg, "dataset", "train")
     task = cfg["task"]
-    if task not in _TASK_MAP:
+    if not isinstance(task, str) or task not in _TASK_MAP:
         raise ConfigError(f"task must be one of {sorted(_TASK_MAP)}, got {task!r}")
     families = cfg["families"]
     seed = _convert(cfg, "seed")
 
     _, train_ds, _, sidecar = _load_split(dataset_dir)
+    method = sidecar["provenance"]["method"]
+    labels, threshold = train_ds.spectrum_labels, None
     if task == "detect":
-        labels, threshold = _detection_labels(train_ds, sidecar, cfg["threshold_mode"])
-    else:
-        labels, threshold = train_ds.spectrum_labels, None
+        if is_spectrum_method(method):
+            fraction = float(sidecar["provenance"]["attack_bit_fraction"])
+            n1 = proportional_positive_count(len(train_ds), fraction)
+            threshold = compute_threshold(train_ds.spectrum_labels, n1, cfg["threshold_mode"])
+        labels = detection_truth(method, train_ds, threshold)
 
-    model_root = Path(cfg.get("out") or dataset_dir) / "models" / task
+    model_root = (_path(cfg, "out") or dataset_dir) / "models" / task
     with _output_lock(model_root):
         if threshold is not None:
-            write_json(_threshold_path(dataset_dir), asdict(threshold))
+            with _output_lock(dataset_dir):
+                write_json(_threshold_path(dataset_dir), asdict(threshold))
         for family in families:
             spec = ModelSpec(
                 family=family,
@@ -344,21 +389,34 @@ def _load_threshold(dataset_dir: Path) -> ThresholdSpec:
     if not path.exists():
         raise DataError(f"no fitted threshold found at {path}; run train --task detect first")
     data = read_json_object(path, DataError, "threshold")
+    checks = {
+        "tau": lambda v: type(v) in (int, float) and math.isfinite(v),
+        "mode": lambda v: v in THRESHOLD_MODES,
+        "n1": lambda v: type(v) is int,
+        "n": lambda v: type(v) is int,
+    }
+    for key, valid in checks.items():
+        if key not in data:
+            raise DataError(f"{path}: threshold file is missing key {key!r}")
+        if not valid(data[key]):
+            raise DataError(f"{path}: threshold key {key!r} has an invalid value {data[key]!r}")
     try:
-        return ThresholdSpec(tau=data["tau"], mode=data["mode"], n1=data["n1"], n=data["n"])
-    except KeyError as exc:
-        raise DataError(f"{path}: threshold file is missing key {exc}") from None
+        return ThresholdSpec(tau=float(data["tau"]), mode=data["mode"], n1=data["n1"], n=data["n"])
+    except ConfigError as exc:  # n1 outside [0, n]
+        raise DataError(f"{path}: {exc}") from None
 
 
 def cmd_sweep(cfg: dict) -> int:
-    out = Path(_require(cfg, "out", "sweep"))
-    datasets = _require(cfg, "datasets", "sweep")
+    out = _path(cfg, "out", "sweep")
+    datasets = cfg.get("datasets")
     if not isinstance(datasets, dict) or not datasets:
         raise ConfigError("sweep config needs a 'datasets' object mapping method -> dataset dir")
+    if not all(isinstance(d, str) and d for d in datasets.values()):
+        raise _invalid(cfg, "datasets")
     families = cfg["families"]
     identify_families = cfg["identify_families"]
     seed = _convert(cfg, "seed")
-    ratios = _convert(cfg, "ratios", lambda values: [float(r) for r in values])
+    ratios = _convert(cfg, "ratios", _float_list)
     noise_scale = _convert(cfg, "noise_scale", float)
 
     methods: dict[str, MethodArtifacts] = {}
@@ -370,13 +428,14 @@ def cmd_sweep(cfg: dict) -> int:
                 f"dataset under {dataset_dir} was built with method "
                 f"{sidecar['provenance']['method']!r}, not {method!r}"
             )
-        threshold = None if method == "baseline" else _load_threshold(dataset_dir)
+        spectrum = is_spectrum_method(method)
+        threshold = _load_threshold(dataset_dir) if spectrum else None
         detect_models = {
             family: load_model(dataset_dir / "models" / "detect" / f"{family}.json")
             for family in families
         }
         regress_models = {}
-        if method != "baseline":
+        if spectrum:
             regress_models = {
                 family: load_model(dataset_dir / "models" / "identify" / f"{family}.json")
                 for family in identify_families
@@ -417,10 +476,10 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_identify(cfg: dict) -> int:
-    out = Path(_require(cfg, "out", "identify"))
-    dataset_dir = Path(_require(cfg, "dataset", "identify"))
-    registry_path = Path(_require(cfg, "registry", "identify"))
-    model_path = cfg.get("model")
+    out = _path(cfg, "out", "identify")
+    dataset_dir = _path(cfg, "dataset", "identify")
+    registry_path = _path(cfg, "registry", "identify")
+    model_path = _path(cfg, "model")
 
     full, train_ds, test_ds, sidecar = _load_split(dataset_dir)
     if full.window_tags is None:
@@ -428,9 +487,10 @@ def cmd_identify(cfg: dict) -> int:
 
     make = cfg.get("make_registry")
     if make:
-        portion = {"train": train_ds, "test": test_ds, "all": full}.get(make)
-        if portion is None:
+        portions = {"train": train_ds, "test": test_ds, "all": full}
+        if not isinstance(make, str) or make not in portions:
             raise ConfigError(f"make_registry must be train, test, or all, got {make!r}")
+        portion = portions[make]
         signatures = build_registry(
             labels_by_attack(portion),
             bins=_convert(cfg, "identify_bins"),
@@ -491,7 +551,7 @@ def build_parser() -> _Parser:
     p.add_argument("--scenario", help="synthetic scenario JSON (alternative to --input)")
     p.add_argument("--window", type=int)
     p.add_argument("--stride", type=int)
-    p.add_argument("--method", choices=["baseline", "coap", "sspe"])
+    p.add_argument("--method", choices=LABEL_METHODS)
     p.add_argument("--d-model", dest="d_model", type=int)
     p.add_argument("--test-fraction", dest="test_fraction", type=float)
 
@@ -500,9 +560,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", help="dataset directory from build-dataset")
     p.add_argument("--task", choices=["detect", "identify"])
     p.add_argument("--families", type=_csv_list)
-    p.add_argument(
-        "--threshold-mode", dest="threshold_mode", choices=["rank-default", "as-paper"]
-    )
+    p.add_argument("--threshold-mode", dest="threshold_mode", choices=THRESHOLD_MODES)
 
     p = sub.add_parser("sweep", help="noise-ratio sweep over trained models")
     common(p)

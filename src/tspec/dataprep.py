@@ -9,6 +9,7 @@ thing across features.
 
 from __future__ import annotations
 
+import math
 import zipfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -17,10 +18,9 @@ import numpy as np
 
 from .errors import ConfigError, DataError, atomic_write, read_json_object, write_json
 from .ingest import PacketTimeline
-from .spectrum import EncodingConfig, coap_values, sspe_values
+from .spectrum import LABEL_METHODS, EncodingConfig, coap_values, is_spectrum_method, sspe_values
 from .windowing import flatten_windows, window_attack_tags, window_binary_labels, window_matrices
 
-LABEL_METHODS = ("baseline", "coap", "sspe")
 ATTACK_PATTERNS = ("burst", "periodic", "ramp")
 DATASET_SCHEMA_VERSION = 2
 # dataset.npz members: (name, dimensions, dtype).
@@ -168,14 +168,14 @@ def downsample_majority(ds: Dataset, majority_ratio: float, seed: int) -> Datase
     """Optional class rebalancing: thin the majority binary class down to at
     most ``majority_ratio`` times the minority count.  Disabled by default in
     the pipeline; row order is preserved."""
-    if majority_ratio <= 0:
-        raise ConfigError("majority ratio must be positive")
+    if not 0.0 < majority_ratio < math.inf:
+        raise ConfigError(f"majority ratio must be positive and finite, got {majority_ratio}")
     ones = np.flatnonzero(ds.binary_labels == 1)
     zeros = np.flatnonzero(ds.binary_labels == 0)
     if ones.size == 0 or zeros.size == 0:
         return ds.take(np.arange(len(ds)))
     minority, majority = (ones, zeros) if ones.size <= zeros.size else (zeros, ones)
-    cap = int(round(minority.size * majority_ratio))
+    cap = int(round(min(minority.size * majority_ratio, majority.size)))
     if majority.size <= cap:
         return ds.take(np.arange(len(ds)))
     rng = np.random.default_rng(seed)
@@ -195,8 +195,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0.0 <= self.ratio <= 1.0:
             raise ConfigError(f"noise ratio must be in [0, 1], got {self.ratio}")
-        if self.scale <= 0.0:
-            raise ConfigError(f"noise scale must be positive, got {self.scale}")
+        if not 0.0 < self.scale < math.inf:
+            raise ConfigError(f"noise scale must be positive and finite, got {self.scale}")
 
 
 def inject_noise(ds: Dataset, spec: NoiseSpec) -> Dataset:
@@ -374,15 +374,13 @@ def assemble_dataset(
     features, label_bits, starts = window_matrices(timeline, window_size, stride)
     window_labels = window_binary_labels(label_bits)
 
-    if method == "baseline":
+    if not is_spectrum_method(method):
         values = window_labels.astype(np.float64)
-        d_model = None
     elif method == "coap":
         values = coap_values(label_bits)
-        d_model = None
+    elif d_model is None:
+        raise ConfigError("method sspe requires d_model")
     else:
-        if d_model is None:
-            raise ConfigError("method sspe requires d_model")
         values = sspe_values(label_bits, EncodingConfig(d_model=d_model))
 
     tags = window_attack_tags(timeline, window_size, stride)
@@ -390,7 +388,7 @@ def assemble_dataset(
         "window": window_size,
         "stride": stride,
         "method": method,
-        "d_model": d_model,
+        "d_model": d_model if method == "sspe" else None,
         "attack_bit_fraction": float(np.asarray(label_bits).mean()),
         "feature_names": list(timeline.feature_names),
     }
@@ -514,13 +512,22 @@ def load_dataset(in_dir: str | Path) -> tuple[Dataset, dict]:
         )
     try:
         window = int(sidecar["provenance"]["window"])
+        method = sidecar["provenance"]["method"]
+        fraction = sidecar["provenance"]["attack_bit_fraction"]
         width = int(sidecar["feature_width"])
         rows = int(sidecar["rows"])
         zscore = ZScoreParams.from_dict(sidecar["zscore"])
         tags = sidecar.get("window_tags")
-        tags = None if tags is None else tuple(tags)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{json_path}: malformed dataset sidecar: {exc!r}") from None
+    if method not in LABEL_METHODS:
+        raise DataError(f"{json_path}: unknown label method {method!r}")
+    if type(fraction) not in (int, float) or not 0.0 <= fraction <= 1.0:
+        raise DataError(f"{json_path}: attack_bit_fraction {fraction!r} is not in [0, 1]")
+    if tags is not None:
+        if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
+            raise DataError(f"{json_path}: window_tags must be a list of strings")
+        tags = tuple(tags)
 
     arrays = _read_dataset_arrays(npz_path)
     seconds = arrays["second_features"]

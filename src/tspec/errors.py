@@ -27,7 +27,7 @@ def read_json_object(path: Path, error: type[PipelineError], what: str) -> dict:
     try:
         with path.open("r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+    except (OSError, ValueError) as exc:  # a directory; JSONDecodeError, UnicodeDecodeError
         raise error(f"{path} is not a valid {what} file: {exc}") from exc
     if not isinstance(data, dict):
         raise error(f"{path}: {what} file must hold a JSON object")

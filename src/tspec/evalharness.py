@@ -19,11 +19,10 @@ from .errors import DataError, atomic_write, read_json_object, write_json
 from .identify import IdentificationResult, SpectrumSignature, build_registry, identify_attack
 from .models import TrainedModel, predict, train
 from .seeds import derive_seed
-from .spectrum import ThresholdSpec, binarize
+from .spectrum import LABEL_METHODS, ThresholdSpec, binarize, is_spectrum_method
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 DETECTION_METRIC_NAMES = ("accuracy", "precision", "recall", "f1")
-FIGURE_METHOD_COLUMNS = ("baseline", "coap", "sspe")
 
 
 @dataclass(frozen=True)
@@ -36,11 +35,6 @@ class DetectionMetrics:
     fp: int
     fn: int
     tn: int
-
-    def micro_averaged(self) -> dict[str, float]:
-        # Binary micro-averaging pools both classes, which collapses
-        # precision, recall, and F1 onto plain accuracy.
-        return {"precision": self.accuracy, "recall": self.accuracy, "f1": self.accuracy}
 
 
 def detection_metrics(y_true, y_pred) -> DetectionMetrics:
@@ -151,14 +145,14 @@ class SweepConfig:
     config_echo: dict = field(default_factory=dict)
 
 
-def detection_truth(method: str, test: Dataset, threshold: ThresholdSpec | None) -> np.ndarray:
-    """Test-side labels under one method: the stored window labels for the
-    baseline, or the train-fitted cutoff applied to the test spectrum."""
-    if method == "baseline":
-        return test.binary_labels
+def detection_truth(method: str, ds: Dataset, threshold: ThresholdSpec | None) -> np.ndarray:
+    """Detection labels of a split under one method: the stored window labels
+    for the baseline, or the train-fitted cutoff applied to the spectrum."""
+    if not is_spectrum_method(method):
+        return ds.binary_labels
     if threshold is None:
         raise DataError(f"method {method!r} needs a fitted threshold for detection")
-    return binarize(test.spectrum_labels, threshold)
+    return binarize(ds.spectrum_labels, threshold)
 
 
 def _histogram_summary(ds: Dataset, bins: int = 50) -> dict | None:
@@ -173,13 +167,16 @@ def _histogram_summary(ds: Dataset, bins: int = 50) -> dict | None:
 
 
 def run_noise_sweep(cfg: SweepConfig) -> EvalReport:
-    """Evaluate every (method, family, ratio) cell and collect report rows.
+    """Evaluate every (method, task, family, ratio) cell and collect report rows.
 
     Detection cells compare the model's thresholded probabilities against the
     method's own test labels; identification cells (present when regression
-    models are supplied) run per-segment signature matching on the model's
-    predicted spectrum labels.  With ``noise_train`` the training features
-    are noised too and the cell's model is retrained from its spec.
+    models are supplied for a spectrum method) run per-segment signature
+    matching on the model's predicted spectrum labels.  Each cell noises the
+    test features with the seed derived from its method, family, task (for
+    identification only) and ratio.  With ``noise_train`` the training
+    features of detection cells are noised too and the cell's model is
+    retrained from its spec.
     """
     rows: list[EvalRow] = []
     histograms: dict[str, dict] = {}
@@ -190,67 +187,48 @@ def run_noise_sweep(cfg: SweepConfig) -> EvalReport:
             histograms[method] = summary
         truth = detection_truth(method, art.test, art.threshold)
 
-        for family, model in art.detect_models.items():
-            train_labels = detection_truth(method, art.train, art.threshold)
-            for ratio in cfg.ratios:
-                pct = int(round(float(ratio) * 100))
-                seed = derive_seed(cfg.base_seed, "noise", method, family, pct)
-                noised = inject_noise(art.test, NoiseSpec(float(ratio), cfg.noise_scale, seed))
-                cell_model = model
-                if cfg.noise_train:
-                    train_seed = derive_seed(cfg.base_seed, "train-noise", method, family, pct)
-                    noised_train = inject_noise(
-                        art.train, NoiseSpec(float(ratio), cfg.noise_scale, train_seed)
-                    )
-                    cell_model = train(model.spec, noised_train.features, train_labels)
-                probs = predict(cell_model, noised.features)
-                preds = (probs >= 0.5).astype(np.int64)
-                rows.append(
-                    EvalRow(
-                        family=family,
-                        method=method,
-                        task="detect",
-                        noise_ratio=float(ratio),
-                        seed=seed,
-                        metrics=detection_metrics(truth, preds),
-                    )
-                )
-
-        if art.regress_models and method != "baseline":
+        tasks = [("detect", art.detect_models)]
+        if art.regress_models and is_spectrum_method(method):
             if art.train.window_tags is None or art.test.window_tags is None:
                 raise DataError("identification requires per-window attack tags")
-            reference = labels_by_attack(art.train)
             signatures = build_registry(
-                reference,
+                labels_by_attack(art.train),
                 bins=cfg.identify_bins,
                 method=method,
                 d_model=art.train.provenance.get("d_model"),
             )
-            for family, model in art.regress_models.items():
+            tasks.append(("identify", art.regress_models))
+
+        for task, models in tasks:
+            seed_labels = () if task == "detect" else (task,)
+            for family, model in models.items():
                 for ratio in cfg.ratios:
                     pct = int(round(float(ratio) * 100))
-                    seed = derive_seed(cfg.base_seed, "noise", method, family, "identify", pct)
-                    noised = inject_noise(
-                        art.test, NoiseSpec(float(ratio), cfg.noise_scale, seed)
-                    )
-                    predictions = predict(model, noised.features)
-                    results, truth_tags = identify_segments(
-                        predictions,
-                        art.test.window_tags,
-                        signatures,
-                        min_windows=cfg.min_segment_windows,
-                    )
-                    rows.append(
-                        EvalRow(
-                            family=family,
-                            method=method,
-                            task="identify",
-                            noise_ratio=float(ratio),
-                            seed=seed,
-                            identification_accuracy=identification_accuracy(
-                                results, truth_tags
-                            ),
+                    seed = derive_seed(cfg.base_seed, "noise", method, family, *seed_labels, pct)
+                    noised = inject_noise(art.test, NoiseSpec(float(ratio), cfg.noise_scale, seed))
+                    cell_model = model
+                    if cfg.noise_train and task == "detect":
+                        train_seed = derive_seed(cfg.base_seed, "train-noise", method, family, pct)
+                        noised_train = inject_noise(
+                            art.train, NoiseSpec(float(ratio), cfg.noise_scale, train_seed)
                         )
+                        train_labels = detection_truth(method, art.train, art.threshold)
+                        cell_model = train(model.spec, noised_train.features, train_labels)
+                    predictions = predict(cell_model, noised.features)
+                    if task == "detect":
+                        preds = (predictions >= 0.5).astype(np.int64)
+                        score = {"metrics": detection_metrics(truth, preds)}
+                    else:
+                        results, truth_tags = identify_segments(
+                            predictions,
+                            art.test.window_tags,
+                            signatures,
+                            min_windows=cfg.min_segment_windows,
+                        )
+                        accuracy = identification_accuracy(results, truth_tags)
+                        score = {"identification_accuracy": accuracy}
+                    rows.append(
+                        EvalRow(family, method, task, float(ratio), seed, **score)
                     )
 
     return EvalReport(rows=tuple(rows), config=dict(cfg.config_echo), label_histograms=histograms)
@@ -284,7 +262,6 @@ def _row_to_dict(row: EvalRow) -> dict:
             "recall": m.recall,
             "f1": m.f1,
             "confusion": {"tp": m.tp, "fp": m.fp, "fn": m.fn, "tn": m.tn},
-            "micro": m.micro_averaged(),
         }
     return out
 
@@ -326,10 +303,10 @@ def _figure_table(rows: list[EvalRow], metric: str) -> list[list]:
         )
         cells.setdefault((row.noise_ratio, row.method), []).append(value)
     ratios = sorted({r for r, _ in cells})
-    table = [["noise_ratio", *FIGURE_METHOD_COLUMNS]]
+    table = [["noise_ratio", *LABEL_METHODS]]
     for ratio in ratios:
         line: list = [repr(float(ratio))]
-        for method in FIGURE_METHOD_COLUMNS:
+        for method in LABEL_METHODS:
             values = cells.get((ratio, method))
             line.append(repr(float(np.mean(values))) if values else "")
         table.append(line)

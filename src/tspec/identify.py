@@ -27,9 +27,12 @@ class SpectrumSignature:
     d_model: int | None = None
 
     def __post_init__(self):
-        if self.counts.size != self.bin_edges.size - 1:
-            raise DataError("signature counts must have one entry per bin")
-        if not (np.diff(self.bin_edges) > 0).all():
+        edges = self.bin_edges
+        if edges.ndim != 1 or edges.size < 2 or not np.isfinite(edges).all():
+            raise DataError("signature bin edges must be a finite vector of at least 2 values")
+        if self.counts.shape != (edges.size - 1,) or not np.isfinite(self.counts).all():
+            raise DataError("signature counts must have one finite entry per bin")
+        if not (np.diff(edges) > 0).all():
             raise DataError("signature bin edges must be strictly increasing")
 
 
@@ -181,16 +184,25 @@ def load_registry(path: str | Path) -> list[SpectrumSignature]:
     payload = read_json_object(path, DataError, "registry")
     if payload.get("version") != REGISTRY_FILE_VERSION:
         raise DataError(f"{path}: unsupported registry version {payload.get('version')!r}")
-    signatures = [
-        SpectrumSignature(
-            attack_name=item["attack_name"],
-            bin_edges=np.asarray(item["bin_edges"], dtype=np.float64),
-            counts=np.asarray(item["counts"], dtype=np.float64),
-            method=item["method"],
-            d_model=item.get("d_model"),
-        )
-        for item in payload.get("signatures", [])
-    ]
+    items = payload.get("signatures", [])
+    if not isinstance(items, list):
+        raise DataError(f"{path}: registry key 'signatures' must be a list")
+    signatures = []
+    for i, item in enumerate(items):
+        try:
+            if not isinstance(item["attack_name"], str):
+                raise TypeError(f"attack_name {item['attack_name']!r} is not a string")
+            signatures.append(SpectrumSignature(
+                attack_name=item["attack_name"],
+                bin_edges=np.asarray(item["bin_edges"], dtype=np.float64),
+                counts=np.asarray(item["counts"], dtype=np.float64),
+                method=item["method"],
+                d_model=item.get("d_model"),
+            ))
+        except KeyError as exc:
+            raise DataError(f"{path}: signature {i} is missing key {exc}") from None
+        except (TypeError, ValueError, DataError) as exc:
+            raise DataError(f"{path}: signature {i} is malformed: {exc}") from None
     if not signatures:
         raise DataError(f"{path}: registry contains no signatures")
     return signatures

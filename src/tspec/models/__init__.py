@@ -1,16 +1,21 @@
 """Desk-scale supervised models with deterministic training and JSON files.
 
-Families: ``glm_binomial`` (logistic, classification only), ``glm_gaussian``
-(ridge least squares, regression only), ``random_forest`` and ``gbm`` (both
-tasks).  Classification predictions are probabilities in [0, 1]; callers
-decide at 0.5.  Model files are versioned JSON carrying the spec and learned
-parameters; a save/load round trip reproduces predictions bit for bit.
+Each family is one entry of ``FAMILIES``: the tasks it supports, its default
+hyperparameters, how it fits and predicts, and how its learned parameters
+are written to and read from JSON.  Families: ``glm_binomial`` (logistic,
+classification only), ``glm_gaussian`` (ridge least squares, regression
+only), ``random_forest`` and ``gbm`` (both tasks).  Classification
+predictions are probabilities in [0, 1]; callers decide at 0.5.  Model files
+are versioned JSON carrying the spec and learned parameters; a save/load
+round trip reproduces predictions bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -20,21 +25,85 @@ from .trees import Tree
 
 MODEL_FILE_VERSION = 1
 
-FAMILIES = ("glm_binomial", "glm_gaussian", "random_forest", "gbm")
 TASKS = ("classify", "regress")
 
-_FAMILY_TASKS = {
-    "glm_binomial": ("classify",),
-    "glm_gaussian": ("regress",),
-    "random_forest": TASKS,
-    "gbm": TASKS,
-}
 
-_DEFAULTS = {
-    "glm_binomial": {"l2": 1e-4, "learning_rate": 0.1, "max_iter": 500, "tol": 1e-8},
-    "glm_gaussian": {"ridge": 1e-6},
-    "random_forest": {"n_trees": 25, "max_depth": 10},
-    "gbm": {"n_trees": 50, "learning_rate": 0.1, "max_depth": 5, "subsample": 1.0},
+@dataclass(frozen=True)
+class Family:
+    """One model family: its tasks and default hyperparameters,
+    ``fit(X, y, task, hyperparameters, seed) -> parameters``,
+    ``predict(parameters, X, task)``, and the parameters' JSON codec
+    ``to_json(parameters)`` / ``from_json(data, feature_count)``.  Fit and
+    predict look up the ``glm``/``ensembles`` functions when called, so
+    wrappers installed on those modules (profilers) see every call."""
+
+    tasks: tuple[str, ...]
+    defaults: dict
+    fit: Callable
+    predict: Callable
+    to_json: Callable
+    from_json: Callable
+
+
+def _linear_to_json(params: dict) -> dict:
+    return {
+        "weights": [float(v) for v in params["weights"]],
+        "intercept": float(params["intercept"]),
+    }
+
+
+def _linear_from_json(data: dict, feature_count: int) -> dict:
+    weights = np.asarray(data["weights"], dtype=np.float64)
+    if weights.shape != (feature_count,):
+        raise ValueError(f"{weights.size} weights for {feature_count} features")
+    return {"weights": weights, "intercept": float(data["intercept"])}
+
+
+def _trees_to_json(params: dict, *scalars: str) -> dict:
+    out = {key: float(params[key]) for key in scalars}
+    out["trees"] = [t.to_dict() for t in params["trees"]]
+    return out
+
+
+def _trees_from_json(data: dict, feature_count: int, *scalars: str) -> dict:
+    out = {key: float(data[key]) for key in scalars}
+    out["trees"] = [Tree.from_dict(t, feature_count) for t in data["trees"]]
+    return out
+
+
+FAMILIES = {
+    "glm_binomial": Family(
+        tasks=("classify",),
+        defaults={"l2": 1e-4, "learning_rate": 0.1, "max_iter": 500, "tol": 1e-8},
+        fit=lambda X, y, task, hp, seed: glm.fit_binomial(X, y, **hp),
+        predict=lambda params, X, task: glm.predict_proba(params, X),
+        to_json=_linear_to_json,
+        from_json=_linear_from_json,
+    ),
+    "glm_gaussian": Family(
+        tasks=("regress",),
+        defaults={"ridge": 1e-6},
+        fit=lambda X, y, task, hp, seed: glm.fit_gaussian(X, y, **hp),
+        predict=lambda params, X, task: glm.predict_linear(params, X),
+        to_json=_linear_to_json,
+        from_json=_linear_from_json,
+    ),
+    "random_forest": Family(
+        tasks=TASKS,
+        defaults={"n_trees": 25, "max_depth": 10},
+        fit=lambda X, y, task, hp, seed: ensembles.forest_fit(X, y, task, seed=seed, **hp),
+        predict=lambda params, X, task: ensembles.forest_predict(params, X),
+        to_json=_trees_to_json,
+        from_json=_trees_from_json,
+    ),
+    "gbm": Family(
+        tasks=TASKS,
+        defaults={"n_trees": 50, "learning_rate": 0.1, "max_depth": 5, "subsample": 1.0},
+        fit=lambda X, y, task, hp, seed: ensembles.gbm_fit(X, y, task, seed=seed, **hp),
+        predict=lambda params, X, task: ensembles.gbm_predict(params, X, task),
+        to_json=lambda params: _trees_to_json(params, "f0", "learning_rate"),
+        from_json=lambda data, width: _trees_from_json(data, width, "f0", "learning_rate"),
+    ),
 }
 
 
@@ -46,22 +115,32 @@ class ModelSpec:
     hyperparameters: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if not isinstance(self.family, str) or self.family not in FAMILIES:
             raise ConfigError(f"unknown model family {self.family!r}")
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}")
-        if self.task not in _FAMILY_TASKS[self.family]:
+        family = FAMILIES[self.family]
+        if self.task not in family.tasks:
             raise ConfigError(
                 f"family {self.family!r} does not support task {self.task!r}"
             )
-        unknown = set(self.hyperparameters) - set(_DEFAULTS[self.family])
+        unknown = set(self.hyperparameters) - set(family.defaults)
         if unknown:
             raise ConfigError(
                 f"unknown hyperparameters for {self.family!r}: {sorted(unknown)}"
             )
+        for key, value in self.hyperparameters.items():
+            # Each value must be of its default's kind: a model file's
+            # hyperparameters are refit when the sweep noises training data.
+            kind = Integral if isinstance(family.defaults[key], int) else Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(
+                    f"hyperparameter {key!r} of {self.family!r} must be "
+                    f"{'an integer' if kind is Integral else 'a number'}, got {value!r}"
+                )
 
     def resolved_hyperparameters(self) -> dict:
-        merged = dict(_DEFAULTS[self.family])
+        merged = dict(FAMILIES[self.family].defaults)
         merged.update(self.hyperparameters)
         return merged
 
@@ -94,34 +173,9 @@ def train(spec: ModelSpec, X, y) -> TrainedModel:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_training_data(spec, X, y)
-    hp = spec.resolved_hyperparameters()
-
-    if spec.family == "glm_gaussian":
-        params = glm.fit_gaussian(X, y, ridge=hp["ridge"])
-    elif spec.family == "glm_binomial":
-        params = glm.fit_binomial(
-            X,
-            y,
-            l2=hp["l2"],
-            learning_rate=hp["learning_rate"],
-            max_iter=hp["max_iter"],
-            tol=hp["tol"],
-        )
-    elif spec.family == "random_forest":
-        params = ensembles.forest_fit(
-            X, y, spec.task, n_trees=hp["n_trees"], max_depth=hp["max_depth"], seed=spec.seed
-        )
-    else:
-        params = ensembles.gbm_fit(
-            X,
-            y,
-            spec.task,
-            n_trees=hp["n_trees"],
-            learning_rate=hp["learning_rate"],
-            max_depth=hp["max_depth"],
-            subsample=hp["subsample"],
-            seed=spec.seed,
-        )
+    params = FAMILIES[spec.family].fit(
+        X, y, spec.task, spec.resolved_hyperparameters(), spec.seed
+    )
     return TrainedModel(spec=spec, feature_count=X.shape[1], parameters=params)
 
 
@@ -135,45 +189,7 @@ def predict(model: TrainedModel, X) -> np.ndarray:
         )
     if X.shape[0] == 0:
         return np.empty(0, dtype=np.float64)
-
-    family = model.spec.family
-    if family == "glm_gaussian":
-        return glm.predict_linear(model.parameters, X)
-    if family == "glm_binomial":
-        return glm.predict_proba(model.parameters, X)
-    if family == "random_forest":
-        return ensembles.forest_predict(model.parameters, X)
-    return ensembles.gbm_predict(model.parameters, X, model.spec.task)
-
-
-def _parameters_to_jsonable(family: str, params: dict) -> dict:
-    if family in ("glm_binomial", "glm_gaussian"):
-        return {
-            "weights": [float(v) for v in params["weights"]],
-            "intercept": float(params["intercept"]),
-        }
-    if family == "random_forest":
-        return {"trees": [t.to_dict() for t in params["trees"]]}
-    return {
-        "f0": float(params["f0"]),
-        "learning_rate": float(params["learning_rate"]),
-        "trees": [t.to_dict() for t in params["trees"]],
-    }
-
-
-def _parameters_from_jsonable(family: str, data: dict) -> dict:
-    if family in ("glm_binomial", "glm_gaussian"):
-        return {
-            "weights": np.asarray(data["weights"], dtype=np.float64),
-            "intercept": float(data["intercept"]),
-        }
-    if family == "random_forest":
-        return {"trees": [Tree.from_dict(t) for t in data["trees"]]}
-    return {
-        "f0": float(data["f0"]),
-        "learning_rate": float(data["learning_rate"]),
-        "trees": [Tree.from_dict(t) for t in data["trees"]],
-    }
+    return FAMILIES[model.spec.family].predict(model.parameters, X, model.spec.task)
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
@@ -186,7 +202,7 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
             "hyperparameters": model.spec.resolved_hyperparameters(),
         },
         "feature_count": model.feature_count,
-        "parameters": _parameters_to_jsonable(model.spec.family, model.parameters),
+        "parameters": FAMILIES[model.spec.family].to_json(model.parameters),
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -209,11 +225,12 @@ def load_model(path: str | Path) -> TrainedModel:
             seed=int(payload["spec"]["seed"]),
             hyperparameters=dict(payload["spec"]["hyperparameters"]),
         )
+        feature_count = int(payload["feature_count"])
         return TrainedModel(
             spec=spec,
-            feature_count=int(payload["feature_count"]),
-            parameters=_parameters_from_jsonable(spec.family, payload["parameters"]),
+            feature_count=feature_count,
+            parameters=FAMILIES[spec.family].from_json(payload["parameters"], feature_count),
             version=version,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path} is not a valid model file: {exc}") from exc

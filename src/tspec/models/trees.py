@@ -38,14 +38,30 @@ class Tree:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Tree":
-        return cls(
+    def from_dict(cls, data: dict, feature_count: int) -> "Tree":
+        """Inverse of ``to_dict``.  Raises ``ValueError`` unless every array
+        has one entry per node, every split feature is below
+        ``feature_count`` and every split node's children come after it, so
+        that prediction always ends at a leaf."""
+        tree = cls(
             feature=np.asarray(data["feature"], dtype=np.int64),
             threshold=np.asarray(data["threshold"], dtype=np.float64),
             left=np.asarray(data["left"], dtype=np.int64),
             right=np.asarray(data["right"], dtype=np.int64),
             value=np.asarray(data["value"], dtype=np.float64),
         )
+        n = tree.feature.size
+        arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+        if n == 0 or any(a.shape != (n,) for a in arrays):
+            raise ValueError("tree arrays must be non-empty and have one entry per node")
+        if tree.feature.min() < -1 or tree.feature.max() >= feature_count:
+            raise ValueError(f"tree split feature out of range for {feature_count} features")
+        node = np.arange(n)
+        split = tree.feature >= 0
+        for child in (tree.left, tree.right):
+            if ((child <= node) | (child >= n))[split].any():
+                raise ValueError("tree child index out of range")
+        return tree
 
 
 def presort(X: np.ndarray) -> np.ndarray:

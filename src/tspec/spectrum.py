@@ -1,13 +1,15 @@
 """Spectrum labels: continuous scalar summaries of a window's binary labels.
 
-Two constructions are provided, each over a (n_windows, W) bit matrix:
+Of the three label methods, the baseline labels a window with its discrete
+any-attack bit; COAP and SSPE label it with a spectrum value ``bits @ w``
+over its (W,) attack bits, where ``position_weights`` gives ``w``:
 
-* ``coap_values`` -- count of attack packets in the window.  Position-blind;
-  an intensity measure.
-* ``sspe_values`` -- sum, over attack positions, of every component of the
-  sinusoidal positional encoding of that position.  Position-sensitive, so
-  two windows with the same attack count but different attack placement get
-  different labels.
+* ``coap_values`` -- ``w = 1``: the count of attack packets in the window.
+  Position-blind; an intensity measure.
+* ``sspe_values`` -- ``w[p]`` is the sum of every component of the
+  sinusoidal positional encoding of position p (Vaswani et al., 2017).
+  Position-sensitive, so two windows with the same attack count but
+  different attack placement get different labels.
 
 Binarization back to {0,1} uses a rank threshold over the spectrum values so
 that the positive fraction matches the attack proportion of the underlying
@@ -27,21 +29,26 @@ from .errors import ConfigError, DataError
 
 ENCODING_BASE = 10000.0
 THRESHOLD_MODES = ("rank-default", "as-paper")
+LABEL_METHODS = ("baseline", "coap", "sspe")
+
+
+def is_spectrum_method(method: str) -> bool:
+    """Whether a label method labels windows with spectrum values that a
+    threshold fitted on the training split binarizes (COAP, SSPE), rather
+    than with the window's any-attack bit (the baseline)."""
+    return method != "baseline"
 
 
 @dataclass(frozen=True)
 class EncodingConfig:
     """Sinusoidal encoding dimension; the base of the frequency ladder is
-    fixed at 10000."""
+    fixed at ``ENCODING_BASE``."""
 
     d_model: int
-    base: float = ENCODING_BASE
 
     def __post_init__(self):
         if self.d_model < 2 or self.d_model % 2 != 0:
             raise ConfigError(f"d_model must be an even integer >= 2, got {self.d_model}")
-        if self.base != ENCODING_BASE:
-            raise ConfigError(f"encoding base is fixed at {ENCODING_BASE}")
 
 
 @dataclass(frozen=True)
@@ -65,7 +72,7 @@ def encoding_matrix(length: int, config: EncodingConfig) -> np.ndarray:
     2i+1 is the matching cosine, for i in [0, d_model/2).
     """
     half = np.arange(config.d_model // 2, dtype=np.float64)
-    scale = config.base ** (2.0 * half / config.d_model)
+    scale = ENCODING_BASE ** (2.0 * half / config.d_model)
     angles = np.arange(length, dtype=np.float64)[:, None] / scale[None, :]
     out = np.empty((length, config.d_model), dtype=np.float64)
     out[:, 0::2] = np.sin(angles)
@@ -73,10 +80,19 @@ def encoding_matrix(length: int, config: EncodingConfig) -> np.ndarray:
     return out
 
 
+def position_weights(method: str, window: int, d_model: int | None = None) -> np.ndarray:
+    """The (window,) weights ``w`` of spectrum method COAP or SSPE, whose
+    label of a window is ``bits @ w``: ones for COAP, and for SSPE the row
+    sums of the ``d_model``-dimensional encoding of positions 0..window-1."""
+    if method == "coap":
+        return np.ones(window, dtype=np.float64)
+    return encoding_matrix(window, EncodingConfig(d_model=d_model)).sum(axis=1)
+
+
 def coap_values(label_bits: np.ndarray) -> np.ndarray:
     """Count of attack packets in each row of a (n_windows, W) bit matrix."""
     bits = np.asarray(label_bits, dtype=np.float64)
-    return bits.sum(axis=1)
+    return bits @ position_weights("coap", bits.shape[1])
 
 
 def sspe_values(label_bits: np.ndarray, config: EncodingConfig) -> np.ndarray:
@@ -87,8 +103,7 @@ def sspe_values(label_bits: np.ndarray, config: EncodingConfig) -> np.ndarray:
     by zero), so the value reflects only where the attack packets sit.
     """
     bits = np.asarray(label_bits, dtype=np.float64)
-    per_position = encoding_matrix(bits.shape[1], config).sum(axis=1)
-    return bits @ per_position
+    return bits @ position_weights("sspe", bits.shape[1], config.d_model)
 
 
 def proportional_positive_count(n_windows: int, attack_bit_fraction: float) -> int:

@@ -7,6 +7,7 @@ from tspec import (
     AttackSegment,
     DataError,
     EvalReport,
+    NoiseSpec,
     SweepConfig,
     SyntheticScenario,
     binarize,
@@ -17,9 +18,11 @@ from tspec import (
     generate_synthetic,
     identification_accuracy,
     identify_attack,
+    inject_noise,
     load_report,
     predict,
     run_noise_sweep,
+    train,
 )
 from tspec.identify import build_signature
 from tests.conftest import method_artifacts
@@ -62,11 +65,6 @@ class TestDetectionMetrics:
             assert m.precision == pytest.approx(m.tp / (m.tp + m.fp))
         if m.tp + m.fn:
             assert m.recall == pytest.approx(m.tp / (m.tp + m.fn))
-
-    def test_micro_averages_equal_accuracy(self):
-        m = detection_metrics([0, 1, 1], [1, 1, 0])
-        micro = m.micro_averaged()
-        assert micro == {"precision": m.accuracy, "recall": m.accuracy, "f1": m.accuracy}
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
@@ -211,6 +209,60 @@ class TestSweep:
 
     def test_histograms_cover_methods(self, full_report):
         assert set(full_report.label_histograms) == {"baseline", "coap", "sspe"}
+
+    def test_row_order_and_derived_seeds(self, sweep_setup, full_report):
+        # Per method in config order: every detection cell (family, then
+        # ratio), then every identification cell; the baseline has none.
+        seed, _ = sweep_setup
+        expected = []
+        for method in ("baseline", "coap", "sspe"):
+            for family in ("glm_binomial", "random_forest", "gbm"):
+                for pct in range(0, 101, 10):
+                    labels = ("noise", method, family, pct)
+                    expected.append(("detect", method, family, pct / 100, labels))
+            if method != "baseline":
+                for pct in range(0, 101, 10):
+                    labels = ("noise", method, "glm_gaussian", "identify", pct)
+                    expected.append(("identify", method, "glm_gaussian", pct / 100, labels))
+        got = [(r.task, r.method, r.family, r.noise_ratio, r.seed) for r in full_report.rows]
+        assert got == [
+            (task, method, family, ratio, derive_seed(seed, *labels))
+            for task, method, family, ratio, labels in expected
+        ]
+
+    def test_noise_train_retrains_detection_cells_only(self, sweep_setup, full_report):
+        seed, methods = sweep_setup
+        cfg = SweepConfig(
+            methods={"sspe": methods["sspe"]},
+            ratios=(0.0, 0.4),
+            noise_scale=1.0,
+            base_seed=seed,
+            identify_bins=12,
+            min_segment_windows=3,
+            noise_train=True,
+        )
+        rows = {(r.task, r.family, r.noise_ratio): r for r in run_noise_sweep(cfg).rows}
+        plain = {
+            (r.task, r.family, r.noise_ratio): r for r in full_report.rows if r.method == "sspe"
+        }
+        # Identification cells never retrain; detection cells retrain on
+        # training features noised with the "train-noise" stream.
+        for key, row in rows.items():
+            if key[0] == "identify":
+                assert row == plain[key]
+        art = methods["sspe"]
+        model = art.detect_models["gbm"]
+        noised_train = inject_noise(
+            art.train, NoiseSpec(0.4, 1.0, derive_seed(seed, "train-noise", "sspe", "gbm", 40))
+        )
+        labels = binarize(art.train.spectrum_labels, art.threshold)
+        retrained = train(model.spec, noised_train.features, labels)
+        row = rows[("detect", "gbm", 0.4)]
+        noised_test = inject_noise(art.test, NoiseSpec(0.4, 1.0, row.seed))
+        probs = predict(retrained, noised_test.features)
+        truth = binarize(art.test.spectrum_labels, art.threshold)
+        assert row.metrics == detection_metrics(truth, (probs >= 0.5).astype(int))
+        assert row.metrics != plain[("detect", "gbm", 0.4)].metrics
 
 
 class TestEmit:

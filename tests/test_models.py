@@ -10,6 +10,8 @@ from tspec.models import (
     FAMILIES,
     ModelSpec,
     TrainedModel,
+    ensembles,
+    glm,
     load_model,
     predict,
     save_model,
@@ -42,9 +44,24 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             ModelSpec("gbm", "rank")
 
+    def test_family_that_is_not_a_name(self):
+        with pytest.raises(ConfigError, match="unknown model family"):
+            ModelSpec(["gbm"], "classify")
+
     def test_unknown_hyperparameter(self):
         with pytest.raises(ConfigError):
             ModelSpec("gbm", "classify", hyperparameters={"depth": 3})
+
+    @pytest.mark.parametrize("value", ["3", 2.5, True, None])
+    def test_integer_hyperparameter_of_wrong_kind(self, value):
+        with pytest.raises(ConfigError, match="n_trees"):
+            ModelSpec("random_forest", "classify", hyperparameters={"n_trees": value})
+
+    def test_real_hyperparameter_accepts_an_integer(self):
+        spec = ModelSpec("gbm", "classify", hyperparameters={"subsample": 1, "n_trees": 3})
+        assert spec.resolved_hyperparameters()["subsample"] == 1
+        with pytest.raises(ConfigError, match="learning_rate"):
+            ModelSpec("gbm", "classify", hyperparameters={"learning_rate": "0.1"})
 
     def test_default_hyperparameters(self):
         hp = ModelSpec("random_forest", "classify").resolved_hyperparameters()
@@ -205,5 +222,123 @@ class TestModelIO:
     def test_missing_parameters_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"version": 1, "feature_count": 2}))
+        with pytest.raises(DataError, match="not a valid model file"):
+            load_model(path)
+
+
+FAMILY_TASKS = [(family, task) for family, entry in FAMILIES.items() for task in entry.tasks]
+
+# The module functions each family's fit and predict must call.
+FAMILY_CALLS = {
+    "glm_binomial": [(glm, "fit_binomial"), (glm, "predict_proba")],
+    "glm_gaussian": [(glm, "fit_gaussian"), (glm, "predict_linear")],
+    "random_forest": [(ensembles, "forest_fit"), (ensembles, "forest_predict")],
+    "gbm": [(ensembles, "gbm_fit"), (ensembles, "gbm_predict")],
+}
+
+
+def family_problem(task, seed=4):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(60, 3))
+    y = (X[:, 0] > 0).astype(float) if task == "classify" else X @ [1.0, 2.0, -1.0]
+    return X, y, rng.normal(size=(40, 3))
+
+
+class TestFamilyTable:
+    def test_every_family_has_a_call_map(self):
+        assert set(FAMILY_CALLS) == set(FAMILIES)
+
+    @pytest.mark.parametrize("family,task", FAMILY_TASKS)
+    def test_train_save_load_predict(self, family, task, tmp_path):
+        X, y, probe = family_problem(task)
+        model = train(ModelSpec(family, task, seed=6), X, y)
+        path = tmp_path / f"{family}-{task}.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert (loaded.spec.family, loaded.spec.task) == (family, task)
+        assert loaded.spec.resolved_hyperparameters() == FAMILIES[family].defaults
+        assert loaded.feature_count == 3
+        before, after = predict(model, probe), predict(loaded, probe)
+        assert before.shape == (40,) and np.array_equal(before, after)
+        if task == "classify":
+            assert ((after >= 0.0) & (after <= 1.0)).all()
+        save_model(loaded, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("family,task", FAMILY_TASKS)
+    def test_fit_and_predict_look_up_module_functions(self, family, task, monkeypatch):
+        # A profiler wraps these functions by replacing the module attribute;
+        # the family table must call whatever the attribute holds.
+        calls = []
+        for module, name in FAMILY_CALLS[family]:
+            original = getattr(module, name)
+
+            def spy(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        X, y, probe = family_problem(task)
+        predict(train(ModelSpec(family, task), X, y), probe)
+        assert calls == [name for _, name in FAMILY_CALLS[family]]
+
+
+class TestModelFileChecks:
+    """A model file's parameters must fit its ``feature_count``."""
+
+    def _saved(self, tmp_path, family, task="classify"):
+        X, y, _ = family_problem(task)
+        path = tmp_path / "m.json"
+        save_model(train(ModelSpec(family, task, seed=1), X, y), path)
+        return path
+
+    def _load_edited(self, path, edit):
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        return load_model(path)
+
+    @pytest.mark.parametrize("weights", [[0.5], [0.1, 0.2, 0.3, 0.4], [[0.1, 0.2, 0.3]]])
+    def test_glm_weight_count(self, tmp_path, weights):
+        path = self._saved(tmp_path, "glm_binomial")
+        with pytest.raises(DataError, match="weights for 3 features"):
+            self._load_edited(path, lambda p: p["parameters"].update(weights=weights))
+
+    @pytest.mark.parametrize("feature", [3, -2])
+    def test_tree_split_feature_out_of_range(self, tmp_path, feature):
+        path = self._saved(tmp_path, "gbm")
+
+        def edit(p):
+            p["parameters"]["trees"][0]["feature"][0] = feature
+
+        with pytest.raises(DataError, match="split feature out of range"):
+            self._load_edited(path, edit)
+
+    @pytest.mark.parametrize("child", [0, 10**4, -1])
+    def test_tree_child_out_of_range(self, tmp_path, child):
+        # A child at or before its parent could loop forever in prediction.
+        path = self._saved(tmp_path, "random_forest")
+
+        def edit(p):
+            tree = p["parameters"]["trees"][0]
+            assert tree["feature"][0] >= 0  # the root splits
+            tree["left"][0] = child
+
+        with pytest.raises(DataError, match="child index out of range"):
+            self._load_edited(path, edit)
+
+    def test_tree_arrays_of_unequal_length(self, tmp_path):
+        path = self._saved(tmp_path, "random_forest", "regress")
+        with pytest.raises(DataError, match="one entry per node"):
+            self._load_edited(path, lambda p: p["parameters"]["trees"][0]["value"].pop())
+
+    def test_hyperparameter_of_wrong_kind(self, tmp_path):
+        path = self._saved(tmp_path, "random_forest")
+        with pytest.raises(DataError, match="n_trees"):
+            self._load_edited(path, lambda p: p["spec"]["hyperparameters"].update(n_trees="a"))
+
+    def test_infinite_seed(self, tmp_path):
+        path = self._saved(tmp_path, "glm_binomial")
+        path.write_text(path.read_text().replace('"seed": 1', '"seed": Infinity'))
         with pytest.raises(DataError, match="not a valid model file"):
             load_model(path)

@@ -23,6 +23,8 @@ from tspec import (
     sspe_values,
     window_matrices,
 )
+from tspec.spectrum import LABEL_METHODS, is_spectrum_method, position_weights
+from tests.conftest import same_bits
 from tests.oracles import (
     ascending_percentile_oracle,
     encoding_oracle,
@@ -165,6 +167,33 @@ class TestSspe:
         for row, value in zip(bits, values):
             assert value == pytest.approx(sspe_brute_force(row.tolist(), 8), abs=1e-9)
         assert np.array_equal(coap_values(bits), bits.sum(axis=1))
+
+
+class TestPositionWeights:
+    """COAP and SSPE are both ``bits @ position_weights(...)``."""
+
+    def test_coap_weights_are_ones(self):
+        assert position_weights("coap", 5).tolist() == [1.0] * 5
+        bits = np.random.default_rng(3).integers(0, 2, size=(30, 12))
+        assert same_bits(coap_values(bits), bits.sum(axis=1).astype(np.float64))
+
+    @pytest.mark.parametrize("d_model", [2, 8, 236])
+    def test_sspe_weights_are_encoding_row_sums(self, d_model):
+        weights = position_weights("sspe", 9, d_model)
+        assert same_bits(weights, encoding_matrix(9, EncodingConfig(d_model)).sum(axis=1))
+        for pos in range(9):
+            one_hot = [0] * 9
+            one_hot[pos] = 1
+            assert weights[pos] == pytest.approx(sspe_brute_force(one_hot, d_model), abs=1e-9)
+        bits = np.random.default_rng(d_model).integers(0, 2, size=(25, 9))
+        assert same_bits(sspe_values(bits, EncodingConfig(d_model)), bits @ weights)
+
+    def test_sspe_needs_an_even_d_model(self):
+        with pytest.raises(ConfigError, match="d_model"):
+            position_weights("sspe", 4, 3)
+
+    def test_only_the_baseline_is_not_a_spectrum_method(self):
+        assert [is_spectrum_method(m) for m in LABEL_METHODS] == [False, True, True]
 
 
 class TestThreshold:
