@@ -178,8 +178,12 @@ def parse_flow_csv(path: str | Path, schema: FlowSchema) -> PacketTimeline:
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
+    try:
+        handle = path.open("r", encoding="utf-8", newline="")
+    except OSError as exc:  # a directory, or no read permission
+        raise DataError(f"input file cannot be read: {path}: {exc}") from exc
 
-    with path.open("r", encoding="utf-8", newline="") as handle:
+    with handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
         wanted = [schema.timestamp_column, schema.label_column, *schema.feature_columns]

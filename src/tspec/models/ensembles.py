@@ -14,7 +14,7 @@ import numpy as np
 
 from ..seeds import rng_for
 from .glm import _sigmoid
-from .trees import Tree, build_tree, presort, tree_apply, tree_predict
+from .trees import Tree, build_tree, presort, rank_codes, tree_apply, tree_predict
 
 _EPS = 1e-12
 
@@ -28,8 +28,14 @@ def forest_fit(
     seed: int = 0,
 ) -> dict:
     """Random forest; feature subsample ceil(sqrt(D)) for classification and
-    ceil(D/3) for regression, bootstrap with replacement."""
+    ceil(D/3) for regression, bootstrap with replacement.
+
+    X's rank codes are computed once and gathered through each bootstrap, so
+    every tree sorts small integer keys.  Raises ``ValueError`` unless X is
+    finite.
+    """
     n, width = X.shape
+    codes = rank_codes(X)
     if task == "classify":
         max_features = math.ceil(math.sqrt(width))
     else:
@@ -45,6 +51,7 @@ def forest_fit(
                 max_depth=max_depth,
                 max_features=max_features,
                 rng=rng,
+                codes=codes.take(boot, axis=1),
             )
         )
     return {"trees": trees}
@@ -106,11 +113,14 @@ def gbm_fit(
                 members = leaves == leaf
                 value[leaf] = target[members].sum() / max(hess[members].sum(), _EPS)
             tree = Tree(tree.feature, tree.threshold, tree.left, tree.right, value)
+            # Without subsampling Xt is X, so its leaf ids give X's predictions.
+            step = value[leaves] if subsample >= 1.0 else tree_predict(tree, X)
         else:
             residual = y - scores
             tree = build_tree(Xt, residual[rows], max_depth=max_depth, order=order)
+            step = tree_predict(tree, X)
 
-        scores += learning_rate * tree_predict(tree, X)
+        scores += learning_rate * step
         trees.append(tree)
     return {"f0": f0, "learning_rate": learning_rate, "trees": trees}
 

@@ -14,10 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _MIN_GAIN = 1e-12
-# Feature-subset nodes holding fewer than this share of the tree's rows
-# argsort their own rows; larger ones filter the tree's sorted columns.
-# Timed on forest fits of 840 x 180 and 3,438 x 60 rows x features.
-_ARGSORT_BELOW = 0.5
 
 
 @dataclass(eq=False)
@@ -72,6 +68,27 @@ def presort(X: np.ndarray) -> np.ndarray:
     return np.argsort(X.T, axis=1, kind="stable")
 
 
+def rank_codes(X: np.ndarray) -> np.ndarray:
+    """Dense per-column value ranks of X, feature-major ``(D, n)``.
+
+    Equal values (``-0.0`` and ``0.0`` too) share a rank and larger values
+    get larger ranks, so a stable argsort of a column's codes orders its rows
+    as a stable argsort of its values does.  The codes are ``uint16``, which
+    numpy's stable sort handles with a radix sort, when every column has
+    fewer than 65,536 distinct values, and ``uint32`` otherwise.  Raises
+    ``ValueError`` unless X is finite.
+    """
+    if not np.isfinite(X).all():
+        raise ValueError("tree features must be finite")
+    order = presort(X)
+    xs = np.take_along_axis(X.T, order, axis=1)
+    ranks = np.zeros(order.shape, dtype=np.int64)
+    np.cumsum(xs[:, 1:] != xs[:, :-1], axis=1, out=ranks[:, 1:])
+    codes = np.empty(order.shape, dtype=np.uint16 if ranks.max(initial=0) < 2**16 else np.uint32)
+    np.put_along_axis(codes, order, ranks, axis=1)
+    return codes
+
+
 def _gather(XT: np.ndarray, feats: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``XT[feats[i], rows[i, j]]`` for every (i, j), as one flat take."""
     return XT.take(rows + feats[:, None] * XT.shape[1])
@@ -117,6 +134,7 @@ def build_tree(
     rng: np.random.Generator | None = None,
     min_samples_split: int = 2,
     order: np.ndarray | None = None,
+    codes: np.ndarray | None = None,
 ) -> Tree:
     """Grow a depth-limited tree on (X, y).
 
@@ -124,24 +142,22 @@ def build_tree(
     ``rng``, so tree construction is a pure function of its generator state).
     Nodes are numbered in depth-first, left-child-first order.
 
-    The split search scans rows presorted once per fit: ``order`` is
-    ``presort(X)`` from a caller that fits several trees on one X, and is
-    computed here otherwise.  Without feature subsampling each child keeps a
-    stable filter of its parent's sorted rows.  With it, a node sorts only
-    the features it draws: it filters the tree's order down to its rows, or,
-    when it holds under ``_ARGSORT_BELOW`` of the tree's rows, argsorts its
-    own rows.  Either way the rows reach the scan in the order a stable
-    argsort of the node's rows gives.
+    Without feature subsampling the split search scans rows presorted once
+    per fit: ``order`` is ``presort(X)`` from a caller that fits several
+    trees on one X, and is computed here otherwise.  Each child keeps a
+    stable filter of its parent's sorted rows.  With feature subsampling a
+    node stably argsorts its own rows by the ``codes`` of the features it
+    draws (``rank_codes(X)``, from the caller or computed here).  Either way
+    the rows reach the scan in the order a stable argsort of the node's rows
+    gives.
     """
     n, width = X.shape
     XT = np.ascontiguousarray(X.T)
     subset = max_features is not None and max_features < width
-    if order is None and subset:  # columns are sorted when first drawn
-        order = np.empty((width, n), dtype=np.intp)
-        is_sorted = np.zeros(width, dtype=bool)
+    if subset:
+        codes = rank_codes(X) if codes is None else np.ascontiguousarray(codes)
     else:
         order = presort(X) if order is None else order
-        is_sorted = np.ones(width, dtype=bool)
     all_feats = np.arange(width)
 
     feature: list[int] = []
@@ -149,22 +165,6 @@ def build_tree(
     left: list[int] = []
     right: list[int] = []
     value: list[float] = []
-
-    def sorted_subset(idx: np.ndarray, feats: np.ndarray):
-        """The node's rows and values of ``feats``, sorted per feature."""
-        if idx.size < _ARGSORT_BELOW * n:
-            local = np.argsort(_gather(XT, feats, idx[None, :]), axis=1, kind="stable")
-            rows = idx[local]
-        else:
-            todo = feats[~is_sorted[feats]]
-            if todo.size:
-                order[todo] = np.argsort(XT[todo], axis=1, kind="stable")
-                is_sorted[todo] = True
-            member = np.zeros(n, dtype=bool)
-            member[idx] = True
-            cols = order[feats]
-            rows = cols.compress(member.take(cols).ravel()).reshape(feats.size, idx.size)
-        return rows, _gather(XT, feats, rows)
 
     # Depth-first, left child first, with an explicit stack: a node's sorted
     # rows are dropped once its children are filtered, so only the pending
@@ -192,7 +192,8 @@ def build_tree(
 
         if subset:
             feats = np.sort(rng.choice(width, size=max_features, replace=False))
-            rows, xs = sorted_subset(idx, feats)
+            rows = idx[np.argsort(_gather(codes, feats, idx[None, :]), axis=1, kind="stable")]
+            xs = _gather(XT, feats, rows)
         else:
             feats = all_feats
         found = _best_split(xs, y.take(rows))
@@ -228,21 +229,22 @@ def build_tree(
 
 
 def tree_apply(tree: Tree, X: np.ndarray) -> np.ndarray:
-    """Leaf node id for every row of X."""
-    n = X.shape[0]
-    out = np.zeros(n, dtype=np.int64)
-    stack = [(0, np.arange(n))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if tree.feature[node] == -1:
-            out[idx] = node
-            continue
-        mask = X[idx, tree.feature[node]] <= tree.threshold[node]
-        stack.append((int(tree.left[node]), idx[mask]))
-        stack.append((int(tree.right[node]), idx[~mask]))
-    return out
+    """Leaf node id for every row of X.
+
+    All rows walk down together, one depth per step; rows at a leaf drop
+    out.  Every child id is larger than its parent's (``Tree.from_dict``
+    checks this), so the walk ends.  A NaN feature goes right.
+    """
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    rows = np.arange(X.shape[0])
+    while rows.size:
+        at = node[rows]
+        feat = tree.feature[at]
+        inner = feat >= 0
+        rows, at, feat = rows[inner], at[inner], feat[inner]
+        goes_left = X[rows, feat] <= tree.threshold[at]
+        node[rows] = np.where(goes_left, tree.left[at], tree.right[at])
+    return node
 
 
 def tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:

@@ -190,15 +190,18 @@ def _sigmoid_oracle(z):
     return out
 
 
-def forest_fit_oracle(X, y, max_features, n_trees, max_depth, tree_rng):
+def forest_fit_oracle(X, y, max_features, n_trees, max_depth, tree_rng, record=None):
     """Bootstrapped forest of reference trees; ``tree_rng(t)`` is tree t's
-    generator, used for its bootstrap and then its feature draws."""
+    generator, used for its bootstrap and then its feature draws.  ``record``
+    is passed to every tree's ``build_tree_argsort``."""
     n = X.shape[0]
     trees = []
     for t in range(n_trees):
         rng = tree_rng(t)
         boot = rng.integers(0, n, size=n)
-        trees.append(build_tree_argsort(X[boot], y[boot], max_depth, max_features, rng))
+        trees.append(
+            build_tree_argsort(X[boot], y[boot], max_depth, max_features, rng, record=record)
+        )
     return trees
 
 

@@ -188,6 +188,32 @@ class TestRegressions:
         assert str(dataset / ".lock") in err
         assert (dataset / "threshold.json").read_bytes() == before
 
+    @staticmethod
+    def build_from(ws, tmp_path, csv_path):
+        return run(["build-dataset", "--config", ws / "config.json", "--input", csv_path,
+                    "--schema", ws / "raw" / "schema.json", "--method", "sspe",
+                    "--out", tmp_path / "ds"])
+
+    def test_input_csv_is_a_directory(self, ws, tmp_path):
+        rc, err = self.build_from(ws, tmp_path, tmp_path)
+        assert rc == 2
+        assert f"input file cannot be read: {tmp_path}" in err
+
+    def test_input_csv_open_fails(self, ws, tmp_path, monkeypatch):
+        csv_path = tmp_path / "flows.csv"
+        shutil.copy(ws / "raw" / "synthetic.csv", csv_path)
+        real_open = Path.open
+
+        def refuse(self, *args, **kwargs):
+            if self == csv_path:
+                raise PermissionError(13, "Permission denied", str(self))
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", refuse)
+        rc, err = self.build_from(ws, tmp_path, csv_path)
+        assert rc == 2
+        assert f"input file cannot be read: {csv_path}" in err and "Permission denied" in err
+
 
 BAD_CONFIG_VALUES = [
     ("build-dataset", "window", float("inf")),
