@@ -106,15 +106,17 @@ def gbm_fit(
             target = residual[rows]
             tree = build_tree(Xt, target, max_depth=max_depth, order=order)
             # Newton leaf values: sum(residual) / sum(p * (1 - p)) per leaf.
-            leaves = tree_apply(tree, Xt)
+            # A row's leaf does not depend on the other rows walked, so one
+            # walk of X serves the Newton step and the score update.
+            all_leaves = tree_apply(tree, X)
+            leaves = all_leaves[rows]
             hess = prob[rows] * (1.0 - prob[rows])
             value = tree.value.copy()
             for leaf in np.unique(leaves):
                 members = leaves == leaf
                 value[leaf] = target[members].sum() / max(hess[members].sum(), _EPS)
             tree = Tree(tree.feature, tree.threshold, tree.left, tree.right, value)
-            # Without subsampling Xt is X, so its leaf ids give X's predictions.
-            step = value[leaves] if subsample >= 1.0 else tree_predict(tree, X)
+            step = value[all_leaves]
         else:
             residual = y - scores
             tree = build_tree(Xt, residual[rows], max_depth=max_depth, order=order)

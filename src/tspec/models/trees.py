@@ -147,15 +147,17 @@ def build_tree(
     trees on one X, and is computed here otherwise.  Each child keeps a
     stable filter of its parent's sorted rows.  With feature subsampling a
     node stably argsorts its own rows by the ``codes`` of the features it
-    draws (``rank_codes(X)``, from the caller or computed here).  Either way
-    the rows reach the scan in the order a stable argsort of the node's rows
-    gives.
+    draws (``rank_codes(X)``, from the caller or computed here; a C-contiguous
+    array, else every node's gather copies it).  ``order`` serves full-width
+    trees only and ``codes`` feature-subset trees only; each is ignored by
+    the other kind.  Either way the rows reach the scan in the order a
+    stable argsort of the node's rows gives.
     """
     n, width = X.shape
     XT = np.ascontiguousarray(X.T)
     subset = max_features is not None and max_features < width
     if subset:
-        codes = rank_codes(X) if codes is None else np.ascontiguousarray(codes)
+        codes = rank_codes(X) if codes is None else codes
     else:
         order = presort(X) if order is None else order
     all_feats = np.arange(width)
