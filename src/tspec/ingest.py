@@ -11,6 +11,7 @@ time axis.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -179,11 +180,13 @@ def parse_flow_csv(path: str | Path, schema: FlowSchema) -> PacketTimeline:
     if not path.exists():
         raise DataError(f"input file not found: {path}")
     try:
-        handle = path.open("r", encoding="utf-8", newline="")
+        text = path.read_bytes().decode("utf-8")
     except OSError as exc:  # a directory, or no read permission
         raise DataError(f"input file cannot be read: {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: byte {exc.start} is not valid UTF-8") from None
 
-    with handle:
+    with io.StringIO(text, newline="") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
         wanted = [schema.timestamp_column, schema.label_column, *schema.feature_columns]

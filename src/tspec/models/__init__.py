@@ -12,6 +12,7 @@ round trip reproduces predictions bit for bit.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from pathlib import Path
@@ -74,7 +75,7 @@ def _trees_from_json(data: dict, feature_count: int, *scalars: str) -> dict:
 FAMILIES = {
     "glm_binomial": Family(
         tasks=("classify",),
-        defaults={"l2": 1e-4, "learning_rate": 0.1, "max_iter": 500, "tol": 1e-8},
+        defaults={"l2": 1e-4, "max_iter": 50, "tol": 1e-8},
         fit=lambda X, y, task, hp, seed: glm.fit_binomial(X, y, **hp),
         predict=lambda params, X, task: glm.predict_proba(params, X),
         to_json=_linear_to_json,
@@ -130,13 +131,19 @@ class ModelSpec:
                 f"unknown hyperparameters for {self.family!r}: {sorted(unknown)}"
             )
         for key, value in self.hyperparameters.items():
-            # Each value must be of its default's kind: a model file's
-            # hyperparameters are refit when the sweep noises training data.
+            # Each value must be of its default's kind, and a real one a finite
+            # float: a model file's hyperparameters are refit when the sweep
+            # noises training data, and an infinite l2 would stall the Newton
+            # solve.
             kind = Integral if isinstance(family.defaults[key], int) else Real
-            if isinstance(value, bool) or not isinstance(value, kind):
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, kind)
+                or (kind is Real and not -sys.float_info.max <= value <= sys.float_info.max)
+            ):
                 raise ConfigError(
                     f"hyperparameter {key!r} of {self.family!r} must be "
-                    f"{'an integer' if kind is Integral else 'a number'}, got {value!r}"
+                    f"{'an integer' if kind is Integral else 'a finite number'}, got {value!r}"
                 )
 
     def resolved_hyperparameters(self) -> dict:

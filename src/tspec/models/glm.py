@@ -35,42 +35,67 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _objective(z: np.ndarray, y: np.ndarray, theta: np.ndarray, penalty: np.ndarray) -> float:
+    """Mean log loss of linear scores ``z`` plus ``0.5 * sum(penalty * theta**2)``."""
+    return float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * (penalty @ (theta * theta)))
+
+
+_MAX_HALVINGS = 50
+
+
 def fit_binomial(
     X: np.ndarray,
     y: np.ndarray,
     l2: float = 1e-4,
-    learning_rate: float = 0.1,
-    max_iter: int = 500,
+    max_iter: int = 50,
     tol: float = 1e-8,
 ) -> dict:
-    """Full-batch gradient descent on mean log loss with L2 on the weights.
+    """Damped Newton (IRLS) on mean log loss plus ``0.5 * l2 * |w|^2``.
 
-    Stops when the loss improvement drops below ``tol`` or after
-    ``max_iter`` steps.  Requires both classes to be present.
+    The intercept is unpenalized.  Each step solves ``H d = g`` with
+    ``H = A.T diag(p(1-p)) A / n + diag(l2, ..., l2, 0)`` and ``A = [X 1]``
+    by least squares, so a singular Hessian (``l2=0`` on separable data,
+    duplicate columns) still gives a finite step.  The step is halved while
+    the objective rises; if ``_MAX_HALVINGS`` halvings find no descent the
+    fit stops where it is, so the objective never rises.  Stops when the
+    objective moves by less than ``tol`` or after ``max_iter`` steps.
+    Requires both classes to be present, and features small enough (below
+    about 1e150) that the Newton system stays finite.
     """
     classes = np.unique(y)
     if classes.size < 2:
         raise DataError("logistic fit needs both classes present in the labels")
 
     n, width = X.shape
-    weights = np.zeros(width)
-    intercept = 0.0
-    prev_loss = np.inf
-    eps = 1e-12
+    A = np.column_stack([X, np.ones(n)])
+    penalty = np.append(np.full(width, float(l2)), 0.0)
+    theta = np.zeros(width + 1)
+    z = np.zeros(n)
+    loss = _objective(z, y, theta, penalty)
     for _ in range(max_iter):
-        p = _sigmoid(X @ weights + intercept)
-        loss = float(
-            -np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))
-            + 0.5 * l2 * float(weights @ weights)
-        )
-        if abs(prev_loss - loss) < tol:
+        p = _sigmoid(z)
+        B = A * np.sqrt(p * (1.0 - p))[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            grad = A.T @ (p - y) / n + penalty * theta
+            hess = B.T @ B / n + np.diag(penalty)
+        if not (np.isfinite(hess).all() and np.isfinite(grad).all()):
+            # LAPACK's least-squares solve can loop forever on inf or NaN.
+            raise DataError("logistic fit overflowed: feature values are too large")
+        step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        for _ in range(_MAX_HALVINGS):
+            trial = theta - step
+            trial_z = A @ trial
+            trial_loss = _objective(trial_z, y, trial, penalty)
+            if trial_loss <= loss:
+                break
+            step *= 0.5
+        else:
             break
-        prev_loss = loss
-        grad_w = X.T @ (p - y) / n + l2 * weights
-        grad_b = float(np.mean(p - y))
-        weights -= learning_rate * grad_w
-        intercept -= learning_rate * grad_b
-    return {"weights": weights, "intercept": intercept}
+        moved = loss - trial_loss
+        theta, z, loss = trial, trial_z, trial_loss
+        if moved < tol:
+            break
+    return {"weights": theta[:-1], "intercept": float(theta[-1])}
 
 
 def predict_linear(params: dict, X: np.ndarray) -> np.ndarray:

@@ -105,16 +105,26 @@ def _best_split(xs: np.ndarray, ys: np.ndarray):
     left_n = np.arange(1, m, dtype=np.float64)
     right_n = m - left_n
     cum_sum = np.cumsum(ys, axis=1)
-    cum_sq = np.cumsum(ys * ys, axis=1)
+    cum_sq = ys * ys
+    np.cumsum(cum_sq, axis=1, out=cum_sq)
     left_sum = cum_sum[:, :-1]
     left_sq = cum_sq[:, :-1]
     total_sum = cum_sum[:, -1:]
     total_sq = cum_sq[:, -1:]
 
-    sse = (left_sq - left_sum**2 / left_n) + (
-        (total_sq - left_sq) - (total_sum - left_sum) ** 2 / right_n
-    )
-    sse[xs[:, 1:] == xs[:, :-1]] = np.inf  # no boundary between equal values
+    # sse = (left_sq - left_sum**2 / left_n)
+    #       + ((total_sq - left_sq) - (total_sum - left_sum)**2 / right_n),
+    # computed in place, operation for operation, so it rounds the same.
+    sse = np.square(left_sum)
+    sse /= left_n
+    np.subtract(left_sq, sse, out=sse)
+    right = np.subtract(total_sum, left_sum)
+    np.square(right, out=right)
+    right /= right_n
+    np.subtract(total_sq, left_sq, out=left_sq)
+    np.subtract(left_sq, right, out=right)
+    sse += right
+    np.copyto(sse, np.inf, where=xs[:, 1:] == xs[:, :-1])  # no boundary between equal values
 
     per_feature_best = sse.min(axis=1)
     col = int(np.argmin(per_feature_best))  # first minimum: lowest feature index

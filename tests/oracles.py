@@ -1,13 +1,14 @@
 """Independent reference implementations used to pin expected test values.
 
 Everything here is deliberately written as plain scalar loops over the
-defining formulas, sharing no code with the package.  Three groups keep a
+defining formulas, sharing no code with the package.  Four groups keep a
 former implementation as the reference for a faster one: the tree builder
 (the per-node argsort split search, for the presorted one), the per-second
-timeline functions (one record per second, for the columnar timeline), and
-the schema-1 dataset store (every flattened row as ``repr`` CSV, for the
-window-free ``dataset.npz``).  Timeline records are ``(second, features,
-label, fill, attack)`` tuples.
+timeline functions (one record per second, for the columnar timeline), the
+schema-1 dataset store (every flattened row as ``repr`` CSV, for the
+window-free ``dataset.npz``), and the logistic fit (500 full-batch
+gradient-descent steps, for the Newton solver).  Timeline records are
+``(second, features, label, fill, attack)`` tuples.
 """
 
 from __future__ import annotations
@@ -188,6 +189,47 @@ def _sigmoid_oracle(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def binomial_objective(X, y, weights, intercept, l2):
+    """Mean log loss plus ``0.5 * l2 * |w|^2``, row by row; the intercept is
+    unpenalized.  ``log(1 + e^z) - y z`` is each row's loss at score z."""
+    total = 0.0
+    for row, label in zip(X, y):
+        z = float(np.dot(row, weights)) + intercept
+        total += max(z, 0.0) + math.log1p(math.exp(-abs(z))) - label * z
+    return total / len(y) + 0.5 * l2 * float(np.dot(weights, weights))
+
+
+def binomial_gradient(X, y, weights, intercept, l2):
+    """Gradient of ``binomial_objective``: weights first, intercept last."""
+    residual = _sigmoid_oracle(X @ weights + intercept) - y
+    return np.append(X.T @ residual / len(y) + l2 * weights, residual.mean())
+
+
+def fit_binomial_gd_oracle(X, y, l2, learning_rate=0.1, max_iter=500, tol=1e-8):
+    """Full-batch gradient descent on the same objective (the former fit):
+    stops when the loss improves by less than ``tol`` or after ``max_iter``
+    steps.  Returns ``(weights, intercept)``."""
+    n, width = X.shape
+    weights = np.zeros(width)
+    intercept = 0.0
+    prev_loss = np.inf
+    eps = 1e-12
+    for _ in range(max_iter):
+        p = _sigmoid_oracle(X @ weights + intercept)
+        loss = float(
+            -np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))
+            + 0.5 * l2 * float(weights @ weights)
+        )
+        if abs(prev_loss - loss) < tol:
+            break
+        prev_loss = loss
+        grad_w = X.T @ (p - y) / n + l2 * weights
+        grad_b = float(np.mean(p - y))
+        weights = weights - learning_rate * grad_w
+        intercept -= learning_rate * grad_b
+    return weights, intercept
 
 
 def forest_fit_oracle(X, y, max_features, n_trees, max_depth, tree_rng, record=None):

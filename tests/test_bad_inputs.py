@@ -170,6 +170,16 @@ class TestRegressions:
         assert rc == 2
         assert str(model) in err and "1 weights for 10 features" in err
 
+    def test_detect_model_from_gradient_descent_fit(self, ws, tmp_path):
+        # A glm_binomial file written before the Newton solver carries the
+        # gradient-descent hyperparameter learning_rate.
+        dataset = copy_dataset(ws, tmp_path)
+        model = dataset / "models" / "detect" / "glm_binomial.json"
+        edit_json(model, lambda d: d["spec"]["hyperparameters"].update(learning_rate=0.1))
+        rc, err = run(sweep_args(tmp_path, dataset))
+        assert rc == 2
+        assert str(model) in err and "'learning_rate'" in err
+
     def test_unknown_config_key(self, ws, tmp_path):
         rc, err = run(sweep_args(tmp_path, ws / "sspe", ratio=[0.5]))
         assert rc == 1
@@ -198,6 +208,14 @@ class TestRegressions:
         rc, err = self.build_from(ws, tmp_path, tmp_path)
         assert rc == 2
         assert f"input file cannot be read: {tmp_path}" in err
+
+    def test_input_csv_not_utf8(self, ws, tmp_path):
+        csv_path = tmp_path / "flows.csv"
+        data = (ws / "raw" / "synthetic.csv").read_bytes()
+        csv_path.write_bytes(data[:200] + b"\xff\xfe" + data[200:])
+        rc, err = self.build_from(ws, tmp_path, csv_path)
+        assert rc == 2
+        assert err.strip() == f"tspec: data error: {csv_path}: byte 200 is not valid UTF-8"
 
     def test_input_csv_open_fails(self, ws, tmp_path, monkeypatch):
         csv_path = tmp_path / "flows.csv"

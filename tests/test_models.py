@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tspec import ConfigError, DataError
 from tspec.models import (
@@ -17,6 +19,7 @@ from tspec.models import (
     save_model,
     train,
 )
+from tests.oracles import binomial_gradient, binomial_objective, fit_binomial_gd_oracle
 
 
 def separable_problem(n=200, d=5, seed=42):
@@ -57,13 +60,24 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="n_trees"):
             ModelSpec("random_forest", "classify", hyperparameters={"n_trees": value})
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 10**400])
+    def test_real_hyperparameter_must_be_a_finite_float(self, value):
+        with pytest.raises(ConfigError, match="'l2' .* must be a finite number"):
+            ModelSpec("glm_binomial", "classify", hyperparameters={"l2": value})
+
     def test_real_hyperparameter_accepts_an_integer(self):
         spec = ModelSpec("gbm", "classify", hyperparameters={"subsample": 1, "n_trees": 3})
         assert spec.resolved_hyperparameters()["subsample"] == 1
         with pytest.raises(ConfigError, match="learning_rate"):
             ModelSpec("gbm", "classify", hyperparameters={"learning_rate": "0.1"})
 
+    def test_gradient_descent_hyperparameter_is_gone(self):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            ModelSpec("glm_binomial", "classify", hyperparameters={"learning_rate": 0.1})
+
     def test_default_hyperparameters(self):
+        hp = ModelSpec("glm_binomial", "classify").resolved_hyperparameters()
+        assert hp == {"l2": 1e-4, "max_iter": 50, "tol": 1e-8}
         hp = ModelSpec("random_forest", "classify").resolved_hyperparameters()
         assert hp == {"n_trees": 25, "max_depth": 10}
         hp = ModelSpec("gbm", "regress").resolved_hyperparameters()
@@ -91,6 +105,43 @@ class TestGlmGaussian:
         np.testing.assert_allclose(predict(model, np.eye(3)), [4.0, 4.0, 4.0], atol=1e-9)
 
 
+def objective_of(fit, X, y, l2):
+    return binomial_objective(X, y, fit["weights"], fit["intercept"], l2)
+
+
+def objectives_by_step(X, y, l2, steps=30):
+    """Training objective after each of the first ``steps`` Newton steps:
+    a fit capped at ``max_iter=k`` stops after step k."""
+    return [
+        objective_of(glm.fit_binomial(X, y, l2=l2, max_iter=k), X, y, l2)
+        for k in range(steps + 1)
+    ]
+
+
+def separable_with_duplicate_column():
+    X, y = separable_problem()
+    return np.column_stack([X, X[:, 0]]), y
+
+
+def mislabelled_outlier(seed):
+    """Twelve rows split on the first feature, one of them far out with the
+    wrong label; full Newton steps overshoot on these seeds."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(12, 2))
+    X[0] *= 20
+    y = (X[:, 0] > 0).astype(float)
+    y[0] = 1.0 - y[0]
+    return X, y
+
+
+HARD_PROBLEMS = {
+    "separable": (separable_with_duplicate_column, 1e-4),
+    "separable-l2=0": (separable_with_duplicate_column, 0.0),
+    "outlier": (lambda: mislabelled_outlier(18), 1e-4),
+    "outlier-l2=0": (lambda: mislabelled_outlier(187), 0.0),
+}
+
+
 class TestGlmBinomial:
     def test_separable_reaches_perfect_training_accuracy(self):
         X = np.array([[-2.0], [-1.0], [-0.5], [1.5], [2.0], [3.0]])
@@ -109,6 +160,48 @@ class TestGlmBinomial:
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
             train(ModelSpec("glm_binomial", "classify"), [[1.0], [2.0]], [1.0, 1.0])
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(10, 80),
+        width=st.integers(1, 5),
+        l2=st.sampled_from([1e-4, 1e-3, 1e-2, 0.1, 1.0]),
+        scale=st.sampled_from([0.1, 1.0, 5.0]),
+        noise=st.sampled_from([0.0, 0.5, 3.0]),
+    )
+    def test_newton_fit_is_optimal(self, seed, n, width, l2, scale, noise):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, width)) * scale
+        score = X @ rng.normal(size=width) + noise * rng.normal(size=n) + rng.normal()
+        y = (score > 0).astype(float)
+        if y.min() == y.max():
+            y[0] = 1.0 - y[0]
+        tol = 1e-8
+        fit = glm.fit_binomial(X, y, l2=l2, tol=tol)
+        gradient = binomial_gradient(X, y, fit["weights"], fit["intercept"], l2)
+        assert np.abs(gradient).max() <= 100 * tol
+        weights, intercept = fit_binomial_gd_oracle(X, y, l2)
+        gd = binomial_objective(X, y, weights, intercept, l2)
+        assert objective_of(fit, X, y, l2) <= gd + 1e-12
+
+    def test_overflowing_features_are_a_data_error(self):
+        # An infinite Hessian would stall the least-squares solve.
+        X, y = separable_problem(n=30)
+        with pytest.raises(DataError, match="overflowed"):
+            glm.fit_binomial(X * 1e160, y)
+
+    @pytest.mark.parametrize("problem", sorted(HARD_PROBLEMS))
+    def test_hard_problems_stay_finite_and_descend(self, problem):
+        # l2=0 on separable data and a duplicated column make the Hessian
+        # singular; a mislabelled outlier makes full Newton steps overshoot.
+        make, l2 = HARD_PROBLEMS[problem]
+        X, y = make()
+        fit = glm.fit_binomial(X, y, l2=l2)
+        assert np.isfinite(fit["weights"]).all() and np.isfinite(fit["intercept"])
+        steps = objectives_by_step(X, y, l2)
+        assert steps[-1] < 0.5 * steps[0]
+        assert (np.diff(steps) <= 1e-12).all(), steps
 
 
 class TestEnsembles:
@@ -336,6 +429,20 @@ class TestModelFileChecks:
         path = self._saved(tmp_path, "random_forest")
         with pytest.raises(DataError, match="n_trees"):
             self._load_edited(path, lambda p: p["spec"]["hyperparameters"].update(n_trees="a"))
+
+    def test_gradient_descent_model_file(self, tmp_path):
+        # Written before the Newton solver: learning_rate is no longer a
+        # glm_binomial hyperparameter.
+        path = self._saved(tmp_path, "glm_binomial")
+        with pytest.raises(DataError, match="learning_rate") as info:
+            self._load_edited(path, lambda p: p["spec"]["hyperparameters"].update(learning_rate=0.1))
+        assert str(path) in str(info.value)
+
+    def test_infinite_real_hyperparameter(self, tmp_path):
+        path = self._saved(tmp_path, "glm_binomial")
+        path.write_text(path.read_text().replace('"l2": 0.0001', '"l2": Infinity'))
+        with pytest.raises(DataError, match="'l2' .* must be a finite number"):
+            load_model(path)
 
     def test_infinite_seed(self, tmp_path):
         path = self._saved(tmp_path, "glm_binomial")
