@@ -55,6 +55,7 @@ from .models import ModelSpec, load_model, predict, save_model, train
 from .seeds import derive_seed
 from .spectrum import (
     LABEL_METHODS,
+    EncodingConfig,
     THRESHOLD_MODES,
     ThresholdSpec,
     compute_threshold,
@@ -282,6 +283,9 @@ def cmd_build_dataset(cfg: dict) -> int:
     seed = _convert(cfg, "seed")
     method = cfg["method"]
     test_fraction = _convert(cfg, "test_fraction", float)
+    d_model = None
+    if method == "sspe":  # check d_model before the input is read
+        d_model = EncodingConfig(d_model=_convert(cfg, "d_model")).d_model
 
     timeline = _load_timeline(cfg)
     timeline = fill_missing_points(timeline, derive_seed(seed, "fill"))
@@ -293,7 +297,7 @@ def cmd_build_dataset(cfg: dict) -> int:
         window_size=_convert(cfg, "window"),
         stride=_convert(cfg, "stride"),
         method=method,
-        d_model=_convert(cfg, "d_model") if method == "sspe" else None,
+        d_model=d_model,
     )
     if cfg.get("majority_ratio") is not None:
         ratio = _convert(cfg, "majority_ratio", float)

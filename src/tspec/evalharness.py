@@ -174,9 +174,11 @@ def run_noise_sweep(cfg: SweepConfig) -> EvalReport:
     models are supplied for a spectrum method) run per-segment signature
     matching on the model's predicted spectrum labels.  Each cell noises the
     test features with the seed derived from its method, family, task (for
-    identification only) and ratio.  With ``noise_train`` the training
-    features of detection cells are noised too and the cell's model is
-    retrained from its spec.
+    identification only) and ratio.  With ``noise_train`` every cell also
+    noises the training features, with the seed derived from "train-noise"
+    and the same labels, and retrains its model from its spec: detection
+    cells on the training detection labels, identification cells on the
+    training spectrum labels.
     """
     rows: list[EvalRow] = []
     histograms: dict[str, dict] = {}
@@ -187,7 +189,8 @@ def run_noise_sweep(cfg: SweepConfig) -> EvalReport:
             histograms[method] = summary
         truth = detection_truth(method, art.test, art.threshold)
 
-        tasks = [("detect", art.detect_models)]
+        # (task, models, the training labels a noise_train cell refits on)
+        tasks = [("detect", art.detect_models, detection_truth(method, art.train, art.threshold))]
         if art.regress_models and is_spectrum_method(method):
             if art.train.window_tags is None or art.test.window_tags is None:
                 raise DataError("identification requires per-window attack tags")
@@ -197,9 +200,9 @@ def run_noise_sweep(cfg: SweepConfig) -> EvalReport:
                 method=method,
                 d_model=art.train.provenance.get("d_model"),
             )
-            tasks.append(("identify", art.regress_models))
+            tasks.append(("identify", art.regress_models, art.train.spectrum_labels))
 
-        for task, models in tasks:
+        for task, models, train_labels in tasks:
             seed_labels = () if task == "detect" else (task,)
             for family, model in models.items():
                 for ratio in cfg.ratios:
@@ -207,12 +210,13 @@ def run_noise_sweep(cfg: SweepConfig) -> EvalReport:
                     seed = derive_seed(cfg.base_seed, "noise", method, family, *seed_labels, pct)
                     noised = inject_noise(art.test, NoiseSpec(float(ratio), cfg.noise_scale, seed))
                     cell_model = model
-                    if cfg.noise_train and task == "detect":
-                        train_seed = derive_seed(cfg.base_seed, "train-noise", method, family, pct)
+                    if cfg.noise_train:
+                        train_seed = derive_seed(
+                            cfg.base_seed, "train-noise", method, family, *seed_labels, pct
+                        )
                         noised_train = inject_noise(
                             art.train, NoiseSpec(float(ratio), cfg.noise_scale, train_seed)
                         )
-                        train_labels = detection_truth(method, art.train, art.threshold)
                         cell_model = train(model.spec, noised_train.features, train_labels)
                     predictions = predict(cell_model, noised.features)
                     if task == "detect":

@@ -12,6 +12,7 @@ round trip reproduces predictions bit for bit.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from numbers import Integral, Real
@@ -30,9 +31,32 @@ TASKS = ("classify", "regress")
 
 
 @dataclass(frozen=True)
+class Range:
+    """The values ``low <= v <= high`` (``low < v`` when ``open_low``)."""
+
+    low: float
+    high: float = math.inf
+    open_low: bool = False
+
+    def __contains__(self, value) -> bool:
+        return (self.low < value if self.open_low else self.low <= value) and value <= self.high
+
+    def __str__(self) -> str:
+        opening = "(" if self.open_low else "["
+        closing = "]" if self.high < math.inf else ")"
+        return f"{opening}{self.low:g}, {self.high:g}{closing}"
+
+
+_AT_LEAST_0 = Range(0)
+_AT_LEAST_1 = Range(1)
+_POSITIVE = Range(0, open_low=True)
+_FRACTION = Range(0, 1, open_low=True)
+
+
+@dataclass(frozen=True)
 class Family:
-    """One model family: its tasks and default hyperparameters,
-    ``fit(X, y, task, hyperparameters, seed) -> parameters``,
+    """One model family: its tasks, default hyperparameters and their valid
+    ranges, ``fit(X, y, task, hyperparameters, seed) -> parameters``,
     ``predict(parameters, X, task)``, and the parameters' JSON codec
     ``to_json(parameters)`` / ``from_json(data, feature_count)``.  Fit and
     predict look up the ``glm``/``ensembles`` functions when called, so
@@ -40,6 +64,7 @@ class Family:
 
     tasks: tuple[str, ...]
     defaults: dict
+    ranges: dict
     fit: Callable
     predict: Callable
     to_json: Callable
@@ -76,6 +101,7 @@ FAMILIES = {
     "glm_binomial": Family(
         tasks=("classify",),
         defaults={"l2": 1e-4, "max_iter": 50, "tol": 1e-8},
+        ranges={"l2": _AT_LEAST_0, "max_iter": _AT_LEAST_1, "tol": _AT_LEAST_0},
         fit=lambda X, y, task, hp, seed: glm.fit_binomial(X, y, **hp),
         predict=lambda params, X, task: glm.predict_proba(params, X),
         to_json=_linear_to_json,
@@ -84,6 +110,7 @@ FAMILIES = {
     "glm_gaussian": Family(
         tasks=("regress",),
         defaults={"ridge": 1e-6},
+        ranges={"ridge": _AT_LEAST_0},
         fit=lambda X, y, task, hp, seed: glm.fit_gaussian(X, y, **hp),
         predict=lambda params, X, task: glm.predict_linear(params, X),
         to_json=_linear_to_json,
@@ -92,6 +119,7 @@ FAMILIES = {
     "random_forest": Family(
         tasks=TASKS,
         defaults={"n_trees": 25, "max_depth": 10},
+        ranges={"n_trees": _AT_LEAST_1, "max_depth": _AT_LEAST_0},
         fit=lambda X, y, task, hp, seed: ensembles.forest_fit(X, y, task, seed=seed, **hp),
         predict=lambda params, X, task: ensembles.forest_predict(params, X),
         to_json=_trees_to_json,
@@ -100,6 +128,12 @@ FAMILIES = {
     "gbm": Family(
         tasks=TASKS,
         defaults={"n_trees": 50, "learning_rate": 0.1, "max_depth": 5, "subsample": 1.0},
+        ranges={
+            "n_trees": _AT_LEAST_1,
+            "learning_rate": _POSITIVE,
+            "max_depth": _AT_LEAST_0,
+            "subsample": _FRACTION,
+        },
         fit=lambda X, y, task, hp, seed: ensembles.gbm_fit(X, y, task, seed=seed, **hp),
         predict=lambda params, X, task: ensembles.gbm_predict(params, X, task),
         to_json=lambda params: _trees_to_json(params, "f0", "learning_rate"),
@@ -144,6 +178,11 @@ class ModelSpec:
                 raise ConfigError(
                     f"hyperparameter {key!r} of {self.family!r} must be "
                     f"{'an integer' if kind is Integral else 'a finite number'}, got {value!r}"
+                )
+            if value not in family.ranges[key]:
+                raise ConfigError(
+                    f"hyperparameter {key!r} of {self.family!r} must be in "
+                    f"{family.ranges[key]}, got {value!r}"
                 )
 
     def resolved_hyperparameters(self) -> dict:

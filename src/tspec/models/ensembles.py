@@ -14,7 +14,15 @@ import numpy as np
 
 from ..seeds import rng_for
 from .glm import _sigmoid
-from .trees import Tree, build_tree, presort, rank_codes, tree_apply, tree_predict
+from .trees import (
+    Tree,
+    build_tree,
+    presort,
+    rank_codes,
+    tied_columns,
+    tree_apply,
+    tree_predict,
+)
 
 _EPS = 1e-12
 
@@ -90,21 +98,27 @@ def gbm_fit(
 
     scores = np.full(n, f0)
     trees: list[Tree] = []
-    # Without subsampling every tree fits all of X, so one sort serves them all.
-    order = presort(X) if subsample >= 1.0 else None
+    # Without subsampling every tree fits all of X, so one sort and one set of
+    # tie flags serve them all; otherwise each tree computes its own.
+    order = tied = None
+    if subsample >= 1.0:
+        order = presort(X)
+        tied = tied_columns(X, order)
     rows = np.arange(n)
     Xt = X
     for t in range(n_trees):
         if subsample < 1.0:
             rng = rng_for(seed, "tree", t)
-            rows = np.sort(rng.choice(n, size=int(round(subsample * n)), replace=False))
+            # At least one row: a subsample that rounds to none would fit NaN trees.
+            size = max(1, int(round(subsample * n)))
+            rows = np.sort(rng.choice(n, size=size, replace=False))
             Xt = X[rows]
 
         if task == "classify":
             prob = _sigmoid(scores)
             residual = y - prob
             target = residual[rows]
-            tree = build_tree(Xt, target, max_depth=max_depth, order=order)
+            tree = build_tree(Xt, target, max_depth=max_depth, order=order, tied=tied)
             # Newton leaf values: sum(residual) / sum(p * (1 - p)) per leaf.
             # A row's leaf does not depend on the other rows walked, so one
             # walk of X serves the Newton step and the score update.
@@ -119,7 +133,7 @@ def gbm_fit(
             step = value[all_leaves]
         else:
             residual = y - scores
-            tree = build_tree(Xt, residual[rows], max_depth=max_depth, order=order)
+            tree = build_tree(Xt, residual[rows], max_depth=max_depth, order=order, tied=tied)
             step = tree_predict(tree, X)
 
         scores += learning_rate * step

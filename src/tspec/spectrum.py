@@ -28,6 +28,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, DataError
 
 ENCODING_BASE = 10000.0
+
+# Largest encoding dimension.  An encoding is a (W, d_model) float64 matrix:
+# at this bound and W = 30 building it peaks at 32 MB (tracemalloc), while an
+# unbounded d_model of 10**7 asked for about 5 GB.  Neighbouring frequencies
+# then differ by a factor ENCODING_BASE**(2 / d_model) < 1.0003, so more
+# components add next to nothing to a label.
+MAX_D_MODEL = 65_536
+
 THRESHOLD_MODES = ("rank-default", "as-paper")
 LABEL_METHODS = ("baseline", "coap", "sspe")
 
@@ -47,8 +55,10 @@ class EncodingConfig:
     d_model: int
 
     def __post_init__(self):
-        if self.d_model < 2 or self.d_model % 2 != 0:
-            raise ConfigError(f"d_model must be an even integer >= 2, got {self.d_model}")
+        if not 2 <= self.d_model <= MAX_D_MODEL or self.d_model % 2 != 0:
+            raise ConfigError(
+                f"d_model must be an even integer in [2, {MAX_D_MODEL}], got {self.d_model}"
+            )
 
 
 @dataclass(frozen=True)

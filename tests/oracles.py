@@ -3,7 +3,9 @@
 Everything here is deliberately written as plain scalar loops over the
 defining formulas, sharing no code with the package.  Four groups keep a
 former implementation as the reference for a faster one: the tree builder
-(the per-node argsort split search, for the presorted one), the per-second
+(the per-node argsort split search, for the presorted one, and the
+one-block float scan of sorted values and targets, for the blocked complex
+one), the per-second
 timeline functions (one record per second, for the columnar timeline), the
 schema-1 dataset store (every flattened row as ``repr`` CSV, for the
 window-free ``dataset.npz``), and the logistic fit (500 full-batch
@@ -81,6 +83,34 @@ def population_moments(values):
     mean = sum(values) / n
     var = sum((v - mean) ** 2 for v in values) / n
     return mean, math.sqrt(var)
+
+
+def best_split_scan_oracle(xs, ys):
+    """Best (candidate index, threshold, score) for one node, or None: the
+    former scan of all candidates at once, on float cumsums of the targets
+    and of their squares.  Row i of ``xs``/``ys`` holds the node's values of
+    candidate i and its targets, both in ascending order of that candidate
+    (ties in ascending row order)."""
+    m = xs.shape[1]
+    left_n = np.arange(1, m, dtype=np.float64)
+    right_n = m - left_n
+    cum_sum = np.cumsum(ys, axis=1)
+    cum_sq = np.cumsum(ys * ys, axis=1)
+    left_sum = cum_sum[:, :-1]
+    left_sq = cum_sq[:, :-1]
+    total_sum = cum_sum[:, -1:]
+    total_sq = cum_sq[:, -1:]
+    sse = (left_sq - left_sum**2 / left_n) + (
+        (total_sq - left_sq) - (total_sum - left_sum) ** 2 / right_n
+    )
+    sse[xs[:, 1:] == xs[:, :-1]] = np.inf
+    per_feature_best = sse.min(axis=1)
+    col = int(np.argmin(per_feature_best))
+    best = per_feature_best[col]
+    if not np.isfinite(best):
+        return None
+    row = int(np.argmin(sse[col]))
+    return col, float(0.5 * (xs[col, row] + xs[col, row + 1])), float(best)
 
 
 def _best_split_argsort(X, y, idx, feats, record=None):
@@ -260,7 +290,8 @@ def gbm_fit_oracle(X, y, task, n_trees, learning_rate, max_depth, subsample, tre
     trees = []
     for t in range(n_trees):
         if subsample < 1.0:
-            rows = np.sort(tree_rng(t).choice(n, size=int(round(subsample * n)), replace=False))
+            size = max(1, int(round(subsample * n)))
+            rows = np.sort(tree_rng(t).choice(n, size=size, replace=False))
         else:
             rows = np.arange(n)
         if task == "classify":

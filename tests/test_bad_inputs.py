@@ -16,7 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tspec import AttackSegment, SyntheticScenario
+from tspec import cli
 from tspec.cli import DEFAULTS, main
+from tspec.spectrum import MAX_D_MODEL
 from tests.conftest import scenario_to_dict
 
 
@@ -179,6 +181,36 @@ class TestRegressions:
         rc, err = run(sweep_args(tmp_path, dataset))
         assert rc == 2
         assert str(model) in err and "'learning_rate'" in err
+
+    def test_detect_model_with_out_of_range_hyperparameter(self, ws, tmp_path):
+        # A negative l2 once fit all-zero weights when the sweep refit it.
+        dataset = copy_dataset(ws, tmp_path)
+        model = dataset / "models" / "detect" / "glm_binomial.json"
+        edit_json(model, lambda d: d["spec"]["hyperparameters"].update(l2=-1.0))
+        rc, err = run(sweep_args(tmp_path, dataset))
+        assert rc == 2
+        assert str(model) in err and "'l2' of 'glm_binomial' must be in [0, inf)" in err
+
+    @pytest.mark.parametrize("d_model", [MAX_D_MODEL + 2, 10**7])
+    def test_d_model_over_the_bound(self, ws, tmp_path, monkeypatch, d_model):
+        # Refused before the input is read, so before any encoding is built:
+        # 10**7 once asked for about 5 GB.
+        def read_input(cfg):
+            raise AssertionError("input read before d_model was checked")
+
+        monkeypatch.setattr(cli, "_load_timeline", read_input)
+        rc, err = run(["build-dataset", "--scenario", ws / "scenario.json", "--method", "sspe",
+                       "--window", 5, "--d-model", d_model, "--out", tmp_path / "ds"])
+        assert rc == 1
+        assert f"d_model must be an even integer in [2, {MAX_D_MODEL}], got {d_model}" in err
+        assert not (tmp_path / "ds").exists()
+
+    def test_d_model_at_the_bound(self, ws, tmp_path):
+        rc, _ = run(["build-dataset", "--scenario", ws / "scenario.json", "--method", "sspe",
+                     "--window", 5, "--d-model", MAX_D_MODEL, "--out", tmp_path / "ds"])
+        assert rc == 0
+        sidecar = json.loads((tmp_path / "ds" / "dataset.json").read_text())
+        assert sidecar["provenance"]["d_model"] == MAX_D_MODEL
 
     def test_unknown_config_key(self, ws, tmp_path):
         rc, err = run(sweep_args(tmp_path, ws / "sspe", ratio=[0.5]))

@@ -24,7 +24,9 @@ from tspec import (
     run_noise_sweep,
     train,
 )
-from tspec.identify import build_signature
+from tspec import evalharness
+from tspec.evalharness import identify_segments, labels_by_attack
+from tspec.identify import build_registry, build_signature
 from tests.conftest import method_artifacts
 from tests.oracles import confusion_oracle
 
@@ -230,7 +232,7 @@ class TestSweep:
             for task, method, family, ratio, labels in expected
         ]
 
-    def test_noise_train_retrains_detection_cells_only(self, sweep_setup, full_report):
+    def test_noise_train_retrains_every_cell(self, sweep_setup, full_report):
         seed, methods = sweep_setup
         cfg = SweepConfig(
             methods={"sspe": methods["sspe"]},
@@ -241,28 +243,59 @@ class TestSweep:
             min_segment_windows=3,
             noise_train=True,
         )
-        rows = {(r.task, r.family, r.noise_ratio): r for r in run_noise_sweep(cfg).rows}
+        art = methods["sspe"]
+        fits = []  # (spec, which labels) of every retraining, in call order
+
+        def spy(spec, X, y):
+            labels = "spectrum" if np.array_equal(y, art.train.spectrum_labels) else "detect"
+            fits.append((spec, labels))
+            return train(spec, X, y)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evalharness, "train", spy)
+            rows = {(r.task, r.family, r.noise_ratio): r for r in run_noise_sweep(cfg).rows}
         plain = {
             (r.task, r.family, r.noise_ratio): r for r in full_report.rows if r.method == "sspe"
         }
-        # Identification cells never retrain; detection cells retrain on
-        # training features noised with the "train-noise" stream.
-        for key, row in rows.items():
-            if key[0] == "identify":
-                assert row == plain[key]
-        art = methods["sspe"]
-        model = art.detect_models["gbm"]
-        noised_train = inject_noise(
-            art.train, NoiseSpec(0.4, 1.0, derive_seed(seed, "train-noise", "sspe", "gbm", 40))
-        )
-        labels = binarize(art.train.spectrum_labels, art.threshold)
-        retrained = train(model.spec, noised_train.features, labels)
+        # Test features are noised as without noise_train.
+        assert {k: r.seed for k, r in rows.items()} == {k: plain[k].seed for k in rows}
+
+        def retrained(family, labels, *seed_labels):
+            """The cell's model retrained on training features noised with
+            its own "train-noise" stream."""
+            model = {**art.detect_models, **art.regress_models}[family]
+            train_seed = derive_seed(seed, "train-noise", "sspe", family, *seed_labels, 40)
+            noised_train = inject_noise(art.train, NoiseSpec(0.4, 1.0, train_seed))
+            return model, train(model.spec, noised_train.features, labels)
+
+        # Detection cells retrain on the training detection labels.
+        _, model = retrained("gbm", binarize(art.train.spectrum_labels, art.threshold))
         row = rows[("detect", "gbm", 0.4)]
         noised_test = inject_noise(art.test, NoiseSpec(0.4, 1.0, row.seed))
-        probs = predict(retrained, noised_test.features)
+        probs = predict(model, noised_test.features)
         truth = binarize(art.test.spectrum_labels, art.threshold)
         assert row.metrics == detection_metrics(truth, (probs >= 0.5).astype(int))
         assert row.metrics != plain[("detect", "gbm", 0.4)].metrics
+
+        # Identification cells retrain on the training spectrum labels, with
+        # "identify" in their seed labels.
+        original, model = retrained("glm_gaussian", art.train.spectrum_labels, "identify")
+        row = rows[("identify", "glm_gaussian", 0.4)]
+        noised_test = inject_noise(art.test, NoiseSpec(0.4, 1.0, row.seed))
+        predictions = predict(model, noised_test.features)
+        assert not np.array_equal(predictions, predict(original, noised_test.features))
+        signatures = build_registry(
+            labels_by_attack(art.train), bins=12, method="sspe",
+            d_model=art.train.provenance.get("d_model"),
+        )
+        results, truth_tags = identify_segments(
+            predictions, art.test.window_tags, signatures, min_windows=3
+        )
+        assert row.identification_accuracy == identification_accuracy(results, truth_tags)
+        assert [(spec.family, labels) for spec, labels in fits] == [
+            (family, "detect")
+            for family in art.detect_models for _ in cfg.ratios
+        ] + [("glm_gaussian", "spectrum")] * len(cfg.ratios)
 
 
 class TestEmit:

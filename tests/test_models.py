@@ -376,6 +376,76 @@ class TestFamilyTable:
         assert calls == [name for _, name in FAMILY_CALLS[family]]
 
 
+# (family, hyperparameter, value) outside its range: each one trained
+# before ranges were checked, into all-zero weights (l2 < 0), every Newton
+# step (tol < 0) or NaN predictions (subsample 0, no trees).
+OUT_OF_RANGE = [
+    ("glm_binomial", "l2", -1.0),
+    ("glm_binomial", "tol", -1e-8),
+    ("glm_binomial", "max_iter", 0),
+    ("glm_gaussian", "ridge", -1e-6),
+    ("random_forest", "n_trees", 0),
+    ("random_forest", "max_depth", -1),
+    ("gbm", "n_trees", 0),
+    ("gbm", "learning_rate", 0.0),
+    ("gbm", "learning_rate", -0.1),
+    ("gbm", "max_depth", -3),
+    ("gbm", "subsample", 0.0),
+    ("gbm", "subsample", -0.5),
+    ("gbm", "subsample", 1.5),
+]
+
+# (family, hyperparameter, value) at the edge of its range.
+AT_THE_EDGE = [
+    ("glm_binomial", "l2", 0.0),
+    ("glm_binomial", "tol", 0),
+    ("glm_binomial", "max_iter", 1),
+    ("glm_gaussian", "ridge", 0.0),
+    ("random_forest", "n_trees", 1),
+    ("random_forest", "max_depth", 0),
+    ("gbm", "n_trees", 1),
+    ("gbm", "learning_rate", 1e-9),
+    ("gbm", "max_depth", 0),
+    ("gbm", "subsample", 1),
+    ("gbm", "subsample", 1e-4),  # rounds to no row of 60; one row is taken
+]
+
+
+class TestHyperparameterRanges:
+    def test_every_default_has_a_range_it_lies_in(self):
+        for entry in FAMILIES.values():
+            assert set(entry.ranges) == set(entry.defaults)
+            for key, value in entry.defaults.items():
+                assert value in entry.ranges[key]
+
+    @pytest.mark.parametrize("family,key,value", OUT_OF_RANGE)
+    def test_out_of_range_is_a_config_error(self, family, key, value):
+        task = FAMILIES[family].tasks[0]
+        X, y, _ = family_problem(task)
+        with pytest.raises(ConfigError, match=f"{key!r} of {family!r} must be in"):
+            train(ModelSpec(family, task, hyperparameters={key: value}), X, y)
+
+    @pytest.mark.parametrize("family,key,value", AT_THE_EDGE)
+    def test_edge_values_fit_finite_models(self, family, key, value):
+        for task in FAMILIES[family].tasks:
+            X, y, probe = family_problem(task)
+            model = train(ModelSpec(family, task, hyperparameters={key: value}), X, y)
+            assert np.isfinite(predict(model, probe)).all()
+
+    @pytest.mark.parametrize("family,key,value", OUT_OF_RANGE)
+    def test_model_file_out_of_range_names_the_file(self, family, key, value, tmp_path):
+        task = FAMILIES[family].tasks[0]
+        X, y, _ = family_problem(task)
+        path = tmp_path / "m.json"
+        save_model(train(ModelSpec(family, task), X, y), path)
+        payload = json.loads(path.read_text())
+        payload["spec"]["hyperparameters"][key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=f"{key!r} of {family!r} must be in") as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+
+
 class TestModelFileChecks:
     """A model file's parameters must fit its ``feature_count``."""
 

@@ -1,7 +1,8 @@
 """The presorted, rank-coded split search grows exactly the trees of the
 per-node argsort reference in ``tests/oracles.py``: same node dicts, same
-predictions.  The level-wise ``tree_apply`` finds the leaves of the
-row-at-a-time reference walk."""
+predictions.  The blocked complex scan of one node finds the split of the
+one-block float scan there.  The level-wise ``tree_apply`` finds the leaves
+of the row-at-a-time reference walk."""
 
 import math
 
@@ -13,9 +14,18 @@ from hypothesis.extra.numpy import arrays
 
 from tspec.models import trees
 from tspec.models.ensembles import forest_fit, gbm_fit
-from tspec.models.trees import Tree, build_tree, presort, rank_codes, tree_apply, tree_predict
+from tspec.models.trees import (
+    Tree,
+    build_tree,
+    presort,
+    rank_codes,
+    tied_columns,
+    tree_apply,
+    tree_predict,
+)
 from tspec.seeds import rng_for
 from tests.oracles import (
+    best_split_scan_oracle,
     build_tree_argsort,
     forest_fit_oracle,
     gbm_fit_oracle,
@@ -88,14 +98,124 @@ def test_tie_breaks_prefer_lowest_feature_then_threshold():
     assert (tree.feature[0], tree.threshold[0]) == (0, 0.5)
 
 
+def pack(y):
+    """Targets as the scan reads them: ``y + 1j * y * y``."""
+    packed = np.empty(y.size, dtype=np.complex128)
+    packed.real = y
+    packed.imag = y * y
+    return packed
+
+
+@st.composite
+def scan_inputs(draw):
+    """One node's scan inputs and a block size: heavily tied values and
+    targets, some of them huge, from a wide and short node to a narrow and
+    tall one."""
+    n = draw(st.integers(2, 60))
+    width = draw(st.integers(1, 12))
+    values = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]) | st.floats(-100, 100)
+    X = draw(arrays(np.float64, (n, width), elements=values))
+    # Targets near 1e154 and above overflow the sums of squares.
+    targets = st.sampled_from([0.0, 1.0]) | st.floats(-50, 50) | st.sampled_from([6e153, -1e200])
+    y = draw(arrays(np.float64, n, elements=targets))
+    idx = np.flatnonzero(draw(arrays(np.bool_, n)))
+    if idx.size < 2:
+        idx = np.arange(n)
+    feats = np.sort(draw(st.permutations(range(width)))[: draw(st.integers(1, width))])
+    rows = idx[np.argsort(X[idx][:, feats].T, axis=1, kind="stable")]
+    xs = X.T[feats[:, None], rows]
+    # Flagging a feature that holds no tie only costs time, so flag extras.
+    tied = (xs[:, 1:] == xs[:, :-1]).any(axis=1) | draw(arrays(np.bool_, feats.size))
+    cells = draw(st.integers(1, 2 * feats.size * idx.size))
+    return np.ascontiguousarray(X.T), y, feats, rows, tied, cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=scan_inputs())
+def test_blocked_scan_matches_one_block_scan(inputs):
+    XT, y, feats, rows, tied, cells = inputs
+    with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+        want = best_split_scan_oracle(XT[feats[:, None], rows], y[rows])
+        patch.setattr(trees, "_BLOCK_CELLS", cells)
+        got = trees._best_split(XT, pack(y), feats, rows, tied)
+    if want is None:
+        assert got is None
+    else:
+        assert got == (int(feats[want[0]]), want[1], want[2])
+
+
+@pytest.mark.parametrize("huge", [6e153, 1e200])
+def test_overflowing_targets_give_no_split_in_any_block(monkeypatch, huge):
+    # Sums of 6e153 square to inf, so some scores are -inf; squares of 1e200
+    # overflow, so every score is inf or NaN.  The one-block scan's minimum
+    # is not finite, so there is no split.
+    monkeypatch.setattr(trees, "_BLOCK_CELLS", 8)
+    XT = np.random.default_rng(0).normal(size=(4, 8))
+    y = np.array([huge] * 4 + [0.0, 1.0, 2.0, 3.0])
+    rows = np.argsort(XT, axis=1, kind="stable")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert best_split_scan_oracle(XT[np.arange(4)[:, None], rows], y[rows]) is None
+        assert trees._best_split(XT, pack(y), np.arange(4), rows, np.zeros(4, bool)) is None
+
+
+def test_equal_best_scores_in_two_blocks_go_to_the_lower_feature(monkeypatch):
+    # Columns 1 and 4 are equal and split y best; blocks of two features put
+    # them in different blocks, and the later block must not win the tie.
+    rng = np.random.default_rng(3)
+    n = 64
+    X = rng.normal(size=(n, 6))
+    y = (X[:, 1] > 0.2).astype(np.float64)
+    X[:, 4] = X[:, 1]
+    monkeypatch.setattr(trees, "_BLOCK_CELLS", 2 * n)
+    tree = build_tree(X, y, max_depth=3)
+    assert tree.feature[0] == 1
+    assert_same_tree(tree, build_tree_argsort(X, y, 3), X)
+
+
+def gbm_tied_problem(seed, tree_rng):
+    """Columns 0-2 rounded to one decimal (ties everywhere), 3-4 continuous
+    (no ties) and column 5 with one tie: rows a and b share the value 0.0
+    at which y jumps, y is 0 at the lower row and 1 at the higher, so only
+    the tie mask keeps the boundary between them out.  The second half
+    sample of ``tree_rng`` holds both rows, the first not both: the first
+    sample's tie flags would miss the tie."""
+    rng = np.random.default_rng(seed)
+    n = 160
+    X = rng.normal(size=(n, 6))
+    X[:, :3] = np.round(X[:, :3], 1)
+    first, second = (set(tree_rng(t).choice(n, size=n // 2, replace=False)) for t in (0, 1))
+    a, b = min(second - first), max(second)
+    X[[a, b], 5] = 0.0
+    y = (X[:, 5] > 0).astype(np.float64)
+    flip = rng.choice(n, size=12, replace=False)
+    y[flip] = 1.0 - y[flip]
+    y[[a, b]] = 0.0, 1.0
+    return X, y
+
+
+@pytest.mark.parametrize("subsample", [1.0, 0.5])
+def test_gbm_on_columns_with_and_without_ties(subsample):
+    tree_rng = lambda t: rng_for(4, "tree", t)  # noqa: E731
+    X, y = gbm_tied_problem(seed=21, tree_rng=tree_rng)
+    assert tied_columns(X, presort(X)).tolist() == [True] * 3 + [False] * 2 + [True]
+    params = gbm_fit(X, y, "classify", n_trees=8, max_depth=5, subsample=subsample, seed=4)
+    f0, reference = gbm_fit_oracle(X, y, "classify", 8, 0.1, 5, subsample, tree_rng)
+    assert params["f0"] == f0
+    for tree, want in zip(params["trees"], reference, strict=True):
+        assert_same_tree(tree, want, X)
+
+
 @pytest.fixture
 def scans(monkeypatch):
-    """The (values, targets) blocks ``_best_split`` receives, in call order."""
+    """Per ``_best_split`` call, in call order: the node's values, targets
+    and squared targets as the scan reads them (feature i's row order from
+    ``rows``, targets from the packed real part, squares from the imaginary
+    part), and its tie flags."""
     seen = []
 
-    def spy(xs, ys):
-        seen.append((xs.copy(), ys.copy()))
-        return real(xs, ys)
+    def spy(XT, packed, feats, rows, tied):
+        seen.append((XT[feats[:, None], rows], packed.real[rows], packed.imag[rows], tied.copy()))
+        return real(XT, packed, feats, rows, tied)
 
     real = trees._best_split
     monkeypatch.setattr(trees, "_best_split", spy)
@@ -103,10 +223,15 @@ def scans(monkeypatch):
 
 
 def assert_same_scans(seen, reference, at_least):
+    """Every node scans the reference's sorted values and targets, reads
+    each target's square, and flags every feature whose sorted values hold a
+    tie."""
     assert len(seen) == len(reference) > at_least
-    for (xs, ys), (ref_xs, ref_ys) in zip(seen, reference):
+    for (xs, ys, squares, tied), (ref_xs, ref_ys) in zip(seen, reference):
         assert np.array_equal(xs, ref_xs.T)
         assert np.array_equal(ys, ref_ys.T)
+        assert np.array_equal(squares, ref_ys.T * ref_ys.T)
+        assert tied[(ref_xs[1:] == ref_xs[:-1]).any(axis=0)].all()
 
 
 @pytest.mark.parametrize(
