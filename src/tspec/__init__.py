@@ -58,7 +58,6 @@ from .ingest import (
 from .models import ModelSpec, TrainedModel, load_model, predict, save_model, train
 from .seeds import derive_seed, rng_for
 from .spectrum import (
-    EncodingConfig,
     ThresholdSpec,
     binarize,
     coap_values,

@@ -3,7 +3,9 @@
 Every run is driven by one JSON config plus flag overrides (flags win), and
 all randomness flows from a single ``--seed`` through named derived streams,
 so rerunning any command with the same inputs reproduces its artifacts byte
-for byte.  Exit codes: 0 success, 1 usage/config, 2 data error, 3 runtime.
+for byte.  ``KEYS`` describes each config key once: its kind, default and
+valid values, and the commands that take it as a flag.  Exit codes: 0
+success, 1 usage/config, 2 data error, 3 runtime.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +38,7 @@ from .errors import (
     ConfigError,
     DataError,
     PipelineError,
+    Range,
     atomic_write,
     read_json_object,
     write_json,
@@ -51,41 +55,84 @@ from .evalharness import (
 )
 from .identify import build_registry, load_registry, save_registry
 from .ingest import FlowSchema, fill_missing_points, nonconstant_features, parse_flow_csv, select_features
-from .models import ModelSpec, load_model, predict, save_model, train
+from .models import FAMILIES, ModelSpec, load_model, predict, save_model, train
 from .seeds import derive_seed
 from .spectrum import (
     LABEL_METHODS,
-    EncodingConfig,
     THRESHOLD_MODES,
     ThresholdSpec,
+    check_d_model,
     compute_threshold,
     is_spectrum_method,
     proportional_positive_count,
 )
 
-DEFAULTS = {
-    "window": 30,
-    "stride": 1,
-    "method": "sspe",
-    "d_model": 8,
-    "threshold_mode": "rank-default",
-    "test_fraction": 0.3,
-    "stratify": True,
-    "seed": 0,
-    "task": "detect",
-    "families": ["glm_binomial", "random_forest", "gbm"],
-    "identify_families": [],
-    "ratios": [i / 10 for i in range(11)],
-    "noise_scale": 1.0,
-    "noise_train": False,
-    "majority_ratio": None,
-    "features": None,
-    "make_registry": None,
-    "min_segment_windows": 5,
-    "identify_bins": 50,
-}
-
 _TASK_MAP = {"detect": "classify", "identify": "regress"}
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key.  ``kind`` is ``int``, ``real``, ``bool``, ``choice``,
+    ``path``, ``names`` (a list of strings), ``reals`` (a list of numbers) or
+    ``datasets`` (the sweep's object mapping label methods to dataset
+    directories).  ``valid`` is a ``Range`` for numbers, the allowed strings
+    for choices, names (``None``: any) and dataset methods, or a function
+    that checks a value and returns it typed.  ``None`` is valid only where
+    it is the default, and an empty list only where the default is empty.
+    ``flag`` names the commands that take the key as a flag, ``required``
+    those that cannot run without it."""
+
+    kind: str
+    default: object = None
+    valid: object = None
+    flag: tuple[str, ...] = ()
+    required: tuple[str, ...] = ()
+    help: str | None = None
+
+
+_ALL = ("synth", "build-dataset", "train", "sweep", "identify")
+_BUILD = ("build-dataset",)
+
+KEYS = {
+    "seed": Key("int", 0, Range(-math.inf), _ALL, help="base seed for all derived RNG streams"),
+    "out": Key("path", flag=_ALL, required=("synth", "build-dataset", "sweep", "identify"),
+               help="output directory"),
+    "scenario": Key("path", flag=("synth", *_BUILD), required=("synth",),
+                    help="synthetic scenario JSON (build-dataset: instead of --input)"),
+    "input": Key("path", flag=_BUILD, help="flow CSV file"),
+    "schema": Key("path", flag=_BUILD, help="schema JSON mapping column roles"),
+    "dataset": Key("path", flag=("train", "identify"), required=("train", "identify"),
+                   help="dataset directory from build-dataset"),
+    "model": Key("path", flag=("identify",), help="regression model file"),
+    "registry": Key("path", flag=("identify",), required=("identify",),
+                    help="signature registry JSON"),
+    "datasets": Key("datasets", valid=LABEL_METHODS, required=("sweep",)),
+    "window": Key("int", 30, Range(1), _BUILD, help="window length in seconds"),
+    "stride": Key("int", 1, Range(1), _BUILD, help="seconds between window starts"),
+    "method": Key("choice", "sspe", LABEL_METHODS, _BUILD, help="label method"),
+    "d_model": Key("int", 8, check_d_model, _BUILD, help="SSPE encoding dimension (even)"),
+    "test_fraction": Key("real", 0.3, Range(0, 1, open_low=True, open_high=True), _BUILD,
+                         help="share of windows held out for testing"),
+    "stratify": Key("bool", True),
+    "majority_ratio": Key("real", None, Range(0, open_low=True)),
+    "features": Key("names"),
+    "task": Key("choice", "detect", tuple(_TASK_MAP), ("train",), help="model task"),
+    "families": Key("names", ["glm_binomial", "random_forest", "gbm"], tuple(FAMILIES),
+                    ("train", "sweep"), help="comma-separated model families"),
+    "threshold_mode": Key("choice", "rank-default", THRESHOLD_MODES, ("train",),
+                          help="how the detection threshold ranks spectrum values"),
+    "identify_families": Key("names", [], tuple(FAMILIES), ("sweep",),
+                             help="comma-separated regression families to identify with"),
+    "ratios": Key("reals", [i / 10 for i in range(11)], Range(0, 1), ("sweep",),
+                  help="comma-separated noise ratios"),
+    "noise_scale": Key("real", 1.0, Range(0, open_low=True), ("sweep",),
+                       help="standard deviation of the injected noise"),
+    "noise_train": Key("bool", False),
+    "make_registry": Key("choice", None, ("train", "test", "all"), ("identify",),
+                         help="build the registry from this portion's true labels first"),
+    "min_segment_windows": Key("int", 5, Range(1)),
+    "identify_bins": Key("int", 50, Range(2)),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,7 +179,10 @@ def _output_lock(out_dir: Path):
     """Guard an output directory against concurrent writers.  The lock file
     records the writer's PID; a lock whose PID is no longer running is
     reclaimed."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:  # a file in the way
+        raise ConfigError(f"cannot make output directory {out_dir}: {exc.strerror}") from None
     lock = out_dir / ".lock"
     fd = None
     for _ in range(3):
@@ -152,88 +202,80 @@ def _output_lock(out_dir: Path):
         lock.unlink(missing_ok=True)
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    return read_json_object(p, ConfigError, "config")
-
-
-def _merge_config(args: argparse.Namespace) -> dict:
-    """DEFAULTS, then the config file's keys, then the flags given.  The
-    file may hold any key of DEFAULTS, any of the command's flags, and the
-    sweep's ``datasets``; another key is a ``ConfigError``.  ``cfg["config"]``
-    keeps the file's path for error messages."""
-    cfg = dict(DEFAULTS)
-    loaded = _load_config(args.config)
-    known = (set(DEFAULTS) | set(vars(args)) | {"datasets"}) - {"config", "command"}
-    unknown = sorted(set(loaded) - known)
-    if unknown:
-        raise ConfigError(f"{args.config}: unknown config key {', '.join(map(repr, unknown))}")
-    cfg.update(loaded)
-    for key, value in vars(args).items():
-        if value is not None and key != "command":
-            cfg[key] = value
-    for key in ("families", "identify_families"):
-        if isinstance(cfg[key], str):
-            cfg[key] = _csv_list(cfg[key])
-        if not _is_string_list(cfg[key]):
-            raise _invalid(cfg, key)
-    if cfg["features"] is not None and not _is_string_list(cfg["features"]):
-        raise _invalid(cfg, "features")
-    return cfg
-
-
-def _is_string_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-def _invalid(cfg: dict, key: str) -> ConfigError:
-    """The error for a bad value of ``key``.  Flags are checked by the
-    parser, so a bad value comes from the config file, which it names."""
-    where = f"{cfg['config']}: " if cfg.get("config") else ""
-    return ConfigError(f"{where}config key {key!r} has an invalid value {cfg[key]!r}")
-
-
-def _convert(cfg: dict, key: str, kind=int):
-    """``kind(cfg[key])``, or a ``ConfigError`` naming the key."""
-    try:
-        return kind(cfg[key])
-    except (TypeError, ValueError, OverflowError):
-        raise _invalid(cfg, key) from None
-
-
-def _float_list(values) -> list[float]:
-    if not isinstance(values, list):
-        raise TypeError("expected a list")
-    return [float(v) for v in values]
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _csv_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _ratio_list(text: str) -> list[float]:
-    try:
-        ratios = [float(part) for part in _csv_list(text)]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad ratio list: {text!r}") from None
-    return ratios
-
-
-def _path(cfg: dict, key: str, command: str | None = None) -> Path | None:
-    """``cfg[key]`` as a path; ``None`` when unset, unless ``command``
-    requires it."""
-    value = cfg.get(key)
-    if value in (None, ""):
-        if command:
-            raise ConfigError(f"{command} requires --{key.replace('_', '-')} (or config key {key!r})")
+def _typed(name: str, key: Key, value):
+    """``value`` checked against ``key`` and typed: ints as ``int``, reals as
+    ``float``, paths as ``Path``; otherwise a ``ConfigError`` naming the key."""
+    if value is None and key.default is None:
         return None
-    if not isinstance(value, str):
-        raise _invalid(cfg, key)
-    return Path(value)
+    kind, valid = key.kind, key.valid
+    if callable(valid):
+        return valid(value)
+    some = "a list" if key.default == [] else "a non-empty list"
+    is_list = isinstance(value, list) and (bool(value) or key.default == [])
+    if kind in ("int", "real"):
+        what = valid.problem(value, Integral if kind == "int" else Real)
+        if not what:
+            return int(value) if kind == "int" else float(value)
+    elif kind == "bool":
+        if isinstance(value, bool):
+            return value
+        what = "true or false"
+    elif kind in ("choice", "path"):
+        if isinstance(value, str) and value and (valid is None or value in valid):
+            return Path(value) if kind == "path" else value
+        what = "a path" if kind == "path" else f"one of {', '.join(valid)}"
+    elif kind == "names":
+        if isinstance(value, str) and key.flag:  # the flag's text, in a config file
+            return _typed(name, key, _csv_list(value))
+        if is_list and all(isinstance(v, str) and (valid is None or v in valid) for v in value):
+            return list(value)
+        what = f"{some} of {'names' if valid is None else ', '.join(valid)}"
+    elif kind == "reals":
+        if is_list and not any(valid.problem(v) for v in value):
+            return [float(v) for v in value]
+        what = f"{some} of numbers in {valid}"
+    else:  # datasets
+        if isinstance(value, dict) and value and all(
+            method in valid and isinstance(path, str) and path for method, path in value.items()
+        ):
+            return {method: Path(path) for method, path in value.items()}
+        what = f"an object mapping {', '.join(valid)} to dataset directories"
+    raise ConfigError(f"config key {name!r} must be {what}, got {value!r}")
+
+
+def _merge_config(args: argparse.Namespace) -> dict:
+    """Each key's default, then the config file's value, then the flag's,
+    checked and typed by ``_typed`` before any input is read.  A config file
+    may hold every key but the paths that only other commands take, so one
+    file can carry the shared settings of all commands."""
+    command = args.command
+    loaded = read_json_object(Path(args.config), ConfigError, "config") if args.config else {}
+    accepted = {name for name, key in KEYS.items() if key.kind != "path" or command in key.flag}
+    unknown = sorted(set(loaded) - accepted)
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown config key {', '.join(map(repr, unknown))}")
+    cfg = {}
+    for name, key in KEYS.items():
+        flagged = getattr(args, name, None)
+        value = loaded.get(name, key.default) if flagged is None else flagged
+        try:
+            cfg[name] = _typed(name, key, value)
+        except ConfigError as exc:
+            where = f"{args.config}: " if flagged is None and name in loaded else ""
+            raise ConfigError(f"{where}{exc}") from None
+        if cfg[name] is None and command in key.required:
+            how = f"config key {name!r}"
+            how = f"{_flag(name)} (or {how})" if command in key.flag else how
+            raise ConfigError(f"{command} requires {how}")
+    return cfg
 
 
 def _write_timeline_csv(timeline, path: Path):
@@ -251,9 +293,9 @@ def _write_timeline_csv(timeline, path: Path):
 
 
 def cmd_synth(cfg: dict) -> int:
-    out = _path(cfg, "out", "synth")
-    scenario = SyntheticScenario.from_json(_path(cfg, "scenario", "synth"))
-    timeline = generate_synthetic(scenario, derive_seed(_convert(cfg, "seed"), "synth"))
+    out = cfg["out"]
+    scenario = SyntheticScenario.from_json(cfg["scenario"])
+    timeline = generate_synthetic(scenario, derive_seed(cfg["seed"], "synth"))
     with _output_lock(out):
         _write_timeline_csv(timeline, out / "synthetic.csv")
         schema = FlowSchema(
@@ -269,42 +311,32 @@ def cmd_synth(cfg: dict) -> int:
 
 
 def _load_timeline(cfg: dict):
-    seed = _convert(cfg, "seed")
-    scenario, flows = _path(cfg, "scenario"), _path(cfg, "input")
-    if scenario:
-        return generate_synthetic(SyntheticScenario.from_json(scenario), derive_seed(seed, "synth"))
-    if flows:
-        return parse_flow_csv(flows, FlowSchema.from_json(_path(cfg, "schema", "build-dataset")))
+    if cfg["scenario"]:
+        scenario = SyntheticScenario.from_json(cfg["scenario"])
+        return generate_synthetic(scenario, derive_seed(cfg["seed"], "synth"))
+    if cfg["input"] and cfg["schema"]:
+        return parse_flow_csv(cfg["input"], FlowSchema.from_json(cfg["schema"]))
     raise ConfigError("build-dataset needs either --input + --schema or --scenario")
 
 
 def cmd_build_dataset(cfg: dict) -> int:
-    out = _path(cfg, "out", "build-dataset")
-    seed = _convert(cfg, "seed")
-    method = cfg["method"]
-    test_fraction = _convert(cfg, "test_fraction", float)
-    d_model = None
-    if method == "sspe":  # check d_model before the input is read
-        d_model = EncodingConfig(d_model=_convert(cfg, "d_model")).d_model
-
+    out, seed, method = cfg["out"], cfg["seed"], cfg["method"]
     timeline = _load_timeline(cfg)
     timeline = fill_missing_points(timeline, derive_seed(seed, "fill"))
-    feature_list = cfg.get("features") or nonconstant_features(timeline)
-    timeline = select_features(timeline, feature_list)
+    timeline = select_features(timeline, cfg["features"] or nonconstant_features(timeline))
 
     ds = assemble_dataset(
         timeline,
-        window_size=_convert(cfg, "window"),
-        stride=_convert(cfg, "stride"),
+        window_size=cfg["window"],
+        stride=cfg["stride"],
         method=method,
-        d_model=d_model,
+        d_model=cfg["d_model"],
     )
-    if cfg.get("majority_ratio") is not None:
-        ratio = _convert(cfg, "majority_ratio", float)
-        ds = downsample_majority(ds, ratio, derive_seed(seed, "sample"))
+    if cfg["majority_ratio"] is not None:
+        ds = downsample_majority(ds, cfg["majority_ratio"], derive_seed(seed, "sample"))
 
     train_ds, test_ds = split_dataset(
-        ds, test_fraction, derive_seed(seed, "split"), bool(cfg["stratify"])
+        ds, cfg["test_fraction"], derive_seed(seed, "split"), cfg["stratify"]
     )
     zparams = zscore_fit(train_ds.features)
     standardized = replace(ds, features=zscore_apply(ds.features, zparams))
@@ -316,8 +348,8 @@ def cmd_build_dataset(cfg: dict) -> int:
             zparams,
             sidecar_extra={
                 "split": {
-                    "test_fraction": test_fraction,
-                    "stratify": bool(cfg["stratify"]),
+                    "test_fraction": cfg["test_fraction"],
+                    "stratify": cfg["stratify"],
                     "seed": derive_seed(seed, "split"),
                     "train_indices": train_ds.provenance["row_indices"],
                     "test_indices": test_ds.provenance["row_indices"],
@@ -354,12 +386,11 @@ def _threshold_path(dataset_dir: Path) -> Path:
 
 
 def cmd_train(cfg: dict) -> int:
-    dataset_dir = _path(cfg, "dataset", "train")
-    task = cfg["task"]
-    if not isinstance(task, str) or task not in _TASK_MAP:
-        raise ConfigError(f"task must be one of {sorted(_TASK_MAP)}, got {task!r}")
-    families = cfg["families"]
-    seed = _convert(cfg, "seed")
+    dataset_dir, task = cfg["dataset"], cfg["task"]
+    specs = [
+        ModelSpec(family, _TASK_MAP[task], derive_seed(cfg["seed"], "train", task, family))
+        for family in cfg["families"]
+    ]
 
     _, train_ds, _, sidecar = _load_split(dataset_dir)
     method = sidecar["provenance"]["method"]
@@ -371,20 +402,15 @@ def cmd_train(cfg: dict) -> int:
             threshold = compute_threshold(train_ds.spectrum_labels, n1, cfg["threshold_mode"])
         labels = detection_truth(method, train_ds, threshold)
 
-    model_root = (_path(cfg, "out") or dataset_dir) / "models" / task
+    model_root = (cfg["out"] or dataset_dir) / "models" / task
     with _output_lock(model_root):
         if threshold is not None:
             with _output_lock(dataset_dir):
                 write_json(_threshold_path(dataset_dir), asdict(threshold))
-        for family in families:
-            spec = ModelSpec(
-                family=family,
-                task=_TASK_MAP[task],
-                seed=derive_seed(seed, "train", task, family),
-            )
-            model = train(spec, train_ds.features, labels)
-            save_model(model, model_root / f"{family}.json")
-            print(f"train: {family} ({task}) -> {model_root / (family + '.json')}")
+        for spec in specs:
+            path = model_root / f"{spec.family}.json"
+            save_model(train(spec, train_ds.features, labels), path)
+            print(f"train: {spec.family} ({task}) -> {path}")
     return 0
 
 
@@ -411,21 +437,9 @@ def _load_threshold(dataset_dir: Path) -> ThresholdSpec:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    out = _path(cfg, "out", "sweep")
-    datasets = cfg.get("datasets")
-    if not isinstance(datasets, dict) or not datasets:
-        raise ConfigError("sweep config needs a 'datasets' object mapping method -> dataset dir")
-    if not all(isinstance(d, str) and d for d in datasets.values()):
-        raise _invalid(cfg, "datasets")
-    families = cfg["families"]
-    identify_families = cfg["identify_families"]
-    seed = _convert(cfg, "seed")
-    ratios = _convert(cfg, "ratios", _float_list)
-    noise_scale = _convert(cfg, "noise_scale", float)
-
+    datasets = cfg["datasets"]
     methods: dict[str, MethodArtifacts] = {}
     for method, dataset_dir in datasets.items():
-        dataset_dir = Path(dataset_dir)
         _, train_ds, test_ds, sidecar = _load_split(dataset_dir)
         if sidecar["provenance"]["method"] != method:
             raise ConfigError(
@@ -436,13 +450,13 @@ def cmd_sweep(cfg: dict) -> int:
         threshold = _load_threshold(dataset_dir) if spectrum else None
         detect_models = {
             family: load_model(dataset_dir / "models" / "detect" / f"{family}.json")
-            for family in families
+            for family in cfg["families"]
         }
         regress_models = {}
         if spectrum:
             regress_models = {
                 family: load_model(dataset_dir / "models" / "identify" / f"{family}.json")
-                for family in identify_families
+                for family in cfg["identify_families"]
             }
         methods[method] = MethodArtifacts(
             train=train_ds,
@@ -454,56 +468,46 @@ def cmd_sweep(cfg: dict) -> int:
 
     sweep = SweepConfig(
         methods=methods,
-        ratios=tuple(ratios),
-        noise_scale=noise_scale,
-        base_seed=seed,
-        noise_train=bool(cfg["noise_train"]),
-        identify_bins=_convert(cfg, "identify_bins"),
-        min_segment_windows=_convert(cfg, "min_segment_windows"),
+        ratios=tuple(cfg["ratios"]),
+        noise_scale=cfg["noise_scale"],
+        base_seed=cfg["seed"],
+        noise_train=cfg["noise_train"],
+        identify_bins=cfg["identify_bins"],
+        min_segment_windows=cfg["min_segment_windows"],
         config_echo={
             # Method names only: reports must not depend on where a run puts
             # its artifacts, or byte-identical reruns break.
             "methods": sorted(datasets),
-            "families": list(families),
-            "identify_families": list(identify_families),
-            "ratios": ratios,
-            "noise_scale": noise_scale,
-            "noise_train": bool(cfg["noise_train"]),
-            "seed": seed,
+            **{key: cfg[key] for key in ("families", "identify_families", "ratios",
+                                         "noise_scale", "noise_train", "seed")},
         },
     )
     report = run_noise_sweep(sweep)
-    with _output_lock(out):
-        written = emit_report(report, out)
+    with _output_lock(cfg["out"]):
+        written = emit_report(report, cfg["out"])
     print(f"sweep: {len(report.rows)} rows -> {written[0]}")
     return 0
 
 
 def cmd_identify(cfg: dict) -> int:
-    out = _path(cfg, "out", "identify")
-    dataset_dir = _path(cfg, "dataset", "identify")
-    registry_path = _path(cfg, "registry", "identify")
-    model_path = _path(cfg, "model")
+    out, dataset_dir, registry_path = cfg["out"], cfg["dataset"], cfg["registry"]
 
     full, train_ds, test_ds, sidecar = _load_split(dataset_dir)
     if full.window_tags is None:
         raise DataError("identification needs a dataset built with attack tags")
 
-    make = cfg.get("make_registry")
-    if make:
-        portions = {"train": train_ds, "test": test_ds, "all": full}
-        if not isinstance(make, str) or make not in portions:
-            raise ConfigError(f"make_registry must be train, test, or all, got {make!r}")
-        portion = portions[make]
+    if cfg["make_registry"]:
+        portion = {"train": train_ds, "test": test_ds, "all": full}[cfg["make_registry"]]
         signatures = build_registry(
             labels_by_attack(portion),
-            bins=_convert(cfg, "identify_bins"),
+            bins=cfg["identify_bins"],
             method=sidecar["provenance"]["method"],
             d_model=sidecar["provenance"].get("d_model"),
         )
         save_registry(signatures, registry_path)
 
     signatures = load_registry(registry_path)
+    model_path = cfg["model"]
     if not model_path:
         family = (cfg["identify_families"] or ["glm_gaussian"])[0]
         model_path = dataset_dir / "models" / "identify" / f"{family}.json"
@@ -514,7 +518,7 @@ def cmd_identify(cfg: dict) -> int:
         predictions,
         test_ds.window_tags,
         signatures,
-        min_windows=_convert(cfg, "min_segment_windows"),
+        min_windows=cfg["min_segment_windows"],
     )
     accuracy = identification_accuracy(results, truth)
     payload = {
@@ -539,60 +543,28 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="tspec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def numbers(text: str) -> list[float]:  # argparse: "invalid numbers value: '0,a'"
+        return [float(part) for part in _csv_list(text)]
+
+    flag_types = {"int": int, "real": float, "names": _csv_list, "reals": numbers}
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--seed", type=int, help="base seed for all derived RNG streams")
-        p.add_argument("--out", help="output directory")
-
-    p = sub.add_parser("synth", help="generate a synthetic flow CSV from a scenario")
-    common(p)
-    p.add_argument("--scenario", help="scenario JSON file")
-
-    p = sub.add_parser("build-dataset", help="CSV/scenario -> windowed, labeled dataset")
-    common(p)
-    p.add_argument("--input", help="flow CSV file")
-    p.add_argument("--schema", help="schema JSON mapping column roles")
-    p.add_argument("--scenario", help="synthetic scenario JSON (alternative to --input)")
-    p.add_argument("--window", type=int)
-    p.add_argument("--stride", type=int)
-    p.add_argument("--method", choices=LABEL_METHODS)
-    p.add_argument("--d-model", dest="d_model", type=int)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-
-    p = sub.add_parser("train", help="train model families on a built dataset")
-    common(p)
-    p.add_argument("--dataset", help="dataset directory from build-dataset")
-    p.add_argument("--task", choices=["detect", "identify"])
-    p.add_argument("--families", type=_csv_list)
-    p.add_argument("--threshold-mode", dest="threshold_mode", choices=THRESHOLD_MODES)
-
-    p = sub.add_parser("sweep", help="noise-ratio sweep over trained models")
-    common(p)
-    p.add_argument("--families", type=_csv_list)
-    p.add_argument("--identify-families", dest="identify_families", type=_csv_list)
-    p.add_argument("--ratios", type=_ratio_list)
-    p.add_argument("--noise-scale", dest="noise_scale", type=float)
-
-    p = sub.add_parser("identify", help="per-segment attack identification")
-    common(p)
-    p.add_argument("--dataset", help="dataset directory from build-dataset")
-    p.add_argument("--model", help="regression model file")
-    p.add_argument("--registry", help="signature registry JSON")
-    p.add_argument(
-        "--make-registry",
-        dest="make_registry",
-        choices=["train", "test", "all"],
-        help="build the registry from this portion's true labels first",
-    )
+        for name, key in KEYS.items():
+            if command in key.flag:
+                parse = {"choices": key.valid} if key.kind == "choice" else {
+                    "type": flag_types.get(key.kind)
+                }
+                p.add_argument(_flag(name), dest=name, help=key.help, **parse)
     return parser
 
 
 _COMMANDS = {
-    "synth": cmd_synth,
-    "build-dataset": cmd_build_dataset,
-    "train": cmd_train,
-    "sweep": cmd_sweep,
-    "identify": cmd_identify,
+    "synth": (cmd_synth, "generate a synthetic flow CSV from a scenario"),
+    "build-dataset": (cmd_build_dataset, "CSV/scenario -> windowed, labeled dataset"),
+    "train": (cmd_train, "train model families on a built dataset"),
+    "sweep": (cmd_sweep, "noise-ratio sweep over trained models"),
+    "identify": (cmd_identify, "per-segment attack identification"),
 }
 
 
@@ -601,7 +573,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         print(f"tspec: config error: {exc}", file=sys.stderr)
         return 1

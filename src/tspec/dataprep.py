@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, atomic_write, read_json_object, write_json
 from .ingest import PacketTimeline
-from .spectrum import LABEL_METHODS, EncodingConfig, coap_values, is_spectrum_method, sspe_values
+from .spectrum import LABEL_METHODS, coap_values, is_spectrum_method, sspe_values
 from .windowing import flatten_windows, window_attack_tags, window_binary_labels, window_matrices
 
 ATTACK_PATTERNS = ("burst", "periodic", "ramp")
@@ -378,10 +378,8 @@ def assemble_dataset(
         values = window_labels.astype(np.float64)
     elif method == "coap":
         values = coap_values(label_bits)
-    elif d_model is None:
-        raise ConfigError("method sspe requires d_model")
     else:
-        values = sspe_values(label_bits, EncodingConfig(d_model=d_model))
+        values = sspe_values(label_bits, d_model)
 
     tags = window_attack_tags(timeline, window_size, stride)
     provenance = {

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -139,9 +141,11 @@ def _parse_timestamp(raw: str, fmt: str, row: int) -> float:
     text = raw.strip()
     if fmt == "epoch":
         try:
-            return float(text)
+            if math.isfinite(value := float(text)):
+                return value
         except ValueError:
-            raise DataError(f"row {row}: unparsable epoch timestamp {raw!r}") from None
+            pass
+        raise DataError(f"row {row}: unparsable epoch timestamp {raw!r}")
     parts = text.split(":")
     if len(parts) != 3:
         raise DataError(f"row {row}: unparsable clock timestamp {raw!r}")
@@ -167,6 +171,16 @@ def _parse_label(raw: str, row: int) -> int:
     raise DataError(f"row {row}: label must be 0 or 1, got {raw!r}")
 
 
+@contextmanager
+def _csv_errors(path: Path):
+    """Where the csv module gives up, as on a cell past its field size
+    limit, a ``DataError`` naming the file."""
+    try:
+        yield
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def parse_flow_csv(path: str | Path, schema: FlowSchema) -> PacketTimeline:
     """Read a flow CSV into a timeline, one row per data row.
 
@@ -186,8 +200,8 @@ def parse_flow_csv(path: str | Path, schema: FlowSchema) -> PacketTimeline:
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: byte {exc.start} is not valid UTF-8") from None
 
-    with io.StringIO(text, newline="") as handle:
-        reader = csv.DictReader(handle)
+    with io.StringIO(text, newline="") as handle, _csv_errors(path):
+        reader = csv.DictReader(handle, restval="")  # a short row's missing cells
         header = reader.fieldnames or []
         wanted = [schema.timestamp_column, schema.label_column, *schema.feature_columns]
         if schema.attack_name_column:
@@ -230,7 +244,7 @@ def parse_flow_csv(path: str | Path, schema: FlowSchema) -> PacketTimeline:
             features.append(values)
             attack = ""
             if schema.attack_name_column and label == 1:
-                attack = (row[schema.attack_name_column] or "").strip()
+                attack = row[schema.attack_name_column].strip()
             attacks.append(attack)
 
     width = len(schema.feature_columns)

@@ -12,8 +12,6 @@ round trip reproduces predictions bit for bit.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from pathlib import Path
@@ -21,30 +19,13 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import ConfigError, DataError, read_json_object, write_json
+from ..errors import ConfigError, DataError, Range, read_json_object, write_json
 from . import ensembles, glm
 from .trees import Tree
 
 MODEL_FILE_VERSION = 1
 
 TASKS = ("classify", "regress")
-
-
-@dataclass(frozen=True)
-class Range:
-    """The values ``low <= v <= high`` (``low < v`` when ``open_low``)."""
-
-    low: float
-    high: float = math.inf
-    open_low: bool = False
-
-    def __contains__(self, value) -> bool:
-        return (self.low < value if self.open_low else self.low <= value) and value <= self.high
-
-    def __str__(self) -> str:
-        opening = "(" if self.open_low else "["
-        closing = "]" if self.high < math.inf else ")"
-        return f"{opening}{self.low:g}, {self.high:g}{closing}"
 
 
 _AT_LEAST_0 = Range(0)
@@ -165,24 +146,14 @@ class ModelSpec:
                 f"unknown hyperparameters for {self.family!r}: {sorted(unknown)}"
             )
         for key, value in self.hyperparameters.items():
-            # Each value must be of its default's kind, and a real one a finite
-            # float: a model file's hyperparameters are refit when the sweep
-            # noises training data, and an infinite l2 would stall the Newton
-            # solve.
+            # Each value must be of its default's kind, and a real one finite:
+            # a model file's hyperparameters are refit when the sweep noises
+            # training data, and an infinite l2 would stall the Newton solve.
             kind = Integral if isinstance(family.defaults[key], int) else Real
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, kind)
-                or (kind is Real and not -sys.float_info.max <= value <= sys.float_info.max)
-            ):
+            problem = family.ranges[key].problem(value, kind)
+            if problem:
                 raise ConfigError(
-                    f"hyperparameter {key!r} of {self.family!r} must be "
-                    f"{'an integer' if kind is Integral else 'a finite number'}, got {value!r}"
-                )
-            if value not in family.ranges[key]:
-                raise ConfigError(
-                    f"hyperparameter {key!r} of {self.family!r} must be in "
-                    f"{family.ranges[key]}, got {value!r}"
+                    f"hyperparameter {key!r} of {self.family!r} must be {problem}, got {value!r}"
                 )
 
     def resolved_hyperparameters(self) -> dict:

@@ -21,20 +21,23 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, Range
 
 ENCODING_BASE = 10000.0
 
-# Largest encoding dimension.  An encoding is a (W, d_model) float64 matrix:
-# at this bound and W = 30 building it peaks at 32 MB (tracemalloc), while an
-# unbounded d_model of 10**7 asked for about 5 GB.  Neighbouring frequencies
-# then differ by a factor ENCODING_BASE**(2 / d_model) < 1.0003, so more
-# components add next to nothing to a label.
+# Largest encoding dimension.  Neighbouring frequencies then differ by a
+# factor ENCODING_BASE**(2 / d_model) < 1.0003, so more components add next
+# to nothing to a label, while each one costs a sine and a cosine per position.
 MAX_D_MODEL = 65_536
+
+# Encoding cells (positions x components) built at once for SSPE weights: at
+# most 8 MB of rows, whatever the window length.
+_ENCODING_BLOCK = 2**20
 
 THRESHOLD_MODES = ("rank-default", "as-paper")
 LABEL_METHODS = ("baseline", "coap", "sspe")
@@ -47,18 +50,12 @@ def is_spectrum_method(method: str) -> bool:
     return method != "baseline"
 
 
-@dataclass(frozen=True)
-class EncodingConfig:
-    """Sinusoidal encoding dimension; the base of the frequency ladder is
-    fixed at ``ENCODING_BASE``."""
-
-    d_model: int
-
-    def __post_init__(self):
-        if not 2 <= self.d_model <= MAX_D_MODEL or self.d_model % 2 != 0:
-            raise ConfigError(
-                f"d_model must be an even integer in [2, {MAX_D_MODEL}], got {self.d_model}"
-            )
+def check_d_model(d_model) -> int:
+    """``d_model`` as an int; a ``ConfigError`` unless it is an even integer
+    in [2, MAX_D_MODEL]."""
+    if Range(2, MAX_D_MODEL).problem(d_model, Integral) or d_model % 2:
+        raise ConfigError(f"d_model must be an even integer in [2, {MAX_D_MODEL}], got {d_model!r}")
+    return int(d_model)
 
 
 @dataclass(frozen=True)
@@ -75,16 +72,18 @@ class ThresholdSpec:
             raise ConfigError(f"need 0 <= n1 <= n, got n1={self.n1}, n={self.n}")
 
 
-def encoding_matrix(length: int, config: EncodingConfig) -> np.ndarray:
-    """Sinusoidal encodings of positions 0..length-1, shape (length, d_model).
+def encoding_matrix(stop: int, d_model: int, start: int = 0) -> np.ndarray:
+    """Sinusoidal encodings of positions start..stop-1, shape
+    (stop - start, d_model).
 
     Component 2i of row pos is sin(pos / base^(2i/d_model)) and component
-    2i+1 is the matching cosine, for i in [0, d_model/2).
+    2i+1 is the matching cosine, for i in [0, d_model/2); the base is fixed
+    at ``ENCODING_BASE``.
     """
-    half = np.arange(config.d_model // 2, dtype=np.float64)
-    scale = ENCODING_BASE ** (2.0 * half / config.d_model)
-    angles = np.arange(length, dtype=np.float64)[:, None] / scale[None, :]
-    out = np.empty((length, config.d_model), dtype=np.float64)
+    half = np.arange(d_model // 2, dtype=np.float64)
+    scale = ENCODING_BASE ** (2.0 * half / d_model)
+    angles = np.arange(start, stop, dtype=np.float64)[:, None] / scale[None, :]
+    out = np.empty((stop - start, d_model), dtype=np.float64)
     out[:, 0::2] = np.sin(angles)
     out[:, 1::2] = np.cos(angles)
     return out
@@ -93,10 +92,18 @@ def encoding_matrix(length: int, config: EncodingConfig) -> np.ndarray:
 def position_weights(method: str, window: int, d_model: int | None = None) -> np.ndarray:
     """The (window,) weights ``w`` of spectrum method COAP or SSPE, whose
     label of a window is ``bits @ w``: ones for COAP, and for SSPE the row
-    sums of the ``d_model``-dimensional encoding of positions 0..window-1."""
+    sums of the ``d_model``-dimensional encoding of positions 0..window-1,
+    built a block of rows at a time.  Each row sums on its own, so the
+    weights do not depend on the block size."""
     if method == "coap":
         return np.ones(window, dtype=np.float64)
-    return encoding_matrix(window, EncodingConfig(d_model=d_model)).sum(axis=1)
+    d_model = check_d_model(d_model)
+    rows = max(1, _ENCODING_BLOCK // d_model)
+    weights = np.empty(window, dtype=np.float64)
+    for start in range(0, window, rows):
+        stop = min(start + rows, window)
+        weights[start:stop] = encoding_matrix(stop, d_model, start).sum(axis=1)
+    return weights
 
 
 def coap_values(label_bits: np.ndarray) -> np.ndarray:
@@ -105,7 +112,7 @@ def coap_values(label_bits: np.ndarray) -> np.ndarray:
     return bits @ position_weights("coap", bits.shape[1])
 
 
-def sspe_values(label_bits: np.ndarray, config: EncodingConfig) -> np.ndarray:
+def sspe_values(label_bits: np.ndarray, d_model: int) -> np.ndarray:
     """Sum of all encoding components over each window's attack positions,
     for a (n_windows, W) bit matrix.
 
@@ -113,7 +120,7 @@ def sspe_values(label_bits: np.ndarray, config: EncodingConfig) -> np.ndarray:
     by zero), so the value reflects only where the attack packets sit.
     """
     bits = np.asarray(label_bits, dtype=np.float64)
-    return bits @ position_weights("sspe", bits.shape[1], config.d_model)
+    return bits @ position_weights("sspe", bits.shape[1], d_model)
 
 
 def proportional_positive_count(n_windows: int, attack_bit_fraction: float) -> int:
@@ -222,7 +229,7 @@ def parameter_grid_scores(
             continue
         label_matrix = sliding_window_view(bits, window)[::stride]
         for d_model in grid["d_model"]:
-            values = sspe_values(label_matrix, EncodingConfig(d_model=d_model))
+            values = sspe_values(label_matrix, d_model)
             try:
                 score = score_label_distribution(values, bins=bins)
             except DataError:

@@ -44,6 +44,18 @@ def encoding_oracle(pos: int, d_model: int, base: float = 10000.0) -> list[float
     return out
 
 
+def sspe_weights_whole_matrix(window: int, d_model: int, base: float = 10000.0) -> np.ndarray:
+    """SSPE position weights as row sums of the whole (window, d_model)
+    encoding matrix, built in one piece with the same numpy operations."""
+    half = np.arange(d_model // 2, dtype=np.float64)
+    scale = base ** (2.0 * half / d_model)
+    angles = np.arange(window, dtype=np.float64)[:, None] / scale[None, :]
+    matrix = np.empty((window, d_model), dtype=np.float64)
+    matrix[:, 0::2] = np.sin(angles)
+    matrix[:, 1::2] = np.cos(angles)
+    return matrix.sum(axis=1)
+
+
 def coap_brute_force(labels) -> float:
     return float(sum(labels))
 

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from tspec import (
-    EncodingConfig,
     ModelSpec,
     NoiseSpec,
     SweepConfig,
@@ -162,7 +161,7 @@ def test_c01_sspe_matches_brute_force_oracle():
         d_model = int(rng.choice(GRID_D_MODELS))
         bits = rng.integers(0, 2, size=window)
         expected = sspe_brute_force(bits.tolist(), d_model)
-        got = sspe_values(bits[None, :], EncodingConfig(d_model))[0]
+        got = sspe_values(bits[None, :], d_model)[0]
         worst = max(worst, abs(got - expected))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-9 and elapsed < 30.0
@@ -178,7 +177,7 @@ def test_c01_sspe_matches_brute_force_oracle():
 def test_c02_encoding_pairs_are_unit_norm():
     worst = 0.0
     for d_model in GRID_D_MODELS:
-        matrix = encoding_matrix(60, EncodingConfig(d_model))
+        matrix = encoding_matrix(60, d_model)
         for pos in range(60):
             vec = matrix[pos]
             pair_norms = vec[0::2] ** 2 + vec[1::2] ** 2

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from tspec import AttackSegment, SyntheticScenario
 from tspec import cli
-from tspec.cli import DEFAULTS, main
+from tspec.cli import KEYS, main
 from tspec.spectrum import MAX_D_MODEL
 from tests.conftest import scenario_to_dict
 
@@ -230,6 +230,31 @@ class TestRegressions:
         assert str(dataset / ".lock") in err
         assert (dataset / "threshold.json").read_bytes() == before
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    @pytest.mark.parametrize("command", ["synth", "build-dataset", "train"])
+    def test_output_path_is_a_file(self, ws, tmp_path, command, under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "sub" if under else blocker
+        args = {
+            "synth": ["synth", "--scenario", ws / "scenario.json"],
+            "build-dataset": ["build-dataset", "--config", ws / "config.json",
+                              "--scenario", ws / "scenario.json"],
+            "train": ["train", "--dataset", copy_dataset(ws, tmp_path), "--task", "detect",
+                      "--families", "glm_binomial"],
+        }[command]
+        rc, err = run(args + ["--out", out])
+        assert rc == 1, err
+        assert f"cannot make output directory {out}" in err
+
+    def test_registry_path_is_a_directory(self, ws, tmp_path):
+        registry = tmp_path / "registry"
+        registry.mkdir()
+        args = identify_args(ws, ws / "sspe", tmp_path, registry=registry)
+        rc, err = run(args + ["--make-registry", "train"])
+        assert rc == 1, err
+        assert f"cannot write {registry}: it is a directory" in err
+
     @staticmethod
     def build_from(ws, tmp_path, csv_path):
         return run(["build-dataset", "--config", ws / "config.json", "--input", csv_path,
@@ -282,18 +307,41 @@ BAD_CONFIG_VALUES = [
     ("sweep", "identify_families", {"glm_gaussian": 1}),
     ("identify", "make_registry", ["train"]),
     ("identify", "model", 3),
+    # Values once coerced without a word: int(10.7), int(True), bool("false")...
+    ("build-dataset", "window", 10.7),
+    ("build-dataset", "window", True),
+    ("build-dataset", "seed", 7.9),
+    ("build-dataset", "stratify", "false"),
+    ("build-dataset", "d_model", 8.0),
+    ("build-dataset", "d_model", 7),
+    ("sweep", "noise_train", "false"),
+    ("sweep", "ratios", [True, 0.5]),
+    ("sweep", "ratios", []),
+    ("identify", "identify_bins", 2.9),
+    ("identify", "min_segment_windows", -4),
+    ("train", "families", []),
+    ("train", "families", ["glm_binomial", "bogus"]),
 ]
 
 
 class TestConfigValues:
     @pytest.mark.parametrize("command,key,value", BAD_CONFIG_VALUES)
-    def test_bad_value_exits_1(self, ws, tmp_path, command, key, value):
+    def test_bad_value_exits_1(self, ws, tmp_path, monkeypatch, command, key, value):
+        # Refused, naming the key and the file, before any input is read.
+        def read_input(*args):
+            raise AssertionError("input read before the config was checked")
+
+        monkeypatch.setattr(cli, "_load_timeline", read_input)
+        monkeypatch.setattr(cli, "_load_split", read_input)
         shutil.copytree(ws / "sspe", tmp_path / "sspe")
         shutil.copytree(ws / "baseline", tmp_path / "baseline")
         cfg = {**base_configs(ws, tmp_path)[command], key: value}
         (tmp_path / "config.json").write_text(json.dumps(cfg))
         rc, err = run([command, "--config", tmp_path / "config.json"])
         assert rc == 1, err
+        assert str(tmp_path / "config.json") in err and key in err
+        written = ["ds", "m", "rep", "id", "reg.json"]  # the base configs' outputs
+        assert not [name for name in written if (tmp_path / name).exists()]
 
     @pytest.mark.parametrize("command", ["build-dataset", "train", "sweep", "identify"])
     def test_base_configs_run(self, ws, tmp_path, command):
@@ -414,8 +462,7 @@ def scratch_dir():
             os.chdir(old)
 
 
-CONFIG_KEYS = sorted(set(DEFAULTS) | {"datasets", "dataset", "registry", "model", "input",
-                                      "schema", "scenario", "out", "bogus"})
+CONFIG_KEYS = sorted(set(KEYS) | {"bogus"})
 
 
 @FUZZ
@@ -460,6 +507,55 @@ def corrupt(path: Path, data) -> None:
     else:
         parent.insert(key, data.draw(JSON_VALUES))
     path.write_text(json.dumps(doc))
+
+
+# Cells for the flow-CSV fuzz.  Numbers stay below 10**5: each second
+# between the first and last timestamp becomes a timeline row, so a far
+# timestamp asks for memory in proportion.  Non-finite values must be
+# refused, and a cell past the csv module's field limit too.
+CSV_CELLS = (
+    st.sampled_from(["", " ", "0", "1", "2", "-1", "0.5", "nan", "inf", "-inf", "1e400",
+                     "time", "label", "attack", "f0", "dos", "9" * 140_000])
+    | st.integers(-5, 300).map(str)
+    | st.floats(-100, 100).map(repr)
+    | st.text(alphabet='0123456789.,:-"x \n', max_size=5)
+)
+
+
+def mutate_rows(rows: list[list[str]], data) -> None:
+    """Apply one edit to a CSV's rows (row 0 is the header): replace a cell,
+    delete, repeat or insert a row, or cut or lengthen one."""
+    row = data.draw(st.sampled_from([0, 1, len(rows) - 1]) | st.integers(0, len(rows) - 1))
+    action = data.draw(st.sampled_from(["cell", "delete", "repeat", "insert", "cut", "extend"]))
+    if action == "cell" and rows[row]:
+        rows[row][data.draw(st.integers(0, len(rows[row]) - 1))] = data.draw(CSV_CELLS)
+    elif action == "delete":
+        del rows[row]
+    elif action == "repeat":
+        rows.insert(row, list(rows[row]))
+    elif action == "insert":
+        rows.insert(row, data.draw(st.lists(CSV_CELLS, max_size=7)))
+    elif action == "cut":
+        rows[row] = rows[row][: data.draw(st.integers(0, max(0, len(rows[row]) - 1)))]
+    else:
+        rows[row].append(data.draw(CSV_CELLS))
+
+
+@FUZZ
+@given(edits=st.integers(1, 4), data=st.data())
+def test_fuzzed_flow_csv_exits_0_1_or_2(ws, edits, data):
+    with scratch_dir() as tmp:
+        lines = (ws / "raw" / "synthetic.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines]
+        for _ in range(edits):
+            if rows:
+                mutate_rows(rows, data)
+        # Joined without quoting, so a comma, quote or newline in a cell
+        # reshapes the file.
+        (tmp / "flows.csv").write_text("".join(",".join(r) + "\n" for r in rows))
+        rc, err = run(["build-dataset", "--config", ws / "config.json", "--input", tmp / "flows.csv",
+                       "--schema", ws / "raw" / "schema.json", "--out", tmp / "ds"])
+        assert rc in (0, 1, 2), err
 
 
 # file -> the commands that read it; "{d}" is the copied sspe dataset.

@@ -1,7 +1,9 @@
 """CLI tests: subcommand wiring, exit codes, artifact determinism."""
 
+import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from tspec import AttackSegment, SyntheticScenario
-from tspec.cli import main
+from tspec.cli import KEYS, build_parser, main
 from tests.conftest import scenario_to_dict
 
 FAMILIES = "glm_binomial,random_forest"
@@ -276,6 +278,57 @@ class TestUsage:
         assert rc == 0
         assert (out / "synthetic.csv").exists()
         assert sorted(p.name for p in out.iterdir()) == ["schema.json", "synthetic.csv"]
+
+
+# Config keys every command's config file may hold.
+SHARED_KEYS = {
+    "d_model", "datasets", "families", "features", "identify_bins", "identify_families",
+    "majority_ratio", "make_registry", "method", "min_segment_windows", "noise_scale",
+    "noise_train", "ratios", "seed", "stratify", "stride", "task", "test_fraction",
+    "threshold_mode", "window",
+}
+# command -> (its flags, the path keys its config file may hold too)
+INTERFACE = {
+    "synth": ({"--config", "--out", "--scenario", "--seed"}, {"out", "scenario"}),
+    "build-dataset": (
+        {"--config", "--d-model", "--input", "--method", "--out", "--scenario", "--schema",
+         "--seed", "--stride", "--test-fraction", "--window"},
+        {"input", "out", "scenario", "schema"},
+    ),
+    "train": (
+        {"--config", "--dataset", "--families", "--out", "--seed", "--task", "--threshold-mode"},
+        {"dataset", "out"},
+    ),
+    "sweep": (
+        {"--config", "--families", "--identify-families", "--noise-scale", "--out", "--ratios",
+         "--seed"},
+        {"out"},
+    ),
+    "identify": (
+        {"--config", "--dataset", "--make-registry", "--model", "--out", "--registry", "--seed"},
+        {"dataset", "model", "out", "registry"},
+    ),
+}
+
+
+class TestInterface:
+    """The flags and config keys of each command stay as they are."""
+
+    @pytest.mark.parametrize("command", sorted(INTERFACE))
+    def test_flags(self, command):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {o for a in sub.choices[command]._actions for o in a.option_strings}
+        assert flags - {"-h", "--help"} == INTERFACE[command][0]
+
+    @pytest.mark.parametrize("command", sorted(INTERFACE))
+    def test_config_keys(self, command, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({key: None for key in KEYS}))
+        assert main([command, "--config", str(cfg)]) == 1
+        unknown = capsys.readouterr().err.split("unknown config key", 1)[1]
+        accepted = set(KEYS) - set(re.findall(r"'(\w+)'", unknown))
+        assert accepted == SHARED_KEYS | INTERFACE[command][1]
 
 
 class TestMalformedJson:

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
 
@@ -19,3 +20,15 @@ def test_library_use_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(library_example(), str(README), "exec"), {})
     assert out.getvalue().strip()
+
+
+def test_config_key_table_lists_every_key():
+    from tspec.cli import _ALL, KEYS
+
+    section = README.read_text(encoding="utf-8").split("### Config keys", 1)[1]
+    rows = re.findall(r"^\| `(\w+)` \| `(.*?)` \| (.*?) \|", section, re.M)
+    table = {name: (default, flags) for name, default, flags in rows}
+    assert list(table) == list(KEYS)
+    for name, key in KEYS.items():
+        flags = "all" if key.flag == _ALL else ", ".join(key.flag) or "—"
+        assert table[name] == (json.dumps(key.default), flags), name

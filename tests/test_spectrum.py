@@ -1,6 +1,7 @@
 """Spectrum-label tests: encodings, COAP/SSPE, thresholds, distribution score."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from tspec import (
     ConfigError,
     DataError,
-    EncodingConfig,
     PacketTimeline,
     binarize,
     coap_values,
@@ -23,13 +23,15 @@ from tspec import (
     sspe_values,
     window_matrices,
 )
-from tspec.spectrum import LABEL_METHODS, is_spectrum_method, position_weights
+from tspec import spectrum
+from tspec.spectrum import MAX_D_MODEL, LABEL_METHODS, is_spectrum_method, position_weights
 from tests.conftest import same_bits
 from tests.oracles import (
     ascending_percentile_oracle,
     encoding_oracle,
     rank_threshold_oracle,
     sspe_brute_force,
+    sspe_weights_whole_matrix,
     window_matrices_oracle,
 )
 
@@ -38,15 +40,15 @@ GRID_D_MODELS = (2, 4, 8, 16, 32, 64, 128, 236, 256)
 
 def encode(pos, d_model):
     """Row ``pos`` of the encoding matrix."""
-    return encoding_matrix(pos + 1, EncodingConfig(d_model))[pos]
+    return encoding_matrix(pos + 1, d_model)[pos]
 
 
 def coap_of(bits):
     return coap_values(np.asarray(bits)[None, :])[0]
 
 
-def sspe_of(bits, cfg):
-    return sspe_values(np.asarray(bits)[None, :], cfg)[0]
+def sspe_of(bits, d_model):
+    return sspe_values(np.asarray(bits)[None, :], d_model)[0]
 
 
 class TestPositionalEncoding:
@@ -62,20 +64,19 @@ class TestPositionalEncoding:
 
     @pytest.mark.parametrize("d_model", GRID_D_MODELS)
     def test_pair_norms(self, d_model):
-        matrix = encoding_matrix(60, EncodingConfig(d_model))
+        matrix = encoding_matrix(60, d_model)
         for pos in range(0, 60, 7):
             vec = matrix[pos]
             pair_norms = vec[0::2] ** 2 + vec[1::2] ** 2
             assert np.abs(pair_norms - 1.0).max() <= 1e-12
 
     def test_odd_dimension_rejected(self):
-        with pytest.raises(ConfigError):
-            EncodingConfig(3)
-        with pytest.raises(ConfigError):
-            EncodingConfig(0)
+        for d_model in (3, 0):
+            with pytest.raises(ConfigError, match="d_model"):
+                sspe_values(np.ones((1, 2)), d_model)
 
     def test_matrix_matches_single_positions(self):
-        matrix = encoding_matrix(10, EncodingConfig(8))
+        matrix = encoding_matrix(10, 8)
         for pos in range(10):
             assert matrix[pos] == pytest.approx(encoding_oracle(pos, 8), abs=1e-12)
 
@@ -83,7 +84,7 @@ class TestPositionalEncoding:
         # Positions are 0..length-1, so a negative length is the only way to
         # ask for a negative position.
         with pytest.raises(ValueError):
-            encoding_matrix(-1, EncodingConfig(2))
+            encoding_matrix(-1, 2)
 
 
 class TestCoap:
@@ -119,14 +120,14 @@ class TestCoap:
 
 class TestSspe:
     def test_all_zero_labels(self):
-        assert sspe_of([0, 0, 0], EncodingConfig(8)) == 0.0
+        assert sspe_of([0, 0, 0], 8) == 0.0
 
     def test_single_attack_at_origin(self):
-        assert sspe_of([1, 0], EncodingConfig(2)) == pytest.approx(1.0, abs=1e-12)
+        assert sspe_of([1, 0], 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_positions_two_dims(self):
         expected = sspe_brute_force([0, 1], 2)
-        value = sspe_of([0, 1], EncodingConfig(2))
+        value = sspe_of([0, 1], 2)
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(1.3817732906760363, abs=1e-9)
 
@@ -137,11 +138,11 @@ class TestSspe:
             n = int(rng.integers(1, 61))
             bits = rng.integers(0, 2, size=n)
             expected = sspe_brute_force(bits.tolist(), d_model)
-            assert sspe_of(bits, EncodingConfig(d_model)) == pytest.approx(expected, abs=1e-9)
+            assert sspe_of(bits, d_model) == pytest.approx(expected, abs=1e-9)
 
     def test_linearity_on_disjoint_supports(self):
         rng = np.random.default_rng(11)
-        cfg = EncodingConfig(16)
+        d_model = 16
         for _ in range(40):
             n = int(rng.integers(2, 50))
             support = rng.permutation(n)
@@ -151,19 +152,19 @@ class TestSspe:
             a[support[:half]] = rng.integers(0, 2, half)
             b[support[half:]] = rng.integers(0, 2, n - half)
             combined = a | b
-            assert sspe_of(combined, cfg) == pytest.approx(
-                sspe_of(a, cfg) + sspe_of(b, cfg), abs=1e-9
+            assert sspe_of(combined, d_model) == pytest.approx(
+                sspe_of(a, d_model) + sspe_of(b, d_model), abs=1e-9
             )
             assert coap_of(combined) == coap_of(a) + coap_of(b)
 
     def test_position_sensitivity_exists(self):
-        cfg = EncodingConfig(2)
-        assert sspe_of([1, 0], cfg) != sspe_of([0, 1], cfg)
+        d_model = 2
+        assert sspe_of([1, 0], d_model) != sspe_of([0, 1], d_model)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(5)
         bits = rng.integers(0, 2, size=(20, 30))
-        values = sspe_values(bits, EncodingConfig(8))
+        values = sspe_values(bits, 8)
         for row, value in zip(bits, values):
             assert value == pytest.approx(sspe_brute_force(row.tolist(), 8), abs=1e-9)
         assert np.array_equal(coap_values(bits), bits.sum(axis=1))
@@ -180,13 +181,38 @@ class TestPositionWeights:
     @pytest.mark.parametrize("d_model", [2, 8, 236])
     def test_sspe_weights_are_encoding_row_sums(self, d_model):
         weights = position_weights("sspe", 9, d_model)
-        assert same_bits(weights, encoding_matrix(9, EncodingConfig(d_model)).sum(axis=1))
+        assert same_bits(weights, encoding_matrix(9, d_model).sum(axis=1))
         for pos in range(9):
             one_hot = [0] * 9
             one_hot[pos] = 1
             assert weights[pos] == pytest.approx(sspe_brute_force(one_hot, d_model), abs=1e-9)
         bits = np.random.default_rng(d_model).integers(0, 2, size=(25, 9))
-        assert same_bits(sspe_values(bits, EncodingConfig(d_model)), bits @ weights)
+        assert same_bits(sspe_values(bits, d_model), bits @ weights)
+
+    @given(
+        window=st.integers(1, 300),
+        d_model=st.integers(1, 2048).map(lambda half: 2 * half),
+        block=st.integers(1, 5000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_blocked_weights_equal_the_whole_matrix(self, window, d_model, block):
+        # Rows are built a block at a time; each row sums the same cells in
+        # the same order as in the whole matrix, so the bits are equal.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectrum, "_ENCODING_BLOCK", block)
+            got = position_weights("sspe", window, d_model)
+        assert same_bits(got, sspe_weights_whole_matrix(window, d_model))
+
+    def test_long_window_at_the_bound_in_bounded_memory(self):
+        # The whole (3600, MAX_D_MODEL) matrix would take 1.9 GB.
+        tracemalloc.start()
+        try:
+            weights = position_weights("sspe", 3600, MAX_D_MODEL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert same_bits(weights[:40], sspe_weights_whole_matrix(40, MAX_D_MODEL))
 
     def test_sspe_needs_an_even_d_model(self):
         with pytest.raises(ConfigError, match="d_model"):
@@ -335,7 +361,7 @@ class TestParameterGrid:
         rows = parameter_grid_scores(bits, {"window": [10, 20], "d_model": [8]}, stride=3, bins=10)
         for row in rows:
             _, labels, _ = window_matrices_oracle(np.zeros((200, 1)), bits, row["window"], 3)
-            values = sspe_values(labels, EncodingConfig(8))
+            values = sspe_values(labels, 8)
             assert row["score"] == score_label_distribution(values, bins=10)
 
     def test_spectrum_ignores_features(self):
