@@ -186,9 +186,10 @@ def parse_flow_csv(path: str | Path, schema: FlowSchema) -> PacketTimeline:
 
     Rows must be ordered by increasing timestamp, one row per second (after
     flooring); seconds are rebased so the first row sits at second 0.  A
-    repeated second, any non-numeric or non-finite feature cell, non-binary
-    label, or unparsable timestamp aborts the parse with the offending row
-    number (1-based, counting the header as row 1).
+    repeated second, a row with more cells than the header, any non-numeric
+    or non-finite feature cell, non-binary label, or unparsable timestamp
+    aborts the parse with the offending row number (1-based, counting the
+    header as row 1).
     """
     path = Path(path)
     if not path.exists():
@@ -216,6 +217,12 @@ def parse_flow_csv(path: str | Path, schema: FlowSchema) -> PacketTimeline:
         features: list[list[float]] = []
         first_ts: float | None = None
         for row_no, row in enumerate(reader, start=2):
+            extra = row.get(None)  # DictReader's list of cells beyond the header
+            if extra:
+                raise DataError(
+                    f"row {row_no}: {len(header) + len(extra)} cells, "
+                    f"but the header has {len(header)}"
+                )
             ts = _parse_timestamp(row[schema.timestamp_column], schema.timestamp_format, row_no)
             if first_ts is None:
                 first_ts = ts

@@ -12,6 +12,7 @@ round trip reproduces predictions bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from pathlib import Path
@@ -28,6 +29,7 @@ MODEL_FILE_VERSION = 1
 TASKS = ("classify", "regress")
 
 
+_ANY = Range(-math.inf)
 _AT_LEAST_0 = Range(0)
 _AT_LEAST_1 = Range(1)
 _POSITIVE = Range(0, open_low=True)
@@ -236,13 +238,20 @@ def load_model(path: str | Path) -> TrainedModel:
     if version != MODEL_FILE_VERSION:
         raise DataError(f"{path}: unsupported model file version {version!r}")
     try:
+        seed, feature_count = payload["spec"]["seed"], payload["feature_count"]
+        for key, value, valid in (
+            ("seed", seed, _ANY),
+            ("feature_count", feature_count, _AT_LEAST_0),
+        ):
+            problem = valid.problem(value, Integral)
+            if problem:
+                raise ValueError(f"{key} must be {problem}, got {value!r}")
         spec = ModelSpec(
             family=payload["spec"]["family"],
             task=payload["spec"]["task"],
-            seed=int(payload["spec"]["seed"]),
+            seed=seed,
             hyperparameters=dict(payload["spec"]["hyperparameters"]),
         )
-        feature_count = int(payload["feature_count"])
         return TrainedModel(
             spec=spec,
             feature_count=feature_count,

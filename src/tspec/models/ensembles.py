@@ -14,15 +14,7 @@ import numpy as np
 
 from ..seeds import rng_for
 from .glm import _sigmoid
-from .trees import (
-    Tree,
-    build_tree,
-    presort,
-    rank_codes,
-    tied_columns,
-    tree_apply,
-    tree_predict,
-)
+from .trees import Presorted, Tree, build_tree, rank_codes, tree_apply, tree_predict
 
 _EPS = 1e-12
 
@@ -98,12 +90,10 @@ def gbm_fit(
 
     scores = np.full(n, f0)
     trees: list[Tree] = []
-    # Without subsampling every tree fits all of X, so one sort and one set of
-    # tie flags serve them all; otherwise each tree computes its own.
-    order = tied = None
-    if subsample >= 1.0:
-        order = presort(X)
-        tied = tied_columns(X, order)
+    # Without subsampling every tree fits all of X, so one sort, one set of
+    # tie flags, one copy of X.T and the last tree's child row orders serve
+    # them all; otherwise each tree computes its own.
+    presorted = Presorted(X) if subsample >= 1.0 else None
     rows = np.arange(n)
     Xt = X
     for t in range(n_trees):
@@ -118,7 +108,7 @@ def gbm_fit(
             prob = _sigmoid(scores)
             residual = y - prob
             target = residual[rows]
-            tree = build_tree(Xt, target, max_depth=max_depth, order=order, tied=tied)
+            tree = build_tree(Xt, target, max_depth=max_depth, presorted=presorted)
             # Newton leaf values: sum(residual) / sum(p * (1 - p)) per leaf.
             # A row's leaf does not depend on the other rows walked, so one
             # walk of X serves the Newton step and the score update.
@@ -133,7 +123,7 @@ def gbm_fit(
             step = value[all_leaves]
         else:
             residual = y - scores
-            tree = build_tree(Xt, residual[rows], max_depth=max_depth, order=order, tied=tied)
+            tree = build_tree(Xt, residual[rows], max_depth=max_depth, presorted=presorted)
             step = tree_predict(tree, X)
 
         scores += learning_rate * step

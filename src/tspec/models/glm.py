@@ -43,6 +43,20 @@ def _objective(z: np.ndarray, y: np.ndarray, theta: np.ndarray, penalty: np.ndar
 _MAX_HALVINGS = 50
 
 
+def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """``d`` with ``hess @ d = grad``: an LU solve, or, when that finds the
+    Hessian singular or gives a non-finite step, least squares, so that a
+    singular Hessian (``l2=0`` on separable data, duplicate columns) still
+    gives a finite step."""
+    try:
+        step = np.linalg.solve(hess, grad)
+    except np.linalg.LinAlgError:
+        step = None
+    if step is None or not np.isfinite(step).all():
+        step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+    return step
+
+
 def fit_binomial(
     X: np.ndarray,
     y: np.ndarray,
@@ -54,11 +68,10 @@ def fit_binomial(
 
     The intercept is unpenalized.  Each step solves ``H d = g`` with
     ``H = A.T diag(p(1-p)) A / n + diag(l2, ..., l2, 0)`` and ``A = [X 1]``
-    by least squares, so a singular Hessian (``l2=0`` on separable data,
-    duplicate columns) still gives a finite step.  The step is halved while
-    the objective rises; if ``_MAX_HALVINGS`` halvings find no descent the
-    fit stops where it is, so the objective never rises.  Stops when the
-    objective moves by less than ``tol`` or after ``max_iter`` steps.
+    (``_newton_step``).  The step is halved while the objective rises; if
+    ``_MAX_HALVINGS`` halvings find no descent the fit stops where it is, so
+    the objective never rises.  Stops when the objective moves by less than
+    ``tol`` or after ``max_iter`` steps.
     Requires both classes to be present, and features small enough (below
     about 1e150) that the Newton system stays finite.
     """
@@ -81,7 +94,7 @@ def fit_binomial(
         if not (np.isfinite(hess).all() and np.isfinite(grad).all()):
             # LAPACK's least-squares solve can loop forever on inf or NaN.
             raise DataError("logistic fit overflowed: feature values are too large")
-        step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        step = _newton_step(hess, grad)
         for _ in range(_MAX_HALVINGS):
             trial = theta - step
             trial_z = A @ trial

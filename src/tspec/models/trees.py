@@ -96,6 +96,44 @@ def tied_columns(X: np.ndarray, order: np.ndarray) -> np.ndarray:
     return (xs[:, 1:] == xs[:, :-1]).any(axis=1)
 
 
+class Presorted:
+    """What full-width trees grown on one X share: X.T as a contiguous copy,
+    ``presort(X)``, ``tied_columns`` and, in ``last``, the splits of the
+    last tree grown with it and their children's sorted rows.
+
+    A node's path (the (feature, threshold, side) steps from the root) fixes
+    its rows, and its rows and split fix its children's sorted rows, so a
+    node that makes the split the last tree made at the same path takes
+    that tree's child orders instead of filtering its own: the trees are the
+    same either way.  Sorted rows are kept as the narrowest unsigned
+    integers that hold n - 1 (``uint16`` below 65,536 rows) and widened to
+    ``intp`` only at the node that scans them.  Child orders are kept from
+    the last tree only: a tree frees the last tree's orders under a node as
+    soon as it has taken them or split the node another way, and the rest
+    when it ends.
+    """
+
+    def __init__(self, X: np.ndarray):
+        order = presort(X)
+        self.XT = np.ascontiguousarray(X.T)
+        self.tied = tied_columns(X, order)
+        self.dtype = np.min_scalar_type(max(X.shape[0] - 1, 0))
+        self.order = order.astype(self.dtype)
+        self.last: _Split | None = None  # the last tree's root
+
+
+@dataclass(eq=False)
+class _Split:
+    """A split node of a tree grown with a ``Presorted``, and the sorted rows
+    of its children (``Presorted.dtype``).  ``below`` holds the children's
+    own ``_Split``, None where a child is a leaf or too deep to need orders."""
+
+    feature: int
+    threshold: float
+    orders: tuple[np.ndarray, np.ndarray]
+    below: list
+
+
 def _gather(XT: np.ndarray, feats: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``XT[feats[i], rows[i, j]]`` for every (i, j), as one flat take."""
     return XT.take(rows + feats[:, None] * XT.shape[1])
@@ -175,9 +213,8 @@ def build_tree(
     max_features: int | None = None,
     rng: np.random.Generator | None = None,
     min_samples_split: int = 2,
-    order: np.ndarray | None = None,
+    presorted: Presorted | None = None,
     codes: np.ndarray | None = None,
-    tied: np.ndarray | None = None,
 ) -> Tree:
     """Grow a depth-limited tree on (X, y).
 
@@ -186,30 +223,33 @@ def build_tree(
     Nodes are numbered in depth-first, left-child-first order.
 
     Without feature subsampling the split search scans rows presorted once
-    per fit: ``order`` is ``presort(X)`` and ``tied`` is
-    ``tied_columns(X, order)`` from a caller that fits several trees on one
-    X, and each is computed here otherwise.  Each child keeps a stable filter
-    of its parent's sorted rows.  With feature subsampling a node stably
-    argsorts its own rows by the ``codes`` of the features it draws
+    per fit: ``presorted`` is ``Presorted(X)`` from a caller that fits
+    several trees on one X, and is made here otherwise.  Each child keeps a
+    stable filter of its parent's sorted rows, or the last tree's orders
+    for the same child (see ``Presorted``).  With feature subsampling a node
+    stably argsorts its own rows by the ``codes`` of the features it draws
     (``rank_codes(X)``, from the caller or computed here; a C-contiguous
     array, else every node's gather copies it), and every drawn feature is
-    checked for equal values, since bootstrap rows repeat.  ``order`` and
-    ``tied`` serve full-width trees only and ``codes`` feature-subset trees
-    only; each is ignored by the other kind.  Either way the rows reach the
-    scan in the order a stable argsort of the node's rows gives.
+    checked for equal values, since bootstrap rows repeat.  ``presorted``
+    serves full-width trees only and ``codes`` feature-subset trees only;
+    each is ignored by the other kind.  Either way the rows reach the scan
+    in the order a stable argsort of the node's rows gives.
     """
     n, width = X.shape
-    XT = np.ascontiguousarray(X.T)
     packed = np.empty(n, dtype=np.complex128)
     packed.real = y
     packed.imag = y * y
     subset = max_features is not None and max_features < width
+    carry = not subset and presorted is not None  # only a caller's trees share orders
     if subset:
+        XT = np.ascontiguousarray(X.T)
         codes = rank_codes(X) if codes is None else codes
         tied = np.ones(max_features, dtype=bool)
+        order = last = None
     else:
-        order = presort(X) if order is None else order
-        tied = tied_columns(X, order) if tied is None else tied
+        presorted = presorted or Presorted(X)
+        XT, order, tied = presorted.XT, presorted.order, presorted.tied
+        last, presorted.last = presorted.last, None
     all_feats = np.arange(width)
 
     feature: list[int] = []
@@ -222,10 +262,13 @@ def build_tree(
     # rows are dropped once its children are filtered, so only the pending
     # right children's rows stay alive.  Entries: (the node's rows of X in
     # ascending order, its per-feature sorted rows or None, depth, (left or
-    # right, parent id) to link it from, or None at the root).
-    stack = [(np.arange(n), None if subset else order, 0, None)]
+    # right, parent id) to link it from, or None at the root, the last
+    # tree's ``_Split`` at the node's path or None, (list, index) to store
+    # the node's own ``_Split`` at, or None).
+    top = [None]
+    stack = [(np.arange(n), order, 0, None, last, (top, 0))]
     while stack:
-        idx, rows, depth, link = stack.pop()
+        idx, rows, depth, link, last, slot = stack.pop()
         node = len(feature)
         if link is not None:
             link[0][link[1]] = node
@@ -245,7 +288,7 @@ def build_tree(
             feats = np.sort(rng.choice(width, size=max_features, replace=False))
             rows = idx[np.argsort(_gather(codes, feats, idx[None, :]), axis=1, kind="stable")]
         else:
-            feats = all_feats
+            feats, rows = all_feats, rows.astype(np.intp, copy=False)
         found = _best_split(XT, packed, feats, rows, tied)
         if found is None:
             continue
@@ -255,19 +298,30 @@ def build_tree(
 
         goes_left = XT[feat] <= thr
         mask = goes_left[idx]
-        children = [None, None]
+        children = below = slots = (None, None)
         if not subset and depth + 1 < max_depth:  # leaf children need no orders
-            # Stable filter of every feature's sorted rows into each child;
-            # each feature row keeps the same number of entries.
-            side = goes_left.take(rows)
-            children = [
-                rows.take(np.flatnonzero(keep)).reshape(width, -1) for keep in (side, ~side)
-            ]
+            if last is not None and (last.feature, last.threshold) == (feat, thr):
+                children, below = last.orders, last.below
+            else:
+                last = None  # frees the last tree's orders under this node
+                # Stable filter of every feature's sorted rows into each
+                # child; each feature row keeps the same number of entries.
+                side = goes_left.take(rows)
+                children = tuple(
+                    rows.take(np.flatnonzero(keep)).astype(presorted.dtype).reshape(width, -1)
+                    for keep in (side, ~side)
+                )
+            if carry:
+                split = _Split(feat, thr, children, [None, None])
+                slot[0][slot[1]] = split
+                slots = ((split.below, 0), (split.below, 1))
         feature[node] = feat
         threshold[node] = thr
-        stack.append((idx[~mask], children[1], depth + 1, (right, node)))
-        stack.append((idx[mask], children[0], depth + 1, (left, node)))
+        stack.append((idx[~mask], children[1], depth + 1, (right, node), below[1], slots[1]))
+        stack.append((idx[mask], children[0], depth + 1, (left, node), below[0], slots[0]))
 
+    if carry:
+        presorted.last = top[0]
     return Tree(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),

@@ -274,6 +274,17 @@ class TestRegressions:
         assert rc == 2
         assert err.strip() == f"tspec: data error: {csv_path}: byte 200 is not valid UTF-8"
 
+    def test_input_csv_row_with_extra_cells(self, ws, tmp_path):
+        # The csv reader once dropped cells beyond the header without a word.
+        csv_path = tmp_path / "flows.csv"
+        lines = (ws / "raw" / "synthetic.csv").read_text().splitlines(keepends=True)
+        width = len(lines[0].split(","))
+        lines[3] = lines[3].rstrip("\r\n") + ",999,888\n"
+        csv_path.write_text("".join(lines))
+        rc, err = self.build_from(ws, tmp_path, csv_path)
+        assert rc == 2
+        assert f"row 4: {width + 2} cells, but the header has {width}" in err
+
     def test_input_csv_open_fails(self, ws, tmp_path, monkeypatch):
         csv_path = tmp_path / "flows.csv"
         shutil.copy(ws / "raw" / "synthetic.csv", csv_path)

@@ -1,6 +1,7 @@
 """Model tests: GLM fits, tree ensembles, determinism, JSON round trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -494,6 +495,19 @@ class TestModelFileChecks:
         path = self._saved(tmp_path, "random_forest", "regress")
         with pytest.raises(DataError, match="one entry per node"):
             self._load_edited(path, lambda p: p["parameters"]["trees"][0]["value"].pop())
+
+    @pytest.mark.parametrize("key", ["seed", "feature_count"])
+    @pytest.mark.parametrize("value", [7.9, 3.0, True, "3"])
+    def test_integer_fields_are_not_coerced(self, tmp_path, key, value):
+        # int() once loaded a seed of 7.9 as 7 and 3.0 features as 3.
+        path = self._saved(tmp_path, "random_forest")
+
+        def edit(p):
+            (p["spec"] if key == "seed" else p)[key] = value
+
+        want = f"{path} is not a valid model file: {key} must be an integer, got {value!r}"
+        with pytest.raises(DataError, match=re.escape(want)):
+            self._load_edited(path, edit)
 
     def test_hyperparameter_of_wrong_kind(self, tmp_path):
         path = self._saved(tmp_path, "random_forest")

@@ -2,9 +2,11 @@
 per-node argsort reference in ``tests/oracles.py``: same node dicts, same
 predictions.  The blocked complex scan of one node finds the split of the
 one-block float scan there.  The level-wise ``tree_apply`` finds the leaves
-of the row-at-a-time reference walk."""
+of the row-at-a-time reference walk.  Boosting rounds that take the last
+round's child row orders grow the reference's trees too."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tspec.models import trees
+from tspec.models import ensembles, trees
 from tspec.models.ensembles import forest_fit, gbm_fit
 from tspec.models.trees import (
+    Presorted,
     Tree,
     build_tree,
     presort,
@@ -61,7 +64,7 @@ def test_full_width_tree(decimals, duplicate):
     X, y = tied_problem(120, 6, decimals, seed=decimals, constant_cols=(2,), duplicate=duplicate)
     reference = build_tree_argsort(X, y, max_depth=6)
     assert_same_tree(build_tree(X, y, max_depth=6), reference, X)
-    assert_same_tree(build_tree(X, y, max_depth=6, order=presort(X)), reference, X)
+    assert_same_tree(build_tree(X, y, max_depth=6, presorted=Presorted(X)), reference, X)
 
 
 @pytest.mark.parametrize("max_features", [1, 3, 5])
@@ -172,6 +175,20 @@ def test_equal_best_scores_in_two_blocks_go_to_the_lower_feature(monkeypatch):
     assert_same_tree(tree, build_tree_argsort(X, y, 3), X)
 
 
+def assert_gbm_matches(X, y, task, n_trees, max_depth, subsample, seed):
+    """``gbm_fit`` grows the reference boosting's trees; returns them."""
+    params = gbm_fit(
+        X, y, task, n_trees=n_trees, max_depth=max_depth, subsample=subsample, seed=seed
+    )
+    f0, reference = gbm_fit_oracle(
+        X, y, task, n_trees, 0.1, max_depth, subsample, lambda t: rng_for(seed, "tree", t)
+    )
+    assert params["f0"] == f0
+    for tree, want in zip(params["trees"], reference, strict=True):
+        assert_same_tree(tree, want, X)
+    return params["trees"]
+
+
 def gbm_tied_problem(seed, tree_rng):
     """Columns 0-2 rounded to one decimal (ties everywhere), 3-4 continuous
     (no ties) and column 5 with one tie: rows a and b share the value 0.0
@@ -198,11 +215,7 @@ def test_gbm_on_columns_with_and_without_ties(subsample):
     tree_rng = lambda t: rng_for(4, "tree", t)  # noqa: E731
     X, y = gbm_tied_problem(seed=21, tree_rng=tree_rng)
     assert tied_columns(X, presort(X)).tolist() == [True] * 3 + [False] * 2 + [True]
-    params = gbm_fit(X, y, "classify", n_trees=8, max_depth=5, subsample=subsample, seed=4)
-    f0, reference = gbm_fit_oracle(X, y, "classify", 8, 0.1, 5, subsample, tree_rng)
-    assert params["f0"] == f0
-    for tree, want in zip(params["trees"], reference, strict=True):
-        assert_same_tree(tree, want, X)
+    assert_gbm_matches(X, y, "classify", n_trees=8, max_depth=5, subsample=subsample, seed=4)
 
 
 @pytest.fixture
@@ -358,13 +371,153 @@ def test_gbm_matches_reference(task, subsample):
     X, y = tied_problem(160, 5, 1, seed=13, constant_cols=(3,))
     if task == "classify":
         y = (y > 0).astype(np.float64)
-    params = gbm_fit(X, y, task, n_trees=6, max_depth=4, subsample=subsample, seed=9)
-    f0, reference = gbm_fit_oracle(
-        X, y, task, 6, 0.1, 4, subsample, lambda t: rng_for(9, "tree", t)
-    )
-    assert params["f0"] == f0
-    for tree, want in zip(params["trees"], reference, strict=True):
-        assert_same_tree(tree, want, X)
+    assert_gbm_matches(X, y, task, n_trees=6, max_depth=4, subsample=subsample, seed=9)
+
+
+def kept_orders(presorted):
+    """The child row orders ``presorted`` keeps, one pair per split node of
+    the last tree grown with it."""
+    kept, pending = [], [presorted.last]
+    while pending:
+        split = pending.pop()
+        if split is not None:
+            kept.append(split.orders)
+            pending.extend(split.below)
+    return kept
+
+
+def nodes_with_child_orders(tree, max_depth):
+    """Split nodes whose children are not too deep to need row orders."""
+    count, pending = 0, [(0, 0)]
+    while pending:
+        node, depth = pending.pop()
+        if tree.feature[node] >= 0:
+            count += depth + 1 < max_depth
+            pending += [(tree.left[node], depth + 1), (tree.right[node], depth + 1)]
+    return count
+
+
+@pytest.fixture
+def carried(monkeypatch):
+    """Per tree ``gbm_fit`` grows: how many child order pairs it took over
+    from the tree before, or None when the fit shares no ``Presorted``.
+    Checks that a tree keeps exactly one pair per split node with children
+    that need orders, in the narrowest unsigned type."""
+    rounds = []
+    real = ensembles.build_tree
+
+    def spy(X, y, max_depth, *args, presorted=None, **kwargs):
+        if presorted is None:
+            rounds.append(None)
+            return real(X, y, max_depth, *args, **kwargs)
+        before = kept_orders(presorted)  # held, so no id is reused below
+        tree = real(X, y, max_depth, *args, presorted=presorted, **kwargs)
+        after = kept_orders(presorted)
+        assert len(after) == nodes_with_child_orders(tree, max_depth)
+        narrow = np.min_scalar_type(X.shape[0] - 1)
+        assert all(rows.dtype == narrow for pair in after for rows in pair)
+        ids = {id(pair) for pair in before}
+        rounds.append(sum(id(pair) in ids for pair in after))
+        return tree
+
+    monkeypatch.setattr(ensembles, "build_tree", spy)
+    return rounds
+
+
+def split_paths(tree):
+    """(feature, threshold) of every split node, by its path from the root:
+    the (feature, threshold, went left) steps that reach it."""
+    splits, pending = {}, [(0, ())]
+    while pending:
+        node, path = pending.pop()
+        feat = int(tree.feature[node])
+        if feat >= 0:
+            thr = float(tree.threshold[node])
+            splits[path] = (feat, thr)
+            pending += [
+                (tree.left[node], (*path, (feat, thr, True))),
+                (tree.right[node], (*path, (feat, thr, False))),
+            ]
+    return splits
+
+
+def boosting_problem(noisy, task, n=200, seed=0):
+    """Six columns at one decimal.  Separable: y says whether x0 + x1 > 0.
+    Noisy: x0 plus noise; regression adds x2."""
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, 6)), 1)
+    if not noisy:
+        return X, (X[:, 0] + X[:, 1] > 0).astype(np.float64)
+    y = (X[:, 0] + 0.5 * rng.normal(size=n) > 0).astype(np.float64)
+    return X, y if task == "classify" else y + X[:, 2]
+
+
+@pytest.mark.parametrize("subsample", [1.0, 0.5])
+@pytest.mark.parametrize("task", ["classify", "regress"])
+def test_repeated_splits_take_the_last_rounds_orders(carried, task, subsample):
+    X, y = boosting_problem(noisy=False, task=task, seed=2)
+    assert_gbm_matches(X, y, task, n_trees=10, max_depth=4, subsample=subsample, seed=3)
+    if subsample < 1.0:  # each tree fits other rows: nothing is shared
+        assert carried == [None] * 10
+    else:  # the splits repeat, and every round after the first takes orders over
+        assert carried[0] == 0 and min(carried[1:]) >= 1
+        assert sum(carried) >= 40
+
+
+@pytest.mark.parametrize("subsample", [1.0, 0.5])
+@pytest.mark.parametrize("task", ["classify", "regress"])
+def test_splits_that_change_and_come_back(carried, task, subsample):
+    # A split that differs from the last round's drops that round's orders
+    # under it; when the next round returns to the older split, it filters.
+    X, y = boosting_problem(noisy=True, task=task, seed=0)
+    fitted = assert_gbm_matches(X, y, task, n_trees=12, max_depth=4, subsample=subsample, seed=3)
+    if subsample < 1.0:
+        assert carried == [None] * 12
+        return
+    splits = [split_paths(tree) for tree in fitted]
+    came_back = [
+        path
+        for t in range(2, len(splits))
+        for path, split in splits[t].items()
+        if splits[t - 1].get(path, split) != split and splits[t - 2].get(path) == split
+    ]
+    assert came_back and sum(carried) > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    d=st.integers(1, 5),
+    decimals=st.integers(0, 2),
+    seed=st.integers(0, 2**16),
+    task=st.sampled_from(["classify", "regress"]),
+    subsample=st.sampled_from([1.0, 0.5]),
+    n_trees=st.integers(1, 10),
+    max_depth=st.integers(0, 5),
+)
+def test_random_boosting_problems_match_reference(
+    n, d, decimals, seed, task, subsample, n_trees, max_depth
+):
+    X, y = tied_problem(n, d, decimals, seed, constant_cols=range(2, d, 3))
+    if task == "classify":
+        y = (y > 0).astype(np.float64)
+    assert_gbm_matches(X, y, task, n_trees, max_depth, subsample, seed)
+
+
+def test_carried_orders_keep_the_fit_within_its_former_peak():
+    # 5.83 MB was the tracemalloc peak of this fit before the fit kept any
+    # orders between rounds (numpy 2.4); keeping them as int64, or keeping
+    # the last tree's orders under splits that changed, went past 7 MB.
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(840, 180))
+    y = (X[:, 0] + X[:, 1] + 0.5 * rng.normal(size=840) > 0).astype(np.float64)
+    tracemalloc.start()
+    try:
+        gbm_fit(X, y, "classify", n_trees=50, max_depth=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.0e6
 
 
 @settings(max_examples=60, deadline=None)
