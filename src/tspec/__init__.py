@@ -34,7 +34,6 @@ from .evalharness import (
     emit_report,
     identification_accuracy,
     identify_segments,
-    load_report,
     run_noise_sweep,
 )
 from .identify import (
@@ -62,11 +61,8 @@ from .spectrum import (
     binarize,
     coap_values,
     compute_threshold,
-    default_parameter_grid,
     encoding_matrix,
-    parameter_grid_scores,
     proportional_positive_count,
-    score_label_distribution,
     sspe_values,
 )
 from .windowing import (

@@ -370,14 +370,14 @@ def _load_split(dataset_dir: Path) -> tuple[Dataset, Dataset, Dataset, dict]:
     if not split:
         raise DataError(f"dataset under {dataset_dir} has no recorded split")
     parts, n = [], len(ds)
-    for key, role in (("train_indices", "train"), ("test_indices", "test")):
+    for key in ("train_indices", "test_indices"):
         rows = split.get(key) if isinstance(split, dict) else None
         if not isinstance(rows, list) or not all(type(i) is int and 0 <= i < n for i in rows):
             raise DataError(
                 f"{dataset_dir / 'dataset.json'}: split key {key!r} must be a list of "
                 f"row indices in [0, {n})"
             )
-        parts.append(ds.take(np.asarray(rows, dtype=np.int64), role=role))
+        parts.append(ds.take(np.asarray(rows, dtype=np.int64)))
     return ds, *parts, sidecar
 
 
@@ -507,6 +507,14 @@ def cmd_identify(cfg: dict) -> int:
         save_registry(signatures, registry_path)
 
     signatures = load_registry(registry_path)
+    labels = (sidecar["provenance"]["method"], sidecar["provenance"].get("d_model"))
+    for sig in signatures:
+        if (sig.method, sig.d_model) != labels:
+            raise DataError(
+                f"{registry_path}: signature {sig.attack_name!r} is for method {sig.method!r} "
+                f"with d_model {sig.d_model!r}, but the dataset under {dataset_dir} has "
+                f"method {labels[0]!r} with d_model {labels[1]!r}"
+            )
     model_path = cfg["model"]
     if not model_path:
         family = (cfg["identify_families"] or ["glm_gaussian"])[0]

@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 import zipfile
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, atomic_write, read_json_object, write_json
+from .errors import ConfigError, DataError, Range, atomic_write, read_json_object, write_json
 from .ingest import PacketTimeline
 from .spectrum import LABEL_METHODS, coap_values, is_spectrum_method, sspe_values
 from .windowing import flatten_windows, window_attack_tags, window_binary_labels, window_matrices
@@ -110,18 +111,15 @@ class Dataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def take(self, indices: np.ndarray, role: str | None = None) -> "Dataset":
-        """Row subset in the given index order, with provenance annotated."""
+    def take(self, indices: np.ndarray) -> "Dataset":
+        """Row subset in the given index order; ``provenance["row_indices"]``
+        records the indices."""
         indices = np.asarray(indices, dtype=np.int64)
-        prov = dict(self.provenance)
-        if role is not None:
-            prov["role"] = role
-        prov["row_indices"] = [int(i) for i in indices]
         return Dataset(
             features=self.features[indices].copy(),
             spectrum_labels=self.spectrum_labels[indices].copy(),
             binary_labels=self.binary_labels[indices].copy(),
-            provenance=prov,
+            provenance={**self.provenance, "row_indices": [int(i) for i in indices]},
             window_tags=None
             if self.window_tags is None
             else tuple(self.window_tags[i] for i in indices),
@@ -161,7 +159,7 @@ def split_dataset(
     mask = np.zeros(m, dtype=bool)
     mask[test_idx] = True
     train_idx = np.flatnonzero(~mask)
-    return ds.take(train_idx, role="train"), ds.take(test_idx, role="test")
+    return ds.take(train_idx), ds.take(test_idx)
 
 
 def downsample_majority(ds: Dataset, majority_ratio: float, seed: int) -> Dataset:
@@ -282,24 +280,26 @@ class SyntheticScenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SyntheticScenario":
+        """A scenario from parsed JSON, with every value's type checked by
+        ``_field`` and nothing coerced."""
         try:
-            segments = tuple(
-                AttackSegment(
-                    name=s["name"],
-                    start=int(s["start"]),
-                    length=int(s["length"]),
+            segments = []
+            for i, s in enumerate(data["segments"]):
+                where = f"segment {i}: "
+                segments.append(AttackSegment(
+                    name=_field(s, "name", str, where),
+                    start=_field(s, "start", Integral, where),
+                    length=_field(s, "length", Integral, where),
                     pattern=s["pattern"],
-                    period=int(s.get("period", 3)),
-                    offset=tuple(s["offset"]) if isinstance(s.get("offset"), list) else float(s.get("offset", 1.0)),
-                )
-                for s in data["segments"]
-            )
+                    period=_field(s, "period", Integral, where, 3),
+                    offset=_field(s, "offset", Real, where, 1.0),
+                ))
             return cls(
-                duration=int(data["duration"]),
-                feature_count=int(data["feature_count"]),
-                segments=segments,
-                normal_mean=tuple(data["normal_mean"]) if isinstance(data.get("normal_mean"), list) else float(data.get("normal_mean", 0.0)),
-                normal_std=tuple(data["normal_std"]) if isinstance(data.get("normal_std"), list) else float(data.get("normal_std", 1.0)),
+                duration=_field(data, "duration", Integral),
+                feature_count=_field(data, "feature_count", Integral),
+                segments=tuple(segments),
+                normal_mean=_field(data, "normal_mean", Real, default=0.0),
+                normal_std=_field(data, "normal_std", Real, default=1.0),
             )
         except KeyError as exc:
             raise ConfigError(f"scenario is missing key {exc}") from exc
@@ -318,11 +318,28 @@ class SyntheticScenario:
             raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _field(item: dict, key: str, kind, where: str = "", default=None):
+    """``item[key]``, or ``default`` when one is given and the key is absent;
+    a ``TypeError`` unless it is a ``str``, an ``Integral`` or a ``Real``.  A
+    ``Real`` may also be a list (one value per feature), returned as a tuple
+    whose entries ``generate_synthetic`` checks."""
+    value = item[key] if default is None or key in item else default
+    if kind is Real and isinstance(value, list):
+        return tuple(value)
+    if kind is str:
+        problem = None if isinstance(value, str) else "a string"
+    else:
+        problem = Range(-math.inf).problem(value, kind)
+    if problem:
+        raise TypeError(f"{where}key {key!r} must be {problem}, got {value!r}")
+    return value
+
+
 def _per_feature(value, width: int, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be numeric, got {value!r}") from None
+    values = value if isinstance(value, (tuple, list)) else (value,)
+    if any(Range(-math.inf).problem(v) for v in values):
+        raise ConfigError(f"{what} must be numeric and finite, got {value!r}")
+    arr = np.asarray(value, dtype=np.float64)
     if arr.ndim == 0:
         return np.full(width, float(arr))
     if arr.shape != (width,):
@@ -336,6 +353,8 @@ def generate_synthetic(scenario: SyntheticScenario, seed: int) -> PacketTimeline
     width = scenario.feature_count
     mean = _per_feature(scenario.normal_mean, width, "normal_mean")
     std = _per_feature(scenario.normal_std, width, "normal_std")
+    if (std < 0).any():
+        raise ConfigError(f"normal_std must not be negative, got {scenario.normal_std!r}")
 
     features = np.random.default_rng(seed).normal(mean, std, size=(scenario.duration, width))
     labels = np.zeros(scenario.duration, dtype=np.int64)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataprep import Dataset, NoiseSpec, inject_noise
-from .errors import DataError, atomic_write, read_json_object, write_json
+from .errors import DataError, atomic_write, write_json
 from .identify import IdentificationResult, SpectrumSignature, build_registry, identify_attack
 from .models import TrainedModel, predict, train
 from .seeds import derive_seed
@@ -270,32 +270,6 @@ def _row_to_dict(row: EvalRow) -> dict:
     return out
 
 
-def _row_from_dict(data: dict) -> EvalRow:
-    metrics = None
-    if data.get("metrics") is not None:
-        m = data["metrics"]
-        c = m["confusion"]
-        metrics = DetectionMetrics(
-            accuracy=m["accuracy"],
-            precision=m["precision"],
-            recall=m["recall"],
-            f1=m["f1"],
-            tp=c["tp"],
-            fp=c["fp"],
-            fn=c["fn"],
-            tn=c["tn"],
-        )
-    return EvalRow(
-        family=data["family"],
-        method=data["method"],
-        task=data["task"],
-        noise_ratio=data["noise_ratio"],
-        seed=data["seed"],
-        metrics=metrics,
-        identification_accuracy=data.get("identification_accuracy"),
-    )
-
-
 def _figure_table(rows: list[EvalRow], metric: str) -> list[list]:
     """noise_ratio x method table of the metric, averaged over families."""
     cells: dict[tuple[float, str], list[float]] = {}
@@ -357,19 +331,3 @@ def emit_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
         written.append(path)
     return written
 
-
-def load_report(path: str | Path) -> EvalReport:
-    """Inverse of ``emit_report`` for the JSON part."""
-    path = Path(path)
-    if path.is_dir():
-        path = path / "report.json"
-    if not path.exists():
-        raise DataError(f"report not found: {path}")
-    payload = read_json_object(path, DataError, "report")
-    if payload.get("schema_version") != REPORT_SCHEMA_VERSION:
-        raise DataError(f"unsupported report schema version {payload.get('schema_version')!r}")
-    return EvalReport(
-        rows=tuple(_row_from_dict(r) for r in payload["rows"]),
-        config=payload.get("config", {}),
-        label_histograms=payload.get("label_histograms", {}),
-    )

@@ -80,12 +80,11 @@ def build_registry(
     bins: int = 50,
     method: str = "sspe",
     d_model: int | None = None,
-    exclude_zeros: bool = True,
 ) -> list[SpectrumSignature]:
     """Signatures for every attack over one shared range.
 
     The range is [min, max] across all reference label sets; all-normal
-    windows (label exactly 0) are dropped by default so signatures describe
+    windows (label exactly 0) are dropped so signatures describe
     attack-bearing windows only.
     """
     if not labels_by_attack:
@@ -93,8 +92,7 @@ def build_registry(
     cleaned: dict[str, np.ndarray] = {}
     for name, labels in labels_by_attack.items():
         values = np.asarray(labels, dtype=np.float64)
-        if exclude_zeros:
-            values = values[values != 0.0]
+        values = values[values != 0.0]
         if values.size == 0:
             raise DataError(f"attack {name!r} has no usable spectrum labels")
         cleaned[name] = values

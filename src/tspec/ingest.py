@@ -72,23 +72,35 @@ class FlowSchema:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FlowSchema":
+        """A schema from parsed JSON: every column name must be a string and
+        ``feature_columns`` a list of them."""
         try:
-            return cls(
-                timestamp_column=data["timestamp_column"],
-                label_column=data["label_column"],
-                feature_columns=tuple(data["feature_columns"]),
-                attack_name_column=data.get("attack_name_column"),
-                timestamp_format=data.get("timestamp_format", "epoch"),
-            )
+            names = {key: data[key] for key in ("timestamp_column", "label_column")}
+            features = data["feature_columns"]
         except KeyError as exc:
             raise ConfigError(f"schema file is missing key {exc}") from exc
+        if data.get("attack_name_column") is not None:
+            names["attack_name_column"] = data["attack_name_column"]
+        for key, name in names.items():
+            if not isinstance(name, str):
+                raise ConfigError(f"schema key {key!r} must be a column name, got {name!r}")
+        if not (isinstance(features, list) and all(isinstance(c, str) for c in features)):
+            raise ConfigError(
+                f"schema key 'feature_columns' must be a list of column names, got {features!r}"
+            )
+        timestamp_format = data.get("timestamp_format", "epoch")
+        return cls(**names, feature_columns=tuple(features), timestamp_format=timestamp_format)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "FlowSchema":
         path = Path(path)
         if not path.exists():
             raise DataError(f"schema file not found: {path}")
-        return cls.from_dict(read_json_object(path, ConfigError, "schema"))
+        data = read_json_object(path, ConfigError, "schema")
+        try:
+            return cls.from_dict(data)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)

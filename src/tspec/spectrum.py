@@ -18,13 +18,10 @@ packets (see ``compute_threshold`` for the two supported modes).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from importlib import resources
 from numbers import Integral
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, Range
 
@@ -168,71 +165,3 @@ def binarize(spectrum_labels, spec: ThresholdSpec) -> np.ndarray:
     values = np.asarray(spectrum_labels, dtype=np.float64)
     return (values >= spec.tau).astype(np.int64)
 
-
-def score_label_distribution(spectrum_labels, bins: int = 50) -> float:
-    """Normality proxy over the nonzero labels: |skewness| + |excess kurtosis|.
-
-    Lower is better; used to rank (d_model, window) candidates from the
-    default parameter grid by how bell-shaped the resulting label
-    distribution is.  Degenerate distributions (fewer than 10 nonzero
-    labels, zero variance, or all mass in one histogram bin) are rejected.
-    """
-    if bins < 2:
-        raise ConfigError(f"bins must be >= 2, got {bins}")
-    values = np.asarray(spectrum_labels, dtype=np.float64)
-    nonzero = values[values != 0.0]
-    if nonzero.size < 10:
-        raise DataError(f"need at least 10 nonzero labels, got {nonzero.size}")
-
-    centered = nonzero - nonzero.mean()
-    m2 = float(np.mean(centered**2))
-    if m2 == 0.0:
-        raise DataError("degenerate distribution: nonzero labels have zero variance")
-    counts, _ = np.histogram(nonzero, bins=bins)
-    if int((counts > 0).sum()) < 2:
-        raise DataError("degenerate distribution: all mass in a single bin")
-
-    skew = float(np.mean(centered**3)) / m2**1.5
-    excess_kurtosis = float(np.mean(centered**4)) / m2**2 - 3.0
-    return abs(skew) + abs(excess_kurtosis)
-
-
-def default_parameter_grid() -> dict:
-    """The shipped search grid: encoding dimensions and window sizes."""
-    with resources.files("tspec.data").joinpath("parameter_grid.json").open(
-        "r", encoding="utf-8"
-    ) as handle:
-        grid = json.load(handle)
-    return {"d_model": list(grid["d_model"]), "window": list(grid["window"])}
-
-
-def parameter_grid_scores(
-    label_bits_1d,
-    grid: dict | None = None,
-    stride: int = 1,
-    bins: int = 50,
-) -> list[dict]:
-    """Score every (window, d_model) grid candidate on a packet label stream.
-
-    Returns one row per candidate with the distribution score, or ``None``
-    where the candidate is degenerate or the stream is too short.  Callers
-    ranking by downstream model accuracy instead can feed the same grid
-    through the evaluation harness.
-    """
-    bits = np.asarray(label_bits_1d, dtype=np.int64)
-    grid = grid or default_parameter_grid()
-    rows: list[dict] = []
-    for window in grid["window"]:
-        if bits.size < window:
-            for d_model in grid["d_model"]:
-                rows.append({"window": window, "d_model": d_model, "score": None})
-            continue
-        label_matrix = sliding_window_view(bits, window)[::stride]
-        for d_model in grid["d_model"]:
-            values = sspe_values(label_matrix, d_model)
-            try:
-                score = score_label_distribution(values, bins=bins)
-            except DataError:
-                score = None
-            rows.append({"window": window, "d_model": d_model, "score": score})
-    return rows

@@ -131,8 +131,8 @@ def method_artifacts(
     train_ds, test_ds = split_dataset(ds, test_fraction, derive_seed(seed, "split"), True)
     params = zscore_fit(train_ds.features)
     standardized = replace(ds, features=zscore_apply(ds.features, params))
-    train_ds = standardized.take(np.asarray(train_ds.provenance["row_indices"]), role="train")
-    test_ds = standardized.take(np.asarray(test_ds.provenance["row_indices"]), role="test")
+    train_ds = standardized.take(np.asarray(train_ds.provenance["row_indices"]))
+    test_ds = standardized.take(np.asarray(test_ds.provenance["row_indices"]))
 
     threshold = None
     if method == "baseline":

@@ -400,6 +400,9 @@ REGISTRY_EDITS = {
     "edge not finite": lambda d: d["signatures"][0]["bin_edges"].__setitem__(-1, float("inf")),
     "count not finite": lambda d: d["signatures"][0]["counts"].__setitem__(0, float("nan")),
     "count a string": lambda d: d["signatures"][0]["counts"].__setitem__(0, "a"),
+    # Signatures built for another label method or d_model than the dataset's.
+    "method coap": lambda d: d["signatures"][0].update(method="coap"),
+    "d_model 16": lambda d: d["signatures"][0].update(d_model=16),
 }
 
 
@@ -411,6 +414,16 @@ def test_bad_registry_exits_2(ws, tmp_path, edit):
     rc, err = run(identify_args(ws, ws / "sspe", tmp_path, registry=registry))
     assert rc == 2, err
     assert str(registry) in err
+
+
+def test_registry_mismatch_names_both_label_methods(ws, tmp_path):
+    registry = tmp_path / "registry.json"
+    shutil.copy(ws / "registry.json", registry)
+    edit_json(registry, lambda d: d["signatures"][-1].update(method="coap", d_model=None))
+    rc, err = run(identify_args(ws, ws / "sspe", tmp_path, registry=registry))
+    assert rc == 2
+    assert "method 'coap' with d_model None" in err
+    assert "method 'sspe' with d_model 4" in err
 
 
 THRESHOLD_EDITS = {

@@ -31,6 +31,13 @@ def cli_scenario():
     )
 
 
+def segments_with(index, **bad):
+    """The CLI scenario's segments as JSON, with ``bad`` set on one of them."""
+    segments = scenario_to_dict(cli_scenario())["segments"]
+    segments[index].update(bad)
+    return segments
+
+
 def read_tree(root: Path) -> dict[str, bytes]:
     return {
         str(p.relative_to(root)): p.read_bytes()
@@ -397,6 +404,38 @@ class TestWrongTypeJson:
         scenario = self._scenario(tmp_path, segments=5)
         assert main(["synth", "--scenario", str(scenario), "--out", str(tmp_path / "x")]) == 1
         assert str(scenario) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad, where", [
+        ({"duration": 430.7}, "key 'duration' must be an integer"),
+        ({"feature_count": "4"}, "key 'feature_count' must be an integer"),
+        ({"normal_std": True}, "key 'normal_std' must be a finite number"),
+        ({"segments": segments_with(0, start=30.9)}, "segment 0: key 'start' must be an integer"),
+        ({"segments": segments_with(1, period=True)}, "segment 1: key 'period' must be an integer"),
+        ({"segments": segments_with(2, name=7)}, "segment 2: key 'name' must be a string"),
+    ], ids=["duration-real", "feature_count-string", "normal_std-bool", "start-real",
+            "period-bool", "name-number"])
+    def test_scenario_numbers_are_not_coerced(self, tmp_path, capsys, bad, where):
+        scenario = self._scenario(tmp_path, **bad)
+        assert main(["synth", "--scenario", str(scenario), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert str(scenario) in err and where in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("bad, key", [
+        ({"feature_columns": "f0"}, "feature_columns"),
+        ({"feature_columns": "f0f1"}, "feature_columns"),
+        ({"feature_columns": ["f0", "f0"]}, "duplicates"),
+        ({"timestamp_column": 5}, "timestamp_column"),
+    ], ids=["features-string", "features-joined-string", "features-repeated", "timestamp-number"])
+    def test_schema_values_keep_their_types(self, workspace, tmp_path, capsys, bad, key):
+        schema = tmp_path / "schema.json"
+        data = json.loads((workspace / "raw" / "schema.json").read_text())
+        schema.write_text(json.dumps({**data, **bad}))
+        rc = main(["build-dataset", "--input", str(workspace / "raw" / "synthetic.csv"),
+                   "--schema", str(schema), "--out", str(tmp_path / "ds")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(schema) in err and key in err
 
     def test_sweep_ratios_number_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.json"

@@ -268,15 +268,22 @@ class TestSynthetic:
             assert timeline_rows(timeline) == generate_synthetic_oracle(scenario, seed)
             assert timeline.seconds.tolist() == list(range(300))
 
+    def test_negative_normal_std_rejected(self):
+        scenario = SyntheticScenario(duration=20, feature_count=2, segments=(),
+                                     normal_std=(1.0, -0.5))
+        with pytest.raises(ConfigError, match="normal_std must not be negative"):
+            generate_synthetic(scenario, 0)
+
     def test_wrong_type_values_rejected(self):
         base = {"duration": 50, "feature_count": 2, "segments": []}
         for bad in ({"duration": "abc"}, {"segments": 5}, {"segments": [5]},
                     {"normal_std": "wide"}):
             with pytest.raises(ConfigError, match="wrong type"):
                 SyntheticScenario.from_dict({**base, **bad})
-        scenario = SyntheticScenario.from_dict({**base, "normal_mean": ["a", "b"]})
-        with pytest.raises(ConfigError, match="normal_mean must be numeric"):
-            generate_synthetic(scenario, 0)
+        for entries in (["a", "b"], ["1", "2"], [True, 0.0], [0.0, float("nan")]):
+            scenario = SyntheticScenario.from_dict({**base, "normal_mean": entries})
+            with pytest.raises(ConfigError, match="normal_mean must be numeric"):
+                generate_synthetic(scenario, 0)
 
 
 class TestAssemble:

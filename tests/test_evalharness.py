@@ -1,4 +1,6 @@
-"""Harness tests: metrics, the noise sweep, and report round trips."""
+"""Harness tests: metrics, the noise sweep, and the report files."""
+
+import json
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from tspec import (
     identification_accuracy,
     identify_attack,
     inject_noise,
-    load_report,
     predict,
     run_noise_sweep,
     train,
@@ -304,8 +305,30 @@ class TestEmit:
             emit_report(EvalReport(rows=()), tmp_path)
 
     def test_round_trip_equality(self, full_report, tmp_path):
+        # report.json, read back as plain JSON, holds every field of every row.
         emit_report(full_report, tmp_path)
-        assert load_report(tmp_path) == full_report
+        payload = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert payload["schema_version"] == 2
+        assert payload["config"] == full_report.config
+        assert payload["label_histograms"] == full_report.label_histograms
+        assert len(payload["rows"]) == len(full_report.rows)
+        for written, row in zip(payload["rows"], full_report.rows):
+            m = row.metrics
+            assert written == {
+                "family": row.family,
+                "method": row.method,
+                "task": row.task,
+                "noise_ratio": row.noise_ratio,
+                "seed": row.seed,
+                "metrics": None if m is None else {
+                    "accuracy": m.accuracy,
+                    "precision": m.precision,
+                    "recall": m.recall,
+                    "f1": m.f1,
+                    "confusion": {"tp": m.tp, "fp": m.fp, "fn": m.fn, "tn": m.tn},
+                },
+                "identification_accuracy": row.identification_accuracy,
+            }
 
     def test_figure_csv_shape(self, full_report, tmp_path):
         emit_report(full_report, tmp_path)
@@ -338,7 +361,3 @@ class TestEmit:
             lines = (tmp_path / f"spectrum_hist_{method}.csv").read_text().splitlines()
             assert lines[0] == "bin_left,bin_right,count"
             assert len(lines) > 1
-
-    def test_load_missing(self, tmp_path):
-        with pytest.raises(DataError):
-            load_report(tmp_path / "nope.json")

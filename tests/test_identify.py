@@ -63,10 +63,6 @@ class TestRegistry:
         assert sigs[0].bin_edges[0] == 1.0  # zeros excluded before ranging
         assert sigs[0].bin_edges[-1] == 10.0
 
-    def test_keep_zeros_option(self):
-        sigs = build_registry({"a": np.array([0.0, 4.0])}, bins=4, exclude_zeros=False)
-        assert sigs[0].bin_edges[0] == 0.0
-
     def test_all_zero_attack_rejected(self):
         with pytest.raises(DataError, match="usable"):
             build_registry({"a": np.zeros(5)})

@@ -1,4 +1,4 @@
-"""Spectrum-label tests: encodings, COAP/SSPE, thresholds, distribution score."""
+"""Spectrum-label tests: encodings, COAP/SSPE, thresholds."""
 
 import math
 import tracemalloc
@@ -12,30 +12,27 @@ from tspec import (
     ConfigError,
     DataError,
     PacketTimeline,
+    assemble_dataset,
     binarize,
     coap_values,
     compute_threshold,
-    default_parameter_grid,
     encoding_matrix,
-    parameter_grid_scores,
     proportional_positive_count,
-    score_label_distribution,
     sspe_values,
     window_matrices,
 )
 from tspec import spectrum
 from tspec.spectrum import MAX_D_MODEL, LABEL_METHODS, is_spectrum_method, position_weights
-from tests.conftest import same_bits
+from tests.conftest import make_timeline, same_bits
 from tests.oracles import (
     ascending_percentile_oracle,
     encoding_oracle,
     rank_threshold_oracle,
     sspe_brute_force,
     sspe_weights_whole_matrix,
-    window_matrices_oracle,
 )
 
-GRID_D_MODELS = (2, 4, 8, 16, 32, 64, 128, 236, 256)
+D_MODELS = (2, 4, 8, 16, 32, 64, 128, 236, 256)
 
 
 def encode(pos, d_model):
@@ -62,7 +59,7 @@ class TestPositionalEncoding:
         assert vec == pytest.approx([math.sin(1), math.cos(1)], abs=1e-12)
         assert vec == pytest.approx([0.8414709848078965, 0.5403023058681398], abs=1e-12)
 
-    @pytest.mark.parametrize("d_model", GRID_D_MODELS)
+    @pytest.mark.parametrize("d_model", D_MODELS)
     def test_pair_norms(self, d_model):
         matrix = encoding_matrix(60, d_model)
         for pos in range(0, 60, 7):
@@ -168,6 +165,16 @@ class TestSspe:
         for row, value in zip(bits, values):
             assert value == pytest.approx(sspe_brute_force(row.tolist(), 8), abs=1e-9)
         assert np.array_equal(coap_values(bits), bits.sum(axis=1))
+
+    def test_spectrum_ignores_features(self):
+        # Same label stream, different feature values: identical spectra.
+        labels = [0, 1, 1, 0, 1, 0, 0, 1]
+        t1 = make_timeline(range(8), labels=labels, rng=np.random.default_rng(1))
+        t2 = make_timeline(range(8), labels=labels, rng=np.random.default_rng(99))
+        d1 = assemble_dataset(t1, 4, 1, "sspe", 8)
+        d2 = assemble_dataset(t2, 4, 1, "sspe", 8)
+        assert np.array_equal(d1.spectrum_labels, d2.spectrum_labels)
+        assert not np.array_equal(d1.features, d2.features)
 
 
 class TestPositionWeights:
@@ -295,84 +302,3 @@ class TestThreshold:
         assert proportional_positive_count(10, 0.0) == 0
         with pytest.raises(ConfigError):
             proportional_positive_count(10, 1.5)
-
-
-class TestDistributionScore:
-    def test_zero_moment_construction(self):
-        # Symmetric four-point sample whose fourth moment is tuned so both
-        # skewness and excess kurtosis vanish: 4k copies of +-1 plus k
-        # copies of +-c with c^2 = 6 + 5*sqrt(2).
-        c = math.sqrt(6 + 5 * math.sqrt(2))
-        sample = np.array([1.0] * 40 + [-1.0] * 40 + [c] * 10 + [-c] * 10) + 10.0
-        assert score_label_distribution(sample, bins=20) == pytest.approx(0.0, abs=1e-9)
-
-    def test_gaussian_sample_scores_low(self):
-        rng = np.random.default_rng(0)
-        sample = rng.normal(5.0, 1.0, size=20000)
-        assert score_label_distribution(sample) < 0.1
-
-    def test_skewed_sample_scores_higher(self):
-        rng = np.random.default_rng(0)
-        symmetric = rng.normal(5.0, 1.0, size=5000)
-        skewed = np.exp(rng.normal(0.0, 1.0, size=5000)) + 1.0
-        assert score_label_distribution(skewed) > score_label_distribution(symmetric)
-
-    def test_constant_nonzero_degenerate(self):
-        with pytest.raises(DataError, match="zero variance"):
-            score_label_distribution(np.array([3.0] * 50))
-
-    def test_two_point_mass_with_zeros_degenerate(self):
-        values = np.array([0.0] * 50 + [1.0] * 50)
-        with pytest.raises(DataError, match="zero variance"):
-            score_label_distribution(values)
-
-    def test_too_few_nonzero(self):
-        with pytest.raises(DataError, match="at least 10"):
-            score_label_distribution(np.array([0.0] * 20 + [1.0, 2.0]))
-
-    def test_zeros_excluded_from_moments(self):
-        rng = np.random.default_rng(1)
-        core = rng.normal(5.0, 1.0, size=5000)
-        with_zeros = np.concatenate([core, np.zeros(5000)])
-        assert score_label_distribution(with_zeros) == pytest.approx(
-            score_label_distribution(core)
-        )
-
-
-class TestParameterGrid:
-    def test_default_grid_contents(self):
-        grid = default_parameter_grid()
-        assert grid["d_model"] == list(GRID_D_MODELS)
-        assert grid["window"] == [10, 20, 30, 40, 50, 60]
-
-    def test_grid_scores_shape_and_short_stream(self):
-        rng = np.random.default_rng(2)
-        bits = rng.integers(0, 2, size=55)  # shorter than the largest window
-        rows = parameter_grid_scores(bits, stride=1, bins=10)
-        assert len(rows) == len(GRID_D_MODELS) * 6
-        short = [r for r in rows if r["window"] == 60]
-        assert all(r["score"] is None for r in short)
-        scored = [r for r in rows if r["window"] == 10]
-        assert any(r["score"] is not None for r in scored)
-
-    def test_grid_scores_follow_strided_windows(self):
-        rng = np.random.default_rng(3)
-        bits = rng.integers(0, 2, size=200)
-        rows = parameter_grid_scores(bits, {"window": [10, 20], "d_model": [8]}, stride=3, bins=10)
-        for row in rows:
-            _, labels, _ = window_matrices_oracle(np.zeros((200, 1)), bits, row["window"], 3)
-            values = sspe_values(labels, 8)
-            assert row["score"] == score_label_distribution(values, bins=10)
-
-    def test_spectrum_ignores_features(self):
-        # Same label stream, different feature values: identical spectra.
-        from tests.conftest import make_timeline
-        from tspec import assemble_dataset
-
-        labels = [0, 1, 1, 0, 1, 0, 0, 1]
-        t1 = make_timeline(range(8), labels=labels, rng=np.random.default_rng(1))
-        t2 = make_timeline(range(8), labels=labels, rng=np.random.default_rng(99))
-        d1 = assemble_dataset(t1, 4, 1, "sspe", 8)
-        d2 = assemble_dataset(t2, 4, 1, "sspe", 8)
-        assert np.array_equal(d1.spectrum_labels, d2.spectrum_labels)
-        assert not np.array_equal(d1.features, d2.features)
