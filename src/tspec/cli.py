@@ -338,8 +338,11 @@ def cmd_build_dataset(cfg: dict) -> int:
     train_ds, test_ds = split_dataset(
         ds, cfg["test_fraction"], derive_seed(seed, "split"), cfg["stratify"]
     )
-    zparams = zscore_fit(train_ds.features)
-    standardized = replace(ds, features=zscore_apply(ds.features, zparams))
+    try:
+        zparams = zscore_fit(train_ds.features)
+        standardized = replace(ds, features=zscore_apply(ds.features, zparams))
+    except DataError as exc:
+        raise DataError(f"{cfg['scenario'] or cfg['input']}: {exc}") from None
 
     with _output_lock(out):
         save_dataset(

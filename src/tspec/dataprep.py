@@ -57,17 +57,32 @@ class ZScoreParams:
         )
 
 
+def _check_finite(what: str, values: np.ndarray) -> None:
+    """Raise a ``DataError`` naming the first column of ``values`` (one
+    value per column, or a matrix) that holds a NaN or an infinity."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        column = int(np.flatnonzero(~finite.reshape(-1, finite.shape[-1]).all(axis=0))[0])
+        raise DataError(f"the z-score {what} of feature column {column} is not finite")
+
+
 def zscore_fit(features: np.ndarray) -> ZScoreParams:
+    """Per-column mean and standard deviation.  Raises ``DataError`` when
+    one of them is not finite, as when a column's sum overflows."""
     matrix = np.asarray(features, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] < 1:
         raise DataError("z-score fit needs a non-empty 2-D matrix")
-    means = matrix.mean(axis=0)
-    stds = matrix.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = matrix.mean(axis=0)
+        stds = matrix.std(axis=0)
+    _check_finite("mean", means)
+    _check_finite("standard deviation", stds)
     return ZScoreParams(means=means, stds=stds, constant_mask=stds == 0.0)
 
 
 def zscore_apply(features: np.ndarray, params: ZScoreParams) -> np.ndarray:
-    """(x - mean) / std per column; constant columns map to 0."""
+    """(x - mean) / std per column; constant columns map to 0.  Raises
+    ``DataError`` when a result is not finite."""
     matrix = np.asarray(features, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[1] != params.means.size:
         raise DataError(
@@ -75,8 +90,10 @@ def zscore_apply(features: np.ndarray, params: ZScoreParams) -> np.ndarray:
             f"match fitted width {params.means.size}"
         )
     safe_stds = np.where(params.constant_mask, 1.0, params.stds)
-    out = (matrix - params.means) / safe_stds
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (matrix - params.means) / safe_stds
     out[:, params.constant_mask] = 0.0
+    _check_finite("value", out)
     return out
 
 
@@ -321,10 +338,14 @@ class SyntheticScenario:
 def _field(item: dict, key: str, kind, where: str = "", default=None):
     """``item[key]``, or ``default`` when one is given and the key is absent;
     a ``TypeError`` unless it is a ``str``, an ``Integral`` or a ``Real``.  A
-    ``Real`` may also be a list (one value per feature), returned as a tuple
-    whose entries ``generate_synthetic`` checks."""
+    ``Real`` may also be a list of them (one value per feature), returned as
+    a tuple."""
     value = item[key] if default is None or key in item else default
     if kind is Real and isinstance(value, list):
+        if any(Range(-math.inf).problem(v) for v in value):
+            raise TypeError(
+                f"{where}key {key!r} must be a finite number or a list of them, got {value!r}"
+            )
         return tuple(value)
     if kind is str:
         problem = None if isinstance(value, str) else "a string"
@@ -568,8 +589,12 @@ def load_dataset(in_dir: str | Path) -> tuple[Dataset, dict]:
             f"and window {window}"
         )
 
+    try:
+        features = _rows_from_seconds(seconds, starts, window, zscore)
+    except DataError as exc:
+        raise DataError(f"{json_path}: {exc}") from None
     ds = Dataset(
-        features=_rows_from_seconds(seconds, starts, window, zscore),
+        features=features,
         spectrum_labels=arrays["spectrum_labels"],
         binary_labels=arrays["binary_labels"],
         provenance=dict(sidecar["provenance"]),

@@ -43,7 +43,13 @@ class Family:
     ``predict(parameters, X, task)``, and the parameters' JSON codec
     ``to_json(parameters)`` / ``from_json(data, feature_count)``.  Fit and
     predict look up the ``glm``/``ensembles`` functions when called, so
-    wrappers installed on those modules (profilers) see every call."""
+    wrappers installed on those modules (profilers) see every call.
+
+    ``row_separable`` is True when a row's prediction has the same bits
+    whatever other rows are predicted with it, so predictions of a row
+    subset may be taken from a larger batch.  Tree walks are; the GLMs'
+    ``X @ w`` is not, since BLAS may round a row's dot product differently
+    from one batch to another."""
 
     tasks: tuple[str, ...]
     defaults: dict
@@ -52,6 +58,7 @@ class Family:
     predict: Callable
     to_json: Callable
     from_json: Callable
+    row_separable: bool
 
 
 def _linear_to_json(params: dict) -> dict:
@@ -89,6 +96,7 @@ FAMILIES = {
         predict=lambda params, X, task: glm.predict_proba(params, X),
         to_json=_linear_to_json,
         from_json=_linear_from_json,
+        row_separable=False,
     ),
     "glm_gaussian": Family(
         tasks=("regress",),
@@ -98,6 +106,7 @@ FAMILIES = {
         predict=lambda params, X, task: glm.predict_linear(params, X),
         to_json=_linear_to_json,
         from_json=_linear_from_json,
+        row_separable=False,
     ),
     "random_forest": Family(
         tasks=TASKS,
@@ -107,6 +116,7 @@ FAMILIES = {
         predict=lambda params, X, task: ensembles.forest_predict(params, X),
         to_json=_trees_to_json,
         from_json=_trees_from_json,
+        row_separable=True,
     ),
     "gbm": Family(
         tasks=TASKS,
@@ -121,6 +131,7 @@ FAMILIES = {
         predict=lambda params, X, task: ensembles.gbm_predict(params, X, task),
         to_json=lambda params: _trees_to_json(params, "f0", "learning_rate"),
         from_json=lambda data, width: _trees_from_json(data, width, "f0", "learning_rate"),
+        row_separable=True,
     ),
 }
 

@@ -14,7 +14,15 @@ import numpy as np
 
 from ..seeds import rng_for
 from .glm import _sigmoid
-from .trees import Presorted, Tree, build_tree, rank_codes, tree_apply, tree_predict
+from .trees import (
+    Presorted,
+    Tree,
+    add_leaf_values,
+    build_tree,
+    rank_codes,
+    tree_apply,
+    tree_predict,
+)
 
 _EPS = 1e-12
 
@@ -58,10 +66,10 @@ def forest_fit(
 
 
 def forest_predict(params: dict, X: np.ndarray) -> np.ndarray:
+    """Mean of the trees' leaf values, summed in tree order."""
     trees = params["trees"]
     out = np.zeros(X.shape[0])
-    for tree in trees:
-        out += tree_predict(tree, X)
+    add_leaf_values(trees, X, out)
     return out / len(trees)
 
 
@@ -109,32 +117,29 @@ def gbm_fit(
             residual = y - prob
             target = residual[rows]
             tree = build_tree(Xt, target, max_depth=max_depth, presorted=presorted)
-            # Newton leaf values: sum(residual) / sum(p * (1 - p)) per leaf.
-            # A row's leaf does not depend on the other rows walked, so one
-            # walk of X serves the Newton step and the score update.
-            all_leaves = tree_apply(tree, X)
-            leaves = all_leaves[rows]
+            # Newton leaf values over the rows the tree was fit on:
+            # sum(residual) / sum(p * (1 - p)) per leaf.
+            leaves = tree_apply(tree, Xt)
             hess = prob[rows] * (1.0 - prob[rows])
             value = tree.value.copy()
             for leaf in np.unique(leaves):
                 members = leaves == leaf
                 value[leaf] = target[members].sum() / max(hess[members].sum(), _EPS)
             tree = Tree(tree.feature, tree.threshold, tree.left, tree.right, value)
-            step = value[all_leaves]
         else:
             residual = y - scores
             tree = build_tree(Xt, residual[rows], max_depth=max_depth, presorted=presorted)
-            step = tree_predict(tree, X)
 
-        scores += learning_rate * step
+        scores += learning_rate * tree_predict(tree, X)
         trees.append(tree)
     return {"f0": f0, "learning_rate": learning_rate, "trees": trees}
 
 
 def gbm_predict(params: dict, X: np.ndarray, task: str) -> np.ndarray:
+    """``f0`` plus each tree's leaf value times the learning rate, added in
+    tree order; the sigmoid of that for classification."""
     scores = np.full(X.shape[0], params["f0"])
-    for tree in params["trees"]:
-        scores += params["learning_rate"] * tree_predict(tree, X)
+    add_leaf_values(params["trees"], X, scores, params["learning_rate"])
     if task == "classify":
         return _sigmoid(scores)
     return scores

@@ -300,6 +300,31 @@ class TestRegressions:
         assert rc == 2
         assert f"input file cannot be read: {csv_path}" in err and "Permission denied" in err
 
+    def test_input_csv_cells_overflow_the_zscore(self, ws, tmp_path):
+        # Cells near the float64 maximum once gave NaN features and exit 0.
+        csv_path = tmp_path / "flows.csv"
+        lines = (ws / "raw" / "synthetic.csv").read_text().splitlines(keepends=True)
+        for i in range(1, len(lines)):
+            cells = lines[i].split(",")
+            cells[1] = ("1.7e308", "1.6e308")[i % 2]
+            lines[i] = ",".join(cells)
+        csv_path.write_text("".join(lines))
+        rc, err = self.build_from(ws, tmp_path, csv_path)
+        assert rc == 2, err
+        assert f"{csv_path}: the z-score mean of feature column 0 is not finite" in err
+        assert not (tmp_path / "ds").exists()
+
+    def test_scenario_offset_overflows_the_zscore(self, ws, tmp_path):
+        scenario = json.loads((ws / "scenario.json").read_text())
+        scenario["segments"][0]["offset"] = 1e308
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        rc, err = run(["build-dataset", "--config", ws / "config.json", "--scenario", path,
+                       "--method", "sspe", "--out", tmp_path / "ds"])
+        assert rc == 2, err
+        assert f"{path}: the z-score mean of feature column 0 is not finite" in err
+        assert not (tmp_path / "ds").exists()
+
 
 BAD_CONFIG_VALUES = [
     ("build-dataset", "window", float("inf")),
@@ -378,6 +403,8 @@ SIDECAR_EDITS = {
     "split a list": lambda d: d.update(split=[1, 2]),
     "index a float": lambda d: d["split"]["train_indices"].__setitem__(0, 1.0),
     "window infinite": lambda d: d["provenance"].update(window=float("inf")),
+    # Rows z-scored by these overflow float64.
+    "z-score stds tiny": lambda d: d["zscore"].update(stds=[1e-320] * len(d["zscore"]["stds"])),
 }
 
 

@@ -1,5 +1,6 @@
 """Dataset preparation tests: z-score, split, noise, synthesis, IO."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -76,6 +77,17 @@ class TestZScore:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             zscore_fit(np.empty((0, 3)))
+
+    def test_overflow_names_the_first_column(self):
+        # Finite features whose moments or z-scores overflow float64.
+        big = np.array([[0.0, 1.7e308, 1.7e308], [1.0, 1.6e308, 1.6e308]])
+        with pytest.raises(DataError, match="z-score mean of feature column 1 is not finite"):
+            zscore_fit(big)
+        with pytest.raises(DataError, match="standard deviation of feature column 2"):
+            zscore_fit(np.array([[0.0, 0.0, 1e200], [1.0, 1.0, -1e200]]))
+        params = zscore_fit(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1e-150]]))
+        with pytest.raises(DataError, match="z-score value of feature column 2 is not finite"):
+            zscore_apply(np.array([[0.5, 0.5, 1e300]]), params)
 
 
 class TestSplit:
@@ -280,10 +292,31 @@ class TestSynthetic:
                     {"normal_std": "wide"}):
             with pytest.raises(ConfigError, match="wrong type"):
                 SyntheticScenario.from_dict({**base, **bad})
+        segment = {"name": "a", "start": 5, "length": 5, "pattern": "burst"}
         for entries in (["a", "b"], ["1", "2"], [True, 0.0], [0.0, float("nan")]):
-            scenario = SyntheticScenario.from_dict({**base, "normal_mean": entries})
-            with pytest.raises(ConfigError, match="normal_mean must be numeric"):
-                generate_synthetic(scenario, 0)
+            for bad, key in (
+                ({"normal_mean": entries}, "key 'normal_mean'"),
+                ({"normal_std": entries}, "key 'normal_std'"),
+                ({"segments": [{**segment, "offset": entries}]}, "segment 0: key 'offset'"),
+            ):
+                with pytest.raises(ConfigError, match=f"wrong type: {key}"):
+                    SyntheticScenario.from_dict({**base, **bad})
+
+    def test_from_json_names_the_file_for_bad_per_feature_lists(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(
+            {"duration": 50, "feature_count": 2, "segments": [], "normal_mean": ["1", "2"]}
+        ))
+        with pytest.raises(ConfigError) as caught:
+            SyntheticScenario.from_json(path)
+        assert str(caught.value).startswith(f"{path}: scenario holds a value of the wrong type")
+        assert "normal_mean" in str(caught.value)
+
+    def test_built_scenarios_still_check_per_feature_values(self):
+        scenario = SyntheticScenario(duration=20, feature_count=2, segments=(),
+                                     normal_mean=("1", "2"))
+        with pytest.raises(ConfigError, match="normal_mean must be numeric"):
+            generate_synthetic(scenario, 0)
 
 
 class TestAssemble:

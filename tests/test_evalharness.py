@@ -26,6 +26,7 @@ from tspec import (
     train,
 )
 from tspec import evalharness
+from tspec.models import FAMILIES
 from tspec.evalharness import identify_segments, labels_by_attack
 from tspec.identify import build_registry, build_signature
 from tests.conftest import method_artifacts
@@ -297,6 +298,94 @@ class TestSweep:
             (family, "detect")
             for family in art.detect_models for _ in cfg.ratios
         ] + [("glm_gaussian", "spectrum")] * len(cfg.ratios)
+
+
+@pytest.fixture(scope="module")
+def four_family_setup():
+    """The sspe method of ``sweep_setup`` with every family: glm_binomial,
+    random_forest and gbm detect; glm_gaussian, random_forest and gbm
+    identify."""
+    seed = 123
+    timeline = generate_synthetic(small_scenario(), derive_seed(seed, "synth"))
+    art = method_artifacts(
+        timeline, "sspe", seed, ("glm_binomial", "random_forest", "gbm"),
+        ("glm_gaussian", "random_forest", "gbm"), window=10,
+    )
+    return seed, art
+
+
+class TestCleanPredictionReuse:
+    @pytest.mark.parametrize("noise_train", [False, True])
+    def test_every_row_is_a_direct_prediction(self, four_family_setup, noise_train):
+        seed, art = four_family_setup
+        cfg = SweepConfig(
+            methods={"sspe": art},
+            ratios=(0.0, 0.3, 1.0),
+            noise_scale=1.0,
+            base_seed=seed,
+            identify_bins=12,
+            min_segment_windows=3,
+            noise_train=noise_train,
+        )
+        predicted = {}  # rows predicted per (task, family)
+
+        def predict_spy(model, X):
+            key = ("detect" if model.spec.task == "classify" else "identify", model.spec.family)
+            predicted[key] = predicted.get(key, 0) + len(X)
+            return predict(model, X)
+
+        identified = []  # the predictions of every identification cell
+
+        def identify_spy(predictions, *args, **kwargs):
+            identified.append(predictions)
+            return identify_segments(predictions, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evalharness, "predict", predict_spy)
+            patch.setattr(evalharness, "identify_segments", identify_spy)
+            report = run_noise_sweep(cfg)
+
+        truth = binarize(art.test.spectrum_labels, art.threshold)
+        signatures = build_registry(
+            labels_by_attack(art.train), bins=12, method="sspe",
+            d_model=art.train.provenance.get("d_model"),
+        )
+        cells = iter(identified)
+        for row in report.rows:
+            detect = row.task == "detect"
+            model = (art.detect_models if detect else art.regress_models)[row.family]
+            if noise_train:
+                labels = (
+                    binarize(art.train.spectrum_labels, art.threshold)
+                    if detect else art.train.spectrum_labels
+                )
+                train_seed = derive_seed(
+                    seed, "train-noise", "sspe", row.family, *(() if detect else ("identify",)),
+                    int(round(row.noise_ratio * 100)),
+                )
+                noised_train = inject_noise(art.train, NoiseSpec(row.noise_ratio, 1.0, train_seed))
+                model = train(model.spec, noised_train.features, labels)
+            noised = inject_noise(art.test, NoiseSpec(row.noise_ratio, 1.0, row.seed))
+            predictions = predict(model, noised.features)
+            if detect:
+                assert row.metrics == detection_metrics(truth, (predictions >= 0.5).astype(int))
+            else:
+                assert next(cells).tobytes() == predictions.tobytes()
+                results, tags = identify_segments(
+                    predictions, art.test.window_tags, signatures, min_windows=3
+                )
+                assert row.identification_accuracy == identification_accuracy(results, tags)
+        assert next(cells, None) is None
+        # Tree models predict the clean rows once and then only the rows each
+        # cell's noise changed; GLMs and noise_train cells predict every row.
+        m = len(art.test)
+        changed = sum(int(round(r * m)) for r in cfg.ratios)
+        assert predicted == {
+            (task, family): m * len(cfg.ratios)
+            if noise_train or not FAMILIES[family].row_separable else m + changed
+            for task, models in (("detect", art.detect_models), ("identify", art.regress_models))
+            for family in models
+        }
 
 
 class TestEmit:

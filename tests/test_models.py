@@ -342,6 +342,23 @@ class TestFamilyTable:
     def test_every_family_has_a_call_map(self):
         assert set(FAMILY_CALLS) == set(FAMILIES)
 
+    def test_tree_families_are_row_separable(self):
+        separable = {family for family, entry in FAMILIES.items() if entry.row_separable}
+        assert separable == {"random_forest", "gbm"}
+
+    @pytest.mark.parametrize(
+        "family,task", [(f, t) for f, t in FAMILY_TASKS if FAMILIES[f].row_separable]
+    )
+    def test_row_subsets_predict_the_bits_of_the_full_batch(self, family, task):
+        X, y, probe = family_problem(task)
+        probe[::5, 1] = np.nan
+        model = train(ModelSpec(family, task, seed=6), X, y)
+        full = predict(model, probe)
+        rng = np.random.default_rng(9)
+        for size in (1, 2, 17, 39):
+            rows = rng.choice(40, size=size, replace=False)
+            assert predict(model, probe[rows]).tobytes() == full[rows].tobytes()
+
     @pytest.mark.parametrize("family,task", FAMILY_TASKS)
     def test_train_save_load_predict(self, family, task, tmp_path):
         X, y, probe = family_problem(task)

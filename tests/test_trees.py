@@ -1,12 +1,15 @@
 """The presorted, rank-coded split search grows exactly the trees of the
 per-node argsort reference in ``tests/oracles.py``: same node dicts, same
 predictions.  The blocked complex scan of one node finds the split of the
-one-block float scan there.  The level-wise ``tree_apply`` finds the leaves
-of the row-at-a-time reference walk.  Boosting rounds that take the last
-round's child row orders grow the reference's trees too."""
+one-block float scan there.  The step-at-a-time walk finds the leaves of
+the row-at-a-time reference walk, for one tree (``tree_apply``) and for
+groups of trees (forest and boosting sums, bit for bit).  Boosting rounds
+that take the last round's child row orders grow the reference's trees
+too."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tspec import SyntheticScenario, derive_seed, generate_synthetic
 from tspec.models import ensembles, trees
 from tspec.models.ensembles import forest_fit, gbm_fit
+from tspec.models.glm import _sigmoid
 from tspec.models.trees import (
     Presorted,
     Tree,
@@ -27,6 +32,7 @@ from tspec.models.trees import (
     tree_predict,
 )
 from tspec.seeds import rng_for
+from tests.conftest import method_artifacts, three_attack_scenario
 from tests.oracles import (
     best_split_scan_oracle,
     build_tree_argsort,
@@ -544,11 +550,12 @@ def test_random_problems_match_reference(
 
 
 @st.composite
-def random_trees(draw):
-    """A valid ``Tree`` and its feature count: any shape, from a single leaf
-    to chains deeper than any fit, numbered depth-first or breadth-first
-    (every child id above its parent's either way)."""
-    width = draw(st.integers(1, 4))
+def random_trees(draw, width=None):
+    """A valid ``Tree`` and its feature count (``width``, or drawn): any
+    shape, from a single leaf to chains deeper than any fit, numbered
+    depth-first or breadth-first (every child id above its parent's either
+    way)."""
+    width = draw(st.integers(1, 4)) if width is None else width
     thresholds = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 3.0]) | st.floats()
     splits = draw(st.integers(0, 60))
     chain = draw(st.booleans())  # every left child is a leaf
@@ -587,9 +594,11 @@ def random_trees(draw):
     return Tree.from_dict(data, width), width
 
 
-def prediction_rows(draw, n, width, tree):
-    """n rows with NaN, +-inf, the tree's own thresholds and other floats."""
-    cells = st.sampled_from([np.nan, np.inf, -np.inf, *tree.threshold.tolist()]) | st.floats()
+def prediction_rows(draw, n, width, *trees):
+    """n rows with NaN, +-inf, +-0.0, the trees' own thresholds and other
+    floats."""
+    own = [v for tree in trees for v in tree.threshold.tolist()]
+    cells = st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, *own]) | st.floats()
     return draw(arrays(np.float64, (n, width), elements=cells))
 
 
@@ -629,3 +638,93 @@ def test_nan_features_go_right():
     )
     X = np.array([[np.nan], [-np.inf], [np.inf], [0.5]])
     assert tree_apply(tree, X).tolist() == [2, 1, 2, 1]
+
+
+def summed_oracle(trees, X, start, scale=None):
+    """``start`` plus every tree's reference prediction (times ``scale``
+    when given), added one tree after another."""
+    out = np.full(X.shape[0], start)
+    for tree in trees:
+        values = tree_predict_oracle(tree.to_dict(), X)
+        out += values if scale is None else scale * values
+    return out
+
+
+def assert_ensembles_match_oracle(trees, X):
+    forest = ensembles.forest_predict({"trees": trees}, X)
+    assert forest.tobytes() == (summed_oracle(trees, X, 0.0) / len(trees)).tobytes()
+    params = {"f0": 0.3, "learning_rate": 0.1, "trees": trees}
+    scores = summed_oracle(trees, X, 0.3, 0.1)
+    assert ensembles.gbm_predict(params, X, "regress").tobytes() == scores.tobytes()
+    assert ensembles.gbm_predict(params, X, "classify").tobytes() == _sigmoid(scores).tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    data=st.data(),
+    width=st.integers(1, 3),
+    count=st.integers(1, 6),
+    n=st.integers(1, 20),
+    pairs=st.sampled_from([1, 5, 16, trees._WALK_PAIRS]),
+)
+def test_ensembles_sum_the_reference_walks(data, width, count, n, pairs):
+    # Small walk budgets split the trees into many groups, down to one tree
+    # a group; the sums must not depend on the grouping.
+    drawn = [data.draw(random_trees(width))[0] for _ in range(count)]
+    X = prediction_rows(data.draw, n, width, *drawn)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trees, "_WALK_PAIRS", pairs)
+        assert_ensembles_match_oracle(drawn, X)
+
+
+def test_ensembles_over_several_walk_groups():
+    # 40 fitted trees and 1,000 rows are 40,000 (tree, row) pairs: three
+    # groups at the default budget.  NaN, thresholds, +-0.0 and a leaf-only
+    # tree included.
+    X, y = tied_problem(300, 4, 1, seed=3, duplicate=True)
+    fitted = [build_tree(X, y, 6, 2, rng_for(3, "walk", t)) for t in range(39)]
+    leaf = Tree.from_dict({"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
+                           "value": [0.25]}, feature_count=4)
+    fitted.insert(17, leaf)
+    rng = np.random.default_rng(4)
+    rows = np.round(rng.normal(size=(1000, 4)), 1)
+    rows[::7, 0] = np.nan
+    rows[1::11, 1] = -0.0
+    rows[2::13, 2] = fitted[0].threshold[0]
+    assert 40 * 1000 > 2 * trees._WALK_PAIRS
+    assert_ensembles_match_oracle(fitted, rows)
+    assert_ensembles_match_oracle(fitted, rows[:1])
+
+
+@pytest.fixture(scope="module")
+def forest_test_rows():
+    """The SSPE test rows of the ``forest`` benchmark workload (the
+    acceptance scenario tiled 4x, windows of 10, d_model 16: 1,473 x 60)
+    and the default 25-tree regression forest fit on its training rows."""
+    base = three_attack_scenario()
+    segments = tuple(
+        replace(seg, start=seg.start + k * base.duration)
+        for k in range(4)
+        for seg in base.segments
+    )
+    scenario = SyntheticScenario(4 * base.duration, base.feature_count, segments)
+    timeline = generate_synthetic(scenario, derive_seed(0, "synth"))
+    art = method_artifacts(timeline, "sspe", 0, (), ("random_forest",), window=10, d_model=16)
+    assert art.test.features.shape == (1473, 60)
+    return art.regress_models["random_forest"], art.test.features
+
+
+def test_ensemble_prediction_stays_within_its_memory_bound(forest_test_rows):
+    # tracemalloc peaks of forest_predict over 25 regression trees (numpy
+    # 2.4): the former tree-by-tree loop took 6.61 MB on 100,164 rows and
+    # 0.10 MB on 1,473; the grouped walk 5.46 MB and 0.94 MB.
+    model, X = forest_test_rows
+    for rows, bound in ((np.tile(X, (68, 1)), 6.6e6), (X, 1.5e6)):
+        assert rows.shape[1] == 60 and rows.flags.c_contiguous
+        tracemalloc.start()
+        try:
+            ensembles.forest_predict(model.parameters, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (rows.shape, peak)
