@@ -335,11 +335,10 @@ def cmd_build_dataset(cfg: dict) -> int:
     if cfg["majority_ratio"] is not None:
         ds = downsample_majority(ds, cfg["majority_ratio"], derive_seed(seed, "sample"))
 
-    train_ds, test_ds = split_dataset(
-        ds, cfg["test_fraction"], derive_seed(seed, "split"), cfg["stratify"]
-    )
+    split_seed = derive_seed(seed, "split")
+    test = split_dataset(ds, cfg["test_fraction"], split_seed, cfg["stratify"])
     try:
-        zparams = zscore_fit(train_ds.features)
+        zparams = zscore_fit(ds.features[~test])
         standardized = replace(ds, features=zscore_apply(ds.features, zparams))
     except DataError as exc:
         raise DataError(f"{cfg['scenario'] or cfg['input']}: {exc}") from None
@@ -349,13 +348,12 @@ def cmd_build_dataset(cfg: dict) -> int:
             standardized,
             out,
             zparams,
+            test,
             sidecar_extra={
                 "split": {
                     "test_fraction": cfg["test_fraction"],
                     "stratify": cfg["stratify"],
-                    "seed": derive_seed(seed, "split"),
-                    "train_indices": train_ds.provenance["row_indices"],
-                    "test_indices": test_ds.provenance["row_indices"],
+                    "seed": split_seed,
                 },
                 "seeds": {"base": seed, "fill": derive_seed(seed, "fill")},
             },
@@ -368,20 +366,8 @@ def cmd_build_dataset(cfg: dict) -> int:
 
 
 def _load_split(dataset_dir: Path) -> tuple[Dataset, Dataset, Dataset, dict]:
-    ds, sidecar = load_dataset(dataset_dir)
-    split = sidecar.get("split")
-    if not split:
-        raise DataError(f"dataset under {dataset_dir} has no recorded split")
-    parts, n = [], len(ds)
-    for key in ("train_indices", "test_indices"):
-        rows = split.get(key) if isinstance(split, dict) else None
-        if not isinstance(rows, list) or not all(type(i) is int and 0 <= i < n for i in rows):
-            raise DataError(
-                f"{dataset_dir / 'dataset.json'}: split key {key!r} must be a list of "
-                f"row indices in [0, {n})"
-            )
-        parts.append(ds.take(np.asarray(rows, dtype=np.int64)))
-    return ds, *parts, sidecar
+    ds, test, sidecar = load_dataset(dataset_dir)
+    return ds, ds.take(np.flatnonzero(~test)), ds.take(np.flatnonzero(test)), sidecar
 
 
 def _threshold_path(dataset_dir: Path) -> Path:
@@ -439,6 +425,18 @@ def _load_threshold(dataset_dir: Path) -> ThresholdSpec:
         raise DataError(f"{path}: {exc}") from None
 
 
+def _load_model_for(path: Path, task: str, width: int):
+    """``load_model(path)``, refused unless it was trained for ``task``'s
+    model task on rows of ``width`` features."""
+    model = load_model(path)
+    if (model.spec.task, model.feature_count) != (_TASK_MAP[task], width):
+        raise DataError(
+            f"{path}: a {model.spec.task} model of {model.feature_count} features, but "
+            f"{task} needs a {_TASK_MAP[task]} model of the dataset's {width} features"
+        )
+    return model
+
+
 def cmd_sweep(cfg: dict) -> int:
     datasets = cfg["datasets"]
     methods: dict[str, MethodArtifacts] = {}
@@ -451,14 +449,16 @@ def cmd_sweep(cfg: dict) -> int:
             )
         spectrum = is_spectrum_method(method)
         threshold = _load_threshold(dataset_dir) if spectrum else None
+        models = dataset_dir / "models"
+        width = train_ds.features.shape[1]
         detect_models = {
-            family: load_model(dataset_dir / "models" / "detect" / f"{family}.json")
+            family: _load_model_for(models / "detect" / f"{family}.json", "detect", width)
             for family in cfg["families"]
         }
         regress_models = {}
         if spectrum:
             regress_models = {
-                family: load_model(dataset_dir / "models" / "identify" / f"{family}.json")
+                family: _load_model_for(models / "identify" / f"{family}.json", "identify", width)
                 for family in cfg["identify_families"]
             }
         methods[method] = MethodArtifacts(
@@ -496,8 +496,12 @@ def cmd_identify(cfg: dict) -> int:
     out, dataset_dir, registry_path = cfg["out"], cfg["dataset"], cfg["registry"]
 
     full, train_ds, test_ds, sidecar = _load_split(dataset_dir)
-    if full.window_tags is None:
-        raise DataError("identification needs a dataset built with attack tags")
+    model_path = cfg["model"]
+    if not model_path:
+        family = (cfg["identify_families"] or ["glm_gaussian"])[0]
+        model_path = dataset_dir / "models" / "identify" / f"{family}.json"
+    # Checked before the registry is written: a refused run writes nothing.
+    model = _load_model_for(model_path, "identify", test_ds.features.shape[1])
 
     if cfg["make_registry"]:
         portion = {"train": train_ds, "test": test_ds, "all": full}[cfg["make_registry"]]
@@ -518,11 +522,6 @@ def cmd_identify(cfg: dict) -> int:
                 f"with d_model {sig.d_model!r}, but the dataset under {dataset_dir} has "
                 f"method {labels[0]!r} with d_model {labels[1]!r}"
             )
-    model_path = cfg["model"]
-    if not model_path:
-        family = (cfg["identify_families"] or ["glm_gaussian"])[0]
-        model_path = dataset_dir / "models" / "identify" / f"{family}.json"
-    model = load_model(model_path)
 
     predictions = predict(model, test_ds.features)
     results, truth = identify_segments(

@@ -23,38 +23,28 @@ from .spectrum import LABEL_METHODS, coap_values, is_spectrum_method, sspe_value
 from .windowing import flatten_windows, window_attack_tags, window_binary_labels, window_matrices
 
 ATTACK_PATTERNS = ("burst", "periodic", "ramp")
-DATASET_SCHEMA_VERSION = 2
-# dataset.npz members: (name, dimensions, dtype).
-_DATASET_ARRAYS = (
-    ("second_features", 2, np.float64),
-    ("window_starts", 1, np.int64),
-    ("spectrum_labels", 1, np.float64),
-    ("binary_labels", 1, np.int64),
-)
+DATASET_SCHEMA_VERSION = 3
+# dataset.npz members: name -> (dtype, the sidecar key giving its length).
+# ``second_features`` is the (seconds, F) matrix the rows are windowed from.
+_DATASET_ARRAYS = {
+    "second_features": (np.float64, None),
+    "window_starts": (np.int64, "rows"),
+    "spectrum_labels": (np.float64, "rows"),
+    "binary_labels": (np.int64, "rows"),
+    "test": (np.bool_, "rows"),
+    "tag_codes": (np.int32, "rows"),
+    "zscore_means": (np.float64, "feature_width"),
+    "zscore_stds": (np.float64, "feature_width"),
+}
 
 
 @dataclass(frozen=True)
 class ZScoreParams:
-    """Per-column population mean and standard deviation."""
+    """Per-column population mean and standard deviation; a column whose
+    standard deviation is 0 is constant."""
 
     means: np.ndarray
     stds: np.ndarray
-    constant_mask: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "means": [float(v) for v in self.means],
-            "stds": [float(v) for v in self.stds],
-            "constant_mask": [int(v) for v in self.constant_mask],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ZScoreParams":
-        return cls(
-            means=np.asarray(data["means"], dtype=np.float64),
-            stds=np.asarray(data["stds"], dtype=np.float64),
-            constant_mask=np.asarray(data["constant_mask"], dtype=bool),
-        )
 
 
 def _check_finite(what: str, values: np.ndarray) -> None:
@@ -77,7 +67,7 @@ def zscore_fit(features: np.ndarray) -> ZScoreParams:
         stds = matrix.std(axis=0)
     _check_finite("mean", means)
     _check_finite("standard deviation", stds)
-    return ZScoreParams(means=means, stds=stds, constant_mask=stds == 0.0)
+    return ZScoreParams(means=means, stds=stds)
 
 
 def zscore_apply(features: np.ndarray, params: ZScoreParams) -> np.ndarray:
@@ -89,10 +79,11 @@ def zscore_apply(features: np.ndarray, params: ZScoreParams) -> np.ndarray:
             f"feature width {matrix.shape[-1] if matrix.ndim == 2 else '?'} does not "
             f"match fitted width {params.means.size}"
         )
-    safe_stds = np.where(params.constant_mask, 1.0, params.stds)
+    constant = params.stds == 0.0
+    safe_stds = np.where(constant, 1.0, params.stds)
     with np.errstate(over="ignore", invalid="ignore"):
         out = (matrix - params.means) / safe_stds
-    out[:, params.constant_mask] = 0.0
+    out[:, constant] = 0.0
     _check_finite("value", out)
     return out
 
@@ -129,14 +120,13 @@ class Dataset:
         return self.features.shape[0]
 
     def take(self, indices: np.ndarray) -> "Dataset":
-        """Row subset in the given index order; ``provenance["row_indices"]``
-        records the indices."""
+        """Row subset in the given index order."""
         indices = np.asarray(indices, dtype=np.int64)
         return Dataset(
-            features=self.features[indices].copy(),
-            spectrum_labels=self.spectrum_labels[indices].copy(),
-            binary_labels=self.binary_labels[indices].copy(),
-            provenance={**self.provenance, "row_indices": [int(i) for i in indices]},
+            features=self.features[indices],
+            spectrum_labels=self.spectrum_labels[indices],
+            binary_labels=self.binary_labels[indices],
+            provenance=dict(self.provenance),
             window_tags=None
             if self.window_tags is None
             else tuple(self.window_tags[i] for i in indices),
@@ -147,13 +137,12 @@ class Dataset:
 
 def split_dataset(
     ds: Dataset, test_fraction: float, seed: int, stratify: bool = True
-) -> tuple[Dataset, Dataset]:
-    """Disjoint, exhaustive train/test partition with a seeded shuffle.
+) -> np.ndarray:
+    """A seeded train/test partition as a bool mask, True for test rows.
 
     The test side gets round(M * test_fraction) rows; with ``stratify`` the
     rounding is applied per binary-label class, preserving class proportions
-    within one sample.  Selected indices are re-sorted so both parts keep the
-    original row order.
+    within one sample.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError(f"test fraction must be in (0, 1), got {test_fraction}")
@@ -162,21 +151,14 @@ def split_dataset(
         raise DataError("need at least 2 rows to split")
 
     rng = np.random.default_rng(seed)
+    test = np.zeros(m, dtype=bool)
     if stratify:
-        test_parts = []
         for cls in (0, 1):
             idx = np.flatnonzero(ds.binary_labels == cls)
-            n_test = int(round(idx.size * test_fraction))
-            test_parts.append(rng.permutation(idx)[:n_test])
-        test_idx = np.sort(np.concatenate(test_parts))
+            test[rng.permutation(idx)[: int(round(idx.size * test_fraction))]] = True
     else:
-        perm = rng.permutation(m)
-        test_idx = np.sort(perm[: int(round(m * test_fraction))])
-
-    mask = np.zeros(m, dtype=bool)
-    mask[test_idx] = True
-    train_idx = np.flatnonzero(~mask)
-    return ds.take(train_idx), ds.take(test_idx)
+        test[rng.permutation(m)[: int(round(m * test_fraction))]] = True
+    return test
 
 
 def downsample_majority(ds: Dataset, majority_ratio: float, seed: int) -> Dataset:
@@ -453,22 +435,28 @@ def save_dataset(
     ds: Dataset,
     out_dir: str | Path,
     zscore: ZScoreParams,
+    test: np.ndarray,
     sidecar_extra: dict | None = None,
 ) -> None:
     """Write ``dataset.npz`` and its ``dataset.json`` sidecar, each atomically.
 
     The rows are not stored one by one: ``dataset.npz`` holds the per-second
-    features, one window start per row and the two label vectors, and
-    ``load_dataset`` rebuilds the rows as the z-scored flattened windows at
-    those starts.  ``ds.features`` must equal that rebuild bit for bit, so a
-    dataset that was not windowed from its ``second_features`` (noise-injected
-    or built by hand) raises a ``DataError``.  The sidecar holds the row count,
-    feature width, provenance, z-score parameters, window tags, and any
-    extras (split indices, seeds).
+    features, one window start per row, and ``load_dataset`` rebuilds the
+    rows as the z-scored flattened windows at those starts.  ``ds.features``
+    must equal that rebuild bit for bit, so a dataset that was not windowed
+    from its ``second_features`` (noise-injected or built by hand) raises a
+    ``DataError``.  Every other per-row or per-column array goes into
+    ``dataset.npz`` too: the two label vectors, the ``test`` mask (True for
+    a test row), the window tags as codes into the sidecar's
+    ``attack_names``, and the z-score parameters.  The sidecar holds the row
+    count, feature width, provenance, attack names, and any extras (split
+    settings, seeds).
     """
     window = ds.provenance.get("window")
-    if ds.second_features is None or ds.window_starts is None or window is None:
+    if any(v is None for v in (ds.second_features, ds.window_starts, ds.window_tags, window)):
         raise DataError("only a dataset windowed from per-second features can be saved")
+    if np.shape(test) != (len(ds),):
+        raise DataError(f"the test mask has shape {np.shape(test)}, expected ({len(ds)},)")
     rebuilt = _rows_from_seconds(ds.second_features, ds.window_starts, window, zscore)
     features = ds.features
     if not (
@@ -481,6 +469,7 @@ def save_dataset(
             "features; refusing to save rows that would not load back"
         )
 
+    names, codes = np.unique(np.asarray(ds.window_tags, dtype=str), return_inverse=True)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with atomic_write(out_dir / "dataset.npz", "wb") as handle:
@@ -490,22 +479,25 @@ def save_dataset(
             window_starts=np.asarray(ds.window_starts, dtype=np.int64),
             spectrum_labels=np.asarray(ds.spectrum_labels, dtype=np.float64),
             binary_labels=np.asarray(ds.binary_labels, dtype=np.int64),
+            test=np.asarray(test, dtype=bool),
+            tag_codes=codes.astype(np.int32),
+            zscore_means=np.asarray(zscore.means, dtype=np.float64),
+            zscore_stds=np.asarray(zscore.stds, dtype=np.float64),
         )
     sidecar = {
         "schema_version": DATASET_SCHEMA_VERSION,
         "rows": len(ds),
         "feature_width": features.shape[1],
         "provenance": ds.provenance,
-        "zscore": zscore.to_dict(),
-        "window_tags": list(ds.window_tags) if ds.window_tags is not None else None,
+        "attack_names": names.tolist(),
+        **(sidecar_extra or {}),
     }
-    if sidecar_extra:
-        sidecar.update(sidecar_extra)
     write_json(out_dir / "dataset.json", sidecar)
 
 
-def _read_dataset_arrays(path: Path) -> dict[str, np.ndarray]:
-    """The ``dataset.npz`` members, each checked for dimensions and dtype."""
+def _read_dataset_arrays(path: Path, lengths: dict[str, int]) -> dict[str, np.ndarray]:
+    """The ``dataset.npz`` members, each checked for dtype and shape:
+    ``lengths`` maps ``rows`` and ``feature_width`` to their sidecar values."""
     if not path.exists():
         raise DataError(f"dataset arrays not found: {path}")
     try:
@@ -515,22 +507,26 @@ def _read_dataset_arrays(path: Path) -> dict[str, np.ndarray]:
             if not isinstance(loaded, np.lib.npyio.NpzFile):
                 raise DataError(f"{path} is not an .npz archive")
             with loaded:
-                arrays = {name: loaded[name] for name, _, _ in _DATASET_ARRAYS}
+                arrays = {name: loaded[name] for name in _DATASET_ARRAYS}
     except KeyError as exc:
         raise DataError(f"{path} is missing the array {exc}") from None
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise DataError(f"{path} is not a valid dataset array file: {exc}") from exc
-    for name, ndim, dtype in _DATASET_ARRAYS:
-        if arrays[name].ndim != ndim or arrays[name].dtype != dtype:
+    for name, (dtype, length) in _DATASET_ARRAYS.items():
+        shape = arrays[name].shape
+        ok = len(shape) == 2 if length is None else shape == (lengths[length],)
+        if not ok or arrays[name].dtype != dtype:
+            want = "2 dimensions" if length is None else f"shape ({lengths[length]},)"
             raise DataError(
-                f"{path}: array {name!r} has shape {arrays[name].shape} and dtype "
-                f"{arrays[name].dtype}, expected {ndim} dimensions of {np.dtype(dtype)}"
+                f"{path}: array {name!r} has shape {shape} and dtype {arrays[name].dtype}, "
+                f"expected {want} of {np.dtype(dtype)}"
             )
     return arrays
 
 
-def load_dataset(in_dir: str | Path) -> tuple[Dataset, dict]:
-    """Read back a ``save_dataset`` directory; returns (dataset, sidecar).
+def load_dataset(in_dir: str | Path) -> tuple[Dataset, np.ndarray, dict]:
+    """Read back a ``save_dataset`` directory; returns (dataset, test mask,
+    sidecar).
 
     The rows are rebuilt from the stored per-second features and window
     starts, then z-scored with the stored parameters: the same float64
@@ -554,52 +550,49 @@ def load_dataset(in_dir: str | Path) -> tuple[Dataset, dict]:
         fraction = sidecar["provenance"]["attack_bit_fraction"]
         width = int(sidecar["feature_width"])
         rows = int(sidecar["rows"])
-        zscore = ZScoreParams.from_dict(sidecar["zscore"])
-        tags = sidecar.get("window_tags")
+        names = sidecar["attack_names"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{json_path}: malformed dataset sidecar: {exc!r}") from None
     if method not in LABEL_METHODS:
         raise DataError(f"{json_path}: unknown label method {method!r}")
     if type(fraction) not in (int, float) or not 0.0 <= fraction <= 1.0:
         raise DataError(f"{json_path}: attack_bit_fraction {fraction!r} is not in [0, 1]")
-    if tags is not None:
-        if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
-            raise DataError(f"{json_path}: window_tags must be a list of strings")
-        tags = tuple(tags)
+    if not (isinstance(names, list) and all(isinstance(t, str) for t in names)):
+        raise DataError(f"{json_path}: attack_names must be a list of strings")
 
-    arrays = _read_dataset_arrays(npz_path)
-    seconds = arrays["second_features"]
-    starts = arrays["window_starts"]
+    arrays = _read_dataset_arrays(npz_path, {"rows": rows, "feature_width": width})
+    seconds, starts, codes = arrays["second_features"], arrays["window_starts"], arrays["tag_codes"]
+    means, stds = arrays["zscore_means"], arrays["zscore_stds"]
     n, f = seconds.shape
     if window < 1 or f * window != width:
         raise DataError(
             f"{npz_path}: {f} per-second features in windows of {window} do not give "
             f"the sidecar's feature width {width}"
         )
-    if {zscore.means.size, zscore.stds.size, zscore.constant_mask.size} != {width}:
-        raise DataError(f"{json_path}: z-score parameters do not have width {width}")
-    for name in ("window_starts", "spectrum_labels", "binary_labels"):
-        if arrays[name].shape != (rows,):
-            raise DataError(f"{npz_path}: {name} has {arrays[name].size} entries, expected {rows}")
-    if tags is not None and len(tags) != rows:
-        raise DataError(f"{json_path}: {len(tags)} window tags for {rows} rows")
     if n < window or (rows and (starts.min() < 0 or starts.max() > n - window)):
         raise DataError(
             f"{npz_path}: window starts must lie in [0, {n - window}] for {n} seconds "
             f"and window {window}"
         )
+    if rows and (codes.min() < 0 or codes.max() >= len(names)):
+        raise DataError(f"{npz_path}: tag codes must lie in [0, {len(names)}), one per attack name")
+    if not (np.isfinite(means).all() and np.isfinite(stds).all() and (stds >= 0.0).all()):
+        raise DataError(
+            f"{npz_path}: z-score means must be finite, and standard deviations finite "
+            "and not negative"
+        )
 
     try:
-        features = _rows_from_seconds(seconds, starts, window, zscore)
+        features = _rows_from_seconds(seconds, starts, window, ZScoreParams(means, stds))
     except DataError as exc:
-        raise DataError(f"{json_path}: {exc}") from None
+        raise DataError(f"{npz_path}: {exc}") from None
     ds = Dataset(
         features=features,
         spectrum_labels=arrays["spectrum_labels"],
         binary_labels=arrays["binary_labels"],
         provenance=dict(sidecar["provenance"]),
-        window_tags=tags,
+        window_tags=tuple(np.array(names, dtype=object)[codes]),
         second_features=seconds,
         window_starts=starts,
     )
-    return ds, sidecar
+    return ds, arrays["test"], sidecar

@@ -1,8 +1,8 @@
 """Flow-record ingestion: CSV rows to a continuous per-second packet timeline.
 
 A timeline holds one row per second in columns: the second, a numeric
-feature vector and a binary label (0 = normal, 1 = attack), plus a fill flag
-and the attack name.  Raw captures commonly have seconds with no traffic at
+feature vector and a binary label (0 = normal, 1 = attack), plus the attack
+name.  Raw captures commonly have seconds with no traffic at
 all; ``fill_missing_points`` closes those gaps by inserting copies of randomly
 sampled normal rows so that downstream sliding windows see an uninterrupted
 time axis.
@@ -109,15 +109,14 @@ class PacketTimeline:
 
     Row i is one second of traffic: ``seconds[i]``, its feature vector
     ``features[i]`` (shape ``(n, F)``), its label ``labels[i]`` (0 normal,
-    1 attack), ``fill[i]`` (1 for a row inserted by ``fill_missing_points``)
-    and ``attacks[i]``, the attack name (empty when unnamed or normal).
+    1 attack) and ``attacks[i]``, the attack name (empty when unnamed or
+    normal).
     """
 
     seconds: np.ndarray
     features: np.ndarray
     labels: np.ndarray
     feature_names: tuple[str, ...]
-    fill: np.ndarray | None = None
     attacks: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -126,9 +125,8 @@ class PacketTimeline:
         put("seconds", np.asarray(self.seconds, dtype=np.int64))
         put("features", np.asarray(self.features, dtype=np.float64))
         put("feature_names", tuple(self.feature_names))
-        put("fill", np.zeros(n, np.int64) if self.fill is None else np.asarray(self.fill, np.int64))
         put("attacks", ("",) * n if self.attacks is None else tuple(self.attacks))
-        if (np.shape(self.labels), self.fill.shape, len(self.attacks)) != ((n,), (n,), n):
+        if (np.shape(self.labels), len(self.attacks)) != ((n,), n):
             raise DataError("timeline columns must all have one entry per second")
         if np.any(np.diff(self.seconds) <= 0):
             raise DataError("timeline records must be sorted by second, one row per second")
@@ -137,8 +135,6 @@ class PacketTimeline:
         if bad.size:
             raise DataError(f"record label must be 0 or 1, got {labels[bad[0]].item()!r}")
         put("labels", labels.astype(np.int64))
-        if np.any((self.fill != 0) & (self.labels != 0)):
-            raise DataError("synthetic fill records must carry label 0")
         width = len(self.feature_names)
         if self.features.shape != (n, width):
             raise DataError(
@@ -289,7 +285,7 @@ def fill_missing_points(timeline: PacketTimeline, seed: int) -> PacketTimeline:
 
     Donors are drawn uniformly with replacement from the timeline's own
     label-0 rows, in ascending gap order, from a generator seeded with
-    ``seed``.  Inserted rows carry ``label=0`` and ``fill=1``; original rows
+    ``seed``.  Inserted rows carry label 0 and no attack name; original rows
     are untouched.  Applying the fill twice is a no-op.
     """
     if len(timeline) == 0:
@@ -319,7 +315,6 @@ def fill_missing_points(timeline: PacketTimeline, seed: int) -> PacketTimeline:
         features=merged(timeline.features, timeline.features[donors]),
         labels=merged(timeline.labels, np.zeros(gaps.size, np.int64)),
         feature_names=timeline.feature_names,
-        fill=merged(timeline.fill, np.ones(gaps.size, np.int64)),
         attacks=tuple(attacks[i] for i in order),
     )
 

@@ -41,13 +41,12 @@ def make_timeline(seconds, labels=None, width=2, attacks=None, rng=None):
 
 
 def timeline_rows(timeline):
-    """A timeline as (second, features, label, fill, attack) tuples."""
+    """A timeline as (second, features, label, attack) tuples."""
     return list(
         zip(
             timeline.seconds.tolist(),
             map(tuple, timeline.features.tolist()),
             timeline.labels.tolist(),
-            timeline.fill.tolist(),
             timeline.attacks,
         )
     )
@@ -128,11 +127,11 @@ def method_artifacts(
     ds = assemble_dataset(
         timeline, window, 1, method, d_model if method == "sspe" else None
     )
-    train_ds, test_ds = split_dataset(ds, test_fraction, derive_seed(seed, "split"), True)
-    params = zscore_fit(train_ds.features)
+    test = split_dataset(ds, test_fraction, derive_seed(seed, "split"), True)
+    params = zscore_fit(ds.features[~test])
     standardized = replace(ds, features=zscore_apply(ds.features, params))
-    train_ds = standardized.take(np.asarray(train_ds.provenance["row_indices"]))
-    test_ds = standardized.take(np.asarray(test_ds.provenance["row_indices"]))
+    train_ds = standardized.take(np.flatnonzero(~test))
+    test_ds = standardized.take(np.flatnonzero(test))
 
     threshold = None
     if method == "baseline":

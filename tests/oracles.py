@@ -10,7 +10,7 @@ timeline functions (one record per second, for the columnar timeline), the
 schema-1 dataset store (every flattened row as ``repr`` CSV, for the
 window-free ``dataset.npz``), and the logistic fit (500 full-batch
 gradient-descent steps, for the Newton solver).  Timeline records are
-``(second, features, label, fill, attack)`` tuples.
+``(second, features, label, attack)`` tuples.
 """
 
 from __future__ import annotations
@@ -348,7 +348,7 @@ def generate_synthetic_oracle(scenario, seed):
             attack, shift = attack_at[second]
             values = values + shift
             label = 1
-        records.append((second, tuple(float(v) for v in values), label, 0, attack))
+        records.append((second, tuple(float(v) for v in values), label, attack))
     return records
 
 
@@ -364,7 +364,7 @@ def fill_missing_points_oracle(records, seed):
     fills = []
     for second in gaps:
         donor = normals[int(rng.integers(0, len(normals)))]
-        fills.append((second, donor[1], 0, 1, ""))
+        fills.append((second, donor[1], 0, ""))
     return sorted(list(records) + fills, key=lambda r: r[0])
 
 

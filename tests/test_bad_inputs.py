@@ -120,30 +120,6 @@ class TestRegressions:
         assert rc == 2
         assert str(dataset / "threshold.json") in err and "'n1'" in err
 
-    def test_split_without_train_indices(self, ws, tmp_path):
-        dataset = copy_dataset(ws, tmp_path)
-        edit_json(dataset / "dataset.json", lambda d: d["split"].pop("train_indices"))
-        rc, err = run(["train", "--dataset", dataset, "--task", "detect",
-                       "--families", "glm_binomial"])
-        assert rc == 2
-        assert str(dataset / "dataset.json") in err and "'train_indices'" in err
-
-    def test_split_index_out_of_range(self, ws, tmp_path):
-        dataset = copy_dataset(ws, tmp_path)
-        edit_json(dataset / "dataset.json", lambda d: d["split"]["test_indices"].append(10**6))
-        rc, err = run(["train", "--dataset", dataset, "--task", "detect",
-                       "--families", "glm_binomial"])
-        assert rc == 2
-        assert str(dataset / "dataset.json") in err and "'test_indices'" in err
-
-    def test_negative_split_index(self, ws, tmp_path):
-        # numpy would read -1 as the last row instead of failing.
-        dataset = copy_dataset(ws, tmp_path)
-        edit_json(dataset / "dataset.json", lambda d: d["split"]["train_indices"].append(-1))
-        rc, _ = run(["train", "--dataset", dataset, "--task", "detect",
-                     "--families", "glm_binomial"])
-        assert rc == 2
-
     def test_provenance_without_method(self, ws, tmp_path):
         dataset = copy_dataset(ws, tmp_path)
         edit_json(dataset / "dataset.json", lambda d: d["provenance"].pop("method"))
@@ -171,6 +147,31 @@ class TestRegressions:
         rc, err = run(identify_args(ws, dataset, tmp_path, model=model))
         assert rc == 2
         assert str(model) in err and "1 weights for 10 features" in err
+
+    @pytest.mark.parametrize("case", ["detect model to identify", "regression model to sweep",
+                                      "narrower model to identify"])
+    def test_model_for_another_task_or_width(self, ws, tmp_path, case):
+        # Each once ran to exit 0, or failed naming no file.
+        dataset = copy_dataset(ws, tmp_path)
+        models = dataset / "models"
+        registry = tmp_path / "registry.json"
+        if case == "detect model to identify":
+            model = models / "detect" / "glm_binomial.json"
+            args = identify_args(ws, dataset, tmp_path, registry, model) + ["--make-registry", "all"]
+            want = "a classify model"
+        elif case == "regression model to sweep":
+            model = models / "detect" / "glm_gaussian.json"
+            shutil.copy(models / "identify" / "glm_gaussian.json", model)
+            args, want = sweep_args(tmp_path, dataset, families=["glm_gaussian"]), "a regress model"
+        else:
+            model = models / "identify" / "glm_gaussian.json"
+            edit_json(model, lambda d: (d.update(feature_count=4),
+                                        d["parameters"].update(weights=[0.5] * 4)))
+            args, want = identify_args(ws, dataset, tmp_path, model=model), "of 4 features"
+        rc, err = run(args)
+        assert rc == 2, err
+        assert str(model) in err and want in err and "10 features" in err
+        assert not registry.exists()
 
     def test_detect_model_from_gradient_descent_fit(self, ws, tmp_path):
         # A glm_binomial file written before the Newton solver carries the
@@ -398,13 +399,10 @@ SIDECAR_EDITS = {
     "method not a label method": lambda d: d["provenance"].update(method="fft"),
     "fraction a string": lambda d: d["provenance"].update(attack_bit_fraction="0.2"),
     "fraction above 1": lambda d: d["provenance"].update(attack_bit_fraction=1.5),
-    "tags not strings": lambda d: d.update(window_tags=[0] * len(d["window_tags"])),
-    "tags a string": lambda d: d.update(window_tags="x" * len(d["window_tags"])),
-    "split a list": lambda d: d.update(split=[1, 2]),
-    "index a float": lambda d: d["split"]["train_indices"].__setitem__(0, 1.0),
+    "tags not strings": lambda d: d.update(attack_names=[0] * len(d["attack_names"])),
+    "tags a string": lambda d: d.update(attack_names="x" * len(d["attack_names"])),
+    "tags missing": lambda d: d.pop("attack_names"),
     "window infinite": lambda d: d["provenance"].update(window=float("inf")),
-    # Rows z-scored by these overflow float64.
-    "z-score stds tiny": lambda d: d["zscore"].update(stds=[1e-320] * len(d["zscore"]["stds"])),
 }
 
 

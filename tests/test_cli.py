@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tspec import AttackSegment, SyntheticScenario
@@ -97,9 +98,10 @@ class TestBuildDataset:
         assert sidecar["provenance"]["d_model"] == 8
         assert sidecar["feature_width"] == 10 * 3
         assert sidecar["rows"] == 421
-        split = sidecar["split"]
-        assert len(split["train_indices"]) + len(split["test_indices"]) == 421
-        assert sidecar["schema_version"] == 2
+        assert sidecar["split"]["test_fraction"] == 0.3
+        with np.load(workspace / "sspe" / "dataset.npz") as npz:
+            assert npz["test"].dtype == bool and npz["test"].shape == (421,)
+        assert sidecar["schema_version"] == 3
         assert "attack_name" not in sidecar
 
     def test_window_larger_than_timeline_exits_2(self, workspace, tmp_path, capsys):

@@ -55,7 +55,7 @@ class TestZScore:
     def test_constant_column(self):
         x = np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]])
         params = zscore_fit(x)
-        assert params.constant_mask.tolist() == [True, False]
+        assert (params.stds == 0.0).tolist() == [True, False]
         assert params.means[0] == 5.0 and params.stds[0] == 0.0
         assert zscore_apply(x, params)[:, 0].tolist() == [0.0, 0.0, 0.0]
 
@@ -92,30 +92,35 @@ class TestZScore:
 
 class TestSplit:
     def test_sizes(self):
-        train, test = split_dataset(make_dataset(10), 0.3, seed=1, stratify=False)
-        assert len(test) == 3 and len(train) == 7
+        test = split_dataset(make_dataset(10), 0.3, seed=1, stratify=False)
+        assert int(test.sum()) == 3 and int((~test).sum()) == 7
 
     def test_disjoint_exhaustive(self):
-        ds = make_dataset(50)
-        train, test = split_dataset(ds, 0.4, seed=2)
-        ti = set(train.provenance["row_indices"])
-        si = set(test.provenance["row_indices"])
-        assert ti.isdisjoint(si)
-        assert ti | si == set(range(50))
+        # One bool per row: every row is on exactly one side.
+        test = split_dataset(make_dataset(50), 0.4, seed=2)
+        assert test.dtype == bool and test.shape == (50,)
+        assert int(test.sum()) == 20
 
     def test_stratified_positive_count(self):
         ds = make_dataset(100, positive_fraction=0.2, seed=5)
         n_pos = int(ds.binary_labels.sum())
-        train, test = split_dataset(ds, 0.5, seed=3, stratify=True)
+        test = split_dataset(ds, 0.5, seed=3, stratify=True)
         expected = round(n_pos * 0.5)
-        assert abs(int(test.binary_labels.sum()) - expected) <= 1
+        assert abs(int(ds.binary_labels[test].sum()) - expected) <= 1
 
     def test_same_seed_identical(self):
         ds = make_dataset(40)
-        a_train, a_test = split_dataset(ds, 0.25, seed=9)
-        b_train, b_test = split_dataset(ds, 0.25, seed=9)
-        assert a_test.provenance["row_indices"] == b_test.provenance["row_indices"]
-        assert np.array_equal(a_train.features, b_train.features)
+        assert np.array_equal(split_dataset(ds, 0.25, seed=9), split_dataset(ds, 0.25, seed=9))
+
+    def test_matches_sorted_permutation_prefixes(self):
+        # The test rows of each class are a prefix of one seeded permutation.
+        ds = make_dataset(60, positive_fraction=0.3, seed=6)
+        rng = np.random.default_rng(11)
+        want = np.zeros(60, dtype=bool)
+        for cls in (0, 1):
+            idx = np.flatnonzero(ds.binary_labels == cls)
+            want[rng.permutation(idx)[: int(round(idx.size * 0.3))]] = True
+        assert np.array_equal(split_dataset(ds, 0.3, seed=11), want)
 
     def test_fraction_out_of_range(self):
         for bad in (0.0, 1.0, -0.2, 1.5):
@@ -124,10 +129,10 @@ class TestSplit:
 
     def test_tags_follow_rows(self):
         ds = make_dataset(30, tags=True)
-        train, test = split_dataset(ds, 0.3, seed=4)
-        for part in (train, test):
-            for i, original in enumerate(part.provenance["row_indices"]):
-                assert part.window_tags[i] == ds.window_tags[original]
+        test = split_dataset(ds, 0.3, seed=4)
+        for mask in (~test, test):
+            rows = np.flatnonzero(mask)
+            assert ds.take(rows).window_tags == tuple(ds.window_tags[i] for i in rows)
 
 
 class TestNoise:
@@ -411,8 +416,9 @@ def standardized_dataset(method="coap", stride=1, seed=4):
 class TestDatasetIO:
     def test_round_trip(self, tmp_path):
         ds, params = standardized_dataset(stride=2)
-        save_dataset(ds, tmp_path, params, sidecar_extra={"seeds": {"base": 3}})
-        loaded, sidecar = load_dataset(tmp_path)
+        test = np.arange(len(ds)) % 3 == 0
+        save_dataset(ds, tmp_path, params, test, sidecar_extra={"seeds": {"base": 3}})
+        loaded, loaded_test, sidecar = load_dataset(tmp_path)
         assert same_bits(loaded.features, ds.features)
         assert same_bits(loaded.spectrum_labels, ds.spectrum_labels)
         assert same_bits(loaded.binary_labels, ds.binary_labels)
@@ -420,12 +426,15 @@ class TestDatasetIO:
         assert same_bits(loaded.window_starts, ds.window_starts)
         assert loaded.window_tags == ds.window_tags
         assert loaded.provenance == ds.provenance
-        assert sidecar["schema_version"] == 2
-        assert sidecar["zscore"] == params.to_dict()
+        assert np.array_equal(loaded_test, test)
+        assert sidecar["schema_version"] == 3
+        assert sidecar["attack_names"] == sorted(set(ds.window_tags))
         assert sidecar["seeds"] == {"base": 3}
         assert "attack_name" not in sidecar
         # A loaded dataset saves back to the same bytes.
-        save_dataset(loaded, tmp_path / "again", params, sidecar_extra={"seeds": {"base": 3}})
+        save_dataset(
+            loaded, tmp_path / "again", params, loaded_test, sidecar_extra={"seeds": {"base": 3}}
+        )
         for name in ("dataset.npz", "dataset.json"):
             assert (tmp_path / "again" / name).read_bytes() == (tmp_path / name).read_bytes()
 
@@ -433,8 +442,8 @@ class TestDatasetIO:
         ds, params = standardized_dataset()
         rows = np.array([1, 4, 5, 17, 30])
         subset = ds.take(rows)
-        save_dataset(subset, tmp_path, params)
-        loaded, _ = load_dataset(tmp_path)
+        save_dataset(subset, tmp_path, params, np.zeros(rows.size, dtype=bool))
+        loaded, _, _ = load_dataset(tmp_path)
         assert loaded.window_starts.tolist() == ds.window_starts[rows].tolist()
         assert same_bits(loaded.features, ds.features[rows])
 
@@ -442,18 +451,24 @@ class TestDatasetIO:
         ds, params = standardized_dataset()
         noised = inject_noise(ds, NoiseSpec(0.3, 1.0, seed=2))
         with pytest.raises(DataError, match="differ"):
-            save_dataset(noised, tmp_path, params)
+            save_dataset(noised, tmp_path, params, np.zeros(len(ds), dtype=bool))
         assert list(tmp_path.iterdir()) == []
 
     def test_refuses_other_zscore_parameters(self, tmp_path):
         ds, _ = standardized_dataset()
         with pytest.raises(DataError, match="differ"):
-            save_dataset(ds, tmp_path, zscore_fit(ds.features))
+            save_dataset(ds, tmp_path, zscore_fit(ds.features), np.zeros(len(ds), dtype=bool))
 
     def test_refuses_hand_built_dataset(self, tmp_path):
         ds = make_dataset(8, d=3)
         with pytest.raises(DataError, match="per-second"):
-            save_dataset(ds, tmp_path, zscore_fit(ds.features))
+            save_dataset(ds, tmp_path, zscore_fit(ds.features), np.zeros(len(ds), dtype=bool))
+
+    def test_refuses_a_test_mask_of_another_length(self, tmp_path):
+        ds, params = standardized_dataset()
+        with pytest.raises(DataError, match="test mask"):
+            save_dataset(ds, tmp_path, params, np.zeros(len(ds) - 1, dtype=bool))
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_dir(self, tmp_path):
         with pytest.raises(DataError):

@@ -1,6 +1,7 @@
 """The window-free dataset store: CLI-built datasets load back with the same
-bits as the schema-1 CSV round trip, malformed stores are data errors that
-name their file, and artifacts are replaced atomically."""
+bits as the schema-1 CSV round trip, the sidecar holds no per-row or
+per-column list, malformed stores are data errors that name their file, and
+artifacts are replaced atomically."""
 
 import csv
 import json
@@ -75,7 +76,7 @@ class TestAgainstCsvStore:
 
         monkeypatch.setattr(cli, "save_dataset", save_both)
         assert build(raw, tmp_path / "ds", method, stride, csv_name, config) == 0
-        loaded, sidecar = load_dataset(tmp_path / "ds")
+        loaded, _, sidecar = load_dataset(tmp_path / "ds")
         features, spectrum, binary, tags = load_dataset_v1(tmp_path / "v1")
         assert same_bits(loaded.features, features)
         assert same_bits(loaded.spectrum_labels, spectrum)
@@ -102,6 +103,18 @@ def built(raw, tmp_path_factory):
     return out
 
 
+def test_sidecar_holds_only_scalars_and_names(built):
+    sidecar = json.loads((built / "dataset.json").read_text())
+    assert sidecar["schema_version"] == 3
+    assert sorted(sidecar) == [
+        "attack_names", "feature_width", "provenance", "rows", "schema_version", "seeds", "split",
+    ]
+    lists = [v for part in (sidecar, *sidecar.values()) if isinstance(part, dict)
+             for v in part.values() if isinstance(v, list)]
+    assert lists == [sidecar["attack_names"], sidecar["provenance"]["feature_names"]]
+    assert all(isinstance(name, str) for names in lists for name in names)
+
+
 def rewrite_npz(path, drop=(), **changes):
     with np.load(path) as npz:
         arrays = {name: npz[name] for name in npz.files if name not in drop}
@@ -118,13 +131,28 @@ def edit_sidecar(path, **changes):
 def _v1(d):
     for name in ("dataset.npz", "dataset.json"):
         (d / name).unlink()
-    ds, _ = load_dataset(d.parent / "orig")
+    ds, _, _ = load_dataset(d.parent / "orig")
     save_dataset_v1(ds, d)
 
 
 def _npy(path):
     with path.open("wb") as handle:
         np.save(handle, np.zeros(3))
+
+
+def _edit(d, name, change):
+    """Replace the ``dataset.npz`` member ``name`` by ``change`` of a copy."""
+    with np.load(d / "dataset.npz") as npz:
+        array = npz[name].copy()
+    rewrite_npz(d / "dataset.npz", **{name: change(array)})
+
+
+def _setting(index, value):
+    def change(array):
+        array[index] = value
+        return array
+
+    return change
 
 
 def _starts(d, shift):
@@ -164,7 +192,37 @@ CORRUPTIONS = {
         "dataset.npz",
         lambda d: rewrite_npz(d / "dataset.npz", spectrum_labels=np.zeros(3)),
     ),
-    "sidecar without zscore": ("dataset.json", lambda d: edit_sidecar(d / "dataset.json", zscore=None)),
+    "schema-2 sidecar": (
+        "dataset.json",
+        lambda d: edit_sidecar(d / "dataset.json", schema_version=2),
+    ),
+    "missing test mask": ("dataset.npz", lambda d: rewrite_npz(d / "dataset.npz", drop=("test",))),
+    "test mask too long": ("dataset.npz", lambda d: _edit(d, "test", lambda t: np.append(t, True))),
+    "test mask too short": ("dataset.npz", lambda d: _edit(d, "test", lambda t: t[:-1])),
+    "test mask of ints": ("dataset.npz", lambda d: _edit(d, "test", lambda t: t.astype(np.int64))),
+    "test mask of floats": ("dataset.npz", lambda d: _edit(d, "test", lambda t: t.astype(float))),
+    "tag code out of range": ("dataset.npz", lambda d: _edit(d, "tag_codes", lambda c: c + 1)),
+    "negative tag code": ("dataset.npz", lambda d: _edit(d, "tag_codes", _setting(0, -1))),
+    "tag codes of int64": (
+        "dataset.npz",
+        lambda d: _edit(d, "tag_codes", lambda c: c.astype(np.int64)),
+    ),
+    "z-score means of another width": (
+        "dataset.npz",
+        lambda d: rewrite_npz(d / "dataset.npz", zscore_means=np.zeros(17)),
+    ),
+    "npz without z-score stds": (
+        "dataset.npz",
+        lambda d: rewrite_npz(d / "dataset.npz", drop=("zscore_stds",)),
+    ),
+    "negative z-score std": ("dataset.npz", lambda d: _edit(d, "zscore_stds", _setting(0, -1.0))),
+    "infinite z-score std": ("dataset.npz", lambda d: _edit(d, "zscore_stds", _setting(1, np.inf))),
+    "z-score mean NaN": ("dataset.npz", lambda d: _edit(d, "zscore_means", _setting(2, np.nan))),
+    # Rows z-scored by these overflow float64.
+    "z-score stds tiny": (
+        "dataset.npz",
+        lambda d: _edit(d, "zscore_stds", _setting(slice(None), 1e-320)),
+    ),
 }
 
 

@@ -8,7 +8,6 @@ import pytest
 from tspec import (
     DataError,
     FlowSchema,
-    PacketTimeline,
     fill_missing_points,
     nonconstant_features,
     parse_flow_csv,
@@ -49,7 +48,7 @@ class TestParse:
         assert timeline.seconds.tolist() == [0, 1, 2]
         assert timeline.labels.tolist() == [1, 0, 0]
         assert timeline.features[0].tolist() == [74.0, 1.5]
-        assert timeline.fill.tolist() == [0, 0, 0]
+        assert timeline.attacks == ("", "", "")
 
     def test_non_binary_label_names_row(self, tmp_path, basic_schema):
         path = write_csv(
@@ -169,8 +168,9 @@ class TestFill:
         filled = fill_missing_points(timeline, seed=9)
         assert len(filled) == 14
         assert filled.seconds.tolist() == list(range(14))
-        assert int(filled.fill.sum()) == 5
-        assert filled.labels[filled.fill == 1].tolist() == [0] * 5
+        inserted = ~np.isin(filled.seconds, timeline.seconds)
+        assert filled.seconds[inserted].tolist() == [6, 7, 9, 10, 11]
+        assert filled.labels[inserted].tolist() == [0] * 5
 
     def test_gap_count_identity(self):
         rng = np.random.default_rng(3)
@@ -197,9 +197,10 @@ class TestFill:
         timeline = make_timeline([0, 3], labels=[0, 1])
         filled = fill_missing_points(timeline, seed=0)
         normal_features = {tuple(timeline.features[0])}
-        for row, fill in zip(filled.features, filled.fill):
-            if fill:
-                assert tuple(row) in normal_features
+        inserted = ~np.isin(filled.seconds, timeline.seconds)
+        assert inserted.sum() == 2
+        for row in filled.features[inserted]:
+            assert tuple(row) in normal_features
 
     def test_empty_normal_pool_rejected(self):
         timeline = make_timeline([0, 3], labels=[1, 1])
@@ -209,15 +210,15 @@ class TestFill:
     def test_originals_untouched(self):
         timeline = make_timeline([0, 4], labels=[0, 1])
         filled = fill_missing_points(timeline, seed=8)
-        originals = [r for r in timeline_rows(filled) if not r[3]]
+        originals = [r for r in timeline_rows(filled) if r[0] in timeline.seconds]
         assert originals == timeline_rows(timeline)
 
     def test_fill_rows_must_carry_label_zero(self):
-        with pytest.raises(DataError, match="label 0"):
-            PacketTimeline(
-                seconds=[0, 1], features=np.zeros((2, 1)), labels=[0, 1],
-                feature_names=("f0",), fill=[0, 1],
-            )
+        # Inserted seconds are normal and unnamed, even between attack seconds.
+        timeline = make_timeline([0, 1, 4, 5], labels=[0, 1, 1, 1], attacks=["a"] * 4)
+        filled = fill_missing_points(timeline, seed=3)
+        assert filled.labels.tolist() == [0, 1, 0, 0, 1, 1]
+        assert filled.attacks == ("", "a", "", "", "a", "a")
 
     def test_unsorted_seconds_rejected(self):
         with pytest.raises(DataError, match="sorted"):
