@@ -40,6 +40,7 @@ from .errors import (
     PipelineError,
     Range,
     atomic_write,
+    read_field,
     read_json_object,
     write_json,
 )
@@ -323,7 +324,10 @@ def cmd_build_dataset(cfg: dict) -> int:
     out, seed, method = cfg["out"], cfg["seed"], cfg["method"]
     timeline = _load_timeline(cfg)
     timeline = fill_missing_points(timeline, derive_seed(seed, "fill"))
-    timeline = select_features(timeline, cfg["features"] or nonconstant_features(timeline))
+    features = cfg["features"] or nonconstant_features(timeline)
+    if not features:
+        raise DataError(f"{cfg['scenario'] or cfg['input']}: every feature column is constant")
+    timeline = select_features(timeline, features)
 
     ds = assemble_dataset(
         timeline,
@@ -408,20 +412,14 @@ def _load_threshold(dataset_dir: Path) -> ThresholdSpec:
     if not path.exists():
         raise DataError(f"no fitted threshold found at {path}; run train --task detect first")
     data = read_json_object(path, DataError, "threshold")
-    checks = {
-        "tau": lambda v: type(v) in (int, float) and math.isfinite(v),
-        "mode": lambda v: v in THRESHOLD_MODES,
-        "n1": lambda v: type(v) is int,
-        "n": lambda v: type(v) is int,
-    }
-    for key, valid in checks.items():
-        if key not in data:
-            raise DataError(f"{path}: threshold file is missing key {key!r}")
-        if not valid(data[key]):
-            raise DataError(f"{path}: threshold key {key!r} has an invalid value {data[key]!r}")
     try:
-        return ThresholdSpec(tau=float(data["tau"]), mode=data["mode"], n1=data["n1"], n=data["n"])
-    except ConfigError as exc:  # n1 outside [0, n]
+        return ThresholdSpec(
+            tau=read_field(data, "tau", Real),
+            mode=read_field(data, "mode", str),
+            n1=read_field(data, "n1", Integral),
+            n=read_field(data, "n", Integral),
+        )
+    except (ConfigError, ValueError) as exc:  # ConfigError: an unknown mode, n1 outside [0, n]
         raise DataError(f"{path}: {exc}") from None
 
 

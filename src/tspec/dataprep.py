@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, Range, atomic_write, read_json_object, write_json
+from .errors import (ConfigError, DataError, Range, atomic_write, read_field, read_json_object,
+                     write_json)
 from .ingest import PacketTimeline
 from .spectrum import LABEL_METHODS, coap_values, is_spectrum_method, sspe_values
 from .windowing import flatten_windows, window_attack_tags, window_binary_labels, window_matrices
@@ -280,36 +281,32 @@ class SyntheticScenario:
     @classmethod
     def from_dict(cls, data: dict) -> "SyntheticScenario":
         """A scenario from parsed JSON, with every value's type checked by
-        ``_field`` and nothing coerced."""
+        ``read_field`` and nothing coerced."""
         try:
             segments = []
-            for i, s in enumerate(data["segments"]):
+            for i, s in enumerate(read_field(data, "segments", list)):
                 where = f"segment {i}: "
                 segments.append(AttackSegment(
-                    name=_field(s, "name", str, where),
-                    start=_field(s, "start", Integral, where),
-                    length=_field(s, "length", Integral, where),
-                    pattern=s["pattern"],
-                    period=_field(s, "period", Integral, where, 3),
-                    offset=_field(s, "offset", Real, where, 1.0),
+                    name=read_field(s, "name", str, where=where),
+                    start=read_field(s, "start", Integral, where=where),
+                    length=read_field(s, "length", Integral, where=where),
+                    pattern=read_field(s, "pattern", str, where=where),
+                    period=read_field(s, "period", Integral, default=3, where=where),
+                    offset=_per_feature_field(s, "offset", 1.0, where),
                 ))
             return cls(
-                duration=_field(data, "duration", Integral),
-                feature_count=_field(data, "feature_count", Integral),
+                duration=read_field(data, "duration", Integral),
+                feature_count=read_field(data, "feature_count", Integral),
                 segments=tuple(segments),
-                normal_mean=_field(data, "normal_mean", Real, default=0.0),
-                normal_std=_field(data, "normal_std", Real, default=1.0),
+                normal_mean=_per_feature_field(data, "normal_mean", 0.0),
+                normal_std=_per_feature_field(data, "normal_std", 1.0),
             )
-        except KeyError as exc:
-            raise ConfigError(f"scenario is missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"scenario holds a value of the wrong type: {exc}") from exc
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SyntheticScenario":
         path = Path(path)
-        if not path.exists():
-            raise DataError(f"scenario file not found: {path}")
         data = read_json_object(path, ConfigError, "scenario")
         try:
             return cls.from_dict(data)
@@ -317,25 +314,11 @@ class SyntheticScenario:
             raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _field(item: dict, key: str, kind, where: str = "", default=None):
-    """``item[key]``, or ``default`` when one is given and the key is absent;
-    a ``TypeError`` unless it is a ``str``, an ``Integral`` or a ``Real``.  A
-    ``Real`` may also be a list of them (one value per feature), returned as
-    a tuple."""
-    value = item[key] if default is None or key in item else default
-    if kind is Real and isinstance(value, list):
-        if any(Range(-math.inf).problem(v) for v in value):
-            raise TypeError(
-                f"{where}key {key!r} must be a finite number or a list of them, got {value!r}"
-            )
-        return tuple(value)
-    if kind is str:
-        problem = None if isinstance(value, str) else "a string"
-    else:
-        problem = Range(-math.inf).problem(value, kind)
-    if problem:
-        raise TypeError(f"{where}key {key!r} must be {problem}, got {value!r}")
-    return value
+def _per_feature_field(item, key: str, default: float, where: str = ""):
+    """``read_field`` of a finite number, or of a list of them (one per feature) as a tuple."""
+    if isinstance(item, dict) and isinstance(item.get(key), list):
+        return tuple(read_field(item, key, list[Real], where=where).tolist())
+    return read_field(item, key, Real, default=default, where=where)
 
 
 def _per_feature(value, width: int, what: str) -> np.ndarray:
@@ -538,33 +521,28 @@ def load_dataset(in_dir: str | Path) -> tuple[Dataset, np.ndarray, dict]:
     if not json_path.exists():
         raise DataError(f"no dataset found under {in_dir}")
     sidecar = read_json_object(json_path, DataError, "dataset sidecar")
-    version = sidecar.get("schema_version")
-    if version != DATASET_SCHEMA_VERSION:
-        raise DataError(
-            f"{json_path}: unsupported dataset schema version {version!r} "
-            f"(expected {DATASET_SCHEMA_VERSION}); rebuild the dataset"
-        )
     try:
-        window = int(sidecar["provenance"]["window"])
-        method = sidecar["provenance"]["method"]
-        fraction = sidecar["provenance"]["attack_bit_fraction"]
-        width = int(sidecar["feature_width"])
-        rows = int(sidecar["rows"])
-        names = sidecar["attack_names"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{json_path}: malformed dataset sidecar: {exc!r}") from None
-    if method not in LABEL_METHODS:
-        raise DataError(f"{json_path}: unknown label method {method!r}")
-    if type(fraction) not in (int, float) or not 0.0 <= fraction <= 1.0:
-        raise DataError(f"{json_path}: attack_bit_fraction {fraction!r} is not in [0, 1]")
-    if not (isinstance(names, list) and all(isinstance(t, str) for t in names)):
-        raise DataError(f"{json_path}: attack_names must be a list of strings")
+        if read_field(sidecar, "schema_version", Integral) != DATASET_SCHEMA_VERSION:
+            raise ValueError(f"unsupported dataset schema version {sidecar['schema_version']} "
+                             f"(expected {DATASET_SCHEMA_VERSION}); rebuild the dataset")
+        provenance = read_field(sidecar, "provenance", dict)
+        window = read_field(provenance, "window", Integral, Range(1))
+        method = read_field(provenance, "method", str)
+        read_field(provenance, "d_model", Integral, default=None)
+        read_field(provenance, "attack_bit_fraction", Real, Range(0, 1))
+        width = read_field(sidecar, "feature_width", Integral, Range(1))
+        rows = read_field(sidecar, "rows", Integral, Range(0))
+        names = read_field(sidecar, "attack_names", list[str])
+        if method not in LABEL_METHODS:
+            raise ValueError(f"unknown label method {method!r}")
+    except ValueError as exc:
+        raise DataError(f"{json_path}: {exc}") from None
 
     arrays = _read_dataset_arrays(npz_path, {"rows": rows, "feature_width": width})
     seconds, starts, codes = arrays["second_features"], arrays["window_starts"], arrays["tag_codes"]
     means, stds = arrays["zscore_means"], arrays["zscore_stds"]
     n, f = seconds.shape
-    if window < 1 or f * window != width:
+    if f * window != width:
         raise DataError(
             f"{npz_path}: {f} per-second features in windows of {window} do not give "
             f"the sidecar's feature width {width}"
@@ -590,7 +568,7 @@ def load_dataset(in_dir: str | Path) -> tuple[Dataset, np.ndarray, dict]:
         features=features,
         spectrum_labels=arrays["spectrum_labels"],
         binary_labels=arrays["binary_labels"],
-        provenance=dict(sidecar["provenance"]),
+        provenance=dict(provenance),
         window_tags=tuple(np.array(names, dtype=object)[codes]),
         second_features=seconds,
         window_starts=starts,

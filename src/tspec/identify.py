@@ -9,11 +9,12 @@ highest cosine similarity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, read_json_object, write_json
+from .errors import ConfigError, DataError, read_field, read_json_object, write_json
 
 REGISTRY_FILE_VERSION = 1
 
@@ -177,29 +178,24 @@ def save_registry(signatures: list[SpectrumSignature], path: str | Path) -> None
 
 def load_registry(path: str | Path) -> list[SpectrumSignature]:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"signature registry not found: {path}")
     payload = read_json_object(path, DataError, "registry")
-    if payload.get("version") != REGISTRY_FILE_VERSION:
-        raise DataError(f"{path}: unsupported registry version {payload.get('version')!r}")
-    items = payload.get("signatures", [])
-    if not isinstance(items, list):
-        raise DataError(f"{path}: registry key 'signatures' must be a list")
+    try:
+        if read_field(payload, "version", Integral) != REGISTRY_FILE_VERSION:
+            raise ValueError(f"unsupported registry version {payload['version']}")
+        items = read_field(payload, "signatures", list, default=[])
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
     signatures = []
     for i, item in enumerate(items):
         try:
-            if not isinstance(item["attack_name"], str):
-                raise TypeError(f"attack_name {item['attack_name']!r} is not a string")
             signatures.append(SpectrumSignature(
-                attack_name=item["attack_name"],
-                bin_edges=np.asarray(item["bin_edges"], dtype=np.float64),
-                counts=np.asarray(item["counts"], dtype=np.float64),
-                method=item["method"],
-                d_model=item.get("d_model"),
+                attack_name=read_field(item, "attack_name", str),
+                bin_edges=read_field(item, "bin_edges", list[Real]),
+                counts=read_field(item, "counts", list[Real]),
+                method=read_field(item, "method", str),
+                d_model=read_field(item, "d_model", Integral, default=None),
             ))
-        except KeyError as exc:
-            raise DataError(f"{path}: signature {i} is missing key {exc}") from None
-        except (TypeError, ValueError, DataError) as exc:
+        except (ValueError, DataError) as exc:
             raise DataError(f"{path}: signature {i} is malformed: {exc}") from None
     if not signatures:
         raise DataError(f"{path}: registry contains no signatures")

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, read_json_object
+from .errors import ConfigError, DataError, read_field, read_json_object
 
 TIMESTAMP_FORMATS = ("epoch", "clock")
 
@@ -71,36 +71,21 @@ class FlowSchema:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "FlowSchema":
-        """A schema from parsed JSON: every column name must be a string and
-        ``feature_columns`` a list of them."""
-        try:
-            names = {key: data[key] for key in ("timestamp_column", "label_column")}
-            features = data["feature_columns"]
-        except KeyError as exc:
-            raise ConfigError(f"schema file is missing key {exc}") from exc
-        if data.get("attack_name_column") is not None:
-            names["attack_name_column"] = data["attack_name_column"]
-        for key, name in names.items():
-            if not isinstance(name, str):
-                raise ConfigError(f"schema key {key!r} must be a column name, got {name!r}")
-        if not (isinstance(features, list) and all(isinstance(c, str) for c in features)):
-            raise ConfigError(
-                f"schema key 'feature_columns' must be a list of column names, got {features!r}"
-            )
-        timestamp_format = data.get("timestamp_format", "epoch")
-        return cls(**names, feature_columns=tuple(features), timestamp_format=timestamp_format)
-
-    @classmethod
     def from_json(cls, path: str | Path) -> "FlowSchema":
+        """A schema from a JSON file: every column name must be a string and
+        ``feature_columns`` a list of them."""
         path = Path(path)
-        if not path.exists():
-            raise DataError(f"schema file not found: {path}")
         data = read_json_object(path, ConfigError, "schema")
         try:
-            return cls.from_dict(data)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+            return cls(
+                timestamp_column=read_field(data, "timestamp_column", str),
+                label_column=read_field(data, "label_column", str),
+                feature_columns=read_field(data, "feature_columns", list[str]),
+                attack_name_column=read_field(data, "attack_name_column", str, default=None),
+                timestamp_format=read_field(data, "timestamp_format", str, default="epoch"),
+            )
+        except (ConfigError, ValueError) as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,6 @@ round trip reproduces predictions bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from pathlib import Path
@@ -20,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import ConfigError, DataError, Range, read_json_object, write_json
+from ..errors import ConfigError, DataError, Range, read_field, read_json_object, write_json
 from . import ensembles, glm
 from .trees import Tree
 
@@ -29,7 +28,6 @@ MODEL_FILE_VERSION = 1
 TASKS = ("classify", "regress")
 
 
-_ANY = Range(-math.inf)
 _AT_LEAST_0 = Range(0)
 _AT_LEAST_1 = Range(1)
 _POSITIVE = Range(0, open_low=True)
@@ -69,10 +67,10 @@ def _linear_to_json(params: dict) -> dict:
 
 
 def _linear_from_json(data: dict, feature_count: int) -> dict:
-    weights = np.asarray(data["weights"], dtype=np.float64)
-    if weights.shape != (feature_count,):
-        raise ValueError(f"{weights.size} weights for {feature_count} features")
-    return {"weights": weights, "intercept": float(data["intercept"])}
+    if len(read_field(data, "weights", list)) != feature_count:
+        raise ValueError(f"{len(data['weights'])} weights for {feature_count} features")
+    intercept = read_field(data, "intercept", Real)
+    return {"weights": read_field(data, "weights", list[Real]), "intercept": intercept}
 
 
 def _trees_to_json(params: dict, *scalars: str) -> dict:
@@ -82,8 +80,10 @@ def _trees_to_json(params: dict, *scalars: str) -> dict:
 
 
 def _trees_from_json(data: dict, feature_count: int, *scalars: str) -> dict:
-    out = {key: float(data[key]) for key in scalars}
-    out["trees"] = [Tree.from_dict(t, feature_count) for t in data["trees"]]
+    out = {key: read_field(data, key, Real) for key in scalars}
+    out["trees"] = [Tree.from_dict(t, feature_count) for t in read_field(data, "trees", list)]
+    if not out["trees"]:
+        raise ValueError("an ensemble needs at least one tree")
     return out
 
 
@@ -241,33 +241,20 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> TrainedModel:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"model file not found: {path}")
     payload = read_json_object(path, DataError, "model")
-
-    version = payload.get("version")
-    if version != MODEL_FILE_VERSION:
-        raise DataError(f"{path}: unsupported model file version {version!r}")
     try:
-        seed, feature_count = payload["spec"]["seed"], payload["feature_count"]
-        for key, value, valid in (
-            ("seed", seed, _ANY),
-            ("feature_count", feature_count, _AT_LEAST_0),
-        ):
-            problem = valid.problem(value, Integral)
-            if problem:
-                raise ValueError(f"{key} must be {problem}, got {value!r}")
+        if read_field(payload, "version", Integral) != MODEL_FILE_VERSION:
+            raise ValueError(f"unsupported model file version {payload['version']}")
+        spec_data = read_field(payload, "spec", dict)
+        feature_count = read_field(payload, "feature_count", Integral, _AT_LEAST_0)
         spec = ModelSpec(
-            family=payload["spec"]["family"],
-            task=payload["spec"]["task"],
-            seed=seed,
-            hyperparameters=dict(payload["spec"]["hyperparameters"]),
+            family=read_field(spec_data, "family", str),
+            task=read_field(spec_data, "task", str),
+            seed=read_field(spec_data, "seed", Integral),
+            hyperparameters=read_field(spec_data, "hyperparameters", dict),
         )
-        return TrainedModel(
-            spec=spec,
-            feature_count=feature_count,
-            parameters=FAMILIES[spec.family].from_json(payload["parameters"], feature_count),
-            version=version,
-        )
-    except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        parameters = read_field(payload, "parameters", dict)
+        return TrainedModel(spec, feature_count,
+                            FAMILIES[spec.family].from_json(parameters, feature_count))
+    except (ConfigError, ValueError) as exc:
         raise DataError(f"{path} is not a valid model file: {exc}") from exc

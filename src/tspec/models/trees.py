@@ -11,8 +11,11 @@ predict with one walk for each group of trees (``add_leaf_values``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
+
+from ..errors import read_field
 
 _MIN_GAIN = 1e-12
 
@@ -37,15 +40,15 @@ class Tree:
     @classmethod
     def from_dict(cls, data: dict, feature_count: int) -> "Tree":
         """Inverse of ``to_dict``.  Raises ``ValueError`` unless every array
-        has one entry per node, every split feature is below
-        ``feature_count`` and every split node's children come after it, so
-        that prediction always ends at a leaf."""
+        holds integers or finite reals, one per node, every split feature is
+        below ``feature_count`` and every split node's children come after
+        it, so that prediction always ends at a leaf."""
         tree = cls(
-            feature=np.asarray(data["feature"], dtype=np.int64),
-            threshold=np.asarray(data["threshold"], dtype=np.float64),
-            left=np.asarray(data["left"], dtype=np.int64),
-            right=np.asarray(data["right"], dtype=np.int64),
-            value=np.asarray(data["value"], dtype=np.float64),
+            feature=read_field(data, "feature", list[Integral]),
+            threshold=read_field(data, "threshold", list[Real]),
+            left=read_field(data, "left", list[Integral]),
+            right=read_field(data, "right", list[Integral]),
+            value=read_field(data, "value", list[Real]),
         )
         n = tree.feature.size
         arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)

@@ -65,6 +65,8 @@ class ThresholdSpec:
     n: int
 
     def __post_init__(self):
+        if self.mode not in THRESHOLD_MODES:
+            raise ConfigError(f"threshold mode must be one of {THRESHOLD_MODES}, got {self.mode!r}")
         if not 0 <= self.n1 <= self.n:
             raise ConfigError(f"need 0 <= n1 <= n, got n1={self.n1}, n={self.n}")
 
@@ -147,8 +149,6 @@ def compute_threshold(spectrum_labels, n1: int, mode: str = "rank-default") -> T
     n = values.size
     if not 0 <= n1 <= n:
         raise ConfigError(f"need 0 <= n1 <= {n}, got {n1}")
-    if mode not in THRESHOLD_MODES:
-        raise ConfigError(f"threshold mode must be one of {THRESHOLD_MODES}, got {mode!r}")
 
     ascending = np.sort(values)
     if mode == "rank-default":
@@ -157,7 +157,7 @@ def compute_threshold(spectrum_labels, n1: int, mode: str = "rank-default") -> T
         # Nearest-rank index for percentile 100*n1/n over n values is n1 itself.
         rank = max(1, n1)
         tau = float(ascending[rank - 1])
-    return ThresholdSpec(tau=tau, mode=mode, n1=n1, n=n)
+    return ThresholdSpec(tau=tau, mode=mode, n1=n1, n=n)  # refuses an unknown mode
 
 
 def binarize(spectrum_labels, spec: ThresholdSpec) -> np.ndarray:

@@ -32,7 +32,8 @@ def run(argv) -> tuple[int, str]:
 
 @pytest.fixture(scope="module")
 def ws(tmp_path_factory):
-    """A small synth -> build (baseline, sspe) -> train workspace."""
+    """A small synth -> build (baseline, sspe) -> train workspace, with a
+    gbm detect model besides the GLMs on sspe."""
     work = tmp_path_factory.mktemp("bad_inputs")
     scenario = SyntheticScenario(
         duration=260,
@@ -55,6 +56,8 @@ def ws(tmp_path_factory):
                     "--out", work / method])[0] == 0
         assert run(["train", "--config", cfg, "--dataset", work / method, "--task", "detect",
                     "--families", "glm_binomial"])[0] == 0
+    assert run(["train", "--config", cfg, "--dataset", work / "sspe", "--task", "detect",
+                "--families", "gbm"])[0] == 0
     assert run(["train", "--config", cfg, "--dataset", work / "sspe", "--task", "identify",
                 "--families", "glm_gaussian"])[0] == 0
     assert run(["identify", "--config", cfg, "--dataset", work / "sspe",
@@ -315,6 +318,21 @@ class TestRegressions:
         assert f"{csv_path}: the z-score mean of feature column 0 is not finite" in err
         assert not (tmp_path / "ds").exists()
 
+    def test_input_csv_with_every_feature_constant(self, ws, tmp_path):
+        # Once built a dataset of 0 features, on which gbm training divided
+        # by zero (exit 3).
+        csv_path = tmp_path / "flows.csv"
+        lines = (ws / "raw" / "synthetic.csv").read_text().splitlines(keepends=True)
+        for i in range(1, len(lines)):
+            cells = lines[i].split(",")
+            cells[1:3] = ["1.0", "1.0"]  # the features f0 and f1
+            lines[i] = ",".join(cells)
+        csv_path.write_text("".join(lines))
+        rc, err = self.build_from(ws, tmp_path, csv_path)
+        assert rc == 2, err
+        assert f"{csv_path}: every feature column is constant" in err
+        assert not (tmp_path / "ds").exists()
+
     def test_scenario_offset_overflows_the_zscore(self, ws, tmp_path):
         scenario = json.loads((ws / "scenario.json").read_text())
         scenario["segments"][0]["offset"] = 1e308
@@ -403,6 +421,13 @@ SIDECAR_EDITS = {
     "tags a string": lambda d: d.update(attack_names="x" * len(d["attack_names"])),
     "tags missing": lambda d: d.pop("attack_names"),
     "window infinite": lambda d: d["provenance"].update(window=float("inf")),
+    # Each once truncated by int(), accepted as equal to an integer, or not
+    # read; a width of 0 once named only dataset.npz.
+    "window not integral": lambda d: d["provenance"].update(window=d["provenance"]["window"] + 0.6),
+    "rows not integral": lambda d: d.update(rows=d["rows"] + 0.9),
+    "schema version a float": lambda d: d.update(schema_version=3.0),
+    "d_model a string": lambda d: d["provenance"].update(d_model="4"),
+    "feature width 0": lambda d: d.update(feature_width=0),
 }
 
 
@@ -428,6 +453,11 @@ REGISTRY_EDITS = {
     # Signatures built for another label method or d_model than the dataset's.
     "method coap": lambda d: d["signatures"][0].update(method="coap"),
     "d_model 16": lambda d: d["signatures"][0].update(d_model=16),
+    # Each once parsed by np.asarray or accepted as equal to an integer.
+    "edges numeric strings": lambda d: d["signatures"][0].update(
+        bin_edges=[str(v) for v in d["signatures"][0]["bin_edges"]]),
+    "version true": lambda d: d.update(version=True),
+    "d_model a float": lambda d: d["signatures"][0].update(d_model=4.0),
 }
 
 
@@ -495,6 +525,7 @@ FUZZ = settings(
     max_examples=100,
     deadline=None,
     database=None,
+    print_blob=True,  # a failure prints a @reproduce_failure line to replay it
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
 
@@ -533,22 +564,41 @@ def test_fuzzed_configs_exit_0_1_or_2(ws, command, changes, dropped):
         assert rc in (0, 1, 2), err
 
 
-def corrupt(path: Path, data) -> None:
-    """Replace, delete or add one value somewhere in the JSON file: walk
-    down from the root, at each container picking a key and stopping or
-    descending, so every key of every level gets drawn."""
+def retyped(value):
+    """Values of another JSON type than the leaf ``value``: a number as a
+    string, a bool or a non-integral float in place of an integer, a number
+    in place of a string."""
+    if isinstance(value, bool):
+        return st.sampled_from([int(value), str(value).lower()])
+    if isinstance(value, int):
+        return st.sampled_from([str(value), True, False, value + 0.5])
+    if isinstance(value, float):
+        return st.sampled_from([repr(value), True, False])
+    if isinstance(value, str):
+        return st.integers(-3, 40) | st.floats(-100, 100)
+    return st.sampled_from([0, "0"])  # null, or an empty list or object
+
+
+def corrupt(path: Path, data) -> str:
+    """Replace, delete, add or retype one value somewhere in the JSON file,
+    and return which: walk down from the root, at each container picking a
+    key and stopping or descending, so every key of every level gets drawn.
+    A retype walks down to a leaf and swaps its JSON type (``retyped``)."""
     doc = json.loads(path.read_text())
+    action = data.draw(st.sampled_from(["replace", "delete", "add", "retype"]))
     parent = doc
     while True:
         key = data.draw(st.sampled_from(list(parent) if isinstance(parent, dict)
                                         else range(len(parent))))
         child = parent[key]
-        if not (isinstance(child, (dict, list)) and child and data.draw(st.booleans())):
+        if not (isinstance(child, (dict, list)) and child
+                and (action == "retype" or data.draw(st.booleans()))):
             break
         parent = child
-    action = data.draw(st.sampled_from(["replace", "delete", "add"]))
     if action == "replace":
         parent[key] = data.draw(JSON_VALUES)
+    elif action == "retype":
+        parent[key] = data.draw(retyped(parent[key]))
     elif action == "delete":
         del parent[key]
     elif isinstance(parent, dict):
@@ -556,6 +606,7 @@ def corrupt(path: Path, data) -> None:
     else:
         parent.insert(key, data.draw(JSON_VALUES))
     path.write_text(json.dumps(doc))
+    return action
 
 
 # Cells for the flow-CSV fuzz.  Numbers stay below 10**5: each second
@@ -613,24 +664,53 @@ CORRUPTIBLE = {
     "sidecar": ("{d}/dataset.json", ["train", "sweep", "identify"]),
     "registry": ("reg.json", ["identify"]),
     "detect model": ("{d}/models/detect/glm_binomial.json", ["sweep"]),
+    "tree model": ("{d}/models/detect/gbm.json", ["sweep"]),
     "identify model": ("{d}/models/identify/glm_gaussian.json", ["sweep", "identify"]),
+    "scenario": ("scenario.json", ["build-dataset"]),
+    "schema": ("schema.json", ["build-dataset"]),
 }
+
+
+def run_on_copies(ws, tmp: Path, target: str, command: str, change=None):
+    """Copy every corruptible file into ``tmp``, pass the target's path to
+    ``change``, and run ``command`` on the copies; returns the exit code,
+    stderr, and the bytes of every file then under ``tmp`` but the
+    target."""
+    shutil.copytree(ws / "sspe", tmp / "sspe")
+    shutil.copy(ws / "registry.json", tmp / "reg.json")
+    shutil.copy(ws / "scenario.json", tmp / "scenario.json")
+    shutil.copy(ws / "raw" / "schema.json", tmp / "schema.json")
+    path = tmp / CORRUPTIBLE[target][0].format(d="sspe")
+    if change:
+        change(path)
+    cfg = base_configs(ws, tmp)[command]
+    if command == "build-dataset":
+        cfg["schema"] = str(tmp / "schema.json")
+        if target == "scenario":
+            cfg["scenario"] = str(tmp / "scenario.json")
+    if command == "sweep":
+        cfg["datasets"] = {"sspe": cfg["datasets"]["sspe"]}
+        cfg["families"] = ["glm_binomial", "gbm"]
+    if command == "identify":
+        cfg.pop("make_registry")
+    (tmp / "config.json").write_text(json.dumps(cfg))
+    rc, err = run([command, "--config", tmp / "config.json"])
+    files = {p.relative_to(tmp): p.read_bytes() for p in tmp.rglob("*") if p.is_file() and p != path}
+    return rc, err, files
 
 
 @FUZZ
 @given(target=st.sampled_from(sorted(CORRUPTIBLE)), data=st.data())
 def test_corrupted_artifacts_exit_0_1_or_2(ws, target, data):
+    # A retyped leaf must be refused, unless nothing reads its key: then the
+    # run must write the bytes of a run on the unedited files.
+    command = data.draw(st.sampled_from(CORRUPTIBLE[target][1]))
+    actions = []
     with scratch_dir() as tmp:
-        shutil.copytree(ws / "sspe", tmp / "sspe")
-        shutil.copy(ws / "registry.json", tmp / "reg.json")
-        pattern, commands = CORRUPTIBLE[target]
-        corrupt(tmp / pattern.format(d="sspe"), data)
-        command = data.draw(st.sampled_from(commands))
-        cfg = base_configs(ws, tmp)[command]
-        if command == "sweep":
-            cfg["datasets"] = {"sspe": cfg["datasets"]["sspe"]}
-        if command == "identify":
-            cfg.pop("make_registry")
-        (tmp / "config.json").write_text(json.dumps(cfg))
-        rc, err = run([command, "--config", tmp / "config.json"])
+        rc, err, files = run_on_copies(ws, tmp, target, command,
+                                       lambda path: actions.append(corrupt(path, data)))
         assert rc in (0, 1, 2), err
+        if actions == ["retype"] and rc == 0:
+            for child in tmp.iterdir():
+                shutil.rmtree(child) if child.is_dir() else child.unlink()
+            assert files == run_on_copies(ws, tmp, target, command)[2]

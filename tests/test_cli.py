@@ -414,8 +414,11 @@ class TestWrongTypeJson:
         ({"segments": segments_with(0, start=30.9)}, "segment 0: key 'start' must be an integer"),
         ({"segments": segments_with(1, period=True)}, "segment 1: key 'period' must be an integer"),
         ({"segments": segments_with(2, name=7)}, "segment 2: key 'name' must be a string"),
+        # Once read as no segments at all.
+        ({"segments": ""}, "key 'segments' must be a list, got ''"),
+        ({"segments": {}}, "key 'segments' must be a list, got {}"),
     ], ids=["duration-real", "feature_count-string", "normal_std-bool", "start-real",
-            "period-bool", "name-number"])
+            "period-bool", "name-number", "segments-string", "segments-object"])
     def test_scenario_numbers_are_not_coerced(self, tmp_path, capsys, bad, where):
         scenario = self._scenario(tmp_path, **bad)
         assert main(["synth", "--scenario", str(scenario), "--out", str(tmp_path / "x")]) == 1

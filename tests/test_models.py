@@ -464,6 +464,55 @@ class TestHyperparameterRanges:
         assert str(path) in str(info.value)
 
 
+def _edit_tree(**changes):
+    """An edit of a model file's first tree: ``changes`` maps each key to a
+    function from its list to the new list."""
+    def edit(payload):
+        tree = payload["parameters"]["trees"][0]
+        for key, change in changes.items():
+            tree[key] = change(tree[key])
+    return edit
+
+
+# case -> (family, edit of the model file, what the error says)
+MALFORMED_PARAMETERS = {
+    "tree feature and child not integral": (
+        "random_forest",
+        _edit_tree(feature=lambda f: [f[0] + 0.7] + f[1:], left=lambda c: [c[0] + 0.5] + c[1:]),
+        "key 'feature' must be a list of integers, but holds",
+    ),
+    "tree threshold NaN": (
+        "random_forest",
+        _edit_tree(threshold=lambda t: [float("nan")] + t[1:]),
+        "key 'threshold' must be a list of finite numbers, but holds nan",
+    ),
+    "tree leaf value NaN": (
+        "gbm",
+        _edit_tree(value=lambda v: v[:-1] + [float("nan")]),  # the last node is a leaf
+        "key 'value' must be a list of finite numbers, but holds nan",
+    ),
+    "gbm f0 a string": (
+        "gbm",
+        lambda p: p["parameters"].update(f0=str(p["parameters"]["f0"])),
+        "key 'f0' must be a finite number",
+    ),
+    "weights numeric strings": (
+        "glm_binomial",
+        lambda p: p["parameters"].update(weights=[str(w) for w in p["parameters"]["weights"]]),
+        "key 'weights' must be a list of finite numbers, but holds '",
+    ),
+    "intercept true": (
+        "glm_binomial",
+        lambda p: p["parameters"].update(intercept=True),
+        "key 'intercept' must be a finite number, got True",
+    ),
+    "version true": ("glm_binomial", lambda p: p.update(version=True),
+                     "key 'version' must be an integer, got True"),
+    "no trees": ("random_forest", lambda p: p["parameters"].update(trees=[]),
+                 "an ensemble needs at least one tree"),
+}
+
+
 class TestModelFileChecks:
     """A model file's parameters must fit its ``feature_count``."""
 
@@ -513,6 +562,17 @@ class TestModelFileChecks:
         with pytest.raises(DataError, match="one entry per node"):
             self._load_edited(path, lambda p: p["parameters"]["trees"][0]["value"].pop())
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PARAMETERS))
+    def test_malformed_parameters_are_refused(self, tmp_path, case):
+        # Each once loaded: truncated by np.asarray, parsed from strings or
+        # taken as a number, and predicted without a word; an empty forest
+        # once failed in prediction with exit 3.
+        family, edit, want = MALFORMED_PARAMETERS[case]
+        path = self._saved(tmp_path, family)
+        with pytest.raises(DataError, match=re.escape(want)) as info:
+            self._load_edited(path, edit)
+        assert str(path) in str(info.value)
+
     @pytest.mark.parametrize("key", ["seed", "feature_count"])
     @pytest.mark.parametrize("value", [7.9, 3.0, True, "3"])
     def test_integer_fields_are_not_coerced(self, tmp_path, key, value):
@@ -522,7 +582,7 @@ class TestModelFileChecks:
         def edit(p):
             (p["spec"] if key == "seed" else p)[key] = value
 
-        want = f"{path} is not a valid model file: {key} must be an integer, got {value!r}"
+        want = f"{path} is not a valid model file: key {key!r} must be an integer, got {value!r}"
         with pytest.raises(DataError, match=re.escape(want)):
             self._load_edited(path, edit)
 

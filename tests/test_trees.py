@@ -584,14 +584,16 @@ def random_trees(draw, width=None):
         nodes = list(depth_first(nodes[0]))
     ids = {id(node): i for i, node in enumerate(nodes)}
     kids = [[ids[id(c)] for c in node["children"]] or [-1, -1] for node in nodes]
-    data = {
-        "feature": [node.get("feature", -1) for node in nodes],
-        "threshold": [node.get("threshold", 0.0) for node in nodes],
-        "left": [k[0] for k in kids],
-        "right": [k[1] for k in kids],
-        "value": [node["value"] for node in nodes],
-    }
-    return Tree.from_dict(data, width), width
+    # Built directly, not by Tree.from_dict: a model file may hold only
+    # finite thresholds, but the walk must also handle NaN and infinite ones.
+    tree = Tree(
+        feature=np.array([node.get("feature", -1) for node in nodes], dtype=np.int64),
+        threshold=np.array([node.get("threshold", 0.0) for node in nodes], dtype=np.float64),
+        left=np.array([k[0] for k in kids], dtype=np.int64),
+        right=np.array([k[1] for k in kids], dtype=np.int64),
+        value=np.array([node["value"] for node in nodes], dtype=np.float64),
+    )
+    return tree, width
 
 
 def prediction_rows(draw, n, width, *trees):
