@@ -287,7 +287,7 @@ def _write_timeline_csv(timeline, path: Path):
             timeline.seconds.tolist(),
             timeline.features.tolist(),
             timeline.labels.tolist(),
-            timeline.attacks,
+            np.array(timeline.attack_names, dtype=object)[timeline.attack_codes],
         )
         for second, values, label, attack in columns:
             writer.writerow([second, *map(repr, values), label, attack])
@@ -369,9 +369,9 @@ def cmd_build_dataset(cfg: dict) -> int:
     return 0
 
 
-def _load_split(dataset_dir: Path) -> tuple[Dataset, Dataset, Dataset, dict]:
-    ds, test, sidecar = load_dataset(dataset_dir)
-    return ds, ds.take(np.flatnonzero(~test)), ds.take(np.flatnonzero(test)), sidecar
+def _load_split(dataset_dir: Path) -> tuple[Dataset, Dataset, Dataset]:
+    ds, test = load_dataset(dataset_dir)
+    return ds, ds.take(np.flatnonzero(~test)), ds.take(np.flatnonzero(test))
 
 
 def _threshold_path(dataset_dir: Path) -> Path:
@@ -385,12 +385,12 @@ def cmd_train(cfg: dict) -> int:
         for family in cfg["families"]
     ]
 
-    _, train_ds, _, sidecar = _load_split(dataset_dir)
-    method = sidecar["provenance"]["method"]
+    _, train_ds, _ = _load_split(dataset_dir)
+    method = train_ds.provenance["method"]
     labels, threshold = train_ds.spectrum_labels, None
     if task == "detect":
         if is_spectrum_method(method):
-            fraction = float(sidecar["provenance"]["attack_bit_fraction"])
+            fraction = float(train_ds.provenance["attack_bit_fraction"])
             n1 = proportional_positive_count(len(train_ds), fraction)
             threshold = compute_threshold(train_ds.spectrum_labels, n1, cfg["threshold_mode"])
         labels = detection_truth(method, train_ds, threshold)
@@ -439,11 +439,11 @@ def cmd_sweep(cfg: dict) -> int:
     datasets = cfg["datasets"]
     methods: dict[str, MethodArtifacts] = {}
     for method, dataset_dir in datasets.items():
-        _, train_ds, test_ds, sidecar = _load_split(dataset_dir)
-        if sidecar["provenance"]["method"] != method:
+        _, train_ds, test_ds = _load_split(dataset_dir)
+        if train_ds.provenance["method"] != method:
             raise ConfigError(
                 f"dataset under {dataset_dir} was built with method "
-                f"{sidecar['provenance']['method']!r}, not {method!r}"
+                f"{train_ds.provenance['method']!r}, not {method!r}"
             )
         spectrum = is_spectrum_method(method)
         threshold = _load_threshold(dataset_dir) if spectrum else None
@@ -493,7 +493,8 @@ def cmd_sweep(cfg: dict) -> int:
 def cmd_identify(cfg: dict) -> int:
     out, dataset_dir, registry_path = cfg["out"], cfg["dataset"], cfg["registry"]
 
-    full, train_ds, test_ds, sidecar = _load_split(dataset_dir)
+    full, train_ds, test_ds = _load_split(dataset_dir)
+    method, d_model = full.provenance["method"], full.provenance.get("d_model")
     model_path = cfg["model"]
     if not model_path:
         family = (cfg["identify_families"] or ["glm_gaussian"])[0]
@@ -504,29 +505,22 @@ def cmd_identify(cfg: dict) -> int:
     if cfg["make_registry"]:
         portion = {"train": train_ds, "test": test_ds, "all": full}[cfg["make_registry"]]
         signatures = build_registry(
-            labels_by_attack(portion),
-            bins=cfg["identify_bins"],
-            method=sidecar["provenance"]["method"],
-            d_model=sidecar["provenance"].get("d_model"),
+            labels_by_attack(portion), bins=cfg["identify_bins"], method=method, d_model=d_model
         )
         save_registry(signatures, registry_path)
 
     signatures = load_registry(registry_path)
-    labels = (sidecar["provenance"]["method"], sidecar["provenance"].get("d_model"))
     for sig in signatures:
-        if (sig.method, sig.d_model) != labels:
+        if (sig.method, sig.d_model) != (method, d_model):
             raise DataError(
                 f"{registry_path}: signature {sig.attack_name!r} is for method {sig.method!r} "
                 f"with d_model {sig.d_model!r}, but the dataset under {dataset_dir} has "
-                f"method {labels[0]!r} with d_model {labels[1]!r}"
+                f"method {method!r} with d_model {d_model!r}"
             )
 
     predictions = predict(model, test_ds.features)
     results, truth = identify_segments(
-        predictions,
-        test_ds.window_tags,
-        signatures,
-        min_windows=cfg["min_segment_windows"],
+        predictions, test_ds, signatures, min_windows=cfg["min_segment_windows"]
     )
     accuracy = identification_accuracy(results, truth)
     payload = {

@@ -93,9 +93,9 @@ def zscore_apply(features: np.ndarray, params: ZScoreParams) -> np.ndarray:
 class Dataset:
     """Model-ready rows: features, spectrum label, and window label per row.
 
-    ``window_tags`` (optional) carries the per-row attack name so segments of
-    one attack can be grouped during identification; ``provenance`` echoes
-    how the rows were built (window size, stride, method, seeds, ...).
+    ``tag_codes`` holds each row's attack as an index into the sorted
+    ``attack_names`` (by default every row is untagged); ``provenance``
+    echoes how the rows were built (window size, stride, method, seeds, ...).
     ``second_features`` and ``window_starts`` (set by ``assemble_dataset``
     and ``load_dataset``) are the (n, F) per-second matrix the rows were
     windowed from and each row's start second in it; ``save_dataset`` stores
@@ -106,16 +106,20 @@ class Dataset:
     spectrum_labels: np.ndarray
     binary_labels: np.ndarray
     provenance: dict = field(default_factory=dict)
-    window_tags: tuple[str, ...] | None = None
+    tag_codes: np.ndarray | None = None
+    attack_names: tuple[str, ...] = ("",)
     second_features: np.ndarray | None = None
     window_starts: np.ndarray | None = None
 
     def __post_init__(self):
         m = self.features.shape[0]
-        if self.spectrum_labels.shape != (m,) or self.binary_labels.shape != (m,):
-            raise DataError("dataset label vectors must align with feature rows")
-        if self.window_tags is not None and len(self.window_tags) != m:
-            raise DataError("dataset window tags must align with feature rows")
+        self.tag_codes = np.zeros(m, np.int64) if self.tag_codes is None else self.tag_codes
+        self.attack_names = tuple(self.attack_names)
+        shapes = {self.spectrum_labels.shape, self.binary_labels.shape, self.tag_codes.shape}
+        if shapes != {(m,)}:
+            raise DataError("dataset label vectors and tag codes must align with feature rows")
+        if m and not 0 <= self.tag_codes.min() <= self.tag_codes.max() < len(self.attack_names):
+            raise DataError(f"tag codes must lie in [0, {len(self.attack_names)}), one per name")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -128,9 +132,8 @@ class Dataset:
             spectrum_labels=self.spectrum_labels[indices],
             binary_labels=self.binary_labels[indices],
             provenance=dict(self.provenance),
-            window_tags=None
-            if self.window_tags is None
-            else tuple(self.window_tags[i] for i in indices),
+            tag_codes=self.tag_codes[indices],
+            attack_names=self.attack_names,
             second_features=self.second_features,
             window_starts=None if self.window_starts is None else self.window_starts[indices],
         )
@@ -344,20 +347,21 @@ def generate_synthetic(scenario: SyntheticScenario, seed: int) -> PacketTimeline
 
     features = np.random.default_rng(seed).normal(mean, std, size=(scenario.duration, width))
     labels = np.zeros(scenario.duration, dtype=np.int64)
-    attacks = [""] * scenario.duration
+    codes = np.zeros(scenario.duration, dtype=np.int64)
+    names = sorted({"", *(seg.name for seg in scenario.segments)})
     for seg in scenario.segments:
         shift = _per_feature(seg.offset, width, f"offset of segment {seg.name!r}")
         seconds = [seg.start + off for off in seg.attack_offsets()]
         features[seconds] += shift
         labels[seconds] = 1
-        for second in seconds:
-            attacks[second] = seg.name
+        codes[seconds] = names.index(seg.name)
     return PacketTimeline(
         seconds=np.arange(scenario.duration),
         features=features,
         labels=labels,
         feature_names=tuple(f"f{j}" for j in range(width)),
-        attacks=attacks,
+        attack_codes=codes,
+        attack_names=names,
     )
 
 
@@ -386,7 +390,6 @@ def assemble_dataset(
     else:
         values = sspe_values(label_bits, d_model)
 
-    tags = window_attack_tags(timeline, window_size, stride)
     provenance = {
         "window": window_size,
         "stride": stride,
@@ -400,7 +403,8 @@ def assemble_dataset(
         spectrum_labels=values,
         binary_labels=window_labels,
         provenance=provenance,
-        window_tags=tags,
+        tag_codes=window_attack_tags(timeline, window_size, stride),
+        attack_names=timeline.attack_names,
         second_features=timeline.features,
         window_starts=starts,
     )
@@ -430,13 +434,13 @@ def save_dataset(
     from its ``second_features`` (noise-injected or built by hand) raises a
     ``DataError``.  Every other per-row or per-column array goes into
     ``dataset.npz`` too: the two label vectors, the ``test`` mask (True for
-    a test row), the window tags as codes into the sidecar's
-    ``attack_names``, and the z-score parameters.  The sidecar holds the row
-    count, feature width, provenance, attack names, and any extras (split
-    settings, seeds).
+    a test row), the tag codes, and the z-score parameters.  The sidecar
+    holds the row count, feature width, provenance, the attack names that
+    some row is tagged with (the codes are renumbered into them), and any
+    extras (split settings, seeds).
     """
     window = ds.provenance.get("window")
-    if any(v is None for v in (ds.second_features, ds.window_starts, ds.window_tags, window)):
+    if any(v is None for v in (ds.second_features, ds.window_starts, window)):
         raise DataError("only a dataset windowed from per-second features can be saved")
     if np.shape(test) != (len(ds),):
         raise DataError(f"the test mask has shape {np.shape(test)}, expected ({len(ds)},)")
@@ -452,7 +456,7 @@ def save_dataset(
             "features; refusing to save rows that would not load back"
         )
 
-    names, codes = np.unique(np.asarray(ds.window_tags, dtype=str), return_inverse=True)
+    used, codes = np.unique(ds.tag_codes, return_inverse=True)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with atomic_write(out_dir / "dataset.npz", "wb") as handle:
@@ -472,7 +476,7 @@ def save_dataset(
         "rows": len(ds),
         "feature_width": features.shape[1],
         "provenance": ds.provenance,
-        "attack_names": names.tolist(),
+        "attack_names": [ds.attack_names[i] for i in used.tolist()],
         **(sidecar_extra or {}),
     }
     write_json(out_dir / "dataset.json", sidecar)
@@ -507,9 +511,8 @@ def _read_dataset_arrays(path: Path, lengths: dict[str, int]) -> dict[str, np.nd
     return arrays
 
 
-def load_dataset(in_dir: str | Path) -> tuple[Dataset, np.ndarray, dict]:
-    """Read back a ``save_dataset`` directory; returns (dataset, test mask,
-    sidecar).
+def load_dataset(in_dir: str | Path) -> tuple[Dataset, np.ndarray]:
+    """Read back a ``save_dataset`` directory; returns (dataset, test mask).
 
     The rows are rebuilt from the stored per-second features and window
     starts, then z-scored with the stored parameters: the same float64
@@ -535,11 +538,13 @@ def load_dataset(in_dir: str | Path) -> tuple[Dataset, np.ndarray, dict]:
         names = read_field(sidecar, "attack_names", list[str])
         if method not in LABEL_METHODS:
             raise ValueError(f"unknown label method {method!r}")
+        if names != sorted(set(names)):
+            raise ValueError("attack_names must be sorted and unique")
     except ValueError as exc:
         raise DataError(f"{json_path}: {exc}") from None
 
     arrays = _read_dataset_arrays(npz_path, {"rows": rows, "feature_width": width})
-    seconds, starts, codes = arrays["second_features"], arrays["window_starts"], arrays["tag_codes"]
+    seconds, starts = arrays["second_features"], arrays["window_starts"]
     means, stds = arrays["zscore_means"], arrays["zscore_stds"]
     n, f = seconds.shape
     if f * window != width:
@@ -552,8 +557,6 @@ def load_dataset(in_dir: str | Path) -> tuple[Dataset, np.ndarray, dict]:
             f"{npz_path}: window starts must lie in [0, {n - window}] for {n} seconds "
             f"and window {window}"
         )
-    if rows and (codes.min() < 0 or codes.max() >= len(names)):
-        raise DataError(f"{npz_path}: tag codes must lie in [0, {len(names)}), one per attack name")
     if not (np.isfinite(means).all() and np.isfinite(stds).all() and (stds >= 0.0).all()):
         raise DataError(
             f"{npz_path}: z-score means must be finite, and standard deviations finite "
@@ -561,16 +564,16 @@ def load_dataset(in_dir: str | Path) -> tuple[Dataset, np.ndarray, dict]:
         )
 
     try:
-        features = _rows_from_seconds(seconds, starts, window, ZScoreParams(means, stds))
+        ds = Dataset(
+            features=_rows_from_seconds(seconds, starts, window, ZScoreParams(means, stds)),
+            spectrum_labels=arrays["spectrum_labels"],
+            binary_labels=arrays["binary_labels"],
+            provenance=dict(provenance),
+            tag_codes=arrays["tag_codes"],
+            attack_names=names,
+            second_features=seconds,
+            window_starts=starts,
+        )
     except DataError as exc:
         raise DataError(f"{npz_path}: {exc}") from None
-    ds = Dataset(
-        features=features,
-        spectrum_labels=arrays["spectrum_labels"],
-        binary_labels=arrays["binary_labels"],
-        provenance=dict(provenance),
-        window_tags=tuple(np.array(names, dtype=object)[codes]),
-        second_features=seconds,
-        window_starts=starts,
-    )
-    return ds, arrays["test"], sidecar
+    return ds, arrays["test"]

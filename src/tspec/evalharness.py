@@ -70,35 +70,28 @@ def identification_accuracy(results: list[IdentificationResult], truth: list[str
     return hits / len(results)
 
 
-def contiguous_segments(tags) -> list[tuple[str, np.ndarray]]:
-    """Maximal runs of rows sharing one non-empty attack tag, in row order."""
-    segments: list[tuple[str, list[int]]] = []
-    current: str | None = None
-    for i, tag in enumerate(tags):
-        if not tag:
-            current = None
-            continue
-        if tag != current:
-            segments.append((tag, []))
-            current = tag
-        segments[-1][1].append(i)
-    return [(tag, np.asarray(rows, dtype=np.int64)) for tag, rows in segments]
+def contiguous_segments(ds: Dataset) -> list[tuple[str, np.ndarray]]:
+    """Maximal runs of rows sharing one named attack tag, in row order, as
+    (attack name, row indices)."""
+    codes = ds.tag_codes
+    runs = np.split(np.arange(len(ds)), np.flatnonzero(codes[1:] != codes[:-1]) + 1)
+    return [(name, r) for r in runs if r.size and (name := ds.attack_names[codes[r[0]]])]
 
 
 def identify_segments(
     predictions: np.ndarray,
-    tags,
+    ds: Dataset,
     signatures: list[SpectrumSignature],
     min_windows: int = 1,
 ) -> tuple[list[IdentificationResult], list[str]]:
-    """One identification per attack segment of the prediction batch."""
+    """One identification per attack segment of ``ds``, and its attack name."""
     predictions = np.asarray(predictions, dtype=np.float64)
     results, truth = [], []
-    for tag, rows in contiguous_segments(tags):
+    for name, rows in contiguous_segments(ds):
         if rows.size < min_windows:
             continue
         results.append(identify_attack(predictions[rows], signatures))
-        truth.append(tag)
+        truth.append(name)
     if not results:
         raise DataError("no attack segments large enough to identify")
     return results, truth
@@ -197,8 +190,6 @@ def run_noise_sweep(cfg: SweepConfig) -> EvalReport:
         # (task, models, the training labels a noise_train cell refits on)
         tasks = [("detect", art.detect_models, detection_truth(method, art.train, art.threshold))]
         if art.regress_models and is_spectrum_method(method):
-            if art.train.window_tags is None or art.test.window_tags is None:
-                raise DataError("identification requires per-window attack tags")
             signatures = build_registry(
                 labels_by_attack(art.train),
                 bins=cfg.identify_bins,
@@ -237,10 +228,7 @@ def run_noise_sweep(cfg: SweepConfig) -> EvalReport:
                         score = {"metrics": detection_metrics(truth, preds)}
                     else:
                         results, truth_tags = identify_segments(
-                            predictions,
-                            art.test.window_tags,
-                            signatures,
-                            min_windows=cfg.min_segment_windows,
+                            predictions, art.test, signatures, min_windows=cfg.min_segment_windows
                         )
                         accuracy = identification_accuracy(results, truth_tags)
                         score = {"identification_accuracy": accuracy}
@@ -252,13 +240,14 @@ def run_noise_sweep(cfg: SweepConfig) -> EvalReport:
 
 
 def labels_by_attack(ds: Dataset) -> dict[str, np.ndarray]:
-    grouped: dict[str, list[float]] = {}
-    for value, tag in zip(ds.spectrum_labels, ds.window_tags):
-        if tag:
-            grouped.setdefault(tag, []).append(float(value))
+    """Spectrum labels of each named attack's rows, in row order; attacks
+    in the order of their first row."""
+    grouped: dict[str, list[np.ndarray]] = {}
+    for name, rows in contiguous_segments(ds):
+        grouped.setdefault(name, []).append(rows)
     if not grouped:
         raise DataError("dataset has no tagged attack windows to build signatures from")
-    return {name: np.asarray(vals) for name, vals in grouped.items()}
+    return {name: ds.spectrum_labels[np.concatenate(rows)] for name, rows in grouped.items()}
 
 
 def _row_to_dict(row: EvalRow) -> dict:

@@ -1,11 +1,11 @@
 """Flow-record ingestion: CSV rows to a continuous per-second packet timeline.
 
 A timeline holds one row per second in columns: the second, a numeric
-feature vector and a binary label (0 = normal, 1 = attack), plus the attack
-name.  Raw captures commonly have seconds with no traffic at
-all; ``fill_missing_points`` closes those gaps by inserting copies of randomly
-sampled normal rows so that downstream sliding windows see an uninterrupted
-time axis.
+feature vector, a binary label (0 = normal, 1 = attack) and an attack code
+into the timeline's sorted attack names.  Raw captures commonly have seconds
+with no traffic at all; ``fill_missing_points`` closes those gaps by
+inserting copies of randomly sampled normal rows so that downstream sliding
+windows see an uninterrupted time axis.
 """
 
 from __future__ import annotations
@@ -90,19 +90,20 @@ class FlowSchema:
 
 @dataclass(frozen=True, eq=False)
 class PacketTimeline:
-    """Per-second columns plus the feature naming they share.
+    """Per-second columns plus the feature and attack naming they share.
 
     Row i is one second of traffic: ``seconds[i]``, its feature vector
     ``features[i]`` (shape ``(n, F)``), its label ``labels[i]`` (0 normal,
-    1 attack) and ``attacks[i]``, the attack name (empty when unnamed or
-    normal).
+    1 attack) and ``attack_codes[i]``, an index into the sorted, unique
+    ``attack_names``, whose index 0 is ``""``: normal (always) or unnamed.
     """
 
     seconds: np.ndarray
     features: np.ndarray
     labels: np.ndarray
     feature_names: tuple[str, ...]
-    attacks: tuple[str, ...] | None = None
+    attack_codes: np.ndarray | None = None
+    attack_names: tuple[str, ...] = ("",)
 
     def __post_init__(self):
         n = len(self.seconds)
@@ -110,8 +111,10 @@ class PacketTimeline:
         put("seconds", np.asarray(self.seconds, dtype=np.int64))
         put("features", np.asarray(self.features, dtype=np.float64))
         put("feature_names", tuple(self.feature_names))
-        put("attacks", ("",) * n if self.attacks is None else tuple(self.attacks))
-        if (np.shape(self.labels), len(self.attacks)) != ((n,), n):
+        codes = np.zeros(n, np.int64) if self.attack_codes is None else self.attack_codes
+        put("attack_codes", np.asarray(codes, dtype=np.int64))
+        put("attack_names", names := tuple(self.attack_names))
+        if (np.shape(self.labels), self.attack_codes.shape) != ((n,), (n,)):
             raise DataError("timeline columns must all have one entry per second")
         if np.any(np.diff(self.seconds) <= 0):
             raise DataError("timeline records must be sorted by second, one row per second")
@@ -120,6 +123,12 @@ class PacketTimeline:
         if bad.size:
             raise DataError(f"record label must be 0 or 1, got {labels[bad[0]].item()!r}")
         put("labels", labels.astype(np.int64))
+        if names[:1] != ("",) or list(names) != sorted(set(names)):
+            raise DataError("timeline attack names must be sorted and unique, starting with \"\"")
+        if n and not 0 <= self.attack_codes.min() <= self.attack_codes.max() < len(names):
+            raise DataError(f"timeline attack codes must lie in [0, {len(names)})")
+        if np.any(self.attack_codes[labels == 0]):
+            raise DataError("a label-0 second must have attack code 0 (no name)")
         width = len(self.feature_names)
         if self.features.shape != (n, width):
             raise DataError(
@@ -256,12 +265,15 @@ def parse_flow_csv(path: str | Path, schema: FlowSchema) -> PacketTimeline:
             f"row {i + 2}: non-finite value {float(matrix[i, j])} in column "
             f"{schema.feature_columns[j]!r}"
         )
+    # Sorted like Python strings: an object array never drops a trailing NUL.
+    names, codes = np.unique(np.array(["", *attacks], dtype=object), return_inverse=True)
     return PacketTimeline(
         seconds=seconds,
         features=matrix,
         labels=labels,
         feature_names=schema.feature_columns,
-        attacks=attacks,
+        attack_codes=codes[1:],
+        attack_names=names.tolist(),
     )
 
 
@@ -294,13 +306,13 @@ def fill_missing_points(timeline: PacketTimeline, seed: int) -> PacketTimeline:
     def merged(column, fills):
         return np.concatenate([column, fills])[order]
 
-    attacks = timeline.attacks + ("",) * gaps.size
-    return PacketTimeline(
+    zeros = np.zeros(gaps.size, np.int64)
+    return replace(
+        timeline,
         seconds=merged(seconds, gaps),
         features=merged(timeline.features, timeline.features[donors]),
-        labels=merged(timeline.labels, np.zeros(gaps.size, np.int64)),
-        feature_names=timeline.feature_names,
-        attacks=tuple(attacks[i] for i in order),
+        labels=merged(timeline.labels, zeros),
+        attack_codes=merged(timeline.attack_codes, zeros),
     )
 
 

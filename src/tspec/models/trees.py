@@ -206,8 +206,11 @@ def _best_split(XT, packed, feats, rows, tied):
         return None
     col, row = where
     feat = int(feats[col])
-    threshold = 0.5 * (XT[feat, rows[col, row]] + XT[feat, rows[col, row + 1]])
-    return feat, float(threshold), float(best)
+    a, b = float(XT[feat, rows[col, row]]), float(XT[feat, rows[col, row + 1]])
+    threshold = 0.5 * (a + b)
+    if abs(threshold) == np.inf:  # a + b overflows near the float64 maximum
+        threshold = 0.5 * a + 0.5 * b
+    return feat, threshold, float(best)
 
 
 def build_tree(

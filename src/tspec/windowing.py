@@ -56,32 +56,29 @@ def window_binary_labels(label_bits: np.ndarray) -> np.ndarray:
 
 def window_attack_tags(
     timeline: PacketTimeline, window_size: int, stride: int = 1
-) -> tuple[str, ...]:
-    """Per-window attack-name tags, aligned with ``window_matrices`` rows.
+) -> np.ndarray:
+    """Per-window attack codes into ``timeline.attack_names``, aligned with
+    ``window_matrices`` rows.
 
-    A window is tagged with the most frequent attack name among its attack
-    packets (earliest-seen name wins ties); windows with no named attack
-    packets get the empty tag.
+    A window gets the most frequent named code among its seconds (the
+    earliest first hit in the window wins ties); a window without a named
+    attack second gets code 0.  Memory grows with windows x W, never with
+    the number of names.
     """
     starts = _window_starts(len(timeline), window_size, stride)
-    code: dict[str, int] = {}  # attack name -> row of ``hits``
-    codes = np.array([
-        code.setdefault(a, len(code)) if bit and a else -1
-        for a, bit in zip(timeline.attacks, timeline.labels.tolist())
-    ], dtype=np.int64)
-    if not code:
-        return ("",) * starts.size
-    names, n = list(code), len(timeline)
-    hits = codes[None, :] == np.arange(len(names))[:, None]  # (names, n)
-    running = np.zeros((len(names), n + 1), dtype=np.int64)
-    np.cumsum(hits, axis=1, out=running[:, 1:])
-    counts = running[:, starts + window_size] - running[:, starts]
-    # First position at or after each second holding each name (n if none).
-    next_at = np.where(hits, np.arange(n), n)
-    next_at = np.minimum.accumulate(next_at[:, ::-1], axis=1)[:, ::-1]
-    # Most hits first, then the earliest first hit inside the window.
-    score = counts * (n + 1) + (n - next_at[:, starts])
-    best = score.argmax(axis=0)
-    return tuple(
-        names[b] if c else "" for b, c in zip(best.tolist(), counts.max(axis=0).tolist())
-    )
+    w, bits = window_size, int(window_size).bit_length()
+    # Each window's (code, position) pairs in ascending order, as one key.
+    windows = sliding_window_view(timeline.attack_codes, w)[starts] << bits
+    keys = np.sort(windows | np.arange(w), axis=1).ravel()
+    codes = keys >> bits
+    first = np.ones(codes.size, dtype=bool)
+    first[1:] = codes[1:] != codes[:-1]
+    first[::w] = True
+    runs = np.flatnonzero(first)  # one run per (window, code), first hit first
+    hits = np.diff(runs, append=codes.size)
+    at = keys[runs] & ((1 << bits) - 1)
+    # Most hits first, then the earliest first hit; unique within a window.
+    score = np.where(codes[runs] > 0, hits * (w + 1) + (w - at), -1)
+    window_runs = np.flatnonzero(runs % w == 0)
+    best = np.maximum.reduceat(score, window_runs)
+    return codes[runs][score == np.repeat(best, np.diff(window_runs, append=runs.size))]

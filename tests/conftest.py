@@ -9,6 +9,7 @@ import pytest
 
 from tspec import (
     AttackSegment,
+    Dataset,
     MethodArtifacts,
     ModelSpec,
     PacketTimeline,
@@ -26,17 +27,46 @@ from tspec import (
 
 
 def make_timeline(seconds, labels=None, width=2, attacks=None, rng=None):
-    """Quick timeline builder: one row per entry of ``seconds``."""
+    """Quick timeline builder: one row per entry of ``seconds``, with one
+    attack name per second encoded as codes; label-0 seconds lose theirs."""
     n = len(seconds)
     labels = labels if labels is not None else [0] * n
     attacks = attacks if attacks is not None else [""] * n
     rng = rng or np.random.default_rng(7)
+    named = [a if l else "" for l, a in zip(labels, attacks)]
+    names = sorted({"", *named})
+    code = {name: i for i, name in enumerate(names)}
     return PacketTimeline(
         seconds=np.asarray(seconds, dtype=np.int64).reshape(n),
         features=rng.normal(size=(n, width)),
         labels=labels,
         feature_names=tuple(f"f{j}" for j in range(width)),
-        attacks=[a if l else "" for l, a in zip(labels, attacks)],
+        attack_codes=[code[a] for a in named],
+        attack_names=names,
+    )
+
+
+def timeline_attacks(timeline) -> tuple[str, ...]:
+    """The attack name of each second."""
+    return tuple(timeline.attack_names[c] for c in timeline.attack_codes.tolist())
+
+
+def dataset_tags(ds) -> tuple[str, ...]:
+    """The attack name of each dataset row ("" when untagged)."""
+    return tuple(ds.attack_names[c] for c in ds.tag_codes.tolist())
+
+
+def tagged_dataset(tags):
+    """A hand-built dataset with one row per tag, encoded as codes into the
+    sorted tag names."""
+    names = sorted({"", *tags})
+    m = len(tags)
+    return Dataset(
+        features=np.zeros((m, 1)),
+        spectrum_labels=np.zeros(m),
+        binary_labels=np.array([int(tag != "") for tag in tags], dtype=np.int64),
+        tag_codes=np.array([names.index(tag) for tag in tags], dtype=np.int64),
+        attack_names=names,
     )
 
 
@@ -47,7 +77,7 @@ def timeline_rows(timeline):
             timeline.seconds.tolist(),
             map(tuple, timeline.features.tolist()),
             timeline.labels.tolist(),
-            timeline.attacks,
+            timeline_attacks(timeline),
         )
     )
 

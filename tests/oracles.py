@@ -6,7 +6,8 @@ former implementation as the reference for a faster one: the tree builder
 (the per-node argsort split search, for the presorted one, and the
 one-block float scan of sorted values and targets, for the blocked complex
 one), the per-second
-timeline functions (one record per second, for the columnar timeline), the
+timeline functions and per-row attack-name strings (one record per second
+and one tag per window, for the columnar timeline and its attack codes), the
 schema-1 dataset store (every flattened row as ``repr`` CSV, for the
 window-free ``dataset.npz``), and the logistic fit (500 full-batch
 gradient-descent steps, for the Newton solver).  Timeline records are
@@ -391,6 +392,32 @@ def window_attack_tags_oracle(names, bits, window_size, stride):
     return tuple(tags)
 
 
+def contiguous_segments_oracle(tags):
+    """Maximal runs of rows sharing one non-empty tag, in row order, as
+    (tag, row indices): one pass over the per-row tag strings."""
+    segments: list[tuple[str, list[int]]] = []
+    current = None
+    for i, tag in enumerate(tags):
+        if not tag:
+            current = None
+            continue
+        if tag != current:
+            segments.append((tag, []))
+            current = tag
+        segments[-1][1].append(i)
+    return [(tag, np.asarray(rows, dtype=np.int64)) for tag, rows in segments]
+
+
+def labels_by_attack_oracle(values, tags):
+    """Each non-empty tag's values in row order, tags in order of their
+    first row."""
+    grouped: dict[str, list[float]] = {}
+    for value, tag in zip(values, tags):
+        if tag:
+            grouped.setdefault(tag, []).append(float(value))
+    return {name: np.asarray(vals) for name, vals in grouped.items()}
+
+
 def save_dataset_v1(ds, out_dir) -> None:
     """The schema-1 writer: ``dataset.csv`` with every flattened row as
     ``repr`` text (f0..f{D-1}, spectrum_label, binary_label) and a
@@ -412,7 +439,7 @@ def save_dataset_v1(ds, out_dir) -> None:
         "feature_width": width,
         "attack_name": None,
         "provenance": ds.provenance,
-        "window_tags": list(ds.window_tags) if ds.window_tags is not None else None,
+        "window_tags": [ds.attack_names[c] for c in ds.tag_codes.tolist()],
     }
     (out_dir / "dataset.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 

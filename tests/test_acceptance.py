@@ -35,7 +35,7 @@ from tspec import (
     assemble_dataset,
 )
 from tspec.cli import main as cli_main
-from tests.conftest import method_artifacts, scenario_to_dict, three_attack_scenario
+from tests.conftest import dataset_tags, method_artifacts, scenario_to_dict, three_attack_scenario
 from tests.oracles import sspe_brute_force
 from tests.test_cli import cli_scenario, read_tree
 
@@ -98,9 +98,9 @@ def _identification_protocol(timeline, seed, ratios=(0.0, 1.0)):
     each third segment from model predictions on (optionally noised)
     features."""
     ds = assemble_dataset(timeline, 30, 1, "sspe", 8)
-    segments = contiguous_segments(ds.window_tags)
+    segments = contiguous_segments(ds)
     occurrence: dict[str, int] = {}
-    train_rows = [i for i, tag in enumerate(ds.window_tags) if not tag]
+    train_rows = [i for i, tag in enumerate(dataset_tags(ds)) if not tag]
     signature_rows: dict[str, list[int]] = {}
     eval_segments = []
     for tag, rows in segments:
@@ -134,7 +134,7 @@ def _identification_protocol(timeline, seed, ratios=(0.0, 1.0)):
         features=features[eval_rows],
         spectrum_labels=ds.spectrum_labels[eval_rows],
         binary_labels=ds.binary_labels[eval_rows],
-        window_tags=tuple(ds.window_tags[i] for i in eval_rows),
+        tag_codes=ds.tag_codes[eval_rows],
     )
     accuracies = {}
     for ratio in ratios:

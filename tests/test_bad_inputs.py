@@ -420,6 +420,9 @@ SIDECAR_EDITS = {
     "tags not strings": lambda d: d.update(attack_names=[0] * len(d["attack_names"])),
     "tags a string": lambda d: d.update(attack_names="x" * len(d["attack_names"])),
     "tags missing": lambda d: d.pop("attack_names"),
+    # Codes index the names, which must stay sorted and unique.
+    "tag names not sorted": lambda d: d.update(attack_names=d["attack_names"][::-1]),
+    "tag names repeated": lambda d: d.update(attack_names=d["attack_names"][:1] * 2),
     "window infinite": lambda d: d["provenance"].update(window=float("inf")),
     # Each once truncated by int(), accepted as equal to an integer, or not
     # read; a width of 0 once named only dataset.npz.

@@ -24,7 +24,7 @@ from tspec import (
     zscore_fit,
 )
 from tspec.dataprep import downsample_majority
-from tests.conftest import same_bits, same_timeline, timeline_rows
+from tests.conftest import dataset_tags, same_bits, same_timeline, timeline_attacks, timeline_rows
 from tests.oracles import generate_synthetic_oracle, population_moments
 
 
@@ -35,7 +35,8 @@ def make_dataset(m=20, d=4, seed=0, positive_fraction=0.5, tags=False):
         features=rng.normal(size=(m, d)),
         spectrum_labels=rng.random(m) * 5,
         binary_labels=binary,
-        window_tags=tuple("atk" if b else "" for b in binary) if tags else None,
+        tag_codes=binary if tags else None,
+        attack_names=("", "atk") if tags else ("",),
     )
 
 
@@ -132,7 +133,7 @@ class TestSplit:
         test = split_dataset(ds, 0.3, seed=4)
         for mask in (~test, test):
             rows = np.flatnonzero(mask)
-            assert ds.take(rows).window_tags == tuple(ds.window_tags[i] for i in rows)
+            assert dataset_tags(ds.take(rows)) == tuple(dataset_tags(ds)[i] for i in rows)
 
 
 class TestNoise:
@@ -166,7 +167,7 @@ class TestNoise:
         out = inject_noise(ds, NoiseSpec(1.0, 2.0, seed=1))
         assert np.array_equal(out.binary_labels, ds.binary_labels)
         assert np.array_equal(out.spectrum_labels, ds.spectrum_labels)
-        assert out.window_tags == ds.window_tags
+        assert dataset_tags(out) == dataset_tags(ds)
 
     def test_deterministic(self):
         ds = make_dataset(20)
@@ -223,7 +224,9 @@ class TestSynthetic:
             segments=(AttackSegment("dos", 10, 20, "burst", offset=50.0),),
         )
         timeline = generate_synthetic(scenario, seed=3)
-        for label, attack, values in zip(timeline.labels, timeline.attacks, timeline.features):
+        assert timeline.attack_names == ("", "dos")
+        attacks = timeline_attacks(timeline)
+        for label, attack, values in zip(timeline.labels, attacks, timeline.features):
             if label:
                 assert attack == "dos"
                 assert all(v > 25 for v in values)
@@ -418,17 +421,18 @@ class TestDatasetIO:
         ds, params = standardized_dataset(stride=2)
         test = np.arange(len(ds)) % 3 == 0
         save_dataset(ds, tmp_path, params, test, sidecar_extra={"seeds": {"base": 3}})
-        loaded, loaded_test, sidecar = load_dataset(tmp_path)
+        loaded, loaded_test = load_dataset(tmp_path)
+        sidecar = json.loads((tmp_path / "dataset.json").read_text())
         assert same_bits(loaded.features, ds.features)
         assert same_bits(loaded.spectrum_labels, ds.spectrum_labels)
         assert same_bits(loaded.binary_labels, ds.binary_labels)
         assert same_bits(loaded.second_features, ds.second_features)
         assert same_bits(loaded.window_starts, ds.window_starts)
-        assert loaded.window_tags == ds.window_tags
+        assert dataset_tags(loaded) == dataset_tags(ds)
         assert loaded.provenance == ds.provenance
         assert np.array_equal(loaded_test, test)
         assert sidecar["schema_version"] == 3
-        assert sidecar["attack_names"] == sorted(set(ds.window_tags))
+        assert sidecar["attack_names"] == sorted(set(dataset_tags(ds)))
         assert sidecar["seeds"] == {"base": 3}
         assert "attack_name" not in sidecar
         # A loaded dataset saves back to the same bytes.
@@ -443,7 +447,7 @@ class TestDatasetIO:
         rows = np.array([1, 4, 5, 17, 30])
         subset = ds.take(rows)
         save_dataset(subset, tmp_path, params, np.zeros(rows.size, dtype=bool))
-        loaded, _, _ = load_dataset(tmp_path)
+        loaded, _ = load_dataset(tmp_path)
         assert loaded.window_starts.tolist() == ds.window_starts[rows].tolist()
         assert same_bits(loaded.features, ds.features[rows])
 

@@ -13,7 +13,7 @@ import pytest
 import tspec.cli as cli
 from tspec import AttackSegment, DataError, SyntheticScenario, load_dataset
 from tspec.errors import write_json
-from tests.conftest import same_bits, scenario_to_dict
+from tests.conftest import dataset_tags, same_bits, scenario_to_dict
 from tests.oracles import load_dataset_v1, save_dataset_v1
 
 WINDOW = 6
@@ -76,12 +76,13 @@ class TestAgainstCsvStore:
 
         monkeypatch.setattr(cli, "save_dataset", save_both)
         assert build(raw, tmp_path / "ds", method, stride, csv_name, config) == 0
-        loaded, _, sidecar = load_dataset(tmp_path / "ds")
+        loaded, _ = load_dataset(tmp_path / "ds")
+        sidecar = json.loads((tmp_path / "ds" / "dataset.json").read_text())
         features, spectrum, binary, tags = load_dataset_v1(tmp_path / "v1")
         assert same_bits(loaded.features, features)
         assert same_bits(loaded.spectrum_labels, spectrum)
         assert same_bits(loaded.binary_labels, binary)
-        assert loaded.window_tags == tags
+        assert dataset_tags(loaded) == tags
         assert sidecar["rows"] == len(features)
         assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == [
             "dataset.json", "dataset.npz",
@@ -131,7 +132,7 @@ def edit_sidecar(path, **changes):
 def _v1(d):
     for name in ("dataset.npz", "dataset.json"):
         (d / name).unlink()
-    ds, _, _ = load_dataset(d.parent / "orig")
+    ds, _ = load_dataset(d.parent / "orig")
     save_dataset_v1(ds, d)
 
 

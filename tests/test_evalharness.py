@@ -29,7 +29,7 @@ from tspec import evalharness
 from tspec.models import FAMILIES
 from tspec.evalharness import identify_segments, labels_by_attack
 from tspec.identify import build_registry, build_signature
-from tests.conftest import method_artifacts
+from tests.conftest import method_artifacts, tagged_dataset
 from tests.oracles import confusion_oracle
 
 
@@ -119,7 +119,7 @@ def replace_sig(sig, name):
 class TestSegments:
     def test_runs(self):
         tags = ["", "a", "a", "", "b", "b", "a", ""]
-        segments = contiguous_segments(tags)
+        segments = contiguous_segments(tagged_dataset(tags))
         assert [(t, r.tolist()) for t, r in segments] == [
             ("a", [1, 2]),
             ("b", [4, 5]),
@@ -127,7 +127,7 @@ class TestSegments:
         ]
 
     def test_empty(self):
-        assert contiguous_segments(["", "", ""]) == []
+        assert contiguous_segments(tagged_dataset(["", "", ""])) == []
 
 
 def small_scenario():
@@ -291,7 +291,7 @@ class TestSweep:
             d_model=art.train.provenance.get("d_model"),
         )
         results, truth_tags = identify_segments(
-            predictions, art.test.window_tags, signatures, min_windows=3
+            predictions, art.test, signatures, min_windows=3
         )
         assert row.identification_accuracy == identification_accuracy(results, truth_tags)
         assert [(spec.family, labels) for spec, labels in fits] == [
@@ -372,7 +372,7 @@ class TestCleanPredictionReuse:
             else:
                 assert next(cells).tobytes() == predictions.tobytes()
                 results, tags = identify_segments(
-                    predictions, art.test.window_tags, signatures, min_windows=3
+                    predictions, art.test, signatures, min_windows=3
                 )
                 assert row.identification_accuracy == identification_accuracy(results, tags)
         assert next(cells, None) is None

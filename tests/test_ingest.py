@@ -8,12 +8,13 @@ import pytest
 from tspec import (
     DataError,
     FlowSchema,
+    PacketTimeline,
     fill_missing_points,
     nonconstant_features,
     parse_flow_csv,
     select_features,
 )
-from tests.conftest import make_timeline, same_timeline, timeline_rows
+from tests.conftest import make_timeline, same_timeline, timeline_attacks, timeline_rows
 from tests.oracles import fill_missing_points_oracle
 
 
@@ -48,7 +49,8 @@ class TestParse:
         assert timeline.seconds.tolist() == [0, 1, 2]
         assert timeline.labels.tolist() == [1, 0, 0]
         assert timeline.features[0].tolist() == [74.0, 1.5]
-        assert timeline.attacks == ("", "", "")
+        assert timeline.attack_names == ("",)
+        assert timeline.attack_codes.tolist() == [0, 0, 0]
 
     def test_non_binary_label_names_row(self, tmp_path, basic_schema):
         path = write_csv(
@@ -153,7 +155,8 @@ class TestParse:
             [[0, 1, 0, "scan"], [1, 2, 1, "scan"]],
         )
         timeline = parse_flow_csv(path, schema)
-        assert timeline.attacks == ("", "scan")  # normals carry no attack tag
+        assert timeline_attacks(timeline) == ("", "scan")  # normals carry no attack tag
+        assert timeline.attack_names == ("", "scan")
 
 
 class TestFill:
@@ -218,7 +221,7 @@ class TestFill:
         timeline = make_timeline([0, 1, 4, 5], labels=[0, 1, 1, 1], attacks=["a"] * 4)
         filled = fill_missing_points(timeline, seed=3)
         assert filled.labels.tolist() == [0, 1, 0, 0, 1, 1]
-        assert filled.attacks == ("", "a", "", "", "a", "a")
+        assert timeline_attacks(filled) == ("", "a", "", "", "a", "a")
 
     def test_unsorted_seconds_rejected(self):
         with pytest.raises(DataError, match="sorted"):
@@ -287,3 +290,42 @@ class TestSelect:
         timeline = make_timeline(range(5), width=3)
         timeline.features[:, 1] = 5.0
         assert nonconstant_features(timeline) == ("f0", "f2")
+
+
+# Timelines the constructor refuses: (columns beside seconds 0 and 1, message).
+BAD_TIMELINES = {
+    "labels of another length": ({"labels": [0, 1, 1]}, "one entry per second"),
+    "codes of another length": ({"attack_codes": [0]}, "one entry per second"),
+    "code outside the names": (
+        {"labels": [1, 1], "attack_codes": [1, 2], "attack_names": ("", "a")},
+        r"attack codes must lie in \[0, 2\)",
+    ),
+    "negative code": (
+        {"labels": [1, 1], "attack_codes": [-1, 1], "attack_names": ("", "a")},
+        "attack codes must lie",
+    ),
+    "names not sorted": (
+        {"labels": [1, 1], "attack_codes": [1, 2], "attack_names": ("", "b", "a")},
+        "sorted and unique",
+    ),
+    "names repeated": (
+        {"labels": [1, 1], "attack_codes": [1, 2], "attack_names": ("", "a", "a")},
+        "sorted and unique",
+    ),
+    "no empty name first": (
+        {"labels": [1, 1], "attack_codes": [0, 1], "attack_names": ("a", "b")},
+        "sorted and unique",
+    ),
+    "named label-0 second": (
+        {"labels": [0, 1], "attack_codes": [1, 1], "attack_names": ("", "a")},
+        "label-0 second must have attack code 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TIMELINES))
+def test_timeline_constructor_refuses(case):
+    columns, message = BAD_TIMELINES[case]
+    columns = {"labels": [0, 0], **columns}
+    with pytest.raises(DataError, match=message):
+        PacketTimeline(seconds=[0, 1], features=np.zeros((2, 1)), feature_names=("f0",), **columns)

@@ -1,4 +1,5 @@
-"""The README's "Library use" example runs as written."""
+"""The README's "Library use" example runs as written, and its tables of
+config keys and timeline fields list what the code defines."""
 
 import contextlib
 import io
@@ -32,3 +33,13 @@ def test_config_key_table_lists_every_key():
     for name, key in KEYS.items():
         flags = "all" if key.flag == _ALL else ", ".join(key.flag) or "—"
         assert table[name] == (json.dumps(key.default), flags), name
+
+
+def test_timeline_field_list_matches_the_dataclass():
+    from dataclasses import fields
+
+    from tspec import PacketTimeline
+
+    section = README.read_text(encoding="utf-8").split("A `PacketTimeline` stores", 1)[1]
+    listed = re.findall(r"^- `(\w+)`:", section.split("\n\n", 2)[1], re.M)
+    assert listed == [f.name for f in fields(PacketTimeline)]

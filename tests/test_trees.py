@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tspec import SyntheticScenario, derive_seed, generate_synthetic
+from tspec import (ModelSpec, SyntheticScenario, derive_seed, generate_synthetic, load_model,
+                   predict, save_model, train)
 from tspec.models import ensembles, trees
 from tspec.models.ensembles import forest_fit, gbm_fit
 from tspec.models.glm import _sigmoid
@@ -165,6 +166,21 @@ def test_overflowing_targets_give_no_split_in_any_block(monkeypatch, huge):
     with np.errstate(over="ignore", invalid="ignore"):
         assert best_split_scan_oracle(XT[np.arange(4)[:, None], rows], y[rows]) is None
         assert trees._best_split(XT, pack(y), np.arange(4), rows, np.zeros(4, bool)) is None
+
+
+def test_thresholds_between_features_near_the_float64_maximum(tmp_path):
+    # 0.5 * (a + b) overflows to inf for these features; a split at inf sends
+    # every row left and leaves a NaN leaf mean, and the file would not load.
+    X = np.array([[1.6e308], [1.7e308], [1.65e308], [1.62e308]])
+    y = np.array([0.0, 1.0, 1.0, 0.0])
+    spec = ModelSpec("random_forest", "classify", hyperparameters={"n_trees": 1})
+    model = train(spec, X, y)  # RuntimeWarnings are errors in this suite
+    (tree,) = model.parameters["trees"]
+    assert np.isfinite(tree.value).all()
+    splits = tree.threshold[tree.feature >= 0]
+    assert splits.size and ((X.min() <= splits) & (splits <= X.max())).all()
+    save_model(model, tmp_path / "forest.json")
+    assert np.array_equal(predict(load_model(tmp_path / "forest.json"), X), predict(model, X))
 
 
 def test_equal_best_scores_in_two_blocks_go_to_the_lower_feature(monkeypatch):

@@ -4,6 +4,12 @@ Windows come from ``window_matrices``; the per-window stacking loop and the
 per-record tag counter it replaced are kept in ``tests/oracles.py``.
 """
 
+import json
+import tempfile
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,13 +18,31 @@ from hypothesis import strategies as st
 from tspec import (
     DataError,
     PacketTimeline,
+    assemble_dataset,
+    contiguous_segments,
     fill_missing_points,
+    load_dataset,
+    save_dataset,
     window_attack_tags,
     window_binary_labels,
     window_matrices,
+    zscore_apply,
+    zscore_fit,
 )
-from tests.conftest import make_timeline
-from tests.oracles import window_attack_tags_oracle, window_matrices_oracle
+from tspec.evalharness import labels_by_attack
+from tests.conftest import dataset_tags, make_timeline, timeline_attacks
+from tests.oracles import (
+    contiguous_segments_oracle,
+    labels_by_attack_oracle,
+    window_attack_tags_oracle,
+    window_matrices_oracle,
+)
+
+
+def tag_names(timeline, w, stride):
+    """``window_attack_tags`` decoded into attack names."""
+    codes = window_attack_tags(timeline, w, stride)
+    return tuple(timeline.attack_names[c] for c in codes.tolist())
 
 
 def brute_force_starts(n, w, stride):
@@ -126,14 +150,13 @@ class TestWindowLabels:
             labels=[0, 1, 1, 1, 0, 0],
             attacks=["", "scan", "scan", "dos", "", ""],
         )
-        tags = window_attack_tags(timeline, 3, 1)
-        assert tags == ("scan", "scan", "scan", "dos")
+        assert tag_names(timeline, 3, 1) == ("scan", "scan", "scan", "dos")
 
     def test_tags_tie_prefers_earliest(self):
         timeline = make_timeline(
             range(4), labels=[1, 1, 0, 0], attacks=["a", "b", "", ""]
         )
-        assert window_attack_tags(timeline, 2, 1)[0] == "a"
+        assert tag_names(timeline, 2, 1)[0] == "a"
 
 
 class TestAgainstOracles:
@@ -147,8 +170,8 @@ class TestAgainstOracles:
         want = window_matrices_oracle(timeline.features, timeline.labels, w, stride)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert window_attack_tags(timeline, w, stride) == window_attack_tags_oracle(
-            timeline.attacks, timeline.labels.tolist(), w, stride
+        assert tag_names(timeline, w, stride) == window_attack_tags_oracle(
+            timeline_attacks(timeline), timeline.labels.tolist(), w, stride
         )
 
     def test_gap_filled_with_stride(self):
@@ -175,8 +198,8 @@ class TestAgainstOracles:
         timeline = make_timeline(range(10), labels=labels, attacks=attacks)
         for stride in (1, 2, 3):
             self.check(timeline, 4, stride)
-        assert window_attack_tags(timeline, 2, 1)[3] == "x"  # seconds 3-4: "x", unnamed
-        assert window_attack_tags(timeline, 1, 1)[7:] == ("", "", "")
+        assert tag_names(timeline, 2, 1)[3] == "x"  # seconds 3-4: "x", unnamed
+        assert tag_names(timeline, 1, 1)[7:] == ("", "", "")
 
     @given(
         cells=st.lists(
@@ -191,12 +214,67 @@ class TestAgainstOracles:
     def test_random_label_streams(self, cells, w, stride):
         if w > len(cells):
             return
-        # Built directly, so label-0 seconds may carry a name too; it is ignored.
-        timeline = PacketTimeline(
-            seconds=range(len(cells)),
-            features=np.arange(2.0 * len(cells)).reshape(-1, 2),
-            labels=[bit for bit, _ in cells],
-            feature_names=("f0", "f1"),
-            attacks=[name for _, name in cells],
+        # make_timeline drops the names drawn for label-0 seconds.
+        timeline = make_timeline(
+            range(len(cells)), labels=[bit for bit, _ in cells], attacks=[n for _, n in cells]
         )
         self.check(timeline, w, stride)
+
+    def test_memory_grows_with_windows_not_names(self):
+        # 4,000 seconds, each with its own name: the tags of 3,971 windows
+        # of 30 fit in a few MB, however many names there are.
+        n = 4000
+        timeline = make_timeline(range(n), labels=[1] * n, attacks=[f"a{i}" for i in range(n)])
+        tracemalloc.start()
+        try:
+            codes = window_attack_tags(timeline, 30, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        names = tuple(timeline.attack_names[c] for c in codes.tolist())
+        assert names == window_attack_tags_oracle(timeline_attacks(timeline), [1] * n, 30, 1)
+
+    @given(
+        cells=st.lists(
+            st.tuples(st.integers(0, 1), st.sampled_from(["", "a", "b", "ab", "c"])),
+            min_size=1,
+            max_size=40,
+        ),
+        w=st.integers(1, 12),
+        stride=st.integers(1, 5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_codes_match_the_string_oracles(self, cells, w, stride):
+        # Unnamed attack seconds are drawn as (1, ""); the codes path must
+        # give the tags, segments and signature groups of the string loops,
+        # and the store must keep exactly the names some window carries.
+        if w > len(cells):
+            return
+        timeline = make_timeline(
+            range(len(cells)), labels=[bit for bit, _ in cells], attacks=[n for _, n in cells]
+        )
+        ds = assemble_dataset(timeline, w, stride, "coap")
+        tags = window_attack_tags_oracle(
+            timeline_attacks(timeline), timeline.labels.tolist(), w, stride
+        )
+        assert dataset_tags(ds) == tags
+        got = [(name, rows.tolist()) for name, rows in contiguous_segments(ds)]
+        assert got == [(name, rows.tolist()) for name, rows in contiguous_segments_oracle(tags)]
+        want = labels_by_attack_oracle(ds.spectrum_labels, tags)
+        if want:
+            grouped = labels_by_attack(ds)
+            assert list(grouped) == list(want)
+            assert all(grouped[name].tobytes() == want[name].tobytes() for name in want)
+        else:
+            with pytest.raises(DataError, match="no tagged attack windows"):
+                labels_by_attack(ds)
+
+        params = zscore_fit(ds.features)
+        standardized = replace(ds, features=zscore_apply(ds.features, params))
+        with tempfile.TemporaryDirectory() as out:
+            save_dataset(standardized, out, params, np.zeros(len(ds), dtype=bool))
+            sidecar = json.loads((Path(out) / "dataset.json").read_text())
+            loaded, _ = load_dataset(out)
+        assert sidecar["attack_names"] == sorted(set(tags))
+        assert dataset_tags(loaded) == tags
