@@ -21,9 +21,9 @@ import numpy as np
 
 from ..errors import ConfigError, DataError, Range, read_field, read_json_object, write_json
 from . import ensembles, glm
-from .trees import Tree
+from .trees import NodeTable
 
-MODEL_FILE_VERSION = 1
+MODEL_FILE_VERSION = 2
 
 TASKS = ("classify", "regress")
 
@@ -73,17 +73,21 @@ def _linear_from_json(data: dict, feature_count: int) -> dict:
     return {"weights": read_field(data, "weights", list[Real]), "intercept": intercept}
 
 
-def _trees_to_json(params: dict, *scalars: str) -> dict:
+# The arrays of an ensemble's node table, each one flat list in its file.
+_NODE_ARRAYS = {"feature": Integral, "threshold": Real, "left": Integral, "right": Integral,
+                "value": Real, "roots": Integral}
+
+
+def _table_to_json(params: dict, *scalars: str) -> dict:
     out = {key: float(params[key]) for key in scalars}
-    out["trees"] = [t.to_dict() for t in params["trees"]]
+    out.update((name, getattr(params["trees"], name).tolist()) for name in _NODE_ARRAYS)
     return out
 
 
-def _trees_from_json(data: dict, feature_count: int, *scalars: str) -> dict:
+def _table_from_json(data: dict, feature_count: int, *scalars: str) -> dict:
     out = {key: read_field(data, key, Real) for key in scalars}
-    out["trees"] = [Tree.from_dict(t, feature_count) for t in read_field(data, "trees", list)]
-    if not out["trees"]:
-        raise ValueError("an ensemble needs at least one tree")
+    arrays = {name: read_field(data, name, list[kind]) for name, kind in _NODE_ARRAYS.items()}
+    out["trees"] = NodeTable.checked(feature_count, **arrays)
     return out
 
 
@@ -114,8 +118,8 @@ FAMILIES = {
         ranges={"n_trees": _AT_LEAST_1, "max_depth": _AT_LEAST_0},
         fit=lambda X, y, task, hp, seed: ensembles.forest_fit(X, y, task, seed=seed, **hp),
         predict=lambda params, X, task: ensembles.forest_predict(params, X),
-        to_json=_trees_to_json,
-        from_json=_trees_from_json,
+        to_json=_table_to_json,
+        from_json=_table_from_json,
         row_separable=True,
     ),
     "gbm": Family(
@@ -129,8 +133,8 @@ FAMILIES = {
         },
         fit=lambda X, y, task, hp, seed: ensembles.gbm_fit(X, y, task, seed=seed, **hp),
         predict=lambda params, X, task: ensembles.gbm_predict(params, X, task),
-        to_json=lambda params: _trees_to_json(params, "f0", "learning_rate"),
-        from_json=lambda data, width: _trees_from_json(data, width, "f0", "learning_rate"),
+        to_json=lambda params: _table_to_json(params, "f0", "learning_rate"),
+        from_json=lambda data, width: _table_from_json(data, width, "f0", "learning_rate"),
         row_separable=True,
     ),
 }

@@ -15,8 +15,8 @@ import numpy as np
 from ..seeds import rng_for
 from .glm import _sigmoid
 from .trees import (
+    NodeTable,
     Presorted,
-    Tree,
     add_leaf_values,
     build_tree,
     rank_codes,
@@ -62,7 +62,7 @@ def forest_fit(
                 codes=codes.take(boot, axis=1),
             )
         )
-    return {"trees": trees}
+    return {"trees": NodeTable.join(trees)}
 
 
 def forest_predict(params: dict, X: np.ndarray) -> np.ndarray:
@@ -70,7 +70,7 @@ def forest_predict(params: dict, X: np.ndarray) -> np.ndarray:
     trees = params["trees"]
     out = np.zeros(X.shape[0])
     add_leaf_values(trees, X, out)
-    return out / len(trees)
+    return out / trees.roots.size
 
 
 def gbm_fit(
@@ -97,7 +97,7 @@ def gbm_fit(
         f0 = float(y.mean())
 
     scores = np.full(n, f0)
-    trees: list[Tree] = []
+    trees: list[NodeTable] = []
     # Without subsampling every tree fits all of X, so one sort, one set of
     # tie flags, one copy of X.T and the last tree's child row orders serve
     # them all; otherwise each tree computes its own.
@@ -121,18 +121,16 @@ def gbm_fit(
             # sum(residual) / sum(p * (1 - p)) per leaf.
             leaves = tree_apply(tree, Xt)
             hess = prob[rows] * (1.0 - prob[rows])
-            value = tree.value.copy()
             for leaf in np.unique(leaves):
                 members = leaves == leaf
-                value[leaf] = target[members].sum() / max(hess[members].sum(), _EPS)
-            tree = Tree(tree.feature, tree.threshold, tree.left, tree.right, value)
+                tree.value[leaf] = target[members].sum() / max(hess[members].sum(), _EPS)
         else:
             residual = y - scores
             tree = build_tree(Xt, residual[rows], max_depth=max_depth, presorted=presorted)
 
         scores += learning_rate * tree_predict(tree, X)
         trees.append(tree)
-    return {"f0": f0, "learning_rate": learning_rate, "trees": trees}
+    return {"f0": f0, "learning_rate": learning_rate, "trees": NodeTable.join(trees)}
 
 
 def gbm_predict(params: dict, X: np.ndarray, task: str) -> np.ndarray:

@@ -11,57 +11,88 @@ predict with one walk for each group of trees (``add_leaf_values``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
-
-from ..errors import read_field
 
 _MIN_GAIN = 1e-12
 
 
 @dataclass(eq=False)
-class Tree:
-    feature: np.ndarray    # int64; -1 marks a leaf
-    threshold: np.ndarray  # float64; 0.0 at leaves
-    left: np.ndarray       # int64 child ids; -1 at leaves
-    right: np.ndarray
-    value: np.ndarray      # float64 node means (used at leaves)
+class NodeTable:
+    """The nodes of one tree or of several, concatenated tree after tree.
 
-    def to_dict(self) -> dict:
-        return {
-            "feature": [int(v) for v in self.feature],
-            "threshold": [float(v) for v in self.threshold],
-            "left": [int(v) for v in self.left],
-            "right": [int(v) for v in self.right],
-            "value": [float(v) for v in self.value],
-        }
+    Node i splits on ``feature[i]`` at ``threshold[i]`` (-1 and 0.0 at a
+    leaf); ``left[i]`` and ``right[i]`` are its children's ids in the table,
+    -1 at a leaf; ``value[i]`` is the mean target of its rows, which a leaf
+    predicts.  ``roots[t]`` is the id of tree t's root, its first node, so
+    tree t holds the nodes from ``roots[t]`` up to the next tree's root.
+
+    The arrays the walk reads are derived once, when a table is made, after
+    the predicated traversal of Asadi, Lin & de Vries (IEEE TKDE 2014):
+    ``children[2 * i]`` and ``children[2 * i + 1]`` are node i's left and
+    right children, a leaf being its own left and right child and splitting
+    on ``step_feature`` 0, so a walk steps past it without moving; ``split``
+    marks the nodes that are not leaves.
+    """
+
+    feature: np.ndarray    # int64
+    threshold: np.ndarray  # float64
+    left: np.ndarray       # int64
+    right: np.ndarray      # int64
+    value: np.ndarray      # float64
+    roots: np.ndarray      # int64
+
+    def __post_init__(self):
+        self.split = self.feature >= 0
+        self.step_feature = np.where(self.split, self.feature, 0)
+        children = np.column_stack([self.left, self.right])
+        leaves = np.flatnonzero(~self.split)
+        children[leaves] = leaves[:, None]
+        self.children = children.ravel()
 
     @classmethod
-    def from_dict(cls, data: dict, feature_count: int) -> "Tree":
-        """Inverse of ``to_dict``.  Raises ``ValueError`` unless every array
-        holds integers or finite reals, one per node, every split feature is
-        below ``feature_count`` and every split node's children come after
-        it, so that prediction always ends at a leaf."""
-        tree = cls(
-            feature=read_field(data, "feature", list[Integral]),
-            threshold=read_field(data, "threshold", list[Real]),
-            left=read_field(data, "left", list[Integral]),
-            right=read_field(data, "right", list[Integral]),
-            value=read_field(data, "value", list[Real]),
-        )
-        n = tree.feature.size
-        arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
-        if n == 0 or any(a.shape != (n,) for a in arrays):
-            raise ValueError("tree arrays must be non-empty and have one entry per node")
-        if tree.feature.min() < -1 or tree.feature.max() >= feature_count:
+    def join(cls, tables: list["NodeTable"]) -> "NodeTable":
+        """One table of the trees of ``tables``, in order."""
+        sizes = [t.feature.size for t in tables]
+        starts = np.cumsum([0, *sizes[:-1]], dtype=np.int64)
+        feature, threshold, left, right, value = (
+            np.concatenate([getattr(t, name) for t in tables])
+            for name in ("feature", "threshold", "left", "right", "value"))
+        shift = np.repeat(starts, sizes) * (feature >= 0)  # leaves keep -1
+        roots = np.concatenate([t.roots + start for t, start in zip(tables, starts)])
+        return cls(feature, threshold, left + shift, right + shift, value, roots)
+
+    @classmethod
+    def checked(cls, feature_count, feature, threshold, left, right, value, roots) -> "NodeTable":
+        """The table of these arrays, as a model file holds them: int64
+        ``feature``, ``left``, ``right`` and ``roots``, finite float64
+        ``threshold`` and ``value``.  Raises ``ValueError`` unless the node
+        arrays have one entry per node, there is at least one tree, the roots
+        start at node 0 and increase below the node count, every split
+        feature is below ``feature_count``, every split node's children come
+        after it inside its own tree, and every node but a root is the child
+        of one split node.  Then every walk ends at a leaf of the tree it
+        started in, and every node belongs to the tree of the root above it."""
+        n = feature.size
+        if any(a.shape != (n,) for a in (feature, threshold, left, right, value)):
+            raise ValueError("tree node arrays must have one entry per node")
+        if roots.size == 0:
+            raise ValueError("an ensemble needs at least one tree")
+        if roots[0] != 0 or (np.diff(roots) < 1).any() or roots[-1] >= n:
+            raise ValueError(f"tree roots must start at node 0 and increase below {n} nodes")
+        if feature.min() < -1 or feature.max() >= feature_count:
             raise ValueError(f"tree split feature out of range for {feature_count} features")
-        node = np.arange(n)
-        split = tree.feature >= 0
-        for child in (tree.left, tree.right):
-            if ((child <= node) | (child >= n))[split].any():
-                raise ValueError("tree child index out of range")
-        return tree
+        table = cls(feature, threshold, left, right, value, roots)
+        ends = np.append(roots[1:], n)
+        end = np.repeat(ends, ends - roots)[table.split]  # the end of each split node's tree
+        children = np.column_stack([left, right])[table.split].T
+        if ((children <= np.flatnonzero(table.split)) | (children >= end)).any():
+            raise ValueError("tree child index out of range of its tree")
+        parents = np.bincount(children.ravel(), minlength=n)
+        parents[roots] += 1  # a root has no parent
+        if (parents != 1).any():
+            raise ValueError("every tree node but a root must be the child of one split node")
+        return table
 
 
 def presort(X: np.ndarray) -> np.ndarray:
@@ -222,8 +253,8 @@ def build_tree(
     min_samples_split: int = 2,
     presorted: Presorted | None = None,
     codes: np.ndarray | None = None,
-) -> Tree:
-    """Grow a depth-limited tree on (X, y).
+) -> NodeTable:
+    """Grow a depth-limited tree on (X, y): a one-tree table.
 
     ``max_features`` < D enables per-node feature subsampling (drawn from
     ``rng``, so tree construction is a pure function of its generator state).
@@ -329,12 +360,13 @@ def build_tree(
 
     if carry:
         presorted.last = top[0]
-    return Tree(
+    return NodeTable(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),
         left=np.asarray(left, dtype=np.int64),
         right=np.asarray(right, dtype=np.int64),
         value=np.asarray(value, dtype=np.float64),
+        roots=np.zeros(1, dtype=np.int64),
     )
 
 
@@ -345,48 +377,13 @@ def build_tree(
 _WALK_PAIRS = 2**14
 
 
-@dataclass(eq=False)
-class _Packed:
-    """The nodes of several trees as one set of arrays, each tree's child ids
-    offset by its first node's id (``roots``).  ``children[2 * i]`` and
-    ``children[2 * i + 1]`` are node i's left and right children.  A leaf is
-    its own left and right child and splits on feature 0, so a walk steps
-    past it without moving; ``split`` marks the nodes that are not leaves."""
-
-    roots: np.ndarray
-    feature: np.ndarray
-    threshold: np.ndarray
-    children: np.ndarray
-    split: np.ndarray
-    value: np.ndarray
-
-
-def _pack(trees: list[Tree]) -> _Packed:
-    sizes = [tree.feature.size for tree in trees]
-    roots = np.cumsum([0, *sizes[:-1]], dtype=np.int64)
-    offset = np.repeat(roots, sizes)
-    feature = np.concatenate([tree.feature for tree in trees])
-    split = feature >= 0
-    children = np.empty((feature.size, 2), dtype=np.int64)
-    children[:, 0] = np.concatenate([tree.left for tree in trees]) + offset
-    children[:, 1] = np.concatenate([tree.right for tree in trees]) + offset
-    children[~split] = np.flatnonzero(~split)[:, None]
-    return _Packed(
-        roots=roots,
-        feature=np.where(split, feature, 0).astype(np.int64, copy=False),
-        threshold=np.concatenate([tree.threshold for tree in trees]),
-        children=children.ravel(),
-        split=split,
-        value=np.concatenate([tree.value for tree in trees]),
-    )
-
-
-def _walk(packed: _Packed, roots: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Packed leaf id of every (tree, row) pair, shape ``(len(roots), n)``:
-    all pairs step down together until each is at a leaf.  A step sends a
-    pair right unless its feature value is <= the node's threshold, so a NaN
-    goes right.  Every split node's children come after it (``Tree.from_dict``
-    checks this), so the walk ends.
+def _walk(table: NodeTable, roots: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Leaf id in ``table`` of every (tree, row) pair, shape
+    ``(len(roots), n)``: all pairs step down together until each is at a
+    leaf.  A step sends a pair right unless its feature value is <= the
+    node's threshold, so a NaN goes right.  Every split node's children come
+    after it inside its own tree (``NodeTable.checked`` checks this of a
+    model file), so the walk ends at a leaf of the tree it started in.
 
     Three ``(len(roots), n)`` int64 buffers serve every step: the pairs'
     nodes, their next nodes and their flat indices into X.  A step keeps its
@@ -404,23 +401,23 @@ def _walk(packed: _Packed, roots: np.ndarray, X: np.ndarray) -> np.ndarray:
     spare = np.empty_like(node)
     index = np.empty_like(node)
     left = np.empty(node.shape, dtype=bool)
-    while packed.split.take(node).any():
-        np.take(packed.feature, node, out=index, mode="clip")
+    while table.split.take(node).any():
+        np.take(table.step_feature, node, out=index, mode="clip")
         index += base
         x = spare.view(np.float64)
         np.take(flat, index, out=x, mode="clip")
         threshold = index.view(np.float64)
-        np.take(packed.threshold, node, out=threshold, mode="clip")
+        np.take(table.threshold, node, out=threshold, mode="clip")
         np.less_equal(x, threshold, out=left)
         np.multiply(node, 2, out=index)
         index += 1
         index -= left  # 2 * node + (1 if the pair goes right else 0)
-        np.take(packed.children, index, out=spare, mode="clip")
+        np.take(table.children, index, out=spare, mode="clip")
         node, spare = spare, node
     return node
 
 
-def add_leaf_values(trees: list[Tree], X: np.ndarray, out: np.ndarray, scale=None) -> None:
+def add_leaf_values(table: NodeTable, X: np.ndarray, out: np.ndarray, scale=None) -> None:
     """Add every tree's leaf value for each row of X (times ``scale`` when
     given) to ``out``, one tree after another in order.
 
@@ -429,21 +426,19 @@ def add_leaf_values(trees: list[Tree], X: np.ndarray, out: np.ndarray, scale=Non
     ``(trees, n)`` array is ever built.  Each pair ends at the leaf a walk of
     its tree alone reaches, and the sums are those of a tree-by-tree loop.
     """
-    packed = _pack(trees)
     per_group = max(1, _WALK_PAIRS // max(X.shape[0], 1))
-    for roots in np.array_split(packed.roots, -(-len(trees) // per_group)):
-        values = packed.value.take(_walk(packed, roots, X))
+    for roots in np.array_split(table.roots, -(-table.roots.size // per_group)):
+        values = table.value.take(_walk(table, roots, X))
         if scale is not None:
             values *= scale
         for row in values:
             out += row
 
 
-def tree_apply(tree: Tree, X: np.ndarray) -> np.ndarray:
-    """Leaf node id for every row of X: the one-tree walk."""
-    packed = _pack([tree])
-    return _walk(packed, packed.roots, X)[0]
+def tree_apply(tree: NodeTable, X: np.ndarray) -> np.ndarray:
+    """Leaf node id for every row of X: the walk of a one-tree table."""
+    return _walk(tree, tree.roots, X)[0]
 
 
-def tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
+def tree_predict(tree: NodeTable, X: np.ndarray) -> np.ndarray:
     return tree.value[tree_apply(tree, X)]

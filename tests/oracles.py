@@ -165,7 +165,8 @@ def _best_split_argsort(X, y, idx, feats, record=None):
 def build_tree_argsort(
     X, y, max_depth, max_features=None, rng=None, min_samples_split=2, record=None
 ):
-    """Reference exact-greedy tree in ``Tree.to_dict()`` form: same node
+    """Reference exact-greedy tree as node lists (``feature``, ``threshold``,
+    ``left``, ``right``, ``value``; one tree of a ``NodeTable``): same node
     numbering, stopping rules, feature draws and tie-breaks as the package."""
     min_gain = 1e-12
     n, width = X.shape

@@ -151,6 +151,23 @@ class TestRegressions:
         assert rc == 2
         assert str(model) in err and "1 weights for 10 features" in err
 
+    def test_tree_model_child_in_the_next_tree(self, ws, tmp_path):
+        # In range and after its parent, so each tree alone looks whole: a
+        # walk would end in the next tree and predict one of its leaves.
+        dataset = copy_dataset(ws, tmp_path)
+        model = dataset / "models" / "detect" / "gbm.json"
+
+        def edit(d):
+            table = d["parameters"]
+            node = next(i for i, f in enumerate(table["feature"]) if f >= 0)
+            assert node < table["roots"][1]
+            table["right"][node] = table["roots"][1]
+
+        edit_json(model, edit)
+        rc, err = run(sweep_args(tmp_path, dataset, families=["gbm"]))
+        assert rc == 2, err
+        assert str(model) in err and "out of range of its tree" in err
+
     @pytest.mark.parametrize("case", ["detect model to identify", "regression model to sweep",
                                       "narrower model to identify"])
     def test_model_for_another_task_or_width(self, ws, tmp_path, case):

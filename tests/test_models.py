@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from tspec import ConfigError, DataError
 from tspec.models import (
     FAMILIES,
+    MODEL_FILE_VERSION,
     ModelSpec,
     TrainedModel,
     ensembles,
@@ -315,7 +316,7 @@ class TestModelIO:
 
     def test_missing_parameters_rejected(self, tmp_path):
         path = tmp_path / "m.json"
-        path.write_text(json.dumps({"version": 1, "feature_count": 2}))
+        path.write_text(json.dumps({"version": MODEL_FILE_VERSION, "feature_count": 2}))
         with pytest.raises(DataError, match="not a valid model file"):
             load_model(path)
 
@@ -464,31 +465,40 @@ class TestHyperparameterRanges:
         assert str(path) in str(info.value)
 
 
-def _edit_tree(**changes):
-    """An edit of a model file's first tree: ``changes`` maps each key to a
-    function from its list to the new list."""
+NODE_KEYS = ("feature", "threshold", "left", "right", "value", "roots")
+
+
+def _edit_nodes(**changes):
+    """An edit of a tree model file's node table: ``changes`` maps each
+    array's key to a function from its list to the new list."""
     def edit(payload):
-        tree = payload["parameters"]["trees"][0]
+        table = payload["parameters"]
         for key, change in changes.items():
-            tree[key] = change(tree[key])
+            table[key] = change(table[key])
     return edit
+
+
+def _child_in_the_next_tree(payload):
+    table = payload["parameters"]
+    assert table["feature"][0] >= 0  # the first tree's root splits
+    table["left"][0] = table["roots"][1]  # after it, in range, but in the second tree
 
 
 # case -> (family, edit of the model file, what the error says)
 MALFORMED_PARAMETERS = {
     "tree feature and child not integral": (
         "random_forest",
-        _edit_tree(feature=lambda f: [f[0] + 0.7] + f[1:], left=lambda c: [c[0] + 0.5] + c[1:]),
+        _edit_nodes(feature=lambda f: [f[0] + 0.7] + f[1:], left=lambda c: [c[0] + 0.5] + c[1:]),
         "key 'feature' must be a list of integers, but holds",
     ),
     "tree threshold NaN": (
         "random_forest",
-        _edit_tree(threshold=lambda t: [float("nan")] + t[1:]),
+        _edit_nodes(threshold=lambda t: [float("nan")] + t[1:]),
         "key 'threshold' must be a list of finite numbers, but holds nan",
     ),
     "tree leaf value NaN": (
         "gbm",
-        _edit_tree(value=lambda v: v[:-1] + [float("nan")]),  # the last node is a leaf
+        _edit_nodes(value=lambda v: v[:-1] + [float("nan")]),  # the last node is a leaf
         "key 'value' must be a list of finite numbers, but holds nan",
     ),
     "gbm f0 a string": (
@@ -508,8 +518,23 @@ MALFORMED_PARAMETERS = {
     ),
     "version true": ("glm_binomial", lambda p: p.update(version=True),
                      "key 'version' must be an integer, got True"),
-    "no trees": ("random_forest", lambda p: p["parameters"].update(trees=[]),
+    "no trees": ("random_forest", _edit_nodes(**{k: lambda a: [] for k in NODE_KEYS}),
                  "an ensemble needs at least one tree"),
+    "no roots": ("gbm", _edit_nodes(roots=lambda r: []), "an ensemble needs at least one tree"),
+    "child in the next tree": ("random_forest", _child_in_the_next_tree,
+                               "tree child index out of range of its tree"),
+    "first root past node 0": ("gbm", _edit_nodes(roots=lambda r: [1] + r[1:]),
+                               "tree roots must start at node 0 and increase below"),
+    "root past the last node": ("random_forest", _edit_nodes(roots=lambda r: r + [10**6]),
+                                "tree roots must start at node 0 and increase below"),
+    "a tree of no nodes": ("gbm", _edit_nodes(roots=lambda r: r[:-1] + [r[-1], r[-1]]),
+                           "tree roots must start at node 0 and increase below"),
+    "roots out of order": ("random_forest", _edit_nodes(roots=lambda r: [0, r[2], r[1], *r[3:]]),
+                           "tree roots must start at node 0 and increase below"),
+    "a root dropped": ("gbm", _edit_nodes(roots=lambda r: r[:-1]),
+                       "every tree node but a root must be the child of one split node"),
+    "version 1": ("random_forest", lambda p: p.update(version=1),
+                  "unsupported model file version 1"),
 }
 
 
@@ -539,7 +564,7 @@ class TestModelFileChecks:
         path = self._saved(tmp_path, "gbm")
 
         def edit(p):
-            p["parameters"]["trees"][0]["feature"][0] = feature
+            p["parameters"]["feature"][0] = feature
 
         with pytest.raises(DataError, match="split feature out of range"):
             self._load_edited(path, edit)
@@ -550,9 +575,9 @@ class TestModelFileChecks:
         path = self._saved(tmp_path, "random_forest")
 
         def edit(p):
-            tree = p["parameters"]["trees"][0]
-            assert tree["feature"][0] >= 0  # the root splits
-            tree["left"][0] = child
+            table = p["parameters"]
+            assert table["feature"][0] >= 0  # the first tree's root splits
+            table["left"][0] = child
 
         with pytest.raises(DataError, match="child index out of range"):
             self._load_edited(path, edit)
@@ -560,7 +585,7 @@ class TestModelFileChecks:
     def test_tree_arrays_of_unequal_length(self, tmp_path):
         path = self._saved(tmp_path, "random_forest", "regress")
         with pytest.raises(DataError, match="one entry per node"):
-            self._load_edited(path, lambda p: p["parameters"]["trees"][0]["value"].pop())
+            self._load_edited(path, lambda p: p["parameters"]["value"].pop())
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_PARAMETERS))
     def test_malformed_parameters_are_refused(self, tmp_path, case):

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -23,8 +23,8 @@ from tspec.models import ensembles, trees
 from tspec.models.ensembles import forest_fit, gbm_fit
 from tspec.models.glm import _sigmoid
 from tspec.models.trees import (
+    NodeTable,
     Presorted,
-    Tree,
     build_tree,
     presort,
     rank_codes,
@@ -58,8 +58,38 @@ def tied_problem(n, d, decimals, seed, constant_cols=(), duplicate=False):
     return X, y
 
 
-def assert_same_tree(tree: Tree, reference: dict, X: np.ndarray):
-    assert tree.to_dict() == reference
+NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+
+
+def as_dict(tree: NodeTable) -> dict:
+    """A one-tree table in the node-list form of ``tests/oracles.py``."""
+    assert tree.roots.tolist() == [0]
+    return {name: getattr(tree, name).tolist() for name in NODE_ARRAYS}
+
+
+def tree_slices(table: NodeTable) -> list[NodeTable]:
+    """Each tree of ``table`` as a one-tree table: its slice of the node
+    arrays, child ids counted from its own root."""
+    ends = [*table.roots[1:].tolist(), table.feature.size]
+    slices = []
+    for root, end in zip(table.roots.tolist(), ends):
+        nodes = slice(root, end)
+        local = [np.where(ids[nodes] >= 0, ids[nodes] - root, ids[nodes])
+                 for ids in (table.left, table.right)]
+        slices.append(NodeTable(table.feature[nodes], table.threshold[nodes], *local,
+                                table.value[nodes], np.zeros(1, dtype=np.int64)))
+    return slices
+
+
+def checked_tree(feature_count, **lists) -> NodeTable:
+    """A one-tree table of node lists, checked as a model file's."""
+    arrays = {name: np.array(lists[name], dtype=np.float64 if name in ("threshold", "value")
+                             else np.int64) for name in NODE_ARRAYS}
+    return NodeTable.checked(feature_count, roots=np.zeros(1, dtype=np.int64), **arrays)
+
+
+def assert_same_tree(tree: NodeTable, reference: dict, X: np.ndarray):
+    assert as_dict(tree) == reference
     got = tree_predict(tree, X)
     want = tree_predict_oracle(reference, X)
     assert np.array_equal(got, want)
@@ -95,7 +125,7 @@ def test_all_columns_constant_is_a_single_leaf():
     X = np.ones((30, 3))
     y = np.arange(30.0)
     tree = build_tree(X, y, max_depth=4)
-    assert tree.to_dict() == build_tree_argsort(X, y, 4)
+    assert as_dict(tree) == build_tree_argsort(X, y, 4)
     assert tree.feature.tolist() == [-1]
 
 
@@ -104,7 +134,7 @@ def test_tie_breaks_prefer_lowest_feature_then_threshold():
     X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     y = np.array([0.0, 1.0, 1.0, 0.0])
     tree = build_tree(X, y, max_depth=1)
-    assert tree.to_dict() == build_tree_argsort(X, y, 1)
+    assert as_dict(tree) == build_tree_argsort(X, y, 1)
     assert (tree.feature[0], tree.threshold[0]) == (0, 0.5)
 
 
@@ -175,7 +205,8 @@ def test_thresholds_between_features_near_the_float64_maximum(tmp_path):
     y = np.array([0.0, 1.0, 1.0, 0.0])
     spec = ModelSpec("random_forest", "classify", hyperparameters={"n_trees": 1})
     model = train(spec, X, y)  # RuntimeWarnings are errors in this suite
-    (tree,) = model.parameters["trees"]
+    tree = model.parameters["trees"]
+    assert tree.roots.tolist() == [0]
     assert np.isfinite(tree.value).all()
     splits = tree.threshold[tree.feature >= 0]
     assert splits.size and ((X.min() <= splits) & (splits <= X.max())).all()
@@ -206,9 +237,10 @@ def assert_gbm_matches(X, y, task, n_trees, max_depth, subsample, seed):
         X, y, task, n_trees, 0.1, max_depth, subsample, lambda t: rng_for(seed, "tree", t)
     )
     assert params["f0"] == f0
-    for tree, want in zip(params["trees"], reference, strict=True):
+    fitted = tree_slices(params["trees"])
+    for tree, want in zip(fitted, reference, strict=True):
         assert_same_tree(tree, want, X)
-    return params["trees"]
+    return fitted
 
 
 def gbm_tied_problem(seed, tree_rng):
@@ -311,7 +343,7 @@ def assert_forest_matches(X, y, task, n_trees, max_depth, seed):
         X, y, forest_max_features(task, X.shape[1]), n_trees, max_depth,
         lambda t: rng_for(seed, "tree", t),
     )
-    for tree, want in zip(params["trees"], reference, strict=True):
+    for tree, want in zip(tree_slices(params["trees"]), reference, strict=True):
         assert_same_tree(tree, want, X)
 
 
@@ -567,7 +599,7 @@ def test_random_problems_match_reference(
 
 @st.composite
 def random_trees(draw, width=None):
-    """A valid ``Tree`` and its feature count (``width``, or drawn): any
+    """A valid one-tree table and its feature count (``width``, or drawn): any
     shape, from a single leaf to chains deeper than any fit, numbered
     depth-first or breadth-first (every child id above its parent's either
     way)."""
@@ -600,14 +632,15 @@ def random_trees(draw, width=None):
         nodes = list(depth_first(nodes[0]))
     ids = {id(node): i for i, node in enumerate(nodes)}
     kids = [[ids[id(c)] for c in node["children"]] or [-1, -1] for node in nodes]
-    # Built directly, not by Tree.from_dict: a model file may hold only
-    # finite thresholds, but the walk must also handle NaN and infinite ones.
-    tree = Tree(
+    # Built directly: a model file may hold only finite thresholds, but the
+    # walk must also handle NaN and infinite ones.
+    tree = NodeTable(
         feature=np.array([node.get("feature", -1) for node in nodes], dtype=np.int64),
         threshold=np.array([node.get("threshold", 0.0) for node in nodes], dtype=np.float64),
         left=np.array([k[0] for k in kids], dtype=np.int64),
         right=np.array([k[1] for k in kids], dtype=np.int64),
         value=np.array([node["value"] for node in nodes], dtype=np.float64),
+        roots=np.zeros(1, dtype=np.int64),
     )
     return tree, width
 
@@ -627,7 +660,7 @@ def test_tree_apply_on_random_trees(data, drawn, n):
     X = prediction_rows(data.draw, n, width, tree)
     leaves = tree_apply(tree, X)
     assert leaves.dtype == np.int64
-    assert np.array_equal(leaves, tree_leaf_oracle(tree.to_dict(), X))
+    assert np.array_equal(leaves, tree_leaf_oracle(as_dict(tree), X))
 
 
 @settings(max_examples=40, deadline=None)
@@ -643,17 +676,14 @@ def test_tree_apply_on_random_trees(data, drawn, n):
 def test_tree_apply_on_fitted_trees(data, n, d, seed, max_features, max_depth, rows):
     X, y = tied_problem(n, d, 1, seed, duplicate=True)
     tree = build_tree(X, y, max_depth, max_features, rng_for(seed, "a"))
-    assert np.array_equal(tree_apply(tree, X), tree_leaf_oracle(tree.to_dict(), X))
+    assert np.array_equal(tree_apply(tree, X), tree_leaf_oracle(as_dict(tree), X))
     Xp = prediction_rows(data.draw, rows, d, tree)
-    assert np.array_equal(tree_apply(tree, Xp), tree_leaf_oracle(tree.to_dict(), Xp))
+    assert np.array_equal(tree_apply(tree, Xp), tree_leaf_oracle(as_dict(tree), Xp))
 
 
 def test_nan_features_go_right():
-    tree = Tree.from_dict(
-        {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
-         "right": [2, -1, -1], "value": [0.0, 1.0, 2.0]},
-        feature_count=1,
-    )
+    tree = checked_tree(1, feature=[0, -1, -1], threshold=[0.5, 0.0, 0.0], left=[1, -1, -1],
+                        right=[2, -1, -1], value=[0.0, 1.0, 2.0])
     X = np.array([[np.nan], [-np.inf], [np.inf], [0.5]])
     assert tree_apply(tree, X).tolist() == [2, 1, 2, 1]
 
@@ -663,15 +693,18 @@ def summed_oracle(trees, X, start, scale=None):
     when given), added one tree after another."""
     out = np.full(X.shape[0], start)
     for tree in trees:
-        values = tree_predict_oracle(tree.to_dict(), X)
+        values = tree_predict_oracle(as_dict(tree), X)
         out += values if scale is None else scale * values
     return out
 
 
 def assert_ensembles_match_oracle(trees, X):
-    forest = ensembles.forest_predict({"trees": trees}, X)
+    """The ensembles of the one-tree tables ``trees``, joined into one
+    table, predict the sums of the reference walks."""
+    table = NodeTable.join(trees)
+    forest = ensembles.forest_predict({"trees": table}, X)
     assert forest.tobytes() == (summed_oracle(trees, X, 0.0) / len(trees)).tobytes()
-    params = {"f0": 0.3, "learning_rate": 0.1, "trees": trees}
+    params = {"f0": 0.3, "learning_rate": 0.1, "trees": table}
     scores = summed_oracle(trees, X, 0.3, 0.1)
     assert ensembles.gbm_predict(params, X, "regress").tobytes() == scores.tobytes()
     assert ensembles.gbm_predict(params, X, "classify").tobytes() == _sigmoid(scores).tobytes()
@@ -695,14 +728,32 @@ def test_ensembles_sum_the_reference_walks(data, width, count, n, pairs):
         assert_ensembles_match_oracle(drawn, X)
 
 
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), width=st.integers(1, 3), count=st.integers(2, 5))
+def test_a_child_in_the_next_tree_is_refused(data, width, count):
+    # Each moved child id is in range and after its parent, where the former
+    # per-tree check saw no fault; a walk would end in the next tree, and
+    # predict one of its leaves without a word.
+    table = NodeTable.join([data.draw(random_trees(width))[0] for _ in range(count)])
+    arrays = {name: getattr(table, name).copy() for name in (*NODE_ARRAYS, "roots")}
+    assert NodeTable.checked(width, **arrays).roots.size == count  # a joined table passes
+    splits = np.flatnonzero(table.split[: table.roots[-1]])  # in every tree but the last
+    assume(splits.size > 0)
+    node = data.draw(st.sampled_from(splits.tolist()))
+    after = table.roots[np.searchsorted(table.roots, node, side="right")]
+    side = data.draw(st.sampled_from(["left", "right"]))
+    arrays[side][node] = data.draw(st.integers(int(after), table.feature.size - 1))
+    with pytest.raises(ValueError, match="out of range of its tree"):
+        NodeTable.checked(width, **arrays)
+
+
 def test_ensembles_over_several_walk_groups():
     # 40 fitted trees and 1,000 rows are 40,000 (tree, row) pairs: three
     # groups at the default budget.  NaN, thresholds, +-0.0 and a leaf-only
     # tree included.
     X, y = tied_problem(300, 4, 1, seed=3, duplicate=True)
     fitted = [build_tree(X, y, 6, 2, rng_for(3, "walk", t)) for t in range(39)]
-    leaf = Tree.from_dict({"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
-                           "value": [0.25]}, feature_count=4)
+    leaf = checked_tree(4, feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[0.25])
     fitted.insert(17, leaf)
     rng = np.random.default_rng(4)
     rows = np.round(rng.normal(size=(1000, 4)), 1)
