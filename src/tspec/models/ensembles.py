@@ -3,15 +3,21 @@
 Both are deterministic under a fixed seed.  Each forest tree draws its
 bootstrap sample and per-node feature subsets from an RNG stream derived
 from (seed, tree index), so building trees in any order -- or concurrently
--- yields the same ensemble as a serial pass.
+-- yields the same ensemble as a serial pass.  ``forest_fit`` grows its
+trees in one process per CPU the process may run on.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+from contextlib import suppress
 
 import numpy as np
 
+from ..errors import PipelineError
 from ..seeds import rng_for
 from .glm import _sigmoid
 from .trees import (
@@ -27,6 +33,113 @@ from .trees import (
 _EPS = 1e-12
 
 
+def _portable(exc: Exception) -> Exception:
+    """``exc``, or a ``RuntimeError`` naming its type and message if it
+    cannot pass through pickle (some cannot be rebuilt from their args)."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:  # noqa: BLE001
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+def _worker(grow, indices: range, read: int, write: int):
+    """Body of a forked worker: pickles to ``write`` the results of ``grow``
+    over ``indices`` up to the first that raises, and that exception or
+    None.  It leaves with ``os._exit`` on every path, so it runs none of
+    the parent's ``finally`` blocks (the CLI's unlink its output locks) and
+    no exit handler."""
+    status = 1
+    try:
+        os.close(read)
+        done, error = [], None
+        try:
+            for i in indices:
+                done.append(grow(i))
+        except Exception as exc:  # noqa: BLE001 - handed to the parent
+            error = _portable(exc)
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump((done, error), pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _received(pid: int, data: bytes, status: int, indices: range) -> tuple:
+    """The (results, exception or None) worker ``pid`` sent for ``indices``;
+    raises ``PipelineError`` if it died before sending them."""
+    code = os.waitstatus_to_exitcode(status)
+    with suppress(Exception):  # a truncated payload
+        if code == 0:
+            return pickle.loads(data)
+    how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+    raise PipelineError(
+        f"tree worker process {pid} {how} before returning trees "
+        f"{', '.join(map(str, indices))}"
+    )
+
+
+def _grow_in_processes(grow, count: int) -> list:
+    """``[grow(0), ..., grow(count - 1)]``, computed in one process per CPU
+    of this process's affinity mask, at most ``count``, and returned in
+    index order.
+
+    Worker k, forked, computes indices k, k + W, ... and pickles them to its
+    own pipe; this process computes share 0 itself, then reads each pipe in
+    turn and reaps its worker.  If any index raises, the exception of the
+    lowest such index is raised here with its type and message, as a serial
+    loop would raise it.  Whatever way this function is left, the workers
+    not yet reaped are killed and reaped.  With one CPU, or on a platform
+    without affinity masks (not Linux), there is no fork.
+    """
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    workers = min(count, 1 if getaffinity is None else len(getaffinity(0)))
+    if workers < 2:
+        return [grow(i) for i in range(count)]
+    results = [None] * count
+    failures = []  # (index, exception)
+    children = []  # (pid, pipe, indices) of each worker not yet reaped, in order
+    try:
+        for k in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _worker(grow, range(k, count, workers), read, write)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb"), range(k, count, workers)))
+        try:
+            for i in range(0, count, workers):
+                results[i] = grow(i)
+        except Exception as exc:  # noqa: BLE001 - raised below unless a lower index failed
+            failures.append((i, exc))
+        while children:
+            pid, pipe, indices = children[0]
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            done, error = _received(pid, data, status, indices)
+            if error is None:
+                results[indices.start::workers] = done
+            else:
+                failures.append((indices[len(done)], error))
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
+
+
 def forest_fit(
     X: np.ndarray,
     y: np.ndarray,
@@ -39,8 +152,10 @@ def forest_fit(
     ceil(D/3) for regression, bootstrap with replacement.
 
     X's rank codes are computed once and gathered through each bootstrap, so
-    every tree sorts small integer keys.  Raises ``ValueError`` unless X is
-    finite.
+    every tree sorts small integer keys.  Trees are grown in one process per
+    CPU of the affinity mask (``_grow_in_processes``); each is a pure
+    function of ``rng_for(seed, "tree", t)``, so the ensemble has the bytes
+    of a serial fit.  Raises ``ValueError`` unless X is finite.
     """
     n, width = X.shape
     codes = rank_codes(X)
@@ -48,21 +163,20 @@ def forest_fit(
         max_features = math.ceil(math.sqrt(width))
     else:
         max_features = math.ceil(width / 3)
-    trees = []
-    for t in range(n_trees):
+
+    def grow(t: int) -> NodeTable:
         rng = rng_for(seed, "tree", t)
         boot = rng.integers(0, n, size=n)
-        trees.append(
-            build_tree(
-                X[boot],
-                y[boot],
-                max_depth=max_depth,
-                max_features=max_features,
-                rng=rng,
-                codes=codes.take(boot, axis=1),
-            )
+        return build_tree(
+            X[boot],
+            y[boot],
+            max_depth=max_depth,
+            max_features=max_features,
+            rng=rng,
+            codes=codes.take(boot, axis=1),
         )
-    return {"trees": NodeTable.join(trees)}
+
+    return {"trees": NodeTable.join(_grow_in_processes(grow, n_trees))}
 
 
 def forest_predict(params: dict, X: np.ndarray) -> np.ndarray:

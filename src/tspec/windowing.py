@@ -54,22 +54,13 @@ def window_binary_labels(label_bits: np.ndarray) -> np.ndarray:
     return (np.asarray(label_bits).sum(axis=1) > 0).astype(np.int64)
 
 
-def window_attack_tags(
-    timeline: PacketTimeline, window_size: int, stride: int = 1
-) -> np.ndarray:
-    """Per-window attack codes into ``timeline.attack_names``, aligned with
-    ``window_matrices`` rows.
-
-    A window gets the most frequent named code among its seconds (the
-    earliest first hit in the window wins ties); a window without a named
-    attack second gets code 0.  Memory grows with windows x W, never with
-    the number of names.
-    """
-    starts = _window_starts(len(timeline), window_size, stride)
-    w, bits = window_size, int(window_size).bit_length()
-    # Each window's (code, position) pairs in ascending order, as one key.
-    windows = sliding_window_view(timeline.attack_codes, w)[starts] << bits
-    keys = np.sort(windows | np.arange(w), axis=1).ravel()
+def _most_frequent_codes(windows: np.ndarray) -> np.ndarray:
+    """Each row's most frequent code above 0, the earliest first hit winning
+    ties, or 0 where it holds none: one sort of the rows' (code, position)
+    keys."""
+    w = windows.shape[1]
+    bits = int(w).bit_length()
+    keys = np.sort((windows << bits) | np.arange(w), axis=1).ravel()
     codes = keys >> bits
     first = np.ones(codes.size, dtype=bool)
     first[1:] = codes[1:] != codes[:-1]
@@ -82,3 +73,40 @@ def window_attack_tags(
     window_runs = np.flatnonzero(runs % w == 0)
     best = np.maximum.reduceat(score, window_runs)
     return codes[runs][score == np.repeat(best, np.diff(window_runs, append=runs.size))]
+
+
+def window_attack_tags(
+    timeline: PacketTimeline, window_size: int, stride: int = 1
+) -> np.ndarray:
+    """Per-window attack codes into ``timeline.attack_names``, aligned with
+    ``window_matrices`` rows.
+
+    A window gets the most frequent named code among its seconds (the
+    earliest first hit in the window wins ties); a window without a named
+    attack second gets code 0.  A window that holds one name is tagged with
+    it by binary searches over the named seconds; only windows that hold
+    two or more names are sorted, so memory grows with windows x W at most,
+    never with the number of names.
+    """
+    codes = timeline.attack_codes
+    starts = _window_starts(len(timeline), window_size, stride)
+    ends = starts + window_size
+    tags = np.zeros(starts.size, dtype=codes.dtype)
+    named = np.flatnonzero(codes)
+    if named.size == 0:
+        return tags
+    # Each window's first named second, if it holds one, names the window
+    # unless another name follows.
+    first = named[np.minimum(np.searchsorted(named, starts), named.size - 1)]
+    inside = (first >= starts) & (first < ends)
+    tags[inside] = codes[first[inside]]
+    # A window holds two names iff it holds two consecutive named seconds
+    # with different codes; the first such pair from its start tells.
+    change = np.flatnonzero(codes[named[1:]] != codes[named[:-1]])
+    pair = np.searchsorted(named[change], starts)
+    mixed = pair < change.size
+    mixed[mixed] = named[change[pair[mixed]] + 1] < ends[mixed]
+    mixed = np.flatnonzero(mixed)
+    if mixed.size:
+        tags[mixed] = _most_frequent_codes(sliding_window_view(codes, window_size)[starts[mixed]])
+    return tags

@@ -5,9 +5,14 @@ one-block float scan there.  The step-at-a-time walk finds the leaves of
 the row-at-a-time reference walk, for one tree (``tree_apply``) and for
 groups of trees (forest and boosting sums, bit for bit).  Boosting rounds
 that take the last round's child row orders grow the reference's trees
-too."""
+too.  Forests grown across worker processes are the one-process forests
+byte for byte, and fail as the one-process loop fails."""
 
+import json
 import math
+import os
+import signal
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -17,8 +22,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tspec import (ModelSpec, SyntheticScenario, derive_seed, generate_synthetic, load_model,
-                   predict, save_model, train)
+from tspec import (ModelSpec, SyntheticScenario, cli, derive_seed, generate_synthetic,
+                   load_model, predict, save_model, train)
+from tspec.errors import PipelineError
 from tspec.models import ensembles, trees
 from tspec.models.ensembles import forest_fit, gbm_fit
 from tspec.models.glm import _sigmoid
@@ -33,7 +39,7 @@ from tspec.models.trees import (
     tree_predict,
 )
 from tspec.seeds import rng_for
-from tests.conftest import method_artifacts, three_attack_scenario
+from tests.conftest import method_artifacts, scenario_to_dict, three_attack_scenario
 from tests.oracles import (
     best_split_scan_oracle,
     build_tree_argsort,
@@ -364,11 +370,17 @@ def test_forest_rank_codes_match_reference(task, kind):
     assert_forest_matches(X, y, task, n_trees=4, max_depth=6, seed=5)
 
 
+def use_cpus(monkeypatch, count):
+    """Give this process ``count`` CPUs, as its affinity mask would."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
 @pytest.mark.parametrize("kind", FOREST_KINDS)
-def test_forest_nodes_scan_rows_in_stable_argsort_order(scans, kind):
+def test_forest_nodes_scan_rows_in_stable_argsort_order(monkeypatch, scans, kind):
     """Every forest node sees the values and targets of a stable argsort of
     its bootstrap rows; distinct targets make the order of tied rows
-    visible."""
+    visible.  One CPU: the spy sees only the scans of this process."""
+    use_cpus(monkeypatch, 1)
     X, _ = forest_problem(kind)
     y = np.arange(X.shape[0], dtype=np.float64) * 0.1
     forest_fit(X, y, "regress", n_trees=3, max_depth=6, seed=7)
@@ -415,6 +427,182 @@ def test_forest_refuses_non_finite_features(bad):
     X[7, 2] = bad
     with pytest.raises(ValueError, match="finite"):
         forest_fit(X, y, "regress", n_trees=2)
+
+
+def table_bytes(table: NodeTable) -> list[bytes]:
+    return [getattr(table, name).tobytes() for name in (*NODE_ARRAYS, "roots")]
+
+
+def forest_bytes(X, y, task, n_trees=5, seed=5) -> list[bytes]:
+    return table_bytes(forest_fit(X, y, task, n_trees=n_trees, max_depth=6, seed=seed)["trees"])
+
+
+@pytest.mark.parametrize("task", ["classify", "regress"])
+def test_forests_are_the_same_on_any_number_of_cpus(monkeypatch, task):
+    """Forests grown on 1, 2 and 3 CPUs, and on more CPUs than trees, are
+    the same tables byte for byte; one worker is forked per CPU beyond the
+    first, up to one process per tree."""
+    X, y = forest_problem("duplicates")
+    if task == "classify":
+        y = (y > 0).astype(np.float64)
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    grown = {}
+    for cpus in (1, 2, 3, 8):
+        use_cpus(monkeypatch, cpus)
+        forks.clear()
+        grown[cpus] = forest_bytes(X, y, task)
+        assert len(forks) == min(cpus, 5) - 1
+    assert all(tables == grown[1] for tables in grown.values())
+
+
+def test_forest_without_an_affinity_mask_forks_nothing(monkeypatch):
+    X, y = forest_problem("ties")
+    use_cpus(monkeypatch, 1)
+    serial = forest_bytes(X, y, "regress")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked without an affinity mask"))
+    assert forest_bytes(X, y, "regress") == serial
+
+
+def fail_trees(monkeypatch, seed, failures):
+    """Make ``ensembles.build_tree`` call ``failures[t]()`` before growing
+    tree t of a forest fit with ``seed``."""
+    tree_of = {derive_seed(seed, "tree", t): t for t in range(32)}
+    real = ensembles.build_tree
+
+    def build(*args, rng, **kwargs):
+        fail = failures.get(tree_of.get(rng.bit_generator.seed_seq.entropy))
+        if fail is not None:
+            fail()
+        return real(*args, rng=rng, **kwargs)
+
+    monkeypatch.setattr(ensembles, "build_tree", build)
+
+
+def raising(kind, message):
+    def fail():
+        raise kind(message)
+    return fail
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_the_lowest_failing_tree_raises_on_any_number_of_cpus(monkeypatch, cpus):
+    """Trees 1, 2 and 3 raise; tree 1's error comes out, as from a serial
+    loop, although on 2 CPUs this process grows tree 2 itself and fails
+    first."""
+    X, y = forest_problem("ties")
+    fail_trees(monkeypatch, 5, {1: raising(ValueError, "tree 1"),
+                                2: raising(KeyError, "tree 2"),
+                                3: raising(ValueError, "tree 3")})
+    use_cpus(monkeypatch, cpus)
+    with pytest.raises(ValueError, match=r"^tree 1$"):
+        forest_bytes(X, y, "regress")
+    assert_no_child_left()
+
+
+def test_an_exception_pickle_cannot_carry_is_named(monkeypatch):
+    class Unpicklable(Exception):  # a local class cannot be pickled
+        pass
+
+    X, y = forest_problem("ties")
+    fail_trees(monkeypatch, 5, {1: raising(Unpicklable, "tree 1")})
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=r"^Unpicklable: tree 1$"):
+        forest_bytes(X, y, "regress")
+    assert_no_child_left()
+
+
+def test_a_worker_that_dies_gives_a_clear_error(monkeypatch):
+    parent = os.getpid()
+
+    def die():
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    X, y = forest_problem("ties")
+    fail_trees(monkeypatch, 5, {1: die})
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(PipelineError, match=r"^tree worker process \d+ was killed by signal 9 "
+                                            r"before returning trees 1, 3$"):
+        forest_bytes(X, y, "regress")
+    assert_no_child_left()
+
+
+def test_leaving_early_kills_and_reaps_the_workers(monkeypatch):
+    """An interrupt while this process grows its own trees does not wait
+    for a worker that would take a minute."""
+    X, y = forest_problem("ties")
+    fail_trees(monkeypatch, 5, {0: raising(KeyboardInterrupt, "stop"),
+                                1: lambda: time.sleep(60)})
+    use_cpus(monkeypatch, 2)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        forest_bytes(X, y, "regress")
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+@pytest.fixture(scope="module")
+def sspe_dataset(tmp_path_factory):
+    """An SSPE dataset of the acceptance scenario, built through the CLI at
+    seed 7: windows of 10, d_model 8."""
+    work = tmp_path_factory.mktemp("forest_cli")
+    scenario = work / "scenario.json"
+    scenario.write_text(json.dumps(scenario_to_dict(three_attack_scenario())))
+    assert cli.main(["synth", "--scenario", str(scenario), "--seed", "7",
+                     "--out", str(work / "raw")]) == 0
+    assert cli.main(["build-dataset", "--input", str(work / "raw" / "synthetic.csv"),
+                     "--schema", str(work / "raw" / "schema.json"), "--method", "sspe",
+                     "--d-model", "8", "--window", "10", "--seed", "7",
+                     "--out", str(work / "sspe")]) == 0
+    return work / "sspe"
+
+
+def train_forest(dataset, out, capsys) -> tuple[int, str]:
+    """(exit code, stderr) of training a detect forest at seed 7."""
+    capsys.readouterr()
+    rc = cli.main(["train", "--dataset", str(dataset), "--task", "detect",
+                   "--families", "random_forest", "--seed", "7", "--out", str(out)])
+    return rc, capsys.readouterr().err
+
+
+def test_cli_forest_has_the_same_bytes_on_one_and_two_cpus(monkeypatch, sspe_dataset,
+                                                           tmp_path, capsys):
+    models = []
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        assert train_forest(sspe_dataset, tmp_path / str(cpus), capsys) == (0, "")
+        models.append((tmp_path / str(cpus) / "models" / "detect" / "random_forest.json")
+                      .read_bytes())
+    assert models[0] == models[1]
+
+
+def test_cli_failing_tree_exits_as_the_serial_run(monkeypatch, sspe_dataset, tmp_path, capsys):
+    """Tree 1 raises: on 2 CPUs a worker grows it, and the command prints
+    the serial run's error and exit code, and leaves no lock and no
+    process."""
+    fail_trees(monkeypatch, derive_seed(7, "train", "detect", "random_forest"),
+               {1: raising(ValueError, "tree 1 failed")})
+    outcomes = []
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        outcomes.append(train_forest(sspe_dataset, tmp_path / str(cpus), capsys))
+        assert not [*tmp_path.rglob(".lock"), *sspe_dataset.rglob(".lock")]
+        assert_no_child_left()
+    error = "tspec: unexpected error: ValueError('tree 1 failed')\n"
+    assert outcomes[0] == outcomes[1] == (3, error)
 
 
 @pytest.mark.parametrize("subsample", [1.0, 0.5])

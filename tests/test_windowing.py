@@ -29,6 +29,7 @@ from tspec import (
     zscore_apply,
     zscore_fit,
 )
+from tspec import windowing
 from tspec.evalharness import labels_by_attack
 from tests.conftest import dataset_tags, make_timeline, timeline_attacks
 from tests.oracles import (
@@ -219,6 +220,23 @@ class TestAgainstOracles:
             range(len(cells)), labels=[bit for bit, _ in cells], attacks=[n for _, n in cells]
         )
         self.check(timeline, w, stride)
+
+    def test_only_windows_with_two_names_are_sorted(self, monkeypatch):
+        # Windows of 3 from seconds 2 and 3 hold "a" and "b"; every other
+        # window holds one name, or none, and is tagged without a sort.
+        attacks = ["a", "a", "", "a", "b", "b", "", "", "c", "c"]
+        timeline = make_timeline(range(10), labels=[1] * 10, attacks=attacks)
+        sorted_rows = []
+        real = windowing._most_frequent_codes
+
+        def spy(windows):
+            sorted_rows.extend(windows.tolist())
+            return real(windows)
+
+        monkeypatch.setattr(windowing, "_most_frequent_codes", spy)
+        self.check(timeline, 3, 1)
+        codes = timeline.attack_codes.tolist()
+        assert sorted_rows == [codes[2:5], codes[3:6]]
 
     def test_memory_grows_with_windows_not_names(self):
         # 4,000 seconds, each with its own name: the tags of 3,971 windows
