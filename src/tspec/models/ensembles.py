@@ -13,6 +13,7 @@ import math
 import os
 import pickle
 import signal
+import threading
 from contextlib import suppress
 
 import numpy as np
@@ -89,13 +90,17 @@ def _grow_in_processes(grow, count: int) -> list:
     turn and reaps its worker.  If any index raises, the exception of the
     lowest such index is raised here with its type and message, as a serial
     loop would raise it.  Whatever way this function is left, the workers
-    not yet reaped are killed and reaped.  With one CPU, or on a platform
-    without affinity masks (not Linux), there is no fork.
+    not yet reaped are killed and reaped.
+
+    W is 1, so that this process computes every index and nothing is
+    forked, with one CPU, on a platform without affinity masks (not Linux),
+    and while another Python thread runs: a fork copies the locks that
+    thread may hold, and with numpy's threaded OpenBLAS a fork while another
+    thread multiplies matrices hangs in ``os.fork`` itself.
     """
     getaffinity = getattr(os, "sched_getaffinity", None)
-    workers = min(count, 1 if getaffinity is None else len(getaffinity(0)))
-    if workers < 2:
-        return [grow(i) for i in range(count)]
+    serial = getaffinity is None or threading.active_count() > 1
+    workers = max(1, min(count, 1 if serial else len(getaffinity(0))))
     results = [None] * count
     failures = []  # (index, exception)
     children = []  # (pid, pipe, indices) of each worker not yet reaped, in order

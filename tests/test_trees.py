@@ -12,6 +12,7 @@ import json
 import math
 import os
 import signal
+import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -469,6 +470,25 @@ def test_forest_without_an_affinity_mask_forks_nothing(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked without an affinity mask"))
     assert forest_bytes(X, y, "regress") == serial
+
+
+def test_forest_beside_another_thread_forks_nothing(monkeypatch):
+    """A fork copies the locks other threads hold (a threaded OpenBLAS
+    hangs in the fork while another thread multiplies matrices), so the
+    trees are grown in this process while another Python thread runs."""
+    X, y = forest_problem("ties")
+    use_cpus(monkeypatch, 1)
+    serial = forest_bytes(X, y, "regress")
+    use_cpus(monkeypatch, 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside another thread"))
+        assert forest_bytes(X, y, "regress") == serial
+    finally:
+        release.set()
+        other.join()
 
 
 def fail_trees(monkeypatch, seed, failures):
