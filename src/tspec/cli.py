@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import fcntl
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, replace
 from numbers import Integral, Real
 from pathlib import Path
@@ -143,64 +144,36 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _remove_stale_lock(lock: Path) -> bool:
-    """Delete ``lock`` if the PID it records is not running; True when the
-    lock is gone.  A live PID or an unreadable lock is left in place."""
-    try:
-        text = lock.read_text(encoding="utf-8")
-        pid = int(text)
-    except FileNotFoundError:
-        return True
-    except (OSError, ValueError):
-        return False
-    if pid <= 0:  # os.kill would signal a process group
-        return False
-    try:
-        os.kill(pid, 0)
-        return False  # alive
-    except ProcessLookupError:
-        pass  # no such process: the lock is stale
-    except (OSError, OverflowError):  # e.g. alive but another user's
-        return False
-    # Rename first: of several runs reclaiming one stale lock, one wins.
-    aside = lock.with_name(f"{lock.name}.stale.{os.getpid()}")
-    try:
-        os.rename(lock, aside)
-    except FileNotFoundError:
-        return True
-    if aside.read_text(encoding="utf-8") != text:  # a live lock replaced it meanwhile
-        os.rename(aside, lock)
-        return False
-    aside.unlink()
-    return True
-
-
 @contextmanager
 def _output_lock(out_dir: Path):
-    """Guard an output directory against concurrent writers.  The lock file
-    records the writer's PID; a lock whose PID is no longer running is
-    reclaimed."""
+    """Guard an output directory against concurrent writers with an
+    exclusive ``flock`` on its ``.lock``, held until the block ends.  The
+    kernel drops the lock when its holder ends, however it ends, so a
+    ``.lock`` that a crashed run left locks nothing."""
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:  # a file in the way
+    except OSError as exc:  # a file in the way, a name too long, no permission
         raise ConfigError(f"cannot make output directory {out_dir}: {exc.strerror}") from None
     lock = out_dir / ".lock"
-    fd = None
-    for _ in range(3):
+    while True:
         try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except FileExistsError:
-            if not _remove_stale_lock(lock):
+            fd = os.open(lock, os.O_CREAT | os.O_WRONLY)
+        except OSError as exc:  # a directory in the way, no write permission
+            raise ConfigError(f"cannot open lock file {lock}: {exc.strerror}") from None
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
+            raise PipelineError(f"output directory is locked by another run: {lock}") from None
+        with suppress(FileNotFoundError):
+            if os.stat(lock).st_ino == os.fstat(fd).st_ino:
                 break
-    if fd is None:
-        raise PipelineError(f"output directory is locked by another run: {lock}")
+        os.close(fd)  # the run before unlinked the file this one opened
     try:
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
         yield
     finally:
         lock.unlink(missing_ok=True)
+        os.close(fd)
 
 
 def _flag(name: str) -> str:

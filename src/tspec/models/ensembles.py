@@ -18,7 +18,6 @@ from contextlib import suppress
 
 import numpy as np
 
-from ..errors import PipelineError
 from ..seeds import rng_for
 from .glm import _sigmoid
 from .trees import (
@@ -34,63 +33,41 @@ from .trees import (
 _EPS = 1e-12
 
 
-def _portable(exc: Exception) -> Exception:
-    """``exc``, or a ``RuntimeError`` naming its type and message if it
-    cannot pass through pickle (some cannot be rebuilt from their args)."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:  # noqa: BLE001
-        return RuntimeError(f"{type(exc).__name__}: {exc}")
+def _grown(grow, indices: range) -> list:
+    """``grow(i)`` for each of ``indices`` up to the first that raises."""
+    done = []
+    with suppress(Exception):  # grown again, and raised, by _grow_in_processes
+        for i in indices:
+            done.append(grow(i))
+    return done
 
 
 def _worker(grow, indices: range, read: int, write: int):
-    """Body of a forked worker: pickles to ``write`` the results of ``grow``
-    over ``indices`` up to the first that raises, and that exception or
-    None.  It leaves with ``os._exit`` on every path, so it runs none of
-    the parent's ``finally`` blocks (the CLI's unlink its output locks) and
-    no exit handler."""
-    status = 1
+    """Body of a forked worker: pickles to ``write`` what ``_grown`` gives
+    for ``indices``.  It closes its copy of ``read``, so that its write fails
+    if the parent dies, and leaves with ``os._exit(0)`` on every path, so it
+    runs none of the parent's ``finally`` blocks (the CLI's unlink its
+    output locks) and no exit handler."""
     try:
         os.close(read)
-        done, error = [], None
-        try:
-            for i in indices:
-                done.append(grow(i))
-        except Exception as exc:  # noqa: BLE001 - handed to the parent
-            error = _portable(exc)
         with os.fdopen(write, "wb") as pipe:
-            pickle.dump((done, error), pipe, pickle.HIGHEST_PROTOCOL)
-        status = 0
+            pickle.dump(_grown(grow, indices), pipe, pickle.HIGHEST_PROTOCOL)
     finally:
-        os._exit(status)
-
-
-def _received(pid: int, data: bytes, status: int, indices: range) -> tuple:
-    """The (results, exception or None) worker ``pid`` sent for ``indices``;
-    raises ``PipelineError`` if it died before sending them."""
-    code = os.waitstatus_to_exitcode(status)
-    with suppress(Exception):  # a truncated payload
-        if code == 0:
-            return pickle.loads(data)
-    how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-    raise PipelineError(
-        f"tree worker process {pid} {how} before returning trees "
-        f"{', '.join(map(str, indices))}"
-    )
+        os._exit(0)
 
 
 def _grow_in_processes(grow, count: int) -> list:
     """``[grow(0), ..., grow(count - 1)]``, computed in one process per CPU
     of this process's affinity mask, at most ``count``, and returned in
-    index order.
+    index order.  ``grow`` must be a pure function of its index.
 
     Worker k, forked, computes indices k, k + W, ... and pickles them to its
     own pipe; this process computes share 0 itself, then reads each pipe in
-    turn and reaps its worker.  If any index raises, the exception of the
-    lowest such index is raised here with its type and message, as a serial
-    loop would raise it.  Whatever way this function is left, the workers
-    not yet reaped are killed and reaped.
+    turn and reaps its worker.  Each process stops at its first index that
+    raises.  Then this process grows, in ascending order, every index that
+    no process returned (it raised, or its worker died), so the lowest
+    failing index raises its own exception, as in a serial loop.  However
+    this function is left, the workers not yet reaped are killed and reaped.
 
     W is 1, so that this process computes every index and nothing is
     forked, with one CPU, on a platform without affinity masks (not Linux),
@@ -101,8 +78,6 @@ def _grow_in_processes(grow, count: int) -> list:
     getaffinity = getattr(os, "sched_getaffinity", None)
     serial = getaffinity is None or threading.active_count() > 1
     workers = max(1, min(count, 1 if serial else len(getaffinity(0))))
-    results = [None] * count
-    failures = []  # (index, exception)
     children = []  # (pid, pipe, indices) of each worker not yet reaped, in order
     try:
         for k in range(1, workers):
@@ -117,22 +92,16 @@ def _grow_in_processes(grow, count: int) -> list:
                 _worker(grow, range(k, count, workers), read, write)
             os.close(write)
             children.append((pid, os.fdopen(read, "rb"), range(k, count, workers)))
-        try:
-            for i in range(0, count, workers):
-                results[i] = grow(i)
-        except Exception as exc:  # noqa: BLE001 - raised below unless a lower index failed
-            failures.append((i, exc))
+        share = range(0, count, workers)
+        results = dict(zip(share, _grown(grow, share)))
         while children:
             pid, pipe, indices = children[0]
             with pipe:
                 data = pipe.read()
-            _, status = os.waitpid(pid, 0)
+            os.waitpid(pid, 0)
             del children[0]
-            done, error = _received(pid, data, status, indices)
-            if error is None:
-                results[indices.start::workers] = done
-            else:
-                failures.append((indices[len(done)], error))
+            with suppress(Exception):  # a worker that died: a truncated payload
+                results.update(zip(indices, pickle.loads(data)))
     finally:
         for pid, pipe, _ in children:
             pipe.close()
@@ -140,9 +109,7 @@ def _grow_in_processes(grow, count: int) -> list:
                 os.kill(pid, signal.SIGKILL)
             with suppress(ChildProcessError):
                 os.waitpid(pid, 0)
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return results
+    return [results[i] if i in results else grow(i) for i in range(count)]
 
 
 def forest_fit(

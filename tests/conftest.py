@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import fcntl
+import os
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +27,18 @@ from tspec import (
     zscore_apply,
     zscore_fit,
 )
+
+
+@contextmanager
+def held_lock(lock):
+    """An exclusive ``flock`` on the file ``lock``, taken through a handle
+    of its own, so it blocks the CLI's output lock in this process too."""
+    fd = os.open(lock, os.O_CREAT | os.O_WRONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        yield
+    finally:
+        os.close(fd)
 
 
 def make_timeline(seconds, labels=None, width=2, attacks=None, rng=None):

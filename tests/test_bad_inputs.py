@@ -19,7 +19,7 @@ from tspec import AttackSegment, SyntheticScenario
 from tspec import cli
 from tspec.cli import KEYS, main
 from tspec.spectrum import MAX_D_MODEL
-from tests.conftest import scenario_to_dict
+from tests.conftest import held_lock, scenario_to_dict
 
 
 def run(argv) -> tuple[int, str]:
@@ -244,9 +244,9 @@ class TestRegressions:
         # for that directory's lock, not only the models/<task> lock.
         dataset = copy_dataset(ws, tmp_path)
         before = (dataset / "threshold.json").read_bytes()
-        (dataset / ".lock").write_text(str(os.getpid()))
-        rc, err = run(["train", "--dataset", dataset, "--task", "detect", "--families",
-                       "glm_binomial", "--threshold-mode", "as-paper"])
+        with held_lock(dataset / ".lock"):
+            rc, err = run(["train", "--dataset", dataset, "--task", "detect", "--families",
+                           "glm_binomial", "--threshold-mode", "as-paper"])
         assert rc == 3
         assert str(dataset / ".lock") in err
         assert (dataset / "threshold.json").read_bytes() == before
@@ -267,6 +267,12 @@ class TestRegressions:
         rc, err = run(args + ["--out", out])
         assert rc == 1, err
         assert f"cannot make output directory {out}" in err
+
+    def test_output_path_too_long_exits_1(self, ws, tmp_path):
+        out = tmp_path / ("a" * 300)
+        rc, err = run(["synth", "--scenario", ws / "scenario.json", "--out", out])
+        assert rc == 1, err
+        assert f"cannot make output directory {out}: File name too long" in err
 
     def test_registry_path_is_a_directory(self, ws, tmp_path):
         registry = tmp_path / "registry"

@@ -1,20 +1,25 @@
 """CLI tests: subcommand wiring, exit codes, artifact determinism."""
 
 import argparse
+import fcntl
 import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tspec import AttackSegment, SyntheticScenario
+from tspec import cli
 from tspec.cli import KEYS, build_parser, main
-from tests.conftest import scenario_to_dict
+from tests.conftest import held_lock, scenario_to_dict
 
 FAMILIES = "glm_binomial,random_forest"
 
@@ -259,22 +264,64 @@ class TestUsage:
             main(["--help"])
         assert info.value.code == 0
 
-    def test_locked_output_exits_3(self, workspace, tmp_path):
+    def synth(self, workspace, out) -> int:
+        return main(["synth", "--config", str(workspace / "config.json"),
+                     "--scenario", str(workspace / "scenario.json"), "--out", str(out)])
+
+    def test_locked_output_exits_3(self, workspace, tmp_path, capsys):
         out = tmp_path / "locked"
         out.mkdir()
-        (out / ".lock").write_text("held")
-        rc = main(["synth", "--config", str(workspace / "config.json"),
-                   "--scenario", str(workspace / "scenario.json"), "--out", str(out)])
+        with held_lock(out / ".lock"):
+            rc = self.synth(workspace, out)
         assert rc == 3
+        assert f"locked by another run: {out / '.lock'}" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [".lock"]
 
     def test_lock_of_live_process_exits_3(self, workspace, tmp_path):
         out = tmp_path / "locked"
+        with lock_holder(out):
+            assert self.synth(workspace, out) == 3
+            assert [p.name for p in out.iterdir()] == [".lock"]
+
+    def test_lock_of_a_killed_process_is_free(self, workspace, tmp_path):
+        out = tmp_path / "stale"
+        with lock_holder(out) as holder:
+            holder.kill()  # SIGKILL: no finally block unlinks its .lock
+            holder.wait()
+        assert (out / ".lock").exists()
+        assert self.synth(workspace, out) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["schema.json", "synthetic.csv"]
+
+    def test_lock_of_a_killed_forest_run_is_freed_by_its_workers(self, tmp_path):
+        """A run killed while it grows forest trees: its forked worker,
+        which inherited the lock, finishes its trees, fails to send them
+        and exits, so the lock is free within seconds."""
+        out = tmp_path / "forest"
+        with lock_holder(out, SLOW_FOREST) as holder:
+            time.sleep(0.1)
+            holder.kill()
+            holder.wait()
+            fd = os.open(out / ".lock", os.O_WRONLY)
+            try:
+                for _ in range(200):
+                    with suppress(BlockingIOError):
+                        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                        break
+                    time.sleep(0.05)
+                else:
+                    pytest.fail("the killed run's worker still holds the lock after 10 s")
+            finally:
+                os.close(fd)
+
+    @pytest.mark.parametrize("text", ["", str(os.getppid())], ids=["empty", "live-pid"])
+    def test_lock_file_a_crashed_run_left_is_free(self, workspace, tmp_path, text):
+        # An empty .lock (a run killed before it wrote anything, a power
+        # loss) and one naming a live process of another program lock nothing.
+        out = tmp_path / "stale"
         out.mkdir()
-        (out / ".lock").write_text(str(os.getpid()))
-        rc = main(["synth", "--config", str(workspace / "config.json"),
-                   "--scenario", str(workspace / "scenario.json"), "--out", str(out)])
-        assert rc == 3
-        assert (out / ".lock").read_text() == str(os.getpid())
+        (out / ".lock").write_text(text)
+        assert self.synth(workspace, out) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["schema.json", "synthetic.csv"]
 
     def test_lock_of_dead_process_is_reclaimed(self, workspace, tmp_path):
         child = subprocess.Popen([sys.executable, "-c", "pass"])
@@ -282,11 +329,87 @@ class TestUsage:
         out = tmp_path / "stale"
         out.mkdir()
         (out / ".lock").write_text(str(child.pid))
-        rc = main(["synth", "--config", str(workspace / "config.json"),
-                   "--scenario", str(workspace / "scenario.json"), "--out", str(out)])
+        rc = self.synth(workspace, out)
         assert rc == 0
         assert (out / "synthetic.csv").exists()
         assert sorted(p.name for p in out.iterdir()) == ["schema.json", "synthetic.csv"]
+
+    def test_lock_file_replaced_while_locking_is_locked_again(self, tmp_path, monkeypatch):
+        """The run before unlinks .lock between this run's open and flock,
+        and a third run makes a new one: this run locks the new file, not
+        the unlinked one it opened first."""
+        out = tmp_path / "out"
+        lock = out / ".lock"
+        flock = fcntl.flock
+        opened = []
+
+        def racing_flock(fd, operation):
+            if not opened:
+                lock.unlink()
+                lock.touch()
+            opened.append(os.fstat(fd).st_ino)
+            flock(fd, operation)
+
+        monkeypatch.setattr(fcntl, "flock", racing_flock)
+        with cli._output_lock(out):
+            assert opened[-1] == lock.stat().st_ino != opened[0]
+            fd = os.open(lock, os.O_WRONLY)
+            try:
+                with pytest.raises(BlockingIOError):
+                    flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            finally:
+                os.close(fd)
+        assert not lock.exists()
+
+    @pytest.mark.parametrize("how", ["directory", "unwritable"])
+    def test_lock_that_cannot_be_opened_exits_1(self, workspace, tmp_path, monkeypatch,
+                                                capsys, how):
+        out = tmp_path / "out"
+        out.mkdir()
+        if how == "directory":
+            (out / ".lock").mkdir()
+        else:
+            real = os.open
+
+            def refuse(path, *args, **kwargs):
+                if Path(path).name == ".lock":
+                    raise PermissionError(13, "Permission denied", str(path))
+                return real(path, *args, **kwargs)
+
+            monkeypatch.setattr(os, "open", refuse)
+        assert self.synth(workspace, out) == 1
+        assert f"cannot open lock file {out / '.lock'}" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [".lock"] * (how == "directory")
+
+
+# Two forest workers' worth of trees that take a second and more than a
+# pipe buffer (64 KB) to send back.
+SLOW_FOREST = ("from tspec.models import ensembles\n"
+               "ensembles.os.sched_getaffinity = lambda pid: {0, 1}\n"
+               "ensembles._grow_in_processes(lambda i: time.sleep(0.5) or bytes(10**5), 4)\n")
+
+
+@contextmanager
+def lock_holder(out: Path, body: str = "time.sleep(60)"):
+    """A Python child, in a process group of its own, that holds ``out``'s
+    output lock through ``cli._output_lock`` while it runs ``body``.  The
+    group is killed at the end, with any process the child forked."""
+    code = ("import sys, time; from pathlib import Path; from tspec.cli import _output_lock\n"
+            "with _output_lock(Path(sys.argv[1])):\n"
+            "    print('held', flush=True)\n"
+            + "".join(f"    {line}\n" for line in body.splitlines()))
+    paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    holder = subprocess.Popen([sys.executable, "-c", code, str(out)], stdout=subprocess.PIPE,
+                              env=env, start_new_session=True)
+    try:
+        assert holder.stdout.readline() == b"held\n"
+        yield holder
+    finally:
+        with suppress(ProcessLookupError):
+            os.killpg(holder.pid, signal.SIGKILL)
+        holder.wait()
+        holder.stdout.close()
 
 
 # Config keys every command's config file may hold.

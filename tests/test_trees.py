@@ -25,7 +25,6 @@ from hypothesis.extra.numpy import arrays
 
 from tspec import (ModelSpec, SyntheticScenario, cli, derive_seed, generate_synthetic,
                    load_model, predict, save_model, train)
-from tspec.errors import PipelineError
 from tspec.models import ensembles, trees
 from tspec.models.ensembles import forest_fit, gbm_fit
 from tspec.models.glm import _sigmoid
@@ -532,31 +531,35 @@ def test_the_lowest_failing_tree_raises_on_any_number_of_cpus(monkeypatch, cpus)
     assert_no_child_left()
 
 
-def test_an_exception_pickle_cannot_carry_is_named(monkeypatch):
+def test_an_exception_pickle_cannot_carry_is_raised_itself(monkeypatch):
+    """A worker sends back only the trees it grew; this process grows the
+    failing tree again and raises its own exception, as on one CPU."""
     class Unpicklable(Exception):  # a local class cannot be pickled
         pass
 
     X, y = forest_problem("ties")
     fail_trees(monkeypatch, 5, {1: raising(Unpicklable, "tree 1")})
     use_cpus(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match=r"^Unpicklable: tree 1$"):
+    with pytest.raises(Unpicklable, match=r"^tree 1$"):
         forest_bytes(X, y, "regress")
     assert_no_child_left()
 
 
-def test_a_worker_that_dies_gives_a_clear_error(monkeypatch):
+def test_a_worker_that_dies_costs_time_not_bytes(monkeypatch):
+    """A worker killed before it sends its trees: this process grows them,
+    and the forest has the bytes of one grown on one CPU."""
+    X, y = forest_problem("ties")
+    use_cpus(monkeypatch, 1)
+    serial = forest_bytes(X, y, "regress")
     parent = os.getpid()
 
     def die():
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
 
-    X, y = forest_problem("ties")
     fail_trees(monkeypatch, 5, {1: die})
     use_cpus(monkeypatch, 2)
-    with pytest.raises(PipelineError, match=r"^tree worker process \d+ was killed by signal 9 "
-                                            r"before returning trees 1, 3$"):
-        forest_bytes(X, y, "regress")
+    assert forest_bytes(X, y, "regress") == serial
     assert_no_child_left()
 
 
