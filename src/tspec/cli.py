@@ -316,13 +316,13 @@ def cmd_build_dataset(cfg: dict) -> int:
     test = split_dataset(ds, cfg["test_fraction"], split_seed, cfg["stratify"])
     try:
         zparams = zscore_fit(ds.features[~test])
-        standardized = replace(ds, features=zscore_apply(ds.features, zparams))
+        ds = replace(ds, features=zscore_apply(ds.features, zparams))  # frees the raw rows
     except DataError as exc:
         raise DataError(f"{cfg['scenario'] or cfg['input']}: {exc}") from None
 
     with _output_lock(out):
         save_dataset(
-            standardized,
+            ds,
             out,
             zparams,
             test,

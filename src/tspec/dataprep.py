@@ -83,7 +83,8 @@ def zscore_apply(features: np.ndarray, params: ZScoreParams) -> np.ndarray:
     constant = params.stds == 0.0
     safe_stds = np.where(constant, 1.0, params.stds)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = (matrix - params.means) / safe_stds
+        out = matrix - params.means
+        out /= safe_stds  # in place: one matrix-sized allocation, the same bits
     out[:, constant] = 0.0
     _check_finite("value", out)
     return out

@@ -28,9 +28,10 @@ def flatten_windows(
     per-second matrix: position p*F + j of row i holds feature j of second
     ``starts[i] + p``, so the result has shape (len(starts), window_size * F).
     Every start must lie in [0, n - window_size]."""
-    # The view is (n - W + 1, F, W); swap to (.., W, F) before flattening.
-    blocks = sliding_window_view(second_features, window_size, axis=0).transpose(0, 2, 1)
-    return blocks[starts].reshape(len(starts), window_size * second_features.shape[1])
+    # The view is (n - W + 1, F, W); swap to (.., W, F) before flattening.  From a
+    # C-ordered input the gathered rows are C-ordered: the reshape copies nothing.
+    blocks = sliding_window_view(np.ascontiguousarray(second_features), window_size, axis=0)
+    return blocks.transpose(0, 2, 1)[starts].reshape(len(starts), window_size * blocks.shape[1])
 
 
 def window_matrices(

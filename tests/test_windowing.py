@@ -139,6 +139,30 @@ class TestFlatten:
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
 
+    def test_rows_take_one_matrix_sized_allocation_per_step(self):
+        # Parsed CSVs give column-ordered (n, F) matrices.  Flattening one,
+        # then z-scoring the rows, each allocates its result and no second
+        # row-sized temporary; the z-scored bits are those of (x - mean) / std.
+        seconds = np.asfortranarray(np.random.default_rng(0).normal(size=(2000, 6)))
+        starts = np.arange(2000 - 30 + 1)
+        params = zscore_fit(windowing.flatten_windows(seconds, starts, 30))
+        params = replace(params, stds=np.where(np.arange(180) % 7 == 0, 0.0, params.stds))
+
+        def traced(call):
+            tracemalloc.start()
+            try:
+                return call(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        rows, flatten_peak = traced(lambda: windowing.flatten_windows(seconds, starts, 30))
+        standardized, zscore_peak = traced(lambda: zscore_apply(rows, params))
+        assert rows.shape == (1971, 180) and rows.flags.c_contiguous
+        assert flatten_peak < 1.5 * rows.nbytes and zscore_peak < 1.5 * rows.nbytes
+        safe_stds = np.where(params.stds == 0.0, 1.0, params.stds)
+        want = np.where(params.stds == 0.0, 0.0, (rows - params.means) / safe_stds)
+        assert np.array_equal(standardized.view(np.uint64), want.view(np.uint64))
+
 
 class TestWindowLabels:
     def test_any_aggregate(self):
