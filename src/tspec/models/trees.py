@@ -133,8 +133,16 @@ def tied_columns(X: np.ndarray, order: np.ndarray) -> np.ndarray:
 
 class Presorted:
     """What full-width trees grown on one X share: X.T as a contiguous copy,
-    ``presort(X)``, ``tied_columns`` and, in ``last``, the splits of the
-    last tree grown with it and their children's sorted rows.
+    and for the ``block`` of features this process scans (a slice, every
+    feature by default) ``presort``, ``tied_columns`` and, in ``last``, the
+    splits of the last tree grown with it and their children's sorted rows.
+    X.T is not copied when X is the transpose of a C-contiguous array, so
+    processes forked after making that array share it.
+
+    ``exchange``, when given, turns this block's best split of a node into
+    the best split of every block (see ``_best_split``), so that processes
+    scanning the blocks of one X grow the same trees; by default this block
+    is every feature and its best split is the node's.
 
     A node's path (the (feature, threshold, side) steps from the root) fixes
     its rows, and its rows and split fix its children's sorted rows, so a
@@ -148,12 +156,15 @@ class Presorted:
     when it ends.
     """
 
-    def __init__(self, X: np.ndarray):
-        order = presort(X)
+    def __init__(self, X: np.ndarray, block: slice = slice(None), exchange=None):
         self.XT = np.ascontiguousarray(X.T)
-        self.tied = tied_columns(X, order)
+        self.feats = np.arange(X.shape[1])[block]
+        columns = self.XT[block].T
+        order = presort(columns)
+        self.tied = tied_columns(columns, order)
         self.dtype = np.min_scalar_type(max(X.shape[0] - 1, 0))
         self.order = order.astype(self.dtype)
+        self.exchange = exchange
         self.last: _Split | None = None  # the last tree's root
 
 
@@ -182,7 +193,13 @@ _BLOCK_CELLS = 32_768
 
 
 def _best_split(XT, packed, feats, rows, tied):
-    """Best (feature, threshold, score) for one node, or None.
+    """Best (feature, threshold, score) of ``feats`` for one node: the lowest
+    score, at the lowest feature, then the lowest threshold, among them;
+    ``(-1, 0.0, inf)`` without a candidate.  The score is passed on as it
+    is, ``-inf`` from overflowing targets too, so that the best of several
+    blocks of features, taken in ascending order with a strict ``<``, is the
+    best of one scan of them all; the caller makes a leaf unless that is
+    finite.
 
     Row i of ``rows`` holds the node's rows in ascending order of feature
     ``feats[i]`` (ties in ascending row order).  ``packed`` holds every
@@ -233,8 +250,8 @@ def _best_split(XT, packed, feats, rows, tied):
         score = per_feature_best[col]
         if score < best:  # strictly: an earlier block keeps its ties
             best, where = score, (start + col, int(np.argmin(sse[col])))  # lowest threshold
-    if not np.isfinite(best):  # no candidate, or -inf from overflowing targets
-        return None
+    if where is None:
+        return -1, 0.0, np.inf
     col, row = where
     feat = int(feats[col])
     a, b = float(XT[feat, rows[col, row]]), float(XT[feat, rows[col, row + 1]])
@@ -262,7 +279,8 @@ def build_tree(
 
     Without feature subsampling the split search scans rows presorted once
     per fit: ``presorted`` is ``Presorted(X)`` from a caller that fits
-    several trees on one X, and is made here otherwise.  Each child keeps a
+    several trees on one X, and is made here otherwise; nodes scan its block
+    of features and take the split its ``exchange`` returns.  Each child keeps a
     stable filter of its parent's sorted rows, or the last tree's orders
     for the same child (see ``Presorted``).  With feature subsampling a node
     stably argsorts its own rows by the ``codes`` of the features it draws
@@ -288,7 +306,6 @@ def build_tree(
         presorted = presorted or Presorted(X)
         XT, order, tied = presorted.XT, presorted.order, presorted.tied
         last, presorted.last = presorted.last, None
-    all_feats = np.arange(width)
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -326,12 +343,13 @@ def build_tree(
             feats = np.sort(rng.choice(width, size=max_features, replace=False))
             rows = idx[np.argsort(_gather(codes, feats, idx[None, :]), axis=1, kind="stable")]
         else:
-            feats, rows = all_feats, rows.astype(np.intp, copy=False)
+            feats, rows = presorted.feats, rows.astype(np.intp, copy=False)
         found = _best_split(XT, packed, feats, rows, tied)
-        if found is None:
-            continue
+        if not subset and presorted.exchange is not None:
+            found = presorted.exchange(found)
         feat, thr, child_sse = found
-        if child_sse >= parent_sse - _MIN_GAIN:
+        # No candidate (inf), or -inf from overflowing targets.
+        if not np.isfinite(child_sse) or child_sse >= parent_sse - _MIN_GAIN:
             continue
 
         goes_left = XT[feat] <= thr
@@ -346,7 +364,7 @@ def build_tree(
                 # child; each feature row keeps the same number of entries.
                 side = goes_left.take(rows)
                 children = tuple(
-                    rows.take(np.flatnonzero(keep)).astype(presorted.dtype).reshape(width, -1)
+                    rows.take(np.flatnonzero(keep)).astype(presorted.dtype).reshape(feats.size, -1)
                     for keep in (side, ~side)
                 )
             if carry:

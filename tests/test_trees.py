@@ -5,8 +5,9 @@ one-block float scan there.  The step-at-a-time walk finds the leaves of
 the row-at-a-time reference walk, for one tree (``tree_apply``) and for
 groups of trees (forest and boosting sums, bit for bit).  Boosting rounds
 that take the last round's child row orders grow the reference's trees
-too.  Forests grown across worker processes are the one-process forests
-byte for byte, and fail as the one-process loop fails."""
+too.  Forests grown across worker processes, and GBMs whose split scans
+are spread over them by feature, are the one-process ensembles byte for
+byte, and fail as the one-process loop fails."""
 
 import json
 import math
@@ -15,6 +16,7 @@ import signal
 import threading
 import time
 import tracemalloc
+from contextlib import suppress
 from dataclasses import replace
 
 import numpy as np
@@ -184,8 +186,8 @@ def test_blocked_scan_matches_one_block_scan(inputs):
         want = best_split_scan_oracle(XT[feats[:, None], rows], y[rows])
         patch.setattr(trees, "_BLOCK_CELLS", cells)
         got = trees._best_split(XT, pack(y), feats, rows, tied)
-    if want is None:
-        assert got is None
+    if want is None:  # no candidate, or -inf: build_tree makes a leaf
+        assert not np.isfinite(got[2])
     else:
         assert got == (int(feats[want[0]]), want[1], want[2])
 
@@ -201,7 +203,8 @@ def test_overflowing_targets_give_no_split_in_any_block(monkeypatch, huge):
     rows = np.argsort(XT, axis=1, kind="stable")
     with np.errstate(over="ignore", invalid="ignore"):
         assert best_split_scan_oracle(XT[np.arange(4)[:, None], rows], y[rows]) is None
-        assert trees._best_split(XT, pack(y), np.arange(4), rows, np.zeros(4, bool)) is None
+        score = trees._best_split(XT, pack(y), np.arange(4), rows, np.zeros(4, bool))[2]
+        assert not np.isfinite(score)
 
 
 def test_thresholds_between_features_near_the_float64_maximum(tmp_path):
@@ -437,14 +440,8 @@ def forest_bytes(X, y, task, n_trees=5, seed=5) -> list[bytes]:
     return table_bytes(forest_fit(X, y, task, n_trees=n_trees, max_depth=6, seed=seed)["trees"])
 
 
-@pytest.mark.parametrize("task", ["classify", "regress"])
-def test_forests_are_the_same_on_any_number_of_cpus(monkeypatch, task):
-    """Forests grown on 1, 2 and 3 CPUs, and on more CPUs than trees, are
-    the same tables byte for byte; one worker is forked per CPU beyond the
-    first, up to one process per tree."""
-    X, y = forest_problem("duplicates")
-    if task == "classify":
-        y = (y > 0).astype(np.float64)
+def counted_forks(monkeypatch) -> list:
+    """A list that gains an entry at each ``os.fork`` of this process."""
     forks = []
     fork = os.fork
 
@@ -453,6 +450,18 @@ def test_forests_are_the_same_on_any_number_of_cpus(monkeypatch, task):
         return fork()
 
     monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+@pytest.mark.parametrize("task", ["classify", "regress"])
+def test_forests_are_the_same_on_any_number_of_cpus(monkeypatch, task):
+    """Forests grown on 1, 2 and 3 CPUs, and on more CPUs than trees, are
+    the same tables byte for byte; one worker is forked per CPU beyond the
+    first, up to one process per tree."""
+    X, y = forest_problem("duplicates")
+    if task == "classify":
+        y = (y > 0).astype(np.float64)
+    forks = counted_forks(monkeypatch)
     grown = {}
     for cpus in (1, 2, 3, 8):
         use_cpus(monkeypatch, cpus)
@@ -593,11 +602,11 @@ def sspe_dataset(tmp_path_factory):
     return work / "sspe"
 
 
-def train_forest(dataset, out, capsys) -> tuple[int, str]:
-    """(exit code, stderr) of training a detect forest at seed 7."""
+def train_detect(dataset, out, capsys, family="random_forest") -> tuple[int, str]:
+    """(exit code, stderr) of training a detect ``family`` at seed 7."""
     capsys.readouterr()
     rc = cli.main(["train", "--dataset", str(dataset), "--task", "detect",
-                   "--families", "random_forest", "--seed", "7", "--out", str(out)])
+                   "--families", family, "--seed", "7", "--out", str(out)])
     return rc, capsys.readouterr().err
 
 
@@ -606,7 +615,7 @@ def test_cli_forest_has_the_same_bytes_on_one_and_two_cpus(monkeypatch, sspe_dat
     models = []
     for cpus in (1, 2):
         use_cpus(monkeypatch, cpus)
-        assert train_forest(sspe_dataset, tmp_path / str(cpus), capsys) == (0, "")
+        assert train_detect(sspe_dataset, tmp_path / str(cpus), capsys) == (0, "")
         models.append((tmp_path / str(cpus) / "models" / "detect" / "random_forest.json")
                       .read_bytes())
     assert models[0] == models[1]
@@ -621,7 +630,7 @@ def test_cli_failing_tree_exits_as_the_serial_run(monkeypatch, sspe_dataset, tmp
     outcomes = []
     for cpus in (1, 2):
         use_cpus(monkeypatch, cpus)
-        outcomes.append(train_forest(sspe_dataset, tmp_path / str(cpus), capsys))
+        outcomes.append(train_detect(sspe_dataset, tmp_path / str(cpus), capsys))
         assert not [*tmp_path.rglob(".lock"), *sspe_dataset.rglob(".lock")]
         assert_no_child_left()
     error = "tspec: unexpected error: ValueError('tree 1 failed')\n"
@@ -665,16 +674,13 @@ def nodes_with_child_orders(tree, max_depth):
 @pytest.fixture
 def carried(monkeypatch):
     """Per tree ``gbm_fit`` grows: how many child order pairs it took over
-    from the tree before, or None when the fit shares no ``Presorted``.
-    Checks that a tree keeps exactly one pair per split node with children
-    that need orders, in the narrowest unsigned type."""
+    from the tree before through their shared ``Presorted``.  Checks that a
+    tree keeps exactly one pair per split node with children that need
+    orders, in the narrowest unsigned type."""
     rounds = []
     real = ensembles.build_tree
 
-    def spy(X, y, max_depth, *args, presorted=None, **kwargs):
-        if presorted is None:
-            rounds.append(None)
-            return real(X, y, max_depth, *args, **kwargs)
+    def spy(X, y, max_depth, *args, presorted, **kwargs):
         before = kept_orders(presorted)  # held, so no id is reused below
         tree = real(X, y, max_depth, *args, presorted=presorted, **kwargs)
         after = kept_orders(presorted)
@@ -722,8 +728,8 @@ def boosting_problem(noisy, task, n=200, seed=0):
 def test_repeated_splits_take_the_last_rounds_orders(carried, task, subsample):
     X, y = boosting_problem(noisy=False, task=task, seed=2)
     assert_gbm_matches(X, y, task, n_trees=10, max_depth=4, subsample=subsample, seed=3)
-    if subsample < 1.0:  # each tree fits other rows: nothing is shared
-        assert carried == [None] * 10
+    if subsample < 1.0:  # each tree fits other rows, with a Presorted of its own
+        assert carried == [0] * 10
     else:  # the splits repeat, and every round after the first takes orders over
         assert carried[0] == 0 and min(carried[1:]) >= 1
         assert sum(carried) >= 40
@@ -737,7 +743,7 @@ def test_splits_that_change_and_come_back(carried, task, subsample):
     X, y = boosting_problem(noisy=True, task=task, seed=0)
     fitted = assert_gbm_matches(X, y, task, n_trees=12, max_depth=4, subsample=subsample, seed=3)
     if subsample < 1.0:
-        assert carried == [None] * 12
+        assert carried == [0] * 12
         return
     splits = [split_paths(tree) for tree in fitted]
     came_back = [
@@ -783,6 +789,242 @@ def test_carried_orders_keep_the_fit_within_its_former_peak():
     finally:
         tracemalloc.stop()
     assert peak < 6.0e6
+
+
+def gbm_problem(task):
+    """Six columns at one decimal with duplicated rows: column 2 is constant
+    and column 4 repeats column 0, so equal best scores fall in different
+    feature blocks."""
+    X, y = tied_problem(120, 6, 1, seed=17, constant_cols=(2,), duplicate=True)
+    X[:, 4] = X[:, 0]
+    return X, (y > 0).astype(np.float64) if task == "classify" else y
+
+
+def gbm_bytes(X, y, task, subsample=1.0) -> list[bytes]:
+    params = gbm_fit(X, y, task, n_trees=8, max_depth=4, subsample=subsample, seed=6)
+    return [np.float64(params["f0"]).tobytes(), *table_bytes(params["trees"])]
+
+
+@pytest.mark.parametrize("subsample", [1.0, 0.5])
+@pytest.mark.parametrize("task", ["classify", "regress"])
+def test_gbms_are_the_same_on_any_number_of_cpus(monkeypatch, task, subsample):
+    """GBMs whose split scans are spread over 1, 2 and 3 CPUs, and over more
+    CPUs than features, are the same tables byte for byte; one worker is
+    forked per CPU beyond the first, up to one process per feature."""
+    X, y = gbm_problem(task)
+    forks = counted_forks(monkeypatch)
+    grown = {}
+    for cpus in (1, 2, 3, 8):
+        use_cpus(monkeypatch, cpus)
+        forks.clear()
+        grown[cpus] = gbm_bytes(X, y, task, subsample)
+        assert len(forks) == min(cpus, 6) - 1
+        assert_no_child_left()
+    assert all(tables == grown[1] for tables in grown.values())
+
+
+def test_an_overflowing_score_in_a_later_block_still_makes_a_leaf(monkeypatch):
+    """Targets of 2**510: four of them sum to 2**512, whose square overflows.
+    Column 1 puts the four positive ones first, so one of its splits scores
+    -inf, and the one-process scan makes the root a leaf.  Column 0's only
+    split scores finite and better than the root, so a process that dropped
+    its block's -inf would split there instead."""
+    h = 2.0**510
+    y = np.array([h] * 4 + [0.0] * 4 + [-h] * 4)
+    X = np.column_stack([np.isin(np.arange(12), [2, 3, 8, 9, 10, 11]), np.arange(12)])
+    X = X.astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert build_tree(X[:, :1], y, max_depth=1).feature.tolist() == [0, -1, -1]
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            table = gbm_fit(X, y, "regress", n_trees=1, max_depth=1)["trees"]
+            assert table.feature.tolist() == [-1]
+
+
+def test_gbm_without_an_affinity_mask_forks_nothing(monkeypatch):
+    X, y = gbm_problem("regress")
+    use_cpus(monkeypatch, 1)
+    serial = gbm_bytes(X, y, "regress")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked without an affinity mask"))
+    assert gbm_bytes(X, y, "regress") == serial
+
+
+def test_gbm_beside_another_thread_forks_nothing(monkeypatch):
+    X, y = gbm_problem("regress")
+    use_cpus(monkeypatch, 1)
+    serial = gbm_bytes(X, y, "regress")
+    use_cpus(monkeypatch, 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside another thread"))
+        assert gbm_bytes(X, y, "regress") == serial
+    finally:
+        release.set()
+        other.join()
+
+
+def fail_scans(monkeypatch, fail):
+    """Make each split scan call ``fail(call, feats)`` first: ``call`` counts
+    the scans of the calling process from 1 (a forked worker goes on from
+    the count at its fork), ``feats`` are the features it scans."""
+    real = trees._best_split
+    calls = []
+
+    def scan(XT, packed, feats, rows, tied):
+        calls.append(None)
+        fail(len(calls), feats)
+        return real(XT, packed, feats, rows, tied)
+
+    monkeypatch.setattr(trees, "_best_split", scan)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_gbm_worker_killed_mid_fit_costs_time_not_bytes(monkeypatch, cpus):
+    """Workers killed at their 20th scan, a tree or so into the fit: this
+    process fits the GBM again alone, with the bytes of one CPU."""
+    X, y = gbm_problem("classify")
+    use_cpus(monkeypatch, 1)
+    serial = gbm_bytes(X, y, "classify")
+    parent = os.getpid()
+
+    def die(call, feats):
+        if os.getpid() != parent and call == 20:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    fail_scans(monkeypatch, die)
+    use_cpus(monkeypatch, cpus)
+    assert gbm_bytes(X, y, "classify") == serial
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("feature", [0, 5])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_a_failing_gbm_scan_raises_as_the_serial_run(monkeypatch, cpus, feature):
+    """The scans of ``feature`` raise from the 10th on: this process's own
+    block (feature 0) or a worker's (feature 5).  Either way the serial
+    run's exception comes out, and no worker is left."""
+    X, y = gbm_problem("regress")
+
+    def fail(call, feats):
+        if call >= 10 and feature in feats:
+            raise ValueError(f"scan of feature {feature}")
+
+    fail_scans(monkeypatch, fail)
+    use_cpus(monkeypatch, cpus)
+    with pytest.raises(ValueError, match=rf"^scan of feature {feature}$"):
+        gbm_bytes(X, y, "regress")
+    assert_no_child_left()
+
+
+def test_leaving_a_gbm_fit_early_kills_and_reaps_the_workers(monkeypatch):
+    """An interrupt in this process's first scan does not wait for a worker
+    whose scan would take a minute."""
+    X, y = gbm_problem("regress")
+    parent = os.getpid()
+
+    def fail(call, feats):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    fail_scans(monkeypatch, fail)
+    use_cpus(monkeypatch, 2)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        gbm_bytes(X, y, "regress")
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+def running(pid) -> bool:
+    """Whether process ``pid`` exists and is not a zombie (Linux)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+def test_gbm_workers_leave_when_the_fitting_process_dies(monkeypatch, tmp_path):
+    """A process fitting on 3 CPUs is killed at its 5th scan; each worker
+    reads an EOF from it and leaves."""
+    X, y = gbm_problem("regress")
+    noted = tmp_path / "pids"
+
+    def note_and_die(call, feats):
+        if call == 1:  # every process, before it sends its first split
+            with open(noted, "a") as pids:
+                pids.write(f"{os.getpid()}\n")
+        if call == 5 and 0 in feats:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    fail_scans(monkeypatch, note_and_die)
+    use_cpus(monkeypatch, 3)
+    fitter = os.fork()
+    if fitter == 0:
+        try:
+            gbm_bytes(X, y, "regress")
+        finally:
+            os._exit(0)
+    assert os.waitpid(fitter, 0)[1] == signal.SIGKILL
+    workers = {int(pid) for pid in noted.read_text().split()} - {fitter}
+    assert len(workers) == 2
+    deadline = time.monotonic() + 30
+    try:
+        while any(running(pid) for pid in workers):
+            assert time.monotonic() < deadline, "a worker outlived the fitting process"
+            time.sleep(0.01)
+    finally:  # a worker that stayed would hold this test run's output open
+        for pid in workers:
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.parametrize("text, cpus", [
+    ("max 100000\n", None),
+    ("150000 100000\n", 2),
+    ("50000 100000\n", 1),
+    ("400000 100000\n", 4),
+    ("", None),
+    ("150000 0\n", None),
+    (None, None),  # no file: no cgroup v2 CPU controller
+])
+def test_the_cpu_quota_is_read_from_cpu_max(monkeypatch, tmp_path, text, cpus):
+    path = tmp_path / "cpu.max"
+    if text is not None:
+        path.write_text(text)
+    monkeypatch.setattr(ensembles, "_CPU_MAX", str(path))
+    assert ensembles._cpu_quota() == cpus
+
+
+@pytest.mark.parametrize("quota", [1, 2, 3])
+def test_the_cpu_quota_caps_the_processes_of_both_fits(monkeypatch, quota):
+    """On 8 CPUs under a quota of ``quota`` CPUs, forests and GBMs fork one
+    worker fewer than the quota, and keep their bytes."""
+    X, y = gbm_problem("regress")
+    use_cpus(monkeypatch, 1)
+    serial = forest_bytes(X, y, "regress"), gbm_bytes(X, y, "regress")
+    forks = counted_forks(monkeypatch)
+    use_cpus(monkeypatch, 8)
+    monkeypatch.setattr(ensembles, "_cpu_quota", lambda: quota)
+    assert forest_bytes(X, y, "regress") == serial[0]
+    assert len(forks) == quota - 1
+    forks.clear()
+    assert gbm_bytes(X, y, "regress") == serial[1]
+    assert len(forks) == quota - 1
+
+
+def test_cli_gbm_has_the_same_bytes_on_one_and_two_cpus(monkeypatch, sspe_dataset,
+                                                        tmp_path, capsys):
+    models = []
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        assert train_detect(sspe_dataset, tmp_path / str(cpus), capsys, "gbm") == (0, "")
+        models.append((tmp_path / str(cpus) / "models" / "detect" / "gbm.json").read_bytes())
+    assert models[0] == models[1]
 
 
 @settings(max_examples=60, deadline=None)
