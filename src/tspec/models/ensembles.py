@@ -1,16 +1,17 @@
 """Tree ensembles: bootstrapped random forest and gradient boosting.
 
 Both are deterministic under a fixed seed and keep their bytes on any
-number of CPUs.  Each forest tree draws its bootstrap sample and per-node
+number of CPUs.  Both fit in ``_process_count`` processes through one
+primitive, ``_in_processes``, which falls back to a serial fit when any
+process fails.  Each forest tree draws its bootstrap sample and per-node
 feature subsets from an RNG stream derived from (seed, tree index), so
 building trees in any order -- or concurrently -- yields the same ensemble
-as a serial pass: ``forest_fit`` grows its trees in one process per CPU
-(``_grow_in_processes``).  A boosting tree fits the residuals of the trees
-before it, so ``gbm_fit`` splits the work inside each tree instead: one
-process per CPU runs the whole boosting loop but scans only its own block
-of features, and at each node the processes agree on the best split of all
-blocks (``_scan_in_processes``).  ``_process_count`` says how many
-processes either may use.
+as a serial pass: each process of ``forest_fit`` grows its share of the
+trees.  A boosting tree fits the residuals of the trees before it, so
+``gbm_fit`` splits the work inside each tree instead: every process runs
+the whole boosting loop but scans only its own block of features, and at
+each node the processes agree on the best split of all blocks through
+``_in_processes``'s exchange.
 """
 
 from __future__ import annotations
@@ -40,18 +41,32 @@ from .trees import (
 
 _EPS = 1e-12
 
-# The CPU bandwidth limit of this process's cgroup (cgroup v2): "<quota>
-# <period>" in microseconds, or "max <period>" for none.
+# The CPU bandwidth limit of this process's cgroup.  cgroup v2: "<quota>
+# <period>" in microseconds, or "max <period>" for none.  cgroup v1, read
+# when v2's file is missing: the quota and the period in files of their
+# own, a quota of -1 for none.
 _CPU_MAX = "/sys/fs/cgroup/cpu.max"
+_CFS_QUOTA = "/sys/fs/cgroup/cpu/cpu.cfs_quota_us"
+_CFS_PERIOD = "/sys/fs/cgroup/cpu/cpu.cfs_period_us"
+
+
+def _read(path: str) -> str:
+    with open(path) as f:
+        return f.read()
 
 
 def _cpu_quota() -> int | None:
     """How many CPUs this process's cgroup may keep busy at once,
-    ``ceil(quota / period)`` of ``_CPU_MAX``; None without a limit ("max")
-    or without a readable file."""
+    ``ceil(quota / period)`` of ``_CPU_MAX``, or of ``_CFS_QUOTA`` and
+    ``_CFS_PERIOD`` where it is missing; None without a limit or without a
+    readable file."""
     try:
-        with open(_CPU_MAX) as f:
-            quota, period = f.read().split()
+        try:
+            quota, period = _read(_CPU_MAX).split()
+        except FileNotFoundError:
+            quota, period = _read(_CFS_QUOTA), _read(_CFS_PERIOD)
+        if int(quota) < 0:
+            return None
         return -(-int(quota) // int(period))
     except (OSError, ValueError, ZeroDivisionError):
         return None
@@ -65,36 +80,13 @@ def _process_count(limit: int) -> int:
     1, so that nothing is forked, on a platform without affinity masks (not
     Linux) and while another Python thread runs: a fork copies the locks
     that thread may hold, and with numpy's threaded OpenBLAS a fork while
-    another thread multiplies matrices hangs in ``os.fork`` itself.
+    another thread multiplies matrices hangs in the fork itself.
     """
     getaffinity = getattr(os, "sched_getaffinity", None)
     if getaffinity is None or threading.active_count() > 1:
         return 1
     cpus = len(getaffinity(0))
     return max(1, min(limit, cpus, _cpu_quota() or cpus))
-
-
-def _grown(grow, indices: range) -> list:
-    """``grow(i)`` for each of ``indices`` up to the first that raises."""
-    done = []
-    with suppress(Exception):  # grown again, and raised, by _grow_in_processes
-        for i in indices:
-            done.append(grow(i))
-    return done
-
-
-def _worker(grow, indices: range, read: int, write: int):
-    """Body of a forked worker: pickles to ``write`` what ``_grown`` gives
-    for ``indices``.  It closes its copy of ``read``, so that its write fails
-    if the parent dies, and leaves with ``os._exit(0)`` on every path, so it
-    runs none of the parent's ``finally`` blocks (the CLI's unlink its
-    output locks) and no exit handler."""
-    try:
-        os.close(read)
-        with os.fdopen(write, "wb") as pipe:
-            pickle.dump(_grown(grow, indices), pipe, pickle.HIGHEST_PROTOCOL)
-    finally:
-        os._exit(0)
 
 
 def _kill_and_reap(pids) -> None:
@@ -105,156 +97,101 @@ def _kill_and_reap(pids) -> None:
             os.waitpid(pid, 0)
 
 
-def _grow_in_processes(grow, count: int) -> list:
-    """``[grow(0), ..., grow(count - 1)]``, computed in ``_process_count(count)``
-    processes and returned in index order.  ``grow`` must be a pure function
-    of its index.
-
-    Worker k, forked, computes indices k, k + W, ... and pickles them to its
-    own pipe; this process computes share 0 itself, then reads each pipe in
-    turn and reaps its worker.  Each process stops at its first index that
-    raises.  Then this process grows, in ascending order, every index that
-    no process returned (it raised, or its worker died), so the lowest
-    failing index raises its own exception, as in a serial loop.  However
-    this function is left, the workers not yet reaped are killed and reaped.
-    """
-    workers = _process_count(count)
-    children = []  # (pid, pipe, indices) of each worker not yet reaped, in order
-    try:
-        for k in range(1, workers):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                _worker(grow, range(k, count, workers), read, write)
-            os.close(write)
-            children.append((pid, os.fdopen(read, "rb"), range(k, count, workers)))
-        share = range(0, count, workers)
-        results = dict(zip(share, _grown(grow, share)))
-        while children:
-            pid, pipe, indices = children[0]
-            with pipe:
-                data = pipe.read()
-            os.waitpid(pid, 0)
-            del children[0]
-            with suppress(Exception):  # a worker that died: a truncated payload
-                results.update(zip(indices, pickle.loads(data)))
-    finally:
-        for _, pipe, _ in children:
-            pipe.close()
-        _kill_and_reap([pid for pid, _, _ in children])
-    return [results[i] if i in results else grow(i) for i in range(count)]
-
-
-# A node's (feature, threshold, score), as the processes of
-# ``_scan_in_processes`` send it to each other through pipes.  A write of
-# at most PIPE_BUF bytes is atomic, so a read gets a whole split or, once
-# the writer is gone, nothing.
+# A node's (feature, threshold, score), as the processes of ``_in_processes``
+# send it to each other through pipes.  A write of at most PIPE_BUF bytes is
+# atomic, so a read gets a whole split or, once the writer is gone, nothing.
 _SPLIT = struct.Struct("=qdd")
-
-
-class _Lost(Exception):
-    """The other end of a ``_scan_in_processes`` pipe is gone."""
-
-
-def _send_split(fd: int, found) -> None:
-    try:
-        os.write(fd, _SPLIT.pack(*found))
-    except OSError as error:  # EPIPE: Python ignores SIGPIPE
-        raise _Lost from error
 
 
 def _receive_split(fd: int) -> tuple:
     data = os.read(fd, _SPLIT.size)
-    if len(data) < _SPLIT.size:  # end of file
-        raise _Lost
+    if len(data) < _SPLIT.size:  # end of file: the writer is gone
+        raise EOFError
     return _SPLIT.unpack(data)
 
 
 def _best_of_blocks(links: list, found) -> tuple:
-    """The best of this process's block's split and each worker's, in block
-    order with a strict ``<`` (ties go to the lowest feature, as in one scan
-    of every block), sent back to every worker.  ``links`` holds this
-    process's (read, write) ends of each worker's pipes."""
+    """The calling process's exchange: the best of its own block's split and
+    each worker's, in block order with a strict ``<`` (ties go to the lowest
+    feature, as in one scan of every block), sent back to every worker.
+    ``links`` holds this process's (read, write) ends of each worker's
+    pipes."""
     for read, _ in links:
         other = _receive_split(read)
         if other[2] < found[2]:
             found = other
     for _, write in links:
-        _send_split(write, found)
+        os.write(write, _SPLIT.pack(*found))  # EPIPE raises: Python ignores SIGPIPE
     return found
 
 
 def _from_parent(link: tuple, found) -> tuple:
     """A worker's exchange: its block's best split out, the best of all in."""
-    _send_split(link[1], found)
+    os.write(link[1], _SPLIT.pack(*found))
     return _receive_split(link[0])
 
 
-def _scan_worker(fit, block: slice, link: tuple, fds: list):
-    """Body of a forked ``_scan_in_processes`` worker: ``fit`` on ``block``,
-    its result dropped.  It closes every fd of ``fds`` but the (read, write)
-    ends of ``link``, so that the parent's death reaches every worker as an
-    end of file, and leaves with ``os._exit`` on every path, as ``_worker``
-    does."""
-    try:
-        for fd in fds:
-            if fd not in link:
-                os.close(fd)
-        fit(block, partial(_from_parent, link))
-    finally:
-        os._exit(0)
+def _in_processes(work, limit: int) -> list:
+    """``[work(0, W, exchange), ..., work(W - 1, W, exchange)]``, each in a
+    process of its own, with W = ``_process_count(limit)``.
 
+    W - 1 forked workers run ``work(k, W, exchange)`` for k = 1 .. W - 1 and
+    pickle their results back through their pipes; this process runs
+    ``work(0, W, exchange)``, then reads each worker's result in order.
+    ``exchange(found)`` takes the best split of a node over the caller's
+    block of features and returns the best of every block: each worker
+    sends its own to this process, which sends back the best of them all
+    (``_best_of_blocks``).  Processes that call it must all call it at the
+    same nodes; with W = 1 it is None.
 
-def _scan_in_processes(fit, width: int):
-    """``fit(block, exchange)`` of one tree ensemble, with each node's split
-    scan spread over ``_process_count(width)`` processes by feature.
-
-    ``fit`` grows the same trees in every process given the same split at
-    every node: it scans the features of ``block`` (a slice of the
-    ``width``) and passes a node's best split to ``exchange``, which
-    returns the best of all blocks, or it scans every feature and
-    ``exchange`` is None.  With W processes the features fall into W
-    contiguous blocks, the first no larger than the others.  W - 1 forked
-    workers run ``fit`` on blocks 1 to W - 1 and this process on block 0;
-    at each node each worker sends its block's best to this process, which
-    sends back the best of them all (``_best_of_blocks``), and this
-    process's result is returned.
-
-    A worker that raises, dies or is killed closes its pipes.  At that end
-    of file this process kills and reaps every worker and runs ``fit`` on
-    every feature alone: the same bytes, and any exception is the serial
-    run's.  However this function is left, no worker outlives it.
+    If any process raises, a worker dies or its result comes back
+    truncated, this process kills and reaps every worker and returns
+    ``[work(0, 1, None)]``: the serial run's result, or the serial run's
+    exception.  A ``KeyboardInterrupt`` comes out as it is.  However this
+    function is left, no worker outlives it.
     """
-    workers = _process_count(width)
-    bounds = [k * width // workers for k in range(workers + 1)]
-    blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    pids, links = [], []  # each worker's, in block order
+    workers = _process_count(limit)
+    if workers == 1:
+        return [work(0, 1, None)]
+    pids, links = [], []  # each worker's, in order
     fds = []  # every pipe end this process holds
     try:
-        for block in blocks[1:]:
-            fds += os.pipe()  # worker to this process
-            fds += os.pipe()  # this process to worker
-            up_read, up_write, down_read, down_write = fds[-4:]
-            pid = os.fork()
-            if pid == 0:
-                _scan_worker(fit, block, (down_read, up_write), fds)
-            pids.append(pid)
-            for fd in (up_write, down_read):
-                fds.remove(fd)
-                os.close(fd)
-            links.append((up_read, down_write))
-        with suppress(_Lost):
-            return fit(blocks[0], partial(_best_of_blocks, links) if links else None)
+        with suppress(Exception):  # run serially below, once every worker is gone
+            for k in range(1, workers):
+                fds += os.pipe()  # worker to this process: splits, then its result
+                fds += os.pipe()  # this process to worker: the best splits
+                up_read, up_write, down_read, down_write = fds[-4:]
+                pid = os.fork()
+                if pid == 0:
+                    # Worker k keeps only its own two pipe ends, so that this
+                    # process's death reaches it as an end of file or EPIPE,
+                    # and leaves with os._exit on every path: it runs none of
+                    # the caller's finally blocks (the CLI's unlink its output
+                    # locks) and no exit handler.  A failure sends nothing.
+                    try:
+                        for fd in fds:
+                            if fd not in (down_read, up_write):
+                                os.close(fd)
+                        result = work(k, workers, partial(_from_parent, (down_read, up_write)))
+                        with open(up_write, "wb") as pipe:
+                            pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+                    finally:
+                        os._exit(0)
+                pids.append(pid)
+                for fd in (up_write, down_read):
+                    fds.remove(fd)
+                    os.close(fd)
+                links.append((up_read, down_write))
+            results = [work(0, workers, partial(_best_of_blocks, links))]
+            for read, _ in links:
+                with open(read, "rb", closefd=False) as pipe:
+                    results.append(pickle.loads(pipe.read()))
+            return results
     finally:
         for fd in fds:
             os.close(fd)
         _kill_and_reap(pids)
-    return fit(slice(None), None)
+    return [work(0, 1, None)]
 
 
 def forest_fit(
@@ -269,10 +206,11 @@ def forest_fit(
     ceil(D/3) for regression, bootstrap with replacement.
 
     X's rank codes are computed once and gathered through each bootstrap, so
-    every tree sorts small integer keys.  Trees are grown in one process per
-    CPU of the affinity mask (``_grow_in_processes``); each is a pure
-    function of ``rng_for(seed, "tree", t)``, so the ensemble has the bytes
-    of a serial fit.  Raises ``ValueError`` unless X is finite.
+    every tree sorts small integer keys.  Trees are grown in W processes
+    (``_in_processes``), process k growing trees k, k + W, ...; each is a
+    pure function of ``rng_for(seed, "tree", t)``, so the ensemble has the
+    bytes of a serial fit, and a failure anywhere refits it serially.
+    Raises ``ValueError`` unless X is finite.
     """
     n, width = X.shape
     codes = rank_codes(X)
@@ -281,19 +219,24 @@ def forest_fit(
     else:
         max_features = math.ceil(width / 3)
 
-    def grow(t: int) -> NodeTable:
-        rng = rng_for(seed, "tree", t)
-        boot = rng.integers(0, n, size=n)
-        return build_tree(
-            X[boot],
-            y[boot],
-            max_depth=max_depth,
-            max_features=max_features,
-            rng=rng,
-            codes=codes.take(boot, axis=1),
-        )
+    def grow(k: int, workers: int, exchange) -> list[NodeTable]:
+        trees = []
+        for t in range(k, n_trees, workers):
+            rng = rng_for(seed, "tree", t)
+            boot = rng.integers(0, n, size=n)
+            trees.append(build_tree(
+                X[boot],
+                y[boot],
+                max_depth=max_depth,
+                max_features=max_features,
+                rng=rng,
+                codes=codes.take(boot, axis=1),
+            ))
+        return trees
 
-    return {"trees": NodeTable.join(_grow_in_processes(grow, n_trees))}
+    shares = _in_processes(grow, n_trees)
+    trees = [shares[t % len(shares)][t // len(shares)] for t in range(n_trees)]
+    return {"trees": NodeTable.join(trees)}
 
 
 def forest_predict(params: dict, X: np.ndarray) -> np.ndarray:
@@ -319,11 +262,14 @@ def gbm_fit(
     Regression boosts squared loss on residuals; classification boosts
     logistic loss in log-odds space with a Newton step per leaf.  A single
     class present degenerates gracefully to a (clipped) constant predictor.
-    Each tree's split scan is spread over processes by feature
-    (``_scan_in_processes``); every process runs this boosting loop, so the
-    trees are those of one process byte for byte.
+    Each tree's split scan is spread over W processes by feature
+    (``_in_processes``): with W contiguous feature blocks, the first no
+    larger than the others, process k scans block k and takes each node's
+    best split of all blocks from the exchange.  Every process runs this
+    boosting loop, so the trees are those of one process byte for byte;
+    the calling process's are kept.
     """
-    n = X.shape[0]
+    n, width = X.shape
     if task == "classify":
         p0 = min(max(float(y.mean()), _EPS), 1.0 - _EPS)
         f0 = math.log(p0 / (1.0 - p0))
@@ -335,7 +281,8 @@ def gbm_fit(
     # sorts its own rows.
     XT = np.ascontiguousarray(X.T) if subsample >= 1.0 else None
 
-    def boost(block: slice, exchange) -> list[NodeTable]:
+    def boost(k: int, workers: int, exchange) -> list[NodeTable] | None:
+        block = slice(k * width // workers, (k + 1) * width // workers)
         scores = np.full(n, f0)
         trees: list[NodeTable] = []
         presorted = None if XT is None else Presorted(XT.T, block, exchange)
@@ -368,9 +315,9 @@ def gbm_fit(
 
             scores += learning_rate * tree_predict(tree, X)
             trees.append(tree)
-        return trees
+        return trees if k == 0 else None  # a worker's trees are this process's
 
-    trees = _scan_in_processes(boost, X.shape[1])
+    trees = _in_processes(boost, width)[0]
     return {"f0": f0, "learning_rate": learning_rate, "trees": NodeTable.join(trees)}
 
 

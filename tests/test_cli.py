@@ -382,11 +382,12 @@ class TestUsage:
         assert [p.name for p in out.iterdir()] == [".lock"] * (how == "directory")
 
 
-# Two forest workers' worth of trees that take a second and more than a
-# pipe buffer (64 KB) to send back.
+# A forest-like fit of 4 items in two processes: the worker's two items
+# take a second and more than a pipe buffer (64 KB) to send back.
 SLOW_FOREST = ("from tspec.models import ensembles\n"
                "ensembles.os.sched_getaffinity = lambda pid: {0, 1}\n"
-               "ensembles._grow_in_processes(lambda i: time.sleep(0.5) or bytes(10**5), 4)\n")
+               "ensembles._in_processes(lambda k, workers, exchange:\n"
+               "    [time.sleep(0.5) or bytes(10**5) for _ in range(k, 4, workers)], 4)\n")
 
 
 @contextmanager

@@ -948,17 +948,24 @@ def running(pid) -> bool:
         return False
 
 
-def test_gbm_workers_leave_when_the_fitting_process_dies(monkeypatch, tmp_path):
-    """A process fitting on 3 CPUs is killed at its 5th scan; each worker
-    reads an EOF from it and leaves."""
+@pytest.mark.parametrize("fit", [forest_bytes, gbm_bytes], ids=["forest", "gbm"])
+def test_workers_leave_when_the_fitting_process_dies(monkeypatch, tmp_path, fit):
+    """A process fitting on 3 CPUs is killed at its 5th scan, once every
+    worker has begun; each worker reads an EOF from it (a GBM's), or fails
+    to send it its trees (a forest's), and leaves."""
     X, y = gbm_problem("regress")
     noted = tmp_path / "pids"
+    fitting = []  # the fitting process's pid, in that process
 
     def note_and_die(call, feats):
-        if call == 1:  # every process, before it sends its first split
+        if call == 1:  # every process, at its first scan (before any exchange)
             with open(noted, "a") as pids:
                 pids.write(f"{os.getpid()}\n")
-        if call == 5 and 0 in feats:
+        if call == 5 and os.getpid() in fitting:
+            for _ in range(3000):  # a forest's workers start on their own
+                if len(noted.read_text().split()) == 3:
+                    break
+                time.sleep(0.01)
             os.kill(os.getpid(), signal.SIGKILL)
 
     fail_scans(monkeypatch, note_and_die)
@@ -966,7 +973,8 @@ def test_gbm_workers_leave_when_the_fitting_process_dies(monkeypatch, tmp_path):
     fitter = os.fork()
     if fitter == 0:
         try:
-            gbm_bytes(X, y, "regress")
+            fitting.append(os.getpid())
+            fit(X, y, "regress")
         finally:
             os._exit(0)
     assert os.waitpid(fitter, 0)[1] == signal.SIGKILL
@@ -990,13 +998,24 @@ def test_gbm_workers_leave_when_the_fitting_process_dies(monkeypatch, tmp_path):
     ("400000 100000\n", 4),
     ("", None),
     ("150000 0\n", None),
-    (None, None),  # no file: no cgroup v2 CPU controller
-])
+    (None, None),  # no file: no cgroup v2 CPU controller, nor a v1 one
+    # No cpu.max: cgroup v1's cpu.cfs_quota_us and cpu.cfs_period_us.
+    (("-1\n", "100000\n"), None),
+    (("150000\n", "100000\n"), 2),
+    (("50000\n", "100000\n"), 1),
+    (("150000\n", None), None),
+    (("150000\n", "0\n"), None),
+], ids=lambda text: (
+    "v1 " + "/".join(str(part).strip() for part in text) if isinstance(text, tuple) else None))
 def test_the_cpu_quota_is_read_from_cpu_max(monkeypatch, tmp_path, text, cpus):
-    path = tmp_path / "cpu.max"
-    if text is not None:
-        path.write_text(text)
-    monkeypatch.setattr(ensembles, "_CPU_MAX", str(path))
+    files = {"_CPU_MAX": text, "_CFS_QUOTA": None, "_CFS_PERIOD": None}
+    if isinstance(text, tuple):  # cgroup v1's quota and period, and no cpu.max
+        files = {"_CPU_MAX": None, "_CFS_QUOTA": text[0], "_CFS_PERIOD": text[1]}
+    for name, content in files.items():
+        path = tmp_path / name
+        if content is not None:
+            path.write_text(content)
+        monkeypatch.setattr(ensembles, name, str(path))
     assert ensembles._cpu_quota() == cpus
 
 
