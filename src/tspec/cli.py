@@ -5,7 +5,7 @@ all randomness flows from a single ``--seed`` through named derived streams,
 so rerunning any command with the same inputs reproduces its artifacts byte
 for byte.  ``KEYS`` describes each config key once: its kind, default and
 valid values, and the commands that take it as a flag.  Exit codes: 0
-success, 1 usage/config, 2 data error, 3 runtime.
+success, 1 usage/config, 2 data error, 3 runtime, 143 terminated (SIGTERM).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import csv
 import fcntl
 import math
 import os
+import signal
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, replace
@@ -563,7 +564,21 @@ def main(argv=None) -> int:
         return 3
 
 
+# A command ended by SIGTERM exits with this code (128 + the signal's number,
+# as a shell reports it).
+EXIT_TERMINATED = 128 + signal.SIGTERM
+
+
+def _terminate(signum, frame):
+    """SIGTERM leaves as an interrupt does, through every ``finally`` block:
+    output locks are unlinked and forked workers killed and reaped.  A second
+    SIGTERM is ignored, so that it cannot cut that cleanup short."""
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    raise SystemExit(EXIT_TERMINATED)
+
+
 def entrypoint():
+    signal.signal(signal.SIGTERM, _terminate)
     sys.exit(main())
 
 

@@ -2,8 +2,9 @@
 
 The sweep walks (label method x model family x noise ratio) cells.  Each
 cell noises the test features with its own derived seed, evaluates the
-matching model against that method's labels, and appends one report row, so
-cells can be computed in any order (or concurrently) with identical output.
+matching model against that method's labels, and gives one report row, so
+cells can be computed in any order, or concurrently as ``run_noise_sweep``
+does, with identical output.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .dataprep import Dataset, NoiseSpec, inject_noise
 from .errors import DataError, atomic_write, write_json
 from .identify import IdentificationResult, SpectrumSignature, build_registry, identify_attack
 from .models import FAMILIES, TrainedModel, predict, train
+from .processes import _map_in_processes
 from .seeds import derive_seed
 from .spectrum import LABEL_METHODS, ThresholdSpec, binarize, is_spectrum_method
 
@@ -177,65 +179,78 @@ def run_noise_sweep(cfg: SweepConfig) -> EvalReport:
     the clean test features once, and each of its cells predicts again only
     the rows its noise changed, taking the others from the clean
     predictions: the same bits as predicting every row.
+
+    Histograms, detection labels, signature registries and clean
+    predictions are computed first, in this process; the cells then run in
+    W processes (``_map_in_processes``), process k evaluating cells k,
+    k + W, ... of the report order, and their rows are interleaved back
+    into that order.
     """
-    rows: list[EvalRow] = []
     histograms: dict[str, dict] = {}
+    truths: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # method: (test, train) labels
+    registries: dict[str, list[SpectrumSignature]] = {}
+    clean: dict[tuple, np.ndarray] = {}  # (method, task, family): clean test predictions
+    cells: list[tuple] = []  # (method, task, family, ratio), in report order
 
     for method, art in cfg.methods.items():
         summary = _histogram_summary(art.train)
         if summary is not None:
             histograms[method] = summary
-        truth = detection_truth(method, art.test, art.threshold)
-
-        # (task, models, the training labels a noise_train cell refits on)
-        tasks = [("detect", art.detect_models, detection_truth(method, art.train, art.threshold))]
+        truths[method] = (
+            detection_truth(method, art.test, art.threshold),
+            detection_truth(method, art.train, art.threshold),
+        )
+        tasks = [("detect", art.detect_models)]
         if art.regress_models and is_spectrum_method(method):
-            signatures = build_registry(
+            registries[method] = build_registry(
                 labels_by_attack(art.train),
                 bins=cfg.identify_bins,
                 method=method,
                 d_model=art.train.provenance.get("d_model"),
             )
-            tasks.append(("identify", art.regress_models, art.train.spectrum_labels))
-
-        for task, models, train_labels in tasks:
-            seed_labels = () if task == "detect" else (task,)
+            tasks.append(("identify", art.regress_models))
+        for task, models in tasks:
             for family, model in models.items():
-                clean = None
                 if FAMILIES[model.spec.family].row_separable and not cfg.noise_train:
-                    clean = predict(model, art.test.features)
-                for ratio in cfg.ratios:
-                    pct = int(round(float(ratio) * 100))
-                    seed = derive_seed(cfg.base_seed, "noise", method, family, *seed_labels, pct)
-                    noised = inject_noise(art.test, NoiseSpec(float(ratio), cfg.noise_scale, seed))
-                    cell_model = model
-                    if cfg.noise_train:
-                        train_seed = derive_seed(
-                            cfg.base_seed, "train-noise", method, family, *seed_labels, pct
-                        )
-                        noised_train = inject_noise(
-                            art.train, NoiseSpec(float(ratio), cfg.noise_scale, train_seed)
-                        )
-                        cell_model = train(model.spec, noised_train.features, train_labels)
-                    if clean is None:
-                        predictions = predict(cell_model, noised.features)
-                    else:
-                        changed = (noised.features != art.test.features).any(axis=1)
-                        predictions = clean.copy()
-                        predictions[changed] = predict(cell_model, noised.features[changed])
-                    if task == "detect":
-                        preds = (predictions >= 0.5).astype(np.int64)
-                        score = {"metrics": detection_metrics(truth, preds)}
-                    else:
-                        results, truth_tags = identify_segments(
-                            predictions, art.test, signatures, min_windows=cfg.min_segment_windows
-                        )
-                        accuracy = identification_accuracy(results, truth_tags)
-                        score = {"identification_accuracy": accuracy}
-                    rows.append(
-                        EvalRow(family, method, task, float(ratio), seed, **score)
-                    )
+                    clean[method, task, family] = predict(model, art.test.features)
+                cells += [(method, task, family, ratio) for ratio in cfg.ratios]
 
+    def evaluate(cell: int) -> EvalRow:
+        method, task, family, ratio = cells[cell]
+        art = cfg.methods[method]
+        truth, train_truth = truths[method]
+        model = (art.detect_models if task == "detect" else art.regress_models)[family]
+        seed_labels = () if task == "detect" else (task,)
+        pct = int(round(float(ratio) * 100))
+        seed = derive_seed(cfg.base_seed, "noise", method, family, *seed_labels, pct)
+        noised = inject_noise(art.test, NoiseSpec(float(ratio), cfg.noise_scale, seed))
+        if cfg.noise_train:
+            train_seed = derive_seed(
+                cfg.base_seed, "train-noise", method, family, *seed_labels, pct
+            )
+            noised_train = inject_noise(
+                art.train, NoiseSpec(float(ratio), cfg.noise_scale, train_seed)
+            )
+            train_labels = train_truth if task == "detect" else art.train.spectrum_labels
+            model = train(model.spec, noised_train.features, train_labels)
+        clean_predictions = clean.get((method, task, family))
+        if clean_predictions is None:
+            predictions = predict(model, noised.features)
+        else:
+            changed = (noised.features != art.test.features).any(axis=1)
+            predictions = clean_predictions.copy()
+            predictions[changed] = predict(model, noised.features[changed])
+        if task == "detect":
+            preds = (predictions >= 0.5).astype(np.int64)
+            score = {"metrics": detection_metrics(truth, preds)}
+        else:
+            results, truth_tags = identify_segments(
+                predictions, art.test, registries[method], min_windows=cfg.min_segment_windows
+            )
+            score = {"identification_accuracy": identification_accuracy(results, truth_tags)}
+        return EvalRow(family, method, task, float(ratio), seed, **score)
+
+    rows = _map_in_processes(evaluate, len(cells))
     return EvalReport(rows=tuple(rows), config=dict(cfg.config_echo), label_histograms=histograms)
 
 

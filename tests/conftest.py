@@ -41,6 +41,11 @@ def held_lock(lock):
         os.close(fd)
 
 
+def use_cpus(monkeypatch, count):
+    """Give this process ``count`` CPUs, as its affinity mask would."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
 def make_timeline(seconds, labels=None, width=2, attacks=None, rng=None):
     """Quick timeline builder: one row per entry of ``seconds``, with one
     attack name per second encoded as codes; label-0 seconds lose theirs."""

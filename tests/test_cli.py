@@ -164,7 +164,8 @@ class TestTrain:
 
 
 class TestSweep:
-    def _sweep_config(self, workspace, ratios):
+    @staticmethod
+    def _sweep_config(workspace, ratios):
         return {
             "datasets": {m: str(workspace / m) for m in ("baseline", "coap", "sspe")},
             "families": FAMILIES.split(","),
@@ -294,24 +295,24 @@ class TestUsage:
 
     def test_lock_of_a_killed_forest_run_is_freed_by_its_workers(self, tmp_path):
         """A run killed while it grows forest trees: its forked worker,
-        which inherited the lock, finishes its trees, fails to send them
-        and exits, so the lock is free within seconds."""
+        which inherited the lock, finishes the tree it is growing, sees
+        that its caller is gone and exits before the next, so the lock is
+        free within about one tree's time (0.5 s), not after its whole
+        share of six trees."""
         out = tmp_path / "forest"
         with lock_holder(out, SLOW_FOREST) as holder:
-            time.sleep(0.1)
-            holder.kill()
-            holder.wait()
-            fd = os.open(out / ".lock", os.O_WRONLY)
-            try:
-                for _ in range(200):
-                    with suppress(BlockingIOError):
-                        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                        break
-                    time.sleep(0.05)
-                else:
-                    pytest.fail("the killed run's worker still holds the lock after 10 s")
-            finally:
-                os.close(fd)
+            assert_freed_within(1.5, holder, out / ".lock")
+
+    def test_lock_of_a_killed_sweep_is_freed_by_its_workers(self, workspace, tmp_path):
+        """The same for a run killed while it evaluates sweep cells, each of
+        which takes 0.5 s: its worker leaves before its next cell."""
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(TestSweep._sweep_config(workspace, [0.0, 0.5])))
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "report")]
+        body = slow("tspec.evalharness", "inject_noise", f"cli.main({argv!r})")
+        with lock_holder(out, body) as holder:
+            assert_freed_within(1.5, holder, out / ".lock")
 
     @pytest.mark.parametrize("text", ["", str(os.getppid())], ids=["empty", "live-pid"])
     def test_lock_file_a_crashed_run_left_is_free(self, workspace, tmp_path, text):
@@ -382,12 +383,56 @@ class TestUsage:
         assert [p.name for p in out.iterdir()] == [".lock"] * (how == "directory")
 
 
-# A forest-like fit of 4 items in two processes: the worker's two items
-# take a second and more than a pipe buffer (64 KB) to send back.
-SLOW_FOREST = ("from tspec.models import ensembles\n"
-               "ensembles.os.sched_getaffinity = lambda pid: {0, 1}\n"
-               "ensembles._in_processes(lambda k, workers, exchange:\n"
-               "    [time.sleep(0.5) or bytes(10**5) for _ in range(k, 4, workers)], 4)\n")
+def slow(module: str, name: str, then: str) -> str:
+    """Code that makes every call of ``<module>.<name>`` print the calling
+    process's pid and take 0.5 s more, pretends that this process may use
+    two CPUs, then runs ``then``."""
+    return ("import importlib, os, time; from tspec import cli, processes\n"
+            "processes.os.sched_getaffinity = lambda pid: {0, 1}\n"
+            f"target = importlib.import_module({module!r})\n"
+            f"real = getattr(target, {name!r})\n"
+            "def slowly(*args, **kwargs):\n"
+            "    print(os.getpid(), flush=True)\n"
+            "    time.sleep(0.5)\n"
+            "    return real(*args, **kwargs)\n"
+            f"setattr(target, {name!r}, slowly)\n"
+            f"{then}\n")
+
+
+# A forest-like fit of 12 items in two processes: each item takes 0.5 s,
+# and the worker's six take more than a pipe buffer (64 KB) to send back.
+SLOW_FOREST = ("import os, time; from tspec import processes\n"
+               "processes.os.sched_getaffinity = lambda pid: {0, 1}\n"
+               "processes._map_in_processes(lambda i:\n"
+               "    print(os.getpid(), flush=True) or time.sleep(0.5) or bytes(10**5), 12)\n")
+
+
+def assert_freed_within(seconds: float, holder, lock: Path):
+    """Kill ``holder`` with SIGKILL once a worker has begun an item (a line
+    on its stdout with a pid other than the holder's); then ``lock`` must
+    be free, every worker gone, within ``seconds``."""
+    while int(holder.stdout.readline()) == holder.pid:
+        pass
+    holder.kill()
+    holder.wait()
+    killed = time.monotonic()
+    fd = os.open(lock, os.O_WRONLY)
+    try:
+        while True:
+            with suppress(BlockingIOError):
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                break
+            took = time.monotonic() - killed
+            assert took < seconds, f"the killed run's worker still holds the lock after {took} s"
+            time.sleep(0.02)
+    finally:
+        os.close(fd)
+
+
+def child_env() -> dict:
+    """This process's environment, with the tspec under test importable."""
+    paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
 @contextmanager
@@ -399,10 +444,8 @@ def lock_holder(out: Path, body: str = "time.sleep(60)"):
             "with _output_lock(Path(sys.argv[1])):\n"
             "    print('held', flush=True)\n"
             + "".join(f"    {line}\n" for line in body.splitlines()))
-    paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     holder = subprocess.Popen([sys.executable, "-c", code, str(out)], stdout=subprocess.PIPE,
-                              env=env, start_new_session=True)
+                              env=child_env(), start_new_session=True)
     try:
         assert holder.stdout.readline() == b"held\n"
         yield holder
@@ -411,6 +454,41 @@ def lock_holder(out: Path, body: str = "time.sleep(60)"):
             os.killpg(holder.pid, signal.SIGKILL)
         holder.wait()
         holder.stdout.close()
+
+
+@pytest.mark.parametrize("command", ["sweep", "train"])
+def test_a_sigtermed_command_unlinks_its_lock_and_reaps_its_workers(workspace, tmp_path,
+                                                                      command):
+    """SIGTERM once a worker has begun a sweep cell or a forest tree: the
+    command exits 143, no ``.lock`` stays behind and no process of it
+    remains."""
+    out = tmp_path / "out"
+    if command == "sweep":
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(TestSweep._sweep_config(workspace, [0.0, 0.5])))
+        target = ("tspec.evalharness", "inject_noise")
+        argv = ["sweep", "--config", str(config), "--out", str(out)]
+    else:
+        target = ("tspec.models.ensembles", "build_tree")
+        argv = ["train", "--config", str(workspace / "config.json"), "--dataset",
+                str(workspace / "sspe"), "--task", "detect", "--families", "random_forest",
+                "--out", str(out)]
+    code = slow(*target, "cli.entrypoint()")
+    child = subprocess.Popen([sys.executable, "-c", code, *argv], stdout=subprocess.PIPE,
+                             env=child_env(), start_new_session=True)
+    try:
+        while int(child.stdout.readline()) == child.pid:
+            pass
+        child.terminate()
+        assert child.wait(timeout=30) == cli.EXIT_TERMINATED
+        assert list(tmp_path.rglob(".lock")) == []
+        with pytest.raises(ProcessLookupError):
+            os.killpg(child.pid, 0)
+    finally:
+        with suppress(ProcessLookupError):
+            os.killpg(child.pid, signal.SIGKILL)
+        child.wait()
+        child.stdout.close()
 
 
 # Config keys every command's config file may hold.

@@ -1,6 +1,7 @@
 """Harness tests: metrics, the noise sweep, and the report files."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from tspec import evalharness
 from tspec.models import FAMILIES
 from tspec.evalharness import identify_segments, labels_by_attack
 from tspec.identify import build_registry, build_signature
-from tests.conftest import method_artifacts, tagged_dataset
+from tests.conftest import method_artifacts, tagged_dataset, use_cpus
+from tests.test_cli import read_tree
 from tests.oracles import confusion_oracle
 
 
@@ -254,6 +256,7 @@ class TestSweep:
             return train(spec, X, y)
 
         with pytest.MonkeyPatch.context() as patch:
+            use_cpus(patch, 1)  # the spy sees the retrainings of this process only
             patch.setattr(evalharness, "train", spy)
             rows = {(r.task, r.family, r.noise_ratio): r for r in run_noise_sweep(cfg).rows}
         plain = {
@@ -300,6 +303,48 @@ class TestSweep:
         ] + [("glm_gaussian", "spectrum")] * len(cfg.ratios)
 
 
+@pytest.mark.parametrize("noise_train", [False, True])
+def test_sweeps_are_the_same_on_any_number_of_cpus(monkeypatch, tmp_path, sweep_setup,
+                                                   noise_train):
+    """Sweeps on 1, 2 and 3 CPUs, and on more CPUs than cells, give the same
+    rows and report files byte for byte.  One worker is forked per CPU
+    beyond the first, up to one process per cell, and none more by any
+    process: a noise_train cell refits its forest or GBM in its own process."""
+    seed, methods = sweep_setup
+    cfg = SweepConfig(
+        methods={"sspe": methods["sspe"]},
+        ratios=(0.0, 0.5),
+        noise_scale=1.0,
+        base_seed=seed,
+        identify_bins=12,
+        min_segment_windows=3,
+        noise_train=noise_train,
+        config_echo={"seed": seed},
+    )
+    cells = 4 * len(cfg.ratios)  # three detect families and one identify family
+    forks = tmp_path / "forks"
+    fork = os.fork
+
+    def counted_fork():  # in any process: a worker's nested fork counts too
+        with open(forks, "a") as noted:
+            noted.write(f"{os.getpid()}\n")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    reports = {}
+    for cpus in (1, 2, 3, cells + 1):
+        use_cpus(monkeypatch, cpus)
+        forks.write_text("")
+        reports[cpus] = run_noise_sweep(cfg)
+        assert len(forks.read_text().split()) == min(cpus, cells) - 1
+        emit_report(reports[cpus], tmp_path / str(cpus))
+    assert len(reports[1].rows) == cells
+    for cpus, report in reports.items():
+        assert report.rows == reports[1].rows
+        assert report.label_histograms == reports[1].label_histograms
+        assert read_tree(tmp_path / str(cpus)) == read_tree(tmp_path / "1")
+
+
 @pytest.fixture(scope="module")
 def four_family_setup():
     """The sspe method of ``sweep_setup`` with every family: glm_binomial,
@@ -341,6 +386,7 @@ class TestCleanPredictionReuse:
             return identify_segments(predictions, *args, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
+            use_cpus(patch, 1)  # the spies see the cells of this process only
             patch.setattr(evalharness, "predict", predict_spy)
             patch.setattr(evalharness, "identify_segments", identify_spy)
             report = run_noise_sweep(cfg)

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tspec import (ModelSpec, SyntheticScenario, cli, derive_seed, generate_synthetic,
-                   load_model, predict, save_model, train)
+                   load_model, predict, processes, save_model, train)
 from tspec.models import ensembles, trees
 from tspec.models.ensembles import forest_fit, gbm_fit
 from tspec.models.glm import _sigmoid
@@ -41,7 +41,7 @@ from tspec.models.trees import (
     tree_predict,
 )
 from tspec.seeds import rng_for
-from tests.conftest import method_artifacts, scenario_to_dict, three_attack_scenario
+from tests.conftest import method_artifacts, scenario_to_dict, three_attack_scenario, use_cpus
 from tests.oracles import (
     best_split_scan_oracle,
     build_tree_argsort,
@@ -371,11 +371,6 @@ def test_forest_rank_codes_match_reference(task, kind):
     if task == "classify":
         y = (y > 0).astype(np.float64)
     assert_forest_matches(X, y, task, n_trees=4, max_depth=6, seed=5)
-
-
-def use_cpus(monkeypatch, count):
-    """Give this process ``count`` CPUs, as its affinity mask would."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
 @pytest.mark.parametrize("kind", FOREST_KINDS)
@@ -1015,8 +1010,8 @@ def test_the_cpu_quota_is_read_from_cpu_max(monkeypatch, tmp_path, text, cpus):
         path = tmp_path / name
         if content is not None:
             path.write_text(content)
-        monkeypatch.setattr(ensembles, name, str(path))
-    assert ensembles._cpu_quota() == cpus
+        monkeypatch.setattr(processes, name, str(path))
+    assert processes._cpu_quota() == cpus
 
 
 @pytest.mark.parametrize("quota", [1, 2, 3])
@@ -1028,12 +1023,24 @@ def test_the_cpu_quota_caps_the_processes_of_both_fits(monkeypatch, quota):
     serial = forest_bytes(X, y, "regress"), gbm_bytes(X, y, "regress")
     forks = counted_forks(monkeypatch)
     use_cpus(monkeypatch, 8)
-    monkeypatch.setattr(ensembles, "_cpu_quota", lambda: quota)
+    monkeypatch.setattr(processes, "_cpu_quota", lambda: quota)
     assert forest_bytes(X, y, "regress") == serial[0]
     assert len(forks) == quota - 1
     forks.clear()
     assert gbm_bytes(X, y, "regress") == serial[1]
     assert len(forks) == quota - 1
+
+
+def test_a_call_inside_a_share_runs_in_one_process(monkeypatch):
+    """Each share, the calling process's and every worker's, counts one
+    process for a nested call, so that nested fits never fork; outside a
+    share every CPU counts again."""
+    use_cpus(monkeypatch, 3)
+    assert processes._process_count(8) == 3
+    shares = processes._in_processes(
+        lambda k, workers, exchange: (k, workers, processes._process_count(8)), 8)
+    assert shares == [(0, 3, 1), (1, 3, 1), (2, 3, 1)]
+    assert processes._process_count(8) == 3
 
 
 def test_cli_gbm_has_the_same_bytes_on_one_and_two_cpus(monkeypatch, sspe_dataset,
