@@ -287,6 +287,10 @@ def cmd_synth(cfg: dict) -> int:
 
 def _load_timeline(cfg: dict):
     if cfg["scenario"]:
+        given = [name for name in ("scenario", "input", "schema") if cfg[name]]
+        if len(given) > 1:
+            raise ConfigError(f"build-dataset takes 'scenario' or 'input' + 'schema', "
+                              f"not both; got {', '.join(map(repr, given))}")
         scenario = SyntheticScenario.from_json(cfg["scenario"])
         return generate_synthetic(scenario, derive_seed(cfg["seed"], "synth"))
     if cfg["input"] and cfg["schema"]:

@@ -23,7 +23,7 @@ from ..errors import ConfigError, DataError, Range, read_field, read_json_object
 from . import ensembles, glm
 from .trees import NodeTable
 
-MODEL_FILE_VERSION = 2
+MODEL_FILE_VERSION = 3
 
 TASKS = ("classify", "regress")
 
@@ -31,7 +31,6 @@ TASKS = ("classify", "regress")
 _AT_LEAST_0 = Range(0)
 _AT_LEAST_1 = Range(1)
 _POSITIVE = Range(0, open_low=True)
-_FRACTION = Range(0, 1, open_low=True)
 
 
 @dataclass(frozen=True)
@@ -124,14 +123,9 @@ FAMILIES = {
     ),
     "gbm": Family(
         tasks=TASKS,
-        defaults={"n_trees": 50, "learning_rate": 0.1, "max_depth": 5, "subsample": 1.0},
-        ranges={
-            "n_trees": _AT_LEAST_1,
-            "learning_rate": _POSITIVE,
-            "max_depth": _AT_LEAST_0,
-            "subsample": _FRACTION,
-        },
-        fit=lambda X, y, task, hp, seed: ensembles.gbm_fit(X, y, task, seed=seed, **hp),
+        defaults={"n_trees": 50, "learning_rate": 0.1, "max_depth": 5},
+        ranges={"n_trees": _AT_LEAST_1, "learning_rate": _POSITIVE, "max_depth": _AT_LEAST_0},
+        fit=lambda X, y, task, hp, seed: ensembles.gbm_fit(X, y, task, **hp),
         predict=lambda params, X, task: ensembles.gbm_predict(params, X, task),
         to_json=lambda params: _table_to_json(params, "f0", "learning_rate"),
         from_json=lambda data, width: _table_from_json(data, width, "f0", "learning_rate"),
@@ -184,7 +178,6 @@ class TrainedModel:
     spec: ModelSpec
     feature_count: int
     parameters: dict
-    version: int = MODEL_FILE_VERSION
 
 
 def _check_training_data(spec: ModelSpec, X: np.ndarray, y: np.ndarray):
@@ -228,7 +221,7 @@ def predict(model: TrainedModel, X) -> np.ndarray:
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
     payload = {
-        "version": model.version,
+        "version": MODEL_FILE_VERSION,
         "spec": {
             "family": model.spec.family,
             "task": model.spec.task,

@@ -1,13 +1,13 @@
 """Tree ensembles: bootstrapped random forest and gradient boosting.
 
-Both are deterministic under a fixed seed and keep their bytes on any
-number of CPUs.  Both fit in ``_process_count`` processes through one
-primitive, ``processes._in_processes``, which falls back to a serial fit
-when any process fails.  Each forest tree draws its bootstrap sample and per-node
-feature subsets from an RNG stream derived from (seed, tree index), so
-building trees in any order -- or concurrently -- yields the same ensemble
-as a serial pass: each process of ``forest_fit`` grows its share of the
-trees.  A boosting tree fits the residuals of the trees before it, so
+Both are deterministic, the forest under a fixed seed, and keep their
+bytes on any number of CPUs.  Both fit in ``_process_count`` processes
+through one primitive, ``processes._in_processes``, which falls back to a
+serial fit when any process fails.  Each forest tree draws its bootstrap
+sample and per-node feature subsets from an RNG stream derived from (seed,
+tree index), so building trees in any order -- or concurrently -- yields
+the same ensemble as a serial pass: each process of ``forest_fit`` grows
+its share of the trees.  A boosting tree fits the residuals of the trees before it, so
 ``gbm_fit`` splits the work inside each tree instead: every process runs
 the whole boosting loop but scans only its own block of features, and at
 each node the processes agree on the best split of all blocks through
@@ -44,8 +44,8 @@ def forest_fit(
     max_depth: int = 10,
     seed: int = 0,
 ) -> dict:
-    """Random forest; feature subsample ceil(sqrt(D)) for classification and
-    ceil(D/3) for regression, bootstrap with replacement.
+    """Random forest; per-node feature subsets of ceil(sqrt(D)) for
+    classification and ceil(D/3) for regression, bootstrap with replacement.
 
     X's rank codes are computed once and gathered through each bootstrap, so
     every tree sorts small integer keys.  Trees are grown in W processes
@@ -92,10 +92,8 @@ def gbm_fit(
     n_trees: int = 50,
     learning_rate: float = 0.1,
     max_depth: int = 5,
-    subsample: float = 1.0,
-    seed: int = 0,
 ) -> dict:
-    """Gradient boosting with depth-limited trees.
+    """Gradient boosting with depth-limited trees, each fit on every row.
 
     Regression boosts squared loss on residuals; classification boosts
     logistic loss in log-odds space with a Newton step per leaf.  A single
@@ -113,43 +111,29 @@ def gbm_fit(
         f0 = math.log(p0 / (1.0 - p0))
     else:
         f0 = float(y.mean())
-    # Without subsampling every tree fits all of X, so one sort, one set of
-    # tie flags and the last tree's child row orders serve them all, and one
-    # X.T, made before any fork, serves every process; otherwise each tree
-    # sorts its own rows.
-    XT = np.ascontiguousarray(X.T) if subsample >= 1.0 else None
+    # Every tree fits all of X, so one sort, one set of tie flags and the
+    # last tree's child row orders serve them all, and one X.T, made before
+    # any fork, serves every process.
+    XT = np.ascontiguousarray(X.T)
 
     def boost(k: int, workers: int, exchange) -> list[NodeTable] | None:
         block = slice(k * width // workers, (k + 1) * width // workers)
+        presorted = Presorted(XT.T, block, exchange)
         scores = np.full(n, f0)
         trees: list[NodeTable] = []
-        presorted = None if XT is None else Presorted(XT.T, block, exchange)
-        rows = np.arange(n)
-        Xt = X
-        for t in range(n_trees):
-            if subsample < 1.0:
-                rng = rng_for(seed, "tree", t)
-                # At least one row: a subsample that rounds to none would fit NaN trees.
-                size = max(1, int(round(subsample * n)))
-                rows = np.sort(rng.choice(n, size=size, replace=False))
-                Xt = X[rows]
-                presorted = Presorted(Xt, block, exchange)
-
+        for _ in range(n_trees):
             if task == "classify":
                 prob = _sigmoid(scores)
                 residual = y - prob
-                target = residual[rows]
-                tree = build_tree(Xt, target, max_depth=max_depth, presorted=presorted)
-                # Newton leaf values over the rows the tree was fit on:
-                # sum(residual) / sum(p * (1 - p)) per leaf.
-                leaves = tree_apply(tree, Xt)
-                hess = prob[rows] * (1.0 - prob[rows])
+                tree = build_tree(X, residual, max_depth=max_depth, presorted=presorted)
+                # Newton leaf values: sum(residual) / sum(p * (1 - p)) per leaf.
+                leaves = tree_apply(tree, X)
+                hess = prob * (1.0 - prob)
                 for leaf in np.unique(leaves):
                     members = leaves == leaf
-                    tree.value[leaf] = target[members].sum() / max(hess[members].sum(), _EPS)
+                    tree.value[leaf] = residual[members].sum() / max(hess[members].sum(), _EPS)
             else:
-                residual = y - scores
-                tree = build_tree(Xt, residual[rows], max_depth=max_depth, presorted=presorted)
+                tree = build_tree(X, y - scores, max_depth=max_depth, presorted=presorted)
 
             scores += learning_rate * tree_predict(tree, X)
             trees.append(tree)

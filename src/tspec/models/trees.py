@@ -267,7 +267,6 @@ def build_tree(
     max_depth: int,
     max_features: int | None = None,
     rng: np.random.Generator | None = None,
-    min_samples_split: int = 2,
     presorted: Presorted | None = None,
     codes: np.ndarray | None = None,
 ) -> NodeTable:
@@ -336,7 +335,7 @@ def build_tree(
         value.append(mean)
 
         parent_sse = float(((yv - mean) ** 2).sum())
-        if depth >= max_depth or idx.size < min_samples_split or parent_sse <= _MIN_GAIN:
+        if depth >= max_depth or idx.size < 2 or parent_sse <= _MIN_GAIN:
             continue
 
         if subset:

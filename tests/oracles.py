@@ -162,9 +162,7 @@ def _best_split_argsort(X, y, idx, feats, record=None):
     return int(feats[col]), float(threshold), float(best)
 
 
-def build_tree_argsort(
-    X, y, max_depth, max_features=None, rng=None, min_samples_split=2, record=None
-):
+def build_tree_argsort(X, y, max_depth, max_features=None, rng=None, record=None):
     """Reference exact-greedy tree as node lists (``feature``, ``threshold``,
     ``left``, ``right``, ``value``; one tree of a ``NodeTable``): same node
     numbering, stopping rules, feature draws and tie-breaks as the package."""
@@ -183,7 +181,7 @@ def build_tree_argsort(
         tree["value"].append(mean)
 
         parent_sse = float(((yv - mean) ** 2).sum())
-        if depth >= max_depth or idx.size < min_samples_split or parent_sse <= min_gain:
+        if depth >= max_depth or idx.size < 2 or parent_sse <= min_gain:
             return node
 
         if max_features is not None and max_features < width:
@@ -291,9 +289,9 @@ def forest_fit_oracle(X, y, max_features, n_trees, max_depth, tree_rng, record=N
     return trees
 
 
-def gbm_fit_oracle(X, y, task, n_trees, learning_rate, max_depth, subsample, tree_rng):
-    """Gradient boosting on reference trees, one tree per round, with a
-    Newton step per leaf for classification."""
+def gbm_fit_oracle(X, y, task, n_trees, learning_rate, max_depth):
+    """Gradient boosting on reference trees, one tree per round fit on every
+    row, with a Newton step per leaf for classification."""
     n = X.shape[0]
     if task == "classify":
         p0 = min(max(float(y.mean()), 1e-12), 1.0 - 1e-12)
@@ -302,26 +300,20 @@ def gbm_fit_oracle(X, y, task, n_trees, learning_rate, max_depth, subsample, tre
         f0 = float(y.mean())
     scores = np.full(n, f0)
     trees = []
-    for t in range(n_trees):
-        if subsample < 1.0:
-            size = max(1, int(round(subsample * n)))
-            rows = np.sort(tree_rng(t).choice(n, size=size, replace=False))
-        else:
-            rows = np.arange(n)
+    for _ in range(n_trees):
         if task == "classify":
             prob = _sigmoid_oracle(scores)
             residual = y - prob
-            tree = build_tree_argsort(X[rows], residual[rows], max_depth)
-            leaves = tree_leaf_oracle(tree, X[rows])
-            hess = prob[rows] * (1.0 - prob[rows])
+            tree = build_tree_argsort(X, residual, max_depth)
+            leaves = tree_leaf_oracle(tree, X)
+            hess = prob * (1.0 - prob)
             for leaf in np.unique(leaves):
                 members = leaves == leaf
                 tree["value"][leaf] = float(
-                    residual[rows][members].sum() / max(hess[members].sum(), 1e-12)
+                    residual[members].sum() / max(hess[members].sum(), 1e-12)
                 )
         else:
-            residual = y - scores
-            tree = build_tree_argsort(X[rows], residual[rows], max_depth)
+            tree = build_tree_argsort(X, y - scores, max_depth)
         scores += learning_rate * tree_predict_oracle(tree, X)
         trees.append(tree)
     return f0, trees

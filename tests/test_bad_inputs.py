@@ -367,6 +367,18 @@ class TestRegressions:
         assert f"{path}: the z-score mean of feature column 0 is not finite" in err
         assert not (tmp_path / "ds").exists()
 
+    @pytest.mark.parametrize("given", [["input", "schema"], ["input"], ["schema"]],
+                             ids=["input and schema", "input", "schema"])
+    def test_scenario_with_input_or_schema(self, ws, tmp_path, given):
+        # The scenario once won without a word, even over files that do not exist.
+        paths = {"input": tmp_path / "absent.csv", "schema": tmp_path / "absent.json"}
+        flags = [arg for name in given for arg in (f"--{name}", paths[name])]
+        rc, err = run(["build-dataset", "--scenario", ws / "scenario.json", *flags,
+                       "--out", tmp_path / "ds"])
+        assert rc == 1, err
+        assert ", ".join(map(repr, ["scenario", *given])) in err
+        assert not (tmp_path / "ds").exists()
+
 
 BAD_CONFIG_VALUES = [
     ("build-dataset", "window", float("inf")),

@@ -68,8 +68,8 @@ class TestSpecValidation:
             ModelSpec("glm_binomial", "classify", hyperparameters={"l2": value})
 
     def test_real_hyperparameter_accepts_an_integer(self):
-        spec = ModelSpec("gbm", "classify", hyperparameters={"subsample": 1, "n_trees": 3})
-        assert spec.resolved_hyperparameters()["subsample"] == 1
+        spec = ModelSpec("gbm", "classify", hyperparameters={"learning_rate": 1, "n_trees": 3})
+        assert spec.resolved_hyperparameters()["learning_rate"] == 1
         with pytest.raises(ConfigError, match="learning_rate"):
             ModelSpec("gbm", "classify", hyperparameters={"learning_rate": "0.1"})
 
@@ -397,7 +397,7 @@ class TestFamilyTable:
 
 # (family, hyperparameter, value) outside its range: each one trained
 # before ranges were checked, into all-zero weights (l2 < 0), every Newton
-# step (tol < 0) or NaN predictions (subsample 0, no trees).
+# step (tol < 0) or no trees.
 OUT_OF_RANGE = [
     ("glm_binomial", "l2", -1.0),
     ("glm_binomial", "tol", -1e-8),
@@ -409,9 +409,6 @@ OUT_OF_RANGE = [
     ("gbm", "learning_rate", 0.0),
     ("gbm", "learning_rate", -0.1),
     ("gbm", "max_depth", -3),
-    ("gbm", "subsample", 0.0),
-    ("gbm", "subsample", -0.5),
-    ("gbm", "subsample", 1.5),
 ]
 
 # (family, hyperparameter, value) at the edge of its range.
@@ -425,8 +422,6 @@ AT_THE_EDGE = [
     ("gbm", "n_trees", 1),
     ("gbm", "learning_rate", 1e-9),
     ("gbm", "max_depth", 0),
-    ("gbm", "subsample", 1),
-    ("gbm", "subsample", 1e-4),  # rounds to no row of 60; one row is taken
 ]
 
 
@@ -535,6 +530,10 @@ MALFORMED_PARAMETERS = {
                        "every tree node but a root must be the child of one split node"),
     "version 1": ("random_forest", lambda p: p.update(version=1),
                   "unsupported model file version 1"),
+    # A version-2 GBM file also named its unused row subsample.
+    "version 2": ("gbm", lambda p: (p.update(version=2),
+                                    p["spec"]["hyperparameters"].update(subsample=1.0)),
+                  "unsupported model file version 2"),
 }
 
 

@@ -122,13 +122,6 @@ def test_feature_subsets_share_the_rng_stream(max_features, n):
     assert_same_tree(tree, reference, X)
 
 
-@pytest.mark.parametrize("min_samples_split", [2, 5, 30])
-def test_min_samples_split(min_samples_split):
-    X, y = tied_problem(90, 4, 0, seed=min_samples_split)
-    tree = build_tree(X, y, max_depth=10, min_samples_split=min_samples_split)
-    assert_same_tree(tree, build_tree_argsort(X, y, 10, min_samples_split=min_samples_split), X)
-
-
 def test_all_columns_constant_is_a_single_leaf():
     X = np.ones((30, 3))
     y = np.arange(30.0)
@@ -237,14 +230,10 @@ def test_equal_best_scores_in_two_blocks_go_to_the_lower_feature(monkeypatch):
     assert_same_tree(tree, build_tree_argsort(X, y, 3), X)
 
 
-def assert_gbm_matches(X, y, task, n_trees, max_depth, subsample, seed):
+def assert_gbm_matches(X, y, task, n_trees, max_depth):
     """``gbm_fit`` grows the reference boosting's trees; returns them."""
-    params = gbm_fit(
-        X, y, task, n_trees=n_trees, max_depth=max_depth, subsample=subsample, seed=seed
-    )
-    f0, reference = gbm_fit_oracle(
-        X, y, task, n_trees, 0.1, max_depth, subsample, lambda t: rng_for(seed, "tree", t)
-    )
+    params = gbm_fit(X, y, task, n_trees=n_trees, max_depth=max_depth)
+    f0, reference = gbm_fit_oracle(X, y, task, n_trees, 0.1, max_depth)
     assert params["f0"] == f0
     fitted = tree_slices(params["trees"])
     for tree, want in zip(fitted, reference, strict=True):
@@ -252,19 +241,16 @@ def assert_gbm_matches(X, y, task, n_trees, max_depth, subsample, seed):
     return fitted
 
 
-def gbm_tied_problem(seed, tree_rng):
+def gbm_tied_problem(seed):
     """Columns 0-2 rounded to one decimal (ties everywhere), 3-4 continuous
     (no ties) and column 5 with one tie: rows a and b share the value 0.0
     at which y jumps, y is 0 at the lower row and 1 at the higher, so only
-    the tie mask keeps the boundary between them out.  The second half
-    sample of ``tree_rng`` holds both rows, the first not both: the first
-    sample's tie flags would miss the tie."""
+    the tie mask keeps the boundary between them out."""
     rng = np.random.default_rng(seed)
     n = 160
     X = rng.normal(size=(n, 6))
     X[:, :3] = np.round(X[:, :3], 1)
-    first, second = (set(tree_rng(t).choice(n, size=n // 2, replace=False)) for t in (0, 1))
-    a, b = min(second - first), max(second)
+    a, b = np.sort(rng.choice(n, size=2, replace=False))
     X[[a, b], 5] = 0.0
     y = (X[:, 5] > 0).astype(np.float64)
     flip = rng.choice(n, size=12, replace=False)
@@ -273,12 +259,10 @@ def gbm_tied_problem(seed, tree_rng):
     return X, y
 
 
-@pytest.mark.parametrize("subsample", [1.0, 0.5])
-def test_gbm_on_columns_with_and_without_ties(subsample):
-    tree_rng = lambda t: rng_for(4, "tree", t)  # noqa: E731
-    X, y = gbm_tied_problem(seed=21, tree_rng=tree_rng)
+def test_gbm_on_columns_with_and_without_ties():
+    X, y = gbm_tied_problem(seed=21)
     assert tied_columns(X, presort(X)).tolist() == [True] * 3 + [False] * 2 + [True]
-    assert_gbm_matches(X, y, "classify", n_trees=8, max_depth=5, subsample=subsample, seed=4)
+    assert_gbm_matches(X, y, "classify", n_trees=8, max_depth=5)
 
 
 @pytest.fixture
@@ -632,15 +616,14 @@ def test_cli_failing_tree_exits_as_the_serial_run(monkeypatch, sspe_dataset, tmp
     assert outcomes[0] == outcomes[1] == (3, error)
 
 
-@pytest.mark.parametrize("subsample", [1.0, 0.5])
 @pytest.mark.parametrize("task", ["classify", "regress"])
-def test_gbm_matches_reference(task, subsample):
-    # With subsample 1 a classification round reuses its Newton step's leaf
-    # ids for the score update; the later rounds' trees depend on it.
+def test_gbm_matches_reference(task):
+    # A classification round's Newton leaf values enter the scores, so the
+    # later rounds' trees depend on them.
     X, y = tied_problem(160, 5, 1, seed=13, constant_cols=(3,))
     if task == "classify":
         y = (y > 0).astype(np.float64)
-    assert_gbm_matches(X, y, task, n_trees=6, max_depth=4, subsample=subsample, seed=9)
+    assert_gbm_matches(X, y, task, n_trees=6, max_depth=4)
 
 
 def kept_orders(presorted):
@@ -718,28 +701,21 @@ def boosting_problem(noisy, task, n=200, seed=0):
     return X, y if task == "classify" else y + X[:, 2]
 
 
-@pytest.mark.parametrize("subsample", [1.0, 0.5])
 @pytest.mark.parametrize("task", ["classify", "regress"])
-def test_repeated_splits_take_the_last_rounds_orders(carried, task, subsample):
+def test_repeated_splits_take_the_last_rounds_orders(carried, task):
     X, y = boosting_problem(noisy=False, task=task, seed=2)
-    assert_gbm_matches(X, y, task, n_trees=10, max_depth=4, subsample=subsample, seed=3)
-    if subsample < 1.0:  # each tree fits other rows, with a Presorted of its own
-        assert carried == [0] * 10
-    else:  # the splits repeat, and every round after the first takes orders over
-        assert carried[0] == 0 and min(carried[1:]) >= 1
-        assert sum(carried) >= 40
+    assert_gbm_matches(X, y, task, n_trees=10, max_depth=4)
+    # The splits repeat, and every round after the first takes orders over.
+    assert carried[0] == 0 and min(carried[1:]) >= 1
+    assert sum(carried) >= 40
 
 
-@pytest.mark.parametrize("subsample", [1.0, 0.5])
 @pytest.mark.parametrize("task", ["classify", "regress"])
-def test_splits_that_change_and_come_back(carried, task, subsample):
+def test_splits_that_change_and_come_back(carried, task):
     # A split that differs from the last round's drops that round's orders
     # under it; when the next round returns to the older split, it filters.
     X, y = boosting_problem(noisy=True, task=task, seed=0)
-    fitted = assert_gbm_matches(X, y, task, n_trees=12, max_depth=4, subsample=subsample, seed=3)
-    if subsample < 1.0:
-        assert carried == [0] * 12
-        return
+    fitted = assert_gbm_matches(X, y, task, n_trees=12, max_depth=4)
     splits = [split_paths(tree) for tree in fitted]
     came_back = [
         path
@@ -757,17 +733,14 @@ def test_splits_that_change_and_come_back(carried, task, subsample):
     decimals=st.integers(0, 2),
     seed=st.integers(0, 2**16),
     task=st.sampled_from(["classify", "regress"]),
-    subsample=st.sampled_from([1.0, 0.5]),
     n_trees=st.integers(1, 10),
     max_depth=st.integers(0, 5),
 )
-def test_random_boosting_problems_match_reference(
-    n, d, decimals, seed, task, subsample, n_trees, max_depth
-):
+def test_random_boosting_problems_match_reference(n, d, decimals, seed, task, n_trees, max_depth):
     X, y = tied_problem(n, d, decimals, seed, constant_cols=range(2, d, 3))
     if task == "classify":
         y = (y > 0).astype(np.float64)
-    assert_gbm_matches(X, y, task, n_trees, max_depth, subsample, seed)
+    assert_gbm_matches(X, y, task, n_trees, max_depth)
 
 
 def test_carried_orders_keep_the_fit_within_its_former_peak():
@@ -795,14 +768,13 @@ def gbm_problem(task):
     return X, (y > 0).astype(np.float64) if task == "classify" else y
 
 
-def gbm_bytes(X, y, task, subsample=1.0) -> list[bytes]:
-    params = gbm_fit(X, y, task, n_trees=8, max_depth=4, subsample=subsample, seed=6)
+def gbm_bytes(X, y, task) -> list[bytes]:
+    params = gbm_fit(X, y, task, n_trees=8, max_depth=4)
     return [np.float64(params["f0"]).tobytes(), *table_bytes(params["trees"])]
 
 
-@pytest.mark.parametrize("subsample", [1.0, 0.5])
 @pytest.mark.parametrize("task", ["classify", "regress"])
-def test_gbms_are_the_same_on_any_number_of_cpus(monkeypatch, task, subsample):
+def test_gbms_are_the_same_on_any_number_of_cpus(monkeypatch, task):
     """GBMs whose split scans are spread over 1, 2 and 3 CPUs, and over more
     CPUs than features, are the same tables byte for byte; one worker is
     forked per CPU beyond the first, up to one process per feature."""
@@ -812,7 +784,7 @@ def test_gbms_are_the_same_on_any_number_of_cpus(monkeypatch, task, subsample):
     for cpus in (1, 2, 3, 8):
         use_cpus(monkeypatch, cpus)
         forks.clear()
-        grown[cpus] = gbm_bytes(X, y, task, subsample)
+        grown[cpus] = gbm_bytes(X, y, task)
         assert len(forks) == min(cpus, 6) - 1
         assert_no_child_left()
     assert all(tables == grown[1] for tables in grown.values())
@@ -1061,17 +1033,12 @@ def test_cli_gbm_has_the_same_bytes_on_one_and_two_cpus(monkeypatch, sspe_datase
     seed=st.integers(0, 2**16),
     duplicate=st.booleans(),
     max_features=st.one_of(st.none(), st.integers(1, 6)),
-    min_samples_split=st.integers(2, 12),
     max_depth=st.integers(0, 7),
 )
-def test_random_problems_match_reference(
-    n, d, decimals, seed, duplicate, max_features, min_samples_split, max_depth
-):
+def test_random_problems_match_reference(n, d, decimals, seed, duplicate, max_features, max_depth):
     X, y = tied_problem(n, d, decimals, seed, constant_cols=range(2, d, 3), duplicate=duplicate)
-    tree = build_tree(X, y, max_depth, max_features, rng_for(seed, "h"), min_samples_split)
-    reference = build_tree_argsort(
-        X, y, max_depth, max_features, rng_for(seed, "h"), min_samples_split
-    )
+    tree = build_tree(X, y, max_depth, max_features, rng_for(seed, "h"))
+    reference = build_tree_argsort(X, y, max_depth, max_features, rng_for(seed, "h"))
     assert_same_tree(tree, reference, X)
 
 
