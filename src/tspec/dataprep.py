@@ -272,6 +272,12 @@ class SyntheticScenario:
             raise ConfigError("scenario duration must be positive")
         if self.feature_count < 1:
             raise ConfigError("scenario needs at least one feature")
+        for i, seg in enumerate(self.segments):
+            if seg.name != seg.name.strip():
+                # A flow CSV's attack cells are read stripped, so synth's
+                # output would name this attack differently.
+                raise ConfigError(f"segment {i}: name {seg.name!r} has leading or "
+                                  "trailing whitespace")
         ordered = sorted(self.segments, key=lambda s: s.start)
         for earlier, later in zip(ordered, ordered[1:]):
             if earlier.start + earlier.length > later.start:

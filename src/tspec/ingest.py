@@ -183,6 +183,13 @@ def _csv_errors(path: Path):
         raise DataError(f"{path}: {exc}") from None
 
 
+# Characters of a capture that rule out numpy's text reader: a quote (the
+# csv module unquotes cells), a NUL (csv refuses it before Python 3.11) and
+# the separators U+001C..U+001F, which numpy skips around a number as blanks
+# but ``float()`` refuses.
+_NOT_PLAIN = '"\x00\x1c\x1d\x1e\x1f'
+
+
 def parse_flow_csv(path: str | Path, schema: FlowSchema) -> PacketTimeline:
     """Read a flow CSV into a timeline, one row per data row.
 
@@ -192,6 +199,11 @@ def parse_flow_csv(path: str | Path, schema: FlowSchema) -> PacketTimeline:
     or non-finite feature cell, non-binary label, or unparsable timestamp
     aborts the parse with the offending row number (1-based, counting the
     header as row 1).
+
+    A plain epoch capture is read column by column by numpy's text reader
+    (``_parse_plain``); any other capture, and any plain one that reader
+    declines or that fails a check, goes through the row loop, which alone
+    raises the errors above.
     """
     path = Path(path)
     if not path.exists():
@@ -202,7 +214,77 @@ def parse_flow_csv(path: str | Path, schema: FlowSchema) -> PacketTimeline:
         raise DataError(f"input file cannot be read: {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: byte {exc.start} is not valid UTF-8") from None
+    timeline = _parse_plain(text, schema)
+    return _parse_rows(text, path, schema) if timeline is None else timeline
 
+
+def _parse_plain(text: str, schema: FlowSchema) -> PacketTimeline | None:
+    """The row loop's timeline of a plain epoch capture, or None.
+
+    Plain means: no character of ``_NOT_PLAIN``, every ``\\r`` part of a
+    ``\\r\\n``, at least one data row, no line longer than the csv module's
+    field limit, and the header's cell count on every line (``usecols``
+    would hide extra cells), so no blank line.  The timestamp, label and
+    feature columns are read as float64 by ``np.loadtxt``, which rounds as
+    ``float()`` does; cells it refuses (``1_0``, non-ASCII digits) and any
+    value the row loop would refuse give None.  Attack names are read for
+    label-1 rows only, as the row loop does.
+    """
+    if (schema.timestamp_format != "epoch" or any(c in text for c in _NOT_PLAIN)
+            or text.count("\r") != text.count("\r\n")):
+        return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    if len(lines) < 2:
+        return None
+    header = lines[0].removesuffix("\r").split(",")
+    # A repeated name means its last column, as in csv.DictReader.
+    column = {name: i for i, name in enumerate(header)}
+    numeric = [schema.timestamp_column, schema.label_column, *schema.feature_columns]
+    attack = schema.attack_name_column
+    if (any(name not in column for name in numeric) or (attack and attack not in column)
+            or max(map(len, lines)) > csv.field_size_limit()
+            or {line.count(",") for line in lines} != {len(header) - 1}):
+        return None
+    usecols = sorted({column[name] for name in numeric})
+    try:
+        table = np.loadtxt(lines[1:], delimiter=",", usecols=usecols, dtype=np.float64,
+                           comments=None, ndmin=2)
+    except ValueError:
+        return None
+    at = [usecols.index(column[name]) for name in numeric]
+    stamps, labels = table[:, at[0]], table[:, at[1]]
+    features = table.take(at[2:], axis=1)
+    if not (np.isfinite(stamps).all() and np.isfinite(features).all()
+            and ((labels == 0) | (labels == 1)).all()):
+        return None
+    with np.errstate(over="ignore"):  # a span past float64 is inf, and refused below
+        seconds = np.floor(stamps - stamps[0])
+    if not ((np.diff(seconds) > 0).all() and seconds[-1] < 2.0**63):
+        return None
+    labels = labels.astype(np.int64)
+    codes = np.zeros(len(labels), np.int64)
+    names = [""]
+    if attack:
+        cell, attacked = column[attack], np.flatnonzero(labels)
+        cells = [lines[i].split(",", cell + 1)[cell].strip() for i in (attacked + 1).tolist()]
+        codes[attacked], names = _attack_codes(cells)
+    return PacketTimeline(seconds=seconds.astype(np.int64), features=features, labels=labels,
+                          feature_names=schema.feature_columns, attack_codes=codes,
+                          attack_names=names)
+
+
+def _attack_codes(attacks: list[str]) -> tuple[np.ndarray, list[str]]:
+    """Each attack's code into the sorted, unique names, which start with ``""``."""
+    # Sorted like Python strings: an object array never drops a trailing NUL.
+    names, codes = np.unique(np.array(["", *attacks], dtype=object), return_inverse=True)
+    return codes[1:], names.tolist()
+
+
+def _parse_rows(text: str, path: Path, schema: FlowSchema) -> PacketTimeline:
+    """The row loop of ``parse_flow_csv``: it reads any capture, and raises
+    every error that ``parse_flow_csv`` names."""
     with io.StringIO(text, newline="") as handle, _csv_errors(path):
         reader = csv.DictReader(handle, restval="")  # a short row's missing cells
         header = reader.fieldnames or []
@@ -265,15 +347,14 @@ def parse_flow_csv(path: str | Path, schema: FlowSchema) -> PacketTimeline:
             f"row {i + 2}: non-finite value {float(matrix[i, j])} in column "
             f"{schema.feature_columns[j]!r}"
         )
-    # Sorted like Python strings: an object array never drops a trailing NUL.
-    names, codes = np.unique(np.array(["", *attacks], dtype=object), return_inverse=True)
+    codes, names = _attack_codes(attacks)
     return PacketTimeline(
         seconds=seconds,
         features=matrix,
         labels=labels,
         feature_names=schema.feature_columns,
-        attack_codes=codes[1:],
-        attack_names=names.tolist(),
+        attack_codes=codes,
+        attack_names=names,
     )
 
 

@@ -111,6 +111,16 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def identical_timelines(a, b) -> bool:
+    """Equal names, and columns of equal dtype, layout and bytes."""
+    columns = ("seconds", "features", "labels", "attack_codes")
+    return (a.feature_names, a.attack_names) == (b.feature_names, b.attack_names) and all(
+        same_bits(getattr(a, c), getattr(b, c))
+        and getattr(a, c).flags.c_contiguous == getattr(b, c).flags.c_contiguous
+        for c in columns
+    )
+
+
 def three_attack_scenario(offset=3.0, feature_count=6):
     """Burst/periodic/ramp scenario with three segments per attack type.
 

@@ -12,14 +12,14 @@ from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from tspec import AttackSegment, SyntheticScenario
-from tspec import cli
+from tspec import AttackSegment, FlowSchema, SyntheticScenario
+from tspec import cli, ingest
 from tspec.cli import KEYS, main
 from tspec.spectrum import MAX_D_MODEL
-from tests.conftest import held_lock, scenario_to_dict
+from tests.conftest import held_lock, identical_timelines, scenario_to_dict
 
 
 def run(argv) -> tuple[int, str]:
@@ -652,8 +652,9 @@ def corrupt(path: Path, data) -> str:
 # timestamp asks for memory in proportion.  Non-finite values must be
 # refused, and a cell past the csv module's field limit too.
 CSV_CELLS = (
-    st.sampled_from(["", " ", "0", "1", "2", "-1", "0.5", "nan", "inf", "-inf", "1e400",
-                     "time", "label", "attack", "f0", "dos", "9" * 140_000])
+    st.sampled_from(["", " ", "0", "1", "2", "-1", "-0", "+1", "0.5", "1_0", "nan", "inf",
+                     "-inf", "1e400", "#x", "time", "label", "attack", "f0", "dos",
+                     "9" * 140_000])
     | st.integers(-5, 300).map(str)
     | st.floats(-100, 100).map(repr)
     | st.text(alphabet='0123456789.,:-"x \n', max_size=5)
@@ -662,10 +663,14 @@ CSV_CELLS = (
 
 def mutate_rows(rows: list[list[str]], data) -> None:
     """Apply one edit to a CSV's rows (row 0 is the header): replace a cell,
-    delete, repeat or insert a row, or cut or lengthen one."""
+    delete, repeat or insert a row, insert a blank line, or cut or lengthen
+    a row."""
     row = data.draw(st.sampled_from([0, 1, len(rows) - 1]) | st.integers(0, len(rows) - 1))
-    action = data.draw(st.sampled_from(["cell", "delete", "repeat", "insert", "cut", "extend"]))
-    if action == "cell" and rows[row]:
+    action = data.draw(st.sampled_from(["cell", "delete", "repeat", "insert", "blank", "cut",
+                                        "extend"]))
+    if action == "blank":
+        rows.insert(row, [])
+    elif action == "cell" and rows[row]:
         rows[row][data.draw(st.integers(0, len(rows[row]) - 1))] = data.draw(CSV_CELLS)
     elif action == "delete":
         del rows[row]
@@ -694,6 +699,23 @@ def test_fuzzed_flow_csv_exits_0_1_or_2(ws, edits, data):
         rc, err = run(["build-dataset", "--config", ws / "config.json", "--input", tmp / "flows.csv",
                        "--schema", ws / "raw" / "schema.json", "--out", tmp / "ds"])
         assert rc in (0, 1, 2), err
+
+
+@settings(FUZZ, max_examples=400)
+@given(edits=st.integers(1, 3), ending=st.sampled_from(["\n", "\r\n"]), data=st.data())
+def test_plain_csv_reader_agrees_with_the_row_loop(ws, edits, ending, data):
+    # Whenever numpy's text reader gives a timeline, the row loop gives the
+    # same one, column for column and bit for bit, and raises nothing.
+    rows = [line.split(",") for line in (ws / "raw" / "synthetic.csv").read_text().splitlines()]
+    for _ in range(edits):
+        if rows:
+            mutate_rows(rows, data)
+    text = "".join(",".join(r) + ending for r in rows)
+    schema = FlowSchema.from_json(ws / "raw" / "schema.json")
+    fast = ingest._parse_plain(text, schema)
+    event("numpy's reader" if fast is not None else "row loop")
+    if fast is not None:
+        assert identical_timelines(fast, ingest._parse_rows(text, Path("flows.csv"), schema))
 
 
 # file -> the commands that read it; "{d}" is the copied sspe dataset.

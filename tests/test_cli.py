@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from tspec import AttackSegment, SyntheticScenario
-from tspec import cli
+from tspec import cli, ingest
 from tspec.cli import KEYS, build_parser, main
 from tests.conftest import held_lock, scenario_to_dict
 
@@ -644,11 +644,60 @@ class TestWrongTypeJson:
         err = capsys.readouterr().err
         assert str(schema) in err and key in err
 
+    @pytest.mark.parametrize("name", [" dos", "dos\t", "\xa0dos", "\n"])
+    def test_scenario_name_with_outer_whitespace(self, tmp_path, capsys, name):
+        # A flow CSV's attack cells are read stripped: synth's CSV would name
+        # the attack differently from build-dataset --scenario.
+        scenario = self._scenario(tmp_path, segments=segments_with(3, name=name))
+        assert main(["synth", "--scenario", str(scenario), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert str(scenario) in err and f"segment 3: name {name!r}" in err
+        assert not (tmp_path / "x").exists()
+
     def test_sweep_ratios_number_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({"datasets": {"sspe": str(tmp_path)}, "ratios": 5}))
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 1
         assert "'ratios'" in capsys.readouterr().err
+
+
+class TestScenarioRoundTrip:
+    """``build-dataset --scenario`` and ``synth`` then ``build-dataset
+    --input`` write the same dataset, byte for byte."""
+
+    SHIPPED = Path(__file__).resolve().parents[1] / "scenarios" / "three_attacks.json"
+    QUOTED = {"dos": "dos, flood", "scan": 'scan "slow"', "creep": "creep\nramp"}
+
+    @pytest.mark.parametrize("renamed, reader", [(False, "numpy"), (True, "row loop")],
+                             ids=["shipped", "quoted-names"])
+    def test_same_dataset_either_way(self, tmp_path, monkeypatch, renamed, reader):
+        scenario = json.loads(self.SHIPPED.read_text())
+        if renamed:
+            for segment in scenario["segments"]:
+                segment["name"] = self.QUOTED[segment["name"]]
+        (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+        readers = []
+        plain = ingest._parse_plain
+
+        def spy(text, schema):
+            readers.append("row loop" if (timeline := plain(text, schema)) is None else "numpy")
+            return timeline
+
+        monkeypatch.setattr(ingest, "_parse_plain", spy)
+        build = ["build-dataset", "--method", "sspe", "--d-model", "8", "--window", "10",
+                 "--seed", "7"]
+        assert main(["synth", "--scenario", str(tmp_path / "scenario.json"), "--seed", "7",
+                     "--out", str(tmp_path / "raw")]) == 0
+        assert main([*build, "--input", str(tmp_path / "raw" / "synthetic.csv"),
+                     "--schema", str(tmp_path / "raw" / "schema.json"),
+                     "--out", str(tmp_path / "via_csv")]) == 0
+        assert main([*build, "--scenario", str(tmp_path / "scenario.json"),
+                     "--out", str(tmp_path / "direct")]) == 0
+        assert readers == [reader]
+        for name in ("dataset.npz", "dataset.json"):
+            assert (tmp_path / "via_csv" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
+        names = json.loads((tmp_path / "direct" / "dataset.json").read_text())["attack_names"]
+        assert set(names) == {"", *(segment["name"] for segment in scenario["segments"])}
 
 
 class TestInputData:

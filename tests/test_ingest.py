@@ -1,6 +1,7 @@
 """Ingestion tests: CSV parsing, gap filling, feature projection."""
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,14 @@ from tspec import (
     parse_flow_csv,
     select_features,
 )
-from tests.conftest import make_timeline, same_timeline, timeline_attacks, timeline_rows
+from tspec import ingest
+from tests.conftest import (
+    identical_timelines,
+    make_timeline,
+    same_timeline,
+    timeline_attacks,
+    timeline_rows,
+)
 from tests.oracles import fill_missing_points_oracle
 
 
@@ -157,6 +165,79 @@ class TestParse:
         timeline = parse_flow_csv(path, schema)
         assert timeline_attacks(timeline) == ("", "scan")  # normals carry no attack tag
         assert timeline.attack_names == ("", "scan")
+
+
+ATTACK_SCHEMA = FlowSchema(timestamp_column="time", label_column="label",
+                           feature_columns=("size", "rate"), attack_name_column="attack")
+PLAIN = "time,size,rate,label,attack\n100.5,74,1.5,0,\n101.75,208,2,1, scan \n103,66,0.5,1,dos\n"
+
+
+def row_loop(text, schema=ATTACK_SCHEMA):
+    """The row loop's timeline of ``text``, or its error message."""
+    try:
+        return ingest._parse_rows(text, Path("flows.csv"), schema)
+    except DataError as exc:
+        return str(exc)
+
+
+class TestPlainCaptures:
+    """numpy's text reader reads a plain epoch capture; anything else goes
+    through the row loop, whose timeline or error the reader must match."""
+
+    @pytest.mark.parametrize("text", [
+        PLAIN,
+        PLAIN.replace("\n", "\r\n"),
+        PLAIN.rstrip("\n"),  # no final line end
+        # Blanks around numbers, signs, exponents, a -0 label, and a repeated
+        # header name, which names its last column as csv.DictReader does.
+        "rate,time,size,rate,label,attack\nx, 1e2 ,\t+74,-1.5,-0,\n9,101.9,-0,2.5,1e0,a b\n",
+        "time,size,rate,label\n100,74,1.5,1\n",  # no attack column
+    ], ids=["lf", "crlf", "no-final-newline", "odd-cells", "no-attack-column"])
+    def test_plain_capture_gives_the_row_loops_timeline(self, text):
+        schema = ATTACK_SCHEMA if "attack" in text else FlowSchema("time", "label", ("size", "rate"))
+        fast = ingest._parse_plain(text, schema)
+        assert fast is not None
+        assert identical_timelines(fast, row_loop(text, schema))
+
+    @pytest.mark.parametrize("text", [
+        PLAIN.replace("74", '"74"'),  # quoted cell
+        PLAIN.replace("\n", "\r"),  # bare carriage returns
+        PLAIN.replace("\n101", "\n\n101"),  # blank line
+        PLAIN.replace("208", "2_08"),  # float() reads it, numpy does not
+        PLAIN.replace("208", "\u0662"),  # a non-ASCII digit, likewise
+        PLAIN.replace("208", "\x1c208"),  # numpy skips U+001C around a number, float() refuses it
+        PLAIN.replace("dos", "d\x00s"),
+        PLAIN.replace("dos", "dos,9"),  # a cell beyond the header
+        PLAIN.replace(",74,", ",,"),  # an empty feature cell
+        PLAIN.replace("101.75", "99"),  # a decreasing second
+        PLAIN.replace("101.75", "100.7"),  # a repeated second
+        PLAIN.replace("1.5", "nan"),
+        PLAIN.replace("103", "1e309"),
+        PLAIN.replace(",1,dos", ",2,dos"),
+        PLAIN.replace("time,", "when,"),  # a missing column
+        PLAIN.replace("dos", "9" * (csv.field_size_limit() + 1)),  # past csv's field limit
+        PLAIN.split("\n")[0] + "\n",  # no data row
+        "",
+    ], ids=["quoted", "bare-cr", "blank-line", "underscore", "arabic-digit", "separator",
+            "nul", "extra-cell", "empty-cell", "decreasing", "repeated", "nan", "overflow",
+            "label-2", "missing-column", "field-limit", "header-only", "empty"])
+    def test_other_captures_go_through_the_row_loop(self, tmp_path, text):
+        assert ingest._parse_plain(text, ATTACK_SCHEMA) is None
+        path = tmp_path / "flows.csv"
+        path.write_bytes(text.encode("utf-8"))
+        want = row_loop(text)
+        try:
+            got = parse_flow_csv(path, ATTACK_SCHEMA)
+        except DataError as exc:
+            assert str(exc) == want.replace("flows.csv", str(path))
+        else:
+            assert identical_timelines(got, want)
+
+    def test_clock_timestamps_go_through_the_row_loop(self):
+        schema = FlowSchema("time", "label", ("size", "rate"), "attack", "clock")
+        text = PLAIN.replace("100.5", "00:00:01").replace("101.75", "00:00:02").replace("103", "0:0:4")
+        assert ingest._parse_plain(text, schema) is None
+        assert row_loop(text, schema).seconds.tolist() == [0, 1, 3]
 
 
 class TestFill:
