@@ -309,7 +309,10 @@ def _figure_table(rows: list[EvalRow], metric: str) -> list[list]:
 
 
 def emit_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
-    """Write report.json plus per-figure and histogram CSVs; returns paths."""
+    """Write report.json plus per-figure and histogram CSVs; returns paths.
+
+    A figure or histogram CSV of an earlier report in ``out_dir`` that this
+    report has no rows for is removed; no other file is touched."""
     if not report.rows:
         raise DataError("refusing to emit an empty report")
     out_dir = Path(out_dir)
@@ -346,5 +349,10 @@ def emit_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
             for left, right, count in zip(edges[:-1], edges[1:], counts):
                 writer.writerow([repr(float(left)), repr(float(right)), int(count)])
         written.append(path)
+
+    own = [f"detection_{m}.csv" for m in DETECTION_METRIC_NAMES] + ["identification_accuracy.csv"]
+    own += [f"spectrum_hist_{method}.csv" for method in LABEL_METHODS]
+    for name in set(own) - {path.name for path in written}:
+        (out_dir / name).unlink(missing_ok=True)
     return written
 

@@ -155,7 +155,8 @@ def _parse_timestamp(raw: str, fmt: str, row: int) -> float:
         hours, minutes, seconds = (int(p) for p in parts)
     except ValueError:
         raise DataError(f"row {row}: unparsable clock timestamp {raw!r}") from None
-    if not (0 <= minutes < 60 and 0 <= seconds < 60 and 0 <= hours):
+    # Past about 5e304 hours the seconds exceed float64.
+    if not (0 <= minutes < 60 and 0 <= seconds < 60 and 0 <= hours < 10**304):
         raise DataError(f"row {row}: clock timestamp out of range {raw!r}")
     return float(hours * 3600 + minutes * 60 + seconds)
 
@@ -196,9 +197,9 @@ def parse_flow_csv(path: str | Path, schema: FlowSchema) -> PacketTimeline:
     Rows must be ordered by increasing timestamp, one row per second (after
     flooring); seconds are rebased so the first row sits at second 0.  A
     repeated second, a row with more cells than the header, any non-numeric
-    or non-finite feature cell, non-binary label, or unparsable timestamp
-    aborts the parse with the offending row number (1-based, counting the
-    header as row 1).
+    or non-finite feature cell, non-binary label, unparsable timestamp, or
+    timestamp 2**63 or more seconds from the first row's aborts the parse
+    with the offending row number (1-based, counting the header as row 1).
 
     A plain epoch capture is read column by column by numpy's text reader
     (``_parse_plain``); any other capture, and any plain one that reader
@@ -310,6 +311,11 @@ def _parse_rows(text: str, path: Path, schema: FlowSchema) -> PacketTimeline:
             ts = _parse_timestamp(row[schema.timestamp_column], schema.timestamp_format, row_no)
             if first_ts is None:
                 first_ts = ts
+            if not abs(ts - first_ts) < 2.0**63:  # also inf, past float64
+                raise DataError(
+                    f"row {row_no}: timestamp {ts!r} is {ts - first_ts!r} seconds from the "
+                    "first row's, outside the int64 range"
+                )
             second = int(np.floor(ts - first_ts))
             if seconds and second < seconds[-1]:
                 raise DataError(

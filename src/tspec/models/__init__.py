@@ -1,18 +1,20 @@
 """Desk-scale supervised models with deterministic training and JSON files.
 
-Each family is one entry of ``FAMILIES``: the tasks it supports, its default
-hyperparameters, how it fits and predicts, and how its learned parameters
-are written to and read from JSON.  Families: ``glm_binomial`` (logistic,
-classification only), ``glm_gaussian`` (ridge least squares, regression
-only), ``random_forest`` and ``gbm`` (both tasks).  Classification
-predictions are probabilities in [0, 1]; callers decide at 0.5.  Model files
-are versioned JSON carrying the spec and learned parameters; a save/load
-round trip reproduces predictions bit for bit.
+Each family is one entry of ``FAMILIES``: the tasks it supports, how it
+fits and predicts, and how its learned parameters are written to and read
+from JSON.  Each fits in one fixed configuration, the keyword defaults of
+its fit function in ``glm`` or ``ensembles``.  Families: ``glm_binomial``
+(logistic, classification only), ``glm_gaussian`` (ridge least squares,
+regression only), ``random_forest`` and ``gbm`` (both tasks).
+Classification predictions are probabilities in [0, 1]; callers decide at
+0.5.  Model files are versioned JSON carrying the spec (family, task and
+seed) and learned parameters; a save/load round trip reproduces
+predictions bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral, Real
 from pathlib import Path
 from typing import Callable
@@ -23,20 +25,16 @@ from ..errors import ConfigError, DataError, Range, read_field, read_json_object
 from . import ensembles, glm
 from .trees import NodeTable
 
-MODEL_FILE_VERSION = 3
+MODEL_FILE_VERSION = 4
 
 TASKS = ("classify", "regress")
 
-
-_AT_LEAST_0 = Range(0)
-_AT_LEAST_1 = Range(1)
-_POSITIVE = Range(0, open_low=True)
+_SPEC_KEYS = ("family", "task", "seed")
 
 
 @dataclass(frozen=True)
 class Family:
-    """One model family: its tasks, default hyperparameters and their valid
-    ranges, ``fit(X, y, task, hyperparameters, seed) -> parameters``,
+    """One model family: its tasks, ``fit(X, y, task, seed) -> parameters``,
     ``predict(parameters, X, task)``, and the parameters' JSON codec
     ``to_json(parameters)`` / ``from_json(data, feature_count)``.  Fit and
     predict look up the ``glm``/``ensembles`` functions when called, so
@@ -49,8 +47,6 @@ class Family:
     from one batch to another."""
 
     tasks: tuple[str, ...]
-    defaults: dict
-    ranges: dict
     fit: Callable
     predict: Callable
     to_json: Callable
@@ -93,9 +89,7 @@ def _table_from_json(data: dict, feature_count: int, *scalars: str) -> dict:
 FAMILIES = {
     "glm_binomial": Family(
         tasks=("classify",),
-        defaults={"l2": 1e-4, "max_iter": 50, "tol": 1e-8},
-        ranges={"l2": _AT_LEAST_0, "max_iter": _AT_LEAST_1, "tol": _AT_LEAST_0},
-        fit=lambda X, y, task, hp, seed: glm.fit_binomial(X, y, **hp),
+        fit=lambda X, y, task, seed: glm.fit_binomial(X, y),
         predict=lambda params, X, task: glm.predict_proba(params, X),
         to_json=_linear_to_json,
         from_json=_linear_from_json,
@@ -103,9 +97,7 @@ FAMILIES = {
     ),
     "glm_gaussian": Family(
         tasks=("regress",),
-        defaults={"ridge": 1e-6},
-        ranges={"ridge": _AT_LEAST_0},
-        fit=lambda X, y, task, hp, seed: glm.fit_gaussian(X, y, **hp),
+        fit=lambda X, y, task, seed: glm.fit_gaussian(X, y),
         predict=lambda params, X, task: glm.predict_linear(params, X),
         to_json=_linear_to_json,
         from_json=_linear_from_json,
@@ -113,9 +105,7 @@ FAMILIES = {
     ),
     "random_forest": Family(
         tasks=TASKS,
-        defaults={"n_trees": 25, "max_depth": 10},
-        ranges={"n_trees": _AT_LEAST_1, "max_depth": _AT_LEAST_0},
-        fit=lambda X, y, task, hp, seed: ensembles.forest_fit(X, y, task, seed=seed, **hp),
+        fit=lambda X, y, task, seed: ensembles.forest_fit(X, y, task, seed=seed),
         predict=lambda params, X, task: ensembles.forest_predict(params, X),
         to_json=_table_to_json,
         from_json=_table_from_json,
@@ -123,9 +113,7 @@ FAMILIES = {
     ),
     "gbm": Family(
         tasks=TASKS,
-        defaults={"n_trees": 50, "learning_rate": 0.1, "max_depth": 5},
-        ranges={"n_trees": _AT_LEAST_1, "learning_rate": _POSITIVE, "max_depth": _AT_LEAST_0},
-        fit=lambda X, y, task, hp, seed: ensembles.gbm_fit(X, y, task, **hp),
+        fit=lambda X, y, task, seed: ensembles.gbm_fit(X, y, task),
         predict=lambda params, X, task: ensembles.gbm_predict(params, X, task),
         to_json=lambda params: _table_to_json(params, "f0", "learning_rate"),
         from_json=lambda data, width: _table_from_json(data, width, "f0", "learning_rate"),
@@ -139,38 +127,16 @@ class ModelSpec:
     family: str
     task: str
     seed: int = 0
-    hyperparameters: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not isinstance(self.family, str) or self.family not in FAMILIES:
             raise ConfigError(f"unknown model family {self.family!r}")
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}")
-        family = FAMILIES[self.family]
-        if self.task not in family.tasks:
+        if self.task not in FAMILIES[self.family].tasks:
             raise ConfigError(
                 f"family {self.family!r} does not support task {self.task!r}"
             )
-        unknown = set(self.hyperparameters) - set(family.defaults)
-        if unknown:
-            raise ConfigError(
-                f"unknown hyperparameters for {self.family!r}: {sorted(unknown)}"
-            )
-        for key, value in self.hyperparameters.items():
-            # Each value must be of its default's kind, and a real one finite:
-            # a model file's hyperparameters are refit when the sweep noises
-            # training data, and an infinite l2 would stall the Newton solve.
-            kind = Integral if isinstance(family.defaults[key], int) else Real
-            problem = family.ranges[key].problem(value, kind)
-            if problem:
-                raise ConfigError(
-                    f"hyperparameter {key!r} of {self.family!r} must be {problem}, got {value!r}"
-                )
-
-    def resolved_hyperparameters(self) -> dict:
-        merged = dict(FAMILIES[self.family].defaults)
-        merged.update(self.hyperparameters)
-        return merged
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,9 +166,7 @@ def train(spec: ModelSpec, X, y) -> TrainedModel:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_training_data(spec, X, y)
-    params = FAMILIES[spec.family].fit(
-        X, y, spec.task, spec.resolved_hyperparameters(), spec.seed
-    )
+    params = FAMILIES[spec.family].fit(X, y, spec.task, spec.seed)
     return TrainedModel(spec=spec, feature_count=X.shape[1], parameters=params)
 
 
@@ -222,12 +186,7 @@ def predict(model: TrainedModel, X) -> np.ndarray:
 def save_model(model: TrainedModel, path: str | Path) -> None:
     payload = {
         "version": MODEL_FILE_VERSION,
-        "spec": {
-            "family": model.spec.family,
-            "task": model.spec.task,
-            "seed": model.spec.seed,
-            "hyperparameters": model.spec.resolved_hyperparameters(),
-        },
+        "spec": {key: getattr(model.spec, key) for key in _SPEC_KEYS},
         "feature_count": model.feature_count,
         "parameters": FAMILIES[model.spec.family].to_json(model.parameters),
     }
@@ -243,12 +202,14 @@ def load_model(path: str | Path) -> TrainedModel:
         if read_field(payload, "version", Integral) != MODEL_FILE_VERSION:
             raise ValueError(f"unsupported model file version {payload['version']}")
         spec_data = read_field(payload, "spec", dict)
-        feature_count = read_field(payload, "feature_count", Integral, _AT_LEAST_0)
+        unknown = sorted(set(spec_data) - set(_SPEC_KEYS))
+        if unknown:
+            raise ValueError(f"unknown spec keys {unknown}")
+        feature_count = read_field(payload, "feature_count", Integral, Range(0))
         spec = ModelSpec(
             family=read_field(spec_data, "family", str),
             task=read_field(spec_data, "task", str),
             seed=read_field(spec_data, "seed", Integral),
-            hyperparameters=read_field(spec_data, "hyperparameters", dict),
         )
         parameters = read_field(payload, "parameters", dict)
         return TrainedModel(spec, feature_count,

@@ -195,22 +195,23 @@ class TestRegressions:
 
     def test_detect_model_from_gradient_descent_fit(self, ws, tmp_path):
         # A glm_binomial file written before the Newton solver carries the
-        # gradient-descent hyperparameter learning_rate.
+        # gradient-descent hyperparameter learning_rate; a version-4 spec
+        # holds no hyperparameters at all.
         dataset = copy_dataset(ws, tmp_path)
         model = dataset / "models" / "detect" / "glm_binomial.json"
-        edit_json(model, lambda d: d["spec"]["hyperparameters"].update(learning_rate=0.1))
+        edit_json(model, lambda d: d["spec"].update(hyperparameters={"learning_rate": 0.1}))
         rc, err = run(sweep_args(tmp_path, dataset))
         assert rc == 2
-        assert str(model) in err and "'learning_rate'" in err
+        assert str(model) in err and "unknown spec keys ['hyperparameters']" in err
 
     def test_detect_model_with_out_of_range_hyperparameter(self, ws, tmp_path):
         # A negative l2 once fit all-zero weights when the sweep refit it.
         dataset = copy_dataset(ws, tmp_path)
         model = dataset / "models" / "detect" / "glm_binomial.json"
-        edit_json(model, lambda d: d["spec"]["hyperparameters"].update(l2=-1.0))
+        edit_json(model, lambda d: d["spec"].update(hyperparameters={"l2": -1.0}))
         rc, err = run(sweep_args(tmp_path, dataset))
         assert rc == 2
-        assert str(model) in err and "'l2' of 'glm_binomial' must be in [0, inf)" in err
+        assert str(model) in err and "unknown spec keys ['hyperparameters']" in err
 
     @pytest.mark.parametrize("d_model", [MAX_D_MODEL + 2, 10**7])
     def test_d_model_over_the_bound(self, ws, tmp_path, monkeypatch, d_model):
@@ -326,6 +327,25 @@ class TestRegressions:
         rc, err = self.build_from(ws, tmp_path, csv_path)
         assert rc == 2
         assert f"input file cannot be read: {csv_path}" in err and "Permission denied" in err
+
+    @pytest.mark.parametrize("fmt,first,last", [
+        ("epoch", "-1e308", "1e308"),
+        ("epoch", "1e308", "-1e308"),
+        ("epoch", "0", "1e19"),
+        ("clock", "00:00:00", "99999999999999999999:00:00"),
+    ])
+    def test_input_csv_timestamp_span_outside_int64(self, tmp_path, fmt, first, last):
+        # Each once ended in an OverflowError, exit 3.
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"timestamp_column": "time", "label_column": "label",
+                                      "feature_columns": ["x"], "timestamp_format": fmt}))
+        csv_path = tmp_path / "flows.csv"
+        csv_path.write_text(f"time,label,x\n{first},0,1.0\n{last},0,2.0\n")
+        rc, err = run(["build-dataset", "--input", csv_path, "--schema", schema, "--window", 1,
+                       "--out", tmp_path / "ds"])
+        assert rc == 2, err
+        assert "row 3: timestamp" in err and "outside the int64 range" in err
+        assert not (tmp_path / "ds").exists()
 
     def test_input_csv_cells_overflow_the_zscore(self, ws, tmp_path):
         # Cells near the float64 maximum once gave NaN features and exit 0.

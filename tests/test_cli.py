@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tspec import AttackSegment, SyntheticScenario
+from tspec import AttackSegment, SyntheticScenario, emit_report
 from tspec import cli, ingest
 from tspec.cli import KEYS, build_parser, main
 from tests.conftest import held_lock, scenario_to_dict
@@ -204,6 +204,31 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "r1")]) == 0
         assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "r2")]) == 0
         assert read_tree(tmp_path / "r1") == read_tree(tmp_path / "r2")
+
+    def test_rerun_removes_the_report_files_it_no_longer_writes(self, workspace, tmp_path,
+                                                                monkeypatch):
+        # The second run once left identification_accuracy.csv and
+        # spectrum_hist_coap.csv beside a report.json without their rows.
+        written = []
+
+        def emit(report, out_dir):
+            written.append(emit_report(report, out_dir))
+            return written[-1]
+
+        monkeypatch.setattr(cli, "emit_report", emit)
+        cfg = self._sweep_config(workspace, [0.0])
+        cfg["families"] = ["glm_binomial"]
+        cfg_path, out = tmp_path / "sweep.json", tmp_path / "rep"
+        for datasets, identify in ((("coap", "sspe"), ["glm_gaussian"]), (("sspe",), [])):
+            cfg.update(datasets={m: str(workspace / m) for m in datasets},
+                       identify_families=identify)
+            cfg_path.write_text(json.dumps(cfg))
+            assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert "identification_accuracy.csv" in {p.name for p in written[0]}
+        assert sorted(out.iterdir()) == sorted(written[1])
+        assert {p.name for p in written[1]} == {
+            "report.json", "spectrum_hist_sspe.csv",
+            *(f"detection_{m}.csv" for m in ("accuracy", "f1", "precision", "recall"))}
 
     def test_missing_models_exit_2(self, workspace, tmp_path):
         cfg = self._sweep_config(workspace, [0.0])

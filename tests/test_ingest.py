@@ -94,6 +94,14 @@ class TestParse:
         assert seconds == [0, 1, 2, 3, 4, 5, 8, 12, 13]
         assert max(seconds) - min(seconds) + 1 == 14
 
+    def test_clock_hours_past_float64_names_row(self, tmp_path):
+        # Once an OverflowError converting the seconds to a float.
+        path = write_csv(tmp_path / "flows.csv", ["time", "size", "label"],
+                         [["00:00:00", 1, 0], [f"{10**400}:00:00", 2, 0]])
+        schema = FlowSchema("time", "label", ("size",), timestamp_format="clock")
+        with pytest.raises(DataError, match="row 3: clock timestamp out of range"):
+            parse_flow_csv(path, schema)
+
     def test_missing_file(self, tmp_path, basic_schema):
         with pytest.raises(DataError, match="not found"):
             parse_flow_csv(tmp_path / "absent.csv", basic_schema)

@@ -1,5 +1,6 @@
 """Model tests: GLM fits, tree ensembles, determinism, JSON round trips."""
 
+import inspect
 import json
 import re
 
@@ -53,37 +54,22 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="unknown model family"):
             ModelSpec(["gbm"], "classify")
 
-    def test_unknown_hyperparameter(self):
-        with pytest.raises(ConfigError):
-            ModelSpec("gbm", "classify", hyperparameters={"depth": 3})
-
-    @pytest.mark.parametrize("value", ["3", 2.5, True, None])
-    def test_integer_hyperparameter_of_wrong_kind(self, value):
-        with pytest.raises(ConfigError, match="n_trees"):
-            ModelSpec("random_forest", "classify", hyperparameters={"n_trees": value})
-
-    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 10**400])
-    def test_real_hyperparameter_must_be_a_finite_float(self, value):
-        with pytest.raises(ConfigError, match="'l2' .* must be a finite number"):
-            ModelSpec("glm_binomial", "classify", hyperparameters={"l2": value})
-
-    def test_real_hyperparameter_accepts_an_integer(self):
-        spec = ModelSpec("gbm", "classify", hyperparameters={"learning_rate": 1, "n_trees": 3})
-        assert spec.resolved_hyperparameters()["learning_rate"] == 1
-        with pytest.raises(ConfigError, match="learning_rate"):
-            ModelSpec("gbm", "classify", hyperparameters={"learning_rate": "0.1"})
-
-    def test_gradient_descent_hyperparameter_is_gone(self):
-        with pytest.raises(ConfigError, match="learning_rate"):
-            ModelSpec("glm_binomial", "classify", hyperparameters={"learning_rate": 0.1})
-
     def test_default_hyperparameters(self):
-        hp = ModelSpec("glm_binomial", "classify").resolved_hyperparameters()
-        assert hp == {"l2": 1e-4, "max_iter": 50, "tol": 1e-8}
-        hp = ModelSpec("random_forest", "classify").resolved_hyperparameters()
-        assert hp == {"n_trees": 25, "max_depth": 10}
-        hp = ModelSpec("gbm", "regress").resolved_hyperparameters()
-        assert hp["n_trees"] == 50 and hp["max_depth"] == 5
+        # Every family trains with its fit function's keyword defaults, the
+        # fixed configuration that README "Models" lists.
+        def defaults(fit):
+            return {name: p.default for name, p in inspect.signature(fit).parameters.items()
+                    if p.default is not inspect.Parameter.empty}
+
+        assert defaults(glm.fit_binomial) == {"l2": 1e-4, "max_iter": 50, "tol": 1e-8}
+        assert defaults(glm.fit_gaussian) == {"ridge": 1e-6}
+        assert defaults(ensembles.forest_fit) == {"n_trees": 25, "max_depth": 10, "seed": 0}
+        assert defaults(ensembles.gbm_fit) == {"n_trees": 50, "learning_rate": 0.1, "max_depth": 5}
+        X, y = separable_problem(n=60)
+        forest = train(ModelSpec("random_forest", "classify"), X, y).parameters
+        gbm = train(ModelSpec("gbm", "regress"), X, y).parameters
+        assert forest["trees"].roots.size == 25
+        assert (gbm["trees"].roots.size, gbm["learning_rate"]) == (50, 0.1)
 
 
 class TestGlmGaussian:
@@ -96,9 +82,7 @@ class TestGlmGaussian:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(60, 4))
         y = X @ np.array([1.0, -2.0, 0.5, 3.0]) + rng.normal(size=60)
-        spec = ModelSpec("glm_gaussian", "regress", hyperparameters={"ridge": 0.0})
-        model = train(spec, X, y)
-        residuals = y - predict(model, X)
+        residuals = y - glm.predict_linear(glm.fit_gaussian(X, y, ridge=0.0), X)
         assert np.abs(X.T @ residuals).max() <= 1e-6
         assert abs(residuals.sum()) <= 1e-6  # intercept column too
 
@@ -368,7 +352,8 @@ class TestFamilyTable:
         save_model(model, path)
         loaded = load_model(path)
         assert (loaded.spec.family, loaded.spec.task) == (family, task)
-        assert loaded.spec.resolved_hyperparameters() == FAMILIES[family].defaults
+        assert loaded.spec == model.spec
+        assert json.loads(path.read_text())["spec"] == {"family": family, "task": task, "seed": 6}
         assert loaded.feature_count == 3
         before, after = predict(model, probe), predict(loaded, probe)
         assert before.shape == (40,) and np.array_equal(before, after)
@@ -395,9 +380,9 @@ class TestFamilyTable:
         assert calls == [name for _, name in FAMILY_CALLS[family]]
 
 
-# (family, hyperparameter, value) outside its range: each one trained
-# before ranges were checked, into all-zero weights (l2 < 0), every Newton
-# step (tol < 0) or no trees.
+# (family, hyperparameter, value) outside its range: a model file that set
+# one once refit, when the sweep noised training data, into all-zero weights
+# (l2 < 0), every Newton step (tol < 0) or no trees.
 OUT_OF_RANGE = [
     ("glm_binomial", "l2", -1.0),
     ("glm_binomial", "tol", -1e-8),
@@ -424,38 +409,37 @@ AT_THE_EDGE = [
     ("gbm", "max_depth", 0),
 ]
 
+# What loading says of a model file whose spec holds hyperparameters.
+SPEC_WITH_HYPERPARAMETERS = re.escape("unknown spec keys ['hyperparameters']")
+
+# Each family's fit function, called with a keyword the family table never passes.
+FIT = {
+    "glm_binomial": lambda X, y, task, **kw: glm.fit_binomial(X, y, **kw),
+    "glm_gaussian": lambda X, y, task, **kw: glm.fit_gaussian(X, y, **kw),
+    "random_forest": ensembles.forest_fit,
+    "gbm": ensembles.gbm_fit,
+}
+
 
 class TestHyperparameterRanges:
-    def test_every_default_has_a_range_it_lies_in(self):
-        for entry in FAMILIES.values():
-            assert set(entry.ranges) == set(entry.defaults)
-            for key, value in entry.defaults.items():
-                assert value in entry.ranges[key]
-
-    @pytest.mark.parametrize("family,key,value", OUT_OF_RANGE)
-    def test_out_of_range_is_a_config_error(self, family, key, value):
-        task = FAMILIES[family].tasks[0]
-        X, y, _ = family_problem(task)
-        with pytest.raises(ConfigError, match=f"{key!r} of {family!r} must be in"):
-            train(ModelSpec(family, task, hyperparameters={key: value}), X, y)
-
     @pytest.mark.parametrize("family,key,value", AT_THE_EDGE)
     def test_edge_values_fit_finite_models(self, family, key, value):
         for task in FAMILIES[family].tasks:
             X, y, probe = family_problem(task)
-            model = train(ModelSpec(family, task, hyperparameters={key: value}), X, y)
-            assert np.isfinite(predict(model, probe)).all()
+            params = FIT[family](X, y, task, **{key: value})
+            assert np.isfinite(FAMILIES[family].predict(params, probe, task)).all()
 
     @pytest.mark.parametrize("family,key,value", OUT_OF_RANGE)
     def test_model_file_out_of_range_names_the_file(self, family, key, value, tmp_path):
+        # A model file holds no hyperparameters, so one that sets any is refused.
         task = FAMILIES[family].tasks[0]
         X, y, _ = family_problem(task)
         path = tmp_path / "m.json"
         save_model(train(ModelSpec(family, task), X, y), path)
         payload = json.loads(path.read_text())
-        payload["spec"]["hyperparameters"][key] = value
+        payload["spec"]["hyperparameters"] = {key: value}
         path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match=f"{key!r} of {family!r} must be in") as info:
+        with pytest.raises(DataError, match=SPEC_WITH_HYPERPARAMETERS) as info:
             load_model(path)
         assert str(path) in str(info.value)
 
@@ -531,9 +515,15 @@ MALFORMED_PARAMETERS = {
     "version 1": ("random_forest", lambda p: p.update(version=1),
                   "unsupported model file version 1"),
     # A version-2 GBM file also named its unused row subsample.
-    "version 2": ("gbm", lambda p: (p.update(version=2),
-                                    p["spec"]["hyperparameters"].update(subsample=1.0)),
+    "version 2": ("gbm", lambda p: (p.update(version=2), p["spec"].update(hyperparameters={
+                      "n_trees": 50, "learning_rate": 0.1, "max_depth": 5, "subsample": 1.0})),
                   "unsupported model file version 2"),
+    # A version-3 file held every hyperparameter in its spec.
+    "version 3": ("glm_binomial", lambda p: (p.update(version=3), p["spec"].update(
+                      hyperparameters={"l2": 1e-4, "max_iter": 50, "tol": 1e-8})),
+                  "unsupported model file version 3"),
+    "spec key unknown": ("random_forest", lambda p: p["spec"].update(n_trees=25, depth=10),
+                         "unknown spec keys ['depth', 'n_trees']"),
 }
 
 
@@ -612,21 +602,23 @@ class TestModelFileChecks:
 
     def test_hyperparameter_of_wrong_kind(self, tmp_path):
         path = self._saved(tmp_path, "random_forest")
-        with pytest.raises(DataError, match="n_trees"):
-            self._load_edited(path, lambda p: p["spec"]["hyperparameters"].update(n_trees="a"))
+        with pytest.raises(DataError, match=SPEC_WITH_HYPERPARAMETERS):
+            self._load_edited(path, lambda p: p["spec"].update(hyperparameters={"n_trees": "a"}))
 
     def test_gradient_descent_model_file(self, tmp_path):
-        # Written before the Newton solver: learning_rate is no longer a
-        # glm_binomial hyperparameter.
+        # Written before the Newton solver, with the gradient-descent
+        # learning_rate among its hyperparameters.
         path = self._saved(tmp_path, "glm_binomial")
-        with pytest.raises(DataError, match="learning_rate") as info:
-            self._load_edited(path, lambda p: p["spec"]["hyperparameters"].update(learning_rate=0.1))
+        with pytest.raises(DataError, match=SPEC_WITH_HYPERPARAMETERS) as info:
+            self._load_edited(path, lambda p: p["spec"].update(
+                hyperparameters={"l2": 1e-4, "learning_rate": 0.1}))
         assert str(path) in str(info.value)
 
     def test_infinite_real_hyperparameter(self, tmp_path):
         path = self._saved(tmp_path, "glm_binomial")
-        path.write_text(path.read_text().replace('"l2": 0.0001', '"l2": Infinity'))
-        with pytest.raises(DataError, match="'l2' .* must be a finite number"):
+        text = path.read_text().replace('"seed": 1', '"hyperparameters": {"l2": Infinity}, "seed": 1')
+        path.write_text(text)
+        with pytest.raises(DataError, match=SPEC_WITH_HYPERPARAMETERS):
             load_model(path)
 
     def test_infinite_seed(self, tmp_path):

@@ -25,8 +25,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tspec import (ModelSpec, SyntheticScenario, cli, derive_seed, generate_synthetic,
-                   load_model, predict, processes, save_model, train)
+from tspec import (ModelSpec, SyntheticScenario, TrainedModel, cli, derive_seed,
+                   generate_synthetic, load_model, predict, processes, save_model)
 from tspec.models import ensembles, trees
 from tspec.models.ensembles import forest_fit, gbm_fit
 from tspec.models.glm import _sigmoid
@@ -205,9 +205,9 @@ def test_thresholds_between_features_near_the_float64_maximum(tmp_path):
     # every row left and leaves a NaN leaf mean, and the file would not load.
     X = np.array([[1.6e308], [1.7e308], [1.65e308], [1.62e308]])
     y = np.array([0.0, 1.0, 1.0, 0.0])
-    spec = ModelSpec("random_forest", "classify", hyperparameters={"n_trees": 1})
-    model = train(spec, X, y)  # RuntimeWarnings are errors in this suite
-    tree = model.parameters["trees"]
+    params = forest_fit(X, y, "classify", n_trees=1)  # RuntimeWarnings are errors
+    model = TrainedModel(ModelSpec("random_forest", "classify"), 1, params)
+    tree = params["trees"]
     assert tree.roots.tolist() == [0]
     assert np.isfinite(tree.value).all()
     splits = tree.threshold[tree.feature >= 0]
