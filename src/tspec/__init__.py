@@ -57,7 +57,6 @@ from .ingest import (
 from .models import ModelSpec, TrainedModel, load_model, predict, save_model, train
 from .seeds import derive_seed, rng_for
 from .spectrum import (
-    ThresholdSpec,
     binarize,
     coap_values,
     compute_threshold,

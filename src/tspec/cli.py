@@ -20,7 +20,7 @@ import os
 import signal
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -44,7 +44,6 @@ from .errors import (
     PipelineError,
     Range,
     atomic_write,
-    read_field,
     read_json_object,
     write_json,
 )
@@ -62,15 +61,7 @@ from .identify import build_registry, load_registry, save_registry
 from .ingest import FlowSchema, fill_missing_points, nonconstant_features, parse_flow_csv, select_features
 from .models import FAMILIES, ModelSpec, load_model, predict, save_model, train
 from .seeds import derive_seed
-from .spectrum import (
-    LABEL_METHODS,
-    THRESHOLD_MODES,
-    ThresholdSpec,
-    check_d_model,
-    compute_threshold,
-    is_spectrum_method,
-    proportional_positive_count,
-)
+from .spectrum import LABEL_METHODS, check_d_model, is_spectrum_method
 
 _TASK_MAP = {"detect": "classify", "identify": "regress"}
 
@@ -124,8 +115,6 @@ KEYS = {
     "task": Key("choice", "detect", tuple(_TASK_MAP), ("train",), help="model task"),
     "families": Key("names", ["glm_binomial", "random_forest", "gbm"], tuple(FAMILIES),
                     ("train", "sweep"), help="comma-separated model families"),
-    "threshold_mode": Key("choice", "rank-default", THRESHOLD_MODES, ("train",),
-                          help="how the detection threshold ranks spectrum values"),
     "identify_families": Key("names", [], tuple(FAMILIES), ("sweep",),
                              help="comma-separated regression families to identify with"),
     "ratios": Key("reals", [i / 10 for i in range(11)], Range(0, 1), ("sweep",),
@@ -367,8 +356,11 @@ def _load_split(dataset_dir: Path) -> tuple[Dataset, Dataset, Dataset]:
     return ds, ds.take(np.flatnonzero(~test)), ds.take(np.flatnonzero(test))
 
 
-def _threshold_path(dataset_dir: Path) -> Path:
-    return dataset_dir / "threshold.json"
+def _refuse_baseline(command: str, dataset_dir: Path, method: str):
+    """A ``ConfigError`` unless the dataset has spectrum labels to identify by."""
+    if not is_spectrum_method(method):
+        raise ConfigError(f"{command} needs a coap or sspe dataset, but the dataset "
+                          f"under {dataset_dir} has method {method!r}")
 
 
 def cmd_train(cfg: dict) -> int:
@@ -379,41 +371,19 @@ def cmd_train(cfg: dict) -> int:
     ]
 
     _, train_ds, _ = _load_split(dataset_dir)
-    method = train_ds.provenance["method"]
-    labels, threshold = train_ds.spectrum_labels, None
     if task == "detect":
-        if is_spectrum_method(method):
-            fraction = float(train_ds.provenance["attack_bit_fraction"])
-            n1 = proportional_positive_count(len(train_ds), fraction)
-            threshold = compute_threshold(train_ds.spectrum_labels, n1, cfg["threshold_mode"])
-        labels = detection_truth(method, train_ds, threshold)
+        labels = detection_truth(train_ds, train_ds)
+    else:
+        _refuse_baseline("train --task identify", dataset_dir, train_ds.provenance["method"])
+        labels = train_ds.spectrum_labels
 
     model_root = (cfg["out"] or dataset_dir) / "models" / task
     with _output_lock(model_root):
-        if threshold is not None:
-            with _output_lock(dataset_dir):
-                write_json(_threshold_path(dataset_dir), asdict(threshold))
         for spec in specs:
             path = model_root / f"{spec.family}.json"
             save_model(train(spec, train_ds.features, labels), path)
             print(f"train: {spec.family} ({task}) -> {path}")
     return 0
-
-
-def _load_threshold(dataset_dir: Path) -> ThresholdSpec:
-    path = _threshold_path(dataset_dir)
-    if not path.exists():
-        raise DataError(f"no fitted threshold found at {path}; run train --task detect first")
-    data = read_json_object(path, DataError, "threshold")
-    try:
-        return ThresholdSpec(
-            tau=read_field(data, "tau", Real),
-            mode=read_field(data, "mode", str),
-            n1=read_field(data, "n1", Integral),
-            n=read_field(data, "n", Integral),
-        )
-    except (ConfigError, ValueError) as exc:  # ConfigError: an unknown mode, n1 outside [0, n]
-        raise DataError(f"{path}: {exc}") from None
 
 
 def _load_model_for(path: Path, task: str, width: int):
@@ -438,8 +408,6 @@ def cmd_sweep(cfg: dict) -> int:
                 f"dataset under {dataset_dir} was built with method "
                 f"{train_ds.provenance['method']!r}, not {method!r}"
             )
-        spectrum = is_spectrum_method(method)
-        threshold = _load_threshold(dataset_dir) if spectrum else None
         models = dataset_dir / "models"
         width = train_ds.features.shape[1]
         detect_models = {
@@ -447,7 +415,7 @@ def cmd_sweep(cfg: dict) -> int:
             for family in cfg["families"]
         }
         regress_models = {}
-        if spectrum:
+        if is_spectrum_method(method):
             regress_models = {
                 family: _load_model_for(models / "identify" / f"{family}.json", "identify", width)
                 for family in cfg["identify_families"]
@@ -455,7 +423,6 @@ def cmd_sweep(cfg: dict) -> int:
         methods[method] = MethodArtifacts(
             train=train_ds,
             test=test_ds,
-            threshold=threshold,
             detect_models=detect_models,
             regress_models=regress_models,
         )
@@ -488,11 +455,11 @@ def cmd_identify(cfg: dict) -> int:
 
     full, train_ds, test_ds = _load_split(dataset_dir)
     method, d_model = full.provenance["method"], full.provenance.get("d_model")
+    _refuse_baseline("identify", dataset_dir, method)
     model_path = cfg["model"]
     if not model_path:
         family = (cfg["identify_families"] or ["glm_gaussian"])[0]
         model_path = dataset_dir / "models" / "identify" / f"{family}.json"
-    # Checked before the registry is written: a refused run writes nothing.
     model = _load_model_for(model_path, "identify", test_ds.features.shape[1])
 
     if cfg["make_registry"]:
@@ -500,9 +467,8 @@ def cmd_identify(cfg: dict) -> int:
         signatures = build_registry(
             labels_by_attack(portion), bins=cfg["identify_bins"], method=method, d_model=d_model
         )
-        save_registry(signatures, registry_path)
-
-    signatures = load_registry(registry_path)
+    else:
+        signatures = load_registry(registry_path)
     for sig in signatures:
         if (sig.method, sig.d_model) != (method, d_model):
             raise DataError(
@@ -528,7 +494,10 @@ def cmd_identify(cfg: dict) -> int:
             for res, want in zip(results, truth)
         ],
     }
+    # Written only now, and under the lock: a refused run writes nothing.
     with _output_lock(out):
+        if cfg["make_registry"]:
+            save_registry(signatures, registry_path)
         write_json(out / "identification.json", payload)
     print(f"identify: accuracy {accuracy:.4f} over {len(results)} segments -> {out}")
     return 0

@@ -21,7 +21,13 @@ from .identify import IdentificationResult, SpectrumSignature, build_registry, i
 from .models import FAMILIES, TrainedModel, predict, train
 from .processes import _map_in_processes
 from .seeds import derive_seed
-from .spectrum import LABEL_METHODS, ThresholdSpec, binarize, is_spectrum_method
+from .spectrum import (
+    LABEL_METHODS,
+    binarize,
+    compute_threshold,
+    is_spectrum_method,
+    proportional_positive_count,
+)
 
 REPORT_SCHEMA_VERSION = 2
 DETECTION_METRIC_NAMES = ("accuracy", "precision", "recall", "f1")
@@ -123,7 +129,6 @@ class MethodArtifacts:
 
     train: Dataset
     test: Dataset
-    threshold: ThresholdSpec | None = None
     detect_models: dict[str, TrainedModel] = field(default_factory=dict)
     regress_models: dict[str, TrainedModel] = field(default_factory=dict)
 
@@ -140,14 +145,16 @@ class SweepConfig:
     config_echo: dict = field(default_factory=dict)
 
 
-def detection_truth(method: str, ds: Dataset, threshold: ThresholdSpec | None) -> np.ndarray:
-    """Detection labels of a split under one method: the stored window labels
-    for the baseline, or the train-fitted cutoff applied to the spectrum."""
-    if not is_spectrum_method(method):
+def detection_truth(train: Dataset, ds: Dataset) -> np.ndarray:
+    """Detection labels of ``ds`` under its label method: the stored window
+    labels for the baseline; for COAP and SSPE, its spectrum values binarized
+    at the rank cutoff of the training split ``train``, the one that marks
+    as many of ``train``'s windows as its attack-bit fraction asks for."""
+    if not is_spectrum_method(train.provenance["method"]):
         return ds.binary_labels
-    if threshold is None:
-        raise DataError(f"method {method!r} needs a fitted threshold for detection")
-    return binarize(ds.spectrum_labels, threshold)
+    fraction = float(train.provenance["attack_bit_fraction"])
+    n1 = proportional_positive_count(len(train), fraction)
+    return binarize(ds.spectrum_labels, compute_threshold(train.spectrum_labels, n1))
 
 
 def _histogram_summary(ds: Dataset, bins: int = 50) -> dict | None:
@@ -197,8 +204,8 @@ def run_noise_sweep(cfg: SweepConfig) -> EvalReport:
         if summary is not None:
             histograms[method] = summary
         truths[method] = (
-            detection_truth(method, art.test, art.threshold),
-            detection_truth(method, art.train, art.threshold),
+            detection_truth(art.train, art.test),
+            detection_truth(art.train, art.train),
         )
         tasks = [("detect", art.detect_models)]
         if art.regress_models and is_spectrum_method(method):

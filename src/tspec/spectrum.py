@@ -13,12 +13,11 @@ over its (W,) attack bits, where ``position_weights`` gives ``w``:
 
 Binarization back to {0,1} uses a rank threshold over the spectrum values so
 that the positive fraction matches the attack proportion of the underlying
-packets (see ``compute_threshold`` for the two supported modes).
+packets (see ``compute_threshold``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
@@ -36,7 +35,6 @@ MAX_D_MODEL = 65_536
 # most 8 MB of rows, whatever the window length.
 _ENCODING_BLOCK = 2**20
 
-THRESHOLD_MODES = ("rank-default", "as-paper")
 LABEL_METHODS = ("baseline", "coap", "sspe")
 
 
@@ -53,22 +51,6 @@ def check_d_model(d_model) -> int:
     if Range(2, MAX_D_MODEL).problem(d_model, Integral) or d_model % 2:
         raise ConfigError(f"d_model must be an even integer in [2, {MAX_D_MODEL}], got {d_model!r}")
     return int(d_model)
-
-
-@dataclass(frozen=True)
-class ThresholdSpec:
-    """Binarization cutoff plus the rank bookkeeping that produced it."""
-
-    tau: float
-    mode: str
-    n1: int
-    n: int
-
-    def __post_init__(self):
-        if self.mode not in THRESHOLD_MODES:
-            raise ConfigError(f"threshold mode must be one of {THRESHOLD_MODES}, got {self.mode!r}")
-        if not 0 <= self.n1 <= self.n:
-            raise ConfigError(f"need 0 <= n1 <= n, got n1={self.n1}, n={self.n}")
 
 
 def encoding_matrix(stop: int, d_model: int, start: int = 0) -> np.ndarray:
@@ -130,38 +112,22 @@ def proportional_positive_count(n_windows: int, attack_bit_fraction: float) -> i
     return int(round(n_windows * attack_bit_fraction))
 
 
-def compute_threshold(spectrum_labels, n1: int, mode: str = "rank-default") -> ThresholdSpec:
-    """Pick the binarization cutoff from a spectrum-value sequence.
-
-    ``rank-default`` takes the n1-th largest value, so (ties aside) exactly
-    n1 values binarize to 1 and the positive fraction equals n1/n.  With
-    n1 = 0 the cutoff is max + 1 and everything binarizes to 0.
-
-    ``as-paper`` is the literal nearest-rank percentile of the ascending
-    sequence at n1/n * 100, i.e. the n1-th *smallest* value (rank clamped to
-    at least 1).  On all-distinct values that marks n - max(1, n1) + 1
-    positives -- the complement-plus-one of the default mode -- since
-    everything at or above the n1-th smallest clears the cutoff.
-    """
+def compute_threshold(spectrum_labels, n1: int) -> float:
+    """The binarization cutoff of a spectrum-value sequence: its n1-th
+    largest value, so (ties aside) exactly n1 values binarize to 1 and the
+    positive fraction equals n1/n.  With n1 = 0 the cutoff is max + 1 and
+    everything binarizes to 0."""
     values = np.asarray(spectrum_labels, dtype=np.float64)
     if values.ndim != 1 or values.size == 0:
         raise DataError("spectrum label sequence must be a non-empty 1-D vector")
     n = values.size
     if not 0 <= n1 <= n:
         raise ConfigError(f"need 0 <= n1 <= {n}, got {n1}")
-
     ascending = np.sort(values)
-    if mode == "rank-default":
-        tau = float(ascending[-1] + 1.0) if n1 == 0 else float(ascending[n - n1])
-    else:
-        # Nearest-rank index for percentile 100*n1/n over n values is n1 itself.
-        rank = max(1, n1)
-        tau = float(ascending[rank - 1])
-    return ThresholdSpec(tau=tau, mode=mode, n1=n1, n=n)  # refuses an unknown mode
+    return float(ascending[-1] + 1.0) if n1 == 0 else float(ascending[n - n1])
 
 
-def binarize(spectrum_labels, spec: ThresholdSpec) -> np.ndarray:
-    """1 where the spectrum value clears the cutoff, else 0."""
+def binarize(spectrum_labels, tau: float) -> np.ndarray:
+    """1 where the spectrum value clears the cutoff ``tau``, else 0."""
     values = np.asarray(spectrum_labels, dtype=np.float64)
-    return (values >= spec.tau).astype(np.int64)
-
+    return (values >= tau).astype(np.int64)

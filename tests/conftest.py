@@ -17,11 +17,9 @@ from tspec import (
     ModelSpec,
     PacketTimeline,
     SyntheticScenario,
-    binarize,
     assemble_dataset,
-    compute_threshold,
     derive_seed,
-    proportional_positive_count,
+    detection_truth,
     split_dataset,
     train,
     zscore_apply,
@@ -182,7 +180,7 @@ def method_artifacts(
     d_model=8,
     test_fraction=0.3,
 ):
-    """Window, label, standardize, threshold, and train one method's models,
+    """Window, label, standardize, and train one method's models,
     mirroring the CLI's build-dataset + train steps in memory."""
     ds = assemble_dataset(
         timeline, window, 1, method, d_model if method == "sspe" else None
@@ -193,13 +191,7 @@ def method_artifacts(
     train_ds = standardized.take(np.flatnonzero(~test))
     test_ds = standardized.take(np.flatnonzero(test))
 
-    threshold = None
-    if method == "baseline":
-        labels = train_ds.binary_labels
-    else:
-        n1 = proportional_positive_count(len(train_ds), ds.provenance["attack_bit_fraction"])
-        threshold = compute_threshold(train_ds.spectrum_labels, n1)
-        labels = binarize(train_ds.spectrum_labels, threshold)
+    labels = detection_truth(train_ds, train_ds)
 
     detect_models = {
         fam: train(
@@ -220,7 +212,6 @@ def method_artifacts(
     return MethodArtifacts(
         train=train_ds,
         test=test_ds,
-        threshold=threshold,
         detect_models=detect_models,
         regress_models=regress_models,
     )

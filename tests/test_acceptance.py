@@ -36,7 +36,7 @@ from tspec import (
 )
 from tspec.cli import main as cli_main
 from tests.conftest import dataset_tags, method_artifacts, scenario_to_dict, three_attack_scenario
-from tests.oracles import sspe_brute_force
+from tests.oracles import ascending_percentile_oracle, sspe_brute_force
 from tests.test_cli import cli_scenario, read_tree
 
 GRID_D_MODELS = (2, 4, 8, 16, 32, 64, 128, 236, 256)
@@ -193,17 +193,16 @@ def test_c03_threshold_proportion_both_modes():
     assert np.unique(values).size == 10000
     n1 = 2000
 
-    default_spec = compute_threshold(values, n1, "rank-default")
-    default_count = int(binarize(values, default_spec).sum())
-    literal_spec = compute_threshold(values, n1, "as-paper")
-    literal_count = int(binarize(values, literal_spec).sum())
-    expected_literal = 10000 - n1 + 1  # documented complement of the default mode
+    default_count = int(binarize(values, compute_threshold(values, n1)).sum())
+    # The paper's literal percentile marks the complement of n1, plus one.
+    literal_count = int(binarize(values, ascending_percentile_oracle(values, n1)).sum())
+    expected_literal = 10000 - n1 + 1
 
     ok = default_count == n1 and literal_count == expected_literal
     report_line(
         "C3 threshold proportion",
         ok,
-        f"rank-default marks {default_count} == {n1}; as-paper marks {literal_count} == {expected_literal}",
+        f"rank threshold marks {default_count} == {n1}; literal percentile marks {literal_count} == {expected_literal}",
     )
     assert default_count == n1
     assert literal_count == expected_literal
@@ -354,7 +353,7 @@ def test_c09_full_pipeline_byte_determinism(tmp_path):
     report_line(
         "C9 byte-identical reruns",
         same_bytes,
-        f"{len(first)} artifact files (dataset, threshold, models, report) compared equal",
+        f"{len(first)} artifact files (dataset, models, report) compared equal",
     )
     assert same_names
     assert same_bytes

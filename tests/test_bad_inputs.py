@@ -1,7 +1,7 @@
-"""Bad inputs through ``tspec.cli.main``: config files, thresholds, dataset
-sidecars, registries and model files that are well-formed JSON but hold
-wrong keys, types or values end in exit 1 (config) or 2 (data), with the
-file named, and never in exit 3."""
+"""Bad inputs through ``tspec.cli.main``: config files, dataset sidecars,
+registries and model files that are well-formed JSON but hold wrong keys,
+types or values end in exit 1 (config) or 2 (data), with the file named,
+and never in exit 3."""
 
 import io
 import json
@@ -20,6 +20,7 @@ from tspec import cli, ingest
 from tspec.cli import KEYS, main
 from tspec.spectrum import MAX_D_MODEL
 from tests.conftest import held_lock, identical_timelines, scenario_to_dict
+from tests.test_cli import read_tree
 
 
 def run(argv) -> tuple[int, str]:
@@ -115,13 +116,6 @@ class TestRegressions:
         rc, err = run(identify_args(ws, ws / "sspe", tmp_path, registry=registry))
         assert rc == 2
         assert str(registry) in err and "'attack_name'" in err
-
-    def test_threshold_with_string_n1(self, ws, tmp_path):
-        dataset = copy_dataset(ws, tmp_path)
-        edit_json(dataset / "threshold.json", lambda d: d.update(n1="a"))
-        rc, err = run(sweep_args(tmp_path, dataset))
-        assert rc == 2
-        assert str(dataset / "threshold.json") in err and "'n1'" in err
 
     def test_provenance_without_method(self, ws, tmp_path):
         dataset = copy_dataset(ws, tmp_path)
@@ -240,17 +234,45 @@ class TestRegressions:
         assert str(tmp_path / "sweep.json") in err and "'ratio'" in err
         assert not (tmp_path / "rep").exists()
 
-    def test_train_locks_the_dataset_directory(self, ws, tmp_path):
-        # threshold.json lives in the dataset directory, so writing it waits
-        # for that directory's lock, not only the models/<task> lock.
-        dataset = copy_dataset(ws, tmp_path)
-        before = (dataset / "threshold.json").read_bytes()
-        with held_lock(dataset / ".lock"):
-            rc, err = run(["train", "--dataset", dataset, "--task", "detect", "--families",
-                           "glm_binomial", "--threshold-mode", "as-paper"])
+    def test_train_elsewhere_leaves_the_dataset_unchanged(self, ws, tmp_path):
+        # A freshly built dataset directory: train --out writes only there.
+        dataset = tmp_path / "sspe"
+        dataset.mkdir()
+        for name in ("dataset.json", "dataset.npz"):
+            shutil.copy(ws / "sspe" / name, dataset)
+        before = read_tree(dataset)
+        rc, err = run(["train", "--dataset", dataset, "--task", "detect", "--families",
+                       "glm_binomial", "--out", tmp_path / "elsewhere"])
+        assert rc == 0, err
+        assert sorted(os.listdir(dataset)) == ["dataset.json", "dataset.npz"]
+        assert read_tree(dataset) == before
+        assert (tmp_path / "elsewhere" / "models" / "detect" / "glm_binomial.json").exists()
+
+    def test_identify_refused_on_a_locked_output_writes_no_registry(self, ws, tmp_path):
+        out, registry = tmp_path / "ident", tmp_path / "reg.json"
+        out.mkdir()
+        with held_lock(out / ".lock"):
+            rc, err = run(identify_args(ws, ws / "sspe", tmp_path, registry=registry)
+                          + ["--make-registry", "train"])
         assert rc == 3
-        assert str(dataset / ".lock") in err
-        assert (dataset / "threshold.json").read_bytes() == before
+        assert str(out / ".lock") in err
+        assert not registry.exists()
+        assert os.listdir(out) == [".lock"]
+
+    @pytest.mark.parametrize("command", ["train", "identify"])
+    def test_identification_refuses_a_baseline_dataset(self, ws, tmp_path, command):
+        dataset = ws / "baseline"
+        model = ws / "sspe" / "models" / "identify" / "glm_gaussian.json"
+        args = {
+            "train": ["train", "--config", ws / "config.json", "--dataset", dataset, "--task",
+                      "identify", "--families", "glm_gaussian", "--out", tmp_path / "m"],
+            "identify": identify_args(ws, dataset, tmp_path, tmp_path / "reg.json", model)
+            + ["--make-registry", "train"],
+        }[command]
+        rc, err = run(args)
+        assert rc == 1, err
+        assert f"the dataset under {dataset} has method 'baseline'" in err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
     @pytest.mark.parametrize("command", ["synth", "build-dataset", "train"])
@@ -431,6 +453,8 @@ BAD_CONFIG_VALUES = [
     ("identify", "min_segment_windows", -4),
     ("train", "families", []),
     ("train", "families", ["glm_binomial", "bogus"]),
+    # A key since removed is unknown, not ignored.
+    ("train", "threshold_mode", "rank-default"),
 ]
 
 
@@ -539,25 +563,6 @@ def test_registry_mismatch_names_both_label_methods(ws, tmp_path):
     assert "method 'sspe' with d_model 4" in err
 
 
-THRESHOLD_EDITS = {
-    "tau a string": {"tau": "0.5"},
-    "tau not finite": {"tau": float("nan")},
-    "mode unknown": {"mode": "median"},
-    "n a float": {"n": 10.0},
-    "n1 above n": {"n1": 10**6},
-    "n1 a bool": {"n1": True},
-}
-
-
-@pytest.mark.parametrize("edit", sorted(THRESHOLD_EDITS))
-def test_bad_threshold_exits_2(ws, tmp_path, edit):
-    dataset = copy_dataset(ws, tmp_path)
-    edit_json(dataset / "threshold.json", lambda d: d.update(THRESHOLD_EDITS[edit]))
-    rc, err = run(sweep_args(tmp_path, dataset))
-    assert rc == 2, err
-    assert str(dataset / "threshold.json") in err
-
-
 # --- fuzzing ---------------------------------------------------------------
 
 # Integers stay small: a window, d_model or bin count in the millions asks
@@ -571,7 +576,7 @@ SCALARS = (
     # No "/" or ".": a fuzzed path stays inside the example's directory.
     | st.text(alphabet="abz09 ,_", max_size=4)
     | st.sampled_from(["sspe", "coap", "baseline", "glm_binomial", "gbm", "detect",
-                       "identify", "train", "as-paper", "f0"])
+                       "identify", "train", "f0"])
 )
 JSON_VALUES = st.recursive(
     SCALARS,
@@ -740,7 +745,6 @@ def test_plain_csv_reader_agrees_with_the_row_loop(ws, edits, ending, data):
 
 # file -> the commands that read it; "{d}" is the copied sspe dataset.
 CORRUPTIBLE = {
-    "threshold": ("{d}/threshold.json", ["sweep"]),
     "sidecar": ("{d}/dataset.json", ["train", "sweep", "identify"]),
     "registry": ("reg.json", ["identify"]),
     "detect model": ("{d}/models/detect/glm_binomial.json", ["sweep"]),

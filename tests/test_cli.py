@@ -138,9 +138,9 @@ class TestTrain:
     def test_model_files_exist(self, workspace):
         for family in FAMILIES.split(","):
             assert (workspace / "sspe" / "models" / "detect" / f"{family}.json").exists()
-        assert (workspace / "sspe" / "threshold.json").exists()
         assert (workspace / "baseline" / "models" / "detect" / "glm_binomial.json").exists()
-        assert not (workspace / "baseline" / "threshold.json").exists()
+        for method in ("baseline", "sspe"):
+            assert not (workspace / method / "threshold.json").exists()
 
     def test_family_task_mismatch_exits_1(self, workspace):
         rc = main(["train", "--config", str(workspace / "config.json"),
@@ -520,8 +520,7 @@ def test_a_sigtermed_command_unlinks_its_lock_and_reaps_its_workers(workspace, t
 SHARED_KEYS = {
     "d_model", "datasets", "families", "features", "identify_bins", "identify_families",
     "majority_ratio", "make_registry", "method", "min_segment_windows", "noise_scale",
-    "noise_train", "ratios", "seed", "stratify", "stride", "task", "test_fraction",
-    "threshold_mode", "window",
+    "noise_train", "ratios", "seed", "stratify", "stride", "task", "test_fraction", "window",
 }
 # command -> (its flags, the path keys its config file may hold too)
 INTERFACE = {
@@ -532,7 +531,7 @@ INTERFACE = {
         {"input", "out", "scenario", "schema"},
     ),
     "train": (
-        {"--config", "--dataset", "--families", "--out", "--seed", "--task", "--threshold-mode"},
+        {"--config", "--dataset", "--families", "--out", "--seed", "--task"},
         {"dataset", "out"},
     ),
     "sweep": (
@@ -589,19 +588,6 @@ class TestMalformedJson:
                    "--schema", str(schema), "--out", str(tmp_path / "ds")])
         assert rc == 1
         assert str(schema) in capsys.readouterr().err
-
-    def test_threshold_is_a_data_error(self, workspace, tmp_path, capsys):
-        dataset = tmp_path / "sspe"
-        shutil.copytree(workspace / "sspe", dataset)
-        (dataset / "threshold.json").write_text("{not json")
-        cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps({
-            "datasets": {"sspe": str(dataset)},
-            "families": FAMILIES.split(","),
-            "ratios": [0.0],
-        }))
-        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
-        assert str(dataset / "threshold.json") in capsys.readouterr().err
 
 
 class TestWrongTypeJson:

@@ -246,13 +246,13 @@ class TestMalformedStore:
 
 class TestAtomicWrites:
     def test_failed_json_write_keeps_the_previous_file(self, tmp_path):
-        path = tmp_path / "threshold.json"
+        path = tmp_path / "values.json"
         write_json(path, {"tau": 1.5})
         before = path.read_bytes()
         with pytest.raises(TypeError):  # fails after "tau" is written
             write_json(path, {"tau": 2.5, "z": object()})
         assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["threshold.json"]
+        assert [p.name for p in tmp_path.iterdir()] == ["values.json"]
 
     def test_failed_array_write_keeps_the_previous_store(self, raw, tmp_path, monkeypatch, capsys):
         assert build(raw, tmp_path / "ds") == 0

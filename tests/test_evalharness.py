@@ -13,10 +13,10 @@ from tspec import (
     NoiseSpec,
     SweepConfig,
     SyntheticScenario,
-    binarize,
     contiguous_segments,
     derive_seed,
     detection_metrics,
+    detection_truth,
     emit_report,
     generate_synthetic,
     identification_accuracy,
@@ -186,7 +186,7 @@ class TestSweep:
     def test_ratio_zero_equals_direct_evaluation(self, sweep_setup, full_report):
         seed, methods = sweep_setup
         art = methods["sspe"]
-        truth = binarize(art.test.spectrum_labels, art.threshold)
+        truth = detection_truth(art.train, art.test)
         model = art.detect_models["random_forest"]
         probs = predict(model, art.test.features)
         direct = detection_metrics(truth, (probs >= 0.5).astype(int))
@@ -274,11 +274,11 @@ class TestSweep:
             return model, train(model.spec, noised_train.features, labels)
 
         # Detection cells retrain on the training detection labels.
-        _, model = retrained("gbm", binarize(art.train.spectrum_labels, art.threshold))
+        _, model = retrained("gbm", detection_truth(art.train, art.train))
         row = rows[("detect", "gbm", 0.4)]
         noised_test = inject_noise(art.test, NoiseSpec(0.4, 1.0, row.seed))
         probs = predict(model, noised_test.features)
-        truth = binarize(art.test.spectrum_labels, art.threshold)
+        truth = detection_truth(art.train, art.test)
         assert row.metrics == detection_metrics(truth, (probs >= 0.5).astype(int))
         assert row.metrics != plain[("detect", "gbm", 0.4)].metrics
 
@@ -391,7 +391,7 @@ class TestCleanPredictionReuse:
             patch.setattr(evalharness, "identify_segments", identify_spy)
             report = run_noise_sweep(cfg)
 
-        truth = binarize(art.test.spectrum_labels, art.threshold)
+        truth = detection_truth(art.train, art.test)
         signatures = build_registry(
             labels_by_attack(art.train), bins=12, method="sspe",
             d_model=art.train.provenance.get("d_model"),
@@ -402,7 +402,7 @@ class TestCleanPredictionReuse:
             model = (art.detect_models if detect else art.regress_models)[row.family]
             if noise_train:
                 labels = (
-                    binarize(art.train.spectrum_labels, art.threshold)
+                    detection_truth(art.train, art.train)
                     if detect else art.train.spectrum_labels
                 )
                 train_seed = derive_seed(

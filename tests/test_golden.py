@@ -60,7 +60,7 @@ def changed_files(want: dict, got: dict) -> list[str]:
 def test_selftest_artifacts_keep_their_bytes(tmp_path):
     want = json.loads(MANIFEST.read_text())
     got = artifact_hashes(tmp_path)
-    assert len(got) == 32
+    assert len(got) == 30
     assert changed_files(want, got) == []
 
 

@@ -25,7 +25,6 @@ from tspec import spectrum
 from tspec.spectrum import MAX_D_MODEL, LABEL_METHODS, is_spectrum_method, position_weights
 from tests.conftest import make_timeline, same_bits
 from tests.oracles import (
-    ascending_percentile_oracle,
     encoding_oracle,
     rank_threshold_oracle,
     sspe_brute_force,
@@ -232,20 +231,20 @@ class TestPositionWeights:
 class TestThreshold:
     def test_rank_default_example(self):
         values = np.array([0.0, 0.0, 0.0, 5.0, 7.0])
-        spec = compute_threshold(values, 2)
-        assert spec.tau == rank_threshold_oracle(values, 2) == 5.0
-        assert binarize(values, spec).tolist() == [0, 0, 0, 1, 1]
+        tau = compute_threshold(values, 2)
+        assert tau == rank_threshold_oracle(values, 2) == 5.0
+        assert binarize(values, tau).tolist() == [0, 0, 0, 1, 1]
 
     def test_zero_n1_marks_nothing(self):
         values = np.array([1.0, 2.0, 3.0])
-        spec = compute_threshold(values, 0)
-        assert binarize(values, spec).sum() == 0
+        tau = compute_threshold(values, 0)
+        assert binarize(values, tau).sum() == 0
 
     def test_full_n1_marks_everything(self):
         values = np.array([1.0, 2.0, 3.0])
-        spec = compute_threshold(values, 3)
-        assert spec.tau == values.min()
-        assert binarize(values, spec).sum() == 3
+        tau = compute_threshold(values, 3)
+        assert tau == values.min()
+        assert binarize(values, tau).sum() == 3
 
     @given(
         n=st.integers(2, 200),
@@ -257,33 +256,17 @@ class TestThreshold:
         rng = np.random.default_rng(seed)
         values = rng.permutation(np.arange(n, dtype=np.float64) + rng.normal())
         n1 = int(round(frac * n))
-        spec = compute_threshold(values, n1)
-        assert int(binarize(values, spec).sum()) == n1
+        tau = compute_threshold(values, n1)
+        assert int(binarize(values, tau).sum()) == n1
 
     def test_ties_mark_at_least_n1(self):
         values = np.array([1.0, 1.0, 1.0, 0.0])
-        spec = compute_threshold(values, 2)
-        assert int(binarize(values, spec).sum()) >= 2
-
-    def test_as_paper_is_ascending_percentile(self):
-        rng = np.random.default_rng(4)
-        values = rng.normal(size=101)
-        for n1 in (0, 1, 13, 50, 101):
-            spec = compute_threshold(values, n1, "as-paper")
-            assert spec.tau == ascending_percentile_oracle(values, n1)
-
-    def test_as_paper_complementary_count(self):
-        # With distinct values, the literal ascending percentile marks
-        # n - max(1, n1) + 1 rows positive (the default mode marks n1).
-        rng = np.random.default_rng(8)
-        values = rng.permutation(np.arange(500, dtype=np.float64))
-        n1 = 120
-        spec = compute_threshold(values, n1, "as-paper")
-        assert int(binarize(values, spec).sum()) == 500 - n1 + 1
+        tau = compute_threshold(values, 2)
+        assert int(binarize(values, tau).sum()) >= 2
 
     def test_binarize_examples(self):
-        spec = compute_threshold(np.array([0.0, 5.0, 7.0]), 2)
-        assert binarize([0.0, 5.0, 7.0], spec).tolist() == [0, 1, 1]
+        tau = compute_threshold(np.array([0.0, 5.0, 7.0]), 2)
+        assert binarize([0.0, 5.0, 7.0], tau).tolist() == [0, 1, 1]
         high = compute_threshold(np.array([1.0, 2.0]), 0)
         assert binarize([1.0, 2.0], high).tolist() == [0, 0]
         low = compute_threshold(np.array([1.0, 2.0]), 2)
@@ -294,8 +277,6 @@ class TestThreshold:
             compute_threshold(np.array([]), 0)
         with pytest.raises(ConfigError):
             compute_threshold(np.array([1.0]), 2)
-        with pytest.raises(ConfigError):
-            compute_threshold(np.array([1.0]), 0, "bogus")
 
     def test_proportional_count(self):
         assert proportional_positive_count(1000, 0.211) == 211
