@@ -35,6 +35,7 @@ from .evalharness import (
     identification_accuracy,
     identify_segments,
     run_noise_sweep,
+    training_registry,
 )
 from .identify import (
     IdentificationResult,

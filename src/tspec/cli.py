@@ -30,7 +30,6 @@ from .dataprep import (
     Dataset,
     SyntheticScenario,
     assemble_dataset,
-    downsample_majority,
     generate_synthetic,
     load_dataset,
     save_dataset,
@@ -54,10 +53,10 @@ from .evalharness import (
     emit_report,
     identification_accuracy,
     identify_segments,
-    labels_by_attack,
     run_noise_sweep,
+    training_registry,
 )
-from .identify import build_registry, load_registry, save_registry
+from .identify import load_registry, save_registry
 from .ingest import FlowSchema, fill_missing_points, nonconstant_features, parse_flow_csv, select_features
 from .models import FAMILIES, ModelSpec, load_model, predict, save_model, train
 from .seeds import derive_seed
@@ -110,7 +109,6 @@ KEYS = {
     "test_fraction": Key("real", 0.3, Range(0, 1, open_low=True, open_high=True), _BUILD,
                          help="share of windows held out for testing"),
     "stratify": Key("bool", True),
-    "majority_ratio": Key("real", None, Range(0, open_low=True)),
     "features": Key("names"),
     "task": Key("choice", "detect", tuple(_TASK_MAP), ("train",), help="model task"),
     "families": Key("names", ["glm_binomial", "random_forest", "gbm"], tuple(FAMILIES),
@@ -122,8 +120,8 @@ KEYS = {
     "noise_scale": Key("real", 1.0, Range(0, open_low=True), ("sweep",),
                        help="standard deviation of the injected noise"),
     "noise_train": Key("bool", False),
-    "make_registry": Key("choice", None, ("train", "test", "all"), ("identify",),
-                         help="build the registry from this portion's true labels first"),
+    "make_registry": Key("choice", None, ("train",), ("identify",),
+                         help="build the registry from the training split's labels first"),
     "min_segment_windows": Key("int", 5, Range(1)),
     "identify_bins": Key("int", 50, Range(2)),
 }
@@ -318,8 +316,6 @@ def cmd_build_dataset(cfg: dict) -> int:
         method=method,
         d_model=cfg["d_model"],
     )
-    if cfg["majority_ratio"] is not None:
-        ds = downsample_majority(ds, cfg["majority_ratio"], derive_seed(seed, "sample"))
 
     split_seed = derive_seed(seed, "split")
     test = split_dataset(ds, cfg["test_fraction"], split_seed, cfg["stratify"])
@@ -351,9 +347,10 @@ def cmd_build_dataset(cfg: dict) -> int:
     return 0
 
 
-def _load_split(dataset_dir: Path) -> tuple[Dataset, Dataset, Dataset]:
+def _load_split(dataset_dir: Path) -> tuple[Dataset, Dataset]:
+    """The (train, test) split of a dataset directory."""
     ds, test = load_dataset(dataset_dir)
-    return ds, ds.take(np.flatnonzero(~test)), ds.take(np.flatnonzero(test))
+    return ds.take(np.flatnonzero(~test)), ds.take(np.flatnonzero(test))
 
 
 def _refuse_baseline(command: str, dataset_dir: Path, method: str):
@@ -370,7 +367,7 @@ def cmd_train(cfg: dict) -> int:
         for family in cfg["families"]
     ]
 
-    _, train_ds, _ = _load_split(dataset_dir)
+    train_ds = _load_split(dataset_dir)[0]  # the test split is not kept through the fits
     if task == "detect":
         labels = detection_truth(train_ds, train_ds)
     else:
@@ -402,7 +399,7 @@ def cmd_sweep(cfg: dict) -> int:
     datasets = cfg["datasets"]
     methods: dict[str, MethodArtifacts] = {}
     for method, dataset_dir in datasets.items():
-        _, train_ds, test_ds = _load_split(dataset_dir)
+        train_ds, test_ds = _load_split(dataset_dir)
         if train_ds.provenance["method"] != method:
             raise ConfigError(
                 f"dataset under {dataset_dir} was built with method "
@@ -453,8 +450,8 @@ def cmd_sweep(cfg: dict) -> int:
 def cmd_identify(cfg: dict) -> int:
     out, dataset_dir, registry_path = cfg["out"], cfg["dataset"], cfg["registry"]
 
-    full, train_ds, test_ds = _load_split(dataset_dir)
-    method, d_model = full.provenance["method"], full.provenance.get("d_model")
+    train_ds, test_ds = _load_split(dataset_dir)
+    method, d_model = train_ds.provenance["method"], train_ds.provenance.get("d_model")
     _refuse_baseline("identify", dataset_dir, method)
     model_path = cfg["model"]
     if not model_path:
@@ -463,19 +460,16 @@ def cmd_identify(cfg: dict) -> int:
     model = _load_model_for(model_path, "identify", test_ds.features.shape[1])
 
     if cfg["make_registry"]:
-        portion = {"train": train_ds, "test": test_ds, "all": full}[cfg["make_registry"]]
-        signatures = build_registry(
-            labels_by_attack(portion), bins=cfg["identify_bins"], method=method, d_model=d_model
-        )
+        signatures = training_registry(train_ds, cfg["identify_bins"])
     else:
         signatures = load_registry(registry_path)
-    for sig in signatures:
-        if (sig.method, sig.d_model) != (method, d_model):
-            raise DataError(
-                f"{registry_path}: signature {sig.attack_name!r} is for method {sig.method!r} "
-                f"with d_model {sig.d_model!r}, but the dataset under {dataset_dir} has "
-                f"method {method!r} with d_model {d_model!r}"
-            )
+        for sig in signatures:
+            if (sig.method, sig.d_model) != (method, d_model):
+                raise DataError(
+                    f"{registry_path}: signature {sig.attack_name!r} is for method "
+                    f"{sig.method!r} with d_model {sig.d_model!r}, but the dataset under "
+                    f"{dataset_dir} has method {method!r} with d_model {d_model!r}"
+                )
 
     predictions = predict(model, test_ds.features)
     results, truth = identify_segments(

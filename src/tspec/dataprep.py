@@ -166,26 +166,6 @@ def split_dataset(
     return test
 
 
-def downsample_majority(ds: Dataset, majority_ratio: float, seed: int) -> Dataset:
-    """Optional class rebalancing: thin the majority binary class down to at
-    most ``majority_ratio`` times the minority count.  Disabled by default in
-    the pipeline; row order is preserved."""
-    if not 0.0 < majority_ratio < math.inf:
-        raise ConfigError(f"majority ratio must be positive and finite, got {majority_ratio}")
-    ones = np.flatnonzero(ds.binary_labels == 1)
-    zeros = np.flatnonzero(ds.binary_labels == 0)
-    if ones.size == 0 or zeros.size == 0:
-        return ds.take(np.arange(len(ds)))
-    minority, majority = (ones, zeros) if ones.size <= zeros.size else (zeros, ones)
-    cap = int(round(min(minority.size * majority_ratio, majority.size)))
-    if majority.size <= cap:
-        return ds.take(np.arange(len(ds)))
-    rng = np.random.default_rng(seed)
-    kept_majority = rng.permutation(majority)[:cap]
-    keep = np.sort(np.concatenate([minority, kept_majority]))
-    return ds.take(keep)
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
     """Fraction of rows to perturb, noise scale, and the stream seed."""

@@ -157,6 +157,18 @@ def detection_truth(train: Dataset, ds: Dataset) -> np.ndarray:
     return binarize(ds.spectrum_labels, compute_threshold(train.spectrum_labels, n1))
 
 
+def training_registry(train: Dataset, bins: int) -> list[SpectrumSignature]:
+    """Signatures of every attack in the training split ``train``, for its
+    label method and ``d_model``.  They come from training rows only, so no
+    test segment is identified against its own labels."""
+    return build_registry(
+        labels_by_attack(train),
+        bins=bins,
+        method=train.provenance["method"],
+        d_model=train.provenance.get("d_model"),
+    )
+
+
 def _histogram_summary(ds: Dataset, bins: int = 50) -> dict | None:
     values = ds.spectrum_labels[ds.spectrum_labels != 0.0]
     if values.size == 0:
@@ -209,12 +221,7 @@ def run_noise_sweep(cfg: SweepConfig) -> EvalReport:
         )
         tasks = [("detect", art.detect_models)]
         if art.regress_models and is_spectrum_method(method):
-            registries[method] = build_registry(
-                labels_by_attack(art.train),
-                bins=cfg.identify_bins,
-                method=method,
-                d_model=art.train.provenance.get("d_model"),
-            )
+            registries[method] = training_registry(art.train, cfg.identify_bins)
             tasks.append(("identify", art.regress_models))
         for task, models in tasks:
             for family, model in models.items():

@@ -171,7 +171,8 @@ class TestRegressions:
         registry = tmp_path / "registry.json"
         if case == "detect model to identify":
             model = models / "detect" / "glm_binomial.json"
-            args = identify_args(ws, dataset, tmp_path, registry, model) + ["--make-registry", "all"]
+            args = identify_args(ws, dataset, tmp_path, registry, model)
+            args += ["--make-registry", "train"]
             want = "a classify model"
         elif case == "regression model to sweep":
             model = models / "detect" / "glm_gaussian.json"
@@ -427,7 +428,7 @@ BAD_CONFIG_VALUES = [
     ("build-dataset", "out", 5),
     ("build-dataset", "input", ["x.csv"]),
     ("build-dataset", "features", "f0"),
-    ("build-dataset", "majority_ratio", float("nan")),
+    ("build-dataset", "majority_ratio", 1.0),  # a key since removed
     ("train", "task", ["detect"]),
     ("train", "families", [1]),
     ("train", "families", None),
@@ -455,6 +456,9 @@ BAD_CONFIG_VALUES = [
     ("train", "families", ["glm_binomial", "bogus"]),
     # A key since removed is unknown, not ignored.
     ("train", "threshold_mode", "rank-default"),
+    # Signatures of the test split would identify its segments by their own labels.
+    ("identify", "make_registry", "test"),
+    ("identify", "make_registry", "all"),
 ]
 
 

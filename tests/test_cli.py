@@ -2,6 +2,7 @@
 
 import argparse
 import fcntl
+import gc
 import json
 import os
 import re
@@ -10,13 +11,14 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tspec import AttackSegment, SyntheticScenario, emit_report
+from tspec import AttackSegment, SyntheticScenario, emit_report, save_registry, training_registry
 from tspec import cli, ingest
 from tspec.cli import KEYS, build_parser, main
 from tests.conftest import held_lock, scenario_to_dict
@@ -162,6 +164,27 @@ class TestTrain:
         rc = main(["train", "--dataset", str(tmp_path / "absent"), "--task", "detect"])
         assert rc == 2
 
+    def test_test_split_is_freed_before_fitting(self, workspace, tmp_path, monkeypatch):
+        # No fit reads the test split, which holds 30% of the rows.
+        load_split, fit, test_splits, alive = cli._load_split, cli.train, [], []
+
+        def load_spy(dataset_dir):
+            split = load_split(dataset_dir)
+            test_splits.append(weakref.ref(split[-1]))
+            return split
+
+        def fit_spy(*args):
+            gc.collect()
+            alive.append(test_splits[0]() is not None)
+            return fit(*args)
+
+        monkeypatch.setattr(cli, "_load_split", load_spy)
+        monkeypatch.setattr(cli, "train", fit_spy)
+        assert main(["train", "--config", str(workspace / "config.json"),
+                     "--dataset", str(workspace / "sspe"), "--task", "detect",
+                     "--families", "glm_binomial", "--out", str(tmp_path / "m")]) == 0
+        assert alive == [False]
+
 
 class TestSweep:
     @staticmethod
@@ -239,11 +262,11 @@ class TestSweep:
 
 
 class TestIdentify:
-    def test_self_signatures_reach_full_accuracy(self, workspace, tmp_path):
+    def test_training_signatures_identify_every_test_segment(self, workspace, tmp_path):
         rc = main([
             "identify", "--config", str(workspace / "config.json"),
             "--dataset", str(workspace / "sspe"),
-            "--registry", str(tmp_path / "registry.json"), "--make-registry", "test",
+            "--registry", str(tmp_path / "registry.json"), "--make-registry", "train",
             "--out", str(tmp_path / "ident"),
         ])
         assert rc == 0
@@ -272,6 +295,19 @@ class TestIdentify:
         a = (tmp_path / "i1" / "identification.json").read_bytes()
         b = (tmp_path / "i2" / "identification.json").read_bytes()
         assert a == b
+
+    def test_one_registry_for_sweep_and_identify(self, workspace, tmp_path):
+        registry = tmp_path / "registry.json"
+        args = ["identify", "--config", str(workspace / "config.json"),
+                "--dataset", str(workspace / "sspe"), "--registry", str(registry)]
+        assert main(args + ["--make-registry", "train", "--out", str(tmp_path / "made")]) == 0
+        assert main(args + ["--out", str(tmp_path / "loaded")]) == 0
+        made = (tmp_path / "made" / "identification.json").read_bytes()
+        assert (tmp_path / "loaded" / "identification.json").read_bytes() == made
+        # The signatures the sweep identifies with, for the config's 10 bins.
+        train_ds, _ = cli._load_split(workspace / "sspe")
+        save_registry(training_registry(train_ds, 10), tmp_path / "sweep-registry.json")
+        assert registry.read_bytes() == (tmp_path / "sweep-registry.json").read_bytes()
 
 
 class TestUsage:
@@ -519,8 +555,8 @@ def test_a_sigtermed_command_unlinks_its_lock_and_reaps_its_workers(workspace, t
 # Config keys every command's config file may hold.
 SHARED_KEYS = {
     "d_model", "datasets", "families", "features", "identify_bins", "identify_families",
-    "majority_ratio", "make_registry", "method", "min_segment_windows", "noise_scale",
-    "noise_train", "ratios", "seed", "stratify", "stride", "task", "test_fraction", "window",
+    "make_registry", "method", "min_segment_windows", "noise_scale", "noise_train", "ratios",
+    "seed", "stratify", "stride", "task", "test_fraction", "window",
 }
 # command -> (its flags, the path keys its config file may hold too)
 INTERFACE = {

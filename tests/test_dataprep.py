@@ -23,7 +23,6 @@ from tspec import (
     zscore_apply,
     zscore_fit,
 )
-from tspec.dataprep import downsample_majority
 from tests.conftest import dataset_tags, same_bits, same_timeline, timeline_attacks, timeline_rows
 from tests.oracles import generate_synthetic_oracle, population_moments
 
@@ -384,21 +383,6 @@ class TestAssemble:
         )
         with pytest.raises(ConfigError):
             assemble_dataset(timeline, 2, 1, "fourier")
-
-
-class TestDownsample:
-    def test_caps_majority(self):
-        ds = make_dataset(100, positive_fraction=0.1, seed=8)
-        out = downsample_majority(ds, 1.0, seed=1)
-        ones = int(out.binary_labels.sum())
-        zeros = len(out) - ones
-        assert ones == int(ds.binary_labels.sum())
-        assert zeros == ones
-
-    def test_noop_when_balanced(self):
-        ds = make_dataset(20, positive_fraction=0.5, seed=2)
-        out = downsample_majority(ds, 10.0, seed=1)
-        assert len(out) == len(ds)
 
 
 def standardized_dataset(method="coap", stride=1, seed=4):

@@ -62,7 +62,6 @@ class TestAgainstCsvStore:
             ("sspe", 3, "synthetic.csv", None),
             ("sspe", 1, "gappy.csv", None),
             ("coap", 2, "gappy.csv", None),
-            ("sspe", 1, "synthetic.csv", {"majority_ratio": 1.0}),
         ],
     )
     def test_loads_the_v1_round_trip_bits(
@@ -88,11 +87,7 @@ class TestAgainstCsvStore:
             "dataset.json", "dataset.npz",
         ]
 
-        steps = np.diff(loaded.window_starts)
-        if config:  # the thinned majority leaves holes between starts
-            assert steps.min() == stride and steps.max() > stride
-        else:
-            assert np.all(steps == stride)
+        assert np.all(np.diff(loaded.window_starts) == stride)
         if csv_name == "gappy.csv":  # the fill closed the gaps
             assert loaded.second_features.shape[0] == 240
 
