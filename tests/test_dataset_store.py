@@ -62,6 +62,7 @@ class TestAgainstCsvStore:
             ("sspe", 3, "synthetic.csv", None),
             ("sspe", 1, "gappy.csv", None),
             ("coap", 2, "gappy.csv", None),
+            ("sspe", 1, "synthetic.csv", {"test_fraction": 0.5, "stratify": False}),
         ],
     )
     def test_loads_the_v1_round_trip_bits(
