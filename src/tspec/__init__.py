@@ -39,9 +39,8 @@ from .evalharness import (
 )
 from .identify import (
     IdentificationResult,
-    SpectrumSignature,
+    Registry,
     build_registry,
-    build_signature,
     cosine_similarity,
     identify_attack,
     load_registry,

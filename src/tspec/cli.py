@@ -460,20 +460,19 @@ def cmd_identify(cfg: dict) -> int:
     model = _load_model_for(model_path, "identify", test_ds.features.shape[1])
 
     if cfg["make_registry"]:
-        signatures = training_registry(train_ds, cfg["identify_bins"])
+        registry = training_registry(train_ds, cfg["identify_bins"])
     else:
-        signatures = load_registry(registry_path)
-        for sig in signatures:
-            if (sig.method, sig.d_model) != (method, d_model):
-                raise DataError(
-                    f"{registry_path}: signature {sig.attack_name!r} is for method "
-                    f"{sig.method!r} with d_model {sig.d_model!r}, but the dataset under "
-                    f"{dataset_dir} has method {method!r} with d_model {d_model!r}"
-                )
+        registry = load_registry(registry_path)
+        if (registry.method, registry.d_model) != (method, d_model):
+            raise DataError(
+                f"{registry_path}: the registry is for method {registry.method!r} with "
+                f"d_model {registry.d_model!r}, but the dataset under {dataset_dir} has "
+                f"method {method!r} with d_model {d_model!r}"
+            )
 
     predictions = predict(model, test_ds.features)
     results, truth = identify_segments(
-        predictions, test_ds, signatures, min_windows=cfg["min_segment_windows"]
+        predictions, test_ds, registry, min_windows=cfg["min_segment_windows"]
     )
     accuracy = identification_accuracy(results, truth)
     payload = {
@@ -491,7 +490,7 @@ def cmd_identify(cfg: dict) -> int:
     # Written only now, and under the lock: a refused run writes nothing.
     with _output_lock(out):
         if cfg["make_registry"]:
-            save_registry(signatures, registry_path)
+            save_registry(registry, registry_path)
         write_json(out / "identification.json", payload)
     print(f"identify: accuracy {accuracy:.4f} over {len(results)} segments -> {out}")
     return 0

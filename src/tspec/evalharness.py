@@ -17,7 +17,15 @@ import numpy as np
 
 from .dataprep import Dataset, NoiseSpec, inject_noise
 from .errors import DataError, atomic_write, write_json
-from .identify import IdentificationResult, SpectrumSignature, build_registry, identify_attack
+from .identify import (
+    IdentificationResult,
+    Registry,
+    _attack_labels,
+    _histogram,
+    _label_edges,
+    build_registry,
+    identify_attack,
+)
 from .models import FAMILIES, TrainedModel, predict, train
 from .processes import _map_in_processes
 from .seeds import derive_seed
@@ -89,7 +97,7 @@ def contiguous_segments(ds: Dataset) -> list[tuple[str, np.ndarray]]:
 def identify_segments(
     predictions: np.ndarray,
     ds: Dataset,
-    signatures: list[SpectrumSignature],
+    registry: Registry,
     min_windows: int = 1,
 ) -> tuple[list[IdentificationResult], list[str]]:
     """One identification per attack segment of ``ds``, and its attack name."""
@@ -98,7 +106,7 @@ def identify_segments(
     for name, rows in contiguous_segments(ds):
         if rows.size < min_windows:
             continue
-        results.append(identify_attack(predictions[rows], signatures))
+        results.append(identify_attack(predictions[rows], registry))
         truth.append(name)
     if not results:
         raise DataError("no attack segments large enough to identify")
@@ -157,7 +165,7 @@ def detection_truth(train: Dataset, ds: Dataset) -> np.ndarray:
     return binarize(ds.spectrum_labels, compute_threshold(train.spectrum_labels, n1))
 
 
-def training_registry(train: Dataset, bins: int) -> list[SpectrumSignature]:
+def training_registry(train: Dataset, bins: int) -> Registry:
     """Signatures of every attack in the training split ``train``, for its
     label method and ``d_model``.  They come from training rows only, so no
     test segment is identified against its own labels."""
@@ -170,13 +178,13 @@ def training_registry(train: Dataset, bins: int) -> list[SpectrumSignature]:
 
 
 def _histogram_summary(ds: Dataset, bins: int = 50) -> dict | None:
-    values = ds.spectrum_labels[ds.spectrum_labels != 0.0]
+    """Histogram of the attack-bearing spectrum labels of ``ds`` over the
+    bins a registry built from them alone would use."""
+    values = _attack_labels(ds.spectrum_labels)
     if values.size == 0:
         return None
-    lo, hi = float(values.min()), float(values.max())
-    if lo >= hi:
-        lo, hi = lo - 0.5, hi + 0.5
-    counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
+    edges = _label_edges(values, bins)
+    counts = _histogram(values, edges)
     return {"edges": [float(e) for e in edges], "counts": [int(c) for c in counts]}
 
 
@@ -207,7 +215,7 @@ def run_noise_sweep(cfg: SweepConfig) -> EvalReport:
     """
     histograms: dict[str, dict] = {}
     truths: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # method: (test, train) labels
-    registries: dict[str, list[SpectrumSignature]] = {}
+    registries: dict[str, Registry] = {}
     clean: dict[tuple, np.ndarray] = {}  # (method, task, family): clean test predictions
     cells: list[tuple] = []  # (method, task, family, ratio), in report order
 

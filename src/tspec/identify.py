@@ -1,8 +1,10 @@
 """Attack identification by cosine similarity of spectrum-label histograms.
 
-Each known attack gets a signature: the L1-normalized histogram of its
-spectrum labels over shared, uniform bin edges.  A batch of predicted labels
-is histogrammed with the same edges and attributed to the signature with the
+A ``Registry`` holds every known attack's signature: the L1-normalized
+histogram of its spectrum labels, one row of a ``(K, bins)`` matrix, over
+the registry's one set of uniform bin edges, together with the label method
+and ``d_model`` the labels came from.  A batch of predicted labels is
+histogrammed with the same edges and attributed to the signature with the
 highest cosine similarity.
 """
 
@@ -16,93 +18,89 @@ import numpy as np
 
 from .errors import ConfigError, DataError, read_field, read_json_object, write_json
 
-REGISTRY_FILE_VERSION = 1
+REGISTRY_FILE_VERSION = 2
 
 
 @dataclass(frozen=True, eq=False)
-class SpectrumSignature:
-    attack_name: str
+class Registry:
+    """Signatures of attacks ``attack_names``, row i of ``counts`` being
+    attack i's histogram over ``bin_edges``; checked once, when built."""
+
+    attack_names: tuple[str, ...]
     bin_edges: np.ndarray
     counts: np.ndarray
     method: str
-    d_model: int | None = None
+    d_model: int | None
 
     def __post_init__(self):
-        edges = self.bin_edges
+        names, edges, counts = self.attack_names, self.bin_edges, self.counts
+        if not names:
+            raise DataError("registry contains no signatures")
+        if len(set(names)) != len(names):
+            raise DataError(f"signature attack names must be unique, got {list(names)}")
         if edges.ndim != 1 or edges.size < 2 or not np.isfinite(edges).all():
-            raise DataError("signature bin edges must be a finite vector of at least 2 values")
-        if self.counts.shape != (edges.size - 1,) or not np.isfinite(self.counts).all():
-            raise DataError("signature counts must have one finite entry per bin")
+            raise DataError("registry bin edges must be a finite vector of at least 2 values")
         if not (np.diff(edges) > 0).all():
-            raise DataError("signature bin edges must be strictly increasing")
+            raise DataError("registry bin edges must be strictly increasing")
+        if counts.shape != (len(names), edges.size - 1) or not np.isfinite(counts).all():
+            raise DataError("every signature needs one finite count per bin")
+        bad = [n for n, row in zip(names, counts) if (row < 0).any() or not row.any()]
+        if bad:
+            raise DataError(f"signatures {bad} need nonnegative counts, not all zero")
+
+
+def _attack_labels(labels) -> np.ndarray:
+    """The labels of attack-bearing windows: all-normal ones (label exactly
+    0) are dropped."""
+    values = np.asarray(labels, dtype=np.float64)
+    return values[values != 0.0]
+
+
+def _label_edges(values: np.ndarray, bins: int) -> np.ndarray:
+    """Edges of ``bins`` uniform bins over [min, max] of ``values``.  A
+    degenerate range (all values equal) is widened by half a unit on each
+    side so the lone value still lands in a proper bin."""
+    if bins < 2:
+        raise ConfigError(f"signature needs at least 2 bins, got {bins}")
+    lo, hi = float(values.min()), float(values.max())
+    if lo >= hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    return np.linspace(lo, hi, bins + 1)
 
 
 def _histogram(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Counts of ``values`` per bin; values outside the edges are clamped
+    into the edge bins."""
     clipped = np.clip(values, edges[0], edges[-1])
     counts, _ = np.histogram(clipped, bins=edges)
     return counts.astype(np.float64)
 
 
-def build_signature(
-    labels,
-    attack_name: str,
-    bins: int = 50,
-    value_range: tuple[float, float] | None = None,
-    method: str = "sspe",
+def build_registry(
+    labels_by_attack: dict[str, np.ndarray],
+    bins: int,
+    method: str,
     d_model: int | None = None,
-) -> SpectrumSignature:
-    """Uniform-bin, L1-normalized histogram of one attack's spectrum labels.
-
-    Values outside ``value_range`` are clamped into the edge bins.  A
-    degenerate range (all labels equal) is widened by half a unit on each
-    side so the lone value still lands in a proper bin.
-    """
-    values = np.asarray(labels, dtype=np.float64)
-    if values.size == 0:
-        raise DataError("cannot build a signature from zero labels")
-    if bins < 2:
-        raise ConfigError(f"signature needs at least 2 bins, got {bins}")
-    lo, hi = value_range if value_range is not None else (values.min(), values.max())
-    if lo >= hi:
-        lo, hi = lo - 0.5, hi + 0.5
-    edges = np.linspace(lo, hi, bins + 1)
-    counts = _histogram(values, edges)
-    return SpectrumSignature(
-        attack_name=attack_name,
+) -> Registry:
+    """Signatures for every attack, in the order of ``labels_by_attack``,
+    over one shared range: [min, max] across all reference label sets,
+    all-normal windows left out so signatures describe attack-bearing
+    windows only."""
+    if not labels_by_attack:
+        raise DataError("registry needs at least one attack")
+    cleaned = {name: _attack_labels(labels) for name, labels in labels_by_attack.items()}
+    for name, values in cleaned.items():
+        if values.size == 0:
+            raise DataError(f"attack {name!r} has no usable spectrum labels")
+    edges = _label_edges(np.concatenate(list(cleaned.values())), bins)
+    rows = [_histogram(values, edges) for values in cleaned.values()]
+    return Registry(
+        attack_names=tuple(cleaned),
         bin_edges=edges,
-        counts=counts / counts.sum(),
+        counts=np.stack([row / row.sum() for row in rows]),
         method=method,
         d_model=d_model,
     )
-
-
-def build_registry(
-    labels_by_attack: dict[str, np.ndarray],
-    bins: int = 50,
-    method: str = "sspe",
-    d_model: int | None = None,
-) -> list[SpectrumSignature]:
-    """Signatures for every attack over one shared range.
-
-    The range is [min, max] across all reference label sets; all-normal
-    windows (label exactly 0) are dropped so signatures describe
-    attack-bearing windows only.
-    """
-    if not labels_by_attack:
-        raise DataError("registry needs at least one attack")
-    cleaned: dict[str, np.ndarray] = {}
-    for name, labels in labels_by_attack.items():
-        values = np.asarray(labels, dtype=np.float64)
-        values = values[values != 0.0]
-        if values.size == 0:
-            raise DataError(f"attack {name!r} has no usable spectrum labels")
-        cleaned[name] = values
-    lo = min(float(v.min()) for v in cleaned.values())
-    hi = max(float(v.max()) for v in cleaned.values())
-    return [
-        build_signature(v, name, bins=bins, value_range=(lo, hi), method=method, d_model=d_model)
-        for name, v in cleaned.items()
-    ]
 
 
 def cosine_similarity(u, v) -> float:
@@ -124,51 +122,36 @@ class IdentificationResult:
     margin: float
 
 
-def identify_attack(
-    predicted_labels, signatures: list[SpectrumSignature]
-) -> IdentificationResult:
-    """Histogram the predictions with the signatures' shared edges and pick
-    the most similar signature; ties go to the lowest signature index."""
-    if not signatures:
-        raise DataError("identification needs at least one signature")
-    names = [s.attack_name for s in signatures]
-    if len(set(names)) != len(names):
-        raise DataError("signature attack names must be unique")
-    edges = signatures[0].bin_edges
-    for sig in signatures[1:]:
-        if sig.bin_edges.shape != edges.shape or not np.array_equal(sig.bin_edges, edges):
-            raise DataError("signatures do not share bin edges")
-
+def identify_attack(predicted_labels, registry: Registry) -> IdentificationResult:
+    """Histogram the predictions with the registry's edges and pick the most
+    similar signature; ties go to the lowest signature index."""
     values = np.asarray(predicted_labels, dtype=np.float64)
     if values.size == 0:
         raise DataError("cannot identify from zero predicted labels")
-    observed = _histogram(values, edges)
+    observed = _histogram(values, registry.bin_edges)
     if observed.sum() == 0.0:
         raise DataError("predicted labels produced an empty histogram")
 
-    sims = [cosine_similarity(observed, sig.counts) for sig in signatures]
+    sims = [cosine_similarity(observed, row) for row in registry.counts]
     best = int(np.argmax(sims))  # first maximum: lowest index wins ties
     ordered = sorted(sims, reverse=True)
     margin = float(ordered[0] - ordered[1]) if len(sims) > 1 else 0.0
     return IdentificationResult(
-        predicted_attack=signatures[best].attack_name,
-        similarities={name: float(s) for name, s in zip(names, sims)},
+        predicted_attack=registry.attack_names[best],
+        similarities={name: float(s) for name, s in zip(registry.attack_names, sims)},
         margin=margin,
     )
 
 
-def save_registry(signatures: list[SpectrumSignature], path: str | Path) -> None:
+def save_registry(registry: Registry, path: str | Path) -> None:
     payload = {
         "version": REGISTRY_FILE_VERSION,
+        "method": registry.method,
+        "d_model": registry.d_model,
+        "bin_edges": [float(v) for v in registry.bin_edges],
         "signatures": [
-            {
-                "attack_name": s.attack_name,
-                "bin_edges": [float(v) for v in s.bin_edges],
-                "counts": [float(v) for v in s.counts],
-                "method": s.method,
-                "d_model": s.d_model,
-            }
-            for s in signatures
+            {"attack_name": name, "counts": [float(v) for v in row]}
+            for name, row in zip(registry.attack_names, registry.counts)
         ],
     }
     path = Path(path)
@@ -176,27 +159,28 @@ def save_registry(signatures: list[SpectrumSignature], path: str | Path) -> None
     write_json(path, payload)
 
 
-def load_registry(path: str | Path) -> list[SpectrumSignature]:
+def load_registry(path: str | Path) -> Registry:
     path = Path(path)
     payload = read_json_object(path, DataError, "registry")
     try:
         if read_field(payload, "version", Integral) != REGISTRY_FILE_VERSION:
             raise ValueError(f"unsupported registry version {payload['version']}")
-        items = read_field(payload, "signatures", list, default=[])
-    except ValueError as exc:
+        names, counts = [], []
+        for i, item in enumerate(read_field(payload, "signatures", list)):
+            where = f"signature {i}: "
+            names.append(read_field(item, "attack_name", str, where=where))
+            counts.append(read_field(item, "counts", list[Real], where=where))
+            unknown = sorted(set(item) - {"attack_name", "counts"})
+            if unknown:
+                raise ValueError(f"{where}unknown keys {unknown}")
+        if len({row.size for row in counts}) > 1:
+            raise ValueError("signatures must hold equally many counts")
+        return Registry(
+            attack_names=tuple(names),
+            bin_edges=read_field(payload, "bin_edges", list[Real]),
+            counts=np.array(counts, ndmin=2),
+            method=read_field(payload, "method", str),
+            d_model=read_field(payload, "d_model", Integral, default=None),
+        )
+    except (ValueError, DataError) as exc:
         raise DataError(f"{path}: {exc}") from None
-    signatures = []
-    for i, item in enumerate(items):
-        try:
-            signatures.append(SpectrumSignature(
-                attack_name=read_field(item, "attack_name", str),
-                bin_edges=read_field(item, "bin_edges", list[Real]),
-                counts=read_field(item, "counts", list[Real]),
-                method=read_field(item, "method", str),
-                d_model=read_field(item, "d_model", Integral, default=None),
-            ))
-        except (ValueError, DataError) as exc:
-            raise DataError(f"{path}: signature {i} is malformed: {exc}") from None
-    if not signatures:
-        raise DataError(f"{path}: registry contains no signatures")
-    return signatures

@@ -121,7 +121,7 @@ def _identification_protocol(timeline, seed, ratios=(0.0, 1.0)):
         features[train_rows],
         ds.spectrum_labels[train_rows],
     )
-    signatures = build_registry(
+    registry = build_registry(
         {tag: ds.spectrum_labels[np.asarray(rows)] for tag, rows in signature_rows.items()},
         bins=12,
         method="sspe",
@@ -146,7 +146,7 @@ def _identification_protocol(timeline, seed, ratios=(0.0, 1.0)):
         for tag, rows in eval_segments:
             block = predictions[offset : offset + rows.size]
             offset += rows.size
-            results.append(identify_attack(block, signatures))
+            results.append(identify_attack(block, registry))
             truth.append(tag)
         accuracies[ratio] = identification_accuracy(results, truth)
     return accuracies
@@ -363,18 +363,13 @@ def test_c09_full_pipeline_byte_determinism(tmp_path):
 
 
 def test_c10_identification_accuracy_arithmetic():
-    from tspec.identify import SpectrumSignature
+    from tspec.identify import Registry
 
     edges = np.linspace(0.0, 1.0, 5)
 
     def result_for(name):
-        signature = SpectrumSignature(
-            attack_name=name,
-            bin_edges=edges,
-            counts=np.array([0.25, 0.25, 0.25, 0.25]),
-            method="coap",
-        )
-        return identify_attack(np.array([0.5]), [signature])
+        registry = Registry((name,), edges, np.array([[0.25, 0.25, 0.25, 0.25]]), "coap", None)
+        return identify_attack(np.array([0.5]), registry)
 
     names = [f"attack_{i}" for i in range(14)]
     results = [result_for(n) for n in names]

@@ -112,10 +112,26 @@ def base_configs(ws, tmp: Path) -> dict[str, dict]:
 class TestRegressions:
     def test_registry_entry_missing_keys(self, ws, tmp_path):
         registry = tmp_path / "registry.json"
-        registry.write_text(json.dumps({"version": 1, "signatures": [{}]}))
+        registry.write_text(json.dumps({"version": 2, "signatures": [{}]}))
         rc, err = run(identify_args(ws, ws / "sspe", tmp_path, registry=registry))
         assert rc == 2
         assert str(registry) in err and "'attack_name'" in err
+
+    def test_version_1_registry_names_the_file(self, ws, tmp_path):
+        # Version 1 repeated the bin edges, method and d_model in every signature.
+        registry = tmp_path / "registry.json"
+        shutil.copy(ws / "registry.json", registry)
+
+        def to_version_1(d):
+            header = {key: d.pop(key) for key in ("bin_edges", "method", "d_model")}
+            d["version"] = 1
+            for signature in d["signatures"]:
+                signature.update(header)
+
+        edit_json(registry, to_version_1)
+        rc, err = run(identify_args(ws, ws / "sspe", tmp_path, registry=registry))
+        assert rc == 2
+        assert f"{registry}: unsupported registry version 1" in err
 
     def test_provenance_without_method(self, ws, tmp_path):
         dataset = copy_dataset(ws, tmp_path)
@@ -531,19 +547,29 @@ REGISTRY_EDITS = {
     "signatures not a list": lambda d: d.update(signatures=5),
     "entry not an object": lambda d: d["signatures"].__setitem__(0, "dos"),
     "name not a string": lambda d: d["signatures"][0].update(attack_name=3),
-    "one bin edge": lambda d: d["signatures"][0].update(bin_edges=[0.0], counts=[]),
-    "nested edges": lambda d: d["signatures"][0].update(bin_edges=[[0.0, 1.0]]),
-    "edge not finite": lambda d: d["signatures"][0]["bin_edges"].__setitem__(-1, float("inf")),
+    "one bin edge": lambda d: d.update(bin_edges=[0.0]),
+    "nested edges": lambda d: d.update(bin_edges=[[0.0, 1.0]]),
+    "edge not finite": lambda d: d["bin_edges"].__setitem__(-1, float("inf")),
     "count not finite": lambda d: d["signatures"][0]["counts"].__setitem__(0, float("nan")),
     "count a string": lambda d: d["signatures"][0]["counts"].__setitem__(0, "a"),
+    "counts one short": lambda d: d["signatures"][0]["counts"].pop(),
     # Signatures built for another label method or d_model than the dataset's.
-    "method coap": lambda d: d["signatures"][0].update(method="coap"),
-    "d_model 16": lambda d: d["signatures"][0].update(d_model=16),
+    "method coap": lambda d: d.update(method="coap"),
+    "d_model 16": lambda d: d.update(d_model=16),
     # Each once parsed by np.asarray or accepted as equal to an integer.
-    "edges numeric strings": lambda d: d["signatures"][0].update(
-        bin_edges=[str(v) for v in d["signatures"][0]["bin_edges"]]),
+    "edges numeric strings": lambda d: d.update(bin_edges=[str(v) for v in d["bin_edges"]]),
     "version true": lambda d: d.update(version=True),
-    "d_model a float": lambda d: d["signatures"][0].update(d_model=4.0),
+    "d_model a float": lambda d: d.update(d_model=4.0),
+    # Each once exited 2 naming no file, or (negated counts) scored the
+    # segments with negative similarities and exited 0.
+    "names repeated": lambda d: d["signatures"][1].update(
+        attack_name=d["signatures"][0]["attack_name"]),
+    "edges on one signature": lambda d: d["signatures"][0].update(
+        bin_edges=[v + 1.0 for v in d["bin_edges"]]),
+    "counts all zero": lambda d: d["signatures"][0].update(
+        counts=[0.0] * len(d["signatures"][0]["counts"])),
+    "counts negated": lambda d: d["signatures"][0].update(
+        counts=[-v for v in d["signatures"][0]["counts"]]),
 }
 
 
@@ -560,7 +586,7 @@ def test_bad_registry_exits_2(ws, tmp_path, edit):
 def test_registry_mismatch_names_both_label_methods(ws, tmp_path):
     registry = tmp_path / "registry.json"
     shutil.copy(ws / "registry.json", registry)
-    edit_json(registry, lambda d: d["signatures"][-1].update(method="coap", d_model=None))
+    edit_json(registry, lambda d: d.update(method="coap", d_model=None))
     rc, err = run(identify_args(ws, ws / "sspe", tmp_path, registry=registry))
     assert rc == 2
     assert "method 'coap' with d_model None" in err

@@ -29,7 +29,7 @@ from tspec import (
 from tspec import evalharness
 from tspec.models import FAMILIES
 from tspec.evalharness import identify_segments, labels_by_attack
-from tspec.identify import build_registry, build_signature
+from tspec.identify import Registry, build_registry
 from tests.conftest import method_artifacts, tagged_dataset, use_cpus
 from tests.test_cli import read_tree
 from tests.oracles import confusion_oracle
@@ -79,12 +79,11 @@ class TestDetectionMetrics:
 
 class TestIdentificationAccuracy:
     def _results(self, names):
-        sig = build_signature(np.array([1.0, 2.0]), "x", bins=4, value_range=(0.0, 4.0))
-        out = []
-        for name in names:
-            result = identify_attack(np.array([1.0]), [replace_sig(sig, name)])
-            out.append(result)
-        return out
+        edges, counts = np.linspace(0.0, 4.0, 5), np.array([[0.0, 0.5, 0.5, 0.0]])
+        return [
+            identify_attack(np.array([1.0]), Registry((name,), edges, counts, "sspe", None))
+            for name in names
+        ]
 
     def test_all_correct(self):
         results = self._results(["a", "b"])
@@ -104,18 +103,6 @@ class TestIdentificationAccuracy:
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             identification_accuracy(self._results(["a"]), ["a", "b"])
-
-
-def replace_sig(sig, name):
-    from tspec import SpectrumSignature
-
-    return SpectrumSignature(
-        attack_name=name,
-        bin_edges=sig.bin_edges,
-        counts=sig.counts,
-        method=sig.method,
-        d_model=sig.d_model,
-    )
 
 
 class TestSegments:
@@ -289,12 +276,12 @@ class TestSweep:
         noised_test = inject_noise(art.test, NoiseSpec(0.4, 1.0, row.seed))
         predictions = predict(model, noised_test.features)
         assert not np.array_equal(predictions, predict(original, noised_test.features))
-        signatures = build_registry(
+        registry = build_registry(
             labels_by_attack(art.train), bins=12, method="sspe",
             d_model=art.train.provenance.get("d_model"),
         )
         results, truth_tags = identify_segments(
-            predictions, art.test, signatures, min_windows=3
+            predictions, art.test, registry, min_windows=3
         )
         assert row.identification_accuracy == identification_accuracy(results, truth_tags)
         assert [(spec.family, labels) for spec, labels in fits] == [
@@ -392,7 +379,7 @@ class TestCleanPredictionReuse:
             report = run_noise_sweep(cfg)
 
         truth = detection_truth(art.train, art.test)
-        signatures = build_registry(
+        registry = build_registry(
             labels_by_attack(art.train), bins=12, method="sspe",
             d_model=art.train.provenance.get("d_model"),
         )
@@ -418,7 +405,7 @@ class TestCleanPredictionReuse:
             else:
                 assert next(cells).tobytes() == predictions.tobytes()
                 results, tags = identify_segments(
-                    predictions, art.test, signatures, min_windows=3
+                    predictions, art.test, registry, min_windows=3
                 )
                 assert row.identification_accuracy == identification_accuracy(results, tags)
         assert next(cells, None) is None

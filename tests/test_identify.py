@@ -1,5 +1,7 @@
-"""Identification tests: signatures, cosine similarity, argmax attribution."""
+"""Identification tests: the signature registry, cosine similarity, argmax
+attribution."""
 
+import json
 import math
 
 import numpy as np
@@ -8,8 +10,8 @@ import pytest
 from tspec import (
     ConfigError,
     DataError,
+    Registry,
     build_registry,
-    build_signature,
     cosine_similarity,
     identify_attack,
     load_registry,
@@ -17,73 +19,100 @@ from tspec import (
 )
 
 
+def registry_of(names, counts, edges=(0.0, 1.0, 2.0, 3.0, 4.0)):
+    return Registry(tuple(names), np.array(edges), np.array(counts, dtype=float), "sspe", None)
+
+
 class TestBuildSignature:
+    """Each attack's signature: one row of the registry's counts."""
+
     def test_single_bin_mass_is_one_hot(self):
-        sig = build_signature(np.full(20, 3.0), "a", bins=4, value_range=(0.0, 8.0))
-        assert sig.counts.tolist() == [0.0, 1.0, 0.0, 0.0]
+        # "b" spans the range: edges -1, 1, 3, 5, 7.
+        registry = build_registry(
+            {"a": np.full(20, 3.0), "b": np.array([-1.0, 7.0])}, bins=4, method="sspe"
+        )
+        assert registry.counts.tolist() == [[0.0, 0.0, 1.0, 0.0], [0.5, 0.0, 0.0, 0.5]]
 
     def test_even_split(self):
-        sig = build_signature(np.array([0.0, 0.0, 1.0, 1.0]), "a", bins=2, value_range=(0.0, 1.0))
-        assert sig.counts.tolist() == [0.5, 0.5]
+        registry = build_registry({"a": np.array([1.0, 1.0, 2.0, 2.0])}, bins=2, method="sspe")
+        assert registry.counts.tolist() == [[0.5, 0.5]]
 
     def test_normalization(self):
         rng = np.random.default_rng(0)
-        sig = build_signature(rng.normal(10, 2, size=1000), "a", bins=50)
-        assert sig.counts.sum() == pytest.approx(1.0, abs=1e-9)
+        registry = build_registry({"a": rng.normal(10, 2, size=1000)}, bins=50, method="sspe")
+        assert registry.counts[0].sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_out_of_range_clamps_to_edges(self):
-        # -5 clamps into the low bin, 9 into the high bin, 0.5 sits on the
-        # interior edge and goes right.
-        sig = build_signature(
-            np.array([-5.0, 0.5, 9.0]), "a", bins=2, value_range=(0.0, 1.0)
+        # Edges 1, 2.5, 4.  Predicted -5 clamps into the low bin, 9 into the
+        # high bin, 2.5 sits on the interior edge and goes right.
+        registry = build_registry(
+            {"low": np.array([1.0]), "high": np.array([4.0])}, bins=2, method="sspe"
         )
-        assert sig.counts.tolist() == [pytest.approx(1 / 3), pytest.approx(2 / 3)]
+        result = identify_attack(np.array([-5.0, 2.5, 9.0]), registry)
+        assert result.similarities == {
+            "low": pytest.approx(1 / math.sqrt(5)), "high": pytest.approx(2 / math.sqrt(5)),
+        }
 
     def test_degenerate_range_widens(self):
-        sig = build_signature(np.array([2.0, 2.0]), "a", bins=4)
-        assert sig.counts.sum() == pytest.approx(1.0)
-        assert (np.diff(sig.bin_edges) > 0).all()
+        registry = build_registry({"a": np.array([2.0, 2.0])}, bins=4, method="sspe")
+        assert registry.counts.sum() == pytest.approx(1.0)
+        assert (np.diff(registry.bin_edges) > 0).all()
+        assert registry.bin_edges[[0, -1]].tolist() == [1.5, 2.5]
 
     def test_empty_labels(self):
         with pytest.raises(DataError):
-            build_signature(np.array([]), "a")
+            build_registry({"a": np.array([])}, bins=4, method="sspe")
+        with pytest.raises(DataError):
+            build_registry({}, bins=4, method="sspe")
 
     def test_too_few_bins(self):
         with pytest.raises(ConfigError):
-            build_signature(np.array([1.0]), "a", bins=1)
+            build_registry({"a": np.array([1.0])}, bins=1, method="sspe")
 
 
 class TestRegistry:
     def test_shared_range_and_zero_exclusion(self):
-        sigs = build_registry(
+        registry = build_registry(
             {"a": np.array([0.0, 1.0, 2.0]), "b": np.array([0.0, 8.0, 10.0])},
             bins=5,
+            method="sspe",
         )
-        assert np.array_equal(sigs[0].bin_edges, sigs[1].bin_edges)
-        assert sigs[0].bin_edges[0] == 1.0  # zeros excluded before ranging
-        assert sigs[0].bin_edges[-1] == 10.0
+        assert registry.attack_names == ("a", "b")
+        assert registry.counts.shape == (2, 5)
+        assert registry.bin_edges[0] == 1.0  # zeros excluded before ranging
+        assert registry.bin_edges[-1] == 10.0
 
     def test_all_zero_attack_rejected(self):
         with pytest.raises(DataError, match="usable"):
-            build_registry({"a": np.zeros(5)})
+            build_registry({"a": np.zeros(5)}, bins=4, method="sspe")
+
+    @pytest.mark.parametrize("counts", [[[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
+                                        [[0.5, 0.5, 0.0, 0.0], [0.0, -0.5, -0.5, 0.0]]])
+    def test_zero_or_negative_counts_rejected(self, counts):
+        with pytest.raises(DataError, match=r"\['b'\] need nonnegative counts"):
+            registry_of(["a", "b"], counts)
 
     def test_round_trip(self, tmp_path):
-        sigs = build_registry(
+        registry = build_registry(
             {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])}, bins=8, method="coap"
         )
         path = tmp_path / "registry.json"
-        save_registry(sigs, path)
+        save_registry(registry, path)
+        stored = json.loads(path.read_text())
+        assert stored["version"] == 2
+        assert [sorted(s) for s in stored["signatures"]] == [["attack_name", "counts"]] * 2
         loaded = load_registry(path)
-        assert [s.attack_name for s in loaded] == ["a", "b"]
-        for original, restored in zip(sigs, loaded):
-            assert np.array_equal(original.bin_edges, restored.bin_edges)
-            assert np.array_equal(original.counts, restored.counts)
+        assert loaded.attack_names == ("a", "b")
+        assert (loaded.method, loaded.d_model) == ("coap", None)
+        assert np.array_equal(registry.bin_edges, loaded.bin_edges)
+        assert np.array_equal(registry.counts, loaded.counts)
 
     def test_missing_and_empty_registry(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_registry(tmp_path / "none.json")
         empty = tmp_path / "empty.json"
-        empty.write_text('{"version": 1, "signatures": []}')
+        empty.write_text(json.dumps({"version": 2, "method": "sspe", "d_model": 8,
+                                     "bin_edges": [0.0, 1.0], "signatures": []}))
         with pytest.raises(DataError, match="no signatures"):
             load_registry(empty)
 
@@ -134,6 +163,7 @@ class TestIdentifyAttack:
                 "high": rng.normal(8.0, 0.3, size=400),
             },
             bins=20,
+            method="sspe",
         )
 
     def test_self_identification(self, registry):
@@ -151,9 +181,8 @@ class TestIdentifyAttack:
         assert once.predicted_attack == tripled.predicted_attack == "mid"
 
     def test_tie_breaks_to_lowest_index(self):
-        base = build_signature(np.array([1.0, 2.0]), "first", bins=4, value_range=(0.0, 4.0))
-        clone = build_signature(np.array([1.0, 2.0]), "second", bins=4, value_range=(0.0, 4.0))
-        result = identify_attack(np.array([1.0, 2.0]), [base, clone])
+        registry = registry_of(["first", "second"], [[0.0, 0.5, 0.5, 0.0]] * 2)
+        result = identify_attack(np.array([1.0, 2.0]), registry)
         assert result.predicted_attack == "first"
         assert result.margin == 0.0
 
@@ -169,21 +198,17 @@ class TestIdentifyAttack:
         assert set(result.similarities) == {"low", "mid", "high"}
 
     def test_inconsistent_binning_rejected(self):
-        a = build_signature(np.array([1.0]), "a", bins=4, value_range=(0.0, 4.0))
-        b = build_signature(np.array([1.0]), "b", bins=4, value_range=(0.0, 8.0))
-        with pytest.raises(DataError, match="share bin edges"):
-            identify_attack(np.array([1.0]), [a, b])
+        with pytest.raises(DataError, match="one finite count per bin"):
+            registry_of(["a", "b"], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
     def test_empty_predictions_rejected(self, registry):
         with pytest.raises(DataError):
             identify_attack(np.array([]), registry)
 
     def test_empty_registry_rejected(self):
-        with pytest.raises(DataError):
-            identify_attack(np.array([1.0]), [])
+        with pytest.raises(DataError, match="no signatures"):
+            registry_of([], np.zeros((0, 4)))
 
     def test_duplicate_names_rejected(self):
-        a = build_signature(np.array([1.0]), "same", bins=4, value_range=(0.0, 4.0))
-        b = build_signature(np.array([2.0]), "same", bins=4, value_range=(0.0, 4.0))
         with pytest.raises(DataError, match="unique"):
-            identify_attack(np.array([1.0]), [a, b])
+            registry_of(["same", "same"], [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
