@@ -20,21 +20,19 @@ import os
 import signal
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
 from .dataprep import (
-    Dataset,
     SyntheticScenario,
     assemble_dataset,
     generate_synthetic,
     load_dataset,
     save_dataset,
     split_dataset,
-    zscore_apply,
     zscore_fit,
 )
 from .errors import (
@@ -174,9 +172,18 @@ def _csv_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+def _unrepeated(name: str, values: list) -> list:
+    """``values``, unless one of them repeats an earlier one."""
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ConfigError(f"config key {name!r} repeats {repeated[0]!r}, in {values!r}")
+    return values
+
+
 def _typed(name: str, key: Key, value):
     """``value`` checked against ``key`` and typed: ints as ``int``, reals as
-    ``float``, paths as ``Path``; otherwise a ``ConfigError`` naming the key."""
+    ``float``, paths as ``Path``, lists without repeats; otherwise a
+    ``ConfigError`` naming the key."""
     if value is None and key.default is None:
         return None
     kind, valid = key.kind, key.valid
@@ -200,11 +207,11 @@ def _typed(name: str, key: Key, value):
         if isinstance(value, str) and key.flag:  # the flag's text, in a config file
             return _typed(name, key, _csv_list(value))
         if is_list and all(isinstance(v, str) and (valid is None or v in valid) for v in value):
-            return list(value)
+            return _unrepeated(name, list(value))
         what = f"{some} of {'names' if valid is None else ', '.join(valid)}"
     elif kind == "reals":
         if is_list and not any(valid.problem(v) for v in value):
-            return [float(v) for v in value]
+            return _unrepeated(name, [float(v) for v in value])
         what = f"{some} of numbers in {valid}"
     else:  # datasets
         if isinstance(value, dict) and value and all(
@@ -302,28 +309,27 @@ def _load_timeline(cfg: dict):
 
 def cmd_build_dataset(cfg: dict) -> int:
     out, seed, method = cfg["out"], cfg["seed"], cfg["method"]
+    source = cfg["scenario"] or cfg["input"]
     timeline = _load_timeline(cfg)
     timeline = fill_missing_points(timeline, derive_seed(seed, "fill"))
     features = cfg["features"] or nonconstant_features(timeline)
     if not features:
-        raise DataError(f"{cfg['scenario'] or cfg['input']}: every feature column is constant")
+        raise DataError(f"{source}: every feature column is constant")
     timeline = select_features(timeline, features)
 
-    ds = assemble_dataset(
-        timeline,
-        window_size=cfg["window"],
-        stride=cfg["stride"],
-        method=method,
-        d_model=cfg["d_model"],
-    )
-
     split_seed = derive_seed(seed, "split")
-    test = split_dataset(ds, cfg["test_fraction"], split_seed, cfg["stratify"])
     try:
-        zparams = zscore_fit(ds.features[~test])
-        ds = replace(ds, features=zscore_apply(ds.features, zparams))  # frees the raw rows
+        ds = assemble_dataset(
+            timeline,
+            window_size=cfg["window"],
+            stride=cfg["stride"],
+            method=method,
+            d_model=cfg["d_model"],
+        )
+        test = split_dataset(ds, cfg["test_fraction"], split_seed, cfg["stratify"])
+        zparams = zscore_fit(ds.features[~test])  # the rows are z-scored on load
     except DataError as exc:
-        raise DataError(f"{cfg['scenario'] or cfg['input']}: {exc}") from None
+        raise DataError(f"{source}: {exc}") from None
 
     with _output_lock(out):
         save_dataset(
@@ -347,12 +353,6 @@ def cmd_build_dataset(cfg: dict) -> int:
     return 0
 
 
-def _load_split(dataset_dir: Path) -> tuple[Dataset, Dataset]:
-    """The (train, test) split of a dataset directory."""
-    ds, test = load_dataset(dataset_dir)
-    return ds.take(np.flatnonzero(~test)), ds.take(np.flatnonzero(test))
-
-
 def _refuse_baseline(command: str, dataset_dir: Path, method: str):
     """A ``ConfigError`` unless the dataset has spectrum labels to identify by."""
     if not is_spectrum_method(method):
@@ -367,7 +367,7 @@ def cmd_train(cfg: dict) -> int:
         for family in cfg["families"]
     ]
 
-    train_ds = _load_split(dataset_dir)[0]  # the test split is not kept through the fits
+    train_ds = load_dataset(dataset_dir)[0]  # the test split is not kept through the fits
     if task == "detect":
         labels = detection_truth(train_ds, train_ds)
     else:
@@ -378,7 +378,11 @@ def cmd_train(cfg: dict) -> int:
     with _output_lock(model_root):
         for spec in specs:
             path = model_root / f"{spec.family}.json"
-            save_model(train(spec, train_ds.features, labels), path)
+            try:
+                model = train(spec, train_ds.features, labels)
+            except DataError as exc:
+                raise DataError(f"{dataset_dir}: {spec.family}: {exc}") from None
+            save_model(model, path)
             print(f"train: {spec.family} ({task}) -> {path}")
     return 0
 
@@ -399,7 +403,7 @@ def cmd_sweep(cfg: dict) -> int:
     datasets = cfg["datasets"]
     methods: dict[str, MethodArtifacts] = {}
     for method, dataset_dir in datasets.items():
-        train_ds, test_ds = _load_split(dataset_dir)
+        train_ds, test_ds = load_dataset(dataset_dir)
         if train_ds.provenance["method"] != method:
             raise ConfigError(
                 f"dataset under {dataset_dir} was built with method "
@@ -450,7 +454,7 @@ def cmd_sweep(cfg: dict) -> int:
 def cmd_identify(cfg: dict) -> int:
     out, dataset_dir, registry_path = cfg["out"], cfg["dataset"], cfg["registry"]
 
-    train_ds, test_ds = _load_split(dataset_dir)
+    train_ds, test_ds = load_dataset(dataset_dir)
     method, d_model = train_ds.provenance["method"], train_ds.provenance.get("d_model")
     _refuse_baseline("identify", dataset_dir, method)
     model_path = cfg["model"]
@@ -471,9 +475,13 @@ def cmd_identify(cfg: dict) -> int:
             )
 
     predictions = predict(model, test_ds.features)
-    results, truth = identify_segments(
-        predictions, test_ds, registry, min_windows=cfg["min_segment_windows"]
-    )
+    try:
+        results, truth = identify_segments(
+            predictions, test_ds, registry, min_windows=cfg["min_segment_windows"]
+        )
+    except DataError as exc:
+        raise DataError(f"{dataset_dir}: {exc} with min_segment_windows "
+                        f"{cfg['min_segment_windows']}") from None
     accuracy = identification_accuracy(results, truth)
     payload = {
         "accuracy": accuracy,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import zipfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -99,8 +99,10 @@ class Dataset:
     echoes how the rows were built (window size, stride, method, seeds, ...).
     ``second_features`` and ``window_starts`` (set by ``assemble_dataset``
     and ``load_dataset``) are the (n, F) per-second matrix the rows were
-    windowed from and each row's start second in it; ``save_dataset`` stores
-    these instead of the rows, after checking that they rebuild them.
+    windowed from and each row's start second in it: row i is the window at
+    ``window_starts[i]``, flattened, raw from ``assemble_dataset`` and
+    z-scored from ``load_dataset``.  ``save_dataset`` stores these, never
+    the rows.
     """
 
     features: np.ndarray
@@ -117,27 +119,16 @@ class Dataset:
         self.tag_codes = np.zeros(m, np.int64) if self.tag_codes is None else self.tag_codes
         self.attack_names = tuple(self.attack_names)
         shapes = {self.spectrum_labels.shape, self.binary_labels.shape, self.tag_codes.shape}
+        if self.window_starts is not None:
+            shapes.add(self.window_starts.shape)
         if shapes != {(m,)}:
-            raise DataError("dataset label vectors and tag codes must align with feature rows")
+            raise DataError("dataset label vectors, tag codes and window starts must align "
+                            "with feature rows")
         if m and not 0 <= self.tag_codes.min() <= self.tag_codes.max() < len(self.attack_names):
             raise DataError(f"tag codes must lie in [0, {len(self.attack_names)}), one per name")
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def take(self, indices: np.ndarray) -> "Dataset":
-        """Row subset in the given index order."""
-        indices = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            features=self.features[indices],
-            spectrum_labels=self.spectrum_labels[indices],
-            binary_labels=self.binary_labels[indices],
-            provenance=dict(self.provenance),
-            tag_codes=self.tag_codes[indices],
-            attack_names=self.attack_names,
-            second_features=self.second_features,
-            window_starts=None if self.window_starts is None else self.window_starts[indices],
-        )
 
 
 def split_dataset(
@@ -181,21 +172,22 @@ class NoiseSpec:
             raise ConfigError(f"noise scale must be positive and finite, got {self.scale}")
 
 
-def inject_noise(ds: Dataset, spec: NoiseSpec) -> Dataset:
-    """Add seeded Gaussian noise to exactly round(ratio * M) rows.
+def inject_noise(features: np.ndarray, spec: NoiseSpec) -> np.ndarray:
+    """A copy of the (M, D) feature matrix with seeded Gaussian noise added
+    to exactly round(ratio * M) rows.
 
     Rows are chosen uniformly without replacement; every feature of a chosen
-    row receives independent N(0, scale^2) noise.  Labels and tags are never
-    touched, and ratio 0 returns a bit-exact copy.
+    row receives independent N(0, scale^2) noise.  Ratio 0 returns a
+    bit-exact copy.
     """
-    m = len(ds)
+    m = features.shape[0]
     n_rows = int(round(spec.ratio * m))
-    features = ds.features.copy()
+    noised = features.copy()
     if n_rows > 0:
         rng = np.random.default_rng(spec.seed)
         rows = rng.choice(m, size=n_rows, replace=False)
-        features[rows] += rng.normal(0.0, spec.scale, size=(n_rows, features.shape[1]))
-    return replace(ds, features=features)
+        noised[rows] += rng.normal(0.0, spec.scale, size=(n_rows, features.shape[1]))
+    return noised
 
 
 @dataclass(frozen=True)
@@ -397,14 +389,6 @@ def assemble_dataset(
     )
 
 
-def _rows_from_seconds(
-    second_features: np.ndarray, starts: np.ndarray, window_size: int, zscore: ZScoreParams
-) -> np.ndarray:
-    """The standardized, flattened window rows that ``save_dataset`` stores
-    as per-second features plus window starts."""
-    return zscore_apply(flatten_windows(second_features, starts, window_size), zscore)
-
-
 def save_dataset(
     ds: Dataset,
     out_dir: str | Path,
@@ -414,34 +398,26 @@ def save_dataset(
 ) -> None:
     """Write ``dataset.npz`` and its ``dataset.json`` sidecar, each atomically.
 
-    The rows are not stored one by one: ``dataset.npz`` holds the per-second
-    features, one window start per row, and ``load_dataset`` rebuilds the
-    rows as the z-scored flattened windows at those starts.  ``ds.features``
-    must equal that rebuild bit for bit, so a dataset that was not windowed
-    from its ``second_features`` (noise-injected or built by hand) raises a
-    ``DataError``.  Every other per-row or per-column array goes into
-    ``dataset.npz`` too: the two label vectors, the ``test`` mask (True for
-    a test row), the tag codes, and the z-score parameters.  The sidecar
-    holds the row count, feature width, provenance, the attack names that
-    some row is tagged with (the codes are renumbered into them), and any
-    extras (split settings, seeds).
+    The rows are not stored: ``dataset.npz`` holds the per-second features
+    and one window start per row, and ``load_dataset`` builds each row as
+    the window at its start, flattened and z-scored with ``zscore``.  So
+    ``ds.features`` is never read, and a dataset that was not windowed from
+    per-second features raises a ``DataError``, as do a ``test`` mask or
+    z-score parameters of another length.  Every other per-row or
+    per-column array goes into ``dataset.npz`` too: the two label vectors,
+    the ``test`` mask (True for a test row), the tag codes, and the z-score
+    parameters.  The sidecar holds the row count, feature width,
+    provenance, the attack names that some row is tagged with (the codes
+    are renumbered into them), and any extras (split settings, seeds).
     """
     window = ds.provenance.get("window")
     if any(v is None for v in (ds.second_features, ds.window_starts, window)):
         raise DataError("only a dataset windowed from per-second features can be saved")
-    if np.shape(test) != (len(ds),):
-        raise DataError(f"the test mask has shape {np.shape(test)}, expected ({len(ds)},)")
-    rebuilt = _rows_from_seconds(ds.second_features, ds.window_starts, window, zscore)
-    features = ds.features
-    if not (
-        features.dtype == np.float64
-        and features.shape == rebuilt.shape
-        and np.array_equal(features.view(np.uint64), rebuilt.view(np.uint64))
-    ):
-        raise DataError(
-            "dataset features differ from the z-scored windows of its per-second "
-            "features; refusing to save rows that would not load back"
-        )
+    rows, width = ds.window_starts.size, ds.second_features.shape[1] * window
+    if np.shape(test) != (rows,):
+        raise DataError(f"the test mask has shape {np.shape(test)}, expected ({rows},)")
+    if {np.shape(zscore.means), np.shape(zscore.stds)} != {(width,)}:
+        raise DataError(f"the z-score parameters must have one value per feature column ({width})")
 
     used, codes = np.unique(ds.tag_codes, return_inverse=True)
     out_dir = Path(out_dir)
@@ -460,8 +436,8 @@ def save_dataset(
         )
     sidecar = {
         "schema_version": DATASET_SCHEMA_VERSION,
-        "rows": len(ds),
-        "feature_width": features.shape[1],
+        "rows": rows,
+        "feature_width": width,
         "provenance": ds.provenance,
         "attack_names": [ds.attack_names[i] for i in used.tolist()],
         **(sidecar_extra or {}),
@@ -498,12 +474,14 @@ def _read_dataset_arrays(path: Path, lengths: dict[str, int]) -> dict[str, np.nd
     return arrays
 
 
-def load_dataset(in_dir: str | Path) -> tuple[Dataset, np.ndarray]:
-    """Read back a ``save_dataset`` directory; returns (dataset, test mask).
+def load_dataset(in_dir: str | Path) -> tuple[Dataset, Dataset]:
+    """Read back a ``save_dataset`` directory as its (train, test) split.
 
-    The rows are rebuilt from the stored per-second features and window
-    starts, then z-scored with the stored parameters: the same float64
-    values, bit for bit, that were saved.
+    Each split holds the rows of its side of the stored ``test`` mask, in
+    ascending row order.  Its rows are built once, as the windows of the
+    stored per-second features at their starts, flattened and z-scored
+    with the stored parameters: the float64 values ``build-dataset``
+    computes, bit for bit.
     """
     in_dir = Path(in_dir)
     json_path = in_dir / "dataset.json"
@@ -550,17 +528,21 @@ def load_dataset(in_dir: str | Path) -> tuple[Dataset, np.ndarray]:
             "and not negative"
         )
 
-    try:
-        ds = Dataset(
-            features=_rows_from_seconds(seconds, starts, window, ZScoreParams(means, stds)),
-            spectrum_labels=arrays["spectrum_labels"],
-            binary_labels=arrays["binary_labels"],
-            provenance=dict(provenance),
-            tag_codes=arrays["tag_codes"],
-            attack_names=names,
-            second_features=seconds,
-            window_starts=starts,
-        )
-    except DataError as exc:
-        raise DataError(f"{npz_path}: {exc}") from None
-    return ds, arrays["test"]
+    zscore, test = ZScoreParams(means, stds), arrays["test"]
+
+    def split(rows: np.ndarray) -> Dataset:
+        try:
+            return Dataset(
+                features=zscore_apply(flatten_windows(seconds, starts[rows], window), zscore),
+                spectrum_labels=arrays["spectrum_labels"][rows],
+                binary_labels=arrays["binary_labels"][rows],
+                provenance=dict(provenance),
+                tag_codes=arrays["tag_codes"][rows],
+                attack_names=names,
+                second_features=seconds,
+                window_starts=starts[rows],
+            )
+        except DataError as exc:
+            raise DataError(f"{npz_path}: {exc}") from None
+
+    return split(~test), split(test)

@@ -245,23 +245,23 @@ def run_noise_sweep(cfg: SweepConfig) -> EvalReport:
         seed_labels = () if task == "detect" else (task,)
         pct = int(round(float(ratio) * 100))
         seed = derive_seed(cfg.base_seed, "noise", method, family, *seed_labels, pct)
-        noised = inject_noise(art.test, NoiseSpec(float(ratio), cfg.noise_scale, seed))
+        noised = inject_noise(art.test.features, NoiseSpec(float(ratio), cfg.noise_scale, seed))
         if cfg.noise_train:
             train_seed = derive_seed(
                 cfg.base_seed, "train-noise", method, family, *seed_labels, pct
             )
             noised_train = inject_noise(
-                art.train, NoiseSpec(float(ratio), cfg.noise_scale, train_seed)
+                art.train.features, NoiseSpec(float(ratio), cfg.noise_scale, train_seed)
             )
             train_labels = train_truth if task == "detect" else art.train.spectrum_labels
-            model = train(model.spec, noised_train.features, train_labels)
+            model = train(model.spec, noised_train, train_labels)
         clean_predictions = clean.get((method, task, family))
         if clean_predictions is None:
-            predictions = predict(model, noised.features)
+            predictions = predict(model, noised)
         else:
-            changed = (noised.features != art.test.features).any(axis=1)
+            changed = (noised != art.test.features).any(axis=1)
             predictions = clean_predictions.copy()
-            predictions[changed] = predict(model, noised.features[changed])
+            predictions[changed] = predict(model, noised[changed])
         if task == "detect":
             preds = (predictions >= 0.5).astype(np.int64)
             score = {"metrics": detection_metrics(truth, preds)}

@@ -187,9 +187,17 @@ def method_artifacts(
     )
     test = split_dataset(ds, test_fraction, derive_seed(seed, "split"), True)
     params = zscore_fit(ds.features[~test])
-    standardized = replace(ds, features=zscore_apply(ds.features, params))
-    train_ds = standardized.take(np.flatnonzero(~test))
-    test_ds = standardized.take(np.flatnonzero(test))
+    train_ds, test_ds = (
+        replace(
+            ds,
+            features=zscore_apply(ds.features[rows], params),
+            spectrum_labels=ds.spectrum_labels[rows],
+            binary_labels=ds.binary_labels[rows],
+            tag_codes=ds.tag_codes[rows],
+            window_starts=ds.window_starts[rows],
+        )
+        for rows in (~test, test)
+    )
 
     labels = detection_truth(train_ds, train_ds)
 

@@ -438,6 +438,57 @@ class TestRegressions:
         assert ", ".join(map(repr, ["scenario", *given])) in err
         assert not (tmp_path / "ds").exists()
 
+    # Each data error below once left out the input it was about.
+    def test_window_longer_than_the_input_names_it(self, ws, tmp_path):
+        csv_path = ws / "raw" / "synthetic.csv"
+        rc, err = run(["build-dataset", "--input", csv_path, "--schema", ws / "raw" / "schema.json",
+                       "--window", 261, "--out", tmp_path / "ds"])
+        assert rc == 2, err
+        assert f"{csv_path}: insufficient data: 260 records for window size 261" in err
+        assert not (tmp_path / "ds").exists()
+
+    def test_one_window_names_the_scenario(self, ws, tmp_path):
+        scenario = ws / "scenario.json"
+        rc, err = run(["build-dataset", "--scenario", scenario, "--window", 260,
+                       "--out", tmp_path / "ds"])
+        assert rc == 2, err
+        assert f"{scenario}: need at least 2 rows to split" in err
+        assert not (tmp_path / "ds").exists()
+
+    def test_one_class_training_labels_name_the_dataset_and_family(self, tmp_path):
+        scenario = tmp_path / "quiet.json"
+        scenario.write_text(json.dumps({"duration": 60, "feature_count": 2, "segments": []}))
+        assert run(["build-dataset", "--scenario", scenario, "--method", "baseline",
+                    "--window", 5, "--out", tmp_path / "ds"])[0] == 0
+        rc, err = run(["train", "--dataset", tmp_path / "ds", "--families", "glm_binomial"])
+        assert rc == 2, err
+        want = f"{tmp_path / 'ds'}: glm_binomial: logistic fit needs both classes present"
+        assert want in err
+        assert not (tmp_path / "ds" / "models" / "detect" / "glm_binomial.json").exists()
+
+    def test_no_segment_long_enough_names_the_dataset_and_the_bound(self, ws, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"identify_bins": 10, "min_segment_windows": 1000}))
+        rc, err = run(["identify", "--config", config, "--dataset", ws / "sspe",
+                       "--registry", ws / "registry.json", "--out", tmp_path / "ident"])
+        assert rc == 2, err
+        assert (f"{ws / 'sspe'}: no attack segments large enough to identify with "
+                "min_segment_windows 1000") in err
+        assert not (tmp_path / "ident" / "identification.json").exists()
+
+    @pytest.mark.parametrize("command,flags", [
+        ("train", ["--families", "glm_binomial,glm_binomial"]),
+        ("sweep", ["--ratios", "0,0.5,0.5"]),
+        ("sweep", ["--identify-families", "glm_gaussian,glm_gaussian"]),
+    ])
+    def test_repeated_flag_entry_exits_1(self, ws, tmp_path, command, flags):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(base_configs(ws, ws)[command]))
+        rc, err = run([command, "--config", config, *flags, "--out", tmp_path / "out"])
+        assert rc == 1, err
+        assert f"config key {flags[0][2:].replace('-', '_')!r} repeats" in err
+        assert not (tmp_path / "out").exists()
+
 
 BAD_CONFIG_VALUES = [
     ("build-dataset", "window", float("inf")),
@@ -475,6 +526,14 @@ BAD_CONFIG_VALUES = [
     # Signatures of the test split would identify its segments by their own labels.
     ("identify", "make_registry", "test"),
     ("identify", "make_registry", "all"),
+    # Repeated entries once built a feature twice, fitted and wrote a family
+    # twice, or wrote a sweep row twice.
+    ("build-dataset", "features", ["f0", "f0"]),
+    ("train", "families", ["glm_binomial", "glm_binomial"]),
+    ("train", "families", "gbm,glm_binomial,gbm"),
+    ("sweep", "ratios", [0, 0.5, 0.5]),
+    ("sweep", "ratios", [0, 0.0]),
+    ("sweep", "identify_families", ["glm_gaussian", "glm_gaussian"]),
 ]
 
 
@@ -486,7 +545,7 @@ class TestConfigValues:
             raise AssertionError("input read before the config was checked")
 
         monkeypatch.setattr(cli, "_load_timeline", read_input)
-        monkeypatch.setattr(cli, "_load_split", read_input)
+        monkeypatch.setattr(cli, "load_dataset", read_input)
         shutil.copytree(ws / "sspe", tmp_path / "sspe")
         shutil.copytree(ws / "baseline", tmp_path / "baseline")
         cfg = {**base_configs(ws, tmp_path)[command], key: value}

@@ -166,10 +166,10 @@ class TestTrain:
 
     def test_test_split_is_freed_before_fitting(self, workspace, tmp_path, monkeypatch):
         # No fit reads the test split, which holds 30% of the rows.
-        load_split, fit, test_splits, alive = cli._load_split, cli.train, [], []
+        load, fit, test_splits, alive = cli.load_dataset, cli.train, [], []
 
         def load_spy(dataset_dir):
-            split = load_split(dataset_dir)
+            split = load(dataset_dir)
             test_splits.append(weakref.ref(split[-1]))
             return split
 
@@ -178,7 +178,7 @@ class TestTrain:
             alive.append(test_splits[0]() is not None)
             return fit(*args)
 
-        monkeypatch.setattr(cli, "_load_split", load_spy)
+        monkeypatch.setattr(cli, "load_dataset", load_spy)
         monkeypatch.setattr(cli, "train", fit_spy)
         assert main(["train", "--config", str(workspace / "config.json"),
                      "--dataset", str(workspace / "sspe"), "--task", "detect",
@@ -305,7 +305,7 @@ class TestIdentify:
         made = (tmp_path / "made" / "identification.json").read_bytes()
         assert (tmp_path / "loaded" / "identification.json").read_bytes() == made
         # The signatures the sweep identifies with, for the config's 10 bins.
-        train_ds, _ = cli._load_split(workspace / "sspe")
+        train_ds, _ = cli.load_dataset(workspace / "sspe")
         save_registry(training_registry(train_ds, 10), tmp_path / "sweep-registry.json")
         assert registry.read_bytes() == (tmp_path / "sweep-registry.json").read_bytes()
 

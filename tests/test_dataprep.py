@@ -127,52 +127,48 @@ class TestSplit:
             with pytest.raises(ConfigError):
                 split_dataset(make_dataset(10), bad, seed=0)
 
-    def test_tags_follow_rows(self):
-        ds = make_dataset(30, tags=True)
-        test = split_dataset(ds, 0.3, seed=4)
-        for mask in (~test, test):
-            rows = np.flatnonzero(mask)
-            assert dataset_tags(ds.take(rows)) == tuple(dataset_tags(ds)[i] for i in rows)
-
 
 class TestNoise:
     def test_zero_ratio_bit_exact(self):
         ds = make_dataset(15)
-        out = inject_noise(ds, NoiseSpec(0.0, 1.0, seed=3))
-        assert np.array_equal(out.features, ds.features)
-        assert out.features is not ds.features
+        out = inject_noise(ds.features, NoiseSpec(0.0, 1.0, seed=3))
+        assert np.array_equal(out, ds.features)
+        assert out is not ds.features
 
     def test_full_ratio_touches_every_row(self):
         ds = make_dataset(12)
-        out = inject_noise(ds, NoiseSpec(1.0, 1.0, seed=3))
-        changed = (out.features != ds.features).any(axis=1)
+        out = inject_noise(ds.features, NoiseSpec(1.0, 1.0, seed=3))
+        changed = (out != ds.features).any(axis=1)
         assert changed.all()
 
     def test_half_ratio_exact_row_count(self):
         ds = make_dataset(10)
-        out = inject_noise(ds, NoiseSpec(0.5, 1.0, seed=7))
-        changed = (out.features != ds.features).any(axis=1)
+        out = inject_noise(ds.features, NoiseSpec(0.5, 1.0, seed=7))
+        changed = (out != ds.features).any(axis=1)
         assert int(changed.sum()) == 5
 
     @pytest.mark.parametrize("ratio", [i / 10 for i in range(11)])
     def test_grid_row_counts(self, ratio):
         ds = make_dataset(37)
-        out = inject_noise(ds, NoiseSpec(ratio, 0.5, seed=11))
-        changed = (out.features != ds.features).any(axis=1)
+        out = inject_noise(ds.features, NoiseSpec(ratio, 0.5, seed=11))
+        changed = (out != ds.features).any(axis=1)
         assert int(changed.sum()) == round(ratio * 37)
 
     def test_labels_and_tags_untouched(self):
+        # Noising a dataset's features leaves the dataset as it was.
         ds = make_dataset(9, tags=True)
-        out = inject_noise(ds, NoiseSpec(1.0, 2.0, seed=1))
-        assert np.array_equal(out.binary_labels, ds.binary_labels)
-        assert np.array_equal(out.spectrum_labels, ds.spectrum_labels)
-        assert dataset_tags(out) == dataset_tags(ds)
+        before = make_dataset(9, tags=True)
+        inject_noise(ds.features, NoiseSpec(1.0, 2.0, seed=1))
+        assert same_bits(ds.features, before.features)
+        assert np.array_equal(ds.binary_labels, before.binary_labels)
+        assert np.array_equal(ds.spectrum_labels, before.spectrum_labels)
+        assert dataset_tags(ds) == dataset_tags(before)
 
     def test_deterministic(self):
         ds = make_dataset(20)
-        a = inject_noise(ds, NoiseSpec(0.6, 1.0, seed=5))
-        b = inject_noise(ds, NoiseSpec(0.6, 1.0, seed=5))
-        assert np.array_equal(a.features, b.features)
+        a = inject_noise(ds.features, NoiseSpec(0.6, 1.0, seed=5))
+        b = inject_noise(ds.features, NoiseSpec(0.6, 1.0, seed=5))
+        assert np.array_equal(a, b)
 
     def test_bad_spec(self):
         with pytest.raises(ConfigError):
@@ -385,8 +381,8 @@ class TestAssemble:
             assemble_dataset(timeline, 2, 1, "fourier")
 
 
-def standardized_dataset(method="coap", stride=1, seed=4):
-    """An assembled dataset z-scored on its first half, and its parameters."""
+def windowed_dataset(method="coap", stride=1, seed=4):
+    """An assembled dataset and z-score parameters fitted on its first half."""
     scenario = SyntheticScenario(
         duration=90,
         feature_count=3,
@@ -396,56 +392,45 @@ def standardized_dataset(method="coap", stride=1, seed=4):
         ),
     )
     ds = assemble_dataset(generate_synthetic(scenario, seed), 5, stride, method, d_model=8)
-    params = zscore_fit(ds.features[: len(ds) // 2])
-    return replace(ds, features=zscore_apply(ds.features, params)), params
+    return ds, zscore_fit(ds.features[: len(ds) // 2])
 
 
 class TestDatasetIO:
     def test_round_trip(self, tmp_path):
-        ds, params = standardized_dataset(stride=2)
+        ds, params = windowed_dataset(stride=2)
         test = np.arange(len(ds)) % 3 == 0
         save_dataset(ds, tmp_path, params, test, sidecar_extra={"seeds": {"base": 3}})
-        loaded, loaded_test = load_dataset(tmp_path)
+        splits = load_dataset(tmp_path)
         sidecar = json.loads((tmp_path / "dataset.json").read_text())
-        assert same_bits(loaded.features, ds.features)
-        assert same_bits(loaded.spectrum_labels, ds.spectrum_labels)
-        assert same_bits(loaded.binary_labels, ds.binary_labels)
-        assert same_bits(loaded.second_features, ds.second_features)
-        assert same_bits(loaded.window_starts, ds.window_starts)
-        assert dataset_tags(loaded) == dataset_tags(ds)
-        assert loaded.provenance == ds.provenance
-        assert np.array_equal(loaded_test, test)
+        with np.load(tmp_path / "dataset.npz") as npz:
+            assert np.array_equal(npz["test"], test)
+        # Each split holds its rows in row order: the z-scored windows at
+        # their starts, with their labels and tags.
+        for split, mask in zip(splits, (~test, test)):
+            rows = np.flatnonzero(mask)
+            assert same_bits(split.features, zscore_apply(ds.features[rows], params))
+            assert same_bits(split.spectrum_labels, ds.spectrum_labels[rows])
+            assert same_bits(split.binary_labels, ds.binary_labels[rows])
+            assert same_bits(split.second_features, ds.second_features)
+            assert same_bits(split.window_starts, ds.window_starts[rows])
+            assert dataset_tags(split) == tuple(dataset_tags(ds)[i] for i in rows)
+            assert split.provenance == ds.provenance
         assert sidecar["schema_version"] == 3
+        assert sidecar["rows"] == len(ds)
+        assert sidecar["feature_width"] == ds.features.shape[1]
         assert sidecar["attack_names"] == sorted(set(dataset_tags(ds)))
         assert sidecar["seeds"] == {"base": 3}
         assert "attack_name" not in sidecar
-        # A loaded dataset saves back to the same bytes.
-        save_dataset(
-            loaded, tmp_path / "again", params, loaded_test, sidecar_extra={"seeds": {"base": 3}}
-        )
+
+    def test_never_reads_the_rows(self, tmp_path):
+        # The rows are windows of the per-second features: saving a dataset
+        # whose rows were replaced writes the same bytes.
+        ds, params = windowed_dataset()
+        test = np.arange(len(ds)) % 4 == 0
+        save_dataset(ds, tmp_path / "a", params, test)
+        save_dataset(replace(ds, features=np.empty((len(ds), 0))), tmp_path / "b", params, test)
         for name in ("dataset.npz", "dataset.json"):
-            assert (tmp_path / "again" / name).read_bytes() == (tmp_path / name).read_bytes()
-
-    def test_row_subset_keeps_its_window_starts(self, tmp_path):
-        ds, params = standardized_dataset()
-        rows = np.array([1, 4, 5, 17, 30])
-        subset = ds.take(rows)
-        save_dataset(subset, tmp_path, params, np.zeros(rows.size, dtype=bool))
-        loaded, _ = load_dataset(tmp_path)
-        assert loaded.window_starts.tolist() == ds.window_starts[rows].tolist()
-        assert same_bits(loaded.features, ds.features[rows])
-
-    def test_refuses_noise_injected_dataset(self, tmp_path):
-        ds, params = standardized_dataset()
-        noised = inject_noise(ds, NoiseSpec(0.3, 1.0, seed=2))
-        with pytest.raises(DataError, match="differ"):
-            save_dataset(noised, tmp_path, params, np.zeros(len(ds), dtype=bool))
-        assert list(tmp_path.iterdir()) == []
-
-    def test_refuses_other_zscore_parameters(self, tmp_path):
-        ds, _ = standardized_dataset()
-        with pytest.raises(DataError, match="differ"):
-            save_dataset(ds, tmp_path, zscore_fit(ds.features), np.zeros(len(ds), dtype=bool))
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_refuses_hand_built_dataset(self, tmp_path):
         ds = make_dataset(8, d=3)
@@ -453,9 +438,16 @@ class TestDatasetIO:
             save_dataset(ds, tmp_path, zscore_fit(ds.features), np.zeros(len(ds), dtype=bool))
 
     def test_refuses_a_test_mask_of_another_length(self, tmp_path):
-        ds, params = standardized_dataset()
+        ds, params = windowed_dataset()
         with pytest.raises(DataError, match="test mask"):
             save_dataset(ds, tmp_path, params, np.zeros(len(ds) - 1, dtype=bool))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refuses_zscore_parameters_of_another_width(self, tmp_path):
+        ds, params = windowed_dataset()
+        narrow = zscore_fit(ds.features[:, :-1])
+        with pytest.raises(DataError, match="one value per feature column"):
+            save_dataset(ds, tmp_path, narrow, np.zeros(len(ds), dtype=bool))
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_dir(self, tmp_path):

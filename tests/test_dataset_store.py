@@ -6,12 +6,14 @@ artifacts are replaced atomically."""
 import csv
 import json
 import shutil
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import tspec.cli as cli
-from tspec import AttackSegment, DataError, SyntheticScenario, load_dataset
+from tspec import AttackSegment, DataError, SyntheticScenario, load_dataset, zscore_apply
 from tspec.errors import write_json
 from tests.conftest import dataset_tags, same_bits, scenario_to_dict
 from tests.oracles import load_dataset_v1, save_dataset_v1
@@ -70,27 +72,33 @@ class TestAgainstCsvStore:
     ):
         real_save = cli.save_dataset
 
-        def save_both(ds, out_dir, *args, **kwargs):
-            save_dataset_v1(ds, tmp_path / "v1")
-            return real_save(ds, out_dir, *args, **kwargs)
+        def save_both(ds, out_dir, zscore, test, *args, **kwargs):
+            # The schema-1 store held every row z-scored, in row order.
+            save_dataset_v1(replace(ds, features=zscore_apply(ds.features, zscore)),
+                            tmp_path / "v1")
+            return real_save(ds, out_dir, zscore, test, *args, **kwargs)
 
         monkeypatch.setattr(cli, "save_dataset", save_both)
         assert build(raw, tmp_path / "ds", method, stride, csv_name, config) == 0
-        loaded, _ = load_dataset(tmp_path / "ds")
+        splits = load_dataset(tmp_path / "ds")
         sidecar = json.loads((tmp_path / "ds" / "dataset.json").read_text())
+        with np.load(tmp_path / "ds" / "dataset.npz") as npz:
+            test = npz["test"]
         features, spectrum, binary, tags = load_dataset_v1(tmp_path / "v1")
-        assert same_bits(loaded.features, features)
-        assert same_bits(loaded.spectrum_labels, spectrum)
-        assert same_bits(loaded.binary_labels, binary)
-        assert dataset_tags(loaded) == tags
+        for split, rows in zip(splits, (~test, test)):
+            assert same_bits(split.features, features[rows])
+            assert same_bits(split.spectrum_labels, spectrum[rows])
+            assert same_bits(split.binary_labels, binary[rows])
+            assert dataset_tags(split) == tuple(t for t, keep in zip(tags, rows) if keep)
         assert sidecar["rows"] == len(features)
         assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == [
             "dataset.json", "dataset.npz",
         ]
 
-        assert np.all(np.diff(loaded.window_starts) == stride)
+        starts = np.sort(np.concatenate([split.window_starts for split in splits]))
+        assert np.all(np.diff(starts) == stride)
         if csv_name == "gappy.csv":  # the fill closed the gaps
-            assert loaded.second_features.shape[0] == 240
+            assert splits[0].second_features.shape[0] == 240
 
 
 @pytest.fixture(scope="module")
@@ -128,8 +136,8 @@ def edit_sidecar(path, **changes):
 def _v1(d):
     for name in ("dataset.npz", "dataset.json"):
         (d / name).unlink()
-    ds, _ = load_dataset(d.parent / "orig")
-    save_dataset_v1(ds, d)
+    train, _ = load_dataset(d.parent / "orig")
+    save_dataset_v1(train, d)
 
 
 def _npy(path):
@@ -262,3 +270,59 @@ class TestAtomicWrites:
         assert build(raw, tmp_path / "ds", method="sspe") == 3
         assert "disk full" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in (tmp_path / "ds").iterdir()} == before
+
+
+def traced_peak(call):
+    """The result of ``call()`` and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Peaks as multiples of the full (3,971 x 180) z-scored row matrix,
+    5.5 MiB; the per-second features are 0.03 of it.  Each row matrix is
+    made once: ``load_dataset`` once built every row, then copied each split
+    out of them (2.18 rows), and ``build-dataset`` z-scored every row to
+    compare them with the rows the store rebuilt (3.20 rows)."""
+
+    SECONDS, FEATURES, WINDOW = 4000, 6, 30
+    ROW_BYTES = (SECONDS - WINDOW + 1) * WINDOW * FEATURES * 8
+
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        """The scenario and a dataset built from it.  The first build in a
+        process also imports modules (numpy.ma, 1.8 MB), so the traced build
+        is a later one."""
+        work = tmp_path_factory.mktemp("memory")
+        scenario = SyntheticScenario(
+            duration=self.SECONDS,
+            feature_count=self.FEATURES,
+            segments=(
+                AttackSegment("dos", 100, 300, "burst"),
+                AttackSegment("scan", 1000, 400, "periodic", period=3),
+                AttackSegment("creep", 2000, 500, "ramp"),
+            ),
+        )
+        (work / "scenario.json").write_text(json.dumps(scenario_to_dict(scenario)))
+        assert self.build(work, work / "ds") == 0
+        return work
+
+    def build(self, work, out):
+        return cli.main(["build-dataset", "--scenario", str(work / "scenario.json"),
+                         "--method", "baseline", "--window", str(self.WINDOW), "--out", str(out)])
+
+    def test_build_makes_the_rows_once(self, store, tmp_path):
+        # Raw rows, the training rows' copy and std's temporary: 2.50 rows.
+        rc, peak = traced_peak(lambda: self.build(store, tmp_path / "ds"))
+        assert rc == 0
+        assert peak < 2.85 * self.ROW_BYTES
+
+    def test_load_makes_each_split_once(self, store):
+        # The training split's windows and their z-scored copy, then the
+        # test split's beside it: 1.55 rows.
+        (train, test), peak = traced_peak(lambda: load_dataset(store / "ds"))
+        assert peak < 1.85 * self.ROW_BYTES
+        assert train.features.nbytes + test.features.nbytes == self.ROW_BYTES

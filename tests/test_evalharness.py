@@ -257,14 +257,14 @@ class TestSweep:
             its own "train-noise" stream."""
             model = {**art.detect_models, **art.regress_models}[family]
             train_seed = derive_seed(seed, "train-noise", "sspe", family, *seed_labels, 40)
-            noised_train = inject_noise(art.train, NoiseSpec(0.4, 1.0, train_seed))
-            return model, train(model.spec, noised_train.features, labels)
+            noised_train = inject_noise(art.train.features, NoiseSpec(0.4, 1.0, train_seed))
+            return model, train(model.spec, noised_train, labels)
 
         # Detection cells retrain on the training detection labels.
         _, model = retrained("gbm", detection_truth(art.train, art.train))
         row = rows[("detect", "gbm", 0.4)]
-        noised_test = inject_noise(art.test, NoiseSpec(0.4, 1.0, row.seed))
-        probs = predict(model, noised_test.features)
+        noised_test = inject_noise(art.test.features, NoiseSpec(0.4, 1.0, row.seed))
+        probs = predict(model, noised_test)
         truth = detection_truth(art.train, art.test)
         assert row.metrics == detection_metrics(truth, (probs >= 0.5).astype(int))
         assert row.metrics != plain[("detect", "gbm", 0.4)].metrics
@@ -273,9 +273,9 @@ class TestSweep:
         # "identify" in their seed labels.
         original, model = retrained("glm_gaussian", art.train.spectrum_labels, "identify")
         row = rows[("identify", "glm_gaussian", 0.4)]
-        noised_test = inject_noise(art.test, NoiseSpec(0.4, 1.0, row.seed))
-        predictions = predict(model, noised_test.features)
-        assert not np.array_equal(predictions, predict(original, noised_test.features))
+        noised_test = inject_noise(art.test.features, NoiseSpec(0.4, 1.0, row.seed))
+        predictions = predict(model, noised_test)
+        assert not np.array_equal(predictions, predict(original, noised_test))
         registry = build_registry(
             labels_by_attack(art.train), bins=12, method="sspe",
             d_model=art.train.provenance.get("d_model"),
@@ -396,10 +396,12 @@ class TestCleanPredictionReuse:
                     seed, "train-noise", "sspe", row.family, *(() if detect else ("identify",)),
                     int(round(row.noise_ratio * 100)),
                 )
-                noised_train = inject_noise(art.train, NoiseSpec(row.noise_ratio, 1.0, train_seed))
-                model = train(model.spec, noised_train.features, labels)
-            noised = inject_noise(art.test, NoiseSpec(row.noise_ratio, 1.0, row.seed))
-            predictions = predict(model, noised.features)
+                noised_train = inject_noise(
+                    art.train.features, NoiseSpec(row.noise_ratio, 1.0, train_seed)
+                )
+                model = train(model.spec, noised_train, labels)
+            noised = inject_noise(art.test.features, NoiseSpec(row.noise_ratio, 1.0, row.seed))
+            predictions = predict(model, noised)
             if detect:
                 assert row.metrics == detection_metrics(truth, (predictions >= 0.5).astype(int))
             else:

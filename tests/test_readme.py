@@ -1,10 +1,11 @@
-"""The README's "Library use" example runs as written, and its tables of
-config keys and timeline fields list what the code defines."""
+"""The README's "Library use" and CSV export examples run as written, and
+its tables of config keys and timeline fields list what the code defines."""
 
 import contextlib
 import io
 import json
 import re
+import textwrap
 from pathlib import Path
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -43,3 +44,20 @@ def test_timeline_field_list_matches_the_dataclass():
     section = README.read_text(encoding="utf-8").split("A `PacketTimeline` stores", 1)[1]
     listed = re.findall(r"^- `(\w+)`:", section.split("\n\n", 2)[1], re.M)
     assert listed == [f.name for f in fields(PacketTimeline)]
+
+
+def test_csv_export_example_runs(tmp_path, monkeypatch):
+    from tspec import cli
+
+    section = README.read_text(encoding="utf-8").split("To export the rows", 1)[1]
+    example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "three_attacks.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["build-dataset", "--scenario", str(scenario), "--window", "10",
+                         "--out", "work/sspe"]) == 0
+    exec(compile(textwrap.dedent(example), str(README), "exec"), {})
+    sidecar = json.loads((tmp_path / "work" / "sspe" / "dataset.json").read_text())
+    lines = [(tmp_path / f"{name}.csv").read_text().splitlines() for name in ("train", "test")]
+    assert sum(map(len, lines)) == sidecar["rows"]
+    assert {line.count(",") for part in lines for line in part} == {sidecar["feature_width"] + 1}

@@ -313,9 +313,8 @@ class TestAgainstOracles:
                 labels_by_attack(ds)
 
         params = zscore_fit(ds.features)
-        standardized = replace(ds, features=zscore_apply(ds.features, params))
         with tempfile.TemporaryDirectory() as out:
-            save_dataset(standardized, out, params, np.zeros(len(ds), dtype=bool))
+            save_dataset(ds, out, params, np.zeros(len(ds), dtype=bool))
             sidecar = json.loads((Path(out) / "dataset.json").read_text())
             loaded, _ = load_dataset(out)
         assert sidecar["attack_names"] == sorted(set(tags))
