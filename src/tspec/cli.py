@@ -327,7 +327,7 @@ def cmd_build_dataset(cfg: dict) -> int:
             d_model=cfg["d_model"],
         )
         test = split_dataset(ds, cfg["test_fraction"], split_seed, cfg["stratify"])
-        zparams = zscore_fit(ds.features[~test])  # the rows are z-scored on load
+        zparams = zscore_fit(ds.features, ~test)  # the rows are z-scored on load
     except DataError as exc:
         raise DataError(f"{source}: {exc}") from None
 
@@ -426,6 +426,7 @@ def cmd_sweep(cfg: dict) -> int:
             test=test_ds,
             detect_models=detect_models,
             regress_models=regress_models,
+            source=dataset_dir,
         )
 
     sweep = SweepConfig(
@@ -464,7 +465,10 @@ def cmd_identify(cfg: dict) -> int:
     model = _load_model_for(model_path, "identify", test_ds.features.shape[1])
 
     if cfg["make_registry"]:
-        registry = training_registry(train_ds, cfg["identify_bins"])
+        try:
+            registry = training_registry(train_ds, cfg["identify_bins"])
+        except DataError as exc:
+            raise DataError(f"{dataset_dir}: {exc}") from None
     else:
         registry = load_registry(registry_path)
         if (registry.method, registry.d_model) != (method, d_model):

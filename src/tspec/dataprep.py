@@ -57,15 +57,44 @@ def _check_finite(what: str, values: np.ndarray) -> None:
         raise DataError(f"the z-score {what} of feature column {column} is not finite")
 
 
-def zscore_fit(features: np.ndarray) -> ZScoreParams:
-    """Per-column mean and standard deviation.  Raises ``DataError`` when
-    one of them is not finite, as when a column's sum overflows."""
+_ZSCORE_CHUNK = 256  # rows gathered at a time by zscore_fit
+
+
+def _column_sums(matrix: np.ndarray, picked: np.ndarray, step: int,
+                 center: np.ndarray | None = None) -> np.ndarray:
+    """Column sums of ``matrix[picked]`` (minus ``center``, squared, when
+    given), gathered ``step`` rows at a time.  Each chunk's first row takes
+    the sums so far, so every column is summed row after row, as numpy sums
+    axis 0 of a matrix of two or more columns: the bits of the sums of the
+    gathered matrix."""
+    total = np.zeros(matrix.shape[1])
+    for start in range(0, picked.size, step):
+        chunk = matrix[picked[start:start + step]]
+        if center is not None:
+            chunk -= center
+            chunk *= chunk
+        if start:
+            chunk[0] += total
+        total = chunk.sum(axis=0)
+    return total
+
+
+def zscore_fit(features: np.ndarray, rows: np.ndarray | None = None) -> ZScoreParams:
+    """Per-column mean and standard deviation of ``features``, or of its
+    rows where the boolean mask ``rows`` is True, with the bits of
+    ``np.mean`` and ``np.std`` of those rows.  The rows are never copied at
+    once: they are summed in chunks (``_column_sums``), except a single
+    column, which numpy sums pairwise, so it is gathered whole.  Raises
+    ``DataError`` when a mean or deviation is not finite, as when a
+    column's sum overflows."""
     matrix = np.asarray(features, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] < 1:
+    picked = np.flatnonzero(np.ones(matrix.shape[:1], bool) if rows is None else rows)
+    if matrix.ndim != 2 or picked.size < 1:
         raise DataError("z-score fit needs a non-empty 2-D matrix")
+    step = picked.size if matrix.shape[1] == 1 else _ZSCORE_CHUNK
     with np.errstate(over="ignore", invalid="ignore"):
-        means = matrix.mean(axis=0)
-        stds = matrix.std(axis=0)
+        means = _column_sums(matrix, picked, step) / picked.size
+        stds = np.sqrt(_column_sums(matrix, picked, step, means) / picked.size)
     _check_finite("mean", means)
     _check_finite("standard deviation", stds)
     return ZScoreParams(means=means, stds=stds)

@@ -133,12 +133,14 @@ class EvalReport:
 
 @dataclass
 class MethodArtifacts:
-    """Everything the sweep needs for one label method."""
+    """Everything the sweep needs for one label method.  ``source``, the
+    dataset directory, names the dataset in errors."""
 
     train: Dataset
     test: Dataset
     detect_models: dict[str, TrainedModel] = field(default_factory=dict)
     regress_models: dict[str, TrainedModel] = field(default_factory=dict)
+    source: Path | None = None
 
 
 @dataclass
@@ -229,7 +231,10 @@ def run_noise_sweep(cfg: SweepConfig) -> EvalReport:
         )
         tasks = [("detect", art.detect_models)]
         if art.regress_models and is_spectrum_method(method):
-            registries[method] = training_registry(art.train, cfg.identify_bins)
+            try:
+                registries[method] = training_registry(art.train, cfg.identify_bins)
+            except DataError as exc:
+                raise DataError(f"{art.source or method}: {exc}") from None
             tasks.append(("identify", art.regress_models))
         for task, models in tasks:
             for family, model in models.items():

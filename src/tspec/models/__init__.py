@@ -8,12 +8,13 @@ its fit function in ``glm`` or ``ensembles``.  Families: ``glm_binomial``
 regression only), ``random_forest`` and ``gbm`` (both tasks).
 Classification predictions are probabilities in [0, 1]; callers decide at
 0.5.  Model files are versioned JSON carrying the spec (family, task and
-seed) and learned parameters; a save/load round trip reproduces
-predictions bit for bit.
+seed) and learned parameters, written as one compact line; a save/load
+round trip reproduces predictions bit for bit.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from numbers import Integral, Real
 from pathlib import Path
@@ -21,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import ConfigError, DataError, Range, read_field, read_json_object, write_json
+from ..errors import ConfigError, DataError, Range, atomic_write, read_field, read_json_object
 from . import ensembles, glm
 from .trees import NodeTable
 
@@ -192,7 +193,11 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_json(path, payload)
+    # One line without whitespace: node tables are most of a run's bytes.
+    # ``json.dump`` streams its chunks; ``json.dumps`` would hold them all.
+    with atomic_write(path, encoding="utf-8") as handle:
+        json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
+        handle.write("\n")
 
 
 def load_model(path: str | Path) -> TrainedModel:

@@ -85,9 +85,10 @@ def fit_binomial(
     theta = np.zeros(width + 1)
     z = np.zeros(n)
     loss = _objective(z, y, theta, penalty)
+    B = np.empty_like(A)  # A's rows weighted by sqrt(p(1-p)), rewritten each step
     for _ in range(max_iter):
         p = _sigmoid(z)
-        B = A * np.sqrt(p * (1.0 - p))[:, None]
+        np.multiply(A, np.sqrt(p * (1.0 - p))[:, None], out=B)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             grad = A.T @ (p - y) / n + penalty * theta
             hess = B.T @ B / n + np.diag(penalty)

@@ -476,6 +476,24 @@ class TestRegressions:
                 "min_segment_windows 1000") in err
         assert not (tmp_path / "ident" / "identification.json").exists()
 
+    def test_no_tagged_attack_window_names_the_dataset(self, tmp_path):
+        # identify --make-registry train and the sweep once said only "dataset
+        # has no tagged attack windows to build signatures from".
+        scenario, ds = tmp_path / "quiet.json", tmp_path / "ds"
+        scenario.write_text(json.dumps({"duration": 80, "feature_count": 2, "segments": []}))
+        assert run(["build-dataset", "--scenario", scenario, "--method", "sspe",
+                    "--d-model", 4, "--window", 5, "--out", ds])[0] == 0
+        for task, family in (("detect", "random_forest"), ("identify", "glm_gaussian")):
+            assert run(["train", "--dataset", ds, "--task", task, "--families", family])[0] == 0
+        want = f"{ds}: dataset has no tagged attack windows to build signatures from"
+        rc, err = run(["identify", "--dataset", ds, "--registry", tmp_path / "registry.json",
+                       "--make-registry", "train", "--out", tmp_path / "ident"])
+        assert (rc, want in err) == (2, True), err
+        rc, err = run(sweep_args(tmp_path, ds, families=["random_forest"]))
+        assert (rc, want in err) == (2, True), err
+        assert not (tmp_path / "ident").exists() and not (tmp_path / "rep").exists()
+        assert not (tmp_path / "registry.json").exists()
+
     @pytest.mark.parametrize("command,flags", [
         ("train", ["--families", "glm_binomial,glm_binomial"]),
         ("sweep", ["--ratios", "0,0.5,0.5"]),

@@ -3,9 +3,13 @@
 import json
 import math
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tspec import (
     AttackSegment,
@@ -15,6 +19,7 @@ from tspec import (
     NoiseSpec,
     SyntheticScenario,
     assemble_dataset,
+    dataprep,
     generate_synthetic,
     inject_noise,
     load_dataset,
@@ -77,6 +82,23 @@ class TestZScore:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             zscore_fit(np.empty((0, 3)))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.tuples(st.integers(1, 300), st.integers(1, 4)),
+        chunk=st.integers(1, 40),
+        data=st.data(),
+    )
+    def test_fit_over_masked_rows_has_the_bits_of_their_copy(self, shape, chunk, data):
+        # Rows summed a chunk at a time, as numpy sums them; a single column,
+        # which numpy sums pairwise, whole.
+        features = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e12, 1e12)))
+        rows = data.draw(hnp.arrays(np.bool_, shape[0]))
+        rows[data.draw(st.integers(0, shape[0] - 1))] = True
+        with patch.object(dataprep, "_ZSCORE_CHUNK", chunk):
+            params = zscore_fit(features, rows)
+        assert params.means.tobytes() == features[rows].mean(axis=0).tobytes()
+        assert params.stds.tobytes() == features[rows].std(axis=0).tobytes()
 
     def test_overflow_names_the_first_column(self):
         # Finite features whose moments or z-scores overflow float64.

@@ -3,6 +3,7 @@
 import inspect
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tspec import ConfigError, DataError
+from tspec.errors import write_json
 from tspec.models import (
     FAMILIES,
     MODEL_FILE_VERSION,
@@ -170,6 +172,20 @@ class TestGlmBinomial:
         weights, intercept = fit_binomial_gd_oracle(X, y, l2)
         gd = binomial_objective(X, y, weights, intercept, l2)
         assert objective_of(fit, X, y, l2) <= gd + 1e-12
+
+    def test_fit_holds_one_weighted_copy_of_its_rows(self):
+        # Each Newton step once made its weighted rows B anew while the last
+        # step's were alive: A = [X 1] and two Bs, 3.15 X at this size.
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(4000, 60))
+        y = (X[:, 0] + rng.normal(size=4000) > 0).astype(float)
+        tracemalloc.start()
+        try:
+            glm.fit_binomial(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.3 * X.nbytes  # A and one B: 2.15 X
 
     def test_overflowing_features_are_a_data_error(self):
         # An infinite Hessian would stall the least-squares solve.
@@ -361,6 +377,31 @@ class TestFamilyTable:
             assert ((after >= 0.0) & (after <= 1.0)).all()
         save_model(loaded, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("family,task", FAMILY_TASKS)
+    def test_saved_model_is_one_compact_line(self, family, task, tmp_path):
+        X, y, _ = family_problem(task)
+        path = tmp_path / "m.json"
+        save_model(train(ModelSpec(family, task, seed=6), X, y), path)
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+        assert text.index("\n") == len(text) - 1 and " " not in text
+
+    @pytest.mark.parametrize("family,task", FAMILY_TASKS)
+    def test_indented_file_of_the_same_version_predicts_the_same_bits(self, family, task,
+                                                                      tmp_path):
+        # Model files were indented JSON until the compact layout; the
+        # document, and so version 4, did not change.
+        X, y, probe = family_problem(task)
+        compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+        save_model(train(ModelSpec(family, task, seed=6), X, y), compact)
+        payload = json.loads(compact.read_text())
+        assert payload["version"] == MODEL_FILE_VERSION == 4
+        write_json(indented, payload)
+        assert indented.read_text().count("\n") > 10
+        before, after = load_model(compact), load_model(indented)
+        assert (after.spec, after.feature_count) == (before.spec, before.feature_count)
+        assert predict(after, probe).tobytes() == predict(before, probe).tobytes()
 
     @pytest.mark.parametrize("family,task", FAMILY_TASKS)
     def test_fit_and_predict_look_up_module_functions(self, family, task, monkeypatch):
@@ -614,15 +655,14 @@ class TestModelFileChecks:
                 hyperparameters={"l2": 1e-4, "learning_rate": 0.1}))
         assert str(path) in str(info.value)
 
+    # json.dumps writes float("inf") as Infinity, which json.loads reads back.
     def test_infinite_real_hyperparameter(self, tmp_path):
         path = self._saved(tmp_path, "glm_binomial")
-        text = path.read_text().replace('"seed": 1', '"hyperparameters": {"l2": Infinity}, "seed": 1')
-        path.write_text(text)
         with pytest.raises(DataError, match=SPEC_WITH_HYPERPARAMETERS):
-            load_model(path)
+            self._load_edited(path, lambda p: p["spec"].update(
+                hyperparameters={"l2": float("inf")}))
 
     def test_infinite_seed(self, tmp_path):
         path = self._saved(tmp_path, "glm_binomial")
-        path.write_text(path.read_text().replace('"seed": 1', '"seed": Infinity'))
         with pytest.raises(DataError, match="not a valid model file"):
-            load_model(path)
+            self._load_edited(path, lambda p: p["spec"].update(seed=float("inf")))
