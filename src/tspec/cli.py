@@ -484,8 +484,7 @@ def cmd_identify(cfg: dict) -> int:
             predictions, test_ds, registry, min_windows=cfg["min_segment_windows"]
         )
     except DataError as exc:
-        raise DataError(f"{dataset_dir}: {exc} with min_segment_windows "
-                        f"{cfg['min_segment_windows']}") from None
+        raise DataError(f"{dataset_dir}: {exc}") from None
     accuracy = identification_accuracy(results, truth)
     payload = {
         "accuracy": accuracy,

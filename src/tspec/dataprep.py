@@ -24,14 +24,13 @@ from .spectrum import LABEL_METHODS, coap_values, is_spectrum_method, sspe_value
 from .windowing import flatten_windows, window_attack_tags, window_binary_labels, window_matrices
 
 ATTACK_PATTERNS = ("burst", "periodic", "ramp")
-DATASET_SCHEMA_VERSION = 3
+DATASET_SCHEMA_VERSION = 4
 # dataset.npz members: name -> (dtype, the sidecar key giving its length).
 # ``second_features`` is the (seconds, F) matrix the rows are windowed from.
 _DATASET_ARRAYS = {
     "second_features": (np.float64, None),
-    "window_starts": (np.int64, "rows"),
     "spectrum_labels": (np.float64, "rows"),
-    "binary_labels": (np.int64, "rows"),
+    "binary_labels": (np.bool_, "rows"),
     "test": (np.bool_, "rows"),
     "tag_codes": (np.int32, "rows"),
     "zscore_means": (np.float64, "feature_width"),
@@ -130,8 +129,8 @@ class Dataset:
     and ``load_dataset``) are the (n, F) per-second matrix the rows were
     windowed from and each row's start second in it: row i is the window at
     ``window_starts[i]``, flattened, raw from ``assemble_dataset`` and
-    z-scored from ``load_dataset``.  ``save_dataset`` stores these, never
-    the rows.
+    z-scored from ``load_dataset``.  ``save_dataset`` stores the per-second
+    matrix, never the rows or their starts.
     """
 
     features: np.ndarray
@@ -427,21 +426,27 @@ def save_dataset(
 ) -> None:
     """Write ``dataset.npz`` and its ``dataset.json`` sidecar, each atomically.
 
-    The rows are not stored: ``dataset.npz`` holds the per-second features
-    and one window start per row, and ``load_dataset`` builds each row as
-    the window at its start, flattened and z-scored with ``zscore``.  So
-    ``ds.features`` is never read, and a dataset that was not windowed from
-    per-second features raises a ``DataError``, as do a ``test`` mask or
-    z-score parameters of another length.  Every other per-row or
-    per-column array goes into ``dataset.npz`` too: the two label vectors,
-    the ``test`` mask (True for a test row), the tag codes, and the z-score
-    parameters.  The sidecar holds the row count, feature width,
-    provenance, the attack names that some row is tagged with (the codes
-    are renumbered into them), and any extras (split settings, seeds).
+    The rows are not stored: ``dataset.npz`` holds the per-second features,
+    and ``load_dataset`` builds row i as the window at ``i * stride``,
+    flattened and z-scored with ``zscore``.  So ``ds.features`` is never
+    read, and a ``DataError`` is raised unless the rows are every window of
+    the per-second features at the provenance's ``window`` and ``stride``,
+    in order, with binary labels of 0 or 1, a ``test`` mask (True for a
+    test row) and z-score parameters of their lengths.  ``dataset.npz``
+    also holds the spectrum labels, the binary labels as bools, the mask,
+    the tag codes and the z-score parameters; the sidecar holds the row
+    count, feature width, provenance, the attack names that some row is
+    tagged with (the codes are renumbered into them), and any extras (split
+    settings, seeds).
     """
-    window = ds.provenance.get("window")
-    if any(v is None for v in (ds.second_features, ds.window_starts, window)):
+    window, stride = ds.provenance.get("window"), ds.provenance.get("stride")
+    if any(v is None for v in (ds.second_features, ds.window_starts, window, stride)):
         raise DataError("only a dataset windowed from per-second features can be saved")
+    seconds = ds.second_features.shape[0]
+    if not np.array_equal(ds.window_starts, np.arange(0, seconds - window + 1, stride)):
+        raise DataError(f"the rows must be every window of {window} seconds at stride {stride}")
+    if not np.isin(ds.binary_labels, (0, 1)).all():
+        raise DataError("binary labels must be 0 or 1")
     rows, width = ds.window_starts.size, ds.second_features.shape[1] * window
     if np.shape(test) != (rows,):
         raise DataError(f"the test mask has shape {np.shape(test)}, expected ({rows},)")
@@ -455,9 +460,8 @@ def save_dataset(
         np.savez(
             handle,
             second_features=np.asarray(ds.second_features, dtype=np.float64),
-            window_starts=np.asarray(ds.window_starts, dtype=np.int64),
             spectrum_labels=np.asarray(ds.spectrum_labels, dtype=np.float64),
-            binary_labels=np.asarray(ds.binary_labels, dtype=np.int64),
+            binary_labels=np.asarray(ds.binary_labels, dtype=bool),
             test=np.asarray(test, dtype=bool),
             tag_codes=codes.astype(np.int32),
             zscore_means=np.asarray(zscore.means, dtype=np.float64),
@@ -508,9 +512,10 @@ def load_dataset(in_dir: str | Path) -> tuple[Dataset, Dataset]:
 
     Each split holds the rows of its side of the stored ``test`` mask, in
     ascending row order.  Its rows are built once, as the windows of the
-    stored per-second features at their starts, flattened and z-scored
-    with the stored parameters: the float64 values ``build-dataset``
-    computes, bit for bit.
+    stored per-second features at their starts (row i at ``i * stride``),
+    flattened and z-scored with the stored parameters: the float64 values
+    ``build-dataset`` computes, bit for bit.  Binary labels come back as
+    int64.
     """
     in_dir = Path(in_dir)
     json_path = in_dir / "dataset.json"
@@ -524,6 +529,7 @@ def load_dataset(in_dir: str | Path) -> tuple[Dataset, Dataset]:
                              f"(expected {DATASET_SCHEMA_VERSION}); rebuild the dataset")
         provenance = read_field(sidecar, "provenance", dict)
         window = read_field(provenance, "window", Integral, Range(1))
+        stride = read_field(provenance, "stride", Integral, Range(1))
         method = read_field(provenance, "method", str)
         read_field(provenance, "d_model", Integral, default=None)
         read_field(provenance, "attack_bit_fraction", Real, Range(0, 1))
@@ -538,7 +544,7 @@ def load_dataset(in_dir: str | Path) -> tuple[Dataset, Dataset]:
         raise DataError(f"{json_path}: {exc}") from None
 
     arrays = _read_dataset_arrays(npz_path, {"rows": rows, "feature_width": width})
-    seconds, starts = arrays["second_features"], arrays["window_starts"]
+    seconds = arrays["second_features"]
     means, stds = arrays["zscore_means"], arrays["zscore_stds"]
     n, f = seconds.shape
     if f * window != width:
@@ -546,11 +552,13 @@ def load_dataset(in_dir: str | Path) -> tuple[Dataset, Dataset]:
             f"{npz_path}: {f} per-second features in windows of {window} do not give "
             f"the sidecar's feature width {width}"
         )
-    if n < window or (rows and (starts.min() < 0 or starts.max() > n - window)):
+    windows = max(n - window + stride, 0) // stride
+    if n < window or rows != windows:
         raise DataError(
-            f"{npz_path}: window starts must lie in [0, {n - window}] for {n} seconds "
-            f"and window {window}"
+            f"{npz_path}: {n} seconds hold {windows} windows of {window} at stride {stride}, "
+            f"but the sidecar counts {rows} rows"
         )
+    starts = np.arange(rows, dtype=np.int64) * stride
     if not (np.isfinite(means).all() and np.isfinite(stds).all() and (stds >= 0.0).all()):
         raise DataError(
             f"{npz_path}: z-score means must be finite, and standard deviations finite "
@@ -564,7 +572,7 @@ def load_dataset(in_dir: str | Path) -> tuple[Dataset, Dataset]:
             return Dataset(
                 features=zscore_apply(flatten_windows(seconds, starts[rows], window), zscore),
                 spectrum_labels=arrays["spectrum_labels"][rows],
-                binary_labels=arrays["binary_labels"][rows],
+                binary_labels=arrays["binary_labels"][rows].astype(np.int64),
                 provenance=dict(provenance),
                 tag_codes=arrays["tag_codes"][rows],
                 attack_names=names,

@@ -109,7 +109,8 @@ def identify_segments(
         results.append(identify_attack(predictions[rows], registry))
         truth.append(name)
     if not results:
-        raise DataError("no attack segments large enough to identify")
+        raise DataError(f"no attack segments large enough to identify with "
+                        f"min_segment_windows {min_windows}")
     return results, truth
 
 
@@ -271,9 +272,11 @@ def run_noise_sweep(cfg: SweepConfig) -> EvalReport:
             preds = (predictions >= 0.5).astype(np.int64)
             score = {"metrics": detection_metrics(truth, preds)}
         else:
-            results, truth_tags = identify_segments(
-                predictions, art.test, registries[method], min_windows=cfg.min_segment_windows
-            )
+            try:
+                results, truth_tags = identify_segments(predictions, art.test, registries[method],
+                                                        min_windows=cfg.min_segment_windows)
+            except DataError as exc:
+                raise DataError(f"{art.source or method}: {exc}") from None
             score = {"identification_accuracy": identification_accuracy(results, truth_tags)}
         return EvalRow(family, method, task, float(ratio), seed, **score)
 

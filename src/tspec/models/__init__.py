@@ -26,7 +26,7 @@ from ..errors import ConfigError, DataError, Range, atomic_write, read_field, re
 from . import ensembles, glm
 from .trees import NodeTable
 
-MODEL_FILE_VERSION = 4
+MODEL_FILE_VERSION = 5
 
 TASKS = ("classify", "regress")
 
@@ -69,9 +69,8 @@ def _linear_from_json(data: dict, feature_count: int) -> dict:
     return {"weights": read_field(data, "weights", list[Real]), "intercept": intercept}
 
 
-# The arrays of an ensemble's node table, each one flat list in its file.
-_NODE_ARRAYS = {"feature": Integral, "threshold": Real, "left": Integral, "right": Integral,
-                "value": Real, "roots": Integral}
+# The preorder lists of an ensemble's node table, each one flat list in its file.
+_NODE_ARRAYS = {"feature": Integral, "threshold": Real, "value": Real}
 
 
 def _table_to_json(params: dict, *scalars: str) -> dict:
@@ -83,7 +82,9 @@ def _table_to_json(params: dict, *scalars: str) -> dict:
 def _table_from_json(data: dict, feature_count: int, *scalars: str) -> dict:
     out = {key: read_field(data, key, Real) for key in scalars}
     arrays = {name: read_field(data, name, list[kind]) for name, kind in _NODE_ARRAYS.items()}
-    out["trees"] = NodeTable.checked(feature_count, **arrays)
+    if ((arrays["feature"] < -1) | (arrays["feature"] >= feature_count)).any():
+        raise ValueError(f"tree split feature out of range for {feature_count} features")
+    out["trees"] = NodeTable(**arrays)
     return out
 
 
@@ -194,10 +195,8 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # One line without whitespace: node tables are most of a run's bytes.
-    # ``json.dump`` streams its chunks; ``json.dumps`` would hold them all.
     with atomic_write(path, encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
-        handle.write("\n")
+        handle.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_model(path: str | Path) -> TrainedModel:

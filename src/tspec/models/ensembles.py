@@ -128,10 +128,13 @@ def gbm_fit(
                 tree = build_tree(X, residual, max_depth=max_depth, presorted=presorted)
                 # Newton leaf values: sum(residual) / sum(p * (1 - p)) per leaf.
                 leaves = tree_apply(tree, X)
+                place = np.cumsum(~tree.split) - 1  # a leaf's index in ``value``
                 hess = prob * (1.0 - prob)
+                value = tree.value.copy()
                 for leaf in np.unique(leaves):
                     members = leaves == leaf
-                    tree.value[leaf] = residual[members].sum() / max(hess[members].sum(), _EPS)
+                    value[place[leaf]] = residual[members].sum() / max(hess[members].sum(), _EPS)
+                tree = NodeTable(tree.feature, tree.threshold, value)
             else:
                 tree = build_tree(X, y - scores, max_depth=max_depth, presorted=presorted)
 

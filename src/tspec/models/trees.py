@@ -15,84 +15,76 @@ from dataclasses import dataclass
 import numpy as np
 
 _MIN_GAIN = 1e-12
+# Cells (columns x rows) ``rank_codes`` ranks at a time.
+_RANK_CELLS = 2**16
 
 
 @dataclass(eq=False)
 class NodeTable:
-    """The nodes of one tree or of several, concatenated tree after tree.
+    """The nodes of one tree or of several, concatenated tree after tree, as
+    three preorder lists: nodes are numbered depth-first, left child first;
+    ``feature[i]`` is node i's split feature, -1 at a leaf; ``threshold``
+    holds the split nodes' thresholds and ``value`` the leaves' predictions
+    (the mean target of their rows), each in node order.
 
-    Node i splits on ``feature[i]`` at ``threshold[i]`` (-1 and 0.0 at a
-    leaf); ``left[i]`` and ``right[i]`` are its children's ids in the table,
-    -1 at a leaf; ``value[i]`` is the mean target of its rows, which a leaf
-    predicts.  ``roots[t]`` is the id of tree t's root, its first node, so
-    tree t holds the nodes from ``roots[t]`` up to the next tree's root.
+    The split/leaf sequence is a preorder shape code (Jacobson, FOCS 1989):
+    the links follow from it, worked out once, when a table is made.
+    ``split`` marks the nodes that are not leaves, ``left[i]`` and
+    ``right[i]`` are node i's children (-1 at a leaf), and tree t holds the
+    nodes from ``roots[t]`` up to the next tree's root.  Raises
+    ``ValueError`` unless there is a node, one threshold per split node and
+    one value per leaf, and the sequence is a concatenation of complete
+    binary trees.
 
-    The arrays the walk reads are derived once, when a table is made, after
-    the predicated traversal of Asadi, Lin & de Vries (IEEE TKDE 2014):
+    The arrays the walk reads are derived too, after the predicated
+    traversal of Asadi, Lin & de Vries (IEEE TKDE 2014):
     ``children[2 * i]`` and ``children[2 * i + 1]`` are node i's left and
     right children, a leaf being its own left and right child and splitting
-    on ``step_feature`` 0, so a walk steps past it without moving; ``split``
-    marks the nodes that are not leaves.
+    on ``step_feature`` 0, so a walk steps past it without moving; ``cut``
+    and ``leaf_value`` hold the thresholds and values by node id.
     """
 
-    feature: np.ndarray    # int64
-    threshold: np.ndarray  # float64
-    left: np.ndarray       # int64
-    right: np.ndarray      # int64
-    value: np.ndarray      # float64
-    roots: np.ndarray      # int64
+    feature: np.ndarray    # int64, one per node
+    threshold: np.ndarray  # float64, one per split node
+    value: np.ndarray      # float64, one per leaf
 
     def __post_init__(self):
-        self.split = self.feature >= 0
-        self.step_feature = np.where(self.split, self.feature, 0)
-        children = np.column_stack([self.left, self.right])
-        leaves = np.flatnonzero(~self.split)
-        children[leaves] = leaves[:, None]
-        self.children = children.ravel()
+        split = self.split = self.feature >= 0
+        n, splits = split.size, int(np.count_nonzero(split))
+        if n == 0:
+            raise ValueError("an ensemble needs at least one tree")
+        if self.threshold.shape != (splits,) or self.value.shape != (n - splits,):
+            raise ValueError(f"{self.threshold.size} thresholds and {self.value.size} values "
+                             f"for {splits} split nodes and {n - splits} leaves")
+        # count[i]: splits minus leaves up to node i.  A subtree ends at its
+        # first node where the count falls below the count before its root,
+        # so a tree ends where it falls below every earlier count and 0, and
+        # a split's right child follows the first node after it where the
+        # count falls below its own.
+        count = np.cumsum(np.where(split, 1, -1))
+        ends = np.flatnonzero(count < np.minimum.accumulate(np.append(0, count[:-1])))
+        if ends.size == 0 or ends[-1] != n - 1:
+            raise ValueError("the tree node sequence ends inside a tree")
+        self.roots = np.append(0, ends[:-1] + 1)
+        ids = np.arange(n, dtype=np.int64)
+        keys = np.sort(count * (n + 1) + ids)  # by count, then node id
+        below = (count[split] - 1) * (n + 1)
+        self.left = np.where(split, ids + 1, -1)
+        self.right = np.full(n, -1, dtype=np.int64)
+        self.right[split] = keys[np.searchsorted(keys, below + ids[split] + 1)] - below + 1
+        self.step_feature = np.where(split, self.feature, 0)
+        self.children = np.column_stack([np.where(split, self.left, ids),
+                                         np.where(split, self.right, ids)]).ravel()
+        self.cut = np.zeros(n)
+        self.cut[split] = self.threshold
+        self.leaf_value = np.zeros(n)
+        self.leaf_value[~split] = self.value
 
     @classmethod
     def join(cls, tables: list["NodeTable"]) -> "NodeTable":
         """One table of the trees of ``tables``, in order."""
-        sizes = [t.feature.size for t in tables]
-        starts = np.cumsum([0, *sizes[:-1]], dtype=np.int64)
-        feature, threshold, left, right, value = (
-            np.concatenate([getattr(t, name) for t in tables])
-            for name in ("feature", "threshold", "left", "right", "value"))
-        shift = np.repeat(starts, sizes) * (feature >= 0)  # leaves keep -1
-        roots = np.concatenate([t.roots + start for t, start in zip(tables, starts)])
-        return cls(feature, threshold, left + shift, right + shift, value, roots)
-
-    @classmethod
-    def checked(cls, feature_count, feature, threshold, left, right, value, roots) -> "NodeTable":
-        """The table of these arrays, as a model file holds them: int64
-        ``feature``, ``left``, ``right`` and ``roots``, finite float64
-        ``threshold`` and ``value``.  Raises ``ValueError`` unless the node
-        arrays have one entry per node, there is at least one tree, the roots
-        start at node 0 and increase below the node count, every split
-        feature is below ``feature_count``, every split node's children come
-        after it inside its own tree, and every node but a root is the child
-        of one split node.  Then every walk ends at a leaf of the tree it
-        started in, and every node belongs to the tree of the root above it."""
-        n = feature.size
-        if any(a.shape != (n,) for a in (feature, threshold, left, right, value)):
-            raise ValueError("tree node arrays must have one entry per node")
-        if roots.size == 0:
-            raise ValueError("an ensemble needs at least one tree")
-        if roots[0] != 0 or (np.diff(roots) < 1).any() or roots[-1] >= n:
-            raise ValueError(f"tree roots must start at node 0 and increase below {n} nodes")
-        if feature.min() < -1 or feature.max() >= feature_count:
-            raise ValueError(f"tree split feature out of range for {feature_count} features")
-        table = cls(feature, threshold, left, right, value, roots)
-        ends = np.append(roots[1:], n)
-        end = np.repeat(ends, ends - roots)[table.split]  # the end of each split node's tree
-        children = np.column_stack([left, right])[table.split].T
-        if ((children <= np.flatnonzero(table.split)) | (children >= end)).any():
-            raise ValueError("tree child index out of range of its tree")
-        parents = np.bincount(children.ravel(), minlength=n)
-        parents[roots] += 1  # a root has no parent
-        if (parents != 1).any():
-            raise ValueError("every tree node but a root must be the child of one split node")
-        return table
+        return cls(*(np.concatenate([getattr(t, name) for t in tables])
+                     for name in ("feature", "threshold", "value")))
 
 
 def presort(X: np.ndarray) -> np.ndarray:
@@ -110,18 +102,25 @@ def rank_codes(X: np.ndarray) -> np.ndarray:
     get larger ranks, so a stable argsort of a column's codes orders its rows
     as a stable argsort of its values does.  The codes are ``uint16``, which
     numpy's stable sort handles with a radix sort, when every column has
-    fewer than 65,536 distinct values, and ``uint32`` otherwise.  Raises
-    ``ValueError`` unless X is finite.
+    fewer than 65,536 distinct values, and ``uint32`` otherwise.  They are
+    ranked ``_RANK_CELLS`` cells of columns at a time, so the sort's int64
+    and float64 temporaries never span all of X.  Raises ``ValueError``
+    unless X is finite.
     """
     if not np.isfinite(X).all():
         raise ValueError("tree features must be finite")
-    order = presort(X)
-    xs = np.take_along_axis(X.T, order, axis=1)
-    ranks = np.zeros(order.shape, dtype=np.int64)
-    np.cumsum(xs[:, 1:] != xs[:, :-1], axis=1, out=ranks[:, 1:])
-    codes = np.empty(order.shape, dtype=np.uint16 if ranks.max(initial=0) < 2**16 else np.uint32)
-    np.put_along_axis(codes, order, ranks, axis=1)
-    return codes
+    n, width = X.shape
+    codes = np.empty((width, n), dtype=np.uint16 if n <= 2**16 else np.uint32)
+    step, top = max(1, _RANK_CELLS // max(n, 1)), 0
+    for start in range(0, width, step):
+        columns = X[:, start:start + step]
+        order = presort(columns)
+        xs = np.take_along_axis(columns.T, order, axis=1)
+        ranks = np.zeros(order.shape, dtype=np.int64)
+        np.cumsum(xs[:, 1:] != xs[:, :-1], axis=1, out=ranks[:, 1:])
+        top = max(top, ranks.max(initial=0))
+        np.put_along_axis(codes[start:start + step], order, ranks, axis=1)
+    return codes if top >= 2**16 else codes.astype(np.uint16, copy=False)
 
 
 def tied_columns(X: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -308,30 +307,21 @@ def build_tree(
 
     feature: list[int] = []
     threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
     value: list[float] = []
 
     # Depth-first, left child first, with an explicit stack: a node's sorted
     # rows are dropped once its children are filtered, so only the pending
     # right children's rows stay alive.  Entries: (the node's rows of X in
-    # ascending order, its per-feature sorted rows or None, depth, (left or
-    # right, parent id) to link it from, or None at the root, the last
+    # ascending order, its per-feature sorted rows or None, depth, the last
     # tree's ``_Split`` at the node's path or None, (list, index) to store
     # the node's own ``_Split`` at, or None).
     top = [None]
-    stack = [(np.arange(n), order, 0, None, last, (top, 0))]
+    stack = [(np.arange(n), order, 0, last, (top, 0))]
     while stack:
-        idx, rows, depth, link, last, slot = stack.pop()
-        node = len(feature)
-        if link is not None:
-            link[0][link[1]] = node
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
+        idx, rows, depth, last, slot = stack.pop()
         yv = y[idx]
         mean = float(yv.mean())
+        feature.append(-1)  # a leaf, until it splits
         value.append(mean)
 
         parent_sse = float(((yv - mean) ** 2).sum())
@@ -370,20 +360,18 @@ def build_tree(
                 split = _Split(feat, thr, children, [None, None])
                 slot[0][slot[1]] = split
                 slots = ((split.below, 0), (split.below, 1))
-        feature[node] = feat
-        threshold[node] = thr
-        stack.append((idx[~mask], children[1], depth + 1, (right, node), below[1], slots[1]))
-        stack.append((idx[mask], children[0], depth + 1, (left, node), below[0], slots[0]))
+        feature[-1] = feat
+        threshold.append(thr)
+        value.pop()  # only leaves keep a value
+        stack.append((idx[~mask], children[1], depth + 1, below[1], slots[1]))
+        stack.append((idx[mask], children[0], depth + 1, below[0], slots[0]))
 
     if carry:
         presorted.last = top[0]
     return NodeTable(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
         value=np.asarray(value, dtype=np.float64),
-        roots=np.zeros(1, dtype=np.int64),
     )
 
 
@@ -399,8 +387,8 @@ def _walk(table: NodeTable, roots: np.ndarray, X: np.ndarray) -> np.ndarray:
     ``(len(roots), n)``: all pairs step down together until each is at a
     leaf.  A step sends a pair right unless its feature value is <= the
     node's threshold, so a NaN goes right.  Every split node's children come
-    after it inside its own tree (``NodeTable.checked`` checks this of a
-    model file), so the walk ends at a leaf of the tree it started in.
+    after it inside its own tree, as preorder links do, so the walk ends at
+    a leaf of the tree it started in.
 
     Three ``(len(roots), n)`` int64 buffers serve every step: the pairs'
     nodes, their next nodes and their flat indices into X.  A step keeps its
@@ -424,7 +412,7 @@ def _walk(table: NodeTable, roots: np.ndarray, X: np.ndarray) -> np.ndarray:
         x = spare.view(np.float64)
         np.take(flat, index, out=x, mode="clip")
         threshold = index.view(np.float64)
-        np.take(table.threshold, node, out=threshold, mode="clip")
+        np.take(table.cut, node, out=threshold, mode="clip")
         np.less_equal(x, threshold, out=left)
         np.multiply(node, 2, out=index)
         index += 1
@@ -445,7 +433,7 @@ def add_leaf_values(table: NodeTable, X: np.ndarray, out: np.ndarray, scale=None
     """
     per_group = max(1, _WALK_PAIRS // max(X.shape[0], 1))
     for roots in np.array_split(table.roots, -(-table.roots.size // per_group)):
-        values = table.value.take(_walk(table, roots, X))
+        values = table.leaf_value.take(_walk(table, roots, X))
         if scale is not None:
             values *= scale
         for row in values:
@@ -458,4 +446,4 @@ def tree_apply(tree: NodeTable, X: np.ndarray) -> np.ndarray:
 
 
 def tree_predict(tree: NodeTable, X: np.ndarray) -> np.ndarray:
-    return tree.value[tree_apply(tree, X)]
+    return tree.leaf_value[tree_apply(tree, X)]

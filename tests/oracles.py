@@ -163,9 +163,11 @@ def _best_split_argsort(X, y, idx, feats, record=None):
 
 
 def build_tree_argsort(X, y, max_depth, max_features=None, rng=None, record=None):
-    """Reference exact-greedy tree as node lists (``feature``, ``threshold``,
-    ``left``, ``right``, ``value``; one tree of a ``NodeTable``): same node
-    numbering, stopping rules, feature draws and tie-breaks as the package."""
+    """Reference exact-greedy tree as per-node lists (``feature``,
+    ``threshold``, ``left``, ``right``, ``value``; 0.0 stands for a leaf's
+    threshold and a split node's value, which no ``NodeTable`` keeps): same
+    node numbering, stopping rules, feature draws and tie-breaks as the
+    package."""
     min_gain = 1e-12
     n, width = X.shape
     tree = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
@@ -198,12 +200,35 @@ def build_tree_argsort(X, y, max_depth, max_features=None, rng=None, record=None
         mask = X[idx, feat] <= thr
         tree["feature"][node] = feat
         tree["threshold"][node] = thr
+        tree["value"][node] = 0.0
         tree["left"][node] = grow(idx[mask], depth + 1)
         tree["right"][node] = grow(idx[~mask], depth + 1)
         return node
 
     grow(np.arange(n), 0)
     return tree
+
+
+def preorder_links_oracle(split):
+    """(left, right, roots) of the trees whose nodes, numbered depth-first
+    and left child first, split where ``split`` is True, by a stack walk:
+    each node is the next child of the split node on top of the stack, or a
+    new tree's root when the stack is empty.  Raises ``ValueError`` for an
+    empty sequence and for one that ends inside a tree."""
+    left, right, roots = [-1] * len(split), [-1] * len(split), []
+    waiting = []  # split nodes short of a child
+    for node, splits in enumerate(split):
+        if not waiting:
+            roots.append(node)
+        elif left[waiting[-1]] == -1:
+            left[waiting[-1]] = node
+        else:
+            right[waiting.pop()] = node
+        if splits:
+            waiting.append(node)
+    if not roots or waiting:
+        raise ValueError("empty, or ends inside a tree")
+    return left, right, roots
 
 
 def tree_leaf_oracle(tree, X):

@@ -161,22 +161,23 @@ class TestRegressions:
         assert rc == 2
         assert str(model) in err and "1 weights for 10 features" in err
 
-    def test_tree_model_child_in_the_next_tree(self, ws, tmp_path):
-        # In range and after its parent, so each tree alone looks whole: a
-        # walk would end in the next tree and predict one of its leaves.
+    def test_tree_model_ending_inside_a_tree(self, ws, tmp_path):
+        # The last leaf made a split node, with a threshold: the counts
+        # agree, but the split has no children.
         dataset = copy_dataset(ws, tmp_path)
         model = dataset / "models" / "detect" / "gbm.json"
 
         def edit(d):
             table = d["parameters"]
-            node = next(i for i, f in enumerate(table["feature"]) if f >= 0)
-            assert node < table["roots"][1]
-            table["right"][node] = table["roots"][1]
+            assert table["feature"][-1] == -1
+            table["feature"][-1] = 0
+            table["threshold"].append(0.5)
+            table["value"].pop()
 
         edit_json(model, edit)
         rc, err = run(sweep_args(tmp_path, dataset, families=["gbm"]))
         assert rc == 2, err
-        assert str(model) in err and "out of range of its tree" in err
+        assert str(model) in err and "the tree node sequence ends inside a tree" in err
 
     @pytest.mark.parametrize("case", ["detect model to identify", "regression model to sweep",
                                       "narrower model to identify"])
@@ -475,6 +476,16 @@ class TestRegressions:
         assert (f"{ws / 'sspe'}: no attack segments large enough to identify with "
                 "min_segment_windows 1000") in err
         assert not (tmp_path / "ident" / "identification.json").exists()
+
+    def test_sweep_with_no_segment_long_enough_names_the_dataset_and_the_bound(self, ws,
+                                                                              tmp_path):
+        # The sweep once said only "no attack segments large enough to identify".
+        rc, err = run(sweep_args(tmp_path, ws / "sspe", identify_bins=10,
+                                 min_segment_windows=1000))
+        assert rc == 2, err
+        assert (f"{ws / 'sspe'}: no attack segments large enough to identify with "
+                "min_segment_windows 1000") in err
+        assert not (tmp_path / "rep" / "report.json").exists()
 
     def test_no_tagged_attack_window_names_the_dataset(self, tmp_path):
         # identify --make-registry train and the sweep once said only "dataset

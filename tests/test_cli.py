@@ -108,7 +108,7 @@ class TestBuildDataset:
         assert sidecar["split"]["test_fraction"] == 0.3
         with np.load(workspace / "sspe" / "dataset.npz") as npz:
             assert npz["test"].dtype == bool and npz["test"].shape == (421,)
-        assert sidecar["schema_version"] == 3
+        assert sidecar["schema_version"] == 4
         assert "attack_name" not in sidecar
 
     def test_window_larger_than_timeline_exits_2(self, workspace, tmp_path, capsys):

@@ -437,7 +437,7 @@ class TestDatasetIO:
             assert same_bits(split.window_starts, ds.window_starts[rows])
             assert dataset_tags(split) == tuple(dataset_tags(ds)[i] for i in rows)
             assert split.provenance == ds.provenance
-        assert sidecar["schema_version"] == 3
+        assert sidecar["schema_version"] == 4
         assert sidecar["rows"] == len(ds)
         assert sidecar["feature_width"] == ds.features.shape[1]
         assert sidecar["attack_names"] == sorted(set(dataset_tags(ds)))
@@ -458,6 +458,34 @@ class TestDatasetIO:
         ds = make_dataset(8, d=3)
         with pytest.raises(DataError, match="per-second"):
             save_dataset(ds, tmp_path, zscore_fit(ds.features), np.zeros(len(ds), dtype=bool))
+
+    def test_stores_no_starts_and_labels_as_bools(self, tmp_path):
+        ds, params = windowed_dataset(stride=3)
+        save_dataset(ds, tmp_path, params, np.zeros(len(ds), dtype=bool))
+        with np.load(tmp_path / "dataset.npz") as npz:
+            assert "window_starts" not in npz.files
+            assert npz["binary_labels"].dtype == np.bool_
+            assert npz["tag_codes"].dtype == np.int32
+        train, _ = load_dataset(tmp_path)
+        assert train.binary_labels.dtype == np.int64
+        assert np.array_equal(train.binary_labels, ds.binary_labels)
+        assert np.array_equal(train.window_starts, np.arange(len(ds)) * 3)
+
+    @pytest.mark.parametrize("case", ["a row dropped", "starts shifted", "labels of 2"])
+    def test_refuses_rows_the_store_cannot_rebuild(self, tmp_path, case):
+        # The store keeps neither the starts nor labels other than 0 and 1.
+        ds, params = windowed_dataset(stride=2)
+        if case == "a row dropped":
+            ds = replace(ds, features=ds.features[1:], spectrum_labels=ds.spectrum_labels[1:],
+                         binary_labels=ds.binary_labels[1:], tag_codes=ds.tag_codes[1:],
+                         window_starts=ds.window_starts[1:])
+        elif case == "starts shifted":
+            ds = replace(ds, window_starts=ds.window_starts + 1)
+        else:
+            ds = replace(ds, binary_labels=ds.binary_labels * 2)
+        with pytest.raises(DataError, match="every window of 5 seconds at stride 2|0 or 1"):
+            save_dataset(ds, tmp_path, params, np.zeros(len(ds), dtype=bool))
+        assert list(tmp_path.iterdir()) == []
 
     def test_refuses_a_test_mask_of_another_length(self, tmp_path):
         ds, params = windowed_dataset()

@@ -110,7 +110,7 @@ def built(raw, tmp_path_factory):
 
 def test_sidecar_holds_only_scalars_and_names(built):
     sidecar = json.loads((built / "dataset.json").read_text())
-    assert sidecar["schema_version"] == 3
+    assert sidecar["schema_version"] == 4
     assert sorted(sidecar) == [
         "attack_names", "feature_width", "provenance", "rows", "schema_version", "seeds", "split",
     ]
@@ -152,19 +152,18 @@ def _edit(d, name, change):
     rewrite_npz(d / "dataset.npz", **{name: change(array)})
 
 
+def _edit_provenance(d, **changes):
+    data = json.loads((d / "dataset.json").read_text())
+    data["provenance"].update(changes)
+    edit_sidecar(d / "dataset.json", provenance=data["provenance"])
+
+
 def _setting(index, value):
     def change(array):
         array[index] = value
         return array
 
     return change
-
-
-def _starts(d, shift):
-    with np.load(d / "dataset.npz") as npz:
-        starts = npz["window_starts"].copy()
-    starts[-1] += shift
-    rewrite_npz(d / "dataset.npz", window_starts=starts)
 
 
 CORRUPTIONS = {
@@ -186,8 +185,21 @@ CORRUPTIONS = {
         "dataset.npz",
         lambda d: rewrite_npz(d / "dataset.npz", second_features=np.zeros((240, 3), np.float32)),
     ),
-    "start past the end": ("dataset.npz", lambda d: _starts(d, 1000)),
-    "negative start": ("dataset.npz", lambda d: _starts(d, -1000)),
+    # Row i starts at i * stride: one second fewer puts the last start past
+    # the end, and a negative stride puts every start after the first below 0.
+    "start past the end": (
+        "dataset.npz",
+        lambda d: _edit(d, "second_features", lambda s: s[:-1]),
+    ),
+    "negative start": ("dataset.json", lambda d: _edit_provenance(d, stride=-1)),
+    "a second more than the rows": (
+        "dataset.npz",
+        lambda d: _edit(d, "second_features", lambda s: np.vstack([s, s[-1:]])),
+    ),
+    "binary labels of ints": (
+        "dataset.npz",
+        lambda d: _edit(d, "binary_labels", lambda b: b.astype(np.int64)),
+    ),
     "width disagrees": ("dataset.npz", lambda d: edit_sidecar(d / "dataset.json", feature_width=17)),
     "fewer feature columns": (
         "dataset.npz",
@@ -200,6 +212,12 @@ CORRUPTIONS = {
     "schema-2 sidecar": (
         "dataset.json",
         lambda d: edit_sidecar(d / "dataset.json", schema_version=2),
+    ),
+    # Schema 3 stored each row's window start.
+    "schema-3 store": (
+        "dataset.json",
+        lambda d: (edit_sidecar(d / "dataset.json", schema_version=3),
+                   rewrite_npz(d / "dataset.npz", window_starts=np.arange(235))),
     ),
     "missing test mask": ("dataset.npz", lambda d: rewrite_npz(d / "dataset.npz", drop=("test",))),
     "test mask too long": ("dataset.npz", lambda d: _edit(d, "test", lambda t: np.append(t, True))),

@@ -387,16 +387,33 @@ class TestFamilyTable:
         assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
         assert text.index("\n") == len(text) - 1 and " " not in text
 
+    @pytest.mark.parametrize("family", ["random_forest", "gbm"])
+    def test_tree_file_holds_preorder_lists(self, family, tmp_path):
+        # Version 5: a threshold per split node and a value per leaf; the
+        # links are not stored, since the feature list fixes them.
+        X, y, _ = family_problem("regress")
+        model = train(ModelSpec(family, "regress", seed=6), X, y)
+        save_model(model, tmp_path / "m.json")
+        table = json.loads((tmp_path / "m.json").read_text())["parameters"]
+        scalars = {"f0", "learning_rate"} if family == "gbm" else set()
+        assert set(table) == {"feature", "threshold", "value"} | scalars
+        splits = sum(f >= 0 for f in table["feature"])
+        assert (len(table["threshold"]), len(table["value"])) == (
+            splits, len(table["feature"]) - splits)
+        trees = model.parameters["trees"]
+        assert table["threshold"] == trees.threshold.tolist() == trees.cut[trees.split].tolist()
+        assert table["value"] == trees.value.tolist() == trees.leaf_value[~trees.split].tolist()
+
     @pytest.mark.parametrize("family,task", FAMILY_TASKS)
     def test_indented_file_of_the_same_version_predicts_the_same_bits(self, family, task,
                                                                       tmp_path):
-        # Model files were indented JSON until the compact layout; the
-        # document, and so version 4, did not change.
+        # Model files were indented JSON until the compact layout; a reader
+        # of the document does not depend on its layout.
         X, y, probe = family_problem(task)
         compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
         save_model(train(ModelSpec(family, task, seed=6), X, y), compact)
         payload = json.loads(compact.read_text())
-        assert payload["version"] == MODEL_FILE_VERSION == 4
+        assert payload["version"] == MODEL_FILE_VERSION == 5
         write_json(indented, payload)
         assert indented.read_text().count("\n") > 10
         before, after = load_model(compact), load_model(indented)
@@ -485,12 +502,12 @@ class TestHyperparameterRanges:
         assert str(path) in str(info.value)
 
 
-NODE_KEYS = ("feature", "threshold", "left", "right", "value", "roots")
+NODE_KEYS = ("feature", "threshold", "value")
 
 
 def _edit_nodes(**changes):
     """An edit of a tree model file's node table: ``changes`` maps each
-    array's key to a function from its list to the new list."""
+    list's key to a function from the list to the new list."""
     def edit(payload):
         table = payload["parameters"]
         for key, change in changes.items():
@@ -498,17 +515,16 @@ def _edit_nodes(**changes):
     return edit
 
 
-def _child_in_the_next_tree(payload):
-    table = payload["parameters"]
-    assert table["feature"][0] >= 0  # the first tree's root splits
-    table["left"][0] = table["roots"][1]  # after it, in range, but in the second tree
-
+# The last leaf made a split node: it has a threshold but no children.
+_SPLIT_AT_THE_END = _edit_nodes(feature=lambda f: f[:-1] + [0], threshold=lambda t: t + [0.5],
+                                value=lambda v: v[:-1])
 
 # case -> (family, edit of the model file, what the error says)
 MALFORMED_PARAMETERS = {
+    # The feature list is also the trees' child code.
     "tree feature and child not integral": (
         "random_forest",
-        _edit_nodes(feature=lambda f: [f[0] + 0.7] + f[1:], left=lambda c: [c[0] + 0.5] + c[1:]),
+        _edit_nodes(feature=lambda f: [f[0] + 0.7] + f[1:]),
         "key 'feature' must be a list of integers, but holds",
     ),
     "tree threshold NaN": (
@@ -516,9 +532,14 @@ MALFORMED_PARAMETERS = {
         _edit_nodes(threshold=lambda t: [float("nan")] + t[1:]),
         "key 'threshold' must be a list of finite numbers, but holds nan",
     ),
+    "threshold infinite": (
+        "gbm",
+        _edit_nodes(threshold=lambda t: t[:-1] + [float("inf")]),
+        "key 'threshold' must be a list of finite numbers, but holds inf",
+    ),
     "tree leaf value NaN": (
         "gbm",
-        _edit_nodes(value=lambda v: v[:-1] + [float("nan")]),  # the last node is a leaf
+        _edit_nodes(value=lambda v: v[:-1] + [float("nan")]),
         "key 'value' must be a list of finite numbers, but holds nan",
     ),
     "gbm f0 a string": (
@@ -540,19 +561,23 @@ MALFORMED_PARAMETERS = {
                      "key 'version' must be an integer, got True"),
     "no trees": ("random_forest", _edit_nodes(**{k: lambda a: [] for k in NODE_KEYS}),
                  "an ensemble needs at least one tree"),
-    "no roots": ("gbm", _edit_nodes(roots=lambda r: []), "an ensemble needs at least one tree"),
-    "child in the next tree": ("random_forest", _child_in_the_next_tree,
-                               "tree child index out of range of its tree"),
-    "first root past node 0": ("gbm", _edit_nodes(roots=lambda r: [1] + r[1:]),
-                               "tree roots must start at node 0 and increase below"),
-    "root past the last node": ("random_forest", _edit_nodes(roots=lambda r: r + [10**6]),
-                                "tree roots must start at node 0 and increase below"),
-    "a tree of no nodes": ("gbm", _edit_nodes(roots=lambda r: r[:-1] + [r[-1], r[-1]]),
-                           "tree roots must start at node 0 and increase below"),
-    "roots out of order": ("random_forest", _edit_nodes(roots=lambda r: [0, r[2], r[1], *r[3:]]),
-                           "tree roots must start at node 0 and increase below"),
-    "a root dropped": ("gbm", _edit_nodes(roots=lambda r: r[:-1]),
-                       "every tree node but a root must be the child of one split node"),
+    "no roots": ("gbm", _edit_nodes(feature=lambda f: []), "an ensemble needs at least one tree"),
+    # The first tree's root, a split node, leaves its threshold behind.
+    "a root dropped": ("gbm", _edit_nodes(feature=lambda f: f[1:]), "thresholds and"),
+    "a threshold too many": ("random_forest", _edit_nodes(threshold=lambda t: t + [0.5]),
+                             "thresholds and"),
+    "a value too few": ("gbm", _edit_nodes(value=lambda v: v[:-1]), "thresholds and"),
+    "split feature too high": (
+        "random_forest", _edit_nodes(feature=lambda f: [3] + f[1:]),
+        "tree split feature out of range for 3 features",
+    ),
+    "ends inside a tree": ("gbm", _SPLIT_AT_THE_END, "the tree node sequence ends inside a tree"),
+    # A split root past the last node, without its children.
+    "root past the last node": (
+        "random_forest", _edit_nodes(feature=lambda f: f + [0], threshold=lambda t: t + [0.5]),
+        "the tree node sequence ends inside a tree",
+    ),
+    "version 4": ("gbm", lambda p: p.update(version=4), "unsupported model file version 4"),
     "version 1": ("random_forest", lambda p: p.update(version=1),
                   "unsupported model file version 1"),
     # A version-2 GBM file also named its unused row subsample.
@@ -599,22 +624,9 @@ class TestModelFileChecks:
         with pytest.raises(DataError, match="split feature out of range"):
             self._load_edited(path, edit)
 
-    @pytest.mark.parametrize("child", [0, 10**4, -1])
-    def test_tree_child_out_of_range(self, tmp_path, child):
-        # A child at or before its parent could loop forever in prediction.
-        path = self._saved(tmp_path, "random_forest")
-
-        def edit(p):
-            table = p["parameters"]
-            assert table["feature"][0] >= 0  # the first tree's root splits
-            table["left"][0] = child
-
-        with pytest.raises(DataError, match="child index out of range"):
-            self._load_edited(path, edit)
-
     def test_tree_arrays_of_unequal_length(self, tmp_path):
         path = self._saved(tmp_path, "random_forest", "regress")
-        with pytest.raises(DataError, match="one entry per node"):
+        with pytest.raises(DataError, match="thresholds and .* values for .* split nodes and"):
             self._load_edited(path, lambda p: p["parameters"]["value"].pop())
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_PARAMETERS))

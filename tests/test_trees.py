@@ -21,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -47,6 +47,7 @@ from tests.oracles import (
     build_tree_argsort,
     forest_fit_oracle,
     gbm_fit_oracle,
+    preorder_links_oracle,
     tree_leaf_oracle,
     tree_predict_oracle,
 )
@@ -66,34 +67,32 @@ def tied_problem(n, d, decimals, seed, constant_cols=(), duplicate=False):
     return X, y
 
 
-NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+NODE_ARRAYS = ("feature", "threshold", "value")
 
 
 def as_dict(tree: NodeTable) -> dict:
-    """A one-tree table in the node-list form of ``tests/oracles.py``."""
+    """A one-tree table in the per-node list form of ``tests/oracles.py``,
+    with the links the table derived from its preorder lists."""
     assert tree.roots.tolist() == [0]
-    return {name: getattr(tree, name).tolist() for name in NODE_ARRAYS}
+    return {"feature": tree.feature.tolist(), "threshold": tree.cut.tolist(),
+            "left": tree.left.tolist(), "right": tree.right.tolist(),
+            "value": tree.leaf_value.tolist()}
 
 
 def tree_slices(table: NodeTable) -> list[NodeTable]:
-    """Each tree of ``table`` as a one-tree table: its slice of the node
-    arrays, child ids counted from its own root."""
+    """Each tree of ``table`` as a one-tree table: its slice of each
+    preorder list."""
     ends = [*table.roots[1:].tolist(), table.feature.size]
-    slices = []
-    for root, end in zip(table.roots.tolist(), ends):
-        nodes = slice(root, end)
-        local = [np.where(ids[nodes] >= 0, ids[nodes] - root, ids[nodes])
-                 for ids in (table.left, table.right)]
-        slices.append(NodeTable(table.feature[nodes], table.threshold[nodes], *local,
-                                table.value[nodes], np.zeros(1, dtype=np.int64)))
-    return slices
+    splits = np.append(0, np.cumsum(table.split))  # split nodes before each node
+    return [NodeTable(table.feature[root:end], table.threshold[splits[root]:splits[end]],
+                      table.value[root - splits[root]:end - splits[end]])
+            for root, end in zip(table.roots.tolist(), ends)]
 
 
-def checked_tree(feature_count, **lists) -> NodeTable:
-    """A one-tree table of node lists, checked as a model file's."""
-    arrays = {name: np.array(lists[name], dtype=np.float64 if name in ("threshold", "value")
-                             else np.int64) for name in NODE_ARRAYS}
-    return NodeTable.checked(feature_count, roots=np.zeros(1, dtype=np.int64), **arrays)
+def table_of(feature, threshold, value) -> NodeTable:
+    """The table of these preorder lists."""
+    return NodeTable(np.array(feature, dtype=np.int64), np.array(threshold, dtype=np.float64),
+                     np.array(value, dtype=np.float64))
 
 
 def assert_same_tree(tree: NodeTable, reference: dict, X: np.ndarray):
@@ -210,7 +209,7 @@ def test_thresholds_between_features_near_the_float64_maximum(tmp_path):
     tree = params["trees"]
     assert tree.roots.tolist() == [0]
     assert np.isfinite(tree.value).all()
-    splits = tree.threshold[tree.feature >= 0]
+    splits = tree.threshold
     assert splits.size and ((X.min() <= splits) & (splits <= X.max())).all()
     save_model(model, tmp_path / "forest.json")
     assert np.array_equal(predict(load_model(tmp_path / "forest.json"), X), predict(model, X))
@@ -383,6 +382,7 @@ def test_forest_with_wide_rank_codes():
     ).astype(np.float64)
     assert np.unique(X[:, 0]).size > 65_535
     assert rank_codes(X).dtype == np.uint32
+    assert rank_codes(X[:, 1:]).dtype == np.uint16  # as many rows, few distinct values
     y = (X[:, 0] + 0.5 * X[:, 1] > 0.2).astype(np.float64)
     assert_forest_matches(X, y, "classify", n_trees=1, max_depth=3, seed=2)
 
@@ -393,14 +393,33 @@ def test_forest_with_wide_rank_codes():
         np.float64,
         st.tuples(st.integers(0, 30), st.integers(1, 4)),
         elements=st.sampled_from([-2.5, -0.0, 0.0, 0.25, 7.0]) | st.floats(-1e6, 1e6),
-    )
+    ),
+    cells=st.sampled_from([1, 7, 31, trees._RANK_CELLS]),
 )
-def test_rank_codes_are_dense_value_ranks(X):
-    codes = rank_codes(X)
+def test_rank_codes_are_dense_value_ranks(X, cells):
+    # Small budgets rank one column, or a few, at a time.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trees, "_RANK_CELLS", cells)
+        codes = rank_codes(X)
     assert codes.dtype == np.uint16 and codes.shape == X.T.shape
     for column, code in zip(X.T, codes):
         distinct = np.unique(column)  # -0.0 and 0.0 are one value
         assert np.array_equal(code, np.searchsorted(distinct, column))
+
+
+def test_rank_codes_stay_within_their_memory_bound():
+    # tracemalloc peaks above X (numpy 2.4): 4.12 X.nbytes when the argsort
+    # order, the sorted values and the ranks of every column were alive at
+    # once; 0.39 X.nbytes a block of columns at a time.
+    X = np.round(np.random.default_rng(5).normal(size=(10_000, 180)), 2)
+    tracemalloc.start()
+    try:
+        codes = rank_codes(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert codes.dtype == np.uint16
+    assert peak <= X.nbytes, peak / X.nbytes
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -412,7 +431,7 @@ def test_forest_refuses_non_finite_features(bad):
 
 
 def table_bytes(table: NodeTable) -> list[bytes]:
-    return [getattr(table, name).tobytes() for name in (*NODE_ARRAYS, "roots")]
+    return [getattr(table, name).tobytes() for name in NODE_ARRAYS]
 
 
 def forest_bytes(X, y, task, n_trees=5, seed=5) -> list[bytes]:
@@ -681,7 +700,7 @@ def split_paths(tree):
         node, path = pending.pop()
         feat = int(tree.feature[node])
         if feat >= 0:
-            thr = float(tree.threshold[node])
+            thr = float(tree.cut[node])
             splits[path] = (feat, thr)
             pending += [
                 (tree.left[node], (*path, (feat, thr, True))),
@@ -1046,48 +1065,30 @@ def test_random_problems_match_reference(n, d, decimals, seed, duplicate, max_fe
 @st.composite
 def random_trees(draw, width=None):
     """A valid one-tree table and its feature count (``width``, or drawn): any
-    shape, from a single leaf to chains deeper than any fit, numbered
-    depth-first or breadth-first (every child id above its parent's either
-    way)."""
+    shape, from a single leaf to chains deeper than any fit."""
     width = draw(st.integers(1, 4)) if width is None else width
     thresholds = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 3.0]) | st.floats()
     splits = draw(st.integers(0, 60))
     chain = draw(st.booleans())  # every left child is a leaf
+    feature, threshold, value = [], [], []
 
-    def grow():
+    def grow(leaf=False):
         nonlocal splits
-        node = {"value": draw(st.floats(-10, 10)), "children": []}
-        if splits and (chain or draw(st.booleans())):
+        if not leaf and splits and (chain or draw(st.booleans())):
             splits -= 1
-            node["feature"] = draw(st.integers(0, width - 1))
-            node["threshold"] = draw(thresholds)
-            left = {"value": 0.0, "children": []} if chain else grow()
-            node["children"] = [left, grow()]
-        return node
+            feature.append(draw(st.integers(0, width - 1)))
+            threshold.append(draw(thresholds))
+            grow(leaf=chain)
+            grow()
+        else:
+            feature.append(-1)
+            value.append(draw(st.floats(-10, 10)))
 
-    nodes = [grow()]
-    if draw(st.booleans()):  # breadth-first
-        for node in nodes:
-            nodes.extend(node["children"])
-    else:
-        def depth_first(node):
-            yield node
-            for child in node["children"]:
-                yield from depth_first(child)
-
-        nodes = list(depth_first(nodes[0]))
-    ids = {id(node): i for i, node in enumerate(nodes)}
-    kids = [[ids[id(c)] for c in node["children"]] or [-1, -1] for node in nodes]
+    grow()
     # Built directly: a model file may hold only finite thresholds, but the
     # walk must also handle NaN and infinite ones.
-    tree = NodeTable(
-        feature=np.array([node.get("feature", -1) for node in nodes], dtype=np.int64),
-        threshold=np.array([node.get("threshold", 0.0) for node in nodes], dtype=np.float64),
-        left=np.array([k[0] for k in kids], dtype=np.int64),
-        right=np.array([k[1] for k in kids], dtype=np.int64),
-        value=np.array([node["value"] for node in nodes], dtype=np.float64),
-        roots=np.zeros(1, dtype=np.int64),
-    )
+    tree = NodeTable(np.array(feature, dtype=np.int64), np.array(threshold, dtype=np.float64),
+                     np.array(value, dtype=np.float64))
     return tree, width
 
 
@@ -1128,8 +1129,7 @@ def test_tree_apply_on_fitted_trees(data, n, d, seed, max_features, max_depth, r
 
 
 def test_nan_features_go_right():
-    tree = checked_tree(1, feature=[0, -1, -1], threshold=[0.5, 0.0, 0.0], left=[1, -1, -1],
-                        right=[2, -1, -1], value=[0.0, 1.0, 2.0])
+    tree = table_of(feature=[0, -1, -1], threshold=[0.5], value=[1.0, 2.0])
     X = np.array([[np.nan], [-np.inf], [np.inf], [0.5]])
     assert tree_apply(tree, X).tolist() == [2, 1, 2, 1]
 
@@ -1174,23 +1174,29 @@ def test_ensembles_sum_the_reference_walks(data, width, count, n, pairs):
         assert_ensembles_match_oracle(drawn, X)
 
 
-@settings(max_examples=50, deadline=None)
-@given(data=st.data(), width=st.integers(1, 3), count=st.integers(2, 5))
-def test_a_child_in_the_next_tree_is_refused(data, width, count):
-    # Each moved child id is in range and after its parent, where the former
-    # per-tree check saw no fault; a walk would end in the next tree, and
-    # predict one of its leaves without a word.
-    table = NodeTable.join([data.draw(random_trees(width))[0] for _ in range(count)])
-    arrays = {name: getattr(table, name).copy() for name in (*NODE_ARRAYS, "roots")}
-    assert NodeTable.checked(width, **arrays).roots.size == count  # a joined table passes
-    splits = np.flatnonzero(table.split[: table.roots[-1]])  # in every tree but the last
-    assume(splits.size > 0)
-    node = data.draw(st.sampled_from(splits.tolist()))
-    after = table.roots[np.searchsorted(table.roots, node, side="right")]
-    side = data.draw(st.sampled_from(["left", "right"]))
-    arrays[side][node] = data.draw(st.integers(int(after), table.feature.size - 1))
-    with pytest.raises(ValueError, match="out of range of its tree"):
-        NodeTable.checked(width, **arrays)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), count=st.integers(1, 4))
+def test_preorder_decode_matches_the_stack_walk(data, count):
+    # The split/leaf sequence of joined trees, whole or cut short: empty,
+    # between two trees or inside one.  A whole sequence decodes to the
+    # links of the stack walk; one the walk refuses is refused.
+    split = NodeTable.join([data.draw(random_trees(1))[0] for _ in range(count)]).split
+    if data.draw(st.booleans()):
+        split = split[: data.draw(st.integers(0, split.size))]
+    splits = int(split.sum())
+
+    def table():
+        return NodeTable(np.where(split, 0, -1), np.zeros(splits), np.zeros(split.size - splits))
+
+    try:
+        want = preorder_links_oracle(split.tolist())
+    except ValueError as exc:
+        event(str(exc))
+        with pytest.raises(ValueError, match="ends inside a tree|at least one tree"):
+            table()
+        return
+    got = table()
+    assert (got.left.tolist(), got.right.tolist(), got.roots.tolist()) == want
 
 
 def test_ensembles_over_several_walk_groups():
@@ -1199,7 +1205,7 @@ def test_ensembles_over_several_walk_groups():
     # tree included.
     X, y = tied_problem(300, 4, 1, seed=3, duplicate=True)
     fitted = [build_tree(X, y, 6, 2, rng_for(3, "walk", t)) for t in range(39)]
-    leaf = checked_tree(4, feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[0.25])
+    leaf = table_of(feature=[-1], threshold=[], value=[0.25])
     fitted.insert(17, leaf)
     rng = np.random.default_rng(4)
     rows = np.round(rng.normal(size=(1000, 4)), 1)
