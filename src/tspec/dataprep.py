@@ -200,21 +200,23 @@ class NoiseSpec:
             raise ConfigError(f"noise scale must be positive and finite, got {self.scale}")
 
 
-def inject_noise(features: np.ndarray, spec: NoiseSpec) -> np.ndarray:
-    """A copy of the (M, D) feature matrix with seeded Gaussian noise added
-    to exactly round(ratio * M) rows.
+def noise_rows(features: np.ndarray, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the (M, D) feature matrix that ``inject_noise`` perturbs,
+    and their noised values: exactly round(ratio * M) rows, chosen uniformly
+    without replacement, every feature of a chosen row receiving independent
+    N(0, scale^2) noise."""
+    n_rows = int(round(spec.ratio * features.shape[0]))
+    rng = np.random.default_rng(spec.seed)
+    rows = rng.choice(features.shape[0], size=n_rows, replace=False)
+    return rows, features[rows] + rng.normal(0.0, spec.scale, size=(n_rows, features.shape[1]))
 
-    Rows are chosen uniformly without replacement; every feature of a chosen
-    row receives independent N(0, scale^2) noise.  Ratio 0 returns a
-    bit-exact copy.
-    """
-    m = features.shape[0]
-    n_rows = int(round(spec.ratio * m))
+
+def inject_noise(features: np.ndarray, spec: NoiseSpec) -> np.ndarray:
+    """A copy of the (M, D) feature matrix with the rows of ``noise_rows``
+    noised.  Ratio 0 returns a bit-exact copy."""
+    rows, noised_rows = noise_rows(features, spec)
     noised = features.copy()
-    if n_rows > 0:
-        rng = np.random.default_rng(spec.seed)
-        rows = rng.choice(m, size=n_rows, replace=False)
-        noised[rows] += rng.normal(0.0, spec.scale, size=(n_rows, features.shape[1]))
+    noised[rows] = noised_rows
     return noised
 
 

@@ -15,16 +15,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataprep import Dataset, NoiseSpec, inject_noise
+from .dataprep import Dataset, NoiseSpec, inject_noise, noise_rows
 from .errors import DataError, atomic_write, write_json
 from .identify import (
     IdentificationResult,
     Registry,
     _attack_labels,
-    _histogram,
+    _histograms,
     _label_edges,
     build_registry,
-    identify_attack,
+    identify_runs,
 )
 from .models import FAMILIES, TrainedModel, predict, train
 from .processes import _map_in_processes
@@ -100,18 +100,17 @@ def identify_segments(
     registry: Registry,
     min_windows: int = 1,
 ) -> tuple[list[IdentificationResult], list[str]]:
-    """One identification per attack segment of ``ds``, and its attack name."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    results, truth = [], []
-    for name, rows in contiguous_segments(ds):
-        if rows.size < min_windows:
-            continue
-        results.append(identify_attack(predictions[rows], registry))
-        truth.append(name)
-    if not results:
+    """One identification per attack segment of ``ds`` of at least
+    ``min_windows`` rows, and its attack name: ``identify_runs`` of the
+    segments' predictions, so every segment is histogrammed in one pass."""
+    segments = [(name, rows) for name, rows in contiguous_segments(ds) if rows.size >= min_windows]
+    if not segments:
         raise DataError(f"no attack segments large enough to identify with "
                         f"min_segment_windows {min_windows}")
-    return results, truth
+    predictions = np.asarray(predictions, dtype=np.float64)
+    rows = np.concatenate([r for _, r in segments])
+    results = identify_runs(predictions[rows], [r.size for _, r in segments], registry)
+    return results, [name for name, _ in segments]
 
 
 @dataclass(frozen=True)
@@ -187,7 +186,7 @@ def _histogram_summary(ds: Dataset, bins: int = 50) -> dict | None:
     if values.size == 0:
         return None
     edges = _label_edges(values, bins)
-    counts = _histogram(values, edges)
+    counts = _histograms(values, [values.size], edges)[0]
     return {"edges": [float(e) for e in edges], "counts": [int(c) for c in counts]}
 
 
@@ -206,9 +205,10 @@ def run_noise_sweep(cfg: SweepConfig) -> EvalReport:
     training spectrum labels.
 
     Without ``noise_train``, a model of a ``row_separable`` family predicts
-    the clean test features once, and each of its cells predicts again only
-    the rows its noise changed, taking the others from the clean
-    predictions: the same bits as predicting every row.
+    the clean test features once, and each of its cells predicts only the
+    rows its noise draws (``noise_rows``), over a copy of the clean
+    predictions: the same bits as predicting every row of the noised
+    matrix, without making that matrix.
 
     Histograms, detection labels, signature registries and clean
     predictions are computed first, in this process; the cells then run in
@@ -251,7 +251,7 @@ def run_noise_sweep(cfg: SweepConfig) -> EvalReport:
         seed_labels = () if task == "detect" else (task,)
         pct = int(round(float(ratio) * 100))
         seed = derive_seed(cfg.base_seed, "noise", method, family, *seed_labels, pct)
-        noised = inject_noise(art.test.features, NoiseSpec(float(ratio), cfg.noise_scale, seed))
+        noise = NoiseSpec(float(ratio), cfg.noise_scale, seed)
         if cfg.noise_train:
             train_seed = derive_seed(
                 cfg.base_seed, "train-noise", method, family, *seed_labels, pct
@@ -263,11 +263,11 @@ def run_noise_sweep(cfg: SweepConfig) -> EvalReport:
             model = train(model.spec, noised_train, train_labels)
         clean_predictions = clean.get((method, task, family))
         if clean_predictions is None:
-            predictions = predict(model, noised)
+            predictions = predict(model, inject_noise(art.test.features, noise))
         else:
-            changed = (noised != art.test.features).any(axis=1)
+            rows, noised = noise_rows(art.test.features, noise)
             predictions = clean_predictions.copy()
-            predictions[changed] = predict(model, noised[changed])
+            predictions[rows] = predict(model, noised)
         if task == "detect":
             preds = (predictions >= 0.5).astype(np.int64)
             score = {"metrics": detection_metrics(truth, preds)}

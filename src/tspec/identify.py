@@ -68,12 +68,20 @@ def _label_edges(values: np.ndarray, bins: int) -> np.ndarray:
     return np.linspace(lo, hi, bins + 1)
 
 
-def _histogram(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Counts of ``values`` per bin; values outside the edges are clamped
-    into the edge bins."""
+def _histograms(values: np.ndarray, sizes, edges: np.ndarray) -> np.ndarray:
+    """Counts per bin of each run of ``values``, run i holding the next
+    ``sizes[i]`` of them: row i of a ``(runs, bins)`` integer matrix, made in
+    one pass.  Values outside the edges are clamped into the edge bins; as
+    in ``np.histogram``, bins are closed on the left, the last bin on both
+    sides, and NaN is not counted."""
+    bins = edges.size - 1
+    run = np.repeat(np.arange(len(sizes)), sizes)
     clipped = np.clip(values, edges[0], edges[-1])
-    counts, _ = np.histogram(clipped, bins=edges)
-    return counts.astype(np.float64)
+    index = np.searchsorted(edges, clipped, side="right") - 1
+    index[clipped == edges[-1]] = bins - 1
+    number = index < bins  # NaN sorts after the last edge
+    keys = run[number] * bins + index[number]
+    return np.bincount(keys, minlength=len(sizes) * bins).reshape(len(sizes), bins)
 
 
 def build_registry(
@@ -92,27 +100,16 @@ def build_registry(
     for name, values in cleaned.items():
         if values.size == 0:
             raise DataError(f"attack {name!r} has no usable spectrum labels")
-    edges = _label_edges(np.concatenate(list(cleaned.values())), bins)
-    rows = [_histogram(values, edges) for values in cleaned.values()]
+    values = np.concatenate(list(cleaned.values()))
+    edges = _label_edges(values, bins)
+    counts = _histograms(values, [v.size for v in cleaned.values()], edges)
     return Registry(
         attack_names=tuple(cleaned),
         bin_edges=edges,
-        counts=np.stack([row / row.sum() for row in rows]),
+        counts=counts / counts.sum(axis=1, keepdims=True),
         method=method,
         d_model=d_model,
     )
-
-
-def cosine_similarity(u, v) -> float:
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise DataError("cosine similarity needs two equal-length vectors")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise DataError("cosine similarity is undefined for a zero vector")
-    return float(u @ v) / (nu * nv)
 
 
 @dataclass(frozen=True)
@@ -122,25 +119,42 @@ class IdentificationResult:
     margin: float
 
 
-def identify_attack(predicted_labels, registry: Registry) -> IdentificationResult:
-    """Histogram the predictions with the registry's edges and pick the most
-    similar signature; ties go to the lowest signature index."""
-    values = np.asarray(predicted_labels, dtype=np.float64)
-    if values.size == 0:
-        raise DataError("cannot identify from zero predicted labels")
-    observed = _histogram(values, registry.bin_edges)
-    if observed.sum() == 0.0:
-        raise DataError("predicted labels produced an empty histogram")
+def identify_runs(values, sizes, registry: Registry) -> list[IdentificationResult]:
+    """One identification per run of predicted labels ``values``, run i
+    holding the next ``sizes[i]`` of them: every run is histogrammed with
+    the registry's edges in one pass and attributed to the signature of
+    highest cosine similarity; ties go to the lowest signature index.
 
-    sims = [cosine_similarity(observed, row) for row in registry.counts]
-    best = int(np.argmax(sims))  # first maximum: lowest index wins ties
-    ordered = sorted(sims, reverse=True)
-    margin = float(ordered[0] - ordered[1]) if len(sims) > 1 else 0.0
-    return IdentificationResult(
-        predicted_attack=registry.attack_names[best],
-        similarities={name: float(s) for name, s in zip(registry.attack_names, sims)},
-        margin=margin,
-    )
+    Each similarity is ``(u @ v) / (|u| |v|)`` of a run's counts u and a
+    signature v, one dot product per pair.  The signature norms are taken
+    once per call, and a run's norm is the square root of its summed
+    squared counts, which are integers, so it has ``np.linalg.norm``'s
+    bits."""
+    values = np.asarray(values, dtype=np.float64)
+    if 0 in sizes:
+        raise DataError("cannot identify from zero predicted labels")
+    observed = _histograms(values, sizes, registry.bin_edges)
+    observed_norms = np.sqrt((observed * observed).sum(axis=1)).tolist()
+    if 0.0 in observed_norms:
+        raise DataError("predicted labels produced an empty histogram")
+    norms = [float(np.linalg.norm(row)) for row in registry.counts]
+    results = []
+    for u, nu in zip(observed.astype(np.float64), observed_norms):
+        sims = [float(u @ v) / (nu * nv) for v, nv in zip(registry.counts, norms)]
+        best = int(np.argmax(sims))  # first maximum: lowest index wins ties
+        ordered = sorted(sims, reverse=True)
+        results.append(IdentificationResult(
+            predicted_attack=registry.attack_names[best],
+            similarities=dict(zip(registry.attack_names, sims)),
+            margin=float(ordered[0] - ordered[1]) if len(sims) > 1 else 0.0,
+        ))
+    return results
+
+
+def identify_attack(predicted_labels, registry: Registry) -> IdentificationResult:
+    """``identify_runs`` of one run: all of ``predicted_labels``."""
+    values = np.asarray(predicted_labels, dtype=np.float64).ravel()
+    return identify_runs(values, [values.size], registry)[0]
 
 
 def save_registry(registry: Registry, path: str | Path) -> None:

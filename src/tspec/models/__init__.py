@@ -14,6 +14,7 @@ round trip reproduces predictions bit for bit.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -79,13 +80,30 @@ def _table_to_json(params: dict, *scalars: str) -> dict:
     return out
 
 
-def _table_from_json(data: dict, feature_count: int, *scalars: str) -> dict:
-    out = {key: read_field(data, key, Real) for key in scalars}
-    arrays = {name: read_field(data, name, list[kind]) for name, kind in _NODE_ARRAYS.items()}
-    if ((arrays["feature"] < -1) | (arrays["feature"] >= feature_count)).any():
-        raise ValueError(f"tree split feature out of range for {feature_count} features")
-    out["trees"] = NodeTable(**arrays)
-    return out
+def _table_from_json(fit: Callable, *scalars: str) -> Callable:
+    """``from_json`` of the ensembles ``fit`` grows: a valid file holds as
+    many trees as its ``n_trees`` default, none with a split node at depth
+    ``max_depth`` (a root is at depth 0)."""
+    defaults = inspect.signature(fit).parameters
+    n_trees, max_depth = defaults["n_trees"].default, defaults["max_depth"].default
+
+    def from_json(data: dict, feature_count: int) -> dict:
+        out = {key: read_field(data, key, Real) for key in scalars}
+        arrays = {name: read_field(data, name, list[kind]) for name, kind in _NODE_ARRAYS.items()}
+        if ((arrays["feature"] < -1) | (arrays["feature"] >= feature_count)).any():
+            raise ValueError(f"tree split feature out of range for {feature_count} features")
+        trees = out["trees"] = NodeTable(**arrays)
+        if trees.roots.size != n_trees:
+            raise ValueError(f"{trees.roots.size} trees, not the family's {n_trees}")
+        level = trees.roots
+        for _ in range(max_depth):
+            level = level[trees.split[level]]
+            level = np.concatenate([trees.left[level], trees.right[level]])
+        if trees.split[level].any():
+            raise ValueError(f"a tree is deeper than the family's max_depth {max_depth}")
+        return out
+
+    return from_json
 
 
 FAMILIES = {
@@ -110,7 +128,7 @@ FAMILIES = {
         fit=lambda X, y, task, seed: ensembles.forest_fit(X, y, task, seed=seed),
         predict=lambda params, X, task: ensembles.forest_predict(params, X),
         to_json=_table_to_json,
-        from_json=_table_from_json,
+        from_json=_table_from_json(ensembles.forest_fit),
         row_separable=True,
     ),
     "gbm": Family(
@@ -118,7 +136,7 @@ FAMILIES = {
         fit=lambda X, y, task, seed: ensembles.gbm_fit(X, y, task),
         predict=lambda params, X, task: ensembles.gbm_predict(params, X, task),
         to_json=lambda params: _table_to_json(params, "f0", "learning_rate"),
-        from_json=lambda data, width: _table_from_json(data, width, "f0", "learning_rate"),
+        from_json=_table_from_json(ensembles.gbm_fit, "f0", "learning_rate"),
         row_separable=True,
     ),
 }

@@ -1,7 +1,7 @@
 """Independent reference implementations used to pin expected test values.
 
 Everything here is deliberately written as plain scalar loops over the
-defining formulas, sharing no code with the package.  Four groups keep a
+defining formulas, sharing no code with the package.  Six groups keep a
 former implementation as the reference for a faster one: the tree builder
 (the per-node argsort split search, for the presorted one, and the
 one-block float scan of sorted values and targets, for the blocked complex
@@ -434,6 +434,47 @@ def labels_by_attack_oracle(values, tags):
         if tag:
             grouped.setdefault(tag, []).append(float(value))
     return {name: np.asarray(vals) for name, vals in grouped.items()}
+
+
+def inject_noise_oracle(features, ratio, scale, seed):
+    """A copy of ``features`` with round(ratio * M) rows, drawn without
+    replacement, noised in place by one seeded normal draw."""
+    m = features.shape[0]
+    n_rows = int(round(ratio * m))
+    noised = features.copy()
+    if n_rows > 0:
+        rng = np.random.default_rng(seed)
+        rows = rng.choice(m, size=n_rows, replace=False)
+        noised[rows] += rng.normal(0.0, scale, size=(n_rows, features.shape[1]))
+    return noised
+
+
+def cosine_similarity(u, v) -> float:
+    """(u @ v) / (|u| |v|) of two equal-length, nonzero vectors."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape or u.ndim != 1:
+        raise ValueError("cosine similarity needs two equal-length vectors")
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        raise ValueError("cosine similarity is undefined for a zero vector")
+    return float(u @ v) / (nu * nv)
+
+
+def identify_segments_oracle(predictions, segments, names, edges, signatures):
+    """(predicted attack, similarities, margin) per (name, rows) segment:
+    one ``np.histogram`` of the segment's clamped predictions and one
+    ``cosine_similarity`` per signature, a segment at a time."""
+    out = []
+    for _, rows in segments:
+        values = np.clip(np.asarray(predictions, dtype=np.float64)[rows], edges[0], edges[-1])
+        observed = np.histogram(values, bins=edges)[0].astype(np.float64)
+        sims = [cosine_similarity(observed, row) for row in signatures]
+        ordered = sorted(sims, reverse=True)
+        margin = float(ordered[0] - ordered[1]) if len(sims) > 1 else 0.0
+        out.append((names[int(np.argmax(sims))], dict(zip(names, sims)), margin))
+    return out
 
 
 def save_dataset_v1(ds, out_dir) -> None:

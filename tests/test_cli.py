@@ -371,7 +371,7 @@ class TestUsage:
         config.write_text(json.dumps(TestSweep._sweep_config(workspace, [0.0, 0.5])))
         out = tmp_path / "sweep"
         argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "report")]
-        body = slow("tspec.evalharness", "inject_noise", f"cli.main({argv!r})")
+        body = slow("tspec.evalharness", SWEEP_CELL_NOISE, f"cli.main({argv!r})")
         with lock_holder(out, body) as holder:
             assert_freed_within(1.5, holder, out / ".lock")
 
@@ -444,21 +444,27 @@ class TestUsage:
         assert [p.name for p in out.iterdir()] == [".lock"] * (how == "directory")
 
 
-def slow(module: str, name: str, then: str) -> str:
-    """Code that makes every call of ``<module>.<name>`` print the calling
-    process's pid and take 0.5 s more, pretends that this process may use
-    two CPUs, then runs ``then``."""
+def slow(module: str, names: tuple[str, ...], then: str) -> str:
+    """Code that makes every call of ``<module>.<name>``, for each of
+    ``names``, print the calling process's pid and take 0.5 s more,
+    pretends that this process may use two CPUs, then runs ``then``."""
     return ("import importlib, os, time; from tspec import cli, processes\n"
             "processes.os.sched_getaffinity = lambda pid: {0, 1}\n"
             f"target = importlib.import_module({module!r})\n"
-            f"real = getattr(target, {name!r})\n"
-            "def slowly(*args, **kwargs):\n"
-            "    print(os.getpid(), flush=True)\n"
-            "    time.sleep(0.5)\n"
-            "    return real(*args, **kwargs)\n"
-            f"setattr(target, {name!r}, slowly)\n"
+            "def slowly(real):\n"
+            "    def call(*args, **kwargs):\n"
+            "        print(os.getpid(), flush=True)\n"
+            "        time.sleep(0.5)\n"
+            "        return real(*args, **kwargs)\n"
+            "    return call\n"
+            f"for name in {names!r}:\n"
+            "    setattr(target, name, slowly(getattr(target, name)))\n"
             f"{then}\n")
 
+
+# Every sweep cell noises its test features through one of these: GLM cells
+# the whole matrix, row-separable cells only the rows they predict.
+SWEEP_CELL_NOISE = ("inject_noise", "noise_rows")
 
 # A forest-like fit of 12 items in two processes: each item takes 0.5 s,
 # and the worker's six take more than a pipe buffer (64 KB) to send back.
@@ -527,10 +533,10 @@ def test_a_sigtermed_command_unlinks_its_lock_and_reaps_its_workers(workspace, t
     if command == "sweep":
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps(TestSweep._sweep_config(workspace, [0.0, 0.5])))
-        target = ("tspec.evalharness", "inject_noise")
+        target = ("tspec.evalharness", SWEEP_CELL_NOISE)
         argv = ["sweep", "--config", str(config), "--out", str(out)]
     else:
-        target = ("tspec.models.ensembles", "build_tree")
+        target = ("tspec.models.ensembles", ("build_tree",))
         argv = ["train", "--config", str(workspace / "config.json"), "--dataset",
                 str(workspace / "sspe"), "--task", "detect", "--families", "random_forest",
                 "--out", str(out)]

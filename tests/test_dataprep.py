@@ -28,8 +28,9 @@ from tspec import (
     zscore_apply,
     zscore_fit,
 )
+from tspec.dataprep import noise_rows
 from tests.conftest import dataset_tags, same_bits, same_timeline, timeline_attacks, timeline_rows
-from tests.oracles import generate_synthetic_oracle, population_moments
+from tests.oracles import generate_synthetic_oracle, inject_noise_oracle, population_moments
 
 
 def make_dataset(m=20, d=4, seed=0, positive_fraction=0.5, tags=False):
@@ -191,6 +192,23 @@ class TestNoise:
         a = inject_noise(ds.features, NoiseSpec(0.6, 1.0, seed=5))
         b = inject_noise(ds.features, NoiseSpec(0.6, 1.0, seed=5))
         assert np.array_equal(a, b)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(m=st.integers(1, 40), d=st.integers(1, 5), seed=st.integers(0, 2**63 - 1),
+           ratio=st.sampled_from(["zero", "one row", 0.5, 1.0]), scale=st.sampled_from([0.5, 1.0]))
+    def test_noise_rows_scattered_on_a_copy_are_inject_noise(self, m, d, seed, ratio, scale):
+        # The same draws, in the same order, as noising the chosen rows of a
+        # copy in place.
+        ratio = {"zero": 0.0, "one row": 1 / m}.get(ratio, ratio)
+        features = np.random.default_rng(seed).normal(size=(m, d))
+        spec = NoiseSpec(ratio, scale, seed)
+        rows, values = noise_rows(features, spec)
+        assert rows.size == len(set(rows.tolist())) == round(ratio * m)
+        scattered = features.copy()
+        scattered[rows] = values
+        want = inject_noise_oracle(features, ratio, scale, seed)
+        assert same_bits(scattered, want)
+        assert same_bits(inject_noise(features, spec), want)
 
     def test_bad_spec(self):
         with pytest.raises(ConfigError):

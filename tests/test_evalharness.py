@@ -5,11 +5,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tspec import (
     AttackSegment,
     DataError,
     EvalReport,
+    MethodArtifacts,
     NoiseSpec,
     SweepConfig,
     SyntheticScenario,
@@ -32,7 +35,7 @@ from tspec.evalharness import identify_segments, labels_by_attack
 from tspec.identify import Registry, build_registry
 from tests.conftest import method_artifacts, tagged_dataset, use_cpus
 from tests.test_cli import read_tree
-from tests.oracles import confusion_oracle
+from tests.oracles import confusion_oracle, identify_segments_oracle
 
 
 class TestDetectionMetrics:
@@ -117,6 +120,41 @@ class TestSegments:
 
     def test_empty(self):
         assert contiguous_segments(tagged_dataset(["", "", ""])) == []
+
+
+class TestIdentifySegments:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        tags=st.lists(st.sampled_from(["", "a", "b", "c"]), min_size=1, max_size=40),
+        seed=st.integers(0, 2**32 - 1),
+        signatures=st.integers(1, 4),
+        bins=st.integers(2, 12),
+        min_windows=st.integers(1, 3),
+    )
+    def test_names_similarities_and_margins_match_one_segment_at_a_time(
+        self, tags, seed, signatures, bins, min_windows
+    ):
+        ds = tagged_dataset(tags)
+        rng = np.random.default_rng(seed)
+        counts = rng.random((signatures, bins)) * (rng.random((signatures, bins)) < 0.7)
+        counts[:, rng.integers(bins)] += 0.25  # no all-zero signature
+        registry = Registry(tuple(f"s{i}" for i in range(signatures)),
+                            np.sort(rng.normal(0.0, 2.0, bins + 1)) + np.arange(bins + 1),
+                            counts / counts.sum(axis=1, keepdims=True), "sspe", None)
+        predictions = rng.normal(0.0, 4.0, len(tags))
+        segments = [s for s in contiguous_segments(ds) if s[1].size >= min_windows]
+        if not segments:
+            with pytest.raises(DataError, match="no attack segments large enough"):
+                identify_segments(predictions, ds, registry, min_windows)
+            return
+        results, truth = identify_segments(predictions, ds, registry, min_windows)
+        assert truth == [name for name, _ in segments]
+        bits = [(res.predicted_attack, {k: v.hex() for k, v in res.similarities.items()},
+                 res.margin.hex()) for res in results]
+        want = identify_segments_oracle(predictions, segments, registry.attack_names,
+                                        registry.bin_edges, registry.counts)
+        assert bits == [(name, {k: v.hex() for k, v in sims.items()}, margin.hex())
+                        for name, sims, margin in want]
 
 
 def small_scenario():
@@ -421,6 +459,38 @@ class TestCleanPredictionReuse:
             for task, models in (("detect", art.detect_models), ("identify", art.regress_models))
             for family in models
         }
+
+
+class TestNoisedRowsOnly:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(base_seed=st.integers(0, 2**32 - 1),
+           ratio=st.sampled_from([0.0, 0.01, 0.1, 0.5, 0.9, 1.0]),
+           scale=st.sampled_from([0.5, 1.0, 3.0]))
+    def test_a_row_separable_cell_predicts_the_bits_of_the_noised_matrix(
+        self, four_family_setup, base_seed, ratio, scale
+    ):
+        # Its cells predict only the noised rows, over the clean predictions.
+        _, art = four_family_setup
+        separable = {f: m for f, m in art.regress_models.items() if FAMILIES[f].row_separable}
+        cfg = SweepConfig(
+            methods={"sspe": MethodArtifacts(art.train, art.test, regress_models=separable)},
+            ratios=(ratio,), noise_scale=scale, base_seed=base_seed, identify_bins=12,
+            min_segment_windows=3,
+        )
+        identified = []
+
+        def identify_spy(predictions, *args, **kwargs):
+            identified.append(predictions)
+            return identify_segments(predictions, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            use_cpus(patch, 1)  # the spy sees the cells of this process only
+            patch.setattr(evalharness, "identify_segments", identify_spy)
+            report = run_noise_sweep(cfg)
+        assert [row.family for row in report.rows] == list(separable)
+        for row, predictions in zip(report.rows, identified, strict=True):
+            noised = inject_noise(art.test.features, NoiseSpec(ratio, scale, row.seed))
+            assert predictions.tobytes() == predict(separable[row.family], noised).tobytes()
 
 
 class TestEmit:

@@ -6,17 +6,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tspec import (
     ConfigError,
     DataError,
     Registry,
     build_registry,
-    cosine_similarity,
     identify_attack,
     load_registry,
     save_registry,
 )
+from tspec.identify import _histograms
+from tests.oracles import cosine_similarity
 
 
 def registry_of(names, counts, edges=(0.0, 1.0, 2.0, 3.0, 4.0)):
@@ -117,6 +120,28 @@ class TestRegistry:
             load_registry(empty)
 
 
+class TestHistograms:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), lo=st.floats(-5.0, 5.0), bins=st.integers(1, 9),
+           sizes=st.lists(st.integers(0, 12), min_size=1, max_size=6))
+    def test_one_pass_counts_every_run_as_np_histogram(self, data, lo, bins, sizes):
+        # Labels on the edges, outside them, infinite and NaN: each run's
+        # row is np.histogram of its clamped values.
+        widths = data.draw(st.lists(st.floats(0.25, 3.0), min_size=bins, max_size=bins))
+        edges = lo + np.cumsum([0.0, *widths])
+        label = st.one_of(
+            st.sampled_from([*edges.tolist(), -np.inf, np.inf, np.nan]),
+            st.floats(lo - 2.0, edges[-1] + 2.0),
+        )
+        values = np.array(data.draw(st.lists(label, min_size=sum(sizes), max_size=sum(sizes))),
+                          dtype=np.float64)
+        counts = _histograms(values, sizes, edges)
+        assert counts.shape == (len(sizes), bins)
+        for row, run in zip(counts, np.split(values, np.cumsum(sizes)[:-1])):
+            want = np.histogram(np.clip(run, edges[0], edges[-1]), bins=edges)[0]
+            assert row.tolist() == want.tolist()
+
+
 class TestCosine:
     def test_identical_vectors(self):
         assert cosine_similarity([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == pytest.approx(1.0)
@@ -130,7 +155,7 @@ class TestCosine:
         assert value == pytest.approx(0.7071067811865475, abs=1e-12)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ValueError):
             cosine_similarity([0.0, 0.0], [1.0, 0.0])
 
     def test_symmetry_and_bounds(self):
@@ -148,7 +173,7 @@ class TestCosine:
         assert cosine_similarity(u, u + [0.0, 0.0, 1.0]) < 1.0 - 1e-9
 
     def test_length_mismatch(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ValueError):
             cosine_similarity([1.0], [1.0, 2.0])
 
 

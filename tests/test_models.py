@@ -519,6 +519,33 @@ def _edit_nodes(**changes):
 _SPLIT_AT_THE_END = _edit_nodes(feature=lambda f: f[:-1] + [0], threshold=lambda t: t + [0.5],
                                 value=lambda v: v[:-1])
 
+
+def _first_tree(feature) -> tuple[int, int]:
+    """The node count and leaf count of the first tree of a preorder
+    feature list."""
+    count = leaves = 0
+    for i, f in enumerate(feature):
+        count += 1 if f >= 0 else -1
+        leaves += f < 0
+        if count < 0:
+            return i + 1, leaves
+
+
+def _drop_first_trees_last_leaf(payload):
+    table = payload["parameters"]
+    nodes, leaves = _first_tree(table["feature"])
+    del table["feature"][nodes - 1], table["value"][leaves - 1]
+
+
+def _first_tree_a_chain_of_six_splits(payload):
+    """The first tree replaced by six nested left splits: a leaf at depth 6."""
+    table = payload["parameters"]
+    nodes, leaves = _first_tree(table["feature"])
+    table["feature"][:nodes] = [0] * 6 + [-1] * 7
+    table["threshold"][:nodes - leaves] = [0.0] * 6
+    table["value"][:leaves] = [0.0] * 7
+
+
 # case -> (family, edit of the model file, what the error says)
 MALFORMED_PARAMETERS = {
     # The feature list is also the trees' child code.
@@ -590,6 +617,12 @@ MALFORMED_PARAMETERS = {
                   "unsupported model file version 3"),
     "spec key unknown": ("random_forest", lambda p: p["spec"].update(n_trees=25, depth=10),
                          "unknown spec keys ['depth', 'n_trees']"),
+    # The first tree takes the second as its missing subtree: once loaded
+    # as 24 trees, predicting other values.
+    "first tree's last leaf deleted": ("random_forest", _drop_first_trees_last_leaf,
+                                       "24 trees, not the family's 25"),
+    "a tree deeper than max_depth": ("gbm", _first_tree_a_chain_of_six_splits,
+                                     "a tree is deeper than the family's max_depth 5"),
 }
 
 
@@ -678,3 +711,63 @@ class TestModelFileChecks:
         path = self._saved(tmp_path, "glm_binomial")
         with pytest.raises(DataError, match="not a valid model file"):
             self._load_edited(path, lambda p: p["spec"].update(seed=float("inf")))
+
+
+@pytest.fixture(scope="module")
+def ensemble_files(tmp_path_factory):
+    """The text of a saved forest and GBM classifier, by family."""
+    X, y, _ = family_problem("classify")
+    texts = {}
+    for family in ("random_forest", "gbm"):
+        path = tmp_path_factory.mktemp(family) / "m.json"
+        save_model(train(ModelSpec(family, "classify", seed=1), X, y), path)
+        texts[family] = path.read_text()
+    return texts
+
+
+class TestTreeCountAndDepth:
+    """A forest or GBM file holds exactly its family's tree count, no tree
+    deeper than its ``max_depth``."""
+
+    @pytest.mark.parametrize("family", ["random_forest", "gbm"])
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(delete=st.booleans(), data=st.data())
+    def test_one_node_deleted_or_inserted_is_refused(self, tmp_path_factory, ensemble_files,
+                                                     family, delete, data):
+        # Each edit moves the sum of the +1 (split) / -1 (leaf) shape code
+        # by one, so the file either does not decode or decodes as one tree
+        # more or fewer.  A deleted last leaf of any tree but the last once
+        # loaded as one tree fewer.
+        payload = json.loads(ensemble_files[family])
+        table = payload["parameters"]
+        feature = table["feature"]
+        at = data.draw(st.integers(0, len(feature) - delete), label="at")
+        splits = sum(f >= 0 for f in feature[:at])  # thresholds, then values, before node at
+        if delete:
+            if feature.pop(at) >= 0:
+                del table["threshold"][splits]
+            else:
+                del table["value"][at - splits]
+        elif data.draw(st.booleans(), label="insert a split"):
+            feature.insert(at, data.draw(st.integers(0, 2), label="split feature"))
+            table["threshold"].insert(splits, 0.25)
+        else:
+            feature.insert(at, -1)
+            table["value"].insert(at - splits, 0.5)
+        path = tmp_path_factory.mktemp("edited") / "m.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="is not a valid model file") as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("family", ["random_forest", "gbm"])
+    def test_a_one_class_fit_writes_every_tree(self, tmp_path, family):
+        # Every tree of a one-class fit is a lone leaf; the file still holds
+        # the family's count of them and loads.
+        X, _, probe = family_problem("classify")
+        model = train(ModelSpec(family, "classify"), X, np.ones(len(X)))
+        save_model(model, tmp_path / "m.json")
+        loaded = load_model(tmp_path / "m.json")
+        count = {"random_forest": 25, "gbm": 50}[family]
+        assert json.loads((tmp_path / "m.json").read_text())["parameters"]["feature"] == [-1] * count
+        assert np.array_equal(predict(loaded, probe), predict(model, probe))

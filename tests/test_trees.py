@@ -204,12 +204,12 @@ def test_thresholds_between_features_near_the_float64_maximum(tmp_path):
     # every row left and leaves a NaN leaf mean, and the file would not load.
     X = np.array([[1.6e308], [1.7e308], [1.65e308], [1.62e308]])
     y = np.array([0.0, 1.0, 1.0, 0.0])
-    params = forest_fit(X, y, "classify", n_trees=1)  # RuntimeWarnings are errors
+    params = forest_fit(X, y, "classify")  # RuntimeWarnings are errors
     model = TrainedModel(ModelSpec("random_forest", "classify"), 1, params)
-    tree = params["trees"]
-    assert tree.roots.tolist() == [0]
-    assert np.isfinite(tree.value).all()
-    splits = tree.threshold
+    trees = params["trees"]
+    assert trees.roots.size == 25  # a model file holds the family's tree count
+    assert np.isfinite(trees.value).all()
+    splits = trees.threshold
     assert splits.size and ((X.min() <= splits) & (splits <= X.max())).all()
     save_model(model, tmp_path / "forest.json")
     assert np.array_equal(predict(load_model(tmp_path / "forest.json"), X), predict(model, X))
