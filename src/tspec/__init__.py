@@ -66,6 +66,7 @@ from .spectrum import (
 from .windowing import (
     window_attack_tags,
     window_binary_labels,
+    window_labels,
     window_matrices,
 )
 

@@ -9,6 +9,8 @@ thing across features.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import math
 import zipfile
 from dataclasses import dataclass, field
@@ -20,19 +22,19 @@ import numpy as np
 from .errors import (ConfigError, DataError, Range, atomic_write, read_field, read_json_object,
                      write_json)
 from .ingest import PacketTimeline
-from .spectrum import LABEL_METHODS, coap_values, is_spectrum_method, sspe_values
-from .windowing import flatten_windows, window_attack_tags, window_binary_labels, window_matrices
+from .spectrum import LABEL_METHODS, check_d_model
+from .windowing import flatten_windows, window_labels, window_matrices
 
 ATTACK_PATTERNS = ("burst", "periodic", "ramp")
-DATASET_SCHEMA_VERSION = 4
-# dataset.npz members: name -> (dtype, the sidecar key giving its length).
-# ``second_features`` is the (seconds, F) matrix the rows are windowed from.
+DATASET_SCHEMA_VERSION = 5
+# dataset.npz members: name -> (dtype, length: a sidecar key, or the seconds
+# of ``second_features``, the (seconds, F) matrix the rows are windowed from).
+# ``attack_codes`` take the narrowest unsigned dtype that holds the name count.
 _DATASET_ARRAYS = {
     "second_features": (np.float64, None),
-    "spectrum_labels": (np.float64, "rows"),
-    "binary_labels": (np.bool_, "rows"),
+    "labels": (np.bool_, "seconds"),
+    "attack_codes": (None, "seconds"),
     "test": (np.bool_, "rows"),
-    "tag_codes": (np.int32, "rows"),
     "zscore_means": (np.float64, "feature_width"),
     "zscore_stds": (np.float64, "feature_width"),
 }
@@ -125,12 +127,12 @@ class Dataset:
     ``tag_codes`` holds each row's attack as an index into the sorted
     ``attack_names`` (by default every row is untagged); ``provenance``
     echoes how the rows were built (window size, stride, method, seeds, ...).
-    ``second_features`` and ``window_starts`` (set by ``assemble_dataset``
-    and ``load_dataset``) are the (n, F) per-second matrix the rows were
-    windowed from and each row's start second in it: row i is the window at
+    ``timeline`` and ``window_starts`` (set by ``assemble_dataset`` and
+    ``load_dataset``) are the per-second timeline the rows were windowed
+    from and each row's start second in it: row i is the window at
     ``window_starts[i]``, flattened, raw from ``assemble_dataset`` and
-    z-scored from ``load_dataset``.  ``save_dataset`` stores the per-second
-    matrix, never the rows or their starts.
+    z-scored from ``load_dataset``.  ``save_dataset`` stores the timeline's
+    columns, never the rows, their starts or their labels.
     """
 
     features: np.ndarray
@@ -139,7 +141,7 @@ class Dataset:
     provenance: dict = field(default_factory=dict)
     tag_codes: np.ndarray | None = None
     attack_names: tuple[str, ...] = ("",)
-    second_features: np.ndarray | None = None
+    timeline: PacketTimeline | None = None
     window_starts: np.ndarray | None = None
 
     def __post_init__(self):
@@ -389,32 +391,24 @@ def assemble_dataset(
     """
     if method not in LABEL_METHODS:
         raise ConfigError(f"label method must be one of {LABEL_METHODS}, got {method!r}")
-    features, label_bits, starts = window_matrices(timeline, window_size, stride)
-    window_labels = window_binary_labels(label_bits)
-
-    if not is_spectrum_method(method):
-        values = window_labels.astype(np.float64)
-    elif method == "coap":
-        values = coap_values(label_bits)
-    else:
-        values = sspe_values(label_bits, d_model)
-
+    values, binary, tags, fraction = window_labels(timeline, window_size, stride, method, d_model)
+    features, _, starts = window_matrices(timeline, window_size, stride)
     provenance = {
         "window": window_size,
         "stride": stride,
         "method": method,
         "d_model": d_model if method == "sspe" else None,
-        "attack_bit_fraction": float(np.asarray(label_bits).mean()),
+        "attack_bit_fraction": fraction,
         "feature_names": list(timeline.feature_names),
     }
     return Dataset(
         features=features,
         spectrum_labels=values,
-        binary_labels=window_labels,
+        binary_labels=binary,
         provenance=provenance,
-        tag_codes=window_attack_tags(timeline, window_size, stride),
+        tag_codes=tags,
         attack_names=timeline.attack_names,
-        second_features=timeline.features,
+        timeline=timeline,
         window_starts=starts,
     )
 
@@ -426,78 +420,87 @@ def save_dataset(
     test: np.ndarray,
     sidecar_extra: dict | None = None,
 ) -> None:
-    """Write ``dataset.npz`` and its ``dataset.json`` sidecar, each atomically.
+    """Write ``dataset.npz``, then its ``dataset.json`` sidecar, each atomically.
 
-    The rows are not stored: ``dataset.npz`` holds the per-second features,
-    and ``load_dataset`` builds row i as the window at ``i * stride``,
-    flattened and z-scored with ``zscore``.  So ``ds.features`` is never
-    read, and a ``DataError`` is raised unless the rows are every window of
-    the per-second features at the provenance's ``window`` and ``stride``,
-    in order, with binary labels of 0 or 1, a ``test`` mask (True for a
-    test row) and z-score parameters of their lengths.  ``dataset.npz``
-    also holds the spectrum labels, the binary labels as bools, the mask,
-    the tag codes and the z-score parameters; the sidecar holds the row
-    count, feature width, provenance, the attack names that some row is
-    tagged with (the codes are renumbered into them), and any extras (split
-    settings, seeds).
+    Nothing per window but the ``test`` mask (True for a test row) is
+    stored: ``dataset.npz`` holds the timeline's columns and the z-score
+    parameters, from which ``load_dataset`` rebuilds the rows and their
+    labels.  So ``ds.features`` is never read, and a ``DataError`` is raised
+    unless the rows are every window of the timeline at the provenance's
+    ``window`` and ``stride``, in order, labeled as ``window_labels`` labels
+    them, with a mask and z-score parameters of their lengths.  The sidecar
+    holds the row count, feature width, provenance (less the derived
+    attack-bit fraction), the timeline's attack names, the SHA-256 of
+    ``dataset.npz`` and any extras (split settings, seeds).
     """
     window, stride = ds.provenance.get("window"), ds.provenance.get("stride")
-    if any(v is None for v in (ds.second_features, ds.window_starts, window, stride)):
-        raise DataError("only a dataset windowed from per-second features can be saved")
-    seconds = ds.second_features.shape[0]
-    if not np.array_equal(ds.window_starts, np.arange(0, seconds - window + 1, stride)):
+    timeline = ds.timeline
+    if any(v is None for v in (timeline, ds.window_starts, window, stride)):
+        raise DataError("only a dataset windowed from a per-second timeline can be saved")
+    if not np.array_equal(ds.window_starts, np.arange(0, len(timeline) - window + 1, stride)):
         raise DataError(f"the rows must be every window of {window} seconds at stride {stride}")
-    if not np.isin(ds.binary_labels, (0, 1)).all():
-        raise DataError("binary labels must be 0 or 1")
-    rows, width = ds.window_starts.size, ds.second_features.shape[1] * window
+    values, binary, tags, _ = window_labels(timeline, window, stride, ds.provenance["method"],
+                                            ds.provenance["d_model"])
+    if not (np.array_equal(values, ds.spectrum_labels) and np.array_equal(binary, ds.binary_labels)
+            and np.array_equal(tags, ds.tag_codes) and ds.attack_names == timeline.attack_names):
+        raise DataError("the labels and tags must be those that the timeline gives its windows")
+    rows, width = ds.window_starts.size, timeline.features.shape[1] * window
     if np.shape(test) != (rows,):
         raise DataError(f"the test mask has shape {np.shape(test)}, expected ({rows},)")
     if {np.shape(zscore.means), np.shape(zscore.stds)} != {(width,)}:
         raise DataError(f"the z-score parameters must have one value per feature column ({width})")
 
-    used, codes = np.unique(ds.tag_codes, return_inverse=True)
+    arrays = io.BytesIO()
+    np.savez(
+        arrays,
+        second_features=timeline.features,
+        labels=timeline.labels.astype(bool),
+        attack_codes=timeline.attack_codes.astype(np.min_scalar_type(len(timeline.attack_names))),
+        test=np.asarray(test, dtype=bool),
+        zscore_means=np.asarray(zscore.means, dtype=np.float64),
+        zscore_stds=np.asarray(zscore.stds, dtype=np.float64),
+    )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with atomic_write(out_dir / "dataset.npz", "wb") as handle:
-        np.savez(
-            handle,
-            second_features=np.asarray(ds.second_features, dtype=np.float64),
-            spectrum_labels=np.asarray(ds.spectrum_labels, dtype=np.float64),
-            binary_labels=np.asarray(ds.binary_labels, dtype=bool),
-            test=np.asarray(test, dtype=bool),
-            tag_codes=codes.astype(np.int32),
-            zscore_means=np.asarray(zscore.means, dtype=np.float64),
-            zscore_stds=np.asarray(zscore.stds, dtype=np.float64),
-        )
+        handle.write(arrays.getbuffer())
     sidecar = {
         "schema_version": DATASET_SCHEMA_VERSION,
         "rows": rows,
         "feature_width": width,
-        "provenance": ds.provenance,
-        "attack_names": [ds.attack_names[i] for i in used.tolist()],
+        "provenance": {k: v for k, v in ds.provenance.items() if k != "attack_bit_fraction"},
+        "attack_names": list(timeline.attack_names),
+        "npz_sha256": hashlib.sha256(arrays.getbuffer()).hexdigest(),
         **(sidecar_extra or {}),
     }
     write_json(out_dir / "dataset.json", sidecar)
 
 
-def _read_dataset_arrays(path: Path, lengths: dict[str, int]) -> dict[str, np.ndarray]:
-    """The ``dataset.npz`` members, each checked for dtype and shape:
-    ``lengths`` maps ``rows`` and ``feature_width`` to their sidecar values."""
-    if not path.exists():
-        raise DataError(f"dataset arrays not found: {path}")
+def _read_dataset_arrays(path: Path, sidecar: dict, names: list[str]) -> dict[str, np.ndarray]:
+    """The ``dataset.npz`` members, once the file's SHA-256 is the sidecar's
+    ``npz_sha256``, each checked for dtype and shape against the sidecar's
+    ``rows`` and ``feature_width`` and the attack ``names`` the codes index.
+    The file's bytes are freed on return, before any row is built."""
     try:
-        # An open handle: np.load leaks the one it opens when the zip is bad.
-        with path.open("rb") as handle:
-            loaded = np.load(handle, allow_pickle=False)
-            if not isinstance(loaded, np.lib.npyio.NpzFile):
-                raise DataError(f"{path} is not an .npz archive")
-            with loaded:
-                arrays = {name: loaded[name] for name in _DATASET_ARRAYS}
+        data = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read the dataset arrays {path}: {exc.strerror}") from None
+    if hashlib.sha256(data).hexdigest() != sidecar["npz_sha256"]:
+        raise DataError(f"{path} is not the file that {path.with_name('dataset.json')} was "
+                        "written for (its SHA-256 differs); rebuild the dataset")
+    try:
+        loaded = np.load(io.BytesIO(data), allow_pickle=False)
+        if not isinstance(loaded, np.lib.npyio.NpzFile):
+            raise DataError(f"{path} is not an .npz archive")
+        with loaded:
+            arrays = {name: loaded[name] for name in _DATASET_ARRAYS}
     except KeyError as exc:
         raise DataError(f"{path} is missing the array {exc}") from None
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise DataError(f"{path} is not a valid dataset array file: {exc}") from exc
-    for name, (dtype, length) in _DATASET_ARRAYS.items():
+    lengths = {**sidecar, "seconds": next(iter(arrays["second_features"].shape), 0)}
+    for name, (dtype, length) in _DATASET_ARRAYS.items():  # second_features first
+        dtype = np.min_scalar_type(len(names)) if dtype is None else dtype
         shape = arrays[name].shape
         ok = len(shape) == 2 if length is None else shape == (lengths[length],)
         if not ok or arrays[name].dtype != dtype:
@@ -516,12 +519,14 @@ def load_dataset(in_dir: str | Path) -> tuple[Dataset, Dataset]:
     ascending row order.  Its rows are built once, as the windows of the
     stored per-second features at their starts (row i at ``i * stride``),
     flattened and z-scored with the stored parameters: the float64 values
-    ``build-dataset`` computes, bit for bit.  Binary labels come back as
-    int64.
+    ``build-dataset`` computes, bit for bit.  So are the labels, tags and
+    attack-bit fraction (in ``provenance``), which ``window_labels`` derives
+    from the stored per-second labels and codes over every window before
+    the split.  Binary labels come back as int64.  A ``dataset.npz`` whose
+    SHA-256 is not the one the sidecar records is refused, naming both files.
     """
     in_dir = Path(in_dir)
-    json_path = in_dir / "dataset.json"
-    npz_path = in_dir / "dataset.npz"
+    json_path, npz_path = in_dir / "dataset.json", in_dir / "dataset.npz"
     if not json_path.exists():
         raise DataError(f"no dataset found under {in_dir}")
     sidecar = read_json_object(json_path, DataError, "dataset sidecar")
@@ -533,27 +538,25 @@ def load_dataset(in_dir: str | Path) -> tuple[Dataset, Dataset]:
         window = read_field(provenance, "window", Integral, Range(1))
         stride = read_field(provenance, "stride", Integral, Range(1))
         method = read_field(provenance, "method", str)
-        read_field(provenance, "d_model", Integral, default=None)
-        read_field(provenance, "attack_bit_fraction", Real, Range(0, 1))
-        width = read_field(sidecar, "feature_width", Integral, Range(1))
+        d_model = read_field(provenance, "d_model", Integral, default=None)
+        feature_names = read_field(provenance, "feature_names", list[str])
+        read_field(sidecar, "feature_width", Integral, Range(1))
         rows = read_field(sidecar, "rows", Integral, Range(0))
         names = read_field(sidecar, "attack_names", list[str])
+        read_field(sidecar, "npz_sha256", str)
         if method not in LABEL_METHODS:
             raise ValueError(f"unknown label method {method!r}")
-        if names != sorted(set(names)):
-            raise ValueError("attack_names must be sorted and unique")
-    except ValueError as exc:
+        if names[:1] != [""] or names != sorted(set(names)):
+            raise ValueError('attack_names must be sorted and unique, starting with ""')
+        if method == "sspe":
+            check_d_model(d_model)
+    except (ValueError, ConfigError) as exc:
         raise DataError(f"{json_path}: {exc}") from None
 
-    arrays = _read_dataset_arrays(npz_path, {"rows": rows, "feature_width": width})
+    arrays = _read_dataset_arrays(npz_path, sidecar, names)
     seconds = arrays["second_features"]
     means, stds = arrays["zscore_means"], arrays["zscore_stds"]
-    n, f = seconds.shape
-    if f * window != width:
-        raise DataError(
-            f"{npz_path}: {f} per-second features in windows of {window} do not give "
-            f"the sidecar's feature width {width}"
-        )
+    n = seconds.shape[0]  # its width is checked by the timeline and the z-score
     windows = max(n - window + stride, 0) // stride
     if n < window or rows != windows:
         raise DataError(
@@ -566,19 +569,25 @@ def load_dataset(in_dir: str | Path) -> tuple[Dataset, Dataset]:
             f"{npz_path}: z-score means must be finite, and standard deviations finite "
             "and not negative"
         )
-
+    try:
+        timeline = PacketTimeline(np.arange(n), seconds, arrays["labels"], feature_names,
+                                  arrays["attack_codes"], names)
+        values, binary, tags, fraction = window_labels(timeline, window, stride, method, d_model)
+    except DataError as exc:
+        raise DataError(f"{npz_path}: {exc}") from None
+    provenance = dict(provenance, attack_bit_fraction=fraction)
     zscore, test = ZScoreParams(means, stds), arrays["test"]
 
     def split(rows: np.ndarray) -> Dataset:
         try:
             return Dataset(
                 features=zscore_apply(flatten_windows(seconds, starts[rows], window), zscore),
-                spectrum_labels=arrays["spectrum_labels"][rows],
-                binary_labels=arrays["binary_labels"][rows].astype(np.int64),
+                spectrum_labels=values[rows],
+                binary_labels=binary[rows],
                 provenance=dict(provenance),
-                tag_codes=arrays["tag_codes"][rows],
+                tag_codes=tags[rows],
                 attack_names=names,
-                second_features=seconds,
+                timeline=timeline,
                 window_starts=starts[rows],
             )
         except DataError as exc:

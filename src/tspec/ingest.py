@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConfigError, DataError, read_field, read_json_object
 
 TIMESTAMP_FORMATS = ("epoch", "clock")
+MAX_FILLED_SHARE = 0.99  # of the seconds from a capture's first row to its last
 
 
 @dataclass(frozen=True)
@@ -371,10 +372,20 @@ def fill_missing_points(timeline: PacketTimeline, seed: int) -> PacketTimeline:
     label-0 rows, in ascending gap order, from a generator seeded with
     ``seed``.  Inserted rows carry label 0 and no attack name; original rows
     are untouched.  Applying the fill twice is a no-op.
+
+    A timeline missing more than ``MAX_FILLED_SHARE`` of the seconds it
+    spans is refused before anything is allocated, naming the row after the
+    widest gap as ``parse_flow_csv`` numbers rows (the header is row 1).
     """
     if len(timeline) == 0:
         return timeline
     seconds = timeline.seconds
+    span = int(seconds[-1]) - int(seconds[0]) + 1
+    if (missing := span - len(timeline)) > MAX_FILLED_SHARE * span:
+        far = int(np.argmax(np.diff(seconds))) + 1
+        raise DataError(f"row {far + 2}: second {seconds[far]} follows a gap of "
+                        f"{seconds[far] - seconds[far - 1] - 1} missing seconds; {missing} of the "
+                        f"{span} seconds spanned are missing, more than {MAX_FILLED_SHARE:.0%}")
     gaps = np.setdiff1d(np.arange(seconds[0], seconds[-1] + 1), seconds)
     if gaps.size == 0:
         return timeline

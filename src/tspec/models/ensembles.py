@@ -135,10 +135,10 @@ def gbm_fit(
                     members = leaves == leaf
                     value[place[leaf]] = residual[members].sum() / max(hess[members].sum(), _EPS)
                 tree = NodeTable(tree.feature, tree.threshold, value)
+                scores += learning_rate * tree_predict(tree, X, leaves)  # same splits, same leaves
             else:
                 tree = build_tree(X, y - scores, max_depth=max_depth, presorted=presorted)
-
-            scores += learning_rate * tree_predict(tree, X)
+                scores += learning_rate * tree_predict(tree, X)
             trees.append(tree)
         return trees if k == 0 else None  # a worker's trees are this process's
 

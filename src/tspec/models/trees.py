@@ -445,5 +445,6 @@ def tree_apply(tree: NodeTable, X: np.ndarray) -> np.ndarray:
     return _walk(tree, tree.roots, X)[0]
 
 
-def tree_predict(tree: NodeTable, X: np.ndarray) -> np.ndarray:
-    return tree.leaf_value[tree_apply(tree, X)]
+def tree_predict(tree: NodeTable, X: np.ndarray, leaves: np.ndarray | None = None) -> np.ndarray:
+    """Each row's leaf value; ``leaves``, the rows' leaf ids when known, spares the walk."""
+    return tree.leaf_value[tree_apply(tree, X) if leaves is None else leaves]

@@ -7,6 +7,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
 from .ingest import PacketTimeline
+from .spectrum import coap_values, is_spectrum_method, sspe_values
 
 
 def _window_starts(n_records: int, window_size: int, stride: int) -> np.ndarray:
@@ -53,6 +54,23 @@ def window_binary_labels(label_bits: np.ndarray) -> np.ndarray:
     """Discrete per-window labels used by the baseline method: a window is
     positive when it contains at least one attack packet."""
     return (np.asarray(label_bits).sum(axis=1) > 0).astype(np.int64)
+
+
+def window_labels(
+    timeline: PacketTimeline, window_size: int, stride: int, method: str, d_model: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(spectrum labels, binary labels, tag codes, attack-bit fraction: the
+    mean label bit) of every window of ``window_matrices``.  The method's
+    ``bits @ w`` (the baseline repeats the binary labels) is taken over all
+    windows at once, since a BLAS product is not row-separable."""
+    starts = _window_starts(len(timeline), window_size, stride)
+    bits = sliding_window_view(timeline.labels.astype(bool), window_size)[starts]
+    binary = window_binary_labels(bits)
+    if is_spectrum_method(method):
+        values = coap_values(bits) if method == "coap" else sspe_values(bits, d_model)
+    else:
+        values = binary.astype(np.float64)
+    return values, binary, window_attack_tags(timeline, window_size, stride), float(bits.mean())
 
 
 def _most_frequent_codes(windows: np.ndarray) -> np.ndarray:

@@ -602,8 +602,11 @@ class TestConfigValues:
 
 SIDECAR_EDITS = {
     "method not a label method": lambda d: d["provenance"].update(method="fft"),
-    "fraction a string": lambda d: d["provenance"].update(attack_bit_fraction="0.2"),
-    "fraction above 1": lambda d: d["provenance"].update(attack_bit_fraction=1.5),
+    # The attack-bit fraction is derived from the stored labels, not stored;
+    # the digest of dataset.npz is read like every other field.
+    "digest missing": lambda d: d.pop("npz_sha256"),
+    "digest a number": lambda d: d.update(npz_sha256=0),
+    "feature names not strings": lambda d: d["provenance"].update(feature_names=[1, 2, 3]),
     "tags not strings": lambda d: d.update(attack_names=[0] * len(d["attack_names"])),
     "tags a string": lambda d: d.update(attack_names="x" * len(d["attack_names"])),
     "tags missing": lambda d: d.pop("attack_names"),

@@ -108,8 +108,9 @@ class TestBuildDataset:
         assert sidecar["split"]["test_fraction"] == 0.3
         with np.load(workspace / "sspe" / "dataset.npz") as npz:
             assert npz["test"].dtype == bool and npz["test"].shape == (421,)
-        assert sidecar["schema_version"] == 4
+        assert sidecar["schema_version"] == 5
         assert "attack_name" not in sidecar
+        assert "attack_bit_fraction" not in sidecar["provenance"]
 
     def test_window_larger_than_timeline_exits_2(self, workspace, tmp_path, capsys):
         rc = main([
@@ -775,6 +776,22 @@ class TestInputData:
                    "--out", str(tmp_path / "ds")])
         assert rc == 2
         assert "row 9: second 6 repeats" in capsys.readouterr().err
+
+    def test_a_far_timestamp_is_refused_before_the_fill(self, workspace, tmp_path, capsys):
+        # The last of 430 rows moved 200,000 s later once built 200,421
+        # windows at a 131 MB peak: the fill asked for the whole span.
+        lines = (workspace / "raw" / "synthetic.csv").read_text().splitlines()
+        cells = lines[-1].split(",")
+        cells[0] = str(int(cells[0]) + 200_000)
+        lines[-1] = ",".join(cells)
+        (tmp_path / "flows.csv").write_text("\n".join(lines) + "\n")
+        rc = main(["build-dataset", "--input", str(tmp_path / "flows.csv"),
+                   "--schema", str(workspace / "raw" / "schema.json"), "--window", "10",
+                   "--out", str(tmp_path / "ds")])
+        assert rc == 2
+        assert ("row 431: second 200429 follows a gap of 200000 missing seconds; 200000 of "
+                "the 200430 seconds spanned are missing, more than 99%") in capsys.readouterr().err
+        assert not (tmp_path / "ds").exists()
 
     def test_family_list_string_in_config(self, workspace, tmp_path):
         # A comma-separated string in a config file means the same as a list.

@@ -451,14 +451,14 @@ class TestDatasetIO:
             assert same_bits(split.features, zscore_apply(ds.features[rows], params))
             assert same_bits(split.spectrum_labels, ds.spectrum_labels[rows])
             assert same_bits(split.binary_labels, ds.binary_labels[rows])
-            assert same_bits(split.second_features, ds.second_features)
+            assert same_bits(split.timeline.features, ds.timeline.features)
             assert same_bits(split.window_starts, ds.window_starts[rows])
             assert dataset_tags(split) == tuple(dataset_tags(ds)[i] for i in rows)
             assert split.provenance == ds.provenance
-        assert sidecar["schema_version"] == 4
+        assert sidecar["schema_version"] == 5
         assert sidecar["rows"] == len(ds)
         assert sidecar["feature_width"] == ds.features.shape[1]
-        assert sidecar["attack_names"] == sorted(set(dataset_tags(ds)))
+        assert sidecar["attack_names"] == ["", "dos", "scan"]
         assert sidecar["seeds"] == {"base": 3}
         assert "attack_name" not in sidecar
 
@@ -478,20 +478,27 @@ class TestDatasetIO:
             save_dataset(ds, tmp_path, zscore_fit(ds.features), np.zeros(len(ds), dtype=bool))
 
     def test_stores_no_starts_and_labels_as_bools(self, tmp_path):
+        # Schema 5 stores nothing per window but the test mask: the labels
+        # and attack codes are per second, the codes as uint8 for 3 names.
         ds, params = windowed_dataset(stride=3)
         save_dataset(ds, tmp_path, params, np.zeros(len(ds), dtype=bool))
         with np.load(tmp_path / "dataset.npz") as npz:
-            assert "window_starts" not in npz.files
-            assert npz["binary_labels"].dtype == np.bool_
-            assert npz["tag_codes"].dtype == np.int32
+            assert sorted(npz.files) == ["attack_codes", "labels", "second_features", "test",
+                                         "zscore_means", "zscore_stds"]
+            assert npz["labels"].dtype == np.bool_
+            assert npz["attack_codes"].dtype == np.uint8
+            assert same_bits(npz["labels"], ds.timeline.labels.astype(bool))
+            assert same_bits(npz["attack_codes"], ds.timeline.attack_codes.astype(np.uint8))
         train, _ = load_dataset(tmp_path)
         assert train.binary_labels.dtype == np.int64
         assert np.array_equal(train.binary_labels, ds.binary_labels)
         assert np.array_equal(train.window_starts, np.arange(len(ds)) * 3)
 
-    @pytest.mark.parametrize("case", ["a row dropped", "starts shifted", "labels of 2"])
+    @pytest.mark.parametrize("case", ["a row dropped", "starts shifted", "labels of 2",
+                                      "a spectrum label moved", "a tag moved"])
     def test_refuses_rows_the_store_cannot_rebuild(self, tmp_path, case):
-        # The store keeps neither the starts nor labels other than 0 and 1.
+        # The store keeps neither the starts nor any window's labels or tag:
+        # it derives them all from the timeline.
         ds, params = windowed_dataset(stride=2)
         if case == "a row dropped":
             ds = replace(ds, features=ds.features[1:], spectrum_labels=ds.spectrum_labels[1:],
@@ -499,9 +506,13 @@ class TestDatasetIO:
                          window_starts=ds.window_starts[1:])
         elif case == "starts shifted":
             ds = replace(ds, window_starts=ds.window_starts + 1)
-        else:
+        elif case == "labels of 2":
             ds = replace(ds, binary_labels=ds.binary_labels * 2)
-        with pytest.raises(DataError, match="every window of 5 seconds at stride 2|0 or 1"):
+        elif case == "a spectrum label moved":
+            ds = replace(ds, spectrum_labels=np.nextafter(ds.spectrum_labels, np.inf))
+        else:
+            ds = replace(ds, tag_codes=np.roll(ds.tag_codes, 1))
+        with pytest.raises(DataError, match="every window of 5 seconds at stride 2|labels and tags"):
             save_dataset(ds, tmp_path, params, np.zeros(len(ds), dtype=bool))
         assert list(tmp_path.iterdir()) == []
 

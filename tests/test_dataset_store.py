@@ -4,6 +4,7 @@ per-column list, malformed stores are data errors that name their file, and
 artifacts are replaced atomically."""
 
 import csv
+import hashlib
 import json
 import shutil
 import tracemalloc
@@ -11,11 +12,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import tspec.cli as cli
-from tspec import AttackSegment, DataError, SyntheticScenario, load_dataset, zscore_apply
+from tspec import (AttackSegment, DataError, SyntheticScenario, assemble_dataset,
+                   fill_missing_points, load_dataset, save_dataset, zscore_apply, zscore_fit)
 from tspec.errors import write_json
-from tests.conftest import dataset_tags, same_bits, scenario_to_dict
+from tspec.spectrum import LABEL_METHODS
+from tests.conftest import dataset_tags, make_timeline, same_bits, scenario_to_dict
 from tests.oracles import load_dataset_v1, save_dataset_v1
 
 WINDOW = 6
@@ -98,7 +103,49 @@ class TestAgainstCsvStore:
         starts = np.sort(np.concatenate([split.window_starts for split in splits]))
         assert np.all(np.diff(starts) == stride)
         if csv_name == "gappy.csv":  # the fill closed the gaps
-            assert splits[0].second_features.shape[0] == 240
+            assert len(splits[0].timeline) == 240
+
+
+class TestDerivedAtLoad:
+    """``load_dataset`` derives every window's spectrum label, binary label
+    and tag, and the attack-bit fraction, from the stored per-second labels
+    and codes: bit for bit those ``assemble_dataset`` gave the rows."""
+
+    @given(
+        # (seconds after the previous row, label, attack name) per row: a
+        # step above 1 leaves a gap for the fill.
+        cells=st.lists(st.tuples(st.integers(1, 3), st.booleans(), st.sampled_from("abc")),
+                       min_size=2, max_size=60),
+        window=st.integers(1, 9),
+        stride=st.integers(1, 4),
+        method=st.sampled_from(LABEL_METHODS),
+        d_model=st.sampled_from([2, 4, 8, 30, 256]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_load_gives_the_assembled_labels(self, tmp_path_factory, cells, window, stride,
+                                             method, d_model, seed):
+        labels = [0] + [int(bit) for _, bit, _ in cells[1:]]  # a normal row to fill from
+        seconds = np.cumsum([0] + [step for step, _, _ in cells[1:]])
+        timeline = fill_missing_points(
+            make_timeline(seconds, labels=labels, width=2, attacks=[name for *_, name in cells],
+                          rng=np.random.default_rng(seed)),
+            seed,
+        )
+        assume(window <= len(timeline))
+        ds = assemble_dataset(timeline, window, stride, method, d_model if method == "sspe" else None)
+        test = np.random.default_rng(seed).random(len(ds)) < 0.3
+        out = tmp_path_factory.mktemp("derived")
+        save_dataset(ds, out, zscore_fit(ds.features), test)
+        splits = load_dataset(out)
+        tags = dataset_tags(ds)
+        for split, rows in zip(splits, (~test, test)):
+            assert list(map(float.hex, split.spectrum_labels.tolist())) == list(
+                map(float.hex, ds.spectrum_labels[rows].tolist()))
+            assert same_bits(split.binary_labels, ds.binary_labels[rows])
+            assert dataset_tags(split) == tuple(t for t, keep in zip(tags, rows) if keep)
+            assert (split.provenance["attack_bit_fraction"].hex()
+                    == ds.provenance["attack_bit_fraction"].hex())
 
 
 @pytest.fixture(scope="module")
@@ -110,10 +157,12 @@ def built(raw, tmp_path_factory):
 
 def test_sidecar_holds_only_scalars_and_names(built):
     sidecar = json.loads((built / "dataset.json").read_text())
-    assert sidecar["schema_version"] == 4
+    assert sidecar["schema_version"] == 5
     assert sorted(sidecar) == [
-        "attack_names", "feature_width", "provenance", "rows", "schema_version", "seeds", "split",
+        "attack_names", "feature_width", "npz_sha256", "provenance", "rows", "schema_version",
+        "seeds", "split",
     ]
+    assert "attack_bit_fraction" not in sidecar["provenance"]
     lists = [v for part in (sidecar, *sidecar.values()) if isinstance(part, dict)
              for v in part.values() if isinstance(v, list)]
     assert lists == [sidecar["attack_names"], sidecar["provenance"]["feature_names"]]
@@ -152,6 +201,12 @@ def _edit(d, name, change):
     rewrite_npz(d / "dataset.npz", **{name: change(array)})
 
 
+def _edit_seconds(d, change):
+    """Apply ``change`` to every per-second member of ``dataset.npz``."""
+    for name in ("second_features", "labels", "attack_codes"):
+        _edit(d, name, change)
+
+
 def _edit_provenance(d, **changes):
     data = json.loads((d / "dataset.json").read_text())
     data["provenance"].update(changes)
@@ -176,10 +231,10 @@ CORRUPTIONS = {
         lambda d: (d / "dataset.npz").write_bytes((d / "dataset.npz").read_bytes()[:2000]),
     ),
     "plain npy": ("dataset.npz", lambda d: _npy(d / "dataset.npz")),
-    "missing member": ("dataset.npz", lambda d: rewrite_npz(d / "dataset.npz", drop=("binary_labels",))),
+    "missing member": ("dataset.npz", lambda d: rewrite_npz(d / "dataset.npz", drop=("labels",))),
     "pickled member": (
         "dataset.npz",
-        lambda d: rewrite_npz(d / "dataset.npz", binary_labels=np.array([None, 1], dtype=object)),
+        lambda d: rewrite_npz(d / "dataset.npz", labels=np.array([None, 1], dtype=object)),
     ),
     "float32 features": (
         "dataset.npz",
@@ -187,28 +242,20 @@ CORRUPTIONS = {
     ),
     # Row i starts at i * stride: one second fewer puts the last start past
     # the end, and a negative stride puts every start after the first below 0.
-    "start past the end": (
-        "dataset.npz",
-        lambda d: _edit(d, "second_features", lambda s: s[:-1]),
-    ),
+    "start past the end": ("dataset.npz", lambda d: _edit_seconds(d, lambda s: s[:-1])),
     "negative start": ("dataset.json", lambda d: _edit_provenance(d, stride=-1)),
     "a second more than the rows": (
         "dataset.npz",
-        lambda d: _edit(d, "second_features", lambda s: np.vstack([s, s[-1:]])),
+        lambda d: _edit_seconds(d, lambda s: np.concatenate([s, s[-1:]])),
     ),
-    "binary labels of ints": (
-        "dataset.npz",
-        lambda d: _edit(d, "binary_labels", lambda b: b.astype(np.int64)),
-    ),
+    # The per-second labels are binary, stored as bools.
+    "binary labels of ints": ("dataset.npz", lambda d: _edit(d, "labels", lambda b: b.astype(np.int64))),
     "width disagrees": ("dataset.npz", lambda d: edit_sidecar(d / "dataset.json", feature_width=17)),
     "fewer feature columns": (
         "dataset.npz",
         lambda d: rewrite_npz(d / "dataset.npz", second_features=np.zeros((240, 2))),
     ),
-    "short labels": (
-        "dataset.npz",
-        lambda d: rewrite_npz(d / "dataset.npz", spectrum_labels=np.zeros(3)),
-    ),
+    "short labels": ("dataset.npz", lambda d: rewrite_npz(d / "dataset.npz", labels=np.zeros(3, bool))),
     "schema-2 sidecar": (
         "dataset.json",
         lambda d: edit_sidecar(d / "dataset.json", schema_version=2),
@@ -219,16 +266,35 @@ CORRUPTIONS = {
         lambda d: (edit_sidecar(d / "dataset.json", schema_version=3),
                    rewrite_npz(d / "dataset.npz", window_starts=np.arange(235))),
     ),
+    # Schema 4 stored every window's spectrum label, binary label and tag.
+    "schema-4 store": (
+        "dataset.json",
+        lambda d: (edit_sidecar(d / "dataset.json", schema_version=4),
+                   rewrite_npz(d / "dataset.npz", drop=("labels", "attack_codes"),
+                               spectrum_labels=np.zeros(235), binary_labels=np.zeros(235, bool),
+                               tag_codes=np.zeros(235, np.int32))),
+    ),
     "missing test mask": ("dataset.npz", lambda d: rewrite_npz(d / "dataset.npz", drop=("test",))),
     "test mask too long": ("dataset.npz", lambda d: _edit(d, "test", lambda t: np.append(t, True))),
     "test mask too short": ("dataset.npz", lambda d: _edit(d, "test", lambda t: t[:-1])),
     "test mask of ints": ("dataset.npz", lambda d: _edit(d, "test", lambda t: t.astype(np.int64))),
     "test mask of floats": ("dataset.npz", lambda d: _edit(d, "test", lambda t: t.astype(float))),
-    "tag code out of range": ("dataset.npz", lambda d: _edit(d, "tag_codes", lambda c: c + 1)),
-    "negative tag code": ("dataset.npz", lambda d: _edit(d, "tag_codes", _setting(0, -1))),
+    # The per-second attack codes give the window tags.
+    "tag code out of range": ("dataset.npz", lambda d: _edit(d, "attack_codes", lambda c: c + 1)),
+    # Codes are unsigned, so a negative one comes in a signed dtype.
+    "negative tag code": (
+        "dataset.npz",
+        lambda d: _edit(d, "attack_codes", lambda c: _setting(0, -1)(c.astype(np.int8))),
+    ),
     "tag codes of int64": (
         "dataset.npz",
-        lambda d: _edit(d, "tag_codes", lambda c: c.astype(np.int64)),
+        lambda d: _edit(d, "attack_codes", lambda c: c.astype(np.int64)),
+    ),
+    "a normal second named": ("dataset.npz", lambda d: _edit(d, "attack_codes", _setting(0, 1))),
+    "no unnamed attack name": (
+        "dataset.json",
+        lambda d: edit_sidecar(d / "dataset.json",
+                               attack_names=json.loads((d / "dataset.json").read_text())["attack_names"][1:]),
     ),
     "z-score means of another width": (
         "dataset.npz",
@@ -249,6 +315,12 @@ CORRUPTIONS = {
 }
 
 
+def record_digest(d):
+    """Record the SHA-256 of ``d``'s ``dataset.npz`` in its sidecar, as if
+    the two were written together."""
+    edit_sidecar(d / "dataset.json", npz_sha256=hashlib.sha256((d / "dataset.npz").read_bytes()).hexdigest())
+
+
 class TestMalformedStore:
     @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
     def test_data_error_names_the_file(self, built, tmp_path, capsys, case):
@@ -256,6 +328,8 @@ class TestMalformedStore:
         shutil.copytree(built, tmp_path / "orig")
         shutil.copytree(built, tmp_path / "ds")
         corrupt(tmp_path / "ds")
+        if all((tmp_path / "ds" / name).exists() for name in ("dataset.npz", "dataset.json")):
+            record_digest(tmp_path / "ds")  # so each case meets its own check, not the pair check
         path = str(tmp_path / "ds" / named)
         with pytest.raises(DataError) as caught:
             load_dataset(tmp_path / "ds")
@@ -264,6 +338,36 @@ class TestMalformedStore:
                        "--families", "glm_binomial"])
         assert rc == 2
         assert path in capsys.readouterr().err
+
+
+    def test_a_schema_4_store_asks_for_a_rebuild(self, built, tmp_path, capsys):
+        shutil.copytree(built, tmp_path / "ds")
+        CORRUPTIONS["schema-4 store"][1](tmp_path / "ds")
+        assert cli.main(["train", "--dataset", str(tmp_path / "ds"), "--families", "glm_binomial"]) == 2
+        assert "schema version 4 (expected 5); rebuild the dataset" in capsys.readouterr().err
+
+
+class TestPairCheck:
+    """``dataset.json`` records the SHA-256 of the ``dataset.npz`` written
+    with it, so a store whose two files come from different builds (as
+    when a run stops between the two writes) is refused, naming both."""
+
+    def test_arrays_of_another_build_exit_2(self, raw, tmp_path, capsys):
+        for seed in ("0", "1"):
+            assert cli.main(["build-dataset", "--seed", seed, "--input", str(raw / "synthetic.csv"),
+                             "--schema", str(raw / "schema.json"), "--window", str(WINDOW),
+                             "--out", str(tmp_path / seed)]) == 0
+        shutil.copy(tmp_path / "1" / "dataset.npz", tmp_path / "0" / "dataset.npz")
+        capsys.readouterr()
+        assert cli.main(["train", "--dataset", str(tmp_path / "0"), "--families", "glm_binomial"]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "0" / "dataset.npz") in err and str(tmp_path / "0" / "dataset.json") in err
+        assert not (tmp_path / "0" / "models").exists()
+
+    def test_the_sidecar_is_written_last_with_the_digest(self, built):
+        sidecar = json.loads((built / "dataset.json").read_text())
+        assert sidecar["npz_sha256"] == hashlib.sha256((built / "dataset.npz").read_bytes()).hexdigest()
+        assert (built / "dataset.json").stat().st_mtime_ns >= (built / "dataset.npz").stat().st_mtime_ns
 
 
 class TestAtomicWrites:

@@ -299,6 +299,15 @@ class TestFill:
         with pytest.raises(DataError, match="no normal records"):
             fill_missing_points(timeline, seed=0)
 
+    def test_missing_share_bound(self):
+        # 198 of 200 seconds missing is the most a capture may miss (99%);
+        # one more is refused before anything is allocated, naming the row
+        # after the widest gap.
+        assert len(fill_missing_points(make_timeline([0, 199]), seed=0)) == 200
+        with pytest.raises(DataError, match=r"row 3: second 200 follows a gap of 199 missing "
+                                            r"seconds; 199 of the 201 seconds spanned"):
+            fill_missing_points(make_timeline([0, 200]), seed=0)
+
     def test_originals_untouched(self):
         timeline = make_timeline([0, 4], labels=[0, 1])
         filled = fill_missing_points(timeline, seed=8)

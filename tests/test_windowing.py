@@ -290,7 +290,8 @@ class TestAgainstOracles:
     def test_codes_match_the_string_oracles(self, cells, w, stride):
         # Unnamed attack seconds are drawn as (1, ""); the codes path must
         # give the tags, segments and signature groups of the string loops,
-        # and the store must keep exactly the names some window carries.
+        # and the store must keep the timeline's names, which its per-second
+        # codes index.
         if w > len(cells):
             return
         timeline = make_timeline(
@@ -317,5 +318,5 @@ class TestAgainstOracles:
             save_dataset(ds, out, params, np.zeros(len(ds), dtype=bool))
             sidecar = json.loads((Path(out) / "dataset.json").read_text())
             loaded, _ = load_dataset(out)
-        assert sidecar["attack_names"] == sorted(set(tags))
+        assert sidecar["attack_names"] == list(timeline.attack_names)
         assert dataset_tags(loaded) == tags
