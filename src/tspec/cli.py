@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import fcntl
+import hashlib
 import io
 import itertools
 import math
@@ -368,6 +369,7 @@ def cmd_train(cfg: dict) -> int:
     ]
 
     train_ds = load_dataset(dataset_dir)[0]  # the test split is not kept through the fits
+    digest = _dataset_digest(dataset_dir)
     if task == "detect":
         labels = detection_truth(train_ds, train_ds)
     else:
@@ -379,7 +381,7 @@ def cmd_train(cfg: dict) -> int:
         for spec in specs:
             path = model_root / f"{spec.family}.json"
             try:
-                model = train(spec, train_ds.features, labels)
+                model = train(spec, train_ds.features, labels, digest)
             except DataError as exc:
                 raise DataError(f"{dataset_dir}: {spec.family}: {exc}") from None
             save_model(model, path)
@@ -387,15 +389,24 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def _load_model_for(path: Path, task: str, width: int):
+def _dataset_digest(dataset_dir: Path) -> str:
+    """The SHA-256 of ``dataset.json``, which pins the arrays, method and seeds."""
+    return hashlib.sha256((dataset_dir / "dataset.json").read_bytes()).hexdigest()
+
+
+def _load_model_for(path: Path, task: str, width: int, dataset_dir: Path):
     """``load_model(path)``, refused unless it was trained for ``task``'s
-    model task on rows of ``width`` features."""
+    model task on rows of ``width`` features, from the dataset under
+    ``dataset_dir``."""
     model = load_model(path)
     if (model.spec.task, model.feature_count) != (_TASK_MAP[task], width):
         raise DataError(
             f"{path}: a {model.spec.task} model of {model.feature_count} features, but "
             f"{task} needs a {_TASK_MAP[task]} model of the dataset's {width} features"
         )
+    if model.dataset_sha256 != _dataset_digest(dataset_dir):
+        raise DataError(f"{path} was not trained from the dataset under {dataset_dir} (its "
+                        "dataset_sha256 is not that dataset.json's SHA-256); retrain it")
     return model
 
 
@@ -412,13 +423,15 @@ def cmd_sweep(cfg: dict) -> int:
         models = dataset_dir / "models"
         width = train_ds.features.shape[1]
         detect_models = {
-            family: _load_model_for(models / "detect" / f"{family}.json", "detect", width)
+            family: _load_model_for(models / "detect" / f"{family}.json", "detect", width,
+                                    dataset_dir)
             for family in cfg["families"]
         }
         regress_models = {}
         if is_spectrum_method(method):
             regress_models = {
-                family: _load_model_for(models / "identify" / f"{family}.json", "identify", width)
+                family: _load_model_for(models / "identify" / f"{family}.json", "identify",
+                                        width, dataset_dir)
                 for family in cfg["identify_families"]
             }
         methods[method] = MethodArtifacts(
@@ -462,7 +475,7 @@ def cmd_identify(cfg: dict) -> int:
     if not model_path:
         family = (cfg["identify_families"] or ["glm_gaussian"])[0]
         model_path = dataset_dir / "models" / "identify" / f"{family}.json"
-    model = _load_model_for(model_path, "identify", test_ds.features.shape[1])
+    model = _load_model_for(model_path, "identify", test_ds.features.shape[1], dataset_dir)
 
     if cfg["make_registry"]:
         try:

@@ -392,7 +392,7 @@ def assemble_dataset(
     if method not in LABEL_METHODS:
         raise ConfigError(f"label method must be one of {LABEL_METHODS}, got {method!r}")
     values, binary, tags, fraction = window_labels(timeline, window_size, stride, method, d_model)
-    features, _, starts = window_matrices(timeline, window_size, stride)
+    features, starts = window_matrices(timeline, window_size, stride)
     provenance = {
         "window": window_size,
         "stride": stride,

@@ -7,7 +7,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass
 from numbers import Integral, Real
 from pathlib import Path
@@ -31,7 +31,7 @@ class DataError(PipelineError):
 _REQUIRED = object()
 # kind -> what one value of it must be, and what a list's elements must be
 _KINDS = {str: ("a string", "strings"), dict: ("an object",), list: ("a list",),
-          Integral: ("an integer", "integers"), Real: ("a finite number", "finite numbers")}
+          Integral: ("an integer",), Real: ("a finite number", "finite numbers")}
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,8 @@ def read_json_object(path: Path, error: type[PipelineError], what: str) -> dict:
 def read_field(item, key: str, kind, valid=Range(-math.inf), default=_REQUIRED, where=""):
     """``item[key]`` checked as ``kind`` by ``valid.problem``, with nothing
     coerced; a real comes back as a ``float``.  ``kind`` may also be
-    ``list[str]``, ``list[Integral]`` or ``list[Real]``, checked element by
-    element, a list of numbers coming back as an int64 or float64 array.
+    ``list[str]`` or ``list[Real]``, checked element by element, a list of
+    numbers coming back as a float64 array.
     ``default`` stands for an absent key, and for a null too when it is
     None.  Raises a ``ValueError`` naming ``where`` and the key, which each
     file reader wraps once with its file and error class."""
@@ -104,16 +104,10 @@ def read_field(item, key: str, kind, valid=Range(-math.inf), default=_REQUIRED, 
     must = f"{where}key {key!r} must be a list of {_KINDS[element][1]}"
     if not isinstance(value, list):
         raise ValueError(f"{must}, got {value!r}")
-    # Distinct element types, then the array: cheap for a tree's thousands of nodes.
-    if all(issubclass(t, element) and t is not bool for t in set(map(type, value))):
-        if element is str:
-            return value
-        with suppress(OverflowError):  # an integer beyond int64, a real beyond float64
-            array = np.array(value, dtype=np.int64 if element is Integral else np.float64)
-            if np.isfinite(array).all():
-                return array
-    bad = next((v for v in value if valid.problem(v, element)), value)  # or an int past int64
-    raise ValueError(f"{must}, but holds {bad!r}")
+    bad = [v for v in value if valid.problem(v, element)]
+    if bad:
+        raise ValueError(f"{must}, but holds {bad[0]!r}")
+    return value if element is str else np.array(value, dtype=np.float64)
 
 
 @contextmanager

@@ -8,14 +8,17 @@ its fit function in ``glm`` or ``ensembles``.  Families: ``glm_binomial``
 regression only), ``random_forest`` and ``gbm`` (both tasks).
 Classification predictions are probabilities in [0, 1]; callers decide at
 0.5.  Model files are versioned JSON carrying the spec (family, task and
-seed) and learned parameters, written as one compact line; a save/load
-round trip reproduces predictions bit for bit.
+seed), the training dataset's digest and the learned parameters (arrays as
+base64 bytes), written as one compact line; a save/load round trip
+reproduces the parameters bit for bit.
 """
 
 from __future__ import annotations
 
+import base64
 import inspect
 import json
+import re
 from dataclasses import dataclass
 from numbers import Integral, Real
 from pathlib import Path
@@ -27,20 +30,22 @@ from ..errors import ConfigError, DataError, Range, atomic_write, read_field, re
 from . import ensembles, glm
 from .trees import NodeTable
 
-MODEL_FILE_VERSION = 5
+MODEL_FILE_VERSION = 6
 
 TASKS = ("classify", "regress")
 
 _SPEC_KEYS = ("family", "task", "seed")
+_SHA256 = re.compile("[0-9a-f]{64}")
 
 
 @dataclass(frozen=True)
 class Family:
     """One model family: its tasks, ``fit(X, y, task, seed) -> parameters``,
     ``predict(parameters, X, task)``, and the parameters' JSON codec
-    ``to_json(parameters)`` / ``from_json(data, feature_count)``.  Fit and
-    predict look up the ``glm``/``ensembles`` functions when called, so
-    wrappers installed on those modules (profilers) see every call.
+    ``to_json(parameters, width)`` / ``from_json(data, width)``, ``width``
+    being the feature count.  Fit and predict look up the ``glm``/``ensembles``
+    functions when called, so wrappers installed on those modules (profilers)
+    see every call.
 
     ``row_separable`` is True when a row's prediction has the same bits
     whatever other rows are predicted with it, so predictions of a row
@@ -56,28 +61,49 @@ class Family:
     row_separable: bool
 
 
-def _linear_to_json(params: dict) -> dict:
-    return {
-        "weights": [float(v) for v in params["weights"]],
-        "intercept": float(params["intercept"]),
-    }
+def _pack(array: np.ndarray, dtype) -> str:
+    """``array`` as ``dtype``'s little-endian bytes, in base64."""
+    return base64.b64encode(np.asarray(array, np.dtype(dtype).newbyteorder("<")).tobytes()).decode()
+
+
+def _unpack(data: dict, key: str, dtype, limit: int | None = None) -> np.ndarray:
+    """What ``_pack`` stored under ``key``, as native ``dtype``, of at most ``limit`` items."""
+    text = read_field(data, key, str)
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise ValueError(f"key {key!r} must be a base64 string: {exc}") from None
+    dtype = np.dtype(dtype)
+    if len(raw) % dtype.itemsize:
+        raise ValueError(f"key {key!r} holds {len(raw)} bytes, not whole {dtype} items")
+    if limit is not None and len(raw) // dtype.itemsize > limit:
+        raise ValueError(f"key {key!r} holds more than the family's {limit} items")
+    return np.frombuffer(raw, dtype.newbyteorder("<")).astype(dtype)
+
+
+def _linear_to_json(params: dict, width: int) -> dict:
+    return {"weights": _pack(params["weights"], np.float64),
+            "intercept": float(params["intercept"])}
 
 
 def _linear_from_json(data: dict, feature_count: int) -> dict:
-    if len(read_field(data, "weights", list)) != feature_count:
-        raise ValueError(f"{len(data['weights'])} weights for {feature_count} features")
-    intercept = read_field(data, "intercept", Real)
-    return {"weights": read_field(data, "weights", list[Real]), "intercept": intercept}
+    weights = _unpack(data, "weights", np.float64)
+    if weights.size != feature_count:
+        raise ValueError(f"{weights.size} weights for {feature_count} features")
+    return {"weights": weights, "intercept": read_field(data, "intercept", Real)}
 
 
-# The preorder lists of an ensemble's node table, each one flat list in its file.
-_NODE_ARRAYS = {"feature": Integral, "threshold": Real, "value": Real}
-
-
-def _table_to_json(params: dict, *scalars: str) -> dict:
-    out = {key: float(params[key]) for key in scalars}
-    out.update((name, getattr(params["trees"], name).tolist()) for name in _NODE_ARRAYS)
-    return out
+def _table_to_json(params: dict, width: int, *scalars: str) -> dict:
+    """An ensemble's node table; ``value_table`` holds the leaf values' distinct
+    float64 bit patterns, ascending, and ``value_code`` each leaf's index."""
+    trees = params["trees"]
+    bits = np.ascontiguousarray(trees.value, dtype=np.float64).view(np.uint64)
+    table, codes = np.unique(bits, return_inverse=True)
+    return {**{key: float(params[key]) for key in scalars},
+            "feature": _pack(trees.feature, np.min_scalar_type(-max(width, 1))),
+            "threshold": _pack(trees.threshold, np.float64),
+            "value_table": _pack(table.view(np.float64), np.float64),
+            "value_code": _pack(codes, np.min_scalar_type(table.size - 1))}
 
 
 def _table_from_json(fit: Callable, *scalars: str) -> Callable:
@@ -86,13 +112,20 @@ def _table_from_json(fit: Callable, *scalars: str) -> Callable:
     ``max_depth`` (a root is at depth 0)."""
     defaults = inspect.signature(fit).parameters
     n_trees, max_depth = defaults["n_trees"].default, defaults["max_depth"].default
+    nodes = n_trees * (2 ** (max_depth + 1) - 1)  # so no array holds more items
 
     def from_json(data: dict, feature_count: int) -> dict:
         out = {key: read_field(data, key, Real) for key in scalars}
-        arrays = {name: read_field(data, name, list[kind]) for name, kind in _NODE_ARRAYS.items()}
-        if ((arrays["feature"] < -1) | (arrays["feature"] >= feature_count)).any():
+        feature = _unpack(data, "feature", np.min_scalar_type(-max(feature_count, 1)), nodes)
+        feature = feature.astype(np.int64)
+        table = _unpack(data, "value_table", np.float64, nodes)
+        codes = _unpack(data, "value_code", np.min_scalar_type(max(table.size - 1, 0)), nodes)
+        if (codes >= table.size).any():
+            raise ValueError(f"a leaf's value code is outside the {table.size}-entry value table")
+        if ((feature < -1) | (feature >= feature_count)).any():
             raise ValueError(f"tree split feature out of range for {feature_count} features")
-        trees = out["trees"] = NodeTable(**arrays)
+        trees = out["trees"] = NodeTable(feature, _unpack(data, "threshold", np.float64, nodes),
+                                         table[codes])
         if trees.roots.size != n_trees:
             raise ValueError(f"{trees.roots.size} trees, not the family's {n_trees}")
         level = trees.roots
@@ -135,7 +168,7 @@ FAMILIES = {
         tasks=TASKS,
         fit=lambda X, y, task, seed: ensembles.gbm_fit(X, y, task),
         predict=lambda params, X, task: ensembles.gbm_predict(params, X, task),
-        to_json=lambda params: _table_to_json(params, "f0", "learning_rate"),
+        to_json=lambda params, width: _table_to_json(params, width, "f0", "learning_rate"),
         from_json=_table_from_json(ensembles.gbm_fit, "f0", "learning_rate"),
         row_separable=True,
     ),
@@ -164,6 +197,7 @@ class TrainedModel:
     spec: ModelSpec
     feature_count: int
     parameters: dict
+    dataset_sha256: str | None = None  # of the dataset.json trained from; saving needs it
 
 
 def _check_training_data(spec: ModelSpec, X: np.ndarray, y: np.ndarray):
@@ -182,12 +216,12 @@ def _check_training_data(spec: ModelSpec, X: np.ndarray, y: np.ndarray):
         raise DataError("regression targets must be finite")
 
 
-def train(spec: ModelSpec, X, y) -> TrainedModel:
+def train(spec: ModelSpec, X, y, dataset_sha256: str | None = None) -> TrainedModel:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_training_data(spec, X, y)
     params = FAMILIES[spec.family].fit(X, y, spec.task, spec.seed)
-    return TrainedModel(spec=spec, feature_count=X.shape[1], parameters=params)
+    return TrainedModel(spec, X.shape[1], params, dataset_sha256)
 
 
 def predict(model: TrainedModel, X) -> np.ndarray:
@@ -204,11 +238,14 @@ def predict(model: TrainedModel, X) -> np.ndarray:
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
+    if not _SHA256.fullmatch(str(model.dataset_sha256)):
+        raise ValueError(f"a model file needs its dataset's SHA-256, got {model.dataset_sha256!r}")
     payload = {
         "version": MODEL_FILE_VERSION,
         "spec": {key: getattr(model.spec, key) for key in _SPEC_KEYS},
         "feature_count": model.feature_count,
-        "parameters": FAMILIES[model.spec.family].to_json(model.parameters),
+        "dataset_sha256": model.dataset_sha256,
+        "parameters": FAMILIES[model.spec.family].to_json(model.parameters, model.feature_count),
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -222,12 +259,16 @@ def load_model(path: str | Path) -> TrainedModel:
     payload = read_json_object(path, DataError, "model")
     try:
         if read_field(payload, "version", Integral) != MODEL_FILE_VERSION:
-            raise ValueError(f"unsupported model file version {payload['version']}")
+            raise ValueError(f"unsupported model file version {payload['version']} "
+                             f"(expected {MODEL_FILE_VERSION}); retrain it with `train`")
         spec_data = read_field(payload, "spec", dict)
         unknown = sorted(set(spec_data) - set(_SPEC_KEYS))
         if unknown:
             raise ValueError(f"unknown spec keys {unknown}")
         feature_count = read_field(payload, "feature_count", Integral, Range(0))
+        digest = read_field(payload, "dataset_sha256", str)
+        if not _SHA256.fullmatch(digest):
+            raise ValueError(f"key 'dataset_sha256' must be a SHA-256 hex digest, got {digest!r}")
         spec = ModelSpec(
             family=read_field(spec_data, "family", str),
             task=read_field(spec_data, "task", str),
@@ -235,6 +276,6 @@ def load_model(path: str | Path) -> TrainedModel:
         )
         parameters = read_field(payload, "parameters", dict)
         return TrainedModel(spec, feature_count,
-                            FAMILIES[spec.family].from_json(parameters, feature_count))
+                            FAMILIES[spec.family].from_json(parameters, feature_count), digest)
     except (ConfigError, ValueError) as exc:
         raise DataError(f"{path} is not a valid model file: {exc}") from exc

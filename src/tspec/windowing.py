@@ -37,17 +37,14 @@ def flatten_windows(
 
 def window_matrices(
     timeline: PacketTimeline, window_size: int, stride: int = 1
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Windows at start indices 0, stride, 2*stride, ...: (flattened features,
-    label bits, starts).  Trailing partial windows are dropped, never padded.
-
-    Feature rows come from ``flatten_windows``, so they have shape
-    (n_windows, window_size * F); label bits have shape (n_windows, window_size).
+    starts).  Trailing partial windows are dropped, never padded.  Feature
+    rows come from ``flatten_windows``, so they have shape
+    (n_windows, window_size * F); ``window_labels`` labels the same windows.
     """
     starts = _window_starts(len(timeline), window_size, stride)
-    features = flatten_windows(timeline.features, starts, window_size)
-    labels = sliding_window_view(timeline.labels, window_size)[starts]
-    return features, labels, starts
+    return flatten_windows(timeline.features, starts, window_size), starts
 
 
 def window_binary_labels(label_bits: np.ndarray) -> np.ndarray:

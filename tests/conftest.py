@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import fcntl
 import os
 from contextlib import contextmanager
@@ -25,6 +26,45 @@ from tspec import (
     zscore_apply,
     zscore_fit,
 )
+
+
+# Model file version 6, read and written independently of tspec.models.
+def unpack(text, dtype):
+    """A model file array: base64 of its little-endian bytes."""
+    return np.frombuffer(base64.b64decode(text), np.dtype(dtype).newbyteorder("<"))
+
+
+def pack(array, dtype):
+    return base64.b64encode(np.asarray(array, np.dtype(dtype).newbyteorder("<")).tobytes()).decode()
+
+
+def feature_type(feature_count):
+    return np.min_scalar_type(-feature_count)
+
+
+def code_type(table_size):
+    return np.min_scalar_type(max(table_size - 1, 0))
+
+
+def node_lists(payload):
+    """A tree model file's node table as three preorder lists of numbers:
+    ``feature``, ``threshold`` and the leaves' ``value``."""
+    table, width = payload["parameters"], payload["feature_count"]
+    values = unpack(table["value_table"], np.float64)
+    return {"feature": unpack(table["feature"], feature_type(width)).tolist(),
+            "threshold": unpack(table["threshold"], np.float64).tolist(),
+            "value": values[unpack(table["value_code"], code_type(values.size))].tolist()}
+
+
+def set_node_lists(payload, lists):
+    """``lists`` (as ``node_lists`` gives them) packed into the file's table."""
+    table, width = payload["parameters"], payload["feature_count"]
+    bits = np.asarray(lists["value"], dtype=np.float64).view(np.uint64)
+    values, codes = np.unique(bits, return_inverse=True)
+    table.update(feature=pack(lists["feature"], feature_type(width)),
+                 threshold=pack(lists["threshold"], np.float64),
+                 value_table=pack(values.view(np.float64), np.float64),
+                 value_code=pack(codes, code_type(values.size)))
 
 
 @contextmanager

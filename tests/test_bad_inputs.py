@@ -19,7 +19,8 @@ from tspec import AttackSegment, FlowSchema, SyntheticScenario
 from tspec import cli, ingest
 from tspec.cli import KEYS, main
 from tspec.spectrum import MAX_D_MODEL
-from tests.conftest import held_lock, identical_timelines, scenario_to_dict
+from tests.conftest import held_lock, identical_timelines, node_lists, pack, scenario_to_dict
+from tests.conftest import set_node_lists
 from tests.test_cli import read_tree
 
 
@@ -156,7 +157,7 @@ class TestRegressions:
     def test_model_weights_do_not_match_features(self, ws, tmp_path):
         dataset = copy_dataset(ws, tmp_path)
         model = dataset / "models" / "identify" / "glm_gaussian.json"
-        edit_json(model, lambda d: d["parameters"].update(weights=[0.5]))
+        edit_json(model, lambda d: d["parameters"].update(weights=pack([0.5], "f8")))
         rc, err = run(identify_args(ws, dataset, tmp_path, model=model))
         assert rc == 2
         assert str(model) in err and "1 weights for 10 features" in err
@@ -168,11 +169,12 @@ class TestRegressions:
         model = dataset / "models" / "detect" / "gbm.json"
 
         def edit(d):
-            table = d["parameters"]
+            table = node_lists(d)
             assert table["feature"][-1] == -1
             table["feature"][-1] = 0
             table["threshold"].append(0.5)
             table["value"].pop()
+            set_node_lists(d, table)
 
         edit_json(model, edit)
         rc, err = run(sweep_args(tmp_path, dataset, families=["gbm"]))
@@ -198,7 +200,7 @@ class TestRegressions:
         else:
             model = models / "identify" / "glm_gaussian.json"
             edit_json(model, lambda d: (d.update(feature_count=4),
-                                        d["parameters"].update(weights=[0.5] * 4)))
+                                        d["parameters"].update(weights=pack([0.5] * 4, "f8"))))
             args, want = identify_args(ws, dataset, tmp_path, model=model), "of 4 features"
         rc, err = run(args)
         assert rc == 2, err

@@ -3,6 +3,7 @@
 import argparse
 import fcntl
 import gc
+import hashlib
 import json
 import os
 import re
@@ -309,6 +310,67 @@ class TestIdentify:
         train_ds, _ = cli.load_dataset(workspace / "sspe")
         save_registry(training_registry(train_ds, 10), tmp_path / "sweep-registry.json")
         assert registry.read_bytes() == (tmp_path / "sweep-registry.json").read_bytes()
+
+
+class TestLineage:
+    """A model file records the SHA-256 of the ``dataset.json`` it was
+    trained from, and ``sweep`` and ``identify`` refuse it on another
+    dataset (exit 2, naming the file and the dataset directory)."""
+
+    SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "three_attacks.json"
+
+    def _build(self, ds, seed, capsys):
+        assert main(["build-dataset", "--scenario", str(self.SCENARIO), "--method", "sspe",
+                     "--d-model", "8", "--window", "10", "--seed", str(seed),
+                     "--out", str(ds)]) == 0
+        capsys.readouterr()
+
+    def test_a_model_of_an_earlier_build_is_refused(self, tmp_path, capsys):
+        # Rebuilding at another seed keeps models/; the identify model's
+        # training rows can then sit in the new test split, and identify
+        # once scored it "accuracy 1.0000 over 4 segments" with exit 0.
+        ds = tmp_path / "ds"
+        self._build(ds, 0, capsys)
+        assert main(["train", "--dataset", str(ds), "--task", "identify",
+                     "--families", "random_forest"]) == 0
+        assert main(["train", "--dataset", str(ds), "--task", "detect",
+                     "--families", "glm_binomial"]) == 0
+        model = ds / "models" / "identify" / "random_forest.json"
+        digest = hashlib.sha256((ds / "dataset.json").read_bytes()).hexdigest()
+        assert json.loads(model.read_text())["dataset_sha256"] == digest
+        identify = ["identify", "--dataset", str(ds), "--model", str(model), "--make-registry",
+                    "train", "--registry", str(tmp_path / "registry.json")]
+        sweep_config = tmp_path / "sweep.json"
+        sweep_config.write_text(json.dumps({"datasets": {"sspe": str(ds)}, "ratios": [0.0],
+                                            "families": ["glm_binomial"],
+                                            "identify_families": ["random_forest"]}))
+        sweep = ["sweep", "--config", str(sweep_config)]
+        assert main(identify + ["--out", str(tmp_path / "before")]) == 0
+        assert main(sweep + ["--out", str(tmp_path / "report")]) == 0
+        # The same build again writes the same bytes, so its models stay valid.
+        self._build(ds, 0, capsys)
+        assert main(identify + ["--out", str(tmp_path / "same")]) == 0
+
+        self._build(ds, 1, capsys)
+        assert model.exists()
+        (tmp_path / "registry.json").unlink()
+        assert main(identify + ["--out", str(tmp_path / "after")]) == 2
+        err = capsys.readouterr().err
+        assert f"{model} was not trained from the dataset under {ds}" in err
+        assert not (tmp_path / "after").exists() and not (tmp_path / "registry.json").exists()
+        assert main(sweep + ["--out", str(tmp_path / "report-after")]) == 2
+        detect = ds / "models" / "detect" / "glm_binomial.json"
+        assert f"{detect} was not trained from the dataset under {ds}" in capsys.readouterr().err
+
+    def test_the_task_and_width_checks_come_first(self, workspace, tmp_path, capsys):
+        # A classifier of another dataset, given to identify: the task error.
+        model = workspace / "coap" / "models" / "detect" / "glm_binomial.json"
+        rc = main(["identify", "--config", str(workspace / "config.json"),
+                   "--dataset", str(workspace / "sspe"), "--model", str(model),
+                   "--registry", str(tmp_path / "r.json"), "--make-registry", "train",
+                   "--out", str(tmp_path / "ident")])
+        assert rc == 2
+        assert "a classify model of 30 features" in capsys.readouterr().err
 
 
 class TestUsage:

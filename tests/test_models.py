@@ -1,5 +1,7 @@
-"""Model tests: GLM fits, tree ensembles, determinism, JSON round trips."""
+"""Model tests: GLM fits, tree ensembles, determinism, model file round trips."""
 
+import base64
+import hashlib
 import inspect
 import json
 import re
@@ -24,7 +26,12 @@ from tspec.models import (
     save_model,
     train,
 )
+from tspec.models.trees import NodeTable
+from tests.conftest import code_type, node_lists, pack, set_node_lists, unpack
 from tests.oracles import binomial_gradient, binomial_objective, fit_binomial_gd_oracle
+
+# The digest a model file records of the dataset.json it was trained from.
+DIGEST = hashlib.sha256(b"dataset.json").hexdigest()
 
 
 def separable_problem(n=200, d=5, seed=42):
@@ -282,7 +289,7 @@ class TestModelIO:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(60, 3))
         y = (X[:, 0] > 0).astype(float) if task == "classify" else X @ [1.0, 2.0, -1.0]
-        model = train(ModelSpec(family, task, seed=6), X, y)
+        model = train(ModelSpec(family, task, seed=6), X, y, DIGEST)
         path = tmp_path / f"{family}.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -292,7 +299,7 @@ class TestModelIO:
 
     def test_unknown_version_rejected(self, tmp_path):
         X, y = separable_problem(n=20)
-        model = train(ModelSpec("glm_binomial", "classify"), X, y)
+        model = train(ModelSpec("glm_binomial", "classify"), X, y, DIGEST)
         path = tmp_path / "m.json"
         save_model(model, path)
         payload = json.loads(path.read_text())
@@ -303,7 +310,7 @@ class TestModelIO:
 
     def test_truncated_file_is_an_error_not_a_crash(self, tmp_path):
         X, y = separable_problem(n=20)
-        model = train(ModelSpec("glm_binomial", "classify"), X, y)
+        model = train(ModelSpec("glm_binomial", "classify"), X, y, DIGEST)
         path = tmp_path / "m.json"
         save_model(model, path)
         path.write_text(path.read_text()[: len(path.read_text()) // 2])
@@ -363,7 +370,7 @@ class TestFamilyTable:
     @pytest.mark.parametrize("family,task", FAMILY_TASKS)
     def test_train_save_load_predict(self, family, task, tmp_path):
         X, y, probe = family_problem(task)
-        model = train(ModelSpec(family, task, seed=6), X, y)
+        model = train(ModelSpec(family, task, seed=6), X, y, DIGEST)
         path = tmp_path / f"{family}-{task}.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -382,27 +389,36 @@ class TestFamilyTable:
     def test_saved_model_is_one_compact_line(self, family, task, tmp_path):
         X, y, _ = family_problem(task)
         path = tmp_path / "m.json"
-        save_model(train(ModelSpec(family, task, seed=6), X, y), path)
+        save_model(train(ModelSpec(family, task, seed=6), X, y, DIGEST), path)
         text = path.read_text()
         assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
         assert text.index("\n") == len(text) - 1 and " " not in text
 
     @pytest.mark.parametrize("family", ["random_forest", "gbm"])
     def test_tree_file_holds_preorder_lists(self, family, tmp_path):
-        # Version 5: a threshold per split node and a value per leaf; the
-        # links are not stored, since the feature list fixes them.
+        # Version 6: a threshold per split node and a code per leaf into a
+        # table of the distinct leaf values, each array packed; the links
+        # are not stored, since the feature array fixes them.
         X, y, _ = family_problem("regress")
-        model = train(ModelSpec(family, "regress", seed=6), X, y)
+        model = train(ModelSpec(family, "regress", seed=6), X, y, DIGEST)
         save_model(model, tmp_path / "m.json")
-        table = json.loads((tmp_path / "m.json").read_text())["parameters"]
+        payload = json.loads((tmp_path / "m.json").read_text())
+        table = payload["parameters"]
         scalars = {"f0", "learning_rate"} if family == "gbm" else set()
-        assert set(table) == {"feature", "threshold", "value"} | scalars
-        splits = sum(f >= 0 for f in table["feature"])
-        assert (len(table["threshold"]), len(table["value"])) == (
-            splits, len(table["feature"]) - splits)
+        assert set(table) == {"feature", "threshold", "value_table", "value_code"} | scalars
+        feature = unpack(table["feature"], np.int8)  # 3 features
+        values = unpack(table["value_table"], np.float64)
+        codes = unpack(table["value_code"], code_type(values.size))
+        splits = int((feature >= 0).sum())
+        assert (len(unpack(table["threshold"], np.float64)), codes.size) == (
+            splits, feature.size - splits)
+        assert np.array_equal(values.view(np.uint64), np.unique(values.view(np.uint64)))
+        assert values.size <= codes.size and (codes < values.size).all()
         trees = model.parameters["trees"]
-        assert table["threshold"] == trees.threshold.tolist() == trees.cut[trees.split].tolist()
-        assert table["value"] == trees.value.tolist() == trees.leaf_value[~trees.split].tolist()
+        lists = node_lists(payload)
+        assert lists["feature"] == trees.feature.tolist()
+        assert lists["threshold"] == trees.threshold.tolist() == trees.cut[trees.split].tolist()
+        assert lists["value"] == trees.value.tolist() == trees.leaf_value[~trees.split].tolist()
 
     @pytest.mark.parametrize("family,task", FAMILY_TASKS)
     def test_indented_file_of_the_same_version_predicts_the_same_bits(self, family, task,
@@ -411,9 +427,9 @@ class TestFamilyTable:
         # of the document does not depend on its layout.
         X, y, probe = family_problem(task)
         compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
-        save_model(train(ModelSpec(family, task, seed=6), X, y), compact)
+        save_model(train(ModelSpec(family, task, seed=6), X, y, DIGEST), compact)
         payload = json.loads(compact.read_text())
-        assert payload["version"] == MODEL_FILE_VERSION == 5
+        assert payload["version"] == MODEL_FILE_VERSION == 6
         write_json(indented, payload)
         assert indented.read_text().count("\n") > 10
         before, after = load_model(compact), load_model(indented)
@@ -493,7 +509,7 @@ class TestHyperparameterRanges:
         task = FAMILIES[family].tasks[0]
         X, y, _ = family_problem(task)
         path = tmp_path / "m.json"
-        save_model(train(ModelSpec(family, task), X, y), path)
+        save_model(train(ModelSpec(family, task), X, y, DIGEST), path)
         payload = json.loads(path.read_text())
         payload["spec"]["hyperparameters"] = {key: value}
         path.write_text(json.dumps(payload))
@@ -507,12 +523,18 @@ NODE_KEYS = ("feature", "threshold", "value")
 
 def _edit_nodes(**changes):
     """An edit of a tree model file's node table: ``changes`` maps each
-    list's key to a function from the list to the new list."""
+    preorder list's key to a function from the list to the new list."""
     def edit(payload):
-        table = payload["parameters"]
+        lists = node_lists(payload)
         for key, change in changes.items():
-            table[key] = change(table[key])
+            lists[key] = change(lists[key])
+        set_node_lists(payload, lists)
     return edit
+
+
+def _edit_packed(key, change):
+    """An edit of the base64 text of one packed array."""
+    return lambda payload: payload["parameters"].update({key: change(payload["parameters"][key])})
 
 
 # The last leaf made a split node: it has a threshold but no children.
@@ -532,43 +554,90 @@ def _first_tree(feature) -> tuple[int, int]:
 
 
 def _drop_first_trees_last_leaf(payload):
-    table = payload["parameters"]
-    nodes, leaves = _first_tree(table["feature"])
-    del table["feature"][nodes - 1], table["value"][leaves - 1]
+    lists = node_lists(payload)
+    nodes, leaves = _first_tree(lists["feature"])
+    del lists["feature"][nodes - 1], lists["value"][leaves - 1]
+    set_node_lists(payload, lists)
 
 
 def _first_tree_a_chain_of_six_splits(payload):
     """The first tree replaced by six nested left splits: a leaf at depth 6."""
+    lists = node_lists(payload)
+    nodes, leaves = _first_tree(lists["feature"])
+    lists["feature"][:nodes] = [0] * 6 + [-1] * 7
+    lists["threshold"][:nodes - leaves] = [0.0] * 6
+    lists["value"][:leaves] = [0.0] * 7
+    set_node_lists(payload, lists)
+
+
+def _a_code_past_the_table(payload):
     table = payload["parameters"]
-    nodes, leaves = _first_tree(table["feature"])
-    table["feature"][:nodes] = [0] * 6 + [-1] * 7
-    table["threshold"][:nodes - leaves] = [0.0] * 6
-    table["value"][:leaves] = [0.0] * 7
+    size = unpack(table["value_table"], np.float64).size
+    codes = unpack(table["value_code"], code_type(size)).copy()
+    codes[-1] = size
+    table["value_code"] = pack(codes, code_type(size))
+
+
+def _version_5(payload):
+    """The file as version 5 wrote it: the node table as lists of numbers."""
+    lists = node_lists(payload)
+    table = payload["parameters"]
+    for key in ("value_table", "value_code"):
+        del table[key]
+    table.update(lists)
+    payload["version"] = 5
+    del payload["dataset_sha256"]
 
 
 # case -> (family, edit of the model file, what the error says)
 MALFORMED_PARAMETERS = {
-    # The feature list is also the trees' child code.
-    "tree feature and child not integral": (
+    # Version 5's list of numbers in place of the packed array.
+    "tree feature a list": (
         "random_forest",
-        _edit_nodes(feature=lambda f: [f[0] + 0.7] + f[1:]),
-        "key 'feature' must be a list of integers, but holds",
+        lambda p: p["parameters"].update(feature=node_lists(p)["feature"]),
+        "key 'feature' must be a string, got [",
     ),
-    "tree threshold NaN": (
+    "threshold not base64": ("gbm", _edit_packed("threshold", lambda t: "*" + t[1:]),
+                             "key 'threshold' must be a base64 string"),
+    "threshold base64 unpadded": ("random_forest", _edit_packed("threshold", lambda t: t + "A"),
+                                  "key 'threshold' must be a base64 string"),
+    "threshold bytes not whole float64s": (
+        "gbm",
+        _edit_packed("threshold", lambda t: pack(
+            np.append(unpack(t, np.float64).view(np.uint8), 0), np.uint8)),
+        "key 'threshold' holds",
+    ),
+    "value table bytes not whole float64s": (
         "random_forest",
-        _edit_nodes(threshold=lambda t: [float("nan")] + t[1:]),
-        "key 'threshold' must be a list of finite numbers, but holds nan",
+        _edit_packed("value_table", lambda t: pack(unpack(t, np.float64).view(np.uint8)[:-3],
+                                                   np.uint8)),
+        "bytes, not whole float64 items",
     ),
-    "threshold infinite": (
+    "a leaf code past the table": ("gbm", _a_code_past_the_table,
+                                   "a leaf's value code is outside the"),
+    # 25 trees of depth 10 hold at most 25 x 2,047 nodes.
+    "feature longer than the node bound": (
+        "random_forest",
+        _edit_packed("feature", lambda f: pack(np.full(25 * 2047 + 1, -1), np.int8)),
+        "key 'feature' holds more than the family's 51175 items",
+    ),
+    "gbm feature longer than the node bound": (
         "gbm",
-        _edit_nodes(threshold=lambda t: t[:-1] + [float("inf")]),
-        "key 'threshold' must be a list of finite numbers, but holds inf",
+        _edit_packed("feature", lambda f: pack(np.full(50 * 63 + 1, -1), np.int8)),
+        "key 'feature' holds more than the family's 3150 items",
     ),
-    "tree leaf value NaN": (
-        "gbm",
-        _edit_nodes(value=lambda v: v[:-1] + [float("nan")]),
-        "key 'value' must be a list of finite numbers, but holds nan",
-    ),
+    "dataset digest missing": ("gbm", lambda p: p.pop("dataset_sha256"),
+                               "key 'dataset_sha256' is missing"),
+    "dataset digest not hex": ("glm_binomial", lambda p: p.update(dataset_sha256="g" * 64),
+                               "key 'dataset_sha256' must be a SHA-256 hex digest"),
+    "dataset digest upper case": (
+        "random_forest", lambda p: p.update(dataset_sha256=p["dataset_sha256"].upper()),
+        "key 'dataset_sha256' must be a SHA-256 hex digest"),
+    "dataset digest short": ("glm_binomial",
+                             lambda p: p.update(dataset_sha256=p["dataset_sha256"][:-1]),
+                             "key 'dataset_sha256' must be a SHA-256 hex digest"),
+    "dataset digest a number": ("gbm", lambda p: p.update(dataset_sha256=0),
+                                "key 'dataset_sha256' must be a string, got 0"),
     "gbm f0 a string": (
         "gbm",
         lambda p: p["parameters"].update(f0=str(p["parameters"]["f0"])),
@@ -576,8 +645,9 @@ MALFORMED_PARAMETERS = {
     ),
     "weights numeric strings": (
         "glm_binomial",
-        lambda p: p["parameters"].update(weights=[str(w) for w in p["parameters"]["weights"]]),
-        "key 'weights' must be a list of finite numbers, but holds '",
+        lambda p: p["parameters"].update(
+            weights=[str(w) for w in unpack(p["parameters"]["weights"], np.float64)]),
+        "key 'weights' must be a string, got ['",
     ),
     "intercept true": (
         "glm_binomial",
@@ -604,6 +674,8 @@ MALFORMED_PARAMETERS = {
         "random_forest", _edit_nodes(feature=lambda f: f + [0], threshold=lambda t: t + [0.5]),
         "the tree node sequence ends inside a tree",
     ),
+    "version 5": ("random_forest", _version_5,
+                  "unsupported model file version 5 (expected 6); retrain it with `train`"),
     "version 4": ("gbm", lambda p: p.update(version=4), "unsupported model file version 4"),
     "version 1": ("random_forest", lambda p: p.update(version=1),
                   "unsupported model file version 1"),
@@ -632,7 +704,7 @@ class TestModelFileChecks:
     def _saved(self, tmp_path, family, task="classify"):
         X, y, _ = family_problem(task)
         path = tmp_path / "m.json"
-        save_model(train(ModelSpec(family, task, seed=1), X, y), path)
+        save_model(train(ModelSpec(family, task, seed=1), X, y, DIGEST), path)
         return path
 
     def _load_edited(self, path, edit):
@@ -641,26 +713,23 @@ class TestModelFileChecks:
         path.write_text(json.dumps(payload))
         return load_model(path)
 
-    @pytest.mark.parametrize("weights", [[0.5], [0.1, 0.2, 0.3, 0.4], [[0.1, 0.2, 0.3]]])
+    @pytest.mark.parametrize("weights", [[0.5], [0.1, 0.2, 0.3, 0.4], []])
     def test_glm_weight_count(self, tmp_path, weights):
         path = self._saved(tmp_path, "glm_binomial")
-        with pytest.raises(DataError, match="weights for 3 features"):
-            self._load_edited(path, lambda p: p["parameters"].update(weights=weights))
+        with pytest.raises(DataError, match=f"{len(weights)} weights for 3 features"):
+            self._load_edited(path, lambda p: p["parameters"].update(
+                weights=pack(weights, np.float64)))
 
     @pytest.mark.parametrize("feature", [3, -2])
     def test_tree_split_feature_out_of_range(self, tmp_path, feature):
         path = self._saved(tmp_path, "gbm")
-
-        def edit(p):
-            p["parameters"]["feature"][0] = feature
-
         with pytest.raises(DataError, match="split feature out of range"):
-            self._load_edited(path, edit)
+            self._load_edited(path, _edit_nodes(feature=lambda f: [feature] + f[1:]))
 
     def test_tree_arrays_of_unequal_length(self, tmp_path):
         path = self._saved(tmp_path, "random_forest", "regress")
         with pytest.raises(DataError, match="thresholds and .* values for .* split nodes and"):
-            self._load_edited(path, lambda p: p["parameters"]["value"].pop())
+            self._load_edited(path, _edit_nodes(value=lambda v: v[:-1]))
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_PARAMETERS))
     def test_malformed_parameters_are_refused(self, tmp_path, case):
@@ -720,7 +789,7 @@ def ensemble_files(tmp_path_factory):
     texts = {}
     for family in ("random_forest", "gbm"):
         path = tmp_path_factory.mktemp(family) / "m.json"
-        save_model(train(ModelSpec(family, "classify", seed=1), X, y), path)
+        save_model(train(ModelSpec(family, "classify", seed=1), X, y, DIGEST), path)
         texts[family] = path.read_text()
     return texts
 
@@ -739,7 +808,7 @@ class TestTreeCountAndDepth:
         # more or fewer.  A deleted last leaf of any tree but the last once
         # loaded as one tree fewer.
         payload = json.loads(ensemble_files[family])
-        table = payload["parameters"]
+        table = node_lists(payload)
         feature = table["feature"]
         at = data.draw(st.integers(0, len(feature) - delete), label="at")
         splits = sum(f >= 0 for f in feature[:at])  # thresholds, then values, before node at
@@ -754,6 +823,7 @@ class TestTreeCountAndDepth:
         else:
             feature.insert(at, -1)
             table["value"].insert(at - splits, 0.5)
+        set_node_lists(payload, table)
         path = tmp_path_factory.mktemp("edited") / "m.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match="is not a valid model file") as info:
@@ -765,9 +835,111 @@ class TestTreeCountAndDepth:
         # Every tree of a one-class fit is a lone leaf; the file still holds
         # the family's count of them and loads.
         X, _, probe = family_problem("classify")
-        model = train(ModelSpec(family, "classify"), X, np.ones(len(X)))
+        model = train(ModelSpec(family, "classify"), X, np.ones(len(X)), DIGEST)
         save_model(model, tmp_path / "m.json")
         loaded = load_model(tmp_path / "m.json")
         count = {"random_forest": 25, "gbm": 50}[family]
-        assert json.loads((tmp_path / "m.json").read_text())["parameters"]["feature"] == [-1] * count
+        assert node_lists(json.loads((tmp_path / "m.json").read_text()))["feature"] == [-1] * count
         assert np.array_equal(predict(loaded, probe), predict(model, probe))
+
+
+# Float64 bit patterns of every kind: zeros of both signs, subnormals,
+# infinities, quiet and signalling NaNs with payloads and the largest finite.
+SPECIAL_BITS = [0, 1 << 63, 1, (1 << 52) - 1, (1 << 63) | 1, 0x7FF0000000000000,
+                0xFFF0000000000000, 0x7FF8000000000000, 0x7FF8000000000123,
+                0xFFF0000000000001, 0x7FEFFFFFFFFFFFFF]
+FLOAT_BITS = st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(0, 2**64 - 1))
+
+
+def _preorder_feature(splits, n_trees, max_depth, split_features):
+    """The preorder feature array of ``n_trees`` trees whose shapes the
+    booleans ``splits`` give, node by node (a node splits on True, unless at
+    ``max_depth``; nodes past the booleans' end are leaves)."""
+    flags, features, feature = iter(splits), iter(split_features), []
+
+    def grow(depth):
+        if depth < max_depth and next(flags, False):
+            feature.append(next(features))
+            grow(depth + 1)
+            grow(depth + 1)
+        else:
+            feature.append(-1)
+
+    for _ in range(n_trees):
+        grow(0)
+    return np.array(feature, dtype=np.int64)
+
+
+class TestCodecRoundTrip:
+    """Every array of a model file saves and loads bit for bit, and a loaded
+    file saves to the same bytes."""
+
+    @staticmethod
+    def _round_trip(model, tmp_path_factory):
+        path = tmp_path_factory.mktemp("codec") / "m.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        save_model(loaded, path.with_name("again.json"))
+        assert path.with_name("again.json").read_bytes() == path.read_bytes()
+        assert (loaded.spec, loaded.feature_count) == (model.spec, model.feature_count)
+        assert loaded.dataset_sha256 == model.dataset_sha256
+        return loaded
+
+    @pytest.mark.parametrize("family", ["random_forest", "gbm"])
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(width=st.sampled_from([1, 2, 127, 128, 129, 200, 32768, 32769]), data=st.data())
+    def test_node_tables(self, tmp_path_factory, family, width, data):
+        defaults = inspect.signature(FIT[family]).parameters
+        n_trees, max_depth = defaults["n_trees"].default, defaults["max_depth"].default
+        splits = data.draw(st.lists(st.booleans(), max_size=400), label="splits")
+        split_features = st.lists(st.integers(0, width - 1), min_size=len(splits),
+                                  max_size=len(splits))
+        feature = _preorder_feature(splits, n_trees, max_depth,
+                                    data.draw(split_features, label="split features"))
+        split = int((feature >= 0).sum())
+
+        def floats(size, label):
+            # Leaf values repeat, as a fit's do, from a pool of patterns.
+            pool = data.draw(st.lists(FLOAT_BITS, min_size=1, max_size=size), label=label)
+            picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=size,
+                                       max_size=size), label=label + " picks")
+            return np.array(pool, dtype=np.uint64)[picks].view(np.float64)
+
+        threshold = floats(split, "thresholds") if split else np.empty(0)
+        value = floats(feature.size - split, "values")
+        params = {"trees": NodeTable(feature, threshold, value)}
+        if family == "gbm":
+            params.update(f0=-0.0, learning_rate=0.1)
+        model = TrainedModel(ModelSpec(family, "regress", seed=3), width, params, DIGEST)
+        trees = self._round_trip(model, tmp_path_factory).parameters["trees"]
+        assert np.array_equal(trees.feature, feature) and trees.feature.dtype == np.int64
+        assert np.array_equal(trees.threshold.view(np.uint64), threshold.view(np.uint64))
+        assert np.array_equal(trees.value.view(np.uint64), value.view(np.uint64))
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(bits=st.lists(FLOAT_BITS, min_size=1, max_size=300),
+           intercept=st.floats(allow_nan=False, allow_infinity=False))
+    def test_glm_weights(self, tmp_path_factory, bits, intercept):
+        weights = np.array(bits, dtype=np.uint64).view(np.float64)
+        model = TrainedModel(ModelSpec("glm_binomial", "classify"), weights.size,
+                             {"weights": weights, "intercept": intercept}, DIGEST)
+        loaded = self._round_trip(model, tmp_path_factory).parameters
+        assert np.array_equal(loaded["weights"].view(np.uint64), weights.view(np.uint64))
+        assert np.float64(loaded["intercept"]).tobytes() == np.float64(intercept).tobytes()
+
+    @pytest.mark.parametrize("width,kind", [(3, np.int8), (60, np.int8), (128, np.int8),
+                                            (129, np.int16), (180, np.int16)])
+    def test_feature_type_is_the_narrowest_that_holds_minus_the_width(self, tmp_path, width,
+                                                                       kind):
+        X = np.random.default_rng(2).normal(size=(40, width))
+        model = train(ModelSpec("gbm", "regress"), X, X[:, -1], DIGEST)
+        save_model(model, tmp_path / "m.json")
+        feature = model.parameters["trees"].feature
+        packed = json.loads((tmp_path / "m.json").read_text())["parameters"]["feature"]
+        assert base64.b64decode(packed) == feature.astype(np.dtype(kind).newbyteorder("<")).tobytes()
+
+    def test_a_model_without_its_dataset_digest_is_not_saved(self, tmp_path):
+        X, y = separable_problem(n=20)
+        with pytest.raises(ValueError, match="needs its dataset's SHA-256"):
+            save_model(train(ModelSpec("glm_binomial", "classify"), X, y), tmp_path / "m.json")
+        assert not (tmp_path / "m.json").exists()

@@ -201,11 +201,11 @@ def test_overflowing_targets_give_no_split_in_any_block(monkeypatch, huge):
 
 def test_thresholds_between_features_near_the_float64_maximum(tmp_path):
     # 0.5 * (a + b) overflows to inf for these features; a split at inf sends
-    # every row left and leaves a NaN leaf mean, and the file would not load.
+    # every row left and leaves a NaN leaf mean.
     X = np.array([[1.6e308], [1.7e308], [1.65e308], [1.62e308]])
     y = np.array([0.0, 1.0, 1.0, 0.0])
     params = forest_fit(X, y, "classify")  # RuntimeWarnings are errors
-    model = TrainedModel(ModelSpec("random_forest", "classify"), 1, params)
+    model = TrainedModel(ModelSpec("random_forest", "classify"), 1, params, "0" * 64)
     trees = params["trees"]
     assert trees.roots.size == 25  # a model file holds the family's tree count
     assert np.isfinite(trees.value).all()

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numpy.lib.stride_tricks import sliding_window_view
+
 from tspec import (
     DataError,
     PacketTimeline,
@@ -23,8 +25,10 @@ from tspec import (
     fill_missing_points,
     load_dataset,
     save_dataset,
+    sspe_values,
     window_attack_tags,
     window_binary_labels,
+    window_labels,
     window_matrices,
     zscore_apply,
     zscore_fit,
@@ -52,17 +56,28 @@ def brute_force_starts(n, w, stride):
 
 def window_blocks(timeline, w, stride=1):
     """window_matrices rows unflattened back to (n_windows, W, F) blocks."""
-    features, _, _ = window_matrices(timeline, w, stride)
+    features, _ = window_matrices(timeline, w, stride)
     return features.reshape(features.shape[0], w, len(timeline.feature_names))
+
+
+def check_against_oracle(timeline, w, stride):
+    """``window_matrices`` rows and starts, and the label bits at those
+    starts, against the per-window stacking loop."""
+    features, starts = window_matrices(timeline, w, stride)
+    want, bits, want_starts = window_matrices_oracle(timeline.features, timeline.labels, w,
+                                                     stride)
+    got_bits = sliding_window_view(timeline.labels, w)[starts]
+    for a, b in ((features, want), (got_bits, bits), (starts, want_starts)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestMakeWindows:
     def test_count_small(self):
-        _, _, starts = window_matrices(make_timeline(range(5)), 3, 1)
+        _, starts = window_matrices(make_timeline(range(5)), 3, 1)
         assert starts.tolist() == [0, 1, 2]
 
     def test_count_disjoint(self):
-        features, _, starts = window_matrices(make_timeline(range(60)), 30, 30)
+        features, starts = window_matrices(make_timeline(range(60)), 30, 30)
         assert features.shape[0] == 2
         assert starts.tolist() == [0, 30]
 
@@ -82,14 +97,18 @@ class TestMakeWindows:
             with pytest.raises(DataError):
                 window_matrices(timeline, w, stride)
             return
-        features, labels, starts = window_matrices(timeline, w, stride)
+        features, starts = window_matrices(timeline, w, stride)
+        labels = window_labels(timeline, w, stride, "coap")[0]
         assert features.shape[0] == labels.shape[0] == (n - w) // stride + 1
         assert starts.tolist() == brute_force_starts(n, w, stride)
 
     def test_windows_carry_labels_in_order(self):
+        # SSPE weighs each position differently, so it reads the bits in order.
         timeline = make_timeline(range(6), labels=[0, 1, 0, 1, 1, 0])
-        _, labels, _ = window_matrices(timeline, 3, 1)
-        assert labels[1].tolist() == [1, 0, 1]
+        bits = sliding_window_view(timeline.labels, 3)
+        assert bits[1].tolist() == [1, 0, 1]
+        values = window_labels(timeline, 3, 1, "sspe", 4)[0]
+        assert values.tolist() == sspe_values(bits, 4).tolist() and values[1] != values[3]
 
     def test_stride_one_overlap(self):
         timeline = make_timeline(range(12), width=3)
@@ -101,7 +120,7 @@ class TestMakeWindows:
 class TestFlatten:
     @pytest.mark.parametrize("w,f,expected", [(30, 37, 1110), (60, 23, 1380), (1, 4, 4)])
     def test_lengths(self, w, f, expected):
-        features, _, _ = window_matrices(make_timeline(range(w), width=f), w)
+        features, _ = window_matrices(make_timeline(range(w), width=f), w)
         assert features.shape == (1, expected)
 
     def test_row_major_order(self):
@@ -133,11 +152,7 @@ class TestFlatten:
 
     def test_window_matrices_match_flatten(self):
         timeline = make_timeline(range(8), labels=[0, 1] * 4, width=2)
-        got = window_matrices(timeline, 3, 2)
-        want = window_matrices_oracle(timeline.features, timeline.labels, 3, 2)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype
-            assert np.array_equal(a, b)
+        check_against_oracle(timeline, 3, 2)
 
     def test_rows_take_one_matrix_sized_allocation_per_step(self):
         # Parsed CSVs give column-ordered (n, F) matrices.  Flattening one,
@@ -191,10 +206,7 @@ class TestAgainstOracles:
 
     @staticmethod
     def check(timeline, w, stride):
-        got = window_matrices(timeline, w, stride)
-        want = window_matrices_oracle(timeline.features, timeline.labels, w, stride)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        check_against_oracle(timeline, w, stride)
         assert tag_names(timeline, w, stride) == window_attack_tags_oracle(
             timeline_attacks(timeline), timeline.labels.tolist(), w, stride
         )
