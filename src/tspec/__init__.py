@@ -41,7 +41,6 @@ from .identify import (
     IdentificationResult,
     Registry,
     build_registry,
-    identify_attack,
     load_registry,
     save_registry,
 )

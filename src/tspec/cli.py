@@ -22,7 +22,7 @@ import signal
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +66,7 @@ _TASK_MAP = {"detect": "classify", "identify": "regress"}
 
 @dataclass(frozen=True)
 class Key:
-    """One config key.  ``kind`` is ``int``, ``real``, ``bool``, ``choice``,
+    """One config key.  ``kind`` is ``int``, ``bool``, ``choice``,
     ``path``, ``names`` (a list of strings), ``reals`` (a list of numbers) or
     ``datasets`` (the sweep's object mapping label methods to dataset
     directories).  ``valid`` is a ``Range`` for numbers, the allowed strings
@@ -102,12 +102,8 @@ KEYS = {
                     help="signature registry JSON"),
     "datasets": Key("datasets", valid=LABEL_METHODS, required=("sweep",)),
     "window": Key("int", 30, Range(1), _BUILD, help="window length in seconds"),
-    "stride": Key("int", 1, Range(1), _BUILD, help="seconds between window starts"),
     "method": Key("choice", "sspe", LABEL_METHODS, _BUILD, help="label method"),
     "d_model": Key("int", 8, check_d_model, _BUILD, help="SSPE encoding dimension (even)"),
-    "test_fraction": Key("real", 0.3, Range(0, 1, open_low=True, open_high=True), _BUILD,
-                         help="share of windows held out for testing"),
-    "stratify": Key("bool", True),
     "features": Key("names"),
     "task": Key("choice", "detect", tuple(_TASK_MAP), ("train",), help="model task"),
     "families": Key("names", ["glm_binomial", "random_forest", "gbm"], tuple(FAMILIES),
@@ -116,13 +112,9 @@ KEYS = {
                              help="comma-separated regression families to identify with"),
     "ratios": Key("reals", [i / 10 for i in range(11)], Range(0, 1), ("sweep",),
                   help="comma-separated noise ratios"),
-    "noise_scale": Key("real", 1.0, Range(0, open_low=True), ("sweep",),
-                       help="standard deviation of the injected noise"),
     "noise_train": Key("bool", False),
     "make_registry": Key("choice", None, ("train",), ("identify",),
                          help="build the registry from the training split's labels first"),
-    "min_segment_windows": Key("int", 5, Range(1)),
-    "identify_bins": Key("int", 50, Range(2)),
 }
 
 
@@ -182,9 +174,9 @@ def _unrepeated(name: str, values: list) -> list:
 
 
 def _typed(name: str, key: Key, value):
-    """``value`` checked against ``key`` and typed: ints as ``int``, reals as
-    ``float``, paths as ``Path``, lists without repeats; otherwise a
-    ``ConfigError`` naming the key."""
+    """``value`` checked against ``key`` and typed: ints as ``int``, paths as
+    ``Path``, lists without repeats; otherwise a ``ConfigError`` naming the
+    key."""
     if value is None and key.default is None:
         return None
     kind, valid = key.kind, key.valid
@@ -192,10 +184,10 @@ def _typed(name: str, key: Key, value):
         return valid(value)
     some = "a list" if key.default == [] else "a non-empty list"
     is_list = isinstance(value, list) and (bool(value) or key.default == [])
-    if kind in ("int", "real"):
-        what = valid.problem(value, Integral if kind == "int" else Real)
+    if kind == "int":
+        what = valid.problem(value, Integral)
         if not what:
-            return int(value) if kind == "int" else float(value)
+            return int(value)
     elif kind == "bool":
         if isinstance(value, bool):
             return value
@@ -320,30 +312,23 @@ def cmd_build_dataset(cfg: dict) -> int:
 
     split_seed = derive_seed(seed, "split")
     try:
-        ds = assemble_dataset(
-            timeline,
-            window_size=cfg["window"],
-            stride=cfg["stride"],
-            method=method,
-            d_model=cfg["d_model"],
-        )
-        test = split_dataset(ds, cfg["test_fraction"], split_seed, cfg["stratify"])
+        ds = assemble_dataset(timeline, cfg["window"], method, cfg["d_model"])
+        test = split_dataset(ds, split_seed)
         zparams = zscore_fit(ds.features, ~test)  # the rows are z-scored on load
     except DataError as exc:
         raise DataError(f"{source}: {exc}") from None
 
     with _output_lock(out):
         save_dataset(
-            ds,
+            timeline,
             out,
             zparams,
             test,
+            window=cfg["window"],
+            method=method,
+            d_model=cfg["d_model"],
             sidecar_extra={
-                "split": {
-                    "test_fraction": cfg["test_fraction"],
-                    "stratify": cfg["stratify"],
-                    "seed": split_seed,
-                },
+                "split": {"seed": split_seed},
                 "seeds": {"base": seed, "fill": derive_seed(seed, "fill")},
             },
         )
@@ -445,17 +430,14 @@ def cmd_sweep(cfg: dict) -> int:
     sweep = SweepConfig(
         methods=methods,
         ratios=tuple(cfg["ratios"]),
-        noise_scale=cfg["noise_scale"],
         base_seed=cfg["seed"],
         noise_train=cfg["noise_train"],
-        identify_bins=cfg["identify_bins"],
-        min_segment_windows=cfg["min_segment_windows"],
         config_echo={
             # Method names only: reports must not depend on where a run puts
             # its artifacts, or byte-identical reruns break.
             "methods": sorted(datasets),
             **{key: cfg[key] for key in ("families", "identify_families", "ratios",
-                                         "noise_scale", "noise_train", "seed")},
+                                         "noise_train", "seed")},
         },
     )
     report = run_noise_sweep(sweep)
@@ -479,7 +461,7 @@ def cmd_identify(cfg: dict) -> int:
 
     if cfg["make_registry"]:
         try:
-            registry = training_registry(train_ds, cfg["identify_bins"])
+            registry = training_registry(train_ds)
         except DataError as exc:
             raise DataError(f"{dataset_dir}: {exc}") from None
     else:
@@ -493,9 +475,7 @@ def cmd_identify(cfg: dict) -> int:
 
     predictions = predict(model, test_ds.features)
     try:
-        results, truth = identify_segments(
-            predictions, test_ds, registry, min_windows=cfg["min_segment_windows"]
-        )
+        results, truth = identify_segments(predictions, test_ds, registry)
     except DataError as exc:
         raise DataError(f"{dataset_dir}: {exc}") from None
     accuracy = identification_accuracy(results, truth)
@@ -527,7 +507,7 @@ def build_parser() -> _Parser:
     def numbers(text: str) -> list[float]:  # argparse: "invalid numbers value: '0,a'"
         return [float(part) for part in _csv_list(text)]
 
-    flag_types = {"int": int, "real": float, "names": _csv_list, "reals": numbers}
+    flag_types = {"int": int, "names": _csv_list, "reals": numbers}
     for command, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its keys")

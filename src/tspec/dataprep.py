@@ -3,8 +3,8 @@
 The central type is ``Dataset``: one row per sliding-window position, with
 the flattened feature block, the continuous spectrum label, and the discrete
 window label (1 iff the window contains any attack packet).  Noise injection
-operates on standardized features so a single scale parameter means the same
-thing across features.
+operates on standardized features so its one scale, ``NOISE_STD``, means the
+same thing across features.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from .spectrum import LABEL_METHODS, check_d_model
 from .windowing import flatten_windows, window_labels, window_matrices
 
 ATTACK_PATTERNS = ("burst", "periodic", "ramp")
-DATASET_SCHEMA_VERSION = 5
+DATASET_SCHEMA_VERSION = 6
+TEST_FRACTION = 0.3  # share of each window class held out for testing
+NOISE_STD = 1.0  # standard deviation of the noise added to a z-scored feature
 # dataset.npz members: name -> (dtype, length: a sidecar key, or the seconds
 # of ``second_features``, the (seconds, F) matrix the rows are windowed from).
 # ``attack_codes`` take the narrowest unsigned dtype that holds the name count.
@@ -126,13 +128,7 @@ class Dataset:
 
     ``tag_codes`` holds each row's attack as an index into the sorted
     ``attack_names`` (by default every row is untagged); ``provenance``
-    echoes how the rows were built (window size, stride, method, seeds, ...).
-    ``timeline`` and ``window_starts`` (set by ``assemble_dataset`` and
-    ``load_dataset``) are the per-second timeline the rows were windowed
-    from and each row's start second in it: row i is the window at
-    ``window_starts[i]``, flattened, raw from ``assemble_dataset`` and
-    z-scored from ``load_dataset``.  ``save_dataset`` stores the timeline's
-    columns, never the rows, their starts or their labels.
+    echoes how the rows were built (window size, method, d_model, ...).
     """
 
     features: np.ndarray
@@ -141,19 +137,14 @@ class Dataset:
     provenance: dict = field(default_factory=dict)
     tag_codes: np.ndarray | None = None
     attack_names: tuple[str, ...] = ("",)
-    timeline: PacketTimeline | None = None
-    window_starts: np.ndarray | None = None
 
     def __post_init__(self):
         m = self.features.shape[0]
         self.tag_codes = np.zeros(m, np.int64) if self.tag_codes is None else self.tag_codes
         self.attack_names = tuple(self.attack_names)
         shapes = {self.spectrum_labels.shape, self.binary_labels.shape, self.tag_codes.shape}
-        if self.window_starts is not None:
-            shapes.add(self.window_starts.shape)
         if shapes != {(m,)}:
-            raise DataError("dataset label vectors, tag codes and window starts must align "
-                            "with feature rows")
+            raise DataError("dataset label vectors and tag codes must align with feature rows")
         if m and not 0 <= self.tag_codes.min() <= self.tag_codes.max() < len(self.attack_names):
             raise DataError(f"tag codes must lie in [0, {len(self.attack_names)}), one per name")
 
@@ -161,56 +152,46 @@ class Dataset:
         return self.features.shape[0]
 
 
-def split_dataset(
-    ds: Dataset, test_fraction: float, seed: int, stratify: bool = True
-) -> np.ndarray:
+def split_dataset(ds: Dataset, seed: int) -> np.ndarray:
     """A seeded train/test partition as a bool mask, True for test rows.
 
-    The test side gets round(M * test_fraction) rows; with ``stratify`` the
-    rounding is applied per binary-label class, preserving class proportions
-    within one sample.
+    Each binary-label class sends round(size * ``TEST_FRACTION``) of its
+    rows to the test side, the first of one seeded permutation per class,
+    so both sides keep the class proportions.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ConfigError(f"test fraction must be in (0, 1), got {test_fraction}")
     m = len(ds)
     if m < 2:
         raise DataError("need at least 2 rows to split")
 
     rng = np.random.default_rng(seed)
     test = np.zeros(m, dtype=bool)
-    if stratify:
-        for cls in (0, 1):
-            idx = np.flatnonzero(ds.binary_labels == cls)
-            test[rng.permutation(idx)[: int(round(idx.size * test_fraction))]] = True
-    else:
-        test[rng.permutation(m)[: int(round(m * test_fraction))]] = True
+    for cls in (0, 1):
+        idx = np.flatnonzero(ds.binary_labels == cls)
+        test[rng.permutation(idx)[: int(round(idx.size * TEST_FRACTION))]] = True
     return test
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Fraction of rows to perturb, noise scale, and the stream seed."""
+    """Fraction of rows to perturb, and the stream seed."""
 
     ratio: float
-    scale: float
     seed: int
 
     def __post_init__(self):
         if not 0.0 <= self.ratio <= 1.0:
             raise ConfigError(f"noise ratio must be in [0, 1], got {self.ratio}")
-        if not 0.0 < self.scale < math.inf:
-            raise ConfigError(f"noise scale must be positive and finite, got {self.scale}")
 
 
 def noise_rows(features: np.ndarray, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
     """The rows of the (M, D) feature matrix that ``inject_noise`` perturbs,
     and their noised values: exactly round(ratio * M) rows, chosen uniformly
     without replacement, every feature of a chosen row receiving independent
-    N(0, scale^2) noise."""
+    N(0, ``NOISE_STD``^2) noise."""
     n_rows = int(round(spec.ratio * features.shape[0]))
     rng = np.random.default_rng(spec.seed)
     rows = rng.choice(features.shape[0], size=n_rows, replace=False)
-    return rows, features[rows] + rng.normal(0.0, spec.scale, size=(n_rows, features.shape[1]))
+    return rows, features[rows] + rng.normal(0.0, NOISE_STD, size=(n_rows, features.shape[1]))
 
 
 def inject_noise(features: np.ndarray, spec: NoiseSpec) -> np.ndarray:
@@ -376,75 +357,74 @@ def generate_synthetic(scenario: SyntheticScenario, seed: int) -> PacketTimeline
     )
 
 
+def _provenance(timeline: PacketTimeline, window: int, method: str,
+                d_model: int | None) -> dict:
+    """How a dataset's rows are built from ``timeline``: the window length,
+    the label method and its ``d_model`` (None unless SSPE), and the feature
+    names; a ``ConfigError`` for an unknown method or a bad SSPE ``d_model``."""
+    if method not in LABEL_METHODS:
+        raise ConfigError(f"label method must be one of {LABEL_METHODS}, got {method!r}")
+    return {
+        "window": window,
+        "method": method,
+        "d_model": check_d_model(d_model) if method == "sspe" else None,
+        "feature_names": list(timeline.feature_names),
+    }
+
+
 def assemble_dataset(
     timeline: PacketTimeline,
     window_size: int,
-    stride: int,
     method: str,
     d_model: int | None = None,
 ) -> Dataset:
-    """Window the timeline and attach spectrum + window labels.
+    """Window the timeline, one window a second, and attach spectrum +
+    window labels.
 
     ``spectrum_labels`` hold the method's continuous values (for the baseline
     method they simply repeat the discrete window label); ``binary_labels``
     always hold the ground-truth window label (1 iff any attack packet).
     """
-    if method not in LABEL_METHODS:
-        raise ConfigError(f"label method must be one of {LABEL_METHODS}, got {method!r}")
-    values, binary, tags, fraction = window_labels(timeline, window_size, stride, method, d_model)
-    features, starts = window_matrices(timeline, window_size, stride)
-    provenance = {
-        "window": window_size,
-        "stride": stride,
-        "method": method,
-        "d_model": d_model if method == "sspe" else None,
-        "attack_bit_fraction": fraction,
-        "feature_names": list(timeline.feature_names),
-    }
+    provenance = _provenance(timeline, window_size, method, d_model)
+    values, binary, tags, fraction = window_labels(timeline, window_size, method, d_model)
     return Dataset(
-        features=features,
+        features=window_matrices(timeline, window_size)[0],
         spectrum_labels=values,
         binary_labels=binary,
-        provenance=provenance,
+        provenance={**provenance, "attack_bit_fraction": fraction},
         tag_codes=tags,
         attack_names=timeline.attack_names,
-        timeline=timeline,
-        window_starts=starts,
     )
 
 
 def save_dataset(
-    ds: Dataset,
+    timeline: PacketTimeline,
     out_dir: str | Path,
     zscore: ZScoreParams,
     test: np.ndarray,
+    *,
+    window: int,
+    method: str,
+    d_model: int | None = None,
     sidecar_extra: dict | None = None,
 ) -> None:
-    """Write ``dataset.npz``, then its ``dataset.json`` sidecar, each atomically.
+    """Write ``dataset.npz``, then its ``dataset.json`` sidecar, each
+    atomically: the dataset of every window of ``window`` seconds of
+    ``timeline``, labeled by ``method`` (with ``d_model`` for SSPE).
 
     Nothing per window but the ``test`` mask (True for a test row) is
     stored: ``dataset.npz`` holds the timeline's columns and the z-score
     parameters, from which ``load_dataset`` rebuilds the rows and their
-    labels.  So ``ds.features`` is never read, and a ``DataError`` is raised
-    unless the rows are every window of the timeline at the provenance's
-    ``window`` and ``stride``, in order, labeled as ``window_labels`` labels
-    them, with a mask and z-score parameters of their lengths.  The sidecar
-    holds the row count, feature width, provenance (less the derived
-    attack-bit fraction), the timeline's attack names, the SHA-256 of
-    ``dataset.npz`` and any extras (split settings, seeds).
+    labels.  A ``DataError`` is raised unless the timeline holds a window,
+    the mask has one entry per window and the z-score parameters one value
+    per feature column.  The sidecar holds the row count, feature width, the
+    label settings and feature names (``provenance``), the timeline's attack
+    names, the SHA-256 of ``dataset.npz`` and any extras (split seed, seeds).
     """
-    window, stride = ds.provenance.get("window"), ds.provenance.get("stride")
-    timeline = ds.timeline
-    if any(v is None for v in (timeline, ds.window_starts, window, stride)):
-        raise DataError("only a dataset windowed from a per-second timeline can be saved")
-    if not np.array_equal(ds.window_starts, np.arange(0, len(timeline) - window + 1, stride)):
-        raise DataError(f"the rows must be every window of {window} seconds at stride {stride}")
-    values, binary, tags, _ = window_labels(timeline, window, stride, ds.provenance["method"],
-                                            ds.provenance["d_model"])
-    if not (np.array_equal(values, ds.spectrum_labels) and np.array_equal(binary, ds.binary_labels)
-            and np.array_equal(tags, ds.tag_codes) and ds.attack_names == timeline.attack_names):
-        raise DataError("the labels and tags must be those that the timeline gives its windows")
-    rows, width = ds.window_starts.size, timeline.features.shape[1] * window
+    provenance = _provenance(timeline, window, method, d_model)
+    if not 0 < window <= len(timeline):
+        raise DataError(f"a timeline of {len(timeline)} seconds holds no window of {window}")
+    rows, width = len(timeline) - window + 1, timeline.features.shape[1] * window
     if np.shape(test) != (rows,):
         raise DataError(f"the test mask has shape {np.shape(test)}, expected ({rows},)")
     if {np.shape(zscore.means), np.shape(zscore.stds)} != {(width,)}:
@@ -468,7 +448,7 @@ def save_dataset(
         "schema_version": DATASET_SCHEMA_VERSION,
         "rows": rows,
         "feature_width": width,
-        "provenance": {k: v for k, v in ds.provenance.items() if k != "attack_bit_fraction"},
+        "provenance": provenance,
         "attack_names": list(timeline.attack_names),
         "npz_sha256": hashlib.sha256(arrays.getbuffer()).hexdigest(),
         **(sidecar_extra or {}),
@@ -517,7 +497,7 @@ def load_dataset(in_dir: str | Path) -> tuple[Dataset, Dataset]:
 
     Each split holds the rows of its side of the stored ``test`` mask, in
     ascending row order.  Its rows are built once, as the windows of the
-    stored per-second features at their starts (row i at ``i * stride``),
+    stored per-second features at their starts (row i at second i),
     flattened and z-scored with the stored parameters: the float64 values
     ``build-dataset`` computes, bit for bit.  So are the labels, tags and
     attack-bit fraction (in ``provenance``), which ``window_labels`` derives
@@ -536,7 +516,6 @@ def load_dataset(in_dir: str | Path) -> tuple[Dataset, Dataset]:
                              f"(expected {DATASET_SCHEMA_VERSION}); rebuild the dataset")
         provenance = read_field(sidecar, "provenance", dict)
         window = read_field(provenance, "window", Integral, Range(1))
-        stride = read_field(provenance, "stride", Integral, Range(1))
         method = read_field(provenance, "method", str)
         d_model = read_field(provenance, "d_model", Integral, default=None)
         feature_names = read_field(provenance, "feature_names", list[str])
@@ -557,13 +536,10 @@ def load_dataset(in_dir: str | Path) -> tuple[Dataset, Dataset]:
     seconds = arrays["second_features"]
     means, stds = arrays["zscore_means"], arrays["zscore_stds"]
     n = seconds.shape[0]  # its width is checked by the timeline and the z-score
-    windows = max(n - window + stride, 0) // stride
-    if n < window or rows != windows:
-        raise DataError(
-            f"{npz_path}: {n} seconds hold {windows} windows of {window} at stride {stride}, "
-            f"but the sidecar counts {rows} rows"
-        )
-    starts = np.arange(rows, dtype=np.int64) * stride
+    windows = max(n - window + 1, 0)
+    if rows != windows:
+        raise DataError(f"{npz_path}: {n} seconds hold {windows} windows of {window}, "
+                        f"but the sidecar counts {rows} rows")
     if not (np.isfinite(means).all() and np.isfinite(stds).all() and (stds >= 0.0).all()):
         raise DataError(
             f"{npz_path}: z-score means must be finite, and standard deviations finite "
@@ -572,23 +548,22 @@ def load_dataset(in_dir: str | Path) -> tuple[Dataset, Dataset]:
     try:
         timeline = PacketTimeline(np.arange(n), seconds, arrays["labels"], feature_names,
                                   arrays["attack_codes"], names)
-        values, binary, tags, fraction = window_labels(timeline, window, stride, method, d_model)
+        values, binary, tags, fraction = window_labels(timeline, window, method, d_model)
     except DataError as exc:
         raise DataError(f"{npz_path}: {exc}") from None
     provenance = dict(provenance, attack_bit_fraction=fraction)
     zscore, test = ZScoreParams(means, stds), arrays["test"]
 
-    def split(rows: np.ndarray) -> Dataset:
+    def split(rows: np.ndarray) -> Dataset:  # row i is the window at second i
         try:
             return Dataset(
-                features=zscore_apply(flatten_windows(seconds, starts[rows], window), zscore),
+                features=zscore_apply(flatten_windows(seconds, np.flatnonzero(rows), window),
+                                      zscore),
                 spectrum_labels=values[rows],
                 binary_labels=binary[rows],
                 provenance=dict(provenance),
                 tag_codes=tags[rows],
                 attack_names=names,
-                timeline=timeline,
-                window_starts=starts[rows],
             )
         except DataError as exc:
             raise DataError(f"{npz_path}: {exc}") from None

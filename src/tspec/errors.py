@@ -36,22 +36,16 @@ _KINDS = {str: ("a string", "strings"), dict: ("an object",), list: ("a list",),
 
 @dataclass(frozen=True)
 class Range:
-    """The values ``low <= v <= high``; ``open_low`` and ``open_high`` make
-    an end strict."""
+    """The values ``low <= v <= high``."""
 
     low: float
     high: float = math.inf
-    open_low: bool = False
-    open_high: bool = False
 
     def __contains__(self, value) -> bool:
-        above = self.low < value if self.open_low else self.low <= value
-        return above and (value < self.high if self.open_high else value <= self.high)
+        return self.low <= value <= self.high
 
     def __str__(self) -> str:
-        opening = "(" if self.open_low else "["
-        closing = ")" if self.open_high or self.high == math.inf else "]"
-        return f"{opening}{self.low:g}, {self.high:g}{closing}"
+        return f"[{self.low:g}, {self.high:g}{')' if self.high == math.inf else ']'}"
 
     def problem(self, value, kind=Real) -> str | None:
         """What ``value`` must be to be one ``kind`` (``Integral`` or ``Real``

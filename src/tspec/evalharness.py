@@ -39,6 +39,8 @@ from .spectrum import (
 
 REPORT_SCHEMA_VERSION = 2
 DETECTION_METRIC_NAMES = ("accuracy", "precision", "recall", "f1")
+IDENTIFY_BINS = 50  # histogram bins of signatures and of the report's label histograms
+MIN_SEGMENT_WINDOWS = 5  # rows an attack segment needs to be identified
 
 
 @dataclass(frozen=True)
@@ -95,18 +97,16 @@ def contiguous_segments(ds: Dataset) -> list[tuple[str, np.ndarray]]:
 
 
 def identify_segments(
-    predictions: np.ndarray,
-    ds: Dataset,
-    registry: Registry,
-    min_windows: int = 1,
+    predictions: np.ndarray, ds: Dataset, registry: Registry
 ) -> tuple[list[IdentificationResult], list[str]]:
     """One identification per attack segment of ``ds`` of at least
-    ``min_windows`` rows, and its attack name: ``identify_runs`` of the
-    segments' predictions, so every segment is histogrammed in one pass."""
-    segments = [(name, rows) for name, rows in contiguous_segments(ds) if rows.size >= min_windows]
+    ``MIN_SEGMENT_WINDOWS`` rows, and its attack name: ``identify_runs`` of
+    the segments' predictions, so every segment is histogrammed in one pass."""
+    segments = [(name, rows) for name, rows in contiguous_segments(ds)
+                if rows.size >= MIN_SEGMENT_WINDOWS]
     if not segments:
-        raise DataError(f"no attack segments large enough to identify with "
-                        f"min_segment_windows {min_windows}")
+        raise DataError(f"no attack segment of at least {MIN_SEGMENT_WINDOWS} windows "
+                        "to identify")
     predictions = np.asarray(predictions, dtype=np.float64)
     rows = np.concatenate([r for _, r in segments])
     results = identify_runs(predictions[rows], [r.size for _, r in segments], registry)
@@ -147,10 +147,7 @@ class MethodArtifacts:
 class SweepConfig:
     methods: dict[str, MethodArtifacts]
     ratios: tuple[float, ...]
-    noise_scale: float
     base_seed: int
-    identify_bins: int = 50
-    min_segment_windows: int = 5
     noise_train: bool = False
     config_echo: dict = field(default_factory=dict)
 
@@ -167,25 +164,26 @@ def detection_truth(train: Dataset, ds: Dataset) -> np.ndarray:
     return binarize(ds.spectrum_labels, compute_threshold(train.spectrum_labels, n1))
 
 
-def training_registry(train: Dataset, bins: int) -> Registry:
-    """Signatures of every attack in the training split ``train``, for its
-    label method and ``d_model``.  They come from training rows only, so no
-    test segment is identified against its own labels."""
+def training_registry(train: Dataset) -> Registry:
+    """Signatures of every attack in the training split ``train`` over
+    ``IDENTIFY_BINS`` bins, for its label method and ``d_model``.  They come
+    from training rows only, so no test segment is identified against its
+    own labels."""
     return build_registry(
         labels_by_attack(train),
-        bins=bins,
+        bins=IDENTIFY_BINS,
         method=train.provenance["method"],
         d_model=train.provenance.get("d_model"),
     )
 
 
-def _histogram_summary(ds: Dataset, bins: int = 50) -> dict | None:
+def _histogram_summary(ds: Dataset) -> dict | None:
     """Histogram of the attack-bearing spectrum labels of ``ds`` over the
     bins a registry built from them alone would use."""
     values = _attack_labels(ds.spectrum_labels)
     if values.size == 0:
         return None
-    edges = _label_edges(values, bins)
+    edges = _label_edges(values, IDENTIFY_BINS)
     counts = _histograms(values, [values.size], edges)[0]
     return {"edges": [float(e) for e in edges], "counts": [int(c) for c in counts]}
 
@@ -233,7 +231,7 @@ def run_noise_sweep(cfg: SweepConfig) -> EvalReport:
         tasks = [("detect", art.detect_models)]
         if art.regress_models and is_spectrum_method(method):
             try:
-                registries[method] = training_registry(art.train, cfg.identify_bins)
+                registries[method] = training_registry(art.train)
             except DataError as exc:
                 raise DataError(f"{art.source or method}: {exc}") from None
             tasks.append(("identify", art.regress_models))
@@ -251,14 +249,12 @@ def run_noise_sweep(cfg: SweepConfig) -> EvalReport:
         seed_labels = () if task == "detect" else (task,)
         pct = int(round(float(ratio) * 100))
         seed = derive_seed(cfg.base_seed, "noise", method, family, *seed_labels, pct)
-        noise = NoiseSpec(float(ratio), cfg.noise_scale, seed)
+        noise = NoiseSpec(float(ratio), seed)
         if cfg.noise_train:
             train_seed = derive_seed(
                 cfg.base_seed, "train-noise", method, family, *seed_labels, pct
             )
-            noised_train = inject_noise(
-                art.train.features, NoiseSpec(float(ratio), cfg.noise_scale, train_seed)
-            )
+            noised_train = inject_noise(art.train.features, NoiseSpec(float(ratio), train_seed))
             train_labels = train_truth if task == "detect" else art.train.spectrum_labels
             model = train(model.spec, noised_train, train_labels)
         clean_predictions = clean.get((method, task, family))
@@ -273,8 +269,7 @@ def run_noise_sweep(cfg: SweepConfig) -> EvalReport:
             score = {"metrics": detection_metrics(truth, preds)}
         else:
             try:
-                results, truth_tags = identify_segments(predictions, art.test, registries[method],
-                                                        min_windows=cfg.min_segment_windows)
+                results, truth_tags = identify_segments(predictions, art.test, registries[method])
             except DataError as exc:
                 raise DataError(f"{art.source or method}: {exc}") from None
             score = {"identification_accuracy": identification_accuracy(results, truth_tags)}

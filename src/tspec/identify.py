@@ -151,12 +151,6 @@ def identify_runs(values, sizes, registry: Registry) -> list[IdentificationResul
     return results
 
 
-def identify_attack(predicted_labels, registry: Registry) -> IdentificationResult:
-    """``identify_runs`` of one run: all of ``predicted_labels``."""
-    values = np.asarray(predicted_labels, dtype=np.float64).ravel()
-    return identify_runs(values, [values.size], registry)[0]
-
-
 def save_registry(registry: Registry, path: str | Path) -> None:
     payload = {
         "version": REGISTRY_FILE_VERSION,

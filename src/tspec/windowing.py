@@ -10,16 +10,15 @@ from .ingest import PacketTimeline
 from .spectrum import coap_values, is_spectrum_method, sspe_values
 
 
-def _window_starts(n_records: int, window_size: int, stride: int) -> np.ndarray:
+def _window_starts(n_records: int, window_size: int) -> np.ndarray:
+    """The start of every window: one a second, 0 to ``n_records - window_size``."""
     if window_size < 1:
         raise ConfigError("window size must be >= 1")
-    if stride < 1:
-        raise ConfigError("stride must be >= 1")
     if n_records < window_size:
         raise DataError(
             f"insufficient data: {n_records} records for window size {window_size}"
         )
-    return np.arange(0, n_records - window_size + 1, stride, dtype=np.int64)
+    return np.arange(n_records - window_size + 1, dtype=np.int64)
 
 
 def flatten_windows(
@@ -36,14 +35,14 @@ def flatten_windows(
 
 
 def window_matrices(
-    timeline: PacketTimeline, window_size: int, stride: int = 1
+    timeline: PacketTimeline, window_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Windows at start indices 0, stride, 2*stride, ...: (flattened features,
-    starts).  Trailing partial windows are dropped, never padded.  Feature
+    """Windows at start indices 0, 1, 2, ...: (flattened features, starts).
+    Trailing partial windows are dropped, never padded.  Feature
     rows come from ``flatten_windows``, so they have shape
     (n_windows, window_size * F); ``window_labels`` labels the same windows.
     """
-    starts = _window_starts(len(timeline), window_size, stride)
+    starts = _window_starts(len(timeline), window_size)
     return flatten_windows(timeline.features, starts, window_size), starts
 
 
@@ -54,20 +53,20 @@ def window_binary_labels(label_bits: np.ndarray) -> np.ndarray:
 
 
 def window_labels(
-    timeline: PacketTimeline, window_size: int, stride: int, method: str, d_model: int | None = None
+    timeline: PacketTimeline, window_size: int, method: str, d_model: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """(spectrum labels, binary labels, tag codes, attack-bit fraction: the
     mean label bit) of every window of ``window_matrices``.  The method's
     ``bits @ w`` (the baseline repeats the binary labels) is taken over all
     windows at once, since a BLAS product is not row-separable."""
-    starts = _window_starts(len(timeline), window_size, stride)
+    starts = _window_starts(len(timeline), window_size)
     bits = sliding_window_view(timeline.labels.astype(bool), window_size)[starts]
     binary = window_binary_labels(bits)
     if is_spectrum_method(method):
         values = coap_values(bits) if method == "coap" else sspe_values(bits, d_model)
     else:
         values = binary.astype(np.float64)
-    return values, binary, window_attack_tags(timeline, window_size, stride), float(bits.mean())
+    return values, binary, window_attack_tags(timeline, window_size), float(bits.mean())
 
 
 def _most_frequent_codes(windows: np.ndarray) -> np.ndarray:
@@ -91,9 +90,7 @@ def _most_frequent_codes(windows: np.ndarray) -> np.ndarray:
     return codes[runs][score == np.repeat(best, np.diff(window_runs, append=runs.size))]
 
 
-def window_attack_tags(
-    timeline: PacketTimeline, window_size: int, stride: int = 1
-) -> np.ndarray:
+def window_attack_tags(timeline: PacketTimeline, window_size: int) -> np.ndarray:
     """Per-window attack codes into ``timeline.attack_names``, aligned with
     ``window_matrices`` rows.
 
@@ -105,7 +102,7 @@ def window_attack_tags(
     never with the number of names.
     """
     codes = timeline.attack_codes
-    starts = _window_starts(len(timeline), window_size, stride)
+    starts = _window_starts(len(timeline), window_size)
     ends = starts + window_size
     tags = np.zeros(starts.size, dtype=codes.dtype)
     named = np.flatnonzero(codes)

@@ -218,14 +218,11 @@ def method_artifacts(
     reg_families=(),
     window=30,
     d_model=8,
-    test_fraction=0.3,
 ):
     """Window, label, standardize, and train one method's models,
     mirroring the CLI's build-dataset + train steps in memory."""
-    ds = assemble_dataset(
-        timeline, window, 1, method, d_model if method == "sspe" else None
-    )
-    test = split_dataset(ds, test_fraction, derive_seed(seed, "split"), True)
+    ds = assemble_dataset(timeline, window, method, d_model)
+    test = split_dataset(ds, derive_seed(seed, "split"))
     params = zscore_fit(ds.features[~test])
     train_ds, test_ds = (
         replace(
@@ -234,7 +231,6 @@ def method_artifacts(
             spectrum_labels=ds.spectrum_labels[rows],
             binary_labels=ds.binary_labels[rows],
             tag_codes=ds.tag_codes[rows],
-            window_starts=ds.window_starts[rows],
         )
         for rows in (~test, test)
     )

@@ -387,19 +387,19 @@ def fill_missing_points_oracle(records, seed):
     return sorted(list(records) + fills, key=lambda r: r[0])
 
 
-def window_matrices_oracle(matrix, bits, window_size, stride):
+def window_matrices_oracle(matrix, bits, window_size):
     """Flattened feature windows and label windows, stacked one by one."""
-    starts = list(range(0, len(bits) - window_size + 1, stride))
+    starts = list(range(len(bits) - window_size + 1))
     features = np.stack([matrix[s : s + window_size].ravel() for s in starts])
     labels = np.stack([bits[s : s + window_size] for s in starts])
     return features, labels, np.array(starts, dtype=np.int64)
 
 
-def window_attack_tags_oracle(names, bits, window_size, stride):
+def window_attack_tags_oracle(names, bits, window_size):
     """Most frequent attack name among each window's attack packets; the
     earliest-seen name wins ties, and no named attack packet gives ""."""
     tags = []
-    for s in range(0, len(bits) - window_size + 1, stride):
+    for s in range(len(bits) - window_size + 1):
         counts: Counter[str] = Counter()
         order: dict[str, int] = {}
         for p in range(s, s + window_size):
@@ -436,16 +436,16 @@ def labels_by_attack_oracle(values, tags):
     return {name: np.asarray(vals) for name, vals in grouped.items()}
 
 
-def inject_noise_oracle(features, ratio, scale, seed):
+def inject_noise_oracle(features, ratio, seed):
     """A copy of ``features`` with round(ratio * M) rows, drawn without
-    replacement, noised in place by one seeded normal draw."""
+    replacement, noised in place by one seeded standard normal draw."""
     m = features.shape[0]
     n_rows = int(round(ratio * m))
     noised = features.copy()
     if n_rows > 0:
         rng = np.random.default_rng(seed)
         rows = rng.choice(m, size=n_rows, replace=False)
-        noised[rows] += rng.normal(0.0, scale, size=(n_rows, features.shape[1]))
+        noised[rows] += rng.normal(0.0, 1.0, size=(n_rows, features.shape[1]))
     return noised
 
 

@@ -2,7 +2,7 @@
 pass/fail line per criterion (visible under ``pytest -s`` or ``-rA``).
 
 The end-to-end criteria share one five-seed pipeline fixture over the
-three-attack scenario (burst/periodic/ramp), W=30, stride 1, SSPE d_model 8.
+three-attack scenario (burst/periodic/ramp), W=30, SSPE d_model 8.
 """
 
 import json
@@ -23,7 +23,6 @@ from tspec import (
     encoding_matrix,
     generate_synthetic,
     identification_accuracy,
-    identify_attack,
     inject_noise,
     predict,
     run_noise_sweep,
@@ -34,6 +33,7 @@ from tspec import (
     assemble_dataset,
 )
 from tspec.cli import main as cli_main
+from tspec.identify import identify_runs
 from tests.conftest import dataset_tags, method_artifacts, scenario_to_dict, three_attack_scenario
 from tests.oracles import ascending_percentile_oracle, sspe_brute_force
 from tests.test_cli import cli_scenario, read_tree
@@ -69,7 +69,6 @@ def e2e():
             SweepConfig(
                 methods=methods,
                 ratios=(0.0, 1.0),
-                noise_scale=1.0,
                 base_seed=seed,
             )
         )
@@ -96,7 +95,7 @@ def _identification_protocol(timeline, seed, ratios=(0.0, 1.0)):
     signatures from the held-out second segments' true labels, and identify
     each third segment from model predictions on (optionally noised)
     features."""
-    ds = assemble_dataset(timeline, 30, 1, "sspe", 8)
+    ds = assemble_dataset(timeline, 30, "sspe", 8)
     segments = contiguous_segments(ds)
     occurrence: dict[str, int] = {}
     train_rows = [i for i, tag in enumerate(dataset_tags(ds)) if not tag]
@@ -130,16 +129,10 @@ def _identification_protocol(timeline, seed, ratios=(0.0, 1.0)):
     eval_rows = np.concatenate([rows for _, rows in eval_segments])
     accuracies = {}
     for ratio in ratios:
-        spec = NoiseSpec(ratio, 1.0, derive_seed(seed, "noise", "identify", int(ratio * 100)))
+        spec = NoiseSpec(ratio, derive_seed(seed, "noise", "identify", int(ratio * 100)))
         predictions = predict(model, inject_noise(features[eval_rows], spec))
-        results, truth = [], []
-        offset = 0
-        for tag, rows in eval_segments:
-            block = predictions[offset : offset + rows.size]
-            offset += rows.size
-            results.append(identify_attack(block, registry))
-            truth.append(tag)
-        accuracies[ratio] = identification_accuracy(results, truth)
+        results = identify_runs(predictions, [rows.size for _, rows in eval_segments], registry)
+        accuracies[ratio] = identification_accuracy(results, [tag for tag, _ in eval_segments])
     return accuracies
 
 
@@ -222,10 +215,10 @@ def test_c05_noise_contract():
     counts_ok = True
     for i in range(11):
         ratio = i / 10
-        noised = inject_noise(ds.features, NoiseSpec(ratio, 1.0, seed=derive_seed(5, "noise", i)))
+        noised = inject_noise(ds.features, NoiseSpec(ratio, seed=derive_seed(5, "noise", i)))
         changed = int((noised != ds.features).any(axis=1).sum())
         counts_ok = counts_ok and changed == round(ratio * 203)
-    clean = inject_noise(ds.features, NoiseSpec(0.0, 1.0, seed=1))
+    clean = inject_noise(ds.features, NoiseSpec(0.0, seed=1))
     identity_ok = np.array_equal(clean, ds.features) and clean is not ds.features
     ok = counts_ok and identity_ok
     report_line(
@@ -300,8 +293,6 @@ def test_c09_full_pipeline_byte_determinism(tmp_path):
         "window": 10,
         "d_model": 8,
         "seed": 13,
-        "identify_bins": 10,
-        "min_segment_windows": 5,
     }
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
@@ -358,7 +349,7 @@ def test_c10_identification_accuracy_arithmetic():
 
     def result_for(name):
         registry = Registry((name,), edges, np.array([[0.25, 0.25, 0.25, 0.25]]), "coap", None)
-        return identify_attack(np.array([0.5]), registry)
+        return identify_runs(np.array([0.5]), [1], registry)[0]
 
     names = [f"attack_{i}" for i in range(14)]
     results = [result_for(n) for n in names]

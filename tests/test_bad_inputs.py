@@ -6,6 +6,7 @@ and never in exit 3."""
 import io
 import json
 import os
+import re
 import shutil
 import tempfile
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
@@ -47,7 +48,7 @@ def ws(tmp_path_factory):
         ),
     )
     (work / "scenario.json").write_text(json.dumps(scenario_to_dict(scenario)))
-    config = {"window": 5, "d_model": 4, "identify_bins": 10, "min_segment_windows": 2}
+    config = {"window": 5, "d_model": 4}
     (work / "config.json").write_text(json.dumps(config))
     cfg = work / "config.json"
     assert run(["synth", "--config", cfg, "--scenario", work / "scenario.json",
@@ -102,12 +103,33 @@ def base_configs(ws, tmp: Path) -> dict[str, dict]:
                   "families": ["glm_binomial"], "out": str(tmp / "m")},
         "sweep": {"datasets": {"sspe": str(tmp / "sspe"), "baseline": str(tmp / "baseline")},
                   "families": ["glm_binomial"], "identify_families": ["glm_gaussian"],
-                  "ratios": [0.0, 0.5], "identify_bins": 10, "min_segment_windows": 2,
-                  "out": str(tmp / "rep")},
+                  "ratios": [0.0, 0.5], "out": str(tmp / "rep")},
         "identify": {"dataset": str(tmp / "sspe"), "registry": str(tmp / "reg.json"),
-                     "make_registry": "train", "identify_bins": 10,
-                     "min_segment_windows": 2, "out": str(tmp / "id")},
+                     "make_registry": "train", "out": str(tmp / "id")},
     }
+
+
+@pytest.fixture(scope="module")
+def short_attacks(tmp_path_factory):
+    """An sspe dataset, with detect and identify models, of a capture whose
+    two 3-second attacks give 14 attack windows of 5: the test split holds
+    round(14 * 0.3) = 4 of them, so none of its attack segments reaches
+    ``MIN_SEGMENT_WINDOWS`` (5) rows, while the training split holds both
+    attacks' signatures."""
+    work = tmp_path_factory.mktemp("short_attacks")
+    scenario = SyntheticScenario(
+        duration=200,
+        feature_count=2,
+        segments=(AttackSegment("dos", 40, 3, "burst", offset=3.0),
+                  AttackSegment("scan", 120, 3, "burst", offset=3.0)),
+    )
+    (work / "scenario.json").write_text(json.dumps(scenario_to_dict(scenario)))
+    ds = work / "sspe"
+    assert run(["build-dataset", "--scenario", work / "scenario.json", "--method", "sspe",
+                "--d-model", 4, "--window", 5, "--out", ds])[0] == 0
+    for task, family in (("detect", "glm_binomial"), ("identify", "glm_gaussian")):
+        assert run(["train", "--dataset", ds, "--task", task, "--families", family])[0] == 0
+    return ds
 
 
 class TestRegressions:
@@ -469,24 +491,21 @@ class TestRegressions:
         assert want in err
         assert not (tmp_path / "ds" / "models" / "detect" / "glm_binomial.json").exists()
 
-    def test_no_segment_long_enough_names_the_dataset_and_the_bound(self, ws, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"identify_bins": 10, "min_segment_windows": 1000}))
-        rc, err = run(["identify", "--config", config, "--dataset", ws / "sspe",
-                       "--registry", ws / "registry.json", "--out", tmp_path / "ident"])
+    def test_no_segment_long_enough_names_the_dataset_and_the_bound(self, short_attacks,
+                                                                    tmp_path):
+        rc, err = run(["identify", "--dataset", short_attacks, "--make-registry", "train",
+                       "--registry", tmp_path / "registry.json", "--out", tmp_path / "ident"])
         assert rc == 2, err
-        assert (f"{ws / 'sspe'}: no attack segments large enough to identify with "
-                "min_segment_windows 1000") in err
-        assert not (tmp_path / "ident" / "identification.json").exists()
+        assert f"{short_attacks}: no attack segment of at least 5 windows to identify" in err
+        assert not (tmp_path / "ident").exists() and not (tmp_path / "registry.json").exists()
 
-    def test_sweep_with_no_segment_long_enough_names_the_dataset_and_the_bound(self, ws,
+    def test_sweep_with_no_segment_long_enough_names_the_dataset_and_the_bound(self,
+                                                                              short_attacks,
                                                                               tmp_path):
         # The sweep once said only "no attack segments large enough to identify".
-        rc, err = run(sweep_args(tmp_path, ws / "sspe", identify_bins=10,
-                                 min_segment_windows=1000))
+        rc, err = run(sweep_args(tmp_path, short_attacks))
         assert rc == 2, err
-        assert (f"{ws / 'sspe'}: no attack segments large enough to identify with "
-                "min_segment_windows 1000") in err
+        assert f"{short_attacks}: no attack segment of at least 5 windows to identify" in err
         assert not (tmp_path / "rep" / "report.json").exists()
 
     def test_no_tagged_attack_window_names_the_dataset(self, tmp_path):
@@ -533,8 +552,8 @@ BAD_CONFIG_VALUES = [
     ("train", "dataset", {"a": 1}),
     ("sweep", "ratios", "0"),
     ("sweep", "ratios", {"0.5": 1}),
-    ("sweep", "noise_scale", float("nan")),
-    ("sweep", "noise_scale", float("inf")),
+    ("sweep", "noise_scale", float("nan")),  # a key since removed
+    ("sweep", "noise_scale", float("inf")),  # a key since removed
     ("sweep", "identify_families", {"glm_gaussian": 1}),
     ("identify", "make_registry", ["train"]),
     ("identify", "model", 3),
@@ -542,14 +561,14 @@ BAD_CONFIG_VALUES = [
     ("build-dataset", "window", 10.7),
     ("build-dataset", "window", True),
     ("build-dataset", "seed", 7.9),
-    ("build-dataset", "stratify", "false"),
+    ("build-dataset", "stratify", "false"),  # a key since removed
     ("build-dataset", "d_model", 8.0),
     ("build-dataset", "d_model", 7),
     ("sweep", "noise_train", "false"),
     ("sweep", "ratios", [True, 0.5]),
     ("sweep", "ratios", []),
-    ("identify", "identify_bins", 2.9),
-    ("identify", "min_segment_windows", -4),
+    ("identify", "identify_bins", 2.9),  # a key since removed
+    ("identify", "min_segment_windows", -4),  # a key since removed
     ("train", "families", []),
     ("train", "families", ["glm_binomial", "bogus"]),
     # A key since removed is unknown, not ignored.
@@ -906,6 +925,12 @@ def run_on_copies(ws, tmp: Path, target: str, command: str, change=None):
     return rc, err, files
 
 
+def blank_digests(files: dict[Path, bytes]) -> dict[Path, bytes]:
+    """``files`` with the ``dataset_sha256`` of every model file blanked."""
+    return {path: re.sub(rb'"dataset_sha256":"[0-9a-f]{64}"', b'"dataset_sha256":""', blob)
+            for path, blob in files.items()}
+
+
 @FUZZ
 @given(target=st.sampled_from(sorted(CORRUPTIBLE)), data=st.data())
 def test_corrupted_artifacts_exit_0_1_or_2(ws, target, data):
@@ -920,4 +945,7 @@ def test_corrupted_artifacts_exit_0_1_or_2(ws, target, data):
         if actions == ["retype"] and rc == 0:
             for child in tmp.iterdir():
                 shutil.rmtree(child) if child.is_dir() else child.unlink()
-            assert files == run_on_copies(ws, tmp, target, command)[2]
+            want = run_on_copies(ws, tmp, target, command)[2]
+            if target == "sidecar":  # a model records the SHA-256 of every sidecar byte
+                files, want = blank_digests(files), blank_digests(want)
+            assert files == want

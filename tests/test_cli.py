@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tspec import AttackSegment, SyntheticScenario, emit_report, save_registry, training_registry
+from tspec import (AttackSegment, SyntheticScenario, derive_seed, emit_report, save_registry,
+                   training_registry)
 from tspec import cli, ingest
 from tspec.cli import KEYS, build_parser, main
 from tests.conftest import held_lock, scenario_to_dict
@@ -63,8 +64,6 @@ def workspace(tmp_path_factory):
     config = {
         "window": 10,
         "d_model": 8,
-        "identify_bins": 10,
-        "min_segment_windows": 5,
         "seed": 7,
     }
     (work / "config.json").write_text(json.dumps(config))
@@ -106,12 +105,12 @@ class TestBuildDataset:
         assert sidecar["provenance"]["d_model"] == 8
         assert sidecar["feature_width"] == 10 * 3
         assert sidecar["rows"] == 421
-        assert sidecar["split"]["test_fraction"] == 0.3
+        assert sidecar["split"] == {"seed": derive_seed(7, "split")}
         with np.load(workspace / "sspe" / "dataset.npz") as npz:
             assert npz["test"].dtype == bool and npz["test"].shape == (421,)
-        assert sidecar["schema_version"] == 5
+        assert sidecar["schema_version"] == 6
         assert "attack_name" not in sidecar
-        assert "attack_bit_fraction" not in sidecar["provenance"]
+        assert sorted(sidecar["provenance"]) == ["d_model", "feature_names", "method", "window"]
 
     def test_window_larger_than_timeline_exits_2(self, workspace, tmp_path, capsys):
         rc = main([
@@ -196,8 +195,6 @@ class TestSweep:
             "families": FAMILIES.split(","),
             "identify_families": ["glm_gaussian"],
             "ratios": ratios,
-            "identify_bins": 10,
-            "min_segment_windows": 5,
             "seed": 7,
         }
 
@@ -306,9 +303,9 @@ class TestIdentify:
         assert main(args + ["--out", str(tmp_path / "loaded")]) == 0
         made = (tmp_path / "made" / "identification.json").read_bytes()
         assert (tmp_path / "loaded" / "identification.json").read_bytes() == made
-        # The signatures the sweep identifies with, for the config's 10 bins.
+        # The signatures the sweep identifies with.
         train_ds, _ = cli.load_dataset(workspace / "sspe")
-        save_registry(training_registry(train_ds, 10), tmp_path / "sweep-registry.json")
+        save_registry(training_registry(train_ds), tmp_path / "sweep-registry.json")
         assert registry.read_bytes() == (tmp_path / "sweep-registry.json").read_bytes()
 
 
@@ -623,16 +620,15 @@ def test_a_sigtermed_command_unlinks_its_lock_and_reaps_its_workers(workspace, t
 
 # Config keys every command's config file may hold.
 SHARED_KEYS = {
-    "d_model", "datasets", "families", "features", "identify_bins", "identify_families",
-    "make_registry", "method", "min_segment_windows", "noise_scale", "noise_train", "ratios",
-    "seed", "stratify", "stride", "task", "test_fraction", "window",
+    "d_model", "datasets", "families", "features", "identify_families", "make_registry",
+    "method", "noise_train", "ratios", "seed", "task", "window",
 }
 # command -> (its flags, the path keys its config file may hold too)
 INTERFACE = {
     "synth": ({"--config", "--out", "--scenario", "--seed"}, {"out", "scenario"}),
     "build-dataset": (
         {"--config", "--d-model", "--input", "--method", "--out", "--scenario", "--schema",
-         "--seed", "--stride", "--test-fraction", "--window"},
+         "--seed", "--window"},
         {"input", "out", "scenario", "schema"},
     ),
     "train": (
@@ -640,8 +636,7 @@ INTERFACE = {
         {"dataset", "out"},
     ),
     "sweep": (
-        {"--config", "--families", "--identify-families", "--noise-scale", "--out", "--ratios",
-         "--seed"},
+        {"--config", "--families", "--identify-families", "--out", "--ratios", "--seed"},
         {"out"},
     ),
     "identify": (
@@ -669,6 +664,56 @@ class TestInterface:
         unknown = capsys.readouterr().err.split("unknown config key", 1)[1]
         accepted = set(KEYS) - set(re.findall(r"'(\w+)'", unknown))
         assert accepted == SHARED_KEYS | INTERFACE[command][1]
+
+
+# Keys that had one value in use, now constants: (command, key, that value).
+REMOVED_KEYS = [
+    ("build-dataset", "stride", 1),
+    ("build-dataset", "test_fraction", 0.3),
+    ("build-dataset", "stratify", True),
+    ("sweep", "noise_scale", 1.0),
+    ("identify", "identify_bins", 50),
+    ("identify", "min_segment_windows", 5),
+]
+
+
+class TestRemovedKeys:
+    """A removed key is unknown, not ignored: as a config key or a flag it
+    exits 1 on a run that would otherwise write its outputs."""
+
+    @staticmethod
+    def config(workspace, tmp_path, command) -> dict:
+        """A config on which ``command`` runs to exit 0."""
+        return {
+            "build-dataset": {"input": str(workspace / "raw" / "synthetic.csv"),
+                              "schema": str(workspace / "raw" / "schema.json"), "window": 10},
+            "sweep": {"datasets": {"sspe": str(workspace / "sspe")},
+                      "families": ["glm_binomial"], "ratios": [0.0]},
+            "identify": {"dataset": str(workspace / "sspe"), "make_registry": "train",
+                         "registry": str(tmp_path / "out" / "registry.json")},
+        }[command] | {"out": str(tmp_path / "out")}
+
+    @pytest.mark.parametrize("command,key,value", REMOVED_KEYS)
+    def test_config_key_exits_1(self, workspace, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(self.config(workspace, tmp_path, command) | {key: value}))
+        assert main([command, "--config", str(cfg)]) == 1
+        assert f"{cfg}: unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("build-dataset", "--stride", "1"),
+        ("build-dataset", "--test-fraction", "0.3"),
+        ("sweep", "--noise-scale", "1.0"),
+    ])
+    def test_flag_exits_1(self, workspace, tmp_path, capsys, command, flag, value):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(self.config(workspace, tmp_path, command)))
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", str(cfg), flag, value])
+        assert info.value.code == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestMalformedJson:

@@ -2,7 +2,6 @@
 
 import json
 import math
-from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -115,25 +114,26 @@ class TestZScore:
 
 class TestSplit:
     def test_sizes(self):
-        test = split_dataset(make_dataset(10), 0.3, seed=1, stratify=False)
+        test = split_dataset(make_dataset(10, positive_fraction=0.0), seed=1)
         assert int(test.sum()) == 3 and int((~test).sum()) == 7
 
     def test_disjoint_exhaustive(self):
         # One bool per row: every row is on exactly one side.
-        test = split_dataset(make_dataset(50), 0.4, seed=2)
+        ds = make_dataset(50)
+        test = split_dataset(ds, seed=2)
         assert test.dtype == bool and test.shape == (50,)
-        assert int(test.sum()) == 20
+        n_pos = int(ds.binary_labels.sum())
+        assert int(test.sum()) == round(n_pos * 0.3) + round((50 - n_pos) * 0.3)
 
     def test_stratified_positive_count(self):
         ds = make_dataset(100, positive_fraction=0.2, seed=5)
         n_pos = int(ds.binary_labels.sum())
-        test = split_dataset(ds, 0.5, seed=3, stratify=True)
-        expected = round(n_pos * 0.5)
-        assert abs(int(ds.binary_labels[test].sum()) - expected) <= 1
+        test = split_dataset(ds, seed=3)
+        assert int(ds.binary_labels[test].sum()) == round(n_pos * dataprep.TEST_FRACTION)
 
     def test_same_seed_identical(self):
         ds = make_dataset(40)
-        assert np.array_equal(split_dataset(ds, 0.25, seed=9), split_dataset(ds, 0.25, seed=9))
+        assert np.array_equal(split_dataset(ds, seed=9), split_dataset(ds, seed=9))
 
     def test_matches_sorted_permutation_prefixes(self):
         # The test rows of each class are a prefix of one seeded permutation.
@@ -143,37 +143,32 @@ class TestSplit:
         for cls in (0, 1):
             idx = np.flatnonzero(ds.binary_labels == cls)
             want[rng.permutation(idx)[: int(round(idx.size * 0.3))]] = True
-        assert np.array_equal(split_dataset(ds, 0.3, seed=11), want)
-
-    def test_fraction_out_of_range(self):
-        for bad in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ConfigError):
-                split_dataset(make_dataset(10), bad, seed=0)
+        assert np.array_equal(split_dataset(ds, seed=11), want)
 
 
 class TestNoise:
     def test_zero_ratio_bit_exact(self):
         ds = make_dataset(15)
-        out = inject_noise(ds.features, NoiseSpec(0.0, 1.0, seed=3))
+        out = inject_noise(ds.features, NoiseSpec(0.0, seed=3))
         assert np.array_equal(out, ds.features)
         assert out is not ds.features
 
     def test_full_ratio_touches_every_row(self):
         ds = make_dataset(12)
-        out = inject_noise(ds.features, NoiseSpec(1.0, 1.0, seed=3))
+        out = inject_noise(ds.features, NoiseSpec(1.0, seed=3))
         changed = (out != ds.features).any(axis=1)
         assert changed.all()
 
     def test_half_ratio_exact_row_count(self):
         ds = make_dataset(10)
-        out = inject_noise(ds.features, NoiseSpec(0.5, 1.0, seed=7))
+        out = inject_noise(ds.features, NoiseSpec(0.5, seed=7))
         changed = (out != ds.features).any(axis=1)
         assert int(changed.sum()) == 5
 
     @pytest.mark.parametrize("ratio", [i / 10 for i in range(11)])
     def test_grid_row_counts(self, ratio):
         ds = make_dataset(37)
-        out = inject_noise(ds.features, NoiseSpec(ratio, 0.5, seed=11))
+        out = inject_noise(ds.features, NoiseSpec(ratio, seed=11))
         changed = (out != ds.features).any(axis=1)
         assert int(changed.sum()) == round(ratio * 37)
 
@@ -181,7 +176,7 @@ class TestNoise:
         # Noising a dataset's features leaves the dataset as it was.
         ds = make_dataset(9, tags=True)
         before = make_dataset(9, tags=True)
-        inject_noise(ds.features, NoiseSpec(1.0, 2.0, seed=1))
+        inject_noise(ds.features, NoiseSpec(1.0, seed=1))
         assert same_bits(ds.features, before.features)
         assert np.array_equal(ds.binary_labels, before.binary_labels)
         assert np.array_equal(ds.spectrum_labels, before.spectrum_labels)
@@ -189,32 +184,31 @@ class TestNoise:
 
     def test_deterministic(self):
         ds = make_dataset(20)
-        a = inject_noise(ds.features, NoiseSpec(0.6, 1.0, seed=5))
-        b = inject_noise(ds.features, NoiseSpec(0.6, 1.0, seed=5))
+        a = inject_noise(ds.features, NoiseSpec(0.6, seed=5))
+        b = inject_noise(ds.features, NoiseSpec(0.6, seed=5))
         assert np.array_equal(a, b)
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(m=st.integers(1, 40), d=st.integers(1, 5), seed=st.integers(0, 2**63 - 1),
-           ratio=st.sampled_from(["zero", "one row", 0.5, 1.0]), scale=st.sampled_from([0.5, 1.0]))
-    def test_noise_rows_scattered_on_a_copy_are_inject_noise(self, m, d, seed, ratio, scale):
+           ratio=st.sampled_from(["zero", "one row", 0.5, 1.0]))
+    def test_noise_rows_scattered_on_a_copy_are_inject_noise(self, m, d, seed, ratio):
         # The same draws, in the same order, as noising the chosen rows of a
         # copy in place.
         ratio = {"zero": 0.0, "one row": 1 / m}.get(ratio, ratio)
         features = np.random.default_rng(seed).normal(size=(m, d))
-        spec = NoiseSpec(ratio, scale, seed)
+        spec = NoiseSpec(ratio, seed)
         rows, values = noise_rows(features, spec)
         assert rows.size == len(set(rows.tolist())) == round(ratio * m)
         scattered = features.copy()
         scattered[rows] = values
-        want = inject_noise_oracle(features, ratio, scale, seed)
+        want = inject_noise_oracle(features, ratio, seed)
         assert same_bits(scattered, want)
         assert same_bits(inject_noise(features, spec), want)
 
     def test_bad_spec(self):
-        with pytest.raises(ConfigError):
-            NoiseSpec(1.2, 1.0, 0)
-        with pytest.raises(ConfigError):
-            NoiseSpec(0.5, 0.0, 0)
+        for ratio in (1.2, -0.1):
+            with pytest.raises(ConfigError):
+                NoiseSpec(ratio, 0)
 
 
 class TestSynthetic:
@@ -370,7 +364,7 @@ class TestAssemble:
             segments=(AttackSegment("a", 10, 10, "burst", offset=2.0),),
         )
         timeline = generate_synthetic(scenario, seed=2)
-        ds = assemble_dataset(timeline, 5, 1, "sspe", 8)
+        ds = assemble_dataset(timeline, 5, "sspe", 8)
         assert ds.features.shape == (36, 15)
         assert ds.provenance["method"] == "sspe"
         assert ds.provenance["d_model"] == 8
@@ -389,7 +383,7 @@ class TestAssemble:
             ),
             seed=0,
         )
-        ds = assemble_dataset(timeline, 4, 1, "baseline")
+        ds = assemble_dataset(timeline, 4, "baseline")
         assert np.array_equal(ds.spectrum_labels, ds.binary_labels.astype(float))
 
     def test_coap_values_are_window_sums(self):
@@ -401,28 +395,30 @@ class TestAssemble:
             ),
             seed=0,
         )
-        ds = assemble_dataset(timeline, 6, 2, "coap")
+        ds = assemble_dataset(timeline, 6, "coap")
         bits = timeline.labels
-        for i, start in enumerate(range(0, 25, 2)):
-            assert ds.spectrum_labels[i] == bits[start : start + 6].sum()
+        assert len(ds) == 25
+        for start in range(25):
+            assert ds.spectrum_labels[start] == bits[start : start + 6].sum()
 
     def test_sspe_requires_d_model(self):
         timeline = generate_synthetic(
             SyntheticScenario(duration=10, feature_count=1, segments=()), seed=0
         )
         with pytest.raises(ConfigError):
-            assemble_dataset(timeline, 2, 1, "sspe")
+            assemble_dataset(timeline, 2, "sspe")
 
     def test_unknown_method(self):
         timeline = generate_synthetic(
             SyntheticScenario(duration=10, feature_count=1, segments=()), seed=0
         )
         with pytest.raises(ConfigError):
-            assemble_dataset(timeline, 2, 1, "fourier")
+            assemble_dataset(timeline, 2, "fourier")
 
 
-def windowed_dataset(method="coap", stride=1, seed=4):
-    """An assembled dataset and z-score parameters fitted on its first half."""
+def windowed_dataset(method="coap", seed=4):
+    """A timeline, its dataset of windows of 5, and z-score parameters fitted
+    on the dataset's first half."""
     scenario = SyntheticScenario(
         duration=90,
         feature_count=3,
@@ -431,15 +427,21 @@ def windowed_dataset(method="coap", stride=1, seed=4):
             AttackSegment("scan", 45, 30, "periodic", period=4),
         ),
     )
-    ds = assemble_dataset(generate_synthetic(scenario, seed), 5, stride, method, d_model=8)
-    return ds, zscore_fit(ds.features[: len(ds) // 2])
+    timeline = generate_synthetic(scenario, seed)
+    ds = assemble_dataset(timeline, 5, method, d_model=8)
+    return timeline, ds, zscore_fit(ds.features[: len(ds) // 2])
+
+
+def save(timeline, out, params, test, method="coap", **extra):
+    """``save_dataset`` of ``windowed_dataset``'s label settings."""
+    save_dataset(timeline, out, params, test, window=5, method=method, d_model=8, **extra)
 
 
 class TestDatasetIO:
     def test_round_trip(self, tmp_path):
-        ds, params = windowed_dataset(stride=2)
+        timeline, ds, params = windowed_dataset()
         test = np.arange(len(ds)) % 3 == 0
-        save_dataset(ds, tmp_path, params, test, sidecar_extra={"seeds": {"base": 3}})
+        save(timeline, tmp_path, params, test, sidecar_extra={"seeds": {"base": 3}})
         splits = load_dataset(tmp_path)
         sidecar = json.loads((tmp_path / "dataset.json").read_text())
         with np.load(tmp_path / "dataset.npz") as npz:
@@ -451,82 +453,60 @@ class TestDatasetIO:
             assert same_bits(split.features, zscore_apply(ds.features[rows], params))
             assert same_bits(split.spectrum_labels, ds.spectrum_labels[rows])
             assert same_bits(split.binary_labels, ds.binary_labels[rows])
-            assert same_bits(split.timeline.features, ds.timeline.features)
-            assert same_bits(split.window_starts, ds.window_starts[rows])
             assert dataset_tags(split) == tuple(dataset_tags(ds)[i] for i in rows)
             assert split.provenance == ds.provenance
-        assert sidecar["schema_version"] == 5
-        assert sidecar["rows"] == len(ds)
+        assert sidecar["schema_version"] == 6
+        assert sidecar["rows"] == len(ds) == len(timeline) - 4
         assert sidecar["feature_width"] == ds.features.shape[1]
+        assert sidecar["provenance"] == {"window": 5, "method": "coap", "d_model": None,
+                                         "feature_names": ["f0", "f1", "f2"]}
         assert sidecar["attack_names"] == ["", "dos", "scan"]
         assert sidecar["seeds"] == {"base": 3}
         assert "attack_name" not in sidecar
 
-    def test_never_reads_the_rows(self, tmp_path):
-        # The rows are windows of the per-second features: saving a dataset
-        # whose rows were replaced writes the same bytes.
-        ds, params = windowed_dataset()
-        test = np.arange(len(ds)) % 4 == 0
-        save_dataset(ds, tmp_path / "a", params, test)
-        save_dataset(replace(ds, features=np.empty((len(ds), 0))), tmp_path / "b", params, test)
-        for name in ("dataset.npz", "dataset.json"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    def test_refuses_a_window_longer_than_the_timeline(self, tmp_path):
+        timeline, ds, params = windowed_dataset()
+        with pytest.raises(DataError, match="90 seconds holds no window of 91"):
+            save_dataset(timeline, tmp_path, params, np.zeros(0, dtype=bool), window=91,
+                         method="coap")
+        assert list(tmp_path.iterdir()) == []
 
-    def test_refuses_hand_built_dataset(self, tmp_path):
-        ds = make_dataset(8, d=3)
-        with pytest.raises(DataError, match="per-second"):
-            save_dataset(ds, tmp_path, zscore_fit(ds.features), np.zeros(len(ds), dtype=bool))
+    def test_refuses_label_settings_that_cannot_load(self, tmp_path):
+        timeline, ds, params = windowed_dataset()
+        test = np.zeros(len(ds), dtype=bool)
+        with pytest.raises(ConfigError, match="label method"):
+            save(timeline, tmp_path, params, test, method="fourier")
+        with pytest.raises(ConfigError, match="d_model"):
+            save_dataset(timeline, tmp_path, params, test, window=5, method="sspe", d_model=3)
+        assert list(tmp_path.iterdir()) == []
 
     def test_stores_no_starts_and_labels_as_bools(self, tmp_path):
-        # Schema 5 stores nothing per window but the test mask: the labels
+        # The store keeps nothing per window but the test mask: the labels
         # and attack codes are per second, the codes as uint8 for 3 names.
-        ds, params = windowed_dataset(stride=3)
-        save_dataset(ds, tmp_path, params, np.zeros(len(ds), dtype=bool))
+        timeline, ds, params = windowed_dataset()
+        save(timeline, tmp_path, params, np.zeros(len(ds), dtype=bool))
         with np.load(tmp_path / "dataset.npz") as npz:
             assert sorted(npz.files) == ["attack_codes", "labels", "second_features", "test",
                                          "zscore_means", "zscore_stds"]
             assert npz["labels"].dtype == np.bool_
             assert npz["attack_codes"].dtype == np.uint8
-            assert same_bits(npz["labels"], ds.timeline.labels.astype(bool))
-            assert same_bits(npz["attack_codes"], ds.timeline.attack_codes.astype(np.uint8))
+            assert same_bits(npz["labels"], timeline.labels.astype(bool))
+            assert same_bits(npz["attack_codes"], timeline.attack_codes.astype(np.uint8))
         train, _ = load_dataset(tmp_path)
         assert train.binary_labels.dtype == np.int64
         assert np.array_equal(train.binary_labels, ds.binary_labels)
-        assert np.array_equal(train.window_starts, np.arange(len(ds)) * 3)
-
-    @pytest.mark.parametrize("case", ["a row dropped", "starts shifted", "labels of 2",
-                                      "a spectrum label moved", "a tag moved"])
-    def test_refuses_rows_the_store_cannot_rebuild(self, tmp_path, case):
-        # The store keeps neither the starts nor any window's labels or tag:
-        # it derives them all from the timeline.
-        ds, params = windowed_dataset(stride=2)
-        if case == "a row dropped":
-            ds = replace(ds, features=ds.features[1:], spectrum_labels=ds.spectrum_labels[1:],
-                         binary_labels=ds.binary_labels[1:], tag_codes=ds.tag_codes[1:],
-                         window_starts=ds.window_starts[1:])
-        elif case == "starts shifted":
-            ds = replace(ds, window_starts=ds.window_starts + 1)
-        elif case == "labels of 2":
-            ds = replace(ds, binary_labels=ds.binary_labels * 2)
-        elif case == "a spectrum label moved":
-            ds = replace(ds, spectrum_labels=np.nextafter(ds.spectrum_labels, np.inf))
-        else:
-            ds = replace(ds, tag_codes=np.roll(ds.tag_codes, 1))
-        with pytest.raises(DataError, match="every window of 5 seconds at stride 2|labels and tags"):
-            save_dataset(ds, tmp_path, params, np.zeros(len(ds), dtype=bool))
-        assert list(tmp_path.iterdir()) == []
 
     def test_refuses_a_test_mask_of_another_length(self, tmp_path):
-        ds, params = windowed_dataset()
+        timeline, ds, params = windowed_dataset()
         with pytest.raises(DataError, match="test mask"):
-            save_dataset(ds, tmp_path, params, np.zeros(len(ds) - 1, dtype=bool))
+            save(timeline, tmp_path, params, np.zeros(len(ds) - 1, dtype=bool))
         assert list(tmp_path.iterdir()) == []
 
     def test_refuses_zscore_parameters_of_another_width(self, tmp_path):
-        ds, params = windowed_dataset()
+        timeline, ds, params = windowed_dataset()
         narrow = zscore_fit(ds.features[:, :-1])
         with pytest.raises(DataError, match="one value per feature column"):
-            save_dataset(ds, tmp_path, narrow, np.zeros(len(ds), dtype=bool))
+            save(timeline, tmp_path, narrow, np.zeros(len(ds), dtype=bool))
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_dir(self, tmp_path):

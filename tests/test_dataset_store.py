@@ -50,10 +50,10 @@ def raw(tmp_path_factory):
     return work
 
 
-def build(raw, out, method="coap", stride=1, csv_name="synthetic.csv", config=None):
+def build(raw, out, method="coap", window=WINDOW, csv_name="synthetic.csv", config=None):
     args = ["build-dataset", "--seed", "9", "--input", str(raw / csv_name),
             "--schema", str(raw / "schema.json"), "--method", method,
-            "--window", str(WINDOW), "--stride", str(stride), "--out", str(out)]
+            "--window", str(window), "--out", str(out)]
     if config is not None:
         (out.parent / "config.json").write_text(json.dumps(config))
         args += ["--config", str(out.parent / "config.json")]
@@ -62,29 +62,31 @@ def build(raw, out, method="coap", stride=1, csv_name="synthetic.csv", config=No
 
 class TestAgainstCsvStore:
     @pytest.mark.parametrize(
-        "method, stride, csv_name, config",
+        "method, window, csv_name, config",
         [
             ("baseline", 1, "synthetic.csv", None),
             ("coap", 2, "synthetic.csv", None),
             ("sspe", 3, "synthetic.csv", None),
             ("sspe", 1, "gappy.csv", None),
             ("coap", 2, "gappy.csv", None),
-            ("sspe", 1, "synthetic.csv", {"test_fraction": 0.5, "stratify": False}),
+            ("sspe", 1, "synthetic.csv", {"features": ["f0", "f2"]}),
         ],
     )
     def test_loads_the_v1_round_trip_bits(
-        self, raw, tmp_path, monkeypatch, method, stride, csv_name, config
+        self, raw, tmp_path, monkeypatch, method, window, csv_name, config
     ):
         real_save = cli.save_dataset
 
-        def save_both(ds, out_dir, zscore, test, *args, **kwargs):
+        def save_both(timeline, out_dir, zscore, test, **settings):
             # The schema-1 store held every row z-scored, in row order.
+            ds = assemble_dataset(timeline, settings["window"], settings["method"],
+                                  settings["d_model"])
             save_dataset_v1(replace(ds, features=zscore_apply(ds.features, zscore)),
                             tmp_path / "v1")
-            return real_save(ds, out_dir, zscore, test, *args, **kwargs)
+            return real_save(timeline, out_dir, zscore, test, **settings)
 
         monkeypatch.setattr(cli, "save_dataset", save_both)
-        assert build(raw, tmp_path / "ds", method, stride, csv_name, config) == 0
+        assert build(raw, tmp_path / "ds", method, window, csv_name, config) == 0
         splits = load_dataset(tmp_path / "ds")
         sidecar = json.loads((tmp_path / "ds" / "dataset.json").read_text())
         with np.load(tmp_path / "ds" / "dataset.npz") as npz:
@@ -95,15 +97,12 @@ class TestAgainstCsvStore:
             assert same_bits(split.spectrum_labels, spectrum[rows])
             assert same_bits(split.binary_labels, binary[rows])
             assert dataset_tags(split) == tuple(t for t, keep in zip(tags, rows) if keep)
-        assert sidecar["rows"] == len(features)
+        # A window a second, over 240 seconds: the fill closed the gaps.
+        assert sidecar["rows"] == len(features) == 240 - window + 1
+        assert sidecar["feature_width"] == window * (2 if config else 3)
         assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == [
             "dataset.json", "dataset.npz",
         ]
-
-        starts = np.sort(np.concatenate([split.window_starts for split in splits]))
-        assert np.all(np.diff(starts) == stride)
-        if csv_name == "gappy.csv":  # the fill closed the gaps
-            assert len(splits[0].timeline) == 240
 
 
 class TestDerivedAtLoad:
@@ -117,14 +116,13 @@ class TestDerivedAtLoad:
         cells=st.lists(st.tuples(st.integers(1, 3), st.booleans(), st.sampled_from("abc")),
                        min_size=2, max_size=60),
         window=st.integers(1, 9),
-        stride=st.integers(1, 4),
         method=st.sampled_from(LABEL_METHODS),
         d_model=st.sampled_from([2, 4, 8, 30, 256]),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=80, deadline=None)
-    def test_load_gives_the_assembled_labels(self, tmp_path_factory, cells, window, stride,
-                                             method, d_model, seed):
+    def test_load_gives_the_assembled_labels(self, tmp_path_factory, cells, window, method,
+                                             d_model, seed):
         labels = [0] + [int(bit) for _, bit, _ in cells[1:]]  # a normal row to fill from
         seconds = np.cumsum([0] + [step for step, _, _ in cells[1:]])
         timeline = fill_missing_points(
@@ -133,10 +131,11 @@ class TestDerivedAtLoad:
             seed,
         )
         assume(window <= len(timeline))
-        ds = assemble_dataset(timeline, window, stride, method, d_model if method == "sspe" else None)
+        ds = assemble_dataset(timeline, window, method, d_model)
         test = np.random.default_rng(seed).random(len(ds)) < 0.3
         out = tmp_path_factory.mktemp("derived")
-        save_dataset(ds, out, zscore_fit(ds.features), test)
+        save_dataset(timeline, out, zscore_fit(ds.features), test, window=window, method=method,
+                     d_model=d_model)
         splits = load_dataset(out)
         tags = dataset_tags(ds)
         for split, rows in zip(splits, (~test, test)):
@@ -157,12 +156,13 @@ def built(raw, tmp_path_factory):
 
 def test_sidecar_holds_only_scalars_and_names(built):
     sidecar = json.loads((built / "dataset.json").read_text())
-    assert sidecar["schema_version"] == 5
+    assert sidecar["schema_version"] == 6
     assert sorted(sidecar) == [
         "attack_names", "feature_width", "npz_sha256", "provenance", "rows", "schema_version",
         "seeds", "split",
     ]
-    assert "attack_bit_fraction" not in sidecar["provenance"]
+    assert sorted(sidecar["provenance"]) == ["d_model", "feature_names", "method", "window"]
+    assert list(sidecar["split"]) == ["seed"]
     lists = [v for part in (sidecar, *sidecar.values()) if isinstance(part, dict)
              for v in part.values() if isinstance(v, list)]
     assert lists == [sidecar["attack_names"], sidecar["provenance"]["feature_names"]]
@@ -240,10 +240,8 @@ CORRUPTIONS = {
         "dataset.npz",
         lambda d: rewrite_npz(d / "dataset.npz", second_features=np.zeros((240, 3), np.float32)),
     ),
-    # Row i starts at i * stride: one second fewer puts the last start past
-    # the end, and a negative stride puts every start after the first below 0.
+    # Row i starts at second i: one second fewer puts the last start past the end.
     "start past the end": ("dataset.npz", lambda d: _edit_seconds(d, lambda s: s[:-1])),
-    "negative start": ("dataset.json", lambda d: _edit_provenance(d, stride=-1)),
     "a second more than the rows": (
         "dataset.npz",
         lambda d: _edit_seconds(d, lambda s: np.concatenate([s, s[-1:]])),
@@ -265,6 +263,13 @@ CORRUPTIONS = {
         "dataset.json",
         lambda d: (edit_sidecar(d / "dataset.json", schema_version=3),
                    rewrite_npz(d / "dataset.npz", window_starts=np.arange(235))),
+    ),
+    # Schema 5 recorded the windows' stride and the split's settings.
+    "schema-5 store": (
+        "dataset.json",
+        lambda d: (edit_sidecar(d / "dataset.json", schema_version=5,
+                                split={"test_fraction": 0.3, "stratify": True, "seed": 1}),
+                   _edit_provenance(d, stride=1)),
     ),
     # Schema 4 stored every window's spectrum label, binary label and tag.
     "schema-4 store": (
@@ -344,7 +349,7 @@ class TestMalformedStore:
         shutil.copytree(built, tmp_path / "ds")
         CORRUPTIONS["schema-4 store"][1](tmp_path / "ds")
         assert cli.main(["train", "--dataset", str(tmp_path / "ds"), "--families", "glm_binomial"]) == 2
-        assert "schema version 4 (expected 5); rebuild the dataset" in capsys.readouterr().err
+        assert "schema version 4 (expected 6); rebuild the dataset" in capsys.readouterr().err
 
 
 class TestPairCheck:

@@ -23,7 +23,6 @@ from tspec import (
     emit_report,
     generate_synthetic,
     identification_accuracy,
-    identify_attack,
     inject_noise,
     predict,
     run_noise_sweep,
@@ -32,7 +31,7 @@ from tspec import (
 from tspec import evalharness
 from tspec.models import FAMILIES
 from tspec.evalharness import identify_segments, labels_by_attack
-from tspec.identify import Registry, build_registry
+from tspec.identify import Registry, build_registry, identify_runs
 from tests.conftest import method_artifacts, tagged_dataset, use_cpus
 from tests.test_cli import read_tree
 from tests.oracles import confusion_oracle, identify_segments_oracle
@@ -84,7 +83,7 @@ class TestIdentificationAccuracy:
     def _results(self, names):
         edges, counts = np.linspace(0.0, 4.0, 5), np.array([[0.0, 0.5, 0.5, 0.0]])
         return [
-            identify_attack(np.array([1.0]), Registry((name,), edges, counts, "sspe", None))
+            identify_runs(np.array([1.0]), [1], Registry((name,), edges, counts, "sspe", None))[0]
             for name in names
         ]
 
@@ -125,15 +124,17 @@ class TestSegments:
 class TestIdentifySegments:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
-        tags=st.lists(st.sampled_from(["", "a", "b", "c"]), min_size=1, max_size=40),
+        # (tag, rows) runs, so that segments of MIN_SEGMENT_WINDOWS rows are common.
+        runs=st.lists(st.tuples(st.sampled_from(["", "a", "b", "c"]), st.integers(1, 8)),
+                      min_size=1, max_size=10),
         seed=st.integers(0, 2**32 - 1),
         signatures=st.integers(1, 4),
         bins=st.integers(2, 12),
-        min_windows=st.integers(1, 3),
     )
     def test_names_similarities_and_margins_match_one_segment_at_a_time(
-        self, tags, seed, signatures, bins, min_windows
+        self, runs, seed, signatures, bins
     ):
+        tags = [tag for tag, rows in runs for _ in range(rows)]
         ds = tagged_dataset(tags)
         rng = np.random.default_rng(seed)
         counts = rng.random((signatures, bins)) * (rng.random((signatures, bins)) < 0.7)
@@ -142,12 +143,12 @@ class TestIdentifySegments:
                             np.sort(rng.normal(0.0, 2.0, bins + 1)) + np.arange(bins + 1),
                             counts / counts.sum(axis=1, keepdims=True), "sspe", None)
         predictions = rng.normal(0.0, 4.0, len(tags))
-        segments = [s for s in contiguous_segments(ds) if s[1].size >= min_windows]
+        segments = [s for s in contiguous_segments(ds) if s[1].size >= 5]
         if not segments:
-            with pytest.raises(DataError, match="no attack segments large enough"):
-                identify_segments(predictions, ds, registry, min_windows)
+            with pytest.raises(DataError, match="no attack segment of at least 5 windows"):
+                identify_segments(predictions, ds, registry)
             return
-        results, truth = identify_segments(predictions, ds, registry, min_windows)
+        results, truth = identify_segments(predictions, ds, registry)
         assert truth == [name for name, _ in segments]
         bits = [(res.predicted_attack, {k: v.hex() for k, v in res.similarities.items()},
                  res.margin.hex()) for res in results]
@@ -188,10 +189,7 @@ def full_report(sweep_setup):
     cfg = SweepConfig(
         methods=methods,
         ratios=tuple(i / 10 for i in range(11)),
-        noise_scale=1.0,
         base_seed=seed,
-        identify_bins=12,
-        min_segment_windows=3,
         config_echo={"seed": seed},
     )
     return run_noise_sweep(cfg)
@@ -230,10 +228,7 @@ class TestSweep:
         cfg = SweepConfig(
             methods=methods,
             ratios=tuple(i / 10 for i in range(11)),
-            noise_scale=1.0,
-            base_seed=seed,
-            identify_bins=12,
-            min_segment_windows=3,
+                base_seed=seed,
             config_echo={"seed": seed},
         )
         assert run_noise_sweep(cfg) == full_report
@@ -266,10 +261,7 @@ class TestSweep:
         cfg = SweepConfig(
             methods={"sspe": methods["sspe"]},
             ratios=(0.0, 0.4),
-            noise_scale=1.0,
-            base_seed=seed,
-            identify_bins=12,
-            min_segment_windows=3,
+                base_seed=seed,
             noise_train=True,
         )
         art = methods["sspe"]
@@ -295,13 +287,13 @@ class TestSweep:
             its own "train-noise" stream."""
             model = {**art.detect_models, **art.regress_models}[family]
             train_seed = derive_seed(seed, "train-noise", "sspe", family, *seed_labels, 40)
-            noised_train = inject_noise(art.train.features, NoiseSpec(0.4, 1.0, train_seed))
+            noised_train = inject_noise(art.train.features, NoiseSpec(0.4, train_seed))
             return model, train(model.spec, noised_train, labels)
 
         # Detection cells retrain on the training detection labels.
         _, model = retrained("gbm", detection_truth(art.train, art.train))
         row = rows[("detect", "gbm", 0.4)]
-        noised_test = inject_noise(art.test.features, NoiseSpec(0.4, 1.0, row.seed))
+        noised_test = inject_noise(art.test.features, NoiseSpec(0.4, row.seed))
         probs = predict(model, noised_test)
         truth = detection_truth(art.train, art.test)
         assert row.metrics == detection_metrics(truth, (probs >= 0.5).astype(int))
@@ -311,16 +303,14 @@ class TestSweep:
         # "identify" in their seed labels.
         original, model = retrained("glm_gaussian", art.train.spectrum_labels, "identify")
         row = rows[("identify", "glm_gaussian", 0.4)]
-        noised_test = inject_noise(art.test.features, NoiseSpec(0.4, 1.0, row.seed))
+        noised_test = inject_noise(art.test.features, NoiseSpec(0.4, row.seed))
         predictions = predict(model, noised_test)
         assert not np.array_equal(predictions, predict(original, noised_test))
         registry = build_registry(
-            labels_by_attack(art.train), bins=12, method="sspe",
+            labels_by_attack(art.train), bins=50, method="sspe",
             d_model=art.train.provenance.get("d_model"),
         )
-        results, truth_tags = identify_segments(
-            predictions, art.test, registry, min_windows=3
-        )
+        results, truth_tags = identify_segments(predictions, art.test, registry)
         assert row.identification_accuracy == identification_accuracy(results, truth_tags)
         assert [(spec.family, labels) for spec, labels in fits] == [
             (family, "detect")
@@ -339,10 +329,7 @@ def test_sweeps_are_the_same_on_any_number_of_cpus(monkeypatch, tmp_path, sweep_
     cfg = SweepConfig(
         methods={"sspe": methods["sspe"]},
         ratios=(0.0, 0.5),
-        noise_scale=1.0,
         base_seed=seed,
-        identify_bins=12,
-        min_segment_windows=3,
         noise_train=noise_train,
         config_echo={"seed": seed},
     )
@@ -391,10 +378,7 @@ class TestCleanPredictionReuse:
         cfg = SweepConfig(
             methods={"sspe": art},
             ratios=(0.0, 0.3, 1.0),
-            noise_scale=1.0,
-            base_seed=seed,
-            identify_bins=12,
-            min_segment_windows=3,
+                base_seed=seed,
             noise_train=noise_train,
         )
         predicted = {}  # rows predicted per (task, family)
@@ -418,7 +402,7 @@ class TestCleanPredictionReuse:
 
         truth = detection_truth(art.train, art.test)
         registry = build_registry(
-            labels_by_attack(art.train), bins=12, method="sspe",
+            labels_by_attack(art.train), bins=50, method="sspe",
             d_model=art.train.provenance.get("d_model"),
         )
         cells = iter(identified)
@@ -435,18 +419,16 @@ class TestCleanPredictionReuse:
                     int(round(row.noise_ratio * 100)),
                 )
                 noised_train = inject_noise(
-                    art.train.features, NoiseSpec(row.noise_ratio, 1.0, train_seed)
+                    art.train.features, NoiseSpec(row.noise_ratio, train_seed)
                 )
                 model = train(model.spec, noised_train, labels)
-            noised = inject_noise(art.test.features, NoiseSpec(row.noise_ratio, 1.0, row.seed))
+            noised = inject_noise(art.test.features, NoiseSpec(row.noise_ratio, row.seed))
             predictions = predict(model, noised)
             if detect:
                 assert row.metrics == detection_metrics(truth, (predictions >= 0.5).astype(int))
             else:
                 assert next(cells).tobytes() == predictions.tobytes()
-                results, tags = identify_segments(
-                    predictions, art.test, registry, min_windows=3
-                )
+                results, tags = identify_segments(predictions, art.test, registry)
                 assert row.identification_accuracy == identification_accuracy(results, tags)
         assert next(cells, None) is None
         # Tree models predict the clean rows once and then only the rows each
@@ -464,18 +446,16 @@ class TestCleanPredictionReuse:
 class TestNoisedRowsOnly:
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(base_seed=st.integers(0, 2**32 - 1),
-           ratio=st.sampled_from([0.0, 0.01, 0.1, 0.5, 0.9, 1.0]),
-           scale=st.sampled_from([0.5, 1.0, 3.0]))
+           ratio=st.sampled_from([0.0, 0.01, 0.1, 0.5, 0.9, 1.0]))
     def test_a_row_separable_cell_predicts_the_bits_of_the_noised_matrix(
-        self, four_family_setup, base_seed, ratio, scale
+        self, four_family_setup, base_seed, ratio
     ):
         # Its cells predict only the noised rows, over the clean predictions.
         _, art = four_family_setup
         separable = {f: m for f, m in art.regress_models.items() if FAMILIES[f].row_separable}
         cfg = SweepConfig(
             methods={"sspe": MethodArtifacts(art.train, art.test, regress_models=separable)},
-            ratios=(ratio,), noise_scale=scale, base_seed=base_seed, identify_bins=12,
-            min_segment_windows=3,
+            ratios=(ratio,), base_seed=base_seed,
         )
         identified = []
 
@@ -489,7 +469,7 @@ class TestNoisedRowsOnly:
             report = run_noise_sweep(cfg)
         assert [row.family for row in report.rows] == list(separable)
         for row, predictions in zip(report.rows, identified, strict=True):
-            noised = inject_noise(art.test.features, NoiseSpec(ratio, scale, row.seed))
+            noised = inject_noise(art.test.features, NoiseSpec(ratio, row.seed))
             assert predictions.tobytes() == predict(separable[row.family], noised).tobytes()
 
 

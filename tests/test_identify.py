@@ -14,12 +14,16 @@ from tspec import (
     DataError,
     Registry,
     build_registry,
-    identify_attack,
     load_registry,
     save_registry,
 )
-from tspec.identify import _histograms
+from tspec.identify import _histograms, identify_runs
 from tests.oracles import cosine_similarity
+
+
+def identify_one(values, registry):
+    """``identify_runs`` of one run: all of ``values``."""
+    return identify_runs(values, [values.size], registry)[0]
 
 
 def registry_of(names, counts, edges=(0.0, 1.0, 2.0, 3.0, 4.0)):
@@ -51,7 +55,7 @@ class TestBuildSignature:
         registry = build_registry(
             {"low": np.array([1.0]), "high": np.array([4.0])}, bins=2, method="sspe"
         )
-        result = identify_attack(np.array([-5.0, 2.5, 9.0]), registry)
+        result = identify_one(np.array([-5.0, 2.5, 9.0]), registry)
         assert result.similarities == {
             "low": pytest.approx(1 / math.sqrt(5)), "high": pytest.approx(2 / math.sqrt(5)),
         }
@@ -194,20 +198,20 @@ class TestIdentifyAttack:
     def test_self_identification(self, registry):
         rng = np.random.default_rng(4)
         for name, center in (("low", 2.0), ("mid", 5.0), ("high", 8.0)):
-            result = identify_attack(rng.normal(center, 0.3, size=100), registry)
+            result = identify_one(rng.normal(center, 0.3, size=100), registry)
             assert result.predicted_attack == name
             assert result.margin > 0
 
     def test_scale_invariance_of_histogram(self, registry):
         rng = np.random.default_rng(5)
         values = rng.normal(5.0, 0.3, size=60)
-        once = identify_attack(values, registry)
-        tripled = identify_attack(np.repeat(values, 3), registry)
+        once = identify_one(values, registry)
+        tripled = identify_one(np.repeat(values, 3), registry)
         assert once.predicted_attack == tripled.predicted_attack == "mid"
 
     def test_tie_breaks_to_lowest_index(self):
         registry = registry_of(["first", "second"], [[0.0, 0.5, 0.5, 0.0]] * 2)
-        result = identify_attack(np.array([1.0, 2.0]), registry)
+        result = identify_one(np.array([1.0, 2.0]), registry)
         assert result.predicted_attack == "first"
         assert result.margin == 0.0
 
@@ -215,11 +219,11 @@ class TestIdentifyAttack:
         rng = np.random.default_rng(6)
         samples = {"low": 2.0, "mid": 5.0, "high": 8.0}
         for name, center in samples.items():
-            result = identify_attack(rng.normal(center, 0.3, size=300), registry)
+            result = identify_one(rng.normal(center, 0.3, size=300), registry)
             assert result.predicted_attack == name
 
     def test_similarities_cover_every_signature(self, registry):
-        result = identify_attack(np.array([2.0, 2.1]), registry)
+        result = identify_one(np.array([2.0, 2.1]), registry)
         assert set(result.similarities) == {"low", "mid", "high"}
 
     def test_inconsistent_binning_rejected(self):
@@ -228,7 +232,7 @@ class TestIdentifyAttack:
 
     def test_empty_predictions_rejected(self, registry):
         with pytest.raises(DataError):
-            identify_attack(np.array([]), registry)
+            identify_one(np.array([]), registry)
 
     def test_empty_registry_rejected(self):
         with pytest.raises(DataError, match="no signatures"):

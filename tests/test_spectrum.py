@@ -170,8 +170,8 @@ class TestSspe:
         labels = [0, 1, 1, 0, 1, 0, 0, 1]
         t1 = make_timeline(range(8), labels=labels, rng=np.random.default_rng(1))
         t2 = make_timeline(range(8), labels=labels, rng=np.random.default_rng(99))
-        d1 = assemble_dataset(t1, 4, 1, "sspe", 8)
-        d2 = assemble_dataset(t2, 4, 1, "sspe", 8)
+        d1 = assemble_dataset(t1, 4, "sspe", 8)
+        d2 = assemble_dataset(t2, 4, "sspe", 8)
         assert np.array_equal(d1.spectrum_labels, d2.spectrum_labels)
         assert not np.array_equal(d1.features, d2.features)
 

@@ -44,28 +44,27 @@ from tests.oracles import (
 )
 
 
-def tag_names(timeline, w, stride):
+def tag_names(timeline, w):
     """``window_attack_tags`` decoded into attack names."""
-    codes = window_attack_tags(timeline, w, stride)
+    codes = window_attack_tags(timeline, w)
     return tuple(timeline.attack_names[c] for c in codes.tolist())
 
 
-def brute_force_starts(n, w, stride):
-    return [s for s in range(0, n + 1) if s % stride == 0 and s + w <= n]
+def brute_force_starts(n, w):
+    return [s for s in range(0, n + 1) if s + w <= n]
 
 
-def window_blocks(timeline, w, stride=1):
+def window_blocks(timeline, w):
     """window_matrices rows unflattened back to (n_windows, W, F) blocks."""
-    features, _ = window_matrices(timeline, w, stride)
+    features, _ = window_matrices(timeline, w)
     return features.reshape(features.shape[0], w, len(timeline.feature_names))
 
 
-def check_against_oracle(timeline, w, stride):
+def check_against_oracle(timeline, w):
     """``window_matrices`` rows and starts, and the label bits at those
     starts, against the per-window stacking loop."""
-    features, starts = window_matrices(timeline, w, stride)
-    want, bits, want_starts = window_matrices_oracle(timeline.features, timeline.labels, w,
-                                                     stride)
+    features, starts = window_matrices(timeline, w)
+    want, bits, want_starts = window_matrices_oracle(timeline.features, timeline.labels, w)
     got_bits = sliding_window_view(timeline.labels, w)[starts]
     for a, b in ((features, want), (got_bits, bits), (starts, want_starts)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -73,41 +72,40 @@ def check_against_oracle(timeline, w, stride):
 
 class TestMakeWindows:
     def test_count_small(self):
-        _, starts = window_matrices(make_timeline(range(5)), 3, 1)
+        _, starts = window_matrices(make_timeline(range(5)), 3)
         assert starts.tolist() == [0, 1, 2]
 
     def test_count_disjoint(self):
-        features, starts = window_matrices(make_timeline(range(60)), 30, 30)
+        # Each split's rows are the windows at some of the starts: here two
+        # disjoint ones.
+        timeline = make_timeline(range(60))
+        features = windowing.flatten_windows(timeline.features, np.array([0, 30]), 30)
         assert features.shape[0] == 2
-        assert starts.tolist() == [0, 30]
+        assert np.array_equal(features, window_matrices(timeline, 30)[0][[0, 30]])
 
     def test_insufficient_data(self):
         with pytest.raises(DataError, match="insufficient"):
             window_matrices(make_timeline(range(10)), 30)
 
-    @given(
-        n=st.integers(1, 80),
-        w=st.integers(1, 80),
-        stride=st.integers(1, 10),
-    )
+    @given(n=st.integers(1, 80), w=st.integers(1, 80))
     @settings(max_examples=60, deadline=None)
-    def test_count_formula_matches_enumeration(self, n, w, stride):
+    def test_count_formula_matches_enumeration(self, n, w):
         timeline = make_timeline(range(n), width=1)
         if n < w:
             with pytest.raises(DataError):
-                window_matrices(timeline, w, stride)
+                window_matrices(timeline, w)
             return
-        features, starts = window_matrices(timeline, w, stride)
-        labels = window_labels(timeline, w, stride, "coap")[0]
-        assert features.shape[0] == labels.shape[0] == (n - w) // stride + 1
-        assert starts.tolist() == brute_force_starts(n, w, stride)
+        features, starts = window_matrices(timeline, w)
+        labels = window_labels(timeline, w, "coap")[0]
+        assert features.shape[0] == labels.shape[0] == n - w + 1
+        assert starts.tolist() == brute_force_starts(n, w)
 
     def test_windows_carry_labels_in_order(self):
         # SSPE weighs each position differently, so it reads the bits in order.
         timeline = make_timeline(range(6), labels=[0, 1, 0, 1, 1, 0])
         bits = sliding_window_view(timeline.labels, 3)
         assert bits[1].tolist() == [1, 0, 1]
-        values = window_labels(timeline, 3, 1, "sspe", 4)[0]
+        values = window_labels(timeline, 3, "sspe", 4)[0]
         assert values.tolist() == sspe_values(bits, 4).tolist() and values[1] != values[3]
 
     def test_stride_one_overlap(self):
@@ -152,7 +150,7 @@ class TestFlatten:
 
     def test_window_matrices_match_flatten(self):
         timeline = make_timeline(range(8), labels=[0, 1] * 4, width=2)
-        check_against_oracle(timeline, 3, 2)
+        check_against_oracle(timeline, 3)
 
     def test_rows_take_one_matrix_sized_allocation_per_step(self):
         # Parsed CSVs give column-ordered (n, F) matrices.  Flattening one,
@@ -190,28 +188,28 @@ class TestWindowLabels:
             labels=[0, 1, 1, 1, 0, 0],
             attacks=["", "scan", "scan", "dos", "", ""],
         )
-        assert tag_names(timeline, 3, 1) == ("scan", "scan", "scan", "dos")
+        assert tag_names(timeline, 3) == ("scan", "scan", "scan", "dos")
 
     def test_tags_tie_prefers_earliest(self):
         timeline = make_timeline(
             range(4), labels=[1, 1, 0, 0], attacks=["a", "b", "", ""]
         )
-        assert tag_names(timeline, 2, 1)[0] == "a"
+        assert tag_names(timeline, 2)[0] == "a"
 
 
 class TestAgainstOracles:
     """``window_matrices`` and ``window_attack_tags`` against the per-window
-    loops they replaced, on gap-filled timelines, strides above one, tied
-    attack counts and attack seconds without a name."""
+    loops they replaced, on gap-filled timelines, tied attack counts and
+    attack seconds without a name."""
 
     @staticmethod
-    def check(timeline, w, stride):
-        check_against_oracle(timeline, w, stride)
-        assert tag_names(timeline, w, stride) == window_attack_tags_oracle(
-            timeline_attacks(timeline), timeline.labels.tolist(), w, stride
+    def check(timeline, w):
+        check_against_oracle(timeline, w)
+        assert tag_names(timeline, w) == window_attack_tags_oracle(
+            timeline_attacks(timeline), timeline.labels.tolist(), w
         )
 
-    def test_gap_filled_with_stride(self):
+    def test_gap_filled(self):
         seconds = [0, 1, 2, 5, 6, 7, 8, 12, 13, 14, 20, 21, 22, 23]
         labels = [0, 1, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0]
         attacks = ["", "a", "b", "", "b", "a", "", "", "c", "", "", "a", "", ""]
@@ -219,13 +217,12 @@ class TestAgainstOracles:
             make_timeline(seconds, labels=labels, width=3, attacks=attacks), seed=4
         )
         assert len(timeline) == len(seconds) + 10
-        for w in (1, 2, 4, 7):
-            for stride in (1, 2, 3):
-                self.check(timeline, w, stride)
+        for w in (1, 2, 3, 4, 7):
+            self.check(timeline, w)
 
     def test_no_feature_columns(self):
         # Every feature can be dropped as constant; windows then have width 0.
-        self.check(make_timeline(range(5), width=0), 2, 2)
+        self.check(make_timeline(range(5), width=0), 2)
 
     def test_tied_counts_and_unnamed_attacks(self):
         # Several windows of 4 hold as many "x" as "y" seconds, so the
@@ -233,10 +230,9 @@ class TestAgainstOracles:
         labels = [1, 1, 1, 1, 1, 1, 1, 1, 0, 1]
         attacks = ["x", "y", "y", "x", "", "x", "y", "", "", ""]
         timeline = make_timeline(range(10), labels=labels, attacks=attacks)
-        for stride in (1, 2, 3):
-            self.check(timeline, 4, stride)
-        assert tag_names(timeline, 2, 1)[3] == "x"  # seconds 3-4: "x", unnamed
-        assert tag_names(timeline, 1, 1)[7:] == ("", "", "")
+        self.check(timeline, 4)
+        assert tag_names(timeline, 2)[3] == "x"  # seconds 3-4: "x", unnamed
+        assert tag_names(timeline, 1)[7:] == ("", "", "")
 
     @given(
         cells=st.lists(
@@ -245,17 +241,16 @@ class TestAgainstOracles:
             max_size=40,
         ),
         w=st.integers(1, 12),
-        stride=st.integers(1, 5),
     )
     @settings(max_examples=80, deadline=None)
-    def test_random_label_streams(self, cells, w, stride):
+    def test_random_label_streams(self, cells, w):
         if w > len(cells):
             return
         # make_timeline drops the names drawn for label-0 seconds.
         timeline = make_timeline(
             range(len(cells)), labels=[bit for bit, _ in cells], attacks=[n for _, n in cells]
         )
-        self.check(timeline, w, stride)
+        self.check(timeline, w)
 
     def test_only_windows_with_two_names_are_sorted(self, monkeypatch):
         # Windows of 3 from seconds 2 and 3 hold "a" and "b"; every other
@@ -270,7 +265,7 @@ class TestAgainstOracles:
             return real(windows)
 
         monkeypatch.setattr(windowing, "_most_frequent_codes", spy)
-        self.check(timeline, 3, 1)
+        self.check(timeline, 3)
         codes = timeline.attack_codes.tolist()
         assert sorted_rows == [codes[2:5], codes[3:6]]
 
@@ -281,13 +276,13 @@ class TestAgainstOracles:
         timeline = make_timeline(range(n), labels=[1] * n, attacks=[f"a{i}" for i in range(n)])
         tracemalloc.start()
         try:
-            codes = window_attack_tags(timeline, 30, 1)
+            codes = window_attack_tags(timeline, 30)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 20 * 2**20
         names = tuple(timeline.attack_names[c] for c in codes.tolist())
-        assert names == window_attack_tags_oracle(timeline_attacks(timeline), [1] * n, 30, 1)
+        assert names == window_attack_tags_oracle(timeline_attacks(timeline), [1] * n, 30)
 
     @given(
         cells=st.lists(
@@ -296,10 +291,9 @@ class TestAgainstOracles:
             max_size=40,
         ),
         w=st.integers(1, 12),
-        stride=st.integers(1, 5),
     )
     @settings(max_examples=60, deadline=None)
-    def test_codes_match_the_string_oracles(self, cells, w, stride):
+    def test_codes_match_the_string_oracles(self, cells, w):
         # Unnamed attack seconds are drawn as (1, ""); the codes path must
         # give the tags, segments and signature groups of the string loops,
         # and the store must keep the timeline's names, which its per-second
@@ -309,10 +303,8 @@ class TestAgainstOracles:
         timeline = make_timeline(
             range(len(cells)), labels=[bit for bit, _ in cells], attacks=[n for _, n in cells]
         )
-        ds = assemble_dataset(timeline, w, stride, "coap")
-        tags = window_attack_tags_oracle(
-            timeline_attacks(timeline), timeline.labels.tolist(), w, stride
-        )
+        ds = assemble_dataset(timeline, w, "coap")
+        tags = window_attack_tags_oracle(timeline_attacks(timeline), timeline.labels.tolist(), w)
         assert dataset_tags(ds) == tags
         got = [(name, rows.tolist()) for name, rows in contiguous_segments(ds)]
         assert got == [(name, rows.tolist()) for name, rows in contiguous_segments_oracle(tags)]
@@ -327,7 +319,8 @@ class TestAgainstOracles:
 
         params = zscore_fit(ds.features)
         with tempfile.TemporaryDirectory() as out:
-            save_dataset(ds, out, params, np.zeros(len(ds), dtype=bool))
+            save_dataset(timeline, out, params, np.zeros(len(ds), dtype=bool), window=w,
+                         method="coap")
             sidecar = json.loads((Path(out) / "dataset.json").read_text())
             loaded, _ = load_dataset(out)
         assert sidecar["attack_names"] == list(timeline.attack_names)
